@@ -2,10 +2,9 @@
 // the number of client goroutines grows. Two scenarios per model:
 //
 //   - distinct: every worker draws different samples from the model's
-//     size range — measures plan-cache + trace-memo effectiveness and
-//     multicore scaling (on a single-core host, wall-clock throughput
-//     stays flat; the cache counters still prove the per-shape work
-//     happens once).
+//     size range — measures plan-cache effectiveness and multicore
+//     scaling (on a single-core host, wall-clock throughput stays flat;
+//     the cache counters still prove the per-shape work happens once).
 //   - coalesced: all in-flight requests carry the same hot sample —
 //     measures singleflight request coalescing, where G goroutines are
 //     served by one execution (throughput scales with G even on one

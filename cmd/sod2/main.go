@@ -474,8 +474,7 @@ func serveBenchCmd(name, device string, requests, workers, distinct,
 	}
 	fmt.Printf("plan cache: %d/%d request hits (%d hits / %d misses cumulative, %d entries)\n",
 		planHits, served, st.Cache.PlanHits, st.Cache.PlanMisses, st.Cache.PlanEntries)
-	fmt.Printf("trace memo: %d hits / %d misses (%d entries)   coalesced in flight: %d\n",
-		st.Cache.TraceHits, st.Cache.TraceMisses, st.Cache.TraceEntries, st.Coalesced)
+	fmt.Printf("coalesced in flight: %d\n", st.Coalesced)
 	fmt.Printf("health: %s   breaker: %d faults / %d successes, %d trips, reverify %d pass / %d fail\n",
 		st.Health, st.Breaker.Faults, st.Breaker.Successes, st.Breaker.Trips,
 		st.Breaker.ReverifyPass, st.Breaker.ReverifyFail)

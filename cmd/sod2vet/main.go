@@ -1,24 +1,20 @@
-// Command arenaalias runs the repository's static checkers as a
-// `go vet` vettool — a multichecker driving two stdlib-only analyzers:
-//
-//   - arenaalias: arena-backed tensors escaping a function that recycles
-//     their storage without Arena.Detach;
-//   - ctxfield: context.Context parked in long-lived struct fields
-//     outside the sanctioned Options/Config/Session carriers.
+// Command sod2vet runs the repository's stdlib-only static checker as
+// a `go vet` vettool — ctxfield: context.Context parked in long-lived
+// struct fields outside the sanctioned Options/Config/Session carriers.
 //
 // Usage:
 //
-//	go build -o bin/arenaalias ./cmd/arenaalias
-//	go vet -vettool=bin/arenaalias ./...
+//	go build -o bin/sod2vet ./cmd/sod2vet
+//	go vet -vettool=bin/sod2vet ./...
 //
 // The build environment has no golang.org/x/tools, so this driver
 // implements the unitchecker protocol by hand with the standard library:
 //
-//   - `arenaalias -V=full` prints the tool identity line cmd/go hashes
+//   - `sod2vet -V=full` prints the tool identity line cmd/go hashes
 //     into its cache key;
-//   - `arenaalias -flags` prints the tool's flag set as JSON so cmd/go
+//   - `sod2vet -flags` prints the tool's flag set as JSON so cmd/go
 //     can split vet flags from build flags;
-//   - `arenaalias [-json] <file>.cfg` analyzes one package unit: the
+//   - `sod2vet [-json] <file>.cfg` analyzes one package unit: the
 //     .cfg file (written by cmd/go) lists the unit's Go files, its
 //     import map, and the compiled export data of every dependency,
 //     which is all a go/types check needs. Facts are not used, so the
@@ -37,7 +33,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/lint/arenaalias"
 	"repro/internal/lint/ctxfield"
 )
 
@@ -61,9 +56,9 @@ func main() {
 	args := os.Args[1:]
 	if len(args) == 1 && args[0] == "-V=full" {
 		// cmd/go requires "<name> version <ver>..." and hashes the line;
-		// bump the version when any checker's rules change to invalidate
-		// cached vet results. v2: + ctxfield analyzer.
-		fmt.Println("arenaalias version v2 stdlib-unitchecker multichecker=arenaalias,ctxfield")
+		// bump the version when the checker's rules change to invalidate
+		// cached vet results.
+		fmt.Println("sod2vet version v3 stdlib-unitchecker ctxfield")
 		return
 	}
 	if len(args) == 1 && args[0] == "-flags" {
@@ -78,11 +73,11 @@ func main() {
 		args = args[1:]
 	}
 	if len(args) != 1 {
-		fmt.Fprintln(os.Stderr, "usage: arenaalias [-json] <unit>.cfg")
+		fmt.Fprintln(os.Stderr, "usage: sod2vet [-json] <unit>.cfg")
 		os.Exit(1)
 	}
 	if err := run(args[0], jsonOut); err != nil {
-		fmt.Fprintf(os.Stderr, "arenaalias: %v\n", err)
+		fmt.Fprintf(os.Stderr, "sod2vet: %v\n", err)
 		os.Exit(1)
 	}
 }
@@ -153,61 +148,33 @@ func run(cfgPath string, jsonOut bool) error {
 		return fmt.Errorf("typecheck %s: %v", cfg.ImportPath, err)
 	}
 
-	// The multichecker proper: run every analyzer over the one
-	// type-checked unit, keeping findings grouped by analyzer name.
-	byAnalyzer := map[string][]finding{
-		"arenaalias": {},
-		"ctxfield":   {},
-	}
-	total := 0
-	for _, d := range arenaalias.Check(fset, files, info) {
-		byAnalyzer["arenaalias"] = append(byAnalyzer["arenaalias"],
-			finding{Pos: d.Pos, Message: d.Message})
-		total++
-	}
-	for _, d := range ctxfield.Check(fset, cfg.ImportPath, files, info) {
-		byAnalyzer["ctxfield"] = append(byAnalyzer["ctxfield"],
-			finding{Pos: d.Pos, Message: d.Message})
-		total++
-	}
+	diags := ctxfield.Check(fset, cfg.ImportPath, files, info)
 	if jsonOut {
-		return printJSON(cfg.ID, byAnalyzer)
+		return printJSON(cfg.ID, diags)
 	}
-	for _, name := range []string{"arenaalias", "ctxfield"} {
-		for _, d := range byAnalyzer[name] {
-			fmt.Fprintf(os.Stderr, "%s: %s: %s\n", d.Pos, name, d.Message)
-		}
+	for _, d := range diags {
+		fmt.Fprintf(os.Stderr, "%s: ctxfield: %s\n", d.Pos, d.Message)
 	}
-	if total > 0 {
+	if len(diags) > 0 {
 		os.Exit(2) // the unitchecker convention: diagnostics were reported
 	}
 	return nil
 }
 
-// finding is one diagnostic, analyzer-agnostic.
-type finding struct {
-	Pos     token.Position
-	Message string
-}
-
 // printJSON emits the unitchecker JSON shape:
 // {"pkgID": {"analyzer": [{"posn": ..., "message": ...}]}}.
-func printJSON(pkgID string, byAnalyzer map[string][]finding) error {
+func printJSON(pkgID string, diags []ctxfield.Diagnostic) error {
 	type jsonDiag struct {
 		Posn    string `json:"posn"`
 		Message string `json:"message"`
 	}
-	out := map[string]map[string][]jsonDiag{pkgID: {}}
-	for name, diags := range byAnalyzer {
-		out[pkgID][name] = []jsonDiag{}
-		for _, d := range diags {
-			out[pkgID][name] = append(out[pkgID][name],
-				jsonDiag{Posn: d.Pos.String(), Message: d.Message})
-		}
+	out := []jsonDiag{}
+	for _, d := range diags {
+		out = append(out, jsonDiag{Posn: d.Pos.String(), Message: d.Message})
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "\t")
-	return enc.Encode(out)
+	return enc.Encode(map[string]map[string][]jsonDiag{pkgID: {"ctxfield": out}})
 }
 
 type importerFunc func(path string) (*types.Package, error)

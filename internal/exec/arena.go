@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 	"unsafe"
 
@@ -54,79 +53,22 @@ type Arena struct {
 
 	hwMu sync.Mutex
 	buf  []float32
-	// pooled marks arenas whose buf came from the size-class pool and
-	// must be returned via Release; cls is its pool class.
-	pooled bool
-	cls    int
 }
 
-// NewArena allocates the backing store for a plan.
+// NewArena allocates the backing store for a plan: one allocation sized
+// by the plan, owned by the run that executes into it and reclaimed by
+// the garbage collector — never recycled, so a tensor viewing the
+// buffer stays valid for as long as it is reachable.
 func NewArena(offsets map[string]int64, size int64) *Arena {
 	return &Arena{Offsets: offsets, Size: size, buf: make([]float32, (size+3)/4)}
 }
 
-// arenaPools recycles arena backing buffers by power-of-two size class
-// (indexed by bits.Len64 of the float count), so concurrent inferences
-// reuse a small set of buffers instead of each allocating a fresh arena.
-var arenaPools [48]sync.Pool
-
-func classOf(floats int64) int { return bits.Len64(uint64(floats)) }
-
-// NewPooledArena is NewArena with the backing store drawn from the
-// size-classed pool. The caller must Release() the arena when the
-// inference is done — after Detach()ing any tensors that must outlive it.
-func NewPooledArena(offsets map[string]int64, size int64) *Arena {
-	floats := (size + 3) / 4
-	cls := classOf(floats)
-	var buf []float32
-	if v := arenaPools[cls].Get(); v != nil {
-		if b := v.([]float32); int64(cap(b)) >= floats {
-			buf = b[:floats]
-		}
-	}
-	if buf == nil {
-		// Round up to the class ceiling so every buffer in a class can
-		// serve every request of that class.
-		buf = make([]float32, floats, int64(1)<<cls)
-	}
-	return &Arena{Offsets: offsets, Size: size, buf: buf, pooled: true, cls: cls}
-}
-
-// Release returns a pooled arena's backing buffer to its size-class
-// pool. The arena must not be used afterwards; tensors still aliasing
-// the buffer (see Detach) would be silently corrupted by the next user.
-// Release on a nil or non-pooled arena is a no-op.
-func (a *Arena) Release() {
-	if a == nil || !a.pooled || a.buf == nil {
-		return
-	}
-	buf := a.buf
-	a.buf = nil
-	arenaPools[a.cls].Put(buf) //nolint:staticcheck // slice header allocation is amortized
-}
-
-// DrainArenaPools discards every idle pooled arena backing buffer and
-// returns how many were dropped. The pools are process-global (shared
-// by every Compiled and Session), so draining releases the retained
-// float32 buffers to the garbage collector at the cost of re-allocation
-// by whoever runs next — the graceful-shutdown path. Buffers checked
-// out by in-flight runs are untouched (their Release simply repopulates
-// the pool). Safe for concurrent use: the pools are never reassigned,
-// only emptied one Get at a time.
-func DrainArenaPools() (buffers int) {
-	for i := range arenaPools {
-		for arenaPools[i].Get() != nil {
-			buffers++
-		}
-	}
-	return buffers
-}
-
 // Detach replaces every tensor in outputs whose storage aliases the
-// arena's backing buffer with an independent clone, so the arena can be
-// Release()d while the outputs live on. Aliases are detected by storage
-// address, which also catches view-producing kernels (Reshape) that
-// forward an arena-placed buffer under a different name.
+// arena's backing buffer with an independent clone, so a small output
+// that lives on does not pin the whole multi-MB arena. Aliases are
+// detected by storage address, which also catches view-producing
+// kernels (Reshape) that forward an arena-placed buffer under a
+// different name.
 func (a *Arena) Detach(outputs map[string]*tensor.Tensor) {
 	if a == nil || len(a.buf) == 0 {
 		return

@@ -476,8 +476,9 @@ func compileGraph(b *models.Builder, g *graph.Graph, cfg SchedConfig) (*Compiled
 	// proof certificate forward. Failure at any point is non-fatal: the
 	// compile serves the original graph unspecialized.
 	if !cfg.NoSpecialize {
-		facts := deriveFactsFor(b, g, res.Infos)
-		region := regionFor(b, g, res.Infos, facts)
+		probe := probeExtents(b, g, res.Infos)
+		facts := probe.facts()
+		region := probe.region(facts)
 		compileCounters.specializations.Add(1)
 		if sg, cert, serr := absint.Specialize(g, res.Infos, absint.Options{Region: region}); serr == nil {
 			sres := res

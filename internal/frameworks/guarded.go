@@ -107,7 +107,7 @@ func (c *Compiled) Contract() *guard.Contract {
 		// generator at both ends of the sampling range.
 		facts := c.presetFacts
 		if facts == nil {
-			facts = c.deriveFacts()
+			facts = probeExtents(c.Builder, c.Graph, c.Infos).facts()
 		}
 		for _, f := range facts {
 			ct.AddFact(f)
@@ -115,27 +115,6 @@ func (c *Compiled) Contract() *guard.Contract {
 		c.contract = ct
 	})
 	return c.contract
-}
-
-// deriveFacts probes the model's input generator at both ends of its
-// declared sampling range and keeps facts only for the symbols that
-// actually track the dynamic extent: a symbol bound to the probe size at
-// both ends gets a range fact [MinSize, MaxSize] and — when the model
-// samples on a stride — a divisibility fact (YOLO-v6's H % 32 == 0).
-// Symbols pinned to fixed values (SAM's prompt count) are left alone.
-func (c *Compiled) deriveFacts() []guard.Fact {
-	return deriveFactsFor(c.Builder, c.Graph, c.Infos)
-}
-
-// probeEnv materializes inputs at a given extent and binds them against
-// the analyzed shapes, returning the symbol environment (nil on failure).
-func (c *Compiled) probeEnv(size int64) map[string]int64 {
-	inputs := c.Builder.Inputs(tensor.NewRNG(1), size, 0.5)
-	env, err := c.bindEnv(inputs)
-	if err != nil {
-		return nil
-	}
-	return env
 }
 
 // GuardedRun executes one set of inputs under the full runtime contract:
@@ -160,9 +139,9 @@ func (c *Compiled) probeEnv(size int64) map[string]int64 {
 // bounded LRU (§4.3–§4.4's static planning done once per shape), with
 // singleflight dedup so concurrent cold misses verify once; repeat
 // shapes skip re-verification entirely (GuardReport.PlanCacheHit).
-// Arena backing buffers come from a size-classed pool and are returned
-// after the run, so concurrent inferences do not each allocate a fresh
-// arena; outputs are detached from the arena before it is recycled.
+// The arena is one allocation sized by the verified plan and owned by
+// this run alone; outputs are detached from it on return so they do not
+// pin the whole buffer.
 func (c *Compiled) GuardedRun(inputs map[string]*tensor.Tensor, opts GuardOptions) (*exec.Result, *GuardReport, error) {
 	gr := &GuardReport{Tier: guard.TierPlanned}
 	degrade := func(reason string, kind guard.ViolationKind, to guard.Tier) {
@@ -301,7 +280,7 @@ func (c *Compiled) GuardedRun(inputs map[string]*tensor.Tensor, opts GuardOption
 					gr.ParallelWorkers = runtime.GOMAXPROCS(0)
 				}
 			}
-			arena = exec.NewPooledArena(pl.Offsets, pl.ArenaSize)
+			arena = exec.NewArena(pl.Offsets, pl.ArenaSize)
 			arena.Budget = opts.ArenaBudget
 		}
 	}
@@ -337,9 +316,8 @@ func (c *Compiled) GuardedRun(inputs map[string]*tensor.Tensor, opts GuardOption
 	if err != nil && gr.Tier == guard.TierPlanned && exec.IsArenaFault(err) && !opts.Strict {
 		// The plan disagreed with runtime reality (injected OOM, stale
 		// offsets). The dynamic allocator is immune: retry without the
-		// arena (the failed run leaked nothing, so its buffer recycles).
+		// arena.
 		degrade(err.Error(), guard.KindMemPlan, guard.TierDynamic)
-		arena.Release()
 		arena, execOpts.Arena = nil, nil
 		// The dynamic retry runs sequentially: without the widened
 		// arena plan there is no concurrency soundness proof.
@@ -348,15 +326,11 @@ func (c *Compiled) GuardedRun(inputs map[string]*tensor.Tensor, opts GuardOption
 		res, err = exec.Run(c.Graph, inputs, execOpts)
 	}
 	if err != nil {
-		arena.Release()
 		return nil, gr, err
 	}
 	if arena != nil {
 		gr.ArenaHighWater = arena.HighWater
-		// Clone arena-backed outputs, then hand the buffer back to the
-		// pool for the next concurrent inference.
 		arena.Detach(res.Outputs)
-		arena.Release()
 	}
 	if !opts.SkipFiniteCheck {
 		if ferr := guard.CheckFinite(res.Outputs); ferr != nil {

@@ -1,14 +1,11 @@
 package frameworks
 
 import (
-	"fmt"
-
 	"repro/internal/dtypes"
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/lattice"
 	"repro/internal/memplan"
-	"repro/internal/rdp"
 	"repro/internal/symbolic"
 	"repro/internal/tensor"
 )
@@ -21,7 +18,7 @@ import (
 // offsets in one arena. Values RDP could not resolve (⊥ shapes,
 // control-flow merges) fall back to dynamic allocation at run time.
 func (c *Compiled) PlanArena(inputs map[string]*tensor.Tensor) (*exec.Arena, error) {
-	env, err := c.bindEnv(inputs)
+	env, err := c.Contract().BindInputs(inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -39,22 +36,6 @@ func (c *Compiled) valueDTypes() dtypes.Map {
 		c.dtypesMap = dtypes.Infer(c.Graph)
 	})
 	return c.dtypesMap
-}
-
-// bindEnv binds the concrete input dims against the analyzed symbolic
-// input shapes.
-func (c *Compiled) bindEnv(inputs map[string]*tensor.Tensor) (symbolic.Env, error) {
-	env := symbolic.Env{}
-	for _, in := range c.Graph.Inputs {
-		t := inputs[in.Name]
-		if t == nil {
-			return nil, fmt.Errorf("frameworks: missing input %q", in.Name)
-		}
-		if err := rdp.BindShapes(c.Infos[in.Name].Shape, t.Shape, env); err != nil {
-			return nil, err
-		}
-	}
-	return env, nil
 }
 
 // memProgram derives the liveness program for an execution order under a

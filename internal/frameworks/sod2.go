@@ -86,7 +86,8 @@ func (s *SoD2) Supports(string, costmodel.Device) bool { return true }
 // experiments.
 func (s *SoD2) Reset() {}
 
-// Run executes one sample under the configured optimization set.
+// Run executes one sample under the configured optimization set and
+// models its report from the executed trace.
 func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (Report, error) {
 	kind := OrderBFS
 	if s.Opts.SEP {
@@ -95,6 +96,7 @@ func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (R
 	res, err := m.Execute(sample, s.Opts.ExecuteAllBranches, kind)
 	var degradations []guard.Degradation
 	fallbackTier := guard.TierPlanned
+	workers := s.Opts.ParallelWorkers
 	if err != nil && kind == OrderPlanned {
 		// The planned schedule failed (a corrupted or stale plan): fall
 		// back to declaration order, which is always a valid schedule,
@@ -102,6 +104,7 @@ func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (R
 		res, err = m.Execute(sample, s.Opts.ExecuteAllBranches, OrderTopo)
 		if err == nil {
 			fallbackTier = guard.TierReplan
+			workers = 0 // the wave partition is over the planned order
 			degradations = append(degradations, guard.Degradation{
 				Reason: "planned order failed; re-ran in declaration order",
 				Kind:   guard.KindExecPlan,
@@ -112,7 +115,22 @@ func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (R
 	if err != nil {
 		return Report{}, err
 	}
-	tr := res.Trace
+	rep := s.Model(m, res.Trace, dev, workers)
+	rep.FallbackTier = fallbackTier
+	rep.Degradations = degradations
+	rep.Specialized = m.SpecCert.TopologyChanged()
+	return rep, nil
+}
+
+// Model applies the cost model to an executed trace: latency from the
+// device model over the trace's events, peak memory from the configured
+// allocator policy over the same events. It executes nothing and reads
+// only shapes, names and byte sizes from the trace, so the trace of any
+// run of m serves — the evaluation harness's memoized Execute or a
+// guarded serving run. workers > 1 models wavefront-parallel execution
+// (per-wave makespan) when m has a wave plan; the report carries no
+// tier or degradations, which belong to whoever executed the trace.
+func (s *SoD2) Model(m *Compiled, tr exec.Trace, dev costmodel.Device, workers int) Report {
 
 	// --- Latency -----------------------------------------------------
 	opts := costmodel.TraceCostOptions{}
@@ -189,14 +207,13 @@ func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (R
 
 	var inferUS float64
 	waves, parWorkers := 0, 0
-	if w := s.Opts.ParallelWorkers; w > 1 && s.Opts.SEP &&
-		kind == OrderPlanned && fallbackTier == guard.TierPlanned && m.WavePlan != nil {
-		// Wavefront-parallel configuration: per-wave LPT makespan over w
-		// workers, sequential costs elsewhere (control-flow bodies,
+	if workers > 1 && s.Opts.SEP && m.WavePlan != nil {
+		// Wavefront-parallel configuration: per-wave LPT makespan over
+		// the workers, sequential costs elsewhere (control-flow bodies,
 		// solo waves). Identical per-event costs to TraceCost, so the
 		// two configurations differ only in scheduling.
-		inferUS = dev.TraceCostParallel(tr, opts, m.WavePlan.WaveOf, w) * dev.MemPressure(peak)
-		waves, parWorkers = m.WavePlan.NumWaves(), w
+		inferUS = dev.TraceCostParallel(tr, opts, m.WavePlan.WaveOf, workers) * dev.MemPressure(peak)
+		waves, parWorkers = m.WavePlan.NumWaves(), workers
 	} else {
 		inferUS = dev.TraceCost(tr, opts) * dev.MemPressure(peak)
 	}
@@ -207,7 +224,5 @@ func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (R
 		total += v
 	}
 	return Report{LatencyMS: total, PeakMemBytes: peak, Phases: phases,
-		FallbackTier: fallbackTier, Degradations: degradations,
-		Wavefronts: waves, ParallelWorkers: parWorkers,
-		Specialized: m.SpecCert.TopologyChanged()}, nil
+		Wavefronts: waves, ParallelWorkers: parWorkers}
 }

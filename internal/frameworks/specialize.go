@@ -7,90 +7,78 @@ import (
 	"repro/internal/lattice"
 
 	"repro/internal/models"
-	"repro/internal/rdp"
 	"repro/internal/staticverify"
 	"repro/internal/symbolic"
 	"repro/internal/tensor"
 )
 
 // This file is the compile-side of region-proven graph specialization:
-// the fact/region derivation shared by the cold compile and the runtime
-// contract, and the out-of-region escape hatch for region-dependent
-// certificates.
+// the fact/region derivation shared by the cold compile, the runtime
+// contract and the verifier, and the out-of-region escape hatch for
+// region-dependent certificates.
 
-// deriveFactsFor probes the model's input generator at both ends of its
-// declared sampling range and keeps facts only for the symbols that
-// actually track the dynamic extent (the standalone form of the contract
-// derivation: the compile pipeline needs facts before the Compiled
-// exists, so the specializer can consume the region).
-func deriveFactsFor(b *models.Builder, g *graph.Graph, infos map[string]lattice.Info) []guard.Fact {
+// extentProbe is the model's input generator observed at both ends of
+// its declared sampling range (MinSize and the stride-aligned maximum),
+// each end bound against the analyzed input shapes. The contract facts
+// and the verification region are both read off this one observation.
+// The zero value — no sampling spec, or an end that does not bind —
+// derives no facts and no pinned symbols.
+type extentProbe struct {
+	lo, hi                   symbolic.Env
+	min, max, step, maxAlign int64
+}
+
+// probeExtents generates and binds the two probe inputs.
+func probeExtents(b *models.Builder, g *graph.Graph, infos map[string]lattice.Info) extentProbe {
 	if b == nil || b.Inputs == nil || b.MinSize <= 0 || b.MaxSize < b.MinSize {
-		return nil
+		return extentProbe{}
 	}
-	step := b.SizeStep
-	if step <= 0 {
-		step = 1
+	p := extentProbe{min: b.MinSize, max: b.MaxSize, step: max(b.SizeStep, 1)}
+	p.maxAlign = p.min + ((p.max-p.min)/p.step)*p.step
+	ct := guard.NewContract(g, infos)
+	var err error
+	if p.lo, err = ct.BindInputs(b.Inputs(tensor.NewRNG(1), p.min, 0.5)); err != nil {
+		return extentProbe{}
 	}
-	maxAligned := b.MinSize + ((b.MaxSize-b.MinSize)/step)*step
-	lo := probeEnvFor(b, g, infos, b.MinSize)
-	hi := probeEnvFor(b, g, infos, maxAligned)
-	if lo == nil || hi == nil {
-		return nil
+	if p.hi, err = ct.BindInputs(b.Inputs(tensor.NewRNG(1), p.maxAlign, 0.5)); err != nil {
+		return extentProbe{}
 	}
+	return p
+}
+
+// facts keeps a range fact [MinSize, MaxSize] — and, when the model
+// samples on a stride, a divisibility fact (YOLO-v6's H % 32 == 0) — for
+// each symbol that tracked the probe size at both ends. Symbols pinned
+// to fixed values (SAM's prompt count) get none.
+func (p extentProbe) facts() []guard.Fact {
 	var facts []guard.Fact
-	for sym, vlo := range lo {
-		vhi, ok := hi[sym]
-		if !ok || vlo != b.MinSize || vhi != maxAligned {
+	for sym, vlo := range p.lo {
+		vhi, ok := p.hi[sym]
+		if !ok || vlo != p.min || vhi != p.maxAlign {
 			continue // symbol does not track the dynamic extent
 		}
 		facts = append(facts, guard.Fact{Symbol: sym, Kind: guard.FactRange,
-			Min: b.MinSize, Max: b.MaxSize})
-		if step > 1 {
+			Min: p.min, Max: p.max})
+		if p.step > 1 {
 			facts = append(facts, guard.Fact{Symbol: sym, Kind: guard.FactDivisible,
-				Mod: step, Rem: b.MinSize % step})
+				Mod: p.step, Rem: p.min % p.step})
 		}
 	}
 	return facts
 }
 
-// regionFor builds the verification region from analyzed facts plus
-// singleton intervals for symbols the sampling spec pins to one value
-// (the standalone form of verifyRegion's cold path).
-func regionFor(b *models.Builder, g *graph.Graph, infos map[string]lattice.Info, facts []guard.Fact) staticverify.Region {
+// region is the input region the static proofs quantify over: the
+// analyzed facts, plus singleton intervals for input symbols the probe
+// showed constant. Those never get facts, but the serve-time membership
+// test keeps the proof honest if a request ever binds them differently.
+func (p extentProbe) region(facts []guard.Fact) staticverify.Region {
 	region := staticverify.RegionFromFacts(facts)
-	if b == nil || b.Inputs == nil || b.MinSize <= 0 || b.MaxSize < b.MinSize {
-		return region
-	}
-	step := b.SizeStep
-	if step <= 0 {
-		step = 1
-	}
-	maxAligned := b.MinSize + ((b.MaxSize-b.MinSize)/step)*step
-	lo := probeEnvFor(b, g, infos, b.MinSize)
-	hi := probeEnvFor(b, g, infos, maxAligned)
-	for sym, v := range lo {
-		if _, have := region[sym]; !have && hi != nil && hi[sym] == v {
+	for sym, v := range p.lo {
+		if _, have := region[sym]; !have && p.hi[sym] == v {
 			region[sym] = symbolic.Point(v)
 		}
 	}
 	return region
-}
-
-// probeEnvFor materializes inputs at a given extent and binds them
-// against the analyzed input shapes (nil on failure).
-func probeEnvFor(b *models.Builder, g *graph.Graph, infos map[string]lattice.Info, size int64) map[string]int64 {
-	inputs := b.Inputs(tensor.NewRNG(1), size, 0.5)
-	env := symbolic.Env{}
-	for _, in := range g.Inputs {
-		t := inputs[in.Name]
-		if t == nil {
-			return nil
-		}
-		if err := rdp.BindShapes(infos[in.Name].Shape, t.Shape, env); err != nil {
-			return nil
-		}
-	}
-	return env
 }
 
 // specFallbackNeeded reports whether this request must bypass the

@@ -3,7 +3,6 @@ package frameworks
 import (
 	"repro/internal/models"
 	"repro/internal/staticverify"
-	"repro/internal/symbolic"
 )
 
 // CompileVerified runs the full compile pipeline and then the static
@@ -80,38 +79,16 @@ func (c *Compiled) Verify() *staticverify.Report {
 	return r
 }
 
-// verifyRegion builds the input region the proofs quantify over: the
-// analyzed range/divisibility facts, plus singleton intervals for input
-// symbols the sampling spec pins to one value (SAM's prompt count) —
-// those never get facts, but the probe shows them constant, and the
-// serve-time membership test keeps the proof honest if a request ever
-// binds them differently.
+// verifyRegion is the input region the proofs quantify over. A
+// specialized compile or a warm boot re-proves over the exact region
+// its certificate (and any stored proof) quantified over — re-probing
+// could only shrink or shift it, silently changing what the held proofs
+// mean; any other compile derives it from the contract's facts.
 func (c *Compiled) verifyRegion() staticverify.Region {
-	// Specialized compile or warm boot: the exact region the
-	// specialization certificate (and any stored proof) quantified over;
-	// re-prove over the same set (re-probing could only shrink or shift
-	// it, silently changing what the held proofs mean).
 	if c.presetRegion != nil {
 		return c.presetRegion
 	}
-	region := staticverify.RegionFromFacts(c.Contract().Facts)
-	b := c.Builder
-	if b == nil || b.Inputs == nil || b.MinSize <= 0 || b.MaxSize < b.MinSize {
-		return region
-	}
-	step := b.SizeStep
-	if step <= 0 {
-		step = 1
-	}
-	maxAligned := b.MinSize + ((b.MaxSize-b.MinSize)/step)*step
-	lo := c.probeEnv(b.MinSize)
-	hi := c.probeEnv(maxAligned)
-	for sym, v := range lo {
-		if _, have := region[sym]; !have && hi != nil && hi[sym] == v {
-			region[sym] = symbolic.Point(v)
-		}
-	}
-	return region
+	return probeExtents(c.Builder, c.Graph, c.Infos).region(c.Contract().Facts)
 }
 
 // minSizeOf/maxSizeOf tolerate a nil builder (hand-built test graphs).

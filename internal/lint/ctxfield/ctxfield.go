@@ -18,9 +18,9 @@
 //   - the resilience layer (repro/internal/resilience), whose breaker
 //     and shedding machinery owns deadline bookkeeping by design.
 //
-// Like arenaalias, the checker is stdlib-only (go/ast + go/types): the
-// build environment has no golang.org/x/tools, so cmd/arenaalias drives
-// it through a hand-rolled `go vet -vettool` unitchecker protocol.
+// The checker is stdlib-only (go/ast + go/types): the build environment
+// has no golang.org/x/tools, so cmd/sod2vet drives it through a
+// hand-rolled `go vet -vettool` unitchecker protocol.
 package ctxfield
 
 import (

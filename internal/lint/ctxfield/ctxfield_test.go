@@ -116,9 +116,9 @@ var _ = keep
 	}
 }
 
-// TestVetToolMulti builds cmd/arenaalias and drives the multichecker the
-// way CI does — through `go vet -vettool` — against the ctxfield fixture
-// package, pinning both analyzers end to end.
+// TestVetToolMulti builds cmd/sod2vet and drives it the way CI does —
+// through `go vet -vettool` — against the ctxfield fixture package,
+// pinning the analyzer end to end.
 func TestVetToolMulti(t *testing.T) {
 	goTool, err := osexec.LookPath("go")
 	if err != nil {
@@ -128,8 +128,8 @@ func TestVetToolMulti(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tool := filepath.Join(t.TempDir(), "arenaalias")
-	build := osexec.Command(goTool, "build", "-o", tool, "./cmd/arenaalias")
+	tool := filepath.Join(t.TempDir(), "sod2vet")
+	build := osexec.Command(goTool, "build", "-o", tool, "./cmd/sod2vet")
 	build.Dir = root
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building vettool: %v\n%s", err, out)

@@ -8,7 +8,9 @@
 package memplan
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -76,21 +78,35 @@ func (p *Program) peakStep() int {
 	return best
 }
 
-// placeFirstFit returns the lowest offset where buf fits among the
-// already-placed conflicting buffers.
-func placeFirstFit(buf Buf, placed []Buf, offsets map[string]int64) int64 {
-	type iv struct{ lo, hi int64 }
-	var conflicts []iv
-	for _, o := range placed {
-		if overlapLife(buf, o) {
-			off := offsets[o.Name]
-			conflicts = append(conflicts, iv{off, off + o.Size})
+// span is a placed buffer's byte range in the arena.
+type span struct{ lo, hi int64 }
+
+// placeAll places bufs in the given order: each goes at the offset fit
+// picks given the arena ranges (sorted by offset) of the already-placed
+// buffers whose lifetimes overlap its own.
+func placeAll(bufs []Buf, fit func(size int64, conflicts []span) int64) map[string]int64 {
+	offsets := make(map[string]int64, len(bufs))
+	var conflicts []span
+	for i, b := range bufs {
+		conflicts = conflicts[:0]
+		for _, o := range bufs[:i] {
+			if overlapLife(b, o) {
+				off := offsets[o.Name]
+				conflicts = append(conflicts, span{off, off + o.Size})
+			}
 		}
+		slices.SortFunc(conflicts, func(x, y span) int { return cmp.Compare(x.lo, y.lo) })
+		offsets[b.Name] = fit(b.Size, conflicts)
 	}
-	sort.Slice(conflicts, func(i, j int) bool { return conflicts[i].lo < conflicts[j].lo })
+	return offsets
+}
+
+// firstFit returns the lowest offset where size bytes fit between the
+// conflicting ranges.
+func firstFit(size int64, conflicts []span) int64 {
 	cursor := int64(0)
 	for _, c := range conflicts {
-		if c.lo-cursor >= buf.Size {
+		if c.lo-cursor >= size {
 			return cursor
 		}
 		if c.hi > cursor {
@@ -100,25 +116,16 @@ func placeFirstFit(buf Buf, placed []Buf, offsets map[string]int64) int64 {
 	return cursor
 }
 
-// placeBestFit returns the offset of the smallest gap that fits buf
-// among conflicting placed buffers (MNN's "minimal memory slot currently
-// available" policy), or the end of the occupied range.
-func placeBestFit(buf Buf, placed []Buf, offsets map[string]int64) int64 {
-	type iv struct{ lo, hi int64 }
-	var conflicts []iv
-	for _, o := range placed {
-		if overlapLife(buf, o) {
-			off := offsets[o.Name]
-			conflicts = append(conflicts, iv{off, off + o.Size})
-		}
-	}
-	sort.Slice(conflicts, func(i, j int) bool { return conflicts[i].lo < conflicts[j].lo })
+// bestFit returns the offset of the smallest gap between the
+// conflicting ranges that fits size bytes (MNN's "minimal memory slot
+// currently available" policy), or the end of the occupied range.
+func bestFit(size int64, conflicts []span) int64 {
 	bestOff := int64(-1)
 	bestGap := int64(-1)
 	cursor := int64(0)
 	for _, c := range conflicts {
 		gap := c.lo - cursor
-		if gap >= buf.Size && (bestGap == -1 || gap < bestGap) {
+		if gap >= size && (bestGap == -1 || gap < bestGap) {
 			bestOff, bestGap = cursor, gap
 		}
 		if c.hi > cursor {
@@ -146,13 +153,7 @@ func finish(p *Program, offsets map[string]int64, strategy string) *Plan {
 func BestFit(p *Program) *Plan {
 	bufs := append([]Buf(nil), p.Bufs...)
 	sort.SliceStable(bufs, func(i, j int) bool { return bufs[i].Birth < bufs[j].Birth })
-	offsets := map[string]int64{}
-	var placed []Buf
-	for _, b := range bufs {
-		offsets[b.Name] = placeBestFit(b, placed, offsets)
-		placed = append(placed, b)
-	}
-	return finish(p, offsets, "best-fit")
+	return finish(p, placeAll(bufs, bestFit), "best-fit")
 }
 
 // PeakFirst is SoD²'s planner: placement starts from the peak-memory
@@ -184,13 +185,7 @@ func PeakFirst(p *Program) *Plan {
 		}
 		return bufs[i].Name < bufs[j].Name
 	})
-	offsets := map[string]int64{}
-	var placed []Buf
-	for _, b := range bufs {
-		offsets[b.Name] = placeFirstFit(b, placed, offsets)
-		placed = append(placed, b)
-	}
-	return finish(p, offsets, "peak-first")
+	return finish(p, placeAll(bufs, firstFit), "peak-first")
 }
 
 // Optimal exhaustively searches placement orders (first-fit per order)
@@ -210,6 +205,7 @@ func Optimal(p *Program, maxN int) (*Plan, error) {
 	lower := p.PeakLive()
 	var best *Plan
 	perm := make([]int, n)
+	ordered := make([]Buf, n)
 	for i := range perm {
 		perm[i] = i
 	}
@@ -219,14 +215,10 @@ func Optimal(p *Program, maxN int) (*Plan, error) {
 			return // provably optimal already
 		}
 		if k == n {
-			offsets := map[string]int64{}
-			var placed []Buf
-			for _, idx := range perm {
-				b := p.Bufs[idx]
-				offsets[b.Name] = placeFirstFit(b, placed, offsets)
-				placed = append(placed, b)
+			for i, idx := range perm {
+				ordered[i] = p.Bufs[idx]
 			}
-			plan := finish(p, offsets, "optimal")
+			plan := finish(p, placeAll(ordered, firstFit), "optimal")
 			if best == nil || plan.ArenaSize < best.ArenaSize {
 				best = plan
 			}

@@ -74,10 +74,9 @@ type SessionOptions struct {
 // number of goroutines may call InferConcurrent/InferSample/InferBatch
 // (or their Ctx variants) on one Session. The session owns the serving
 // policies — admission gate, retry ladder, and the circuit breaker's
-// health state — while all shape-dependent memoization (plan cache,
-// arena pooling) lives on the shared Compiled, so several Sessions over
-// one model share those caches (but each judges health on its own
-// traffic).
+// health state — while all shape-dependent memoization (the plan cache)
+// lives on the shared Compiled, so several Sessions over one model share
+// it (but each judges health on its own traffic).
 //
 // Self-healing: execution faults (contained kernel panics/errors, arena
 // faults, numeric contract violations) feed the breaker. Enough
@@ -145,14 +144,12 @@ func (s *Session) end() {
 }
 
 // Close shuts the session down gracefully: new requests (including
-// coalesced joins) are refused with ErrClosed immediately, requests
-// already admitted drain to completion bounded by ctx, and once drained
-// the process-global pooled arena buffers are released to the garbage
-// collector (other sessions simply re-allocate on their next request).
-// If ctx ends first, Close returns ctx's error with the still-in-flight
-// count — the session stays closed to new work and the stragglers keep
-// running to completion under their own contexts. Idempotent and safe
-// for concurrent use; later Closes wait for the same drain.
+// coalesced joins) are refused with ErrClosed immediately, and requests
+// already admitted drain to completion bounded by ctx. If ctx ends
+// first, Close returns ctx's error with the still-in-flight count — the
+// session stays closed to new work and the stragglers keep running to
+// completion under their own contexts. Idempotent and safe for
+// concurrent use; later Closes wait for the same drain.
 func (s *Session) Close(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
@@ -175,7 +172,6 @@ func (s *Session) Close(ctx context.Context) error {
 			return fmt.Errorf("sod2: close: %d request(s) still in flight: %w", active, ctx.Err())
 		}
 	}
-	exec.DrainArenaPools()
 	return nil
 }
 
@@ -251,7 +247,7 @@ func (s *Session) InferConcurrentCtx(ctx context.Context, inputs map[string]*Ten
 	}
 	defer s.end()
 	s.requests.Add(1)
-	return s.serve(ctx, Sample{Inputs: inputs})
+	return s.serve(ctx, inputs)
 }
 
 // InferSample executes one workload sample. Samples with a non-zero ID
@@ -290,7 +286,7 @@ func (s *Session) InferSampleCtx(ctx context.Context, sample Sample) (map[string
 	s.inflight[sample.ID] = fl
 	s.mu.Unlock()
 
-	fl.out, fl.rep, fl.err = s.serve(ctx, sample)
+	fl.out, fl.rep, fl.err = s.serve(ctx, sample.Inputs)
 	s.mu.Lock()
 	delete(s.inflight, sample.ID)
 	s.mu.Unlock()
@@ -300,7 +296,7 @@ func (s *Session) InferSampleCtx(ctx context.Context, sample Sample) (map[string
 
 // serve is the resilient request path every inference goes through:
 // deadline, admission, breaker-advised execution, tier-aware retries.
-func (s *Session) serve(ctx context.Context, sample Sample) (map[string]*Tensor, Report, error) {
+func (s *Session) serve(ctx context.Context, inputs map[string]*Tensor) (map[string]*Tensor, Report, error) {
 	if s.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
@@ -315,13 +311,13 @@ func (s *Session) serve(ctx context.Context, sample Sample) (map[string]*Tensor,
 		return nil, Report{}, err
 	}
 	defer release()
-	return s.serveAdmitted(ctx, sample)
+	return s.serveAdmitted(ctx, inputs)
 }
 
 // serveAdmitted is the post-admission request path: breaker-advised
 // execution with tier-aware retries. The caller holds the admission
 // reservation for the duration.
-func (s *Session) serveAdmitted(ctx context.Context, sample Sample) (map[string]*Tensor, Report, error) {
+func (s *Session) serveAdmitted(ctx context.Context, inputs map[string]*Tensor) (map[string]*Tensor, Report, error) {
 	for attempt := 1; ; attempt++ {
 		gopts := s.gopts
 		gopts.Ctx = ctx
@@ -330,7 +326,7 @@ func (s *Session) serveAdmitted(ctx context.Context, sample Sample) (map[string]
 			// breaker closes — serve on the dynamic fallback tier.
 			gopts.ForceDynamic = true
 		}
-		out, rep, err := s.c.inferSample(sample, s.dev, gopts)
+		out, rep, err := s.c.inferOn(inputs, s.dev, gopts)
 		if err == nil {
 			s.brk.OnSuccess()
 			return out, rep, nil
@@ -440,11 +436,10 @@ func (s *Session) FamilyKey(inputs map[string]*Tensor) (string, bool) {
 // member — and the members then execute sequentially against the
 // shared verified plan. Sequential member execution is what keeps the
 // single reservation honest: at most one member's arena is live at a
-// time (the pooled backing buffer is reused member to member), so the
-// admission ledger's accounting of the bucket equals its true peak.
-// Admission cost, ledger traffic, and plan/region verification all
-// amortize across the bucket's clients; wall-clock parallelism comes
-// from distinct buckets running concurrently.
+// time, so the admission ledger's accounting of the bucket equals its
+// true peak. Admission cost, ledger traffic, and plan/region
+// verification all amortize across the bucket's clients; wall-clock
+// parallelism comes from distinct buckets running concurrently.
 //
 // Per-member semantics mirror InferBatchCtx: a member failure records
 // its error without affecting the rest, members not yet dispatched when
@@ -487,7 +482,7 @@ func (s *Session) InferBucketCtx(ctx context.Context, samples []Sample) []BatchR
 				Err: fmt.Errorf("sod2: bucket cancelled before member dispatch: %w", cerr)}
 			continue
 		}
-		out, rep, err := s.serveAdmitted(ctx, samples[i])
+		out, rep, err := s.serveAdmitted(ctx, samples[i].Inputs)
 		results[i] = BatchResult{Index: i, Outputs: out, Report: rep, Err: err,
 			Cancelled: isCancellation(err)}
 	}

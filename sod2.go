@@ -242,7 +242,6 @@ func PlanMemory(g *Graph, trace exec.Trace, internal map[string]bool) *MemoryPla
 // execution plan, and multi-version kernel plan.
 type Compiled struct {
 	inner *frameworks.Compiled
-	eng   *frameworks.SoD2
 }
 
 // Compile runs the full SoD² pre-deployment pipeline on a model.
@@ -251,7 +250,7 @@ func Compile(b *ModelBuilder) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Compiled{inner: c, eng: frameworks.NewSoD2(frameworks.FullSoD2())}, nil
+	return &Compiled{inner: c}, nil
 }
 
 // SchedConfig selects the (peak-memory × makespan) frontier point a
@@ -274,7 +273,7 @@ func CompileVerifiedSched(b *ModelBuilder, cfg SchedConfig) (*Compiled, *VerifyR
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Compiled{inner: c, eng: frameworks.NewSoD2(frameworks.FullSoD2())}, rep, nil
+	return &Compiled{inner: c}, rep, nil
 }
 
 // DeviceByName resolves a cost-model device profile by its name
@@ -296,7 +295,7 @@ func CompileVerified(b *ModelBuilder) (*Compiled, *VerifyReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Compiled{inner: c, eng: frameworks.NewSoD2(frameworks.FullSoD2())}, rep, nil
+	return &Compiled{inner: c}, rep, nil
 }
 
 // Verify runs (and memoizes) the static plan verifier over the compiled
@@ -346,43 +345,29 @@ func (c *Compiled) InferOn(inputs map[string]*Tensor, dev Device) (map[string]*T
 	return c.inferOn(inputs, dev, GuardOptions{})
 }
 
-func (c *Compiled) inferOn(inputs map[string]*Tensor, dev Device, gopts GuardOptions) (map[string]*Tensor, Report, error) {
-	return c.inferSample(workload.Sample{Inputs: inputs}, dev, gopts)
-}
+// costModel turns a served request's executed trace into its modeled
+// latency/memory report (the full SoD² configuration; stateless).
+var costModel = frameworks.NewSoD2(frameworks.FullSoD2())
 
-// inferSample is the shared guarded-inference path. A sample with a
-// non-zero ID additionally engages the engine's trace memo (the cost
-// model's per-(sample, policy) execution cache).
-func (c *Compiled) inferSample(s Sample, dev Device, gopts GuardOptions) (map[string]*Tensor, Report, error) {
-	res, gr, err := c.inner.GuardedRun(s.Inputs, gopts)
+// inferOn is the shared guarded-inference path: one guarded execution,
+// whose own trace the cost model prices. How the request ran — tier,
+// degradations, cache hits, wavefronts, specialization — comes from the
+// guard report alone.
+func (c *Compiled) inferOn(inputs map[string]*Tensor, dev Device, gopts GuardOptions) (map[string]*Tensor, Report, error) {
+	res, gr, err := c.inner.GuardedRun(inputs, gopts)
 	if err != nil {
 		return nil, Report{FallbackTier: gr.Tier, Degradations: gr.Degradations}, err
 	}
-	eng := c.eng
-	if gr.Wavefronts > 0 {
-		// The guarded run executed wavefront-parallel; model the latency
-		// the same way (per-wave makespan instead of sequential trace
-		// cost). The engine is stateless, so a per-call copy is cheap.
-		par := eng.Opts
-		par.ParallelWorkers = gr.ParallelWorkers
-		eng = frameworks.NewSoD2(par)
-	}
-	rep, err := eng.Run(c.inner, s, dev)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	if gr.Tier > rep.FallbackTier {
-		rep.FallbackTier = gr.Tier
-	}
+	rep := costModel.Model(c.inner, res.Trace, dev, gr.ParallelWorkers)
+	rep.FallbackTier = gr.Tier
+	rep.Degradations = gr.Degradations
 	rep.PlanCacheHit = gr.PlanCacheHit
 	rep.RegionCacheHit = gr.RegionCacheHit
 	rep.Wavefronts = gr.Wavefronts
 	rep.ParallelWorkers = gr.ParallelWorkers
-	rep.Degradations = append(gr.Degradations, rep.Degradations...)
+	rep.Specialized = gr.Specialized
+	rep.SpecFallback = gr.SpecFallback
 	if gr.ReplanMS > 0 {
-		if rep.Phases == nil {
-			rep.Phases = map[string]float64{}
-		}
 		rep.Phases["replan"] = gr.ReplanMS
 		rep.LatencyMS += gr.ReplanMS
 	}

@@ -234,8 +234,10 @@ func TestSessionStatsCounts(t *testing.T) {
 	if st.Cache.PlanMisses != 2 || st.Cache.PlanHits != 3 {
 		t.Errorf("plan counters = %d hits / %d misses, want 3/2", st.Cache.PlanHits, st.Cache.PlanMisses)
 	}
-	if st.Cache.TraceMisses != 2 || st.Cache.TraceHits != 3 {
-		t.Errorf("trace counters = %d hits / %d misses, want 3/2", st.Cache.TraceHits, st.Cache.TraceMisses)
+	// A served request is one guarded execution; the evaluation
+	// harness's trace memo is never consulted.
+	if st.Cache.TraceMisses != 0 || st.Cache.TraceHits != 0 {
+		t.Errorf("trace counters = %d hits / %d misses, want 0/0", st.Cache.TraceHits, st.Cache.TraceMisses)
 	}
 }
 

@@ -63,7 +63,7 @@ func CompileStored(b *ModelBuilder, st *ArtifactStore, device string) (*Compiled
 	if err != nil {
 		return nil, nil, info, err
 	}
-	return &Compiled{inner: c, eng: frameworks.NewSoD2(frameworks.FullSoD2())}, rep, info, nil
+	return &Compiled{inner: c}, rep, info, nil
 }
 
 // CompileStoredSched is CompileStored with an explicit scheduling
@@ -74,7 +74,7 @@ func CompileStoredSched(b *ModelBuilder, st *ArtifactStore, device string, cfg S
 	if err != nil {
 		return nil, nil, info, err
 	}
-	return &Compiled{inner: c, eng: frameworks.NewSoD2(frameworks.FullSoD2())}, rep, info, nil
+	return &Compiled{inner: c}, rep, info, nil
 }
 
 // BootFleet compiles (or warm-boots) every builder into a serving
