@@ -8,6 +8,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/guard"
@@ -244,37 +245,39 @@ func (ex *executor) safeExec(n *graph.Node) (err error) {
 // failure surfaces as *guard.OpError. Safe for concurrent use by wave
 // workers: it only reads executor state.
 func (ex *executor) runKernel(n *graph.Node, in []*tensor.Tensor, threads int) (out []*tensor.Tensor, err error) {
-	shapes := func() [][]int64 {
-		var s [][]int64
-		for _, t := range in {
-			if t != nil {
-				s = append(s, t.Shape)
-			}
-		}
-		return s
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			out = nil
-			err = &guard.OpError{Node: n.Name, Op: n.OpType, InputShapes: shapes(),
+			err = &guard.OpError{Node: n.Name, Op: n.OpType, InputShapes: inputShapes(in),
 				Cause: fmt.Errorf("%w: %v", guard.ErrPanic, r)}
 		}
 	}()
 	if h := ex.opts.Hooks; h != nil && h.PreKernel != nil {
 		if herr := h.PreKernel(n, in); herr != nil {
-			return nil, &guard.OpError{Node: n.Name, Op: n.OpType, InputShapes: shapes(), Cause: herr}
+			return nil, &guard.OpError{Node: n.Name, Op: n.OpType, InputShapes: inputShapes(in), Cause: herr}
 		}
 	}
 	out, kerr := kernels.RunWithBudget(n, in, threads)
 	if kerr != nil {
-		return nil, &guard.OpError{Node: n.Name, Op: n.OpType, InputShapes: shapes(), Cause: kerr}
+		return nil, &guard.OpError{Node: n.Name, Op: n.OpType, InputShapes: inputShapes(in), Cause: kerr}
 	}
 	if h := ex.opts.Hooks; h != nil && h.PostKernel != nil {
 		if herr := h.PostKernel(n, out); herr != nil {
-			return nil, &guard.OpError{Node: n.Name, Op: n.OpType, InputShapes: shapes(), Cause: herr}
+			return nil, &guard.OpError{Node: n.Name, Op: n.OpType, InputShapes: inputShapes(in), Cause: herr}
 		}
 	}
 	return out, nil
+}
+
+// inputShapes lists the shapes of the inputs present, for an OpError.
+func inputShapes(in []*tensor.Tensor) [][]int64 {
+	var s [][]int64
+	for _, t := range in {
+		if t != nil {
+			s = append(s, t.Shape)
+		}
+	}
+	return s
 }
 
 // account registers freshly produced intermediates and updates the peak.
@@ -304,12 +307,10 @@ func (ex *executor) release(n *graph.Node) {
 	if ex.opts.NoFree {
 		return
 	}
-	seen := map[string]bool{}
-	for _, in := range n.Inputs {
-		if in == "" || seen[in] {
-			continue
+	for i, in := range n.Inputs {
+		if in == "" || slices.Contains(n.Inputs[:i], in) {
+			continue // absent, or a repeated input already released
 		}
-		seen[in] = true
 		ex.refCount[in]--
 		if ex.refCount[in] <= 0 && !ex.isOutput[in] && !ex.isConstantOrInput(in) {
 			if t := ex.values[in]; t != nil {

@@ -8,69 +8,47 @@ import (
 	"repro/internal/tensor"
 )
 
-// binF applies a float binary op with NumPy broadcasting.
-func binF(op func(a, b float32) float32) func(x, y *tensor.Tensor) (*tensor.Tensor, error) {
-	return func(x, y *tensor.Tensor) (*tensor.Tensor, error) {
-		shape, err := tensor.BroadcastShapes(x.Shape, y.Shape)
-		if err != nil {
-			return nil, err
+// broadcastWalk pairs the broadcast shape of the operands with a walk
+// over it whose operand 0 is the freshly allocated row-major output.
+func broadcastWalk(in ...*tensor.Tensor) ([]int64, *walk, error) {
+	shape := in[0].Shape
+	for _, t := range in[1:] {
+		var err error
+		if shape, err = tensor.BroadcastShapes(shape, t.Shape); err != nil {
+			return nil, nil, err
 		}
-		out := tensor.New(tensor.Float32, shape...)
-		n := out.Len()
-		if tensor.SameShape(x.Shape, shape) && tensor.SameShape(y.Shape, shape) {
-			for i := int64(0); i < n; i++ {
-				out.F[i] = op(x.F[i], y.F[i])
-			}
-			return out, nil
-		}
-		for i := int64(0); i < n; i++ {
-			out.F[i] = op(x.F[tensor.BroadcastIndex(x.Shape, shape, i)], y.F[tensor.BroadcastIndex(y.Shape, shape, i)])
-		}
-		return out, nil
 	}
+	var strides [maxOperands][]int64
+	strides[0] = tensor.Strides(shape)
+	for k, t := range in {
+		strides[k+1] = tensor.BroadcastStrides(t.Shape, shape)
+	}
+	return shape, newWalk(shape, strides[:len(in)+1]...), nil
 }
 
-func binI(op func(a, b int64) int64) func(x, y *tensor.Tensor) (*tensor.Tensor, error) {
-	return func(x, y *tensor.Tensor) (*tensor.Tensor, error) {
-		shape, err := tensor.BroadcastShapes(x.Shape, y.Shape)
-		if err != nil {
-			return nil, err
-		}
-		out := tensor.New(tensor.Int64, shape...)
-		for i := int64(0); i < out.Len(); i++ {
-			out.I[i] = op(x.I[tensor.BroadcastIndex(x.Shape, shape, i)], y.I[tensor.BroadcastIndex(y.Shape, shape, i)])
-		}
-		return out, nil
+// binary allocates out as the broadcast of x and y and fills it with
+// op(x, y), striped across the thread budget. pick selects the typed
+// payload of a tensor. Each stripe owns a disjoint slice of the output
+// and per-element arithmetic does not depend on the stripe, so the
+// result is bit-identical for any budget.
+func binary[T, U any](op func(a, b T) U, odt tensor.DType, pickOut func(*tensor.Tensor) []U,
+	pickIn func(*tensor.Tensor) []T, x, y *tensor.Tensor, threads int) (*tensor.Tensor, error) {
+	shape, w, err := broadcastWalk(x, y)
+	if err != nil {
+		return nil, err
 	}
+	out := tensor.New(odt, shape...)
+	o, xs, ys := pickOut(out), pickIn(x), pickIn(y)
+	ParallelFor(threads, w.n, func(lo, hi int64) {
+		c := w.seek(lo, hi)
+		binRuns(op, o, xs, ys, &c)
+	})
+	return out, nil
 }
 
-// binFBudget is binF striped across an intra-op thread budget. Each
-// stripe owns a disjoint slice of the output and per-element arithmetic
-// is unchanged, so the result is bit-identical to binF for any budget.
-func binFBudget(op func(a, b float32) float32, threads int) func(x, y *tensor.Tensor) (*tensor.Tensor, error) {
-	return func(x, y *tensor.Tensor) (*tensor.Tensor, error) {
-		shape, err := tensor.BroadcastShapes(x.Shape, y.Shape)
-		if err != nil {
-			return nil, err
-		}
-		out := tensor.New(tensor.Float32, shape...)
-		n := out.Len()
-		if tensor.SameShape(x.Shape, shape) && tensor.SameShape(y.Shape, shape) {
-			ParallelFor(threads, n, func(lo, hi int64) {
-				for i := lo; i < hi; i++ {
-					out.F[i] = op(x.F[i], y.F[i])
-				}
-			})
-			return out, nil
-		}
-		ParallelFor(threads, n, func(lo, hi int64) {
-			for i := lo; i < hi; i++ {
-				out.F[i] = op(x.F[tensor.BroadcastIndex(x.Shape, shape, i)], y.F[tensor.BroadcastIndex(y.Shape, shape, i)])
-			}
-		})
-		return out, nil
-	}
-}
+func floats(t *tensor.Tensor) []float32 { return t.F }
+func ints(t *tensor.Tensor) []int64     { return t.I }
+func bools(t *tensor.Tensor) []bool     { return t.B }
 
 // registerArith registers a kernel supporting float32 and int64 operands,
 // plus a thread-budget-aware variant that stripes the float path.
@@ -92,10 +70,10 @@ func registerArith(name string, fop func(a, b float32) float32, iop func(a, b in
 		x, y = dequantIfNeeded(x), dequantIfNeeded(y)
 		switch {
 		case x.DType == tensor.Float32 && y.DType == tensor.Float32:
-			out, err := binFBudget(fop, threads)(x, y)
+			out, err := binary(fop, tensor.Float32, floats, floats, x, y, threads)
 			return []*tensor.Tensor{out}, err
 		case x.DType == tensor.Int64 && y.DType == tensor.Int64 && iop != nil:
-			out, err := binI(iop)(x, y)
+			out, err := binary(iop, tensor.Int64, ints, ints, x, y, 1)
 			return []*tensor.Tensor{out}, err
 		default:
 			return nil, fmt.Errorf("%s: unsupported dtypes %v,%v", name, x.DType, y.DType)
@@ -114,24 +92,17 @@ func registerCompare(name string, fop func(a, b float32) bool, iop func(a, b int
 			return nil, err
 		}
 		x, y := in[0], in[1]
-		shape, err := tensor.BroadcastShapes(x.Shape, y.Shape)
-		if err != nil {
-			return nil, err
+		var out *tensor.Tensor
+		var err error
+		switch {
+		case x.DType == tensor.Float32 && y.DType == tensor.Float32:
+			out, err = binary(fop, tensor.Bool, bools, floats, x, y, 1)
+		case x.DType == tensor.Int64 && y.DType == tensor.Int64:
+			out, err = binary(iop, tensor.Bool, bools, ints, x, y, 1)
+		default:
+			return nil, fmt.Errorf("%s: unsupported dtypes %v,%v", name, x.DType, y.DType)
 		}
-		out := tensor.New(tensor.Bool, shape...)
-		for i := int64(0); i < out.Len(); i++ {
-			xi := tensor.BroadcastIndex(x.Shape, shape, i)
-			yi := tensor.BroadcastIndex(y.Shape, shape, i)
-			switch x.DType {
-			case tensor.Float32:
-				out.B[i] = fop(x.F[xi], y.F[yi])
-			case tensor.Int64:
-				out.B[i] = iop(x.I[xi], y.I[yi])
-			default:
-				return nil, fmt.Errorf("%s: unsupported dtype %v", name, x.DType)
-			}
-		}
-		return []*tensor.Tensor{out}, nil
+		return []*tensor.Tensor{out}, err
 	})
 }
 
@@ -399,33 +370,22 @@ func init() {
 			return nil, err
 		}
 		cond, x, y := in[0], in[1], in[2]
-		s1, err := tensor.BroadcastShapes(cond.Shape, x.Shape)
-		if err != nil {
-			return nil, err
+		if cond.DType != tensor.Bool || x.DType != y.DType || x.DType.IsQuantized() {
+			return nil, fmt.Errorf("Where: unsupported dtypes %v,%v,%v", cond.DType, x.DType, y.DType)
 		}
-		shape, err := tensor.BroadcastShapes(s1, y.Shape)
+		shape, w, err := broadcastWalk(cond, x, y)
 		if err != nil {
 			return nil, err
 		}
 		out := tensor.New(x.DType, shape...)
-		for i := int64(0); i < out.Len(); i++ {
-			c := cond.B[tensor.BroadcastIndex(cond.Shape, shape, i)]
-			xi := tensor.BroadcastIndex(x.Shape, shape, i)
-			yi := tensor.BroadcastIndex(y.Shape, shape, i)
-			switch x.DType {
-			case tensor.Float32:
-				if c {
-					out.F[i] = x.F[xi]
-				} else {
-					out.F[i] = y.F[yi]
-				}
-			case tensor.Int64:
-				if c {
-					out.I[i] = x.I[xi]
-				} else {
-					out.I[i] = y.I[yi]
-				}
-			}
+		c := w.seek(0, w.n)
+		switch x.DType {
+		case tensor.Float32:
+			whereRuns(out.F, cond.B, x.F, y.F, &c)
+		case tensor.Int64:
+			whereRuns(out.I, cond.B, x.I, y.I, &c)
+		case tensor.Bool:
+			whereRuns(out.B, cond.B, x.B, y.B, &c)
 		}
 		return []*tensor.Tensor{out}, nil
 	})
@@ -449,15 +409,11 @@ func boolBinary(op func(a, b bool) bool) Kernel {
 			return nil, err
 		}
 		x, y := in[0], in[1]
-		shape, err := tensor.BroadcastShapes(x.Shape, y.Shape)
-		if err != nil {
-			return nil, err
+		if x.DType != tensor.Bool || y.DType != tensor.Bool {
+			return nil, fmt.Errorf("%s: unsupported dtypes %v,%v", n.OpType, x.DType, y.DType)
 		}
-		out := tensor.New(tensor.Bool, shape...)
-		for i := int64(0); i < out.Len(); i++ {
-			out.B[i] = op(x.B[tensor.BroadcastIndex(x.Shape, shape, i)], y.B[tensor.BroadcastIndex(y.Shape, shape, i)])
-		}
-		return []*tensor.Tensor{out}, nil
+		out, err := binary(op, tensor.Bool, bools, bools, x, y, 1)
+		return []*tensor.Tensor{out}, err
 	}
 }
 

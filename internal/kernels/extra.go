@@ -97,31 +97,25 @@ func scatterElementsKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor
 		axis += int64(data.Rank())
 	}
 	out := data.Clone()
+	// Walk the indices with data's strides, the axis dim excepted: along
+	// it the index tensor's value, not its position, picks the element.
 	strides := tensor.Strides(data.Shape)
-	idxStrides := tensor.Strides(indices.Shape)
-	coord := make([]int64, indices.Rank())
-	for flat := int64(0); flat < indices.Len(); flat++ {
-		rem := flat
-		for i := range coord {
-			coord[i] = rem / idxStrides[i]
-			rem %= idxStrides[i]
-		}
-		target := indices.I[flat]
-		if target < 0 {
-			target += data.Shape[axis]
-		}
-		if target < 0 || target >= data.Shape[axis] {
-			return nil, fmt.Errorf("ScatterElements: index %d out of range", target)
-		}
-		var dst int64
-		for i, c := range coord {
-			v := c
-			if int64(i) == axis {
-				v = target
+	axisStride := strides[axis]
+	strides[axis] = 0
+	w := newWalk(indices.Shape, strides)
+	flat := 0
+	for c := w.seek(0, w.n); c.next(); {
+		for i := int64(0); i < c.n; i++ {
+			target := indices.I[flat]
+			if target < 0 {
+				target += data.Shape[axis]
 			}
-			dst += v * strides[i]
+			if target < 0 || target >= data.Shape[axis] {
+				return nil, fmt.Errorf("ScatterElements: index %d out of range", target)
+			}
+			out.F[c.off[0]+i*w.inner(0)+target*axisStride] = updates.F[flat]
+			flat++
 		}
-		out.F[dst] = updates.F[flat]
 	}
 	return []*tensor.Tensor{out}, nil
 }

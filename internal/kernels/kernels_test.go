@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -82,6 +83,29 @@ func TestCompareAndWhere(t *testing.T) {
 	w := run1(t, "Where", nil, gt, x, y)
 	if w.F[0] != 2 || w.F[1] != 5 || w.F[2] != 3 {
 		t.Errorf("where = %v", w.F)
+	}
+}
+
+// Mixed operand dtypes are a typed error, not an index panic, and Where
+// selects Bool branches like any other.
+func TestCompareAndWhereDTypes(t *testing.T) {
+	f := tensor.FromFloats([]int64{2}, []float32{1, 2})
+	i := tensor.FromInts([]int64{2}, []int64{1, 2})
+	c := tensor.FromBools([]int64{2}, []bool{true, false})
+	for _, tc := range []struct {
+		op string
+		in []*tensor.Tensor
+	}{
+		{"Less", []*tensor.Tensor{f, i}}, {"Greater", []*tensor.Tensor{i, f}}, {"Equal", []*tensor.Tensor{f, c}},
+		{"Where", []*tensor.Tensor{c, f, i}}, {"Where", []*tensor.Tensor{f, f, f}}, {"And", []*tensor.Tensor{c, f}},
+	} {
+		if _, err := Run(mkNode(tc.op, nil, 1), tc.in); err == nil || !strings.Contains(err.Error(), "unsupported dtypes") {
+			t.Errorf("%s on mixed dtypes: err = %v, want an unsupported-dtypes error", tc.op, err)
+		}
+	}
+	w := run1(t, "Where", nil, c, tensor.FromBools([]int64{2}, []bool{true, true}), tensor.FromBools([]int64{2}, []bool{false, true}))
+	if w.DType != tensor.Bool || !w.B[0] || !w.B[1] {
+		t.Errorf("Where over Bool branches = %v", w)
 	}
 }
 
@@ -238,6 +262,21 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 		}
 		if math.Abs(sum-1) > 1e-5 {
 			t.Errorf("row %d sums to %f", r, sum)
+		}
+	}
+}
+
+// A zero-extent normalised axis (an empty sequence) yields the empty
+// output, at every thread budget.
+func TestNormZeroExtent(t *testing.T) {
+	for _, op := range []string{"Softmax", "LogSoftmax", "LayerNormalization"} {
+		for _, shape := range [][]int64{{2, 0}, {0, 4}, {2, 3, 0}} {
+			for threads := 1; threads <= 2; threads++ {
+				out := runOp(t, op, nil, threads, tensor.New(tensor.Float32, shape...))
+				if !tensor.SameShape(out.Shape, shape) || len(out.F) != 0 {
+					t.Errorf("%s%v = %v", op, shape, out)
+				}
+			}
 		}
 	}
 }

@@ -167,24 +167,26 @@ func matmulKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Te
 	if v := n.AttrInt("auto_variant", 0); v != 0 {
 		variant = SelectGemmVariant(m, k, nn)
 	}
-	nBatch := tensor.NumElems(batch)
-	if nBatch > 1 && int64(threads) > 1 {
-		// Batched case: stripe across batch entries (each writes a
-		// disjoint out slab); large single matmuls stripe rows instead.
-		ParallelForGrain(threads, nBatch, 1, func(lo, hi int64) {
-			for bi := lo; bi < hi; bi++ {
-				aOff := tensor.BroadcastIndex(batchA, batch, bi) * m * k
-				bOff := tensor.BroadcastIndex(batchB, batch, bi) * k * nn
-				Gemm(variant, a.F[aOff:aOff+m*k], b.F[bOff:bOff+k*nn], m, k, nn, out.F[bi*m*nn:(bi+1)*m*nn])
+	// Batch entries walk A and B by their own (possibly broadcast) batch
+	// strides. With several entries the budget stripes across them (each
+	// writes a disjoint out slab); a single large matmul stripes rows.
+	w := newWalk(batch, tensor.BroadcastStrides(batchA, batch), tensor.BroadcastStrides(batchB, batch))
+	batchThreads, rowThreads := 1, threads
+	if w.n > 1 {
+		batchThreads, rowThreads = threads, 1
+	}
+	ParallelForGrain(batchThreads, w.n, 1, func(lo, hi int64) {
+		c := w.seek(lo, hi)
+		bi := lo
+		for c.next() {
+			for i := int64(0); i < c.n; i++ {
+				aOff := (c.off[0] + i*w.inner(0)) * m * k
+				bOff := (c.off[1] + i*w.inner(1)) * k * nn
+				GemmParallel(variant, rowThreads, a.F[aOff:aOff+m*k], b.F[bOff:bOff+k*nn], m, k, nn, out.F[bi*m*nn:(bi+1)*m*nn])
+				bi++
 			}
-		})
-		return []*tensor.Tensor{out}, nil
-	}
-	for bi := int64(0); bi < nBatch; bi++ {
-		aOff := tensor.BroadcastIndex(batchA, batch, bi) * m * k
-		bOff := tensor.BroadcastIndex(batchB, batch, bi) * k * nn
-		GemmParallel(variant, threads, a.F[aOff:aOff+m*k], b.F[bOff:bOff+k*nn], m, k, nn, out.F[bi*m*nn:(bi+1)*m*nn])
-	}
+		}
+	})
 	return []*tensor.Tensor{out}, nil
 }
 
@@ -237,9 +239,10 @@ func gemmKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tens
 	})
 	if len(in) > 2 && in[2] != nil && beta != 0 {
 		c := in[2]
-		for i := int64(0); i < out.Len(); i++ {
-			out.F[i] += beta * c.F[tensor.BroadcastIndex(c.Shape, out.Shape, i)]
-		}
+		cs := tensor.BroadcastStrides(c.Shape, out.Shape)
+		os := tensor.Strides(out.Shape)
+		cur := newWalk(out.Shape, os, os, cs).seek(0, out.Len())
+		binRuns(func(acc, cv float32) float32 { return acc + beta*cv }, out.F, out.F, c.F, &cur)
 	}
 	return []*tensor.Tensor{out}, nil
 }

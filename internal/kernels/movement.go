@@ -9,17 +9,6 @@ import (
 	"repro/internal/tensor"
 )
 
-func copyElem(dst *tensor.Tensor, di int64, src *tensor.Tensor, si int64) {
-	switch src.DType {
-	case tensor.Float32:
-		dst.F[di] = src.F[si]
-	case tensor.Int64:
-		dst.I[di] = src.I[si]
-	case tensor.Bool:
-		dst.B[di] = src.B[si]
-	}
-}
-
 func shapeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "Shape"); err != nil {
 		return nil, err
@@ -162,22 +151,7 @@ func transposeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, erro
 		outShape[i] = x.Shape[p]
 	}
 	out := tensor.New(x.DType, outShape...)
-	inStrides := tensor.Strides(x.Shape)
-	outStrides := tensor.Strides(outShape)
-	n64 := x.Len()
-	idx := make([]int64, x.Rank())
-	for flat := int64(0); flat < n64; flat++ {
-		rem := flat
-		for i := range idx {
-			idx[i] = rem / outStrides[i]
-			rem %= outStrides[i]
-		}
-		var src int64
-		for i, p := range perm {
-			src += idx[i] * inStrides[p]
-		}
-		copyElem(out, flat, x, src)
-	}
+	copyWalk(out, x, newWalk(outShape, tensor.Strides(outShape), tensor.PermuteStrides(x.Shape, perm)))
 	return []*tensor.Tensor{out}, nil
 }
 
@@ -202,11 +176,7 @@ func concatKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) 
 	for _, t := range in {
 		innerT := tensor.NumElems(t.Shape[axis:])
 		for o := int64(0); o < outer; o++ {
-			dstBase := o*innerOut + copied
-			srcBase := o * innerT
-			for i := int64(0); i < innerT; i++ {
-				copyElem(out, dstBase+i, t, srcBase+i)
-			}
+			copySpan(out, o*innerOut+copied, t, o*innerT, innerT)
 		}
 		copied += innerT
 	}
@@ -247,11 +217,7 @@ func splitKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 		out := tensor.New(x.DType, shape...)
 		for o := int64(0); o < outer; o++ {
 			for a := int64(0); a < sz; a++ {
-				srcBase := (o*x.Shape[axis] + offset + a) * inner
-				dstBase := (o*sz + a) * inner
-				for i := int64(0); i < inner; i++ {
-					copyElem(out, dstBase+i, x, srcBase+i)
-				}
+				copySpan(out, (o*sz+a)*inner, x, (o*x.Shape[axis]+offset+a)*inner, inner)
 			}
 		}
 		outs[s] = out
@@ -306,11 +272,7 @@ func gatherKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) 
 			if idx < 0 || idx >= axisLen {
 				return nil, fmt.Errorf("Gather: index %d out of range [0,%d)", idx, axisLen)
 			}
-			srcBase := (o*axisLen + idx) * inner
-			dstBase := (o*nIdx + ii) * inner
-			for i := int64(0); i < inner; i++ {
-				copyElem(out, dstBase+i, data, srcBase+i)
-			}
+			copySpan(out, (o*nIdx+ii)*inner, data, (o*axisLen+idx)*inner, inner)
 		}
 	}
 	return []*tensor.Tensor{out}, nil
@@ -378,19 +340,10 @@ func sliceKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 		count[a] = (en - st + sp - 1) / sp
 	}
 	out := tensor.New(x.DType, count...)
-	inStrides := tensor.Strides(x.Shape)
-	outStrides := tensor.Strides(count)
-	idx := make([]int64, x.Rank())
-	for flat := int64(0); flat < out.Len(); flat++ {
-		rem := flat
-		var src int64
-		for i := range idx {
-			idx[i] = rem / outStrides[i]
-			rem %= outStrides[i]
-			src += (start[i] + idx[i]*step[i]) * inStrides[i]
-		}
-		copyElem(out, flat, x, src)
-	}
+	srcStrides, srcBase := tensor.SliceStrides(x.Shape, start, step)
+	w := newWalk(count, tensor.Strides(count), srcStrides)
+	w.base[1] = srcBase
+	copyWalk(out, x, w)
 	return []*tensor.Tensor{out}, nil
 }
 
@@ -404,9 +357,7 @@ func expandKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) 
 		return nil, err
 	}
 	out := tensor.New(x.DType, shape...)
-	for i := int64(0); i < out.Len(); i++ {
-		copyElem(out, i, x, tensor.BroadcastIndex(x.Shape, shape, i))
-	}
+	copyWalk(out, x, newWalk(shape, tensor.Strides(shape), tensor.BroadcastStrides(x.Shape, shape)))
 	return []*tensor.Tensor{out}, nil
 }
 
@@ -498,19 +449,12 @@ func padKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	for i := range out.F {
 		out.F[i] = cval
 	}
-	inStrides := tensor.Strides(x.Shape)
+	// Walk the input; it lands in the output's interior, pads[:rank] in
+	// from the origin.
 	outStrides := tensor.Strides(outShape)
-	idx := make([]int64, x.Rank())
-	for flat := int64(0); flat < x.Len(); flat++ {
-		rem := flat
-		var dst int64
-		for i := range idx {
-			idx[i] = rem / inStrides[i]
-			rem %= inStrides[i]
-			dst += (idx[i] + pads[i]) * outStrides[i]
-		}
-		copyElem(out, dst, x, flat)
-	}
+	w := newWalk(x.Shape, outStrides, tensor.Strides(x.Shape))
+	w.base[0] = tensor.Offset(outStrides, pads[:x.Rank()])
+	copyWalk(out, x, w)
 	return []*tensor.Tensor{out}, nil
 }
 
@@ -525,19 +469,15 @@ func tileKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 		outShape[i] = x.Shape[i] * reps[i]
 	}
 	out := tensor.New(x.DType, outShape...)
-	inStrides := tensor.Strides(x.Shape)
-	outStrides := tensor.Strides(outShape)
-	idx := make([]int64, x.Rank())
-	for flat := int64(0); flat < out.Len(); flat++ {
-		rem := flat
-		var src int64
-		for i := range idx {
-			idx[i] = rem / outStrides[i]
-			rem %= outStrides[i]
-			src += (idx[i] % x.Shape[i]) * inStrides[i]
-		}
-		copyElem(out, flat, x, src)
+	// Split every output dim into (repeat, input extent): the output is
+	// row-major over the split shape and the input ignores the repeats.
+	split := make([]int64, 0, 2*x.Rank())
+	srcStrides := make([]int64, 0, 2*x.Rank())
+	for i, s := range tensor.Strides(x.Shape) {
+		split = append(split, reps[i], x.Shape[i])
+		srcStrides = append(srcStrides, 0, s)
 	}
+	copyWalk(out, x, newWalk(split, tensor.Strides(split), srcStrides))
 	return []*tensor.Tensor{out}, nil
 }
 
@@ -566,15 +506,19 @@ func resizeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) 
 	N, C := outShape[0], outShape[1]
 	oh, ow := outShape[2], outShape[3]
 	ih, iw := x.Shape[2], x.Shape[3]
+	srcCol := make([]int64, ow) // nearest source column of every output column
+	for xx := range srcCol {
+		srcCol[xx] = int64(xx) * iw / ow
+	}
 	for b := int64(0); b < N; b++ {
 		for c := int64(0); c < C; c++ {
 			srcBase := (b*x.Shape[1] + c) * ih * iw
 			dstBase := (b*C + c) * oh * ow
 			for y := int64(0); y < oh; y++ {
-				sy := y * ih / oh
-				for xx := int64(0); xx < ow; xx++ {
-					sx := xx * iw / ow
-					out.F[dstBase+y*ow+xx] = x.F[srcBase+sy*iw+sx]
+				srcRow := x.F[srcBase+y*ih/oh*iw:][:iw]
+				dstRow := out.F[dstBase+y*ow:][:ow]
+				for xx, sx := range srcCol {
+					dstRow[xx] = srcRow[sx]
 				}
 			}
 		}
@@ -713,8 +657,7 @@ func reduceKernel(init float32, acc func(a, v float32) float32, finish func(a fl
 		for i := range out.F {
 			out.F[i] = init
 		}
-		inStrides := tensor.Strides(x.Shape)
-		// Compute the output flat index for each input element.
+		// The output's stride along each input dim: 0 where it is reduced.
 		outStridesKept := make([]int64, x.Rank())
 		{
 			stride := int64(1)
@@ -727,16 +670,24 @@ func reduceKernel(init float32, acc func(a, v float32) float32, finish func(a fl
 				}
 			}
 		}
-		idx := make([]int64, x.Rank())
-		for flat := int64(0); flat < x.Len(); flat++ {
-			rem := flat
-			var dst int64
-			for i := range idx {
-				idx[i] = rem / inStrides[i]
-				rem %= inStrides[i]
-				dst += idx[i] * outStridesKept[i]
+		// Input elements are folded in row-major order, so each output's
+		// accumulation order is that of the flat input index.
+		w := newWalk(x.Shape, outStridesKept, tensor.Strides(x.Shape))
+		so := w.inner(0)
+		for c := w.seek(0, w.n); c.next(); {
+			xs, o := x.F[c.off[1]:][:c.n], c.off[0]
+			if so == 0 {
+				a := out.F[o]
+				for _, v := range xs {
+					a = acc(a, v)
+				}
+				out.F[o] = a
+				continue
 			}
-			out.F[dst] = acc(out.F[dst], x.F[flat])
+			for _, v := range xs {
+				out.F[o] = acc(out.F[o], v)
+				o += so
+			}
 		}
 		if finish != nil {
 			for i := range out.F {

@@ -34,9 +34,12 @@ func softmaxKernel(logMode bool) BudgetedKernel {
 		if int(axis) != x.Rank()-1 {
 			return nil, fmt.Errorf("%s: only last-axis supported (axis=%d rank=%d)", n.OpType, axis, x.Rank())
 		}
+		out := tensor.New(tensor.Float32, x.Shape...)
+		if x.Len() == 0 { // nothing to normalise, and inner may be 0
+			return []*tensor.Tensor{out}, nil
+		}
 		inner := x.Shape[x.Rank()-1]
 		outer := x.Len() / inner
-		out := tensor.New(tensor.Float32, x.Shape...)
 		softmaxRows := func(oLo, oHi int64) {
 			for o := oLo; o < oHi; o++ {
 				row := x.F[o*inner : (o+1)*inner]
@@ -84,9 +87,12 @@ func layerNormKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor
 		axis += int64(x.Rank())
 	}
 	eps := float32(n.AttrFloat("epsilon", 1e-5))
+	out := tensor.New(tensor.Float32, x.Shape...)
+	if x.Len() == 0 { // nothing to normalise, and inner may be 0
+		return []*tensor.Tensor{out}, nil
+	}
 	inner := tensor.NumElems(x.Shape[axis:])
 	outer := x.Len() / inner
-	out := tensor.New(tensor.Float32, x.Shape...)
 	var scale, bias *tensor.Tensor
 	if len(in) > 1 && in[1] != nil {
 		scale = in[1]
@@ -110,13 +116,21 @@ func layerNormKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor
 			}
 			variance /= float64(inner)
 			inv := float32(1 / math.Sqrt(variance+float64(eps)))
+			// scale and bias repeat along the row when shorter than it.
+			si, bi := 0, 0
 			for i, v := range row {
 				r := (v - float32(mean)) * inv
 				if scale != nil {
-					r *= scale.F[int64(i)%scale.Len()]
+					r *= scale.F[si]
+					if si++; si == len(scale.F) {
+						si = 0
+					}
 				}
 				if bias != nil {
-					r += bias.F[int64(i)%bias.Len()]
+					r += bias.F[bi]
+					if bi++; bi == len(bias.F) {
+						bi = 0
+					}
 				}
 				dst[i] = r
 			}

@@ -267,26 +267,45 @@ func BroadcastShapes(a, b []int64) ([]int64, error) {
 	return out, nil
 }
 
-// BroadcastIndex maps an output flat index back to the flat index in a
-// tensor of shape src that is broadcast to dst. outIdx iterates dst
-// row-major.
-func BroadcastIndex(src, dst []int64, outIdx int64) int64 {
-	dstStrides := Strides(dst)
-	srcStrides := Strides(src)
-	var srcOff int64
+// BroadcastStrides returns the strides that address a row-major tensor of
+// shape src along the dims of the shape dst it broadcasts to: src's own
+// stride where the extents agree, 0 where src has extent 1 or no dim at
+// all, so every index along that dim reads the same element.
+func BroadcastStrides(src, dst []int64) []int64 {
+	out := make([]int64, len(dst))
 	pad := len(dst) - len(src)
-	rem := outIdx
-	for i := 0; i < len(dst); i++ {
-		coord := rem / dstStrides[i]
-		rem = rem % dstStrides[i]
-		if i >= pad {
-			j := i - pad
-			if src[j] != 1 {
-				srcOff += coord * srcStrides[j]
-			}
+	acc := int64(1)
+	for j := len(src) - 1; j >= 0; j-- {
+		if src[j] != 1 {
+			out[pad+j] = acc
 		}
+		acc *= src[j]
 	}
-	return srcOff
+	return out
+}
+
+// PermuteStrides returns the strides that address a row-major tensor of
+// the given shape along the dims of its transpose: output dim i walks
+// input dim perm[i].
+func PermuteStrides(shape, perm []int64) []int64 {
+	in := Strides(shape)
+	out := make([]int64, len(perm))
+	for i, p := range perm {
+		out[i] = in[p]
+	}
+	return out
+}
+
+// SliceStrides returns the strides and the base offset that address the
+// slice taking every step[i]-th element from start[i] along each dim of a
+// row-major tensor of the given shape. A negative step walks backwards.
+func SliceStrides(shape, start, step []int64) (strides []int64, base int64) {
+	strides = Strides(shape)
+	base = Offset(strides, start)
+	for i := range strides {
+		strides[i] *= step[i]
+	}
+	return strides, base
 }
 
 func (t *Tensor) String() string {

@@ -97,20 +97,22 @@ func TestBroadcastShapes(t *testing.T) {
 	}
 }
 
-func TestBroadcastIndex(t *testing.T) {
-	// src [1,3] broadcast to dst [2,3]: out row-major index k maps to k%3.
-	src := []int64{1, 3}
-	dst := []int64{2, 3}
-	for k := int64(0); k < 6; k++ {
-		if got := BroadcastIndex(src, dst, k); got != k%3 {
-			t.Errorf("k=%d got %d", k, got)
+func TestStrideDescriptors(t *testing.T) {
+	eq := func(name string, got, want []int64) {
+		t.Helper()
+		if !SameShape(got, want) {
+			t.Errorf("%s: got %v want %v", name, got, want)
 		}
 	}
-	// scalar broadcast
-	for k := int64(0); k < 6; k++ {
-		if BroadcastIndex(nil, dst, k) != 0 {
-			t.Error("scalar broadcast should map to 0")
-		}
+	eq("trailing", BroadcastStrides([]int64{1, 3}, []int64{2, 3}), []int64{0, 1})
+	eq("scalar", BroadcastStrides(nil, []int64{2, 3}), []int64{0, 0})
+	eq("rank-padded middle", BroadcastStrides([]int64{4, 1, 5}, []int64{2, 4, 3, 5}), []int64{0, 5, 0, 1})
+	eq("zero extent", BroadcastStrides([]int64{0, 3}, []int64{0, 3}), []int64{3, 1})
+	eq("perm", PermuteStrides([]int64{2, 3, 4}, []int64{2, 0, 1}), []int64{1, 12, 4})
+	strides, base := SliceStrides([]int64{4, 5}, []int64{1, 4}, []int64{2, -1})
+	eq("slice", strides, []int64{10, -1})
+	if base != 9 {
+		t.Errorf("slice base: got %d want 9", base)
 	}
 }
 

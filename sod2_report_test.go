@@ -29,7 +29,8 @@ func mallocsOf(f func()) uint64 {
 }
 
 // TestInferExecutesOnce: a facade inference is one guarded execution plus
-// the cost model over its trace — it must not allocate like two runs.
+// the cost model over its trace — it must not allocate like two runs, nor
+// per tensor element.
 func TestInferExecutesOnce(t *testing.T) {
 	for _, tc := range []struct {
 		model string
@@ -57,6 +58,11 @@ func TestInferExecutesOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		// Allocation is per operator, not per element: a broadcasting
+		// kernel that allocates per element costs CodeBERT@64 > 250 000.
+		if infer >= 5000 {
+			t.Errorf("%s@%d: Infer made %d allocations, want < 5000", tc.model, tc.size, infer)
+		}
 		if float64(infer) > 1.25*float64(bare) {
 			t.Errorf("%s@%d: Infer made %d allocations, a bare guarded run %d (ratio %.2f, want <= 1.25)",
 				tc.model, tc.size, infer, bare, float64(infer)/float64(bare))
