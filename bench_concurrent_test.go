@@ -1,14 +1,8 @@
-// Concurrent-serving benchmarks: throughput of the Session facade as
-// the number of client goroutines grows. Two scenarios per model:
-//
-//   - distinct: every worker draws different samples from the model's
-//     size range — measures plan-cache effectiveness and multicore
-//     scaling (on a single-core host, wall-clock throughput stays flat;
-//     the cache counters still prove the per-shape work happens once).
-//   - coalesced: all in-flight requests carry the same hot sample —
-//     measures singleflight request coalescing, where G goroutines are
-//     served by one execution (throughput scales with G even on one
-//     core because G−1 requests piggyback).
+// Concurrent-serving benchmark: throughput of the Session facade as the
+// number of client goroutines grows. Every worker draws different samples
+// from the model's size range, all served by the one region proof —
+// multicore scaling of the serving path (on a single-core host,
+// wall-clock throughput stays flat).
 package sod2
 
 import (
@@ -37,35 +31,24 @@ func BenchmarkConcurrentInfer(b *testing.B) {
 			b.Fatal(err)
 		}
 		pool := workload.Samples(m, 8, 42)
-		// The hot request is the model's largest input: long enough that a
-		// wave's followers reliably arrive while the leader still executes.
-		hot := workload.Fixed(m, 1, m.MaxSize, 0.5, 42)[0]
-		for _, scenario := range []string{"distinct", "coalesced"} {
-			for _, gor := range []int{1, 2, 4, 8} {
-				bname := fmt.Sprintf("%s/%s/goroutines=%d", name, scenario, gor)
-				b.Run(bname, func(b *testing.B) {
-					c.Invalidate()
-					sess := c.NewSession(SessionOptions{Workers: gor})
-					// Warm the per-shape caches once so the steady-state
-					// serving path is what the loop measures.
-					for _, s := range append(pool, hot) {
-						if _, _, err := sess.InferSample(s); err != nil {
-							b.Fatal(err)
-						}
+		for _, gor := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/goroutines=%d", name, gor), func(b *testing.B) {
+				c.Invalidate()
+				sess := c.NewSession(SessionOptions{Workers: gor})
+				// Warm once (the first request proves the region) so the
+				// steady-state serving path is what the loop measures.
+				for _, s := range pool {
+					if _, _, err := sess.InferSample(s); err != nil {
+						b.Fatal(err)
 					}
-					before := sess.Stats()
-					b.ResetTimer()
-					if scenario == "coalesced" {
-						benchCoalesced(b, sess, hot, gor)
-					} else {
-						benchDistinct(b, sess, pool, gor)
-					}
-					b.StopTimer()
-					st := sess.Stats()
-					b.ReportMetric(float64(st.Cache.PlanHits-before.Cache.PlanHits), "plan-hits")
-					b.ReportMetric(float64(st.Coalesced-before.Coalesced), "coalesced")
-				})
-			}
+				}
+				before := sess.Stats()
+				b.ResetTimer()
+				benchDistinct(b, sess, pool, gor)
+				b.StopTimer()
+				st := sess.Stats()
+				b.ReportMetric(float64(st.Cache.RegionHits-before.Cache.RegionHits), "region-hits")
+			})
 		}
 	}
 }
@@ -94,37 +77,4 @@ func benchDistinct(b *testing.B, sess *Session, pool []Sample, gor int) {
 		}(g, n)
 	}
 	wg.Wait()
-}
-
-// benchCoalesced issues b.N requests for one hot sample in waves of gor
-// concurrent clients: each wave's requests race on the same sample ID,
-// so singleflight serves the whole wave with (at best) one execution. A
-// start barrier per wave makes sure the clients really are in flight
-// together rather than trickling in after the leader finished.
-func benchCoalesced(b *testing.B, sess *Session, hot Sample, gor int) {
-	done := 0
-	for done < b.N {
-		wave := gor
-		if b.N-done < wave {
-			wave = b.N - done
-		}
-		start := make(chan struct{})
-		var ready, wg sync.WaitGroup
-		for g := 0; g < wave; g++ {
-			ready.Add(1)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ready.Done()
-				<-start
-				if _, _, err := sess.InferSample(hot); err != nil {
-					b.Error(err)
-				}
-			}()
-		}
-		ready.Wait()
-		close(start)
-		wg.Wait()
-		done += wave
-	}
 }

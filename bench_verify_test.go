@@ -1,18 +1,16 @@
 // Shape-sweep benchmark for the static plan verifier: a request stream
-// cycling through many distinct input shapes, served either by the
-// per-shape plan cache (every new shape pays contract + plan
-// verification) or by the shape-family region proof (one symbolic
-// verification serves every in-region shape). The custom metrics make
-// the amortization visible: "verifications" counts shape checks
-// actually performed, "shapes-per-verify" is distinct shapes served per
-// verification — exactly 1 in per-shape mode, the whole sweep in region
-// mode.
+// cycling through many distinct input shapes, all served by the
+// shape-family region proof — one symbolic verification serves every
+// in-region shape. The custom metrics make the amortization visible:
+// "verifications" counts verifier runs actually performed and
+// "shapes-per-verify" is distinct shapes served per verification (the
+// whole sweep).
 package sod2
 
 import (
-	"fmt"
 	"testing"
 
+	"repro/internal/frameworks"
 	"repro/internal/models"
 	"repro/internal/workload"
 )
@@ -32,41 +30,32 @@ func BenchmarkShapeSweep(b *testing.B) {
 			size := m.MinSize + (span*int64(i)/int64(distinct-1))*m.SizeStep
 			pool = append(pool, workload.Fixed(m, 1, size, 0.5, 42)[0])
 		}
-		for _, mode := range []string{"per-shape", "region"} {
-			b.Run(fmt.Sprintf("%s/%s", name, mode), func(b *testing.B) {
-				c, err := Compile(m)
-				if err != nil {
+		b.Run(name, func(b *testing.B) {
+			c, err := Compile(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			verifyRuns := frameworks.Counters().VerifyRuns
+			sess := c.NewSession(SessionOptions{})
+			// Warm once so the loop measures steady-state serving; the
+			// warmup's verification is part of the accounting.
+			for _, s := range pool {
+				if _, _, err := sess.InferSample(s); err != nil {
 					b.Fatal(err)
 				}
-				proofs := 0
-				if mode == "region" {
-					rep := c.Verify()
-					if !rep.Mem.Proven {
-						b.Fatalf("%s not proven: %s", name, rep.Mem.Reason)
-					}
-					proofs = 1
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := sess.InferSample(pool[i%distinct]); err != nil {
+					b.Fatal(err)
 				}
-				sess := c.NewSession(SessionOptions{})
-				// Warm once so the loop measures steady-state serving; the
-				// warmup's verifications are part of the accounting.
-				for _, s := range pool {
-					if _, _, err := sess.InferSample(s); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := sess.InferSample(pool[i%distinct]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				st := sess.Stats()
-				verifications := float64(st.Cache.PlanMisses) + float64(proofs)
-				b.ReportMetric(verifications, "verifications")
-				b.ReportMetric(float64(st.Cache.RegionHits), "region-hits")
-				b.ReportMetric(float64(distinct)/verifications, "shapes-per-verify")
-			})
-		}
+			}
+			b.StopTimer()
+			st := sess.Stats()
+			verifications := float64(frameworks.Counters().VerifyRuns - verifyRuns)
+			b.ReportMetric(verifications, "verifications")
+			b.ReportMetric(float64(st.Cache.RegionHits), "region-hits")
+			b.ReportMetric(float64(distinct)/verifications, "shapes-per-verify")
+		})
 	}
 }

@@ -330,9 +330,8 @@ func runCmd(name string, size int64, gate float32, device string) {
 
 // serveBenchCmd drives the concurrent serving facade: `requests`
 // inferences cycled over `distinct` samples, fanned out over `workers`
-// goroutines, with the shape-keyed plan cache, request coalescing, and
-// the resilience layer (admission gate, deadline, retry ladder, circuit
-// breaker) on. -fault-every injects periodic kernel faults so the
+// goroutines, with the resilience layer (admission gate, deadline, retry
+// ladder, circuit breaker) on. -fault-every injects periodic kernel faults so the
 // breaker/quarantine counters move.
 func serveBenchCmd(name, device string, requests, workers, distinct,
 	maxConc, maxQueue int, deadline time.Duration, faultEvery int64, parallel int, storeDir string,
@@ -386,7 +385,7 @@ func serveBenchCmd(name, device string, requests, workers, distinct,
 	if rep.Mem.Proven {
 		fmt.Printf("static verify: memory plan proven over region — shape-family serving on\n")
 	} else {
-		fmt.Printf("static verify: unprovable (%s) — per-shape plan cache\n", rep.Mem.Reason)
+		fmt.Printf("static verify: unprovable (%s) — plans verified per request shape\n", rep.Mem.Reason)
 	}
 	if parallel > 0 {
 		if rep.Wave.Proven {
@@ -433,7 +432,7 @@ func serveBenchCmd(name, device string, requests, workers, distinct,
 	results := sess.InferBatch(stream)
 	wall := time.Since(start)
 
-	var failed, shed, cancelled, planHits, regionHits, waveRuns int
+	var failed, shed, cancelled, regionHits, waveRuns int
 	worstTier := sod2.TierPlanned
 	for _, r := range results {
 		if r.Err != nil {
@@ -446,9 +445,6 @@ func serveBenchCmd(name, device string, requests, workers, distinct,
 				failed++
 			}
 			continue
-		}
-		if r.Report.PlanCacheHit {
-			planHits++
 		}
 		if r.Report.RegionCacheHit {
 			regionHits++
@@ -472,9 +468,6 @@ func serveBenchCmd(name, device string, requests, workers, distinct,
 		fmt.Printf("wavefront parallel: %d/%d requests ran parallel (%d workers per request)\n",
 			waveRuns, served, parallel)
 	}
-	fmt.Printf("plan cache: %d/%d request hits (%d hits / %d misses cumulative, %d entries)\n",
-		planHits, served, st.Cache.PlanHits, st.Cache.PlanMisses, st.Cache.PlanEntries)
-	fmt.Printf("coalesced in flight: %d\n", st.Coalesced)
 	fmt.Printf("health: %s   breaker: %d faults / %d successes, %d trips, reverify %d pass / %d fail\n",
 		st.Health, st.Breaker.Faults, st.Breaker.Successes, st.Breaker.Trips,
 		st.Breaker.ReverifyPass, st.Breaker.ReverifyFail)

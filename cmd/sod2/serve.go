@@ -77,7 +77,7 @@ func bootServer(builders []*models.Builder, device, storeDir string,
 		if err != nil {
 			fail(err)
 		}
-		mode := "per-shape plan cache"
+		mode := "plans verified per request shape"
 		if vrep.Mem.Proven {
 			mode = "region-proven shape-family serving"
 		}

@@ -146,7 +146,7 @@ func (c *Certificate) RegionDependent() bool {
 }
 
 // Digest returns a short stable fingerprint of the certificate, used as
-// the specialization component of plan-cache keys.
+// the specialization component of shape-family keys.
 func (c *Certificate) Digest() string {
 	if c.Empty() {
 		return "none"

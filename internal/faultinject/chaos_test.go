@@ -164,8 +164,8 @@ func TestChaosConcurrentFaultIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the plan cache so every request below takes the cached-plan
-	// serving path — the fault must be isolated even on cache hits.
+	// Prove the region first so every request below is served by the
+	// memoized proof — the fault must be isolated on that path too.
 	if _, _, err := c.GuardedRun(inputs, frameworks.GuardOptions{}); err != nil {
 		t.Fatal(err)
 	}

@@ -359,8 +359,8 @@ func compileFromManifest(b *models.Builder, g *graph.Graph, man *artifact.Manife
 	c.FusionStatic = fusion.Fuse(g, res.Infos, fusion.Static)
 	c.ExecPlan = &plan.Plan{Order: order, PeakBytes: man.SEP.PeakBytes}
 	// Replay the persisted scheduling point: the warm boot serves the
-	// same frontier point the compile chose (same plan-cache keys, same
-	// serve-bench banner) with zero plan searches.
+	// same frontier point the compile chose (same serve-bench banner)
+	// with zero plan searches.
 	c.Sched = plan.SchedPoint{
 		CapFactor:       man.SEP.CapFactor,
 		Workers:         man.SEP.SchedWorkers,

@@ -1,6 +1,7 @@
 package frameworks
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -292,5 +293,38 @@ func TestQuarantineEvidencePath(t *testing.T) {
 	}
 	if filepath.Dir(ce.QuarantinedAs) != st.Dir() {
 		t.Errorf("quarantine left the store dir: %q", ce.QuarantinedAs)
+	}
+}
+
+// TestArtifactBytesDeterministic: compiling a model is a function of the
+// model, so the artifact it saves must not differ from one compile to
+// the next. Five cold compiles of each model into five empty stores save
+// byte-identical files — anything that follows map iteration order into
+// the manifest (contract facts, say) shows up here.
+func TestArtifactBytesDeterministic(t *testing.T) {
+	for _, b := range models.All() {
+		b := b
+		t.Run(b.Name, func(t *testing.T) {
+			var first []byte
+			for i := 0; i < 5; i++ {
+				st, err := artifact.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, _, info, err := CompileWithStore(b, st, "cpu")
+				if err != nil || !info.Saved {
+					t.Fatalf("compile %d: err %v, saved %v (%v)", i, err, info.Saved, info.SaveErr)
+				}
+				got, err := os.ReadFile(st.Path(info.Key))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					first = got
+				} else if !bytes.Equal(got, first) {
+					t.Fatalf("compile %d saved %d bytes differing from compile 0's %d", i, len(got), len(first))
+				}
+			}
+		})
 	}
 }

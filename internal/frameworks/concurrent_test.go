@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/memplan"
 	"repro/internal/tensor"
 	"repro/internal/workload"
 )
@@ -17,18 +16,17 @@ func TestLRUEvictsColdEnd(t *testing.T) {
 	c.Add(1, "a")
 	c.Add(2, "b")
 	c.Add(3, "c") // evicts 1 (oldest, never touched)
-	if _, ok := c.Peek(1); ok {
+	if _, ok := c.entries[1]; ok {
 		t.Error("1 should be evicted")
 	}
-	if v, ok := c.Peek(2); !ok || v != "b" {
+	if v, ok := c.Get(2); !ok || v != "b" { // promotes 2
 		t.Error("2 should survive")
 	}
-	c.Get(2)      // promote 2
 	c.Add(4, "d") // now 3 is coldest
-	if _, ok := c.Peek(3); ok {
+	if _, ok := c.entries[3]; ok {
 		t.Error("3 should be evicted after 2 was promoted")
 	}
-	if _, ok := c.Peek(2); !ok {
+	if _, ok := c.entries[2]; !ok {
 		t.Error("promoted 2 should survive")
 	}
 	if c.Len() != 2 {
@@ -76,91 +74,43 @@ func TestLRUPurgePreservesCounters(t *testing.T) {
 	}
 }
 
-// ---- Trace memo (Execute) ---------------------------------------------
+// ---- Trace memo (Execute) and region proof ---------------------------
 
-// Concurrent Execute calls for one in-flight (sample, policy) key must
-// coalesce into a single real execution, and every caller must get the
-// same memoized result.
-func TestConcurrentExecuteDedup(t *testing.T) {
+// Execute memoizes by (sample, policy): the second call for one sample is
+// the first call's result, and only the first one executed. Concurrent
+// callers are safe (the memo is locked), though each miss executes.
+func TestExecuteMemoizesBySample(t *testing.T) {
 	c := compileModel(t, "CodeBERT")
-	s := workload.Fixed(c.Builder, 1, 64, 0.5, 7)[0]
+	samples := workload.Fixed(c.Builder, 2, 64, 0.5, 7)
+	first, err := c.Execute(samples[0], false, OrderPlanned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.Execute(samples[0], false, OrderPlanned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first {
+		t.Error("second Execute of one sample re-executed")
+	}
+	if st := c.Stats(); st.TraceMisses != 1 || st.TraceHits != 1 || st.TraceEntries != 1 {
+		t.Errorf("trace memo = %d hits / %d misses / %d entries, want 1/1/1",
+			st.TraceHits, st.TraceMisses, st.TraceEntries)
+	}
 
-	const goroutines = 8
 	var wg sync.WaitGroup
-	got := make([]interface{}, goroutines)
-	errs := make([]error, goroutines)
-	for g := 0; g < goroutines; g++ {
+	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			r, err := c.Execute(s, false, OrderPlanned)
-			got[g], errs[g] = r, err
-		}(g)
+			if _, err := c.Execute(samples[g%2], false, OrderPlanned); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
 	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			t.Fatalf("goroutine %d: %v", g, err)
-		}
-	}
-	for g := 1; g < goroutines; g++ {
-		if got[g] != got[0] {
-			t.Fatalf("goroutine %d got a different result object — execution not deduped", g)
-		}
-	}
-	st := c.Stats()
-	if st.TraceMisses != 1 {
-		t.Errorf("want exactly 1 real execution, trace misses = %d", st.TraceMisses)
-	}
-	if st.TraceEntries != 1 {
-		t.Errorf("trace entries = %d, want 1", st.TraceEntries)
-	}
-}
-
-// ---- Shape-keyed plan cache -------------------------------------------
-
-func TestPlanCacheHitSkipsReverification(t *testing.T) {
-	c := compileModel(t, "CodeBERT")
-	inputs := c.Builder.Inputs(tensor.NewRNG(7), 64, 0.5)
-
-	_, gr1, err := c.GuardedRun(inputs, GuardOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gr1.PlanCacheHit {
-		t.Error("first run of a shape must be a plan-cache miss")
-	}
-	// Same shape, different values: shape-keyed work must be reused.
-	inputs2 := c.Builder.Inputs(tensor.NewRNG(99), 64, 0.5)
-	res2, gr2, err := c.GuardedRun(inputs2, GuardOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gr2.PlanCacheHit {
-		t.Error("second run of the same shape must hit the plan cache")
-	}
-	if gr2.Tier != gr1.Tier {
-		t.Errorf("cached outcome changed the tier: %v vs %v", gr2.Tier, gr1.Tier)
-	}
-	if len(res2.Outputs) == 0 {
-		t.Error("cached-plan run produced no outputs")
-	}
-	st := c.Stats()
-	if st.PlanMisses != 1 || st.PlanHits != 1 {
-		t.Errorf("plan counters = %d hits / %d misses, want 1/1", st.PlanHits, st.PlanMisses)
-	}
-
-	// A different shape is a fresh verification.
-	inputs3 := c.Builder.Inputs(tensor.NewRNG(7), 65, 0.5)
-	_, gr3, err := c.GuardedRun(inputs3, GuardOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gr3.PlanCacheHit {
-		t.Error("a new shape must not hit the plan cache")
-	}
-	if st := c.Stats(); st.PlanEntries != 2 {
-		t.Errorf("plan entries = %d, want 2", st.PlanEntries)
+	if st := c.Stats(); st.TraceEntries != 2 {
+		t.Errorf("trace entries = %d, want one per sample", st.TraceEntries)
 	}
 }
 
@@ -174,77 +124,26 @@ func TestInvalidateDropsEntriesKeepsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.Stats()
-	if before.TraceEntries == 0 || before.PlanEntries == 0 {
-		t.Fatalf("expected populated caches, got %+v", before)
+	if before.TraceEntries == 0 || c.PlannedArenaBytes() == 0 {
+		t.Fatalf("expected a populated memo and a held proof, got %+v", before)
 	}
 
 	c.Invalidate()
 	st := c.Stats()
-	if st.TraceEntries != 0 || st.PlanEntries != 0 {
-		t.Errorf("Invalidate left entries: %+v", st)
+	if st.TraceEntries != 0 || c.PlannedArenaBytes() != 0 {
+		t.Errorf("Invalidate left entries: %+v, proof %d bytes", st, c.PlannedArenaBytes())
 	}
-	if st.TraceMisses != before.TraceMisses || st.PlanMisses != before.PlanMisses {
+	if st.TraceMisses != before.TraceMisses || st.RegionHits != before.RegionHits {
 		t.Errorf("Invalidate must preserve counters: %+v vs %+v", st, before)
 	}
-
-	// The next same-shape run re-verifies (miss), proving nothing stale
-	// survived.
-	_, gr, err := c.GuardedRun(s.Inputs, GuardOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gr.PlanCacheHit {
-		t.Error("run after Invalidate must not report a cache hit")
-	}
 }
 
-// MutatePlan (the fault-injection hook) must bypass the plan cache in
-// both directions: it must not be served a cached verdict, and its
-// mutated outcome must not be cached for later well-formed runs.
-func TestMutatePlanBypassesPlanCache(t *testing.T) {
-	c := compileModel(t, "CodeBERT")
-	inputs := c.Builder.Inputs(tensor.NewRNG(7), 64, 0.5)
-
-	// Warm the cache with the legitimate outcome.
-	if _, _, err := c.GuardedRun(inputs, GuardOptions{}); err != nil {
-		t.Fatal(err)
-	}
-
-	// A run with a corrupted plan must degrade even though the cached
-	// verdict for this shape is "verified".
-	_, gr, err := c.GuardedRun(inputs, GuardOptions{
-		MutatePlan: func(p *memplan.Plan) {
-			for k := range p.Offsets {
-				p.Offsets[k] = -8 // misplace one tensor before the arena
-				break
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gr.PlanCacheHit {
-		t.Error("MutatePlan run must not report a plan-cache hit")
-	}
-	if len(gr.Degradations) == 0 {
-		t.Fatal("corrupted plan should degrade")
-	}
-
-	// And the well-formed path afterwards still gets the clean outcome.
-	_, gr2, err := c.GuardedRun(inputs, GuardOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gr2.PlanCacheHit || len(gr2.Degradations) != 0 {
-		t.Errorf("mutated outcome leaked into the cache: %+v", gr2)
-	}
-}
-
-// Concurrent guarded runs over a mix of shapes: each distinct shape is
-// verified exactly once, everything else hits, and every run completes
-// on the planned tier.
+// Concurrent guarded runs over a mix of shapes on a plain Compile: the
+// verifier runs once, its proof serves every shape, and every run
+// completes on the planned tier.
 func TestConcurrentGuardedRunsShareVerification(t *testing.T) {
 	c := compileModel(t, "CodeBERT")
+	verifyRuns := Counters().VerifyRuns
 	const goroutines, perG = 6, 4
 	shapes := []int64{48, 64, 80}
 	var wg sync.WaitGroup
@@ -261,8 +160,8 @@ func TestConcurrentGuardedRunsShareVerification(t *testing.T) {
 					errs <- fmt.Errorf("g%d i%d: %w", g, i, err)
 					return
 				}
-				if len(gr.Degradations) != 0 {
-					errs <- fmt.Errorf("g%d i%d degraded: %+v", g, i, gr.Degradations)
+				if len(gr.Degradations) != 0 || !gr.RegionCacheHit {
+					errs <- fmt.Errorf("g%d i%d: region hit %v, degradations %+v", g, i, gr.RegionCacheHit, gr.Degradations)
 					return
 				}
 			}
@@ -273,13 +172,10 @@ func TestConcurrentGuardedRunsShareVerification(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st := c.Stats()
-	if st.PlanEntries != len(shapes) {
-		t.Errorf("plan entries = %d, want %d", st.PlanEntries, len(shapes))
+	if got := Counters().VerifyRuns - verifyRuns; got != 1 {
+		t.Errorf("verifier ran %d times, want 1 (one proof for every shape)", got)
 	}
-	// Singleflight makes "misses" at most one per shape; every other
-	// request either hit or joined an in-flight verification.
-	if st.PlanMisses != uint64(len(shapes)) {
-		t.Errorf("plan misses = %d, want %d (one verification per shape)", st.PlanMisses, len(shapes))
+	if st := c.Stats(); st.RegionHits != goroutines*perG {
+		t.Errorf("region hits = %d, want %d", st.RegionHits, goroutines*perG)
 	}
 }

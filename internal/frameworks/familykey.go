@@ -1,6 +1,11 @@
 package frameworks
 
-import "repro/internal/tensor"
+import (
+	"strconv"
+	"strings"
+
+	"repro/internal/tensor"
+)
 
 // FamilyKey returns the shape-family bucket key the serving layer
 // coalesces cross-request batches under, and whether the key is the
@@ -12,21 +17,30 @@ import "repro/internal/tensor"
 // family: a single verified plan (and a single admission reservation)
 // serves every in-region shape, so requests for different in-region
 // shapes may still ride the same coalesced batch. Outside the region
-// (or with no proof held) the key degrades to the per-shape plan-cache
-// key: only identically-shaped requests coalesce, mirroring what the
-// per-shape cache can amortize.
+// (or for an unprovable model) the key degrades to the concrete input
+// dtypes and dims: only identically-shaped requests coalesce.
 //
 // An empty key (inputs that do not even name every graph input) means
 // the request cannot be bucketed; callers should serve it individually
 // and let the guarded run surface the structured error.
 func (c *Compiled) FamilyKey(inputs map[string]*tensor.Tensor) (string, bool) {
-	if rep := c.verified.Load(); rep != nil && rep.Mem.Proven {
+	if rep := c.Verify(); rep.Mem.Proven {
 		if env, err := c.Contract().BindInputs(inputs); err == nil && rep.Region.ContainsEnv(env) {
 			return "region|spec:" + c.specDigest, true
 		}
 	}
-	if key, ok := c.planKey(inputs); ok {
-		return key, false
+	var sb strings.Builder
+	for _, in := range c.Graph.Inputs {
+		t := inputs[in.Name]
+		if t == nil {
+			return "", false
+		}
+		sb.WriteString(strconv.Itoa(int(t.DType)))
+		for _, d := range t.Shape {
+			sb.WriteByte(',')
+			sb.WriteString(strconv.FormatInt(d, 10))
+		}
+		sb.WriteByte(';')
 	}
-	return "", false
+	return sb.String(), false
 }

@@ -49,10 +49,6 @@ type Report struct {
 	// Degradations records every guarded-execution fallback taken while
 	// producing this report, in the order they fired.
 	Degradations []guard.Degradation
-	// PlanCacheHit reports that the shape-keyed plan cache served this
-	// request's contract binding and verified memory plan (repeat shape:
-	// no re-verification was needed).
-	PlanCacheHit bool
 	// RegionCacheHit reports that the statically-proven shape-family plan
 	// served this request: its input shapes fell inside the verified
 	// region, so contract and plan re-verification were skipped entirely
@@ -88,8 +84,8 @@ type Engine interface {
 //
 // Concurrency contract: after Compile returns, every exported field is
 // read-only and every method on Compiled is safe for concurrent use —
-// the trace cache, the shape-keyed plan cache, and the contract are all
-// guarded internally. Callers that mutate a compiled artifact in place
+// the trace memo, the contract and the region proof are all guarded
+// internally. Callers that mutate a compiled artifact in place
 // (tests corrupting ExecPlan.Order, harnesses swapping plans) must call
 // Invalidate() afterwards and must not race the mutation with inferences.
 type Compiled struct {
@@ -114,28 +110,21 @@ type Compiled struct {
 	// Sched records the cap factor, modeled worker count, and peaks that
 	// chose it. The zero CapFactor means the width-aware search did not
 	// run (degenerate graph); it is persisted with artifacts so warm
-	// boots replay the same point, and mixed into the plan-cache key.
+	// boots replay the same point.
 	Sched plan.SchedPoint
 
-	// cacheMu guards traces and traceFlights.
+	// cacheMu guards traces, the evaluation harness's memo of executor
+	// results by (sample, policy), with bounded per-entry LRU eviction.
 	cacheMu sync.Mutex
-	// traces memoizes executor results by (sample, policy) with bounded
-	// per-entry LRU eviction.
-	traces *lruCache[traceKey, *exec.Result]
-	// traceFlights dedups concurrent executions of the same key: N
-	// goroutines hitting one (sample, policy) key execute once.
-	traceFlights map[traceKey]*traceFlight
+	traces  *lruCache[traceKey, *exec.Result]
 
 	// contractOnce guards the lazily built runtime contract.
 	contractOnce sync.Once
 	contract     *guard.Contract
 
-	// plans is the shape-keyed compiled-plan cache (plancache.go).
-	plans planCache
-
 	// verifyMu serializes static verification; verified memoizes its
-	// report (verified.go). A proven report upgrades guarded runs to
-	// shape-family serving; regionHits counts requests it served.
+	// report (verified.go). A proven report is the planned rung's plan
+	// for every in-region request; regionHits counts requests it served.
 	// verifyGen is bumped by Invalidate so a verification that was in
 	// flight across an invalidation cannot resurrect its stale proof.
 	verifyMu   sync.Mutex
@@ -175,7 +164,7 @@ type Compiled struct {
 	// region. When the specializer changed nothing they alias
 	// Graph/Infos. SpecCert is the specialization certificate (nil only
 	// when specialization was disabled); specDigest memoizes its Digest()
-	// for the plan-cache key.
+	// for the shape-family key.
 	OrigGraph  *graph.Graph
 	OrigInfos  map[string]lattice.Info
 	SpecCert   *absint.Certificate
@@ -222,13 +211,6 @@ func Counters() CompileCounters {
 	}
 }
 
-// traceFlight is one in-flight Execute call other goroutines wait on.
-type traceFlight struct {
-	done chan struct{}
-	res  *exec.Result
-	err  error
-}
-
 // traceCacheCap bounds the (sample, policy) → trace memo.
 const traceCacheCap = 256
 
@@ -255,12 +237,13 @@ type traceKey struct {
 // Execute runs the graph for one sample, memoizing by (sample, policy):
 // all engines and devices that need the same executor policy share one
 // real execution — the tensors and trace are identical by construction.
+// This is the evaluation harness's memo; no serving path touches it.
 // Safe for concurrent use: the memo is a bounded LRU (hot entries
-// survive eviction), and concurrent calls for the same in-flight key
-// coalesce into a single execution.
+// survive eviction). Concurrent misses on one key each execute — the
+// results are identical, and the harness is sequential.
 func (c *Compiled) Execute(s workload.Sample, allBranches bool, kind OrderKind) (*exec.Result, error) {
 	if s.ID == 0 {
-		// Anonymous sample: never memoized, never deduped.
+		// Anonymous sample: never memoized.
 		return c.executeUncached(s, allBranches, kind)
 	}
 	key := traceKey{sampleID: s.ID, allBranches: allBranches, order: kind}
@@ -268,36 +251,19 @@ func (c *Compiled) Execute(s workload.Sample, allBranches bool, kind OrderKind) 
 	if c.traces == nil {
 		c.traces = newLRU[traceKey, *exec.Result](traceCacheCap)
 	}
-	// Counter semantics: a miss is a real execution; joining an in-flight
-	// execution is a hit (the request was served without executing).
-	if r, ok := c.traces.GetNoCount(key); ok {
-		c.traces.noteHit()
-		c.cacheMu.Unlock()
+	r, ok := c.traces.Get(key)
+	c.cacheMu.Unlock()
+	if ok {
 		return r, nil
 	}
-	if fl, ok := c.traceFlights[key]; ok {
-		c.traces.noteHit()
-		c.cacheMu.Unlock()
-		<-fl.done
-		return fl.res, fl.err
+	r, err := c.executeUncached(s, allBranches, kind)
+	if err != nil {
+		return nil, err
 	}
-	c.traces.noteMiss()
-	if c.traceFlights == nil {
-		c.traceFlights = map[traceKey]*traceFlight{}
-	}
-	fl := &traceFlight{done: make(chan struct{})}
-	c.traceFlights[key] = fl
-	c.cacheMu.Unlock()
-
-	fl.res, fl.err = c.executeUncached(s, allBranches, kind)
 	c.cacheMu.Lock()
-	delete(c.traceFlights, key)
-	if fl.err == nil {
-		c.traces.Add(key, fl.res)
-	}
+	c.traces.Add(key, r)
 	c.cacheMu.Unlock()
-	close(fl.done)
-	return fl.res, fl.err
+	return r, nil
 }
 
 // executeUncached performs the real execution for Execute.
@@ -324,17 +290,16 @@ func (c *Compiled) executeUncached(s workload.Sample, allBranches bool, kind Ord
 }
 
 // Invalidate drops every memoized runtime artifact — the (sample,
-// policy) trace memo and the shape-keyed plan cache. Call it between
-// experiments (the bench harness does) so traces and verified plans
-// cannot leak across runs, and after mutating any compiled artifact in
-// place. Cumulative hit/miss counters survive invalidation.
+// policy) trace memo and the static region proof. Call it between
+// experiments (the bench harness does) so traces cannot leak across
+// runs, and after mutating any compiled artifact in place. Cumulative
+// hit/miss counters survive invalidation.
 func (c *Compiled) Invalidate() {
 	c.cacheMu.Lock()
 	if c.traces != nil {
 		c.traces.Purge()
 	}
 	c.cacheMu.Unlock()
-	c.plans.purge()
 	// A mutated artifact invalidates the static proof; Verify() rebuilds
 	// it on demand. The generation bump precedes the drop so an Analyze
 	// that was already running cannot store its stale report afterwards.
@@ -358,14 +323,15 @@ func (c *Compiled) PlannedArenaBytes() int64 {
 type CacheStats struct {
 	// TraceHits/TraceMisses count (sample, policy) trace-memo lookups.
 	TraceHits, TraceMisses uint64
-	// PlanHits/PlanMisses count shape-keyed plan-cache lookups made by
-	// guarded runs.
+	// PlanHits/PlanMisses counted the shape-keyed plan cache, which is
+	// gone: they read 0 and stay declared only until the wall-clock
+	// benchmark's next revision stops reading them.
 	PlanHits, PlanMisses uint64
 	// RegionHits counts requests served by the statically-proven
 	// shape-family plan (no per-shape verification at all).
 	RegionHits uint64
-	// TraceEntries/PlanEntries are the current cache sizes.
-	TraceEntries, PlanEntries int
+	// TraceEntries is the trace memo's current size.
+	TraceEntries int
 }
 
 // Stats snapshots the cache counters.
@@ -377,7 +343,6 @@ func (c *Compiled) Stats() CacheStats {
 		st.TraceEntries = c.traces.Len()
 	}
 	c.cacheMu.Unlock()
-	st.PlanHits, st.PlanMisses, st.PlanEntries = c.plans.stats()
 	st.RegionHits = c.regionHits.Load()
 	return st
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/memplan"
 	"repro/internal/plan"
 	"repro/internal/rdp"
+	"repro/internal/symbolic"
 	"repro/internal/tensor"
 )
 
@@ -27,16 +28,18 @@ type GuardOptions struct {
 	ArenaBudget int64
 	// MaxLoopIters caps Loop trip counts (exec.DefaultMaxLoopIters if 0).
 	MaxLoopIters int64
-	// Hooks are threaded into the executor (fault injection, tracing).
+	// Hooks are threaded into the executor on every rung a request runs
+	// (fault injection, tracing).
 	Hooks *exec.Hooks
-	// MutatePlan, when set, edits the verified memory plan before the
-	// arena is built — a test hook for forcing offset conflicts.
+	// MutatePlan, when set, edits the per-shape memory plan before it is
+	// verified and the arena built — a test hook for forcing offset
+	// conflicts. It bypasses the region proof's plan.
 	MutatePlan func(*memplan.Plan)
 	// Strict turns degradations into errors: any contract violation
 	// fails the inference instead of falling back.
 	Strict bool
 	// ForceDynamic starts the run on the dynamic fallback tier: the
-	// planned arena and the shape-family fast path are not consulted.
+	// region proof is not consulted and no memory plan is built.
 	// This is the circuit breaker's quarantine/probation serving mode —
 	// the plan is distrusted until re-verification passes, but requests
 	// still complete (contract checking and kernel containment stay on).
@@ -45,9 +48,9 @@ type GuardOptions struct {
 	ForceDynamic bool
 	// SkipFiniteCheck disables the output NaN/Inf scan.
 	SkipFiniteCheck bool
-	// VerifyDrift, on a quantized compile, re-runs the request with the
-	// float32 weights and checks the quantized outputs against the
-	// model's accuracy-drift budget (doubles the request's compute; the
+	// VerifyDrift, on a quantized compile, re-runs the request on the
+	// float32 rung and checks the quantized outputs against the model's
+	// accuracy-drift budget (doubles the request's compute; the
 	// reference outputs serve the request if the contract is violated).
 	VerifyDrift bool
 	// Parallel requests wavefront-parallel execution on the planned
@@ -73,15 +76,11 @@ type GuardReport struct {
 	ReplanMS float64
 	// ArenaHighWater is the peak arena byte touched (planned tier only).
 	ArenaHighWater int64
-	// PlanCacheHit reports that the shape-keyed plan cache supplied the
-	// contract binding and verified memory plan, skipping
-	// re-verification for this request.
-	PlanCacheHit bool
 	// RegionCacheHit reports that the statically-proven shape-family plan
 	// served this request: the input shapes bound inside the verified
 	// region, so the region-wide worst-case plan applied with no
 	// per-shape contract or plan verification — including for shapes
-	// never seen before (Verify / CompileVerified path).
+	// never seen before.
 	RegionCacheHit bool
 	// Wavefronts is the number of waves the run executed under the
 	// wavefront-parallel interpreter (0 = sequential), and
@@ -93,6 +92,16 @@ type GuardReport struct {
 	// the inputs were outside a region-dependent certificate's region.
 	Specialized  bool
 	SpecFallback bool
+}
+
+// degrade records one step down the ladder. Below the planned rung
+// nothing runs parallel: without the widened arena plan there is no
+// concurrency soundness proof.
+func (gr *GuardReport) degrade(reason string, kind guard.ViolationKind, to guard.Tier) {
+	gr.Degradations = append(gr.Degradations, guard.Degradation{
+		Reason: reason, Kind: kind, From: gr.Tier, To: to})
+	gr.Tier = to
+	gr.Wavefronts, gr.ParallelWorkers = 0, 0
 }
 
 // Contract returns the model's runtime contract: declared symbolic input
@@ -117,328 +126,328 @@ func (c *Compiled) Contract() *guard.Contract {
 	return c.contract
 }
 
-// GuardedRun executes one set of inputs under the full runtime contract:
+// rung is one step of the tier ladder: which graph executes, in which
+// order, and into which memory plan. Every tier a request can be served
+// on is a rung value, and all of them execute through runRung.
+type rung struct {
+	tier  guard.Tier
+	graph *graph.Graph
+	// order is the schedule (nil = the graph's declaration order).
+	order []*graph.Node
+	// plan places intermediates in one arena (nil = dynamic allocation).
+	plan *memplan.Plan
+	// workers > 0 runs the compiled wave partition on that many workers;
+	// plan is then the wave-widened (concurrency-proven) plan.
+	workers int
+}
+
+// GuardedRun executes one set of inputs under the full runtime contract,
+// as an explicit ladder of rungs:
 //
-//  1. Bind the concrete input shapes against the RDP symbolic shapes and
-//     check the analyzed facts (ranges, divisibility) and shape
-//     non-negativity.
-//  2. Statically verify the execution plan (every node once, deps
-//     respected) and the memory plan (no overlapping live ranges,
-//     within budget) for this binding.
-//  3. Execute at the highest sound tier — arena-planned, then dynamic
-//     allocation, then full re-analysis + re-planning — degrading on
-//     contract violations or arena faults rather than failing, and
-//     recording every fallback taken.
+//	planned   compiled graph, planned order, arena from a verified plan
+//	dynamic   compiled graph, planned order, per-tensor allocation
+//	replan    compiled graph, order rebuilt by re-analysis of these shapes
+//	original  pre-specialization graph, dynamic allocation (reported as
+//	          the dynamic tier with SpecFallback set)
+//	float32   compiled topology with the float32 weights restored
+//
+// The inputs are bound against the RDP symbolic shapes exactly once, and
+// that binding's verdicts pick the entry rung (entryRung): inside the
+// statically proven region the request enters on the planned rung with
+// the region-wide plan and no per-shape checking at all; outside it the
+// analyzed facts and shape ranges are checked and — only for a model the
+// verifier could not prove, or under MutatePlan — the plans are verified
+// for this one shape. A run-time fault then descends (descend): an arena
+// fault from planned to dynamic, non-finite outputs of quantized weights
+// to float32. Every step is recorded in the GuardReport; Strict turns
+// each of them into the request's error instead.
 //
 // Kernel panics surface as *guard.OpError; a nil error means the outputs
 // are complete (possibly via a degraded tier — check the GuardReport).
 //
-// GuardedRun is safe for concurrent use on a shared Compiled. The
-// shape-dependent work — contract binding, fact/shape checks, plan
-// verification, arena sizing — is memoized per input-shape key in a
-// bounded LRU (§4.3–§4.4's static planning done once per shape), with
-// singleflight dedup so concurrent cold misses verify once; repeat
-// shapes skip re-verification entirely (GuardReport.PlanCacheHit).
-// The arena is one allocation sized by the verified plan and owned by
-// this run alone; outputs are detached from it on return so they do not
-// pin the whole buffer.
+// GuardedRun is safe for concurrent use on a shared Compiled: nothing is
+// keyed by concrete shape, the region proof is memoized by Verify, and
+// the arena is one allocation owned by this run alone (outputs are
+// detached from it on return so they do not pin the whole buffer).
 func (c *Compiled) GuardedRun(inputs map[string]*tensor.Tensor, opts GuardOptions) (*exec.Result, *GuardReport, error) {
 	gr := &GuardReport{Tier: guard.TierPlanned}
-	degrade := func(reason string, kind guard.ViolationKind, to guard.Tier) {
-		gr.Degradations = append(gr.Degradations, guard.Degradation{
-			Reason: reason, Kind: kind, From: gr.Tier, To: to})
-		gr.Tier = to
+	r, err := c.entryRung(inputs, opts, gr)
+	if err != nil {
+		return nil, gr, err
+	}
+	res, err := c.runRung(r, inputs, opts, gr)
+	for err != nil {
+		next, kind, ok := c.descend(r, err, opts)
+		if !ok {
+			return nil, gr, err
+		}
+		gr.degrade(err.Error(), kind, next.tier)
+		r = next
+		res, err = c.runRung(r, inputs, opts, gr)
+	}
+	// Accuracy-drift contract: run the float32 rung as the reference and
+	// bound the quantized outputs' element-wise error. The reference run
+	// doubles the request's compute, so callers opt in; its outputs
+	// double as the float32-tier result when the
+	// contract is violated — a typed degradation, never a silent wrong
+	// answer. A reference that faults leaves the quantized outputs
+	// unverified, so its fault is the request's.
+	if opts.VerifyDrift && c.quantized() && r.graph == c.Graph && c.Quant.Budget.Enabled() {
+		f32 := c.float32Rung(r)
+		ref, err := c.runRung(f32, inputs, opts, gr)
+		if err != nil {
+			return nil, gr, err
+		}
+		if derr := guard.CheckDrift(ref.Outputs, res.Outputs, c.Quant.Budget); derr != nil {
+			if opts.Strict {
+				return nil, gr, derr
+			}
+			gr.degrade(derr.Error(), guard.KindQuant, f32.tier)
+			return ref, gr, nil
+		}
+	}
+	return res, gr, nil
+}
+
+// entryRung binds the inputs once and reads every entry verdict off that
+// one binding, recording the degradations that lower the entry tier. A
+// non-nil error means no rung may serve the request: inputs no tier can
+// run, or a violation under Strict.
+func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions, gr *GuardReport) (rung, error) {
+	ct := c.Contract()
+	env, cerr := ct.BindInputs(inputs)
+	if cerr != nil && contractKind(cerr) == guard.KindInput {
+		// Missing inputs / wrong dtypes cannot run on any tier.
+		return rung{}, cerr
+	}
+	// violated lowers the entry tier for one verdict, or refuses it under
+	// Strict. A binding that contradicts the analysis, or a schedule that
+	// is not one, means the compiled order cannot be trusted: re-analyze
+	// from scratch. Anything else — out-of-range or misaligned extents, a
+	// bad or over-budget memory plan — only makes planned offsets
+	// unsound: dynamic allocation is safe.
+	violated := func(verr error) error {
+		if opts.Strict {
+			return verr
+		}
+		kind, to := contractKind(verr), guard.TierDynamic
+		if kind == guard.KindBind || kind == guard.KindExecPlan {
+			to = guard.TierReplan
+		}
+		gr.degrade(verr.Error(), kind, to)
+		return nil
 	}
 
-	// 0. Specialization region gate: a region-dependent certificate means
-	// the specialized graph is only proven equivalent to the original for
-	// in-region inputs. Out-of-region requests execute the original graph
-	// with dynamic allocation — a recorded degradation, not an error
-	// (unless Strict), because the original graph is always sound.
-	if c.specFallbackNeeded(inputs) {
+	// Original-graph rung: a region-dependent certificate means the
+	// specialized graph is only proven equivalent to the original for
+	// in-region inputs. Anything else executes the original graph with
+	// dynamic allocation — a recorded degradation, not an error (unless
+	// Strict), because the original graph is always sound. It shares no
+	// plan, order or wave partition with the specialized one.
+	if c.SpecCert.RegionDependent() && (cerr != nil || !c.presetRegion.ContainsEnv(env)) {
 		verr := &guard.ContractError{Kind: guard.KindFact,
 			Detail: "inputs outside specialization region"}
 		if opts.Strict {
-			return nil, gr, verr
+			return rung{}, verr
 		}
-		degrade(verr.Error()+"; executing original graph", guard.KindFact, guard.TierDynamic)
+		gr.degrade(verr.Error()+"; executing original graph", guard.KindFact, guard.TierDynamic)
 		gr.SpecFallback = true
-		return c.runOriginal(inputs, opts, gr)
+		return rung{tier: guard.TierDynamic, graph: c.OrigGraph}, nil
 	}
 	gr.Specialized = c.SpecCert.TopologyChanged()
 
-	// 1.+2. Shape-dependent verification: contract binding, analyzed
-	// facts, execution-plan and memory-plan checks. The outcome is a
-	// pure function of the input shapes, so it is served from the
-	// shape-keyed plan cache when possible; MutatePlan (a test hook that
-	// edits the plan) forces the uncached path.
-	var outcome *planOutcome
-	// Shape-family fast path: when the static verifier proved the memory
-	// plan over the model's input region, any request binding inside the
-	// region is served with the proven worst-case plan — no fact/shape
-	// checks, no plan verification, no per-shape cache entry. Requests
-	// outside the region (or any bind failure) fall through to the
-	// per-shape path, which re-checks everything.
-	if opts.MutatePlan == nil && !opts.ForceDynamic {
-		if rep := c.verified.Load(); rep != nil && rep.Mem.Proven {
-			if env, err := c.Contract().BindInputs(inputs); err == nil && rep.Region.ContainsEnv(env) {
-				// rep.Wave.Plan is non-nil exactly when the wavefront
-				// proof passed, so the fast path serves parallel
-				// requests too.
-				outcome = &planOutcome{env: env, plan: rep.Mem.Plan, wavePlan: rep.Wave.Plan}
-				gr.RegionCacheHit = true
-				c.regionHits.Add(1)
-			}
+	// One plan source for the planned rung: the region proof. A request
+	// binding inside the proven region is served with the region-wide
+	// worst-case plan — no fact/shape checks, no plan verification,
+	// including for shapes never seen before. rep.Wave.Plan is non-nil
+	// exactly when the wavefront proof passed.
+	r := rung{graph: c.Graph, order: c.ExecPlan.Order}
+	var wave *memplan.Plan
+	if cerr == nil && !opts.ForceDynamic && opts.MutatePlan == nil {
+		if rep := c.Verify(); rep.Mem.Proven && rep.Region.ContainsEnv(env) {
+			r.plan, wave = rep.Mem.Plan, rep.Wave.Plan
+			gr.RegionCacheHit = true
+			c.regionHits.Add(1)
 		}
 	}
-	if outcome == nil && opts.MutatePlan == nil {
-		if key, ok := c.planKey(inputs); ok {
-			outcome, gr.PlanCacheHit = c.plans.do(key, func() *planOutcome {
-				return c.buildPlanOutcome(inputs, nil)
-			})
+	// Everything else answers to the analyzed facts and shape ranges.
+	if cerr == nil && r.plan == nil {
+		if cerr = ct.CheckFacts(env); cerr == nil {
+			cerr = ct.CheckShapes(env)
 		}
 	}
-	if outcome == nil {
-		outcome = c.buildPlanOutcome(inputs, opts.MutatePlan)
-	}
-
-	// Interpret the input-side verdict under this request's options.
-	if cerr := outcome.cerr; cerr != nil {
-		var ce *guard.ContractError
-		if !errors.As(cerr, &ce) {
-			return nil, gr, cerr
-		}
-		switch ce.Kind {
-		case guard.KindInput:
-			// Missing inputs / wrong dtypes cannot run on any tier.
-			return nil, gr, cerr
-		case guard.KindBind:
-			// The binding contradicts the analysis: the RDP fixed point
-			// does not describe these inputs, so re-analyze from scratch.
-			if opts.Strict {
-				return nil, gr, cerr
-			}
-			degrade(ce.Error(), ce.Kind, guard.TierReplan)
-		default:
-			// Out-of-range or misaligned extents: the symbols bound, but
-			// planned offsets are unsound. Dynamic allocation is safe.
-			if opts.Strict {
-				return nil, gr, cerr
-			}
-			degrade(ce.Error(), ce.Kind, guard.TierDynamic)
+	if cerr != nil {
+		if err := violated(cerr); err != nil {
+			return rung{}, err
 		}
 	}
-
 	// Quarantined plan: the caller distrusts the planned tier outright.
-	// Only sound bindings reach here still planned; degraded tiers keep
+	// Only sound bindings are still planned here; degraded entries keep
 	// their (stronger) fallback.
 	if opts.ForceDynamic && gr.Tier == guard.TierPlanned {
-		degrade("plan quarantined by circuit breaker", guard.KindQuarantine, guard.TierDynamic)
+		gr.degrade("plan quarantined by circuit breaker", guard.KindQuarantine, guard.TierDynamic)
 	}
-
-	// Interpret the plan-side verdicts (only meaningful when the binding
-	// is sound).
-	order := c.ExecPlan.Order
-	var arena *exec.Arena
-	if gr.Tier == guard.TierPlanned {
-		if err := outcome.execPlanErr; err != nil {
-			if opts.Strict {
-				return nil, gr, err
+	// No region plan (an unprovable model, an out-of-proof request that
+	// still satisfied the contract, or MutatePlan): verify for this shape.
+	if gr.Tier == guard.TierPlanned && r.plan == nil {
+		var verr error
+		if r.plan, wave, verr = c.shapePlans(env, opts); verr != nil {
+			if err := violated(verr); err != nil {
+				return rung{}, err
 			}
-			degrade(err.Error(), guard.KindExecPlan, guard.TierReplan)
 		}
 	}
-	if gr.Tier == guard.TierPlanned {
-		switch {
-		case outcome.memErr != nil:
-			if opts.Strict {
-				return nil, gr, outcome.memErr
-			}
-			degrade(outcome.memErr.Error(), outcome.memErrKind, guard.TierDynamic)
-		case opts.ArenaBudget > 0 && outcome.plan.ArenaSize > opts.ArenaBudget:
-			// The budget is per-request, so it is re-checked on every
-			// cache hit rather than baked into the cached outcome.
-			verr := &guard.ContractError{Kind: guard.KindBudget,
-				Detail: fmt.Sprintf("planned arena %d bytes exceeds budget %d", outcome.plan.ArenaSize, opts.ArenaBudget)}
-			if opts.Strict {
-				return nil, gr, verr
-			}
-			degrade(verr.Error(), guard.KindBudget, guard.TierDynamic)
-		default:
-			pl := outcome.plan
-			// Wavefront-parallel serving: only on the planned tier,
-			// only with a concurrency-proven widened plan, and only
-			// when the (larger) widened arena also fits the budget.
-			// Anything short of that runs sequentially — a scheduling
-			// choice, not a degradation.
-			if opts.Parallel && outcome.wavePlan != nil && c.WavePlan != nil &&
-				(opts.ArenaBudget <= 0 || outcome.wavePlan.ArenaSize <= opts.ArenaBudget) {
-				pl = outcome.wavePlan
-				gr.Wavefronts = c.WavePlan.NumWaves()
-				gr.ParallelWorkers = opts.Workers
-				if gr.ParallelWorkers <= 0 {
-					gr.ParallelWorkers = runtime.GOMAXPROCS(0)
-				}
-			}
-			arena = exec.NewArena(pl.Offsets, pl.ArenaSize)
-			arena.Budget = opts.ArenaBudget
+	// The budget is the request's, so it is checked against whichever
+	// plan was chosen rather than baked into any proof.
+	if gr.Tier == guard.TierPlanned && opts.ArenaBudget > 0 && r.plan.ArenaSize > opts.ArenaBudget {
+		verr := &guard.ContractError{Kind: guard.KindBudget,
+			Detail: fmt.Sprintf("planned arena %d bytes exceeds budget %d", r.plan.ArenaSize, opts.ArenaBudget)}
+		if err := violated(verr); err != nil {
+			return rung{}, err
 		}
 	}
 
-	execOpts := exec.Options{
-		Order:        order,
-		Arena:        arena,
+	r.tier = gr.Tier
+	switch r.tier {
+	case guard.TierPlanned:
+		// Wavefront-parallel serving: only on the planned rung, only with
+		// a concurrency-proven widened plan, and only when the (larger)
+		// widened arena also fits the budget. Anything short of that runs
+		// sequentially — a scheduling choice, not a degradation.
+		if opts.Parallel && wave != nil && c.WavePlan != nil &&
+			(opts.ArenaBudget <= 0 || wave.ArenaSize <= opts.ArenaBudget) {
+			r.plan = wave
+			r.workers = opts.Workers
+			if r.workers <= 0 {
+				r.workers = runtime.GOMAXPROCS(0)
+			}
+			gr.Wavefronts, gr.ParallelWorkers = c.WavePlan.NumWaves(), r.workers
+		}
+	case guard.TierReplan:
+		// Re-analyze under the concrete input shapes and rebuild the
+		// execution order (MNN-style re-initialization).
+		order, ms, err := c.replan(inputs)
+		if err != nil {
+			return rung{}, fmt.Errorf("frameworks: re-plan failed: %w", err)
+		}
+		gr.ReplanMS = ms
+		gr.Degradations[len(gr.Degradations)-1].ReplanMS = ms
+		r.order, r.plan = order, nil
+	default:
+		r.plan = nil
+	}
+	return r, nil
+}
+
+// runRung is the one place a guarded request executes: exec.Run under
+// the request's Ctx/MaxLoopIters/Hooks, then the epilogue every tier
+// owes its caller — every graph output produced, outputs detached from
+// the arena, and the non-finite scan.
+func (c *Compiled) runRung(r rung, inputs map[string]*tensor.Tensor, opts GuardOptions, gr *GuardReport) (*exec.Result, error) {
+	eo := exec.Options{
+		Order:        r.order,
 		Ctx:          opts.Ctx,
 		MaxLoopIters: opts.MaxLoopIters,
 		Hooks:        opts.Hooks,
 	}
-	if gr.Wavefronts > 0 {
-		execOpts.Waves = c.WavePlan.Waves
-		execOpts.Workers = gr.ParallelWorkers
+	if r.plan != nil {
+		eo.Arena = exec.NewArena(r.plan.Offsets, r.plan.ArenaSize)
+		eo.Arena.Budget = opts.ArenaBudget
 	}
-
-	// 3. Re-plan tier: re-analyze under the concrete input shapes and
-	// rebuild the execution order (MNN-style re-initialization).
-	if gr.Tier == guard.TierReplan {
-		newOrder, ms, err := c.replan(inputs)
-		if err != nil {
-			return nil, gr, fmt.Errorf("frameworks: re-plan failed: %w", err)
-		}
-		gr.ReplanMS = ms
-		if len(gr.Degradations) > 0 {
-			gr.Degradations[len(gr.Degradations)-1].ReplanMS = ms
-		}
-		execOpts.Order = newOrder
-		execOpts.Arena = nil
+	if r.workers > 0 {
+		eo.Waves, eo.Workers = c.WavePlan.Waves, r.workers
 	}
+	res, err := exec.Run(r.graph, inputs, eo)
+	if err != nil {
+		return nil, err
+	}
+	// exec.Run copies whatever the schedule left behind: a schedule that
+	// skips a producer yields a nil output, not an error.
+	for _, o := range r.graph.Outputs {
+		if res.Outputs[o] == nil {
+			return nil, &guard.ContractError{Kind: guard.KindExecPlan,
+				Detail: fmt.Sprintf("%s tier produced no output %q (incomplete schedule)", r.tier, o)}
+		}
+	}
+	if eo.Arena != nil {
+		gr.ArenaHighWater = eo.Arena.HighWater
+		eo.Arena.Detach(res.Outputs)
+	}
+	if !opts.SkipFiniteCheck {
+		if err := guard.CheckFinite(res.Outputs); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
+}
 
-	res, err := exec.Run(c.Graph, inputs, execOpts)
-	if err != nil && gr.Tier == guard.TierPlanned && exec.IsArenaFault(err) && !opts.Strict {
+// descend names the rung a faulted rung falls to and the violation kind
+// the step is recorded under; ok is false when the fault is the
+// request's answer (always, under Strict).
+func (c *Compiled) descend(r rung, err error, opts GuardOptions) (next rung, kind guard.ViolationKind, ok bool) {
+	if opts.Strict {
+		return rung{}, "", false
+	}
+	switch {
+	case r.plan != nil && exec.IsArenaFault(err):
 		// The plan disagreed with runtime reality (injected OOM, stale
-		// offsets). The dynamic allocator is immune: retry without the
-		// arena.
-		degrade(err.Error(), guard.KindMemPlan, guard.TierDynamic)
-		arena, execOpts.Arena = nil, nil
-		// The dynamic retry runs sequentially: without the widened
-		// arena plan there is no concurrency soundness proof.
-		execOpts.Waves, execOpts.Workers = nil, 0
-		gr.Wavefronts, gr.ParallelWorkers = 0, 0
-		res, err = exec.Run(c.Graph, inputs, execOpts)
+		// offsets). The dynamic allocator is immune.
+		return rung{tier: guard.TierDynamic, graph: r.graph, order: r.order}, guard.KindMemPlan, true
+	case r.graph == c.Graph && c.quantized() && contractKind(err) == guard.KindNumeric:
+		// Non-finite outputs from packed weights may be the weights' own
+		// fault (a corrupted block scale): re-serve on the float32 rung
+		// instead of failing the request.
+		return c.float32Rung(r), guard.KindQuant, true
 	}
-	if err != nil {
-		return nil, gr, err
-	}
-	if arena != nil {
-		gr.ArenaHighWater = arena.HighWater
-		arena.Detach(res.Outputs)
-	}
-	if !opts.SkipFiniteCheck {
-		if ferr := guard.CheckFinite(res.Outputs); ferr != nil {
-			// A quantized compile that went non-finite may be the packed
-			// weights' fault (e.g. a corrupted block scale): re-serve on
-			// the float32 weight tier instead of failing the request.
-			if c.Quant != nil && c.Quant.Tensors > 0 && !opts.Strict {
-				return c.float32Fallback(inputs, opts, gr, ferr)
-			}
-			return nil, gr, ferr
-		}
-	}
-	// Accuracy-drift contract: re-run the request with the float32
-	// weights and bound the quantized outputs' element-wise error. The
-	// reference run doubles the request's compute, so callers opt in
-	// (serve layers sample it); its outputs double as the f32-tier
-	// result when the contract is violated — a typed degradation, never
-	// a silent wrong answer.
-	if opts.VerifyDrift && c.Quant != nil && c.Quant.Tensors > 0 && c.Quant.Budget.Enabled() {
-		ref, rerr := exec.Run(c.floatGraph(), inputs, exec.Options{
-			Order: execOpts.Order, Ctx: opts.Ctx, MaxLoopIters: opts.MaxLoopIters,
-		})
-		if rerr == nil {
-			if derr := guard.CheckDrift(ref.Outputs, res.Outputs, c.Quant.Budget); derr != nil {
-				if opts.Strict {
-					return nil, gr, derr
-				}
-				gr.Degradations = append(gr.Degradations, guard.Degradation{
-					Reason: derr.Error(), Kind: guard.KindQuant,
-					From: gr.Tier, To: guard.TierFloat32})
-				gr.Tier = guard.TierFloat32
-				gr.Wavefronts, gr.ParallelWorkers = 0, 0
-				return ref, gr, nil
-			}
-		}
-	}
-	return res, gr, nil
+	return rung{}, "", false
 }
 
-// float32Fallback re-serves a request with the original float32 weights
-// after a quantized run violated its contract (non-finite outputs or
-// accuracy drift). It runs the planned order with dynamic allocation:
-// the quantized compile's arena plan excludes the packed weights it no
-// longer uses, so the plan is not consulted.
-func (c *Compiled) float32Fallback(inputs map[string]*tensor.Tensor, opts GuardOptions, gr *GuardReport, cause error) (*exec.Result, *GuardReport, error) {
-	gr.Degradations = append(gr.Degradations, guard.Degradation{
-		Reason: cause.Error(), Kind: guard.KindQuant, From: gr.Tier, To: guard.TierFloat32})
-	gr.Tier = guard.TierFloat32
-	gr.Wavefronts, gr.ParallelWorkers = 0, 0
-	res, err := exec.Run(c.floatGraph(), inputs, exec.Options{
-		Order: c.ExecPlan.Order, Ctx: opts.Ctx, MaxLoopIters: opts.MaxLoopIters,
-	})
-	if err != nil {
-		return nil, gr, err
-	}
-	if !opts.SkipFiniteCheck {
-		if ferr := guard.CheckFinite(res.Outputs); ferr != nil {
-			return nil, gr, ferr
-		}
-	}
-	return res, gr, nil
+// float32Rung is r with the original float32 weights restored. It
+// allocates dynamically: the quantized compile's arena plan excludes the
+// packed weights the float graph no longer uses, so no plan applies.
+func (c *Compiled) float32Rung(r rung) rung {
+	return rung{tier: guard.TierFloat32, graph: c.floatGraph(), order: r.order}
 }
 
-// buildPlanOutcome runs the full shape-dependent verification pipeline:
-// contract check (bind + facts + shape ranges), execution-plan
-// verification, memory-plan construction + verification. With mutate ==
-// nil the result depends only on the input shapes and is cacheable per
-// shape key; a non-nil mutate (test hook) edits the plan before
-// verification and must stay uncached.
-func (c *Compiled) buildPlanOutcome(inputs map[string]*tensor.Tensor, mutate func(*memplan.Plan)) *planOutcome {
-	o := &planOutcome{}
-	o.env, o.cerr = c.Contract().Check(inputs)
-	if o.cerr != nil {
-		// Degraded tiers never consult the plans; skip the verification
-		// work the old inline path skipped too.
-		return o
+// quantized reports whether the compile packed any weights.
+func (c *Compiled) quantized() bool { return c.Quant != nil && c.Quant.Tensors > 0 }
+
+// contractKind is the violation kind of a contract error ("" for any
+// other error).
+func contractKind(err error) guard.ViolationKind {
+	var ce *guard.ContractError
+	if errors.As(err, &ce) {
+		return ce.Kind
 	}
-	o.execPlanErr = guard.VerifyExecutionPlan(c.Graph, c.ExecPlan.Order)
-	if o.execPlanErr != nil {
-		return o
+	return ""
+}
+
+// shapePlans is per-shape plan verification — the plan source of last
+// resort, for a model the static verifier could not prove (or a request
+// outside its proof) and for the MutatePlan test hook: verify the
+// execution order, build the memory plan under this one binding, verify
+// it, and (for a parallel request) widen it to wave granularity and
+// verify that too. A widening failure leaves wave nil — the request runs
+// sequentially on the planned rung, never on a lower one.
+func (c *Compiled) shapePlans(env symbolic.Env, opts GuardOptions) (pl, wave *memplan.Plan, err error) {
+	if err := guard.VerifyExecutionPlan(c.Graph, c.ExecPlan.Order); err != nil {
+		return nil, nil, err
 	}
-	pl, prog := memProgram(c.Graph, c.ExecPlan.Order, c.Infos, o.env, c.valueDTypes())
-	if mutate != nil {
-		mutate(pl)
+	pl, prog := memProgram(c.Graph, c.ExecPlan.Order, c.Infos, env, c.valueDTypes())
+	if opts.MutatePlan != nil {
+		opts.MutatePlan(pl)
 	}
-	if verr := guard.VerifyMemoryPlan(pl, prog); verr != nil {
-		o.memErr = verr
-		o.memErrKind = guard.KindMemPlan
-		var ce *guard.ContractError
-		if errors.As(verr, &ce) {
-			o.memErrKind = ce.Kind
-		}
-		return o
+	if err := guard.VerifyMemoryPlan(pl, prog); err != nil {
+		return nil, nil, err
 	}
-	o.plan = pl
-	// Wave-widened plan for parallel serving: widen this shape's
-	// lifetimes to wave granularity, re-place, and re-verify against the
-	// widened program. Failure leaves wavePlan nil — parallel requests
-	// for this shape fall back to sequential planned execution.
-	if mutate == nil && c.WavePlan != nil {
-		if widened, err := memplan.WidenWaves(prog, c.WavePlan.Ranges); err == nil {
-			wp := memplan.PeakFirst(widened)
-			if guard.VerifyMemoryPlan(wp, widened) == nil {
-				o.wavePlan = wp
+	if opts.Parallel && opts.MutatePlan == nil && c.WavePlan != nil {
+		if widened, werr := memplan.WidenWaves(prog, c.WavePlan.Ranges); werr == nil {
+			if wp := memplan.PeakFirst(widened); guard.VerifyMemoryPlan(wp, widened) == nil {
+				wave = wp
 			}
 		}
 	}
-	return o
+	return pl, wave, nil
 }
 
 // replan re-analyzes the graph with every input shape pinned to its

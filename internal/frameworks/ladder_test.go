@@ -1,0 +1,362 @@
+package frameworks
+
+import (
+	"errors"
+	"math"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/absint"
+	"repro/internal/exec"
+	"repro/internal/faultinject"
+	"repro/internal/graph"
+	"repro/internal/guard"
+	"repro/internal/lattice"
+	"repro/internal/memplan"
+	"repro/internal/models"
+	"repro/internal/symbolic"
+	"repro/internal/tensor"
+)
+
+// Regression tests for the faults the single rung runner removes by
+// construction: every rung gets the same epilogue and the same
+// Ctx/MaxLoopIters/Hooks, because there is only one place that runs one.
+
+// matmulModel is x[1,L,32] × W[32,32]: one weight exactly at the
+// quantizer's MinElems floor, so an int8 compile packs it.
+func matmulModel() *models.Builder {
+	return &models.Builder{
+		Name: "toy-matmul", MinSize: 2, MaxSize: 8, SizeStep: 1,
+		Build: func() *graph.Graph {
+			g := graph.New("toy-matmul")
+			g.AddInput("x", tensor.Float32, lattice.Ranked(
+				lattice.FromInt(1), lattice.FromExpr(symbolic.NewSym("L")), lattice.FromInt(32)))
+			g.AddInitializer("W", tensor.RandomFloats(tensor.NewRNG(3), 1, 32, 32))
+			g.Op("MatMul", "mm", []string{"x", "W"}, []string{"y"}, nil)
+			g.AddOutput("y")
+			return g
+		},
+		Inputs: func(rng *tensor.RNG, size int64, _ float32) map[string]*tensor.Tensor {
+			return map[string]*tensor.Tensor{"x": tensor.RandomFloats(rng, 1, 1, size, 32)}
+		},
+	}
+}
+
+// countingHooks counts kernel launches.
+func countingHooks(n *atomic.Int64) *exec.Hooks {
+	return &exec.Hooks{PreKernel: func(*graph.Node, []*tensor.Tensor) error {
+		n.Add(1)
+		return nil
+	}}
+}
+
+// A violated drift contract serves the float32 reference's outputs, so
+// those must pass the same non-finite scan as any other tier's. Both
+// weight sets are corrupted here: zeroed int8 scales make the quantized
+// outputs drift, and a NaN in the float32 weight poisons one column of
+// the reference, which must not be served with a nil error.
+func TestDriftReferenceIsFiniteChecked(t *testing.T) {
+	b := matmulModel()
+	c, err := CompileSched(b, SchedConfig{Quant: QuantConfig{Format: tensor.Int8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.quantized() {
+		t.Fatalf("nothing packed: %+v", c.Quant)
+	}
+	q := c.Graph.Initializers["W"].Q
+	for i := range q.Scales {
+		q.Scales[i] = 0
+	}
+	c.floatInits["W"].F[0] = float32(math.NaN())
+
+	res, gr, err := c.GuardedRun(b.Inputs(tensor.NewRNG(7), 4, 0), GuardOptions{VerifyDrift: true})
+	var ce *guard.ContractError
+	if !errors.As(err, &ce) || ce.Kind != guard.KindNumeric {
+		t.Fatalf("want the reference's non-finite verdict, got err=%v on tier %v (outputs served: %v)", err, gr.Tier, res != nil)
+	}
+}
+
+// The float32 rung runs under the request's hooks, whichever way it is
+// reached: fault injection and kernel tracing must see it.
+func TestFloat32RungSeesHooks(t *testing.T) {
+	b := matmulModel()
+	in := b.Inputs(tensor.NewRNG(7), 4, 0)
+	compile := func() *Compiled {
+		c, err := CompileSched(b, SchedConfig{Quant: QuantConfig{Format: tensor.Int8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	// As the drift contract's reference run: one MatMul per execution.
+	var launches atomic.Int64
+	c := compile()
+	if _, gr, err := c.GuardedRun(in, GuardOptions{VerifyDrift: true, Hooks: countingHooks(&launches)}); err != nil || gr.Tier != guard.TierPlanned {
+		t.Fatalf("clean drift-verified run: tier %v, err %v", gr.Tier, err)
+	}
+	if got := launches.Load(); got != 2 {
+		t.Errorf("drift-verified request launched %d kernels under the hooks, want 2 (quantized + float32 reference)", got)
+	}
+
+	// As the descent from non-finite quantized outputs.
+	launches.Store(0)
+	c = compile()
+	c.Graph.Initializers["W"].Q.Scales[0] = float32(math.NaN())
+	if _, gr, err := c.GuardedRun(in, GuardOptions{Hooks: countingHooks(&launches)}); err != nil || gr.Tier != guard.TierFloat32 {
+		t.Fatalf("NaN-scale run: tier %v, err %v", gr.Tier, err)
+	}
+	if got := launches.Load(); got != 2 {
+		t.Errorf("float32 fallback launched %d kernels under the hooks, want 2 (quantized + float32)", got)
+	}
+}
+
+// A schedule that skips a producer makes exec.Run hand back a nil output
+// with a nil error. Every rung must refuse that, not only the
+// original-graph one. The order is truncated without Invalidate, so the
+// memoized region proof still vouches for it.
+func TestEveryRungChecksOutputsProduced(t *testing.T) {
+	b, _ := models.Get("CodeBERT")
+	c, rep, err := CompileVerified(b)
+	if err != nil || !rep.Mem.Proven {
+		t.Fatalf("compile: err %v, proven %v", err, rep != nil && rep.Mem.Proven)
+	}
+	in := b.Inputs(tensor.NewRNG(7), b.MinSize, 0.5)
+	full := c.ExecPlan.Order
+	c.ExecPlan.Order = full[:len(full)-1]
+	defer func() { c.ExecPlan.Order = full }()
+
+	for _, opts := range []GuardOptions{{}, {ForceDynamic: true}} {
+		res, gr, err := c.GuardedRun(in, opts)
+		var ce *guard.ContractError
+		if !errors.As(err, &ce) || ce.Kind != guard.KindExecPlan {
+			t.Errorf("tier %v: want an exec-plan violation for the unproduced output, got err=%v (outputs served: %v)",
+				gr.Tier, err, res != nil)
+		}
+	}
+}
+
+// ForceDynamic never consults a plan, so it must not build one: the
+// MutatePlan hook fires right after plan construction and stays silent.
+func TestForceDynamicBuildsNoPlan(t *testing.T) {
+	c := compileModel(t, "SkipNet")
+	in := c.Builder.Inputs(tensor.NewRNG(7), c.Builder.MinSize, 0.5)
+	built := false
+	_, gr, err := c.GuardedRun(in, GuardOptions{ForceDynamic: true,
+		MutatePlan: func(*memplan.Plan) { built = true }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gr.Tier != guard.TierDynamic || len(gr.Degradations) != 1 || gr.Degradations[0].Kind != guard.KindQuarantine {
+		t.Errorf("tier %v, degradations %+v: want one quarantine step to dynamic", gr.Tier, gr.Degradations)
+	}
+	if built {
+		t.Error("ForceDynamic built a memory plan it never uses")
+	}
+}
+
+// ---- Tier equivalence --------------------------------------------------
+
+// A ladderRequest is one of the three inputs the ladder is walked with.
+type ladderRequest int
+
+const (
+	// inRegion is the model's smallest in-contract request.
+	inRegion ladderRequest = iota
+	// offRegion steps one stride below the sampling range: a fact
+	// violation — or, for DGNet's fixed 224, a bind violation.
+	offRegion
+	// batchOfTwo stacks the first graph input on itself: batch 2 against
+	// an analyzed batch of 1 is a binding the RDP fixed point
+	// contradicts, and one every model but the two that reshape to a
+	// literal batch of 1 (CodeBERT, Conformer) still executes.
+	batchOfTwo
+)
+
+func (r ladderRequest) inputs(b *models.Builder) map[string]*tensor.Tensor {
+	switch r {
+	case offRegion:
+		return b.Inputs(tensor.NewRNG(7), b.MinSize-b.SizeStep, 0.5)
+	case batchOfTwo:
+		if b.Name == "CodeBERT" || b.Name == "Conformer" {
+			return nil
+		}
+		in := b.Inputs(tensor.NewRNG(7), b.MinSize, 0.5)
+		name := b.Build().Inputs[0].Name
+		one := in[name]
+		two := tensor.New(one.DType, append([]int64{2}, one.Shape[1:]...)...)
+		copy(two.F, one.F)
+		copy(two.F[len(one.F):], one.F)
+		in[name] = two
+		return in
+	}
+	return b.Inputs(tensor.NewRNG(7), b.MinSize, 0.5)
+}
+
+// ladderCase forces a request onto one rung of the ladder.
+type ladderCase struct {
+	name string
+	// tier and kind are the rung the request must complete on and the
+	// violation kind of the degradation that put it there ("" = none).
+	tier guard.Tier
+	kind guard.ViolationKind
+	// int8Only marks rungs only a quantized compile has; exact marks
+	// rungs that execute float32 weights even on one, so their outputs
+	// are the oracle's bit for bit.
+	int8Only, exact bool
+	request         ladderRequest
+	opts            GuardOptions
+	// arrange edits the compiled artifact so the request enters this
+	// rung, and returns the undo (nil when the edit is permanent).
+	arrange func(c *Compiled) (undo func())
+	// check holds the report to whatever else the rung promises.
+	check func(t *testing.T, gr *GuardReport)
+}
+
+var ladderCases = []ladderCase{
+	{
+		name: "planned", tier: guard.TierPlanned, request: inRegion,
+		check: func(t *testing.T, gr *GuardReport) {
+			if !gr.RegionCacheHit || gr.ArenaHighWater <= 0 {
+				t.Errorf("region hit %v, arena high water %d: want the region proof's arena", gr.RegionCacheHit, gr.ArenaHighWater)
+			}
+		},
+	},
+	{
+		name: "dynamic", tier: guard.TierDynamic, kind: guard.KindQuarantine,
+		request: inRegion, opts: GuardOptions{ForceDynamic: true},
+	},
+	{
+		name: "replan from a bind violation", tier: guard.TierReplan, kind: guard.KindBind,
+		request: batchOfTwo,
+		check: func(t *testing.T, gr *GuardReport) {
+			if gr.ReplanMS <= 0 {
+				t.Error("replan cost not measured")
+			}
+		},
+	},
+	{
+		// The other edge into the replan rung: a schedule that is not
+		// one. Invalidate drops the proof that vouched for the old order.
+		name: "replan from an invalid plan", tier: guard.TierReplan, kind: guard.KindExecPlan,
+		request: inRegion,
+		arrange: func(c *Compiled) func() {
+			good := c.ExecPlan.Order
+			bad := slices.Clone(good)
+			slices.Reverse(bad)
+			c.ExecPlan.Order = bad
+			c.Invalidate()
+			return func() {
+				c.ExecPlan.Order = good
+				c.Invalidate()
+			}
+		},
+	},
+	{
+		// None of the ten models earns a region-dependent certificate
+		// (their control flow is data-dependent), so one is planted: the
+		// rung only asks the certificate whether it is one.
+		name: "original graph", tier: guard.TierDynamic, kind: guard.KindFact, exact: true,
+		request: offRegion,
+		arrange: func(c *Compiled) func() {
+			held := c.SpecCert
+			planted := *held
+			planted.LoopBounds = append(slices.Clone(held.LoopBounds), absint.LoopBound{RegionDep: true})
+			c.SpecCert = &planted
+			return func() { c.SpecCert = held }
+		},
+		check: func(t *testing.T, gr *GuardReport) {
+			if !gr.SpecFallback || gr.Specialized {
+				t.Errorf("SpecFallback %v, Specialized %v: want the original graph", gr.SpecFallback, gr.Specialized)
+			}
+		},
+	},
+	{
+		// Last: the packed weights stay corrupted. Every scale becomes
+		// 1e3 — finite outputs far outside the budget on all ten models
+		// (zeroed scales stay inside SegmentAnything's).
+		name: "float32", tier: guard.TierFloat32, kind: guard.KindQuant, int8Only: true, exact: true,
+		request: inRegion, opts: GuardOptions{VerifyDrift: true},
+		arrange: func(c *Compiled) func() {
+			faultinject.CorruptAllQuantScales(c.Graph, 1e3)
+			return nil
+		},
+	},
+}
+
+// TestTierEquivalence walks the ladder: every rung forced in turn, for
+// all ten models, float32 and int8, each held to the exec.Run oracle on
+// the uncompiled graph — bit-identical where float32 weights ran, within
+// the compile's drift budget where int8 ones did. Whatever tier serves a
+// request, it is the same function of the inputs.
+func TestTierEquivalence(t *testing.T) {
+	for _, b := range models.All() {
+		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel()
+			// One oracle run per request, shared by both compiles.
+			var requests [batchOfTwo + 1]map[string]*tensor.Tensor
+			var oracles [batchOfTwo + 1]map[string]*tensor.Tensor
+			for r := range requests {
+				if requests[r] = ladderRequest(r).inputs(b); requests[r] == nil {
+					continue
+				}
+				res, err := exec.Run(b.Build(), requests[r], exec.Options{})
+				if err != nil {
+					t.Fatalf("oracle: %v", err)
+				}
+				oracles[r] = res.Outputs
+			}
+			for _, dtype := range []tensor.DType{tensor.Float32, tensor.Int8} {
+				t.Run(dtype.String(), func(t *testing.T) {
+					c, err := CompileSched(b, SchedConfig{Quant: QuantConfig{Format: dtype}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if dtype == tensor.Int8 && !c.quantized() {
+						t.Fatalf("int8 compile packed nothing: %+v", c.Quant)
+					}
+					for _, lc := range ladderCases {
+						if lc.int8Only && dtype != tensor.Int8 {
+							continue
+						}
+						t.Run(lc.name, func(t *testing.T) {
+							in, oracle := requests[lc.request], oracles[lc.request]
+							if in == nil {
+								t.Skip("the model executes no such request")
+							}
+							if lc.arrange != nil {
+								if undo := lc.arrange(c); undo != nil {
+									defer undo()
+								}
+							}
+							res, gr, err := c.GuardedRun(in, lc.opts)
+							if err != nil {
+								t.Fatalf("guarded run: %v (%+v)", err, gr.Degradations)
+							}
+							if gr.Tier != lc.tier {
+								t.Fatalf("served on %v, want %v (%+v)", gr.Tier, lc.tier, gr.Degradations)
+							}
+							if lc.kind == "" && len(gr.Degradations) != 0 {
+								t.Errorf("unexpected degradations %+v", gr.Degradations)
+							}
+							if lc.kind != "" && (len(gr.Degradations) != 1 ||
+								gr.Degradations[0].Kind != lc.kind || gr.Degradations[0].To != lc.tier) {
+								t.Errorf("degradations %+v, want one %v step to %v", gr.Degradations, lc.kind, lc.tier)
+							}
+							if lc.check != nil {
+								lc.check(t, gr)
+							}
+							if dtype == tensor.Float32 || lc.exact {
+								requireBitIdentical(t, b.Name, res.Outputs, oracle)
+							} else if err := guard.CheckDrift(oracle, res.Outputs, c.Quant.Budget); err != nil {
+								t.Errorf("int8 outputs outside the drift budget: %v", err)
+							}
+						})
+					}
+				})
+			}
+		})
+	}
+}

@@ -1,10 +1,8 @@
 package frameworks
 
-// lruCache is a bounded least-recently-used map. It replaces the old
-// wholesale cache flush (which evicted hot entries along with cold ones
-// the moment the map crossed its bound) with per-entry eviction from the
-// cold end, and it keeps hit/miss counters so serving code can report
-// cache effectiveness.
+// lruCache is a bounded least-recently-used map: per-entry eviction from
+// the cold end, with hit/miss counters so callers can report cache
+// effectiveness.
 //
 // lruCache is NOT internally synchronized: callers hold their own lock
 // (Compiled serializes access under its cache mutex).
@@ -41,34 +39,6 @@ func (c *lruCache[K, V]) Get(key K) (V, bool) {
 	}
 	c.hits++
 	c.moveToFront(e)
-	return e.val, true
-}
-
-// GetNoCount is Get without touching the hit/miss counters — for
-// singleflight callers that account a flight join as a hit (the request
-// was served without a new execution) rather than a second miss.
-func (c *lruCache[K, V]) GetNoCount(key K) (V, bool) {
-	e, ok := c.entries[key]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	c.moveToFront(e)
-	return e.val, true
-}
-
-// noteHit/noteMiss let singleflight callers count outcomes explicitly:
-// a miss is a real execution, a flight join is a hit.
-func (c *lruCache[K, V]) noteHit()  { c.hits++ }
-func (c *lruCache[K, V]) noteMiss() { c.misses++ }
-
-// Peek returns the value without promoting it or counting a hit/miss.
-func (c *lruCache[K, V]) Peek(key K) (V, bool) {
-	e, ok := c.entries[key]
-	if !ok {
-		var zero V
-		return zero, false
-	}
 	return e.val, true
 }
 

@@ -29,7 +29,6 @@ type wireReport struct {
 	Phases          map[string]float64 `json:"phases,omitempty"`
 	Tier            string             `json:"tier"`
 	Degradations    []wireDegradation  `json:"degradations,omitempty"`
-	PlanCacheHit    bool               `json:"plan_cache_hit"`
 	RegionCacheHit  bool               `json:"region_cache_hit"`
 	Wavefronts      int                `json:"wavefronts,omitempty"`
 	ParallelWorkers int                `json:"parallel_workers,omitempty"`
@@ -44,7 +43,6 @@ func (r Report) MarshalJSON() ([]byte, error) {
 		PeakMemBytes:    r.PeakMemBytes,
 		Phases:          r.Phases,
 		Tier:            r.FallbackTier.String(),
-		PlanCacheHit:    r.PlanCacheHit,
 		RegionCacheHit:  r.RegionCacheHit,
 		Wavefronts:      r.Wavefronts,
 		ParallelWorkers: r.ParallelWorkers,
@@ -77,7 +75,6 @@ func (r *Report) UnmarshalJSON(data []byte) error {
 		PeakMemBytes:    w.PeakMemBytes,
 		Phases:          w.Phases,
 		FallbackTier:    tierByName(w.Tier),
-		PlanCacheHit:    w.PlanCacheHit,
 		RegionCacheHit:  w.RegionCacheHit,
 		Wavefronts:      w.Wavefronts,
 		ParallelWorkers: w.ParallelWorkers,

@@ -31,7 +31,6 @@ func goldenReport() Report {
 			{Reason: "re-analysis forced", Kind: guard.KindBind,
 				From: guard.TierDynamic, To: guard.TierReplan, ReplanMS: 1.5},
 		},
-		PlanCacheHit:    false,
 		RegionCacheHit:  true,
 		Wavefronts:      7,
 		ParallelWorkers: 4,

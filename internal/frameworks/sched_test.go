@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/models"
-	"repro/internal/tensor"
 )
 
 // TestCompileDeterministic pins compile determinism end to end: two
@@ -110,37 +109,5 @@ func TestArtifactReplaysSchedPoint(t *testing.T) {
 			t.Fatalf("warm order diverges at step %d: %s != %s",
 				i, warm.ExecPlan.Order[i].Name, cold.ExecPlan.Order[i].Name)
 		}
-	}
-}
-
-// TestPlanKeySchedPoint: the shape key must include the scheduling
-// point — a plan verified for one frontier point must never be served
-// for another.
-func TestPlanKeySchedPoint(t *testing.T) {
-	b, _ := models.Get("SkipNet")
-	c, err := Compile(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := b.Inputs(tensor.NewRNG(1), b.MinSize, 0.5)
-	base, ok := c.planKey(inputs)
-	if !ok {
-		t.Fatal("planKey failed on complete inputs")
-	}
-	savedCap, savedWorkers := c.Sched.CapFactor, c.Sched.Workers
-	c.Sched.CapFactor = savedCap + 1
-	capKey, _ := c.planKey(inputs)
-	c.Sched.CapFactor = savedCap
-	c.Sched.Workers = savedWorkers + 1
-	workerKey, _ := c.planKey(inputs)
-	c.Sched.Workers = savedWorkers
-	if base == capKey {
-		t.Error("plan key ignores the cap factor")
-	}
-	if base == workerKey {
-		t.Error("plan key ignores the modeled worker count")
-	}
-	if again, _ := c.planKey(inputs); again != base {
-		t.Error("plan key not deterministic")
 	}
 }

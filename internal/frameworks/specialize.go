@@ -1,7 +1,8 @@
 package frameworks
 
 import (
-	"repro/internal/exec"
+	"sort"
+
 	"repro/internal/graph"
 	"repro/internal/guard"
 	"repro/internal/lattice"
@@ -14,8 +15,9 @@ import (
 
 // This file is the compile-side of region-proven graph specialization:
 // the fact/region derivation shared by the cold compile, the runtime
-// contract and the verifier, and the out-of-region escape hatch for
-// region-dependent certificates.
+// contract and the verifier. (The out-of-region escape hatch for
+// region-dependent certificates is the ladder's original-graph rung,
+// guarded.go.)
 
 // extentProbe is the model's input generator observed at both ends of
 // its declared sampling range (MinSize and the stride-aligned maximum),
@@ -49,12 +51,19 @@ func probeExtents(b *models.Builder, g *graph.Graph, infos map[string]lattice.In
 // facts keeps a range fact [MinSize, MaxSize] — and, when the model
 // samples on a stride, a divisibility fact (YOLO-v6's H % 32 == 0) — for
 // each symbol that tracked the probe size at both ends. Symbols pinned
-// to fixed values (SAM's prompt count) get none.
+// to fixed values (SAM's prompt count) get none. Symbols are visited
+// sorted: the fact order reaches Contract.Facts and the saved artifact,
+// which must not differ from one compile to the next.
 func (p extentProbe) facts() []guard.Fact {
+	syms := make([]string, 0, len(p.lo))
+	for sym := range p.lo {
+		syms = append(syms, sym)
+	}
+	sort.Strings(syms)
 	var facts []guard.Fact
-	for sym, vlo := range p.lo {
+	for _, sym := range syms {
 		vhi, ok := p.hi[sym]
-		if !ok || vlo != p.min || vhi != p.maxAlign {
+		if vlo := p.lo[sym]; !ok || vlo != p.min || vhi != p.maxAlign {
 			continue // symbol does not track the dynamic extent
 		}
 		facts = append(facts, guard.Fact{Symbol: sym, Kind: guard.FactRange,
@@ -79,47 +88,4 @@ func (p extentProbe) region(facts []guard.Fact) staticverify.Region {
 		}
 	}
 	return region
-}
-
-// specFallbackNeeded reports whether this request must bypass the
-// specialized graph: the certificate's rewrites leaned on region facts,
-// and the request's inputs do not provably bind inside the region, so
-// the specialized graph carries no equivalence proof for them.
-func (c *Compiled) specFallbackNeeded(inputs map[string]*tensor.Tensor) bool {
-	if c.SpecCert == nil || !c.SpecCert.RegionDependent() {
-		return false
-	}
-	env, err := c.Contract().BindInputs(inputs)
-	if err != nil {
-		return true
-	}
-	return !c.presetRegion.ContainsEnv(env)
-}
-
-// runOriginal executes the pre-specialization graph with dynamic
-// allocation — the sound tier for inputs the specialization's region
-// proof does not cover. The original graph shares no plans with the
-// specialized one, so no arena, waves, or cached plan outcomes apply.
-func (c *Compiled) runOriginal(inputs map[string]*tensor.Tensor, opts GuardOptions, gr *GuardReport) (*exec.Result, *GuardReport, error) {
-	execOpts := exec.Options{
-		Ctx:          opts.Ctx,
-		MaxLoopIters: opts.MaxLoopIters,
-		Hooks:        opts.Hooks,
-	}
-	res, err := exec.Run(c.OrigGraph, inputs, execOpts)
-	if err != nil {
-		return nil, gr, err
-	}
-	for _, o := range c.OrigGraph.Outputs {
-		if res.Outputs[o] == nil {
-			return nil, gr, &guard.ContractError{Kind: guard.KindExecPlan,
-				Detail: "original-graph fallback produced no " + o}
-		}
-	}
-	if !opts.SkipFiniteCheck {
-		if ferr := guard.CheckFinite(res.Outputs); ferr != nil {
-			return nil, gr, ferr
-		}
-	}
-	return res, gr, nil
 }

@@ -23,8 +23,7 @@ func runAt(t *testing.T, c *Compiled, seed uint64, size int64) map[string]*tenso
 // suite: every evaluation model is compiled twice — once with
 // specialization disabled, once with the default region-proven
 // specialization — and both compiles must produce bit-identical outputs
-// across in-region shapes. Run under -race in CI, this also exercises the
-// specialized plan caches concurrently with the unspecialized ones.
+// across in-region shapes.
 func TestSpecializeDifferentialAllModels(t *testing.T) {
 	specialized := 0
 	for _, b := range models.All() {
@@ -74,7 +73,7 @@ func TestSpecializeDifferentialAllModels(t *testing.T) {
 // a warm load must replay the persisted certificate (SpecReplays moves)
 // without running the specializer's abstract interpretation
 // (Specializations does not move), and must serve under the same
-// certificate digest — so plan-cache keys agree across boots.
+// certificate digest — so shape-family keys agree across boots.
 func TestWarmBootReplaysSpecialization(t *testing.T) {
 	st, err := artifact.Open(t.TempDir())
 	if err != nil {
@@ -148,10 +147,16 @@ func TestSpecFallbackStrictContract(t *testing.T) {
 			// in-region path is covered by the differential suite.
 			continue
 		}
-		// Region-independent certificates never need the fallback.
-		inputs := b.Inputs(tensor.NewRNG(5), b.MinSize, 0.5)
-		if c.specFallbackNeeded(inputs) {
-			t.Errorf("%s: region-independent certificate demanded a fallback", b.Name)
+		// Region-independent certificates never need the fallback, in
+		// the region or out of it.
+		for _, size := range []int64{b.MinSize, b.MaxSize + b.SizeStep} {
+			_, gr, err := c.GuardedRun(b.Inputs(tensor.NewRNG(5), size, 0.5), GuardOptions{})
+			if err != nil {
+				t.Fatalf("%s@%d: %v", b.Name, size, err)
+			}
+			if gr.SpecFallback {
+				t.Errorf("%s@%d: region-independent certificate demanded a fallback", b.Name, size)
+			}
 		}
 	}
 }

@@ -8,11 +8,12 @@ import (
 // CompileVerified runs the full compile pipeline and then the static
 // plan verifier: symbolic-range analysis over the model's input region,
 // execution-plan and liveness proofs, the region-wide memory-plan proof,
-// and the graph lint pass. When the memory plan is proven, subsequent
-// guarded runs whose input shapes fall inside the region are served from
-// the shape-family cache — one verification amortized over every shape
-// in the region (GuardReport.RegionCacheHit) — instead of the per-shape
-// plan cache. Unprovable models keep the per-shape behavior; the report
+// and the graph lint pass. When the memory plan is proven, guarded runs
+// whose input shapes fall inside the region are served with the proven
+// plan — one verification amortized over every shape in the region
+// (GuardReport.RegionCacheHit). A plain Compile serves identically: its
+// first guarded run obtains the same memoized proof through Verify.
+// Unprovable models verify their plans per request shape; the report
 // records why.
 func CompileVerified(b *models.Builder) (*Compiled, *staticverify.Report, error) {
 	return CompileVerifiedSched(b, SchedConfig{})

@@ -1,6 +1,7 @@
 package frameworks
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/models"
@@ -57,8 +58,7 @@ func TestVerifyModels(t *testing.T) {
 
 // TestRegionServesMultipleShapes pins the shape-family upgrade: after one
 // verification, distinct shapes inside the region are all served from
-// the proven plan (RegionCacheHit) with zero per-shape verifications —
-// PR 2's shape-keyed cache needed one verification per distinct shape.
+// the proven plan (RegionCacheHit) with zero per-shape verifications.
 func TestRegionServesMultipleShapes(t *testing.T) {
 	b, ok := models.Get("CodeBERT")
 	if !ok {
@@ -89,9 +89,6 @@ func TestRegionServesMultipleShapes(t *testing.T) {
 		if !gr.RegionCacheHit {
 			t.Errorf("size %d: expected RegionCacheHit", size)
 		}
-		if gr.PlanCacheHit {
-			t.Errorf("size %d: region hit must not also count as a per-shape hit", size)
-		}
 		if len(gr.Degradations) != 0 {
 			t.Errorf("size %d: unexpected degradations %v", size, gr.Degradations)
 		}
@@ -119,16 +116,11 @@ func TestRegionServesMultipleShapes(t *testing.T) {
 	if st.RegionHits != uint64(len(sizes)) {
 		t.Errorf("RegionHits = %d, want %d", st.RegionHits, len(sizes))
 	}
-	if st.PlanMisses != 0 || st.PlanHits != 0 {
-		t.Errorf("per-shape plan cache touched (%d hits, %d misses); region path should bypass it",
-			st.PlanHits, st.PlanMisses)
-	}
 }
 
 // TestRegionMissFallsBack pins the fallback contract: a request outside
-// the verified region takes the PR 2 per-shape path (with its fact-check
-// degradations) instead of being served from — or rejected by — the
-// region plan.
+// the verified region answers to the analyzed facts (and degrades on
+// them) instead of being served from — or rejected by — the region plan.
 func TestRegionMissFallsBack(t *testing.T) {
 	b, ok := models.Get("CodeBERT")
 	if !ok {
@@ -150,7 +142,7 @@ func TestRegionMissFallsBack(t *testing.T) {
 		t.Error("out-of-region request must not hit the region plan")
 	}
 	if len(gr.Degradations) == 0 {
-		t.Error("out-of-range extent should degrade via the per-shape contract")
+		t.Error("out-of-range extent should degrade via the fact check")
 	}
 	if st := c.Stats(); st.RegionHits != 0 {
 		t.Errorf("RegionHits = %d, want 0", st.RegionHits)
@@ -158,7 +150,9 @@ func TestRegionMissFallsBack(t *testing.T) {
 }
 
 // TestInvalidateDropsProof pins that Invalidate clears the memoized
-// verification, so mutated artifacts are never served from a stale proof.
+// verification, so mutated artifacts are never served from a stale proof:
+// no proof is held afterwards, and the next request is served by a fresh
+// one.
 func TestInvalidateDropsProof(t *testing.T) {
 	b, _ := models.Get("CodeBERT")
 	c, rep, err := CompileVerified(b)
@@ -169,15 +163,67 @@ func TestInvalidateDropsProof(t *testing.T) {
 		t.Skip("model not provable")
 	}
 	c.Invalidate()
+	if got := c.PlannedArenaBytes(); got != 0 {
+		t.Errorf("proof survived Invalidate: %d bytes", got)
+	}
+	before := Counters().VerifyRuns
 	in := b.Inputs(tensor.NewRNG(7), b.MinSize, 0.5)
 	_, gr, err := c.GuardedRun(in, GuardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gr.RegionCacheHit {
-		t.Error("invalidated proof still served a region hit")
+	if !gr.RegionCacheHit || Counters().VerifyRuns != before+1 {
+		t.Errorf("request after Invalidate: region hit %v, verifier runs %d -> %d; want a hit on a re-run proof",
+			gr.RegionCacheHit, before, Counters().VerifyRuns)
 	}
 	if rep2 := c.Verify(); rep2 == rep {
 		t.Error("Verify after Invalidate returned the stale report")
+	}
+}
+
+// TestVerifyInvalidateConcurrent hammers Verify/Invalidate/GuardedRun
+// concurrently: the generation guard must never resurrect a proof
+// dropped by Invalidate into the region fast path, and the run must be
+// data-race free (the suite runs under -race in CI). Terminal state:
+// after a final Verify, the proof serves again.
+func TestVerifyInvalidateConcurrent(t *testing.T) {
+	b, _ := models.Get("CodeBERT")
+	c, _, err := CompileVerified(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.PlannedArenaBytes() == 0 {
+		t.Fatal("expected a proven region plan for CodeBERT")
+	}
+	inputs := b.Inputs(tensor.NewRNG(7), 64, 0.5)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				switch {
+				case g == 0:
+					c.Invalidate()
+				case g == 1:
+					c.Verify()
+				default:
+					if _, _, err := c.GuardedRun(inputs, GuardOptions{}); err != nil {
+						t.Errorf("guarded run: %v", err)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	c.Invalidate()
+	if got := c.PlannedArenaBytes(); got != 0 {
+		t.Fatalf("proof survived Invalidate: %d bytes", got)
+	}
+	if rep := c.Verify(); !rep.Mem.Proven {
+		t.Fatalf("re-verification failed: %s", rep.Mem.Reason)
+	}
+	if c.PlannedArenaBytes() == 0 {
+		t.Fatal("fresh proof not memoized")
 	}
 }

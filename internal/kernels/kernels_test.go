@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -403,18 +404,44 @@ func TestArgMax(t *testing.T) {
 }
 
 func TestTopK(t *testing.T) {
-	x := tensor.FromFloats([]int64{1, 5}, []float32{3, 1, 4, 1, 5})
-	n := &graph.Node{Name: "t", OpType: "TopK", Outputs: []string{"v", "i"},
-		Attrs: map[string]graph.AttrValue{}}
-	out, err := Run(n, []*tensor.Tensor{x, tensor.FromInts([]int64{1}, []int64{2})})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		x        *tensor.Tensor
+		k        int64
+		shape    []int64
+		wantVals []float32
+		wantIdx  []int64
+	}{
+		{"top 2 of 5", tensor.FromFloats([]int64{1, 5}, []float32{3, 1, 4, 1, 5}), 2,
+			[]int64{1, 2}, []float32{5, 4}, []int64{4, 2}},
+		{"ties keep the lower index", tensor.FromFloats([]int64{2, 2}, []float32{7, 7, 1, 2}), 1,
+			[]int64{2, 1}, []float32{7, 2}, []int64{0, 1}},
+		{"k == 0", tensor.FromFloats([]int64{2, 3}, []float32{1, 2, 3, 4, 5, 6}), 0,
+			[]int64{2, 0}, nil, nil},
+		// The row count cannot come from x.Len() / inner here.
+		{"zero last extent", tensor.New(tensor.Float32, 3, 0), 0,
+			[]int64{3, 0}, nil, nil},
 	}
-	if out[0].F[0] != 5 || out[0].F[1] != 4 {
-		t.Errorf("topk vals = %v", out[0].F)
-	}
-	if out[1].I[0] != 4 || out[1].I[1] != 2 {
-		t.Errorf("topk idx = %v", out[1].I)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := &graph.Node{Name: "t", OpType: "TopK", Outputs: []string{"v", "i"},
+				Attrs: map[string]graph.AttrValue{}}
+			out, err := Run(n, []*tensor.Tensor{tc.x, tensor.FromInts([]int64{1}, []int64{tc.k})})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range out {
+				if !tensor.SameShape(o.Shape, tc.shape) {
+					t.Fatalf("output shape %v, want %v", o.Shape, tc.shape)
+				}
+			}
+			if !slices.Equal(out[0].F, tc.wantVals) {
+				t.Errorf("topk vals = %v, want %v", out[0].F, tc.wantVals)
+			}
+			if !slices.Equal(out[1].I, tc.wantIdx) {
+				t.Errorf("topk idx = %v, want %v", out[1].I, tc.wantIdx)
+			}
+		})
 	}
 }
 

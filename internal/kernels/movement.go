@@ -546,7 +546,9 @@ func topKKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if k < 0 || k > inner {
 		return nil, fmt.Errorf("TopK: k=%d of %d", k, inner)
 	}
-	outer := x.Len() / inner
+	// The rows are counted from the leading dims, not x.Len()/inner: a
+	// zero last extent (k is then 0) yields the empty [..., 0] pair.
+	outer := tensor.NumElems(x.Shape[:axis])
 	outShape := append([]int64{}, x.Shape...)
 	outShape[axis] = k
 	vals := tensor.New(tensor.Float32, outShape...)

@@ -30,9 +30,8 @@ import (
 var DefaultCapFactors = []float64{1.5, 2, 3, 4, 6, 8}
 
 // SchedPoint identifies the frontier point a compile chose — the
-// scheduling coordinates that must be persisted with an artifact (and
-// mixed into the plan-cache key) so a warm boot replays the same
-// decision without re-running the search.
+// scheduling coordinates that must be persisted with an artifact so a
+// warm boot replays the same decision without re-running the search.
 type SchedPoint struct {
 	// CapFactor is the live-byte cap as a multiple of the memory-minimal
 	// peak (1.0 = the memory-minimal anchor itself).

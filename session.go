@@ -15,12 +15,12 @@ import (
 )
 
 // CacheStats snapshots a compiled model's runtime-cache effectiveness
-// (trace memo and shape-keyed plan cache hit/miss counters).
+// (trace memo hit/miss counters and region-proof hits).
 type CacheStats = frameworks.CacheStats
 
 // Invalidate drops the compiled model's memoized runtime artifacts —
-// the (sample, policy) trace memo, the shape-keyed plan cache, and the
-// static region proof. Call it between experiments, and after mutating
+// the (sample, policy) trace memo and the static region proof (the next
+// request re-proves it). Call it between experiments, and after mutating
 // any compiled artifact in place. Cumulative hit/miss counters survive.
 func (c *Compiled) Invalidate() { c.inner.Invalidate() }
 
@@ -74,23 +74,17 @@ type SessionOptions struct {
 // number of goroutines may call InferConcurrent/InferSample/InferBatch
 // (or their Ctx variants) on one Session. The session owns the serving
 // policies — admission gate, retry ladder, and the circuit breaker's
-// health state — while all shape-dependent memoization (the plan cache)
-// lives on the shared Compiled, so several Sessions over one model share
-// it (but each judges health on its own traffic).
+// health state — while the one piece of shape-dependent state, the
+// region proof, lives on the shared Compiled, so several Sessions over
+// one model share it (but each judges health on its own traffic).
 //
 // Self-healing: execution faults (contained kernel panics/errors, arena
 // faults, numeric contract violations) feed the breaker. Enough
-// consecutive faults trip it: the cached plans and the static region
-// proof are invalidated, one re-verification runs in the background,
+// consecutive faults trip it: the static region proof is invalidated,
+// one re-verification runs in the background,
 // and requests serve through the dynamic fallback tier (recorded as a
 // KindQuarantine degradation) until the new proof passes and probation
 // traffic stays clean — then planned/region serving resumes.
-//
-// Requests carrying the same non-zero Sample.ID that are in flight at
-// the same time are coalesced: one guarded execution serves all of them
-// (the singleflight dedup of a hot request). Coalesced callers share the
-// output tensors and must treat them as read-only; the executing
-// request's context governs the shared run.
 type Session struct {
 	c       *Compiled
 	dev     Device
@@ -102,15 +96,13 @@ type Session struct {
 	brk   *resilience.Breaker
 	retry resilience.RetryPolicy
 
-	mu       sync.Mutex
-	inflight map[uint64]*inferFlight
-	closed   bool
-	active   int           // requests between begin() and end()
-	idle     chan struct{} // closed when active drops to 0 (lazily made by Close)
+	mu     sync.Mutex
+	closed bool
+	active int           // requests between begin() and end()
+	idle   chan struct{} // closed when active drops to 0 (lazily made by Close)
 
-	requests  atomic.Uint64
-	coalesced atomic.Uint64
-	retries   atomic.Uint64
+	requests atomic.Uint64
+	retries  atomic.Uint64
 
 	buckets       atomic.Uint64
 	bucketMembers atomic.Uint64
@@ -143,8 +135,8 @@ func (s *Session) end() {
 	s.mu.Unlock()
 }
 
-// Close shuts the session down gracefully: new requests (including
-// coalesced joins) are refused with ErrClosed immediately, and requests
+// Close shuts the session down gracefully: new requests are refused
+// with ErrClosed immediately, and requests
 // already admitted drain to completion bounded by ctx. If ctx ends
 // first, Close returns ctx's error with the still-in-flight count — the
 // session stays closed to new work and the stragglers keep running to
@@ -175,13 +167,6 @@ func (s *Session) Close(ctx context.Context) error {
 	return nil
 }
 
-type inferFlight struct {
-	done chan struct{}
-	out  map[string]*Tensor
-	rep  Report
-	err  error
-}
-
 // NewSession builds a serving session over a compiled model.
 func (c *Compiled) NewSession(opts SessionOptions) *Session {
 	var zero Device
@@ -203,15 +188,14 @@ func (c *Compiled) NewSession(opts SessionOptions) *Session {
 			Parallel:     opts.Parallel,
 			Workers:      opts.ParallelWorkers,
 		},
-		timeout:  opts.RequestTimeout,
-		adm:      resilience.NewAdmission(opts.Admission),
-		retry:    opts.Retry,
-		inflight: map[uint64]*inferFlight{},
+		timeout: opts.RequestTimeout,
+		adm:     resilience.NewAdmission(opts.Admission),
+		retry:   opts.Retry,
 	}
 	brkCfg := opts.Breaker
 	if brkCfg.OnTrip == nil {
-		// Plan quarantine: drop the cached plans and the region proof the
-		// faulting requests were served from, then force exactly one
+		// Plan quarantine: drop the region proof the faulting requests
+		// were served from, then force exactly one
 		// re-verification. Probation serving starts only when the new
 		// proof passes; an unprovable verdict keeps the model quarantined
 		// on the dynamic tier (safe, just slower).
@@ -231,8 +215,8 @@ func (s *Session) Health() resilience.HealthState { return s.brk.State() }
 
 // InferConcurrent executes one set of inputs under the session's device
 // and guard options. Safe to call from any number of goroutines; the
-// returned Report carries the cache-hit tier (PlanCacheHit,
-// RegionCacheHit) and any degradations taken.
+// returned Report carries the tier served, whether the region proof's
+// plan served it (RegionCacheHit) and any degradations taken.
 func (s *Session) InferConcurrent(inputs map[string]*Tensor) (map[string]*Tensor, Report, error) {
 	return s.InferConcurrentCtx(context.Background(), inputs)
 }
@@ -250,48 +234,14 @@ func (s *Session) InferConcurrentCtx(ctx context.Context, inputs map[string]*Ten
 	return s.serve(ctx, inputs)
 }
 
-// InferSample executes one workload sample. Samples with a non-zero ID
-// coalesce with identical in-flight requests: N concurrent goroutines
-// submitting the same sample share one guarded execution (and its
-// outputs, which they must treat as read-only).
+// InferSample executes one workload sample's inputs.
 func (s *Session) InferSample(sample Sample) (map[string]*Tensor, Report, error) {
-	return s.InferSampleCtx(context.Background(), sample)
+	return s.InferConcurrentCtx(context.Background(), sample.Inputs)
 }
 
-// InferSampleCtx is InferSample bounded by a context. A coalesced
-// caller whose context ends while waiting abandons the shared flight
-// and returns its own context error; the execution itself runs under
-// the initiating request's context.
+// InferSampleCtx is InferSample bounded by a context.
 func (s *Session) InferSampleCtx(ctx context.Context, sample Sample) (map[string]*Tensor, Report, error) {
-	if sample.ID == 0 {
-		return s.InferConcurrentCtx(ctx, sample.Inputs)
-	}
-	if err := s.begin(); err != nil {
-		return nil, Report{}, err
-	}
-	defer s.end()
-	s.requests.Add(1)
-	s.mu.Lock()
-	if fl, ok := s.inflight[sample.ID]; ok {
-		s.mu.Unlock()
-		s.coalesced.Add(1)
-		select {
-		case <-fl.done:
-			return fl.out, fl.rep, fl.err
-		case <-ctx.Done():
-			return nil, Report{}, fmt.Errorf("sod2: coalesced request abandoned: %w", ctx.Err())
-		}
-	}
-	fl := &inferFlight{done: make(chan struct{})}
-	s.inflight[sample.ID] = fl
-	s.mu.Unlock()
-
-	fl.out, fl.rep, fl.err = s.serve(ctx, sample.Inputs)
-	s.mu.Lock()
-	delete(s.inflight, sample.ID)
-	s.mu.Unlock()
-	close(fl.done)
-	return fl.out, fl.rep, fl.err
+	return s.InferConcurrentCtx(ctx, sample.Inputs)
 }
 
 // serve is the resilient request path every inference goes through:
@@ -423,8 +373,8 @@ func isCancellation(err error) bool {
 // requests whose inputs bind inside the verified region share a single
 // key — the region proof *is* the shape family — so a cross-request
 // batching layer can coalesce them even when their concrete shapes
-// differ. Outside the region the key degrades to the per-shape plan
-// key; an empty key means the inputs are incomplete and cannot be
+// differ. Outside the region the key degrades to the concrete input
+// shapes; an empty key means the inputs are incomplete and cannot be
 // bucketed.
 func (s *Session) FamilyKey(inputs map[string]*Tensor) (string, bool) {
 	return s.c.inner.FamilyKey(inputs)
@@ -437,9 +387,9 @@ func (s *Session) FamilyKey(inputs map[string]*Tensor) (string, bool) {
 // shared verified plan. Sequential member execution is what keeps the
 // single reservation honest: at most one member's arena is live at a
 // time, so the admission ledger's accounting of the bucket equals its
-// true peak. Admission cost, ledger traffic, and plan/region
-// verification all amortize across the bucket's clients; wall-clock
-// parallelism comes from distinct buckets running concurrently.
+// true peak. Admission cost and ledger traffic amortize across the
+// bucket's clients; wall-clock parallelism comes from distinct buckets
+// running concurrently.
 //
 // Per-member semantics mirror InferBatchCtx: a member failure records
 // its error without affecting the rest, members not yet dispatched when
@@ -494,8 +444,9 @@ func (s *Session) InferBucketCtx(ctx context.Context, samples []Sample) []BatchR
 type SessionStats struct {
 	// Requests is the total number of requests submitted.
 	Requests uint64
-	// Coalesced counts requests served by joining an identical in-flight
-	// request instead of executing.
+	// Coalesced counted sample-ID request coalescing, which is gone: it
+	// reads 0 and stays declared only until the wall-clock benchmark's
+	// next revision stops reading it.
 	Coalesced uint64
 	// Retries counts retry attempts taken by the bounded backoff ladder
 	// (beyond first attempts).
@@ -522,13 +473,12 @@ func (s *Session) Stats() SessionStats {
 	bs := s.brk.Stats()
 	return SessionStats{
 		Requests:      s.requests.Load(),
-		Coalesced:     s.coalesced.Load(),
 		Retries:       s.retries.Load(),
 		Buckets:       s.buckets.Load(),
 		BucketMembers: s.bucketMembers.Load(),
-		Health:    bs.State,
-		Breaker:   bs,
-		Admission: s.adm.Stats(),
-		Cache:     s.c.CacheStats(),
+		Health:        bs.State,
+		Breaker:       bs,
+		Admission:     s.adm.Stats(),
+		Cache:         s.c.CacheStats(),
 	}
 }

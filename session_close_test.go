@@ -39,7 +39,7 @@ func TestSessionCloseRejectsNewWork(t *testing.T) {
 		t.Errorf("infer after close: want ErrClosed, got %v", err)
 	}
 	if _, _, err := sess.InferSample(Sample{ID: 42, Inputs: inputs}); !errors.Is(err, ErrClosed) {
-		t.Errorf("coalescable infer after close: want ErrClosed, got %v", err)
+		t.Errorf("sample infer after close: want ErrClosed, got %v", err)
 	}
 	res := sess.InferBatch([]Sample{{Inputs: inputs}})
 	if !errors.Is(res[0].Err, ErrClosed) {

@@ -288,7 +288,9 @@ func (c *Compiled) Sched() SchedPoint { return c.inner.Sched }
 // every subsequent inference whose input shapes fall inside the region
 // is served with the proven shape-family plan and skips per-shape
 // contract and plan verification (Report.RegionCacheHit) — even for
-// shapes never seen before. Unprovable models keep per-shape caching;
+// shapes never seen before. Compile serves the same way (its first
+// inference runs the verifier); CompileVerified runs it up front and
+// hands back the report. Unprovable models verify per request shape;
 // the report's diagnostics record why.
 func CompileVerified(b *ModelBuilder) (*Compiled, *VerifyReport, error) {
 	c, rep, err := frameworks.CompileVerified(b)
@@ -312,7 +314,7 @@ func (c *Compiled) WeightBytes() int64 { return c.inner.WeightBytes() }
 
 // FamilyKey returns the shape-family bucket key for one concrete input
 // set (see Session.FamilyKey): the statically proven region key when
-// the inputs bind inside the verified region, the per-shape plan key
+// the inputs bind inside the verified region, the concrete input shapes
 // otherwise, or "" for unbucketable inputs.
 func (c *Compiled) FamilyKey(inputs map[string]*Tensor) (string, bool) {
 	return c.inner.FamilyKey(inputs)
@@ -361,7 +363,6 @@ func (c *Compiled) inferOn(inputs map[string]*Tensor, dev Device, gopts GuardOpt
 	rep := costModel.Model(c.inner, res.Trace, dev, gr.ParallelWorkers)
 	rep.FallbackTier = gr.Tier
 	rep.Degradations = gr.Degradations
-	rep.PlanCacheHit = gr.PlanCacheHit
 	rep.RegionCacheHit = gr.RegionCacheHit
 	rep.Wavefronts = gr.Wavefronts
 	rep.ParallelWorkers = gr.ParallelWorkers

@@ -1,7 +1,7 @@
 // The concurrent serving suite (run under -race in CI): a shared
 // Compiled must serve simultaneous guarded inferences from many
 // goroutines with outputs bit-identical to the serial run, and the
-// Session facade must coalesce, fan out, and report correctly.
+// Session facade must fan out and report correctly.
 package sod2
 
 import (
@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/frameworks"
 	"repro/internal/models"
 	"repro/internal/tensor"
 )
@@ -27,14 +28,20 @@ func TestConcurrentInferAllModels(t *testing.T) {
 			}
 			inputs := m.Inputs(tensor.NewRNG(11), m.MinSize, 0.5)
 
-			// Serial reference first (also warms the plan cache — the
-			// concurrent runs below exercise the hit path).
+			// Serial reference first (its request also proves the region
+			// — the concurrent runs below are served by that proof).
 			ref, refRep, err := c.InferGuarded(inputs, GuardOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(refRep.Degradations) != 0 {
 				t.Fatalf("reference run degraded: %+v", refRep.Degradations)
+			}
+			// A plain Compile serves like CompileVerified: the first
+			// request runs the verifier and rides its proof.
+			if !refRep.RegionCacheHit || refRep.FallbackTier != TierPlanned {
+				t.Errorf("first request after Compile: region hit %v on tier %v, want a hit on the planned tier",
+					refRep.RegionCacheHit, refRep.FallbackTier)
 			}
 
 			type result struct {
@@ -61,8 +68,8 @@ func TestConcurrentInferAllModels(t *testing.T) {
 				if len(r.rep.Degradations) != 0 {
 					t.Errorf("goroutine %d degraded: %+v", g, r.rep.Degradations)
 				}
-				if !r.rep.PlanCacheHit {
-					t.Errorf("goroutine %d missed the warmed plan cache", g)
+				if !r.rep.RegionCacheHit {
+					t.Errorf("goroutine %d missed the region proof", g)
 				}
 				if len(r.outs) != len(ref) {
 					t.Fatalf("goroutine %d: %d outputs, want %d", g, len(r.outs), len(ref))
@@ -85,66 +92,6 @@ func TestConcurrentInferAllModels(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSessionCoalescesIdenticalRequests: goroutines submitting the same
-// sample while one is in flight share a single execution.
-func TestSessionCoalescesIdenticalRequests(t *testing.T) {
-	b, err := BuildModel("CodeBERT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Compile(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := c.NewSession(SessionOptions{})
-	s := NewSample(b, 64, 0.5, 21)
-
-	const clients = 6
-	start := make(chan struct{})
-	var ready, wg sync.WaitGroup
-	outs := make([]map[string]*Tensor, clients)
-	for g := 0; g < clients; g++ {
-		ready.Add(1)
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			ready.Done()
-			<-start
-			o, _, err := sess.InferSample(s)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			outs[g] = o
-		}(g)
-	}
-	ready.Wait()
-	close(start)
-	wg.Wait()
-
-	st := sess.Stats()
-	if st.Requests != clients {
-		t.Errorf("requests = %d, want %d", st.Requests, clients)
-	}
-	// Scheduling decides how many clients arrive while the leader is
-	// still running; every coalesced one must share the leader's outputs.
-	var coalescedShares int
-	for g := 1; g < clients; g++ {
-		if outs[g] == nil {
-			t.Fatalf("client %d got no outputs", g)
-		}
-		for name := range outs[0] {
-			if outs[g][name] == outs[0][name] && outs[g][name] != nil {
-				coalescedShares++
-				break
-			}
-		}
-	}
-	if st.Coalesced > 0 && coalescedShares == 0 {
-		t.Errorf("%d requests coalesced but no client shares the leader's outputs", st.Coalesced)
 	}
 }
 
@@ -191,15 +138,11 @@ func TestSessionInferBatch(t *testing.T) {
 		}
 	}
 
-	// Batch throughput accounting: per-request reports carry the
-	// cache-hit tier so a serving layer can split cold from warm latency.
-	again := sess.InferBatch(samples[:3])
-	for i, r := range again {
-		if r.Err != nil {
-			t.Fatalf("warm request %d failed: %v", i, r.Err)
-		}
-		if !r.Report.PlanCacheHit {
-			t.Errorf("warm request %d should report a plan-cache hit", i)
+	// Per-request reports say which plan served them: every in-region
+	// shape rides the one region proof.
+	for i, r := range results {
+		if i != 3 && !r.Report.RegionCacheHit {
+			t.Errorf("request %d should report a region hit", i)
 		}
 	}
 }
@@ -227,12 +170,14 @@ func TestSessionStatsCounts(t *testing.T) {
 	if st.Requests != 5 {
 		t.Errorf("requests = %d, want 5", st.Requests)
 	}
-	if st.Coalesced != 0 {
-		t.Errorf("serial stream should not coalesce, got %d", st.Coalesced)
+	// Two distinct shapes, one proof: every request is a region hit.
+	if st.Cache.RegionHits != 5 {
+		t.Errorf("region hits = %d, want 5", st.Cache.RegionHits)
 	}
-	// Two distinct shapes: two verifications, three hits.
-	if st.Cache.PlanMisses != 2 || st.Cache.PlanHits != 3 {
-		t.Errorf("plan counters = %d hits / %d misses, want 3/2", st.Cache.PlanHits, st.Cache.PlanMisses)
+	// The retired plan-cache and coalescing counters read 0.
+	if st.Coalesced != 0 || st.Cache.PlanMisses != 0 || st.Cache.PlanHits != 0 {
+		t.Errorf("retired counters moved: coalesced %d, plan %d hits / %d misses",
+			st.Coalesced, st.Cache.PlanHits, st.Cache.PlanMisses)
 	}
 	// A served request is one guarded execution; the evaluation
 	// harness's trace memo is never consulted.
@@ -242,7 +187,7 @@ func TestSessionStatsCounts(t *testing.T) {
 }
 
 // TestSessionsShareModelCaches: two sessions over one Compiled share the
-// per-shape work — the second session's first request is already warm.
+// region proof — the second session's first request runs no verifier.
 func TestSessionsShareModelCaches(t *testing.T) {
 	b, err := BuildModel("CodeBERT")
 	if err != nil {
@@ -257,13 +202,14 @@ func TestSessionsShareModelCaches(t *testing.T) {
 	if _, _, err := sessA.InferSample(s); err != nil {
 		t.Fatal(err)
 	}
+	verifyRuns := frameworks.Counters().VerifyRuns
 	sessB := c.NewSession(SessionOptions{})
 	_, rep, err := sessB.InferSample(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.PlanCacheHit {
-		t.Error("second session should reuse the first session's per-shape work")
+	if !rep.RegionCacheHit || frameworks.Counters().VerifyRuns != verifyRuns {
+		t.Error("second session should reuse the first session's proof")
 	}
 }
 

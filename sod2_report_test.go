@@ -45,7 +45,7 @@ func TestInferExecutesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		inputs := NewSample(b, tc.size, 0.5, 7).Inputs
-		if _, _, err := c.Infer(inputs); err != nil { // warm the plan cache
+		if _, _, err := c.Infer(inputs); err != nil { // prove the region
 			t.Fatal(err)
 		}
 		bare := mallocsOf(func() {
