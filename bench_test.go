@@ -54,58 +54,39 @@ func BenchmarkMemPlanAblation(b *testing.B) { benchExperiment(b, "memopt") }
 
 // ---- Wall-clock kernel benchmarks -------------------------------------
 
-// BenchmarkGemmVariants measures the real speed of each generated GEMM
-// code version (the MVC substrate, §4.4.2) on its own regime.
-func BenchmarkGemmVariants(b *testing.B) {
-	shapes := []struct {
-		name    string
-		m, k, n int64
-	}{
-		{"regular_128", 128, 128, 128},
-		{"fat_512x32", 512, 64, 32},
-		{"skinny_32x512", 32, 64, 512},
-	}
-	for _, sh := range shapes {
+// BenchmarkGemm measures the one GEMM loop nest on the (m, k, n) shapes
+// the ten models issue most: im2col convs (few rows, long columns), the
+// attention products (196×8×196, 196×196×8), a square-ish projection and
+// a 1×k×n classifier head.
+func BenchmarkGemm(b *testing.B) {
+	for _, sh := range []struct{ m, k, n int64 }{
+		{16, 144, 3600}, {32, 288, 900}, {16, 27, 14400},
+		{128, 32, 32}, {196, 8, 196}, {196, 196, 8}, {1, 32, 10},
+	} {
 		rng := tensor.NewRNG(3)
 		a := tensor.RandomFloats(rng, 1, sh.m, sh.k)
 		bb := tensor.RandomFloats(rng, 1, sh.k, sh.n)
 		c := make([]float32, sh.m*sh.n)
-		for _, v := range kernels.GemmVariants() {
-			b.Run(fmt.Sprintf("%s/%s", sh.name, v), func(b *testing.B) {
-				b.SetBytes((sh.m*sh.k + sh.k*sh.n + sh.m*sh.n) * 4)
-				for i := 0; i < b.N; i++ {
-					for j := range c {
-						c[j] = 0
-					}
-					kernels.Gemm(v, a.F, bb.F, sh.m, sh.k, sh.n, c)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kernels.Gemm(a.F, bb.F, sh.m, sh.k, sh.n, c)
+			}
+			b.ReportMetric(float64(2*sh.m*sh.k*sh.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 
-// BenchmarkConvVariants compares the direct and im2col conv kernels.
-func BenchmarkConvVariants(b *testing.B) {
+// BenchmarkConv measures the im2col + GEMM convolution end to end.
+func BenchmarkConv(b *testing.B) {
 	rng := tensor.NewRNG(5)
 	x := tensor.RandomFloats(rng, 1, 1, 16, 56, 56)
 	w := tensor.RandomFloats(rng, 1, 32, 16, 3, 3)
-	for _, variant := range []int64{0, 1} { // direct, im2col
-		name := "direct"
-		if variant == 1 {
-			name = "im2col"
+	n := &graph.Node{Name: "c", OpType: "Conv", Outputs: []string{"y"},
+		Attrs: map[string]graph.AttrValue{"pads": graph.IntsAttr(1, 1, 1, 1)}}
+	for i := 0; i < b.N; i++ {
+		if _, err := kernels.Run(n, []*tensor.Tensor{x, w}); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			n := &graph.Node{Name: "c", OpType: "Conv", Outputs: []string{"y"},
-				Attrs: map[string]graph.AttrValue{
-					"pads":         graph.IntsAttr(1, 1, 1, 1),
-					"conv_variant": graph.IntAttr(variant),
-				}}
-			for i := 0; i < b.N; i++ {
-				if _, err := kernels.Run(n, []*tensor.Tensor{x, w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -74,9 +74,6 @@ type Options struct {
 	// ExecuteAllBranches mimics the baseline frameworks' control-flow
 	// policy (§2): run every Switch/If path and strip invalid results.
 	ExecuteAllBranches bool
-	// NoFree disables free-at-last-use, modeling frameworks that hold
-	// every intermediate until the end of the inference.
-	NoFree bool
 	// Arena, when non-nil, stores planned float32 intermediates at their
 	// assigned offsets in one backing buffer (§4.4.1's runtime plan).
 	Arena *Arena
@@ -115,7 +112,6 @@ type Options struct {
 func (o Options) subOptions() Options {
 	return Options{
 		ExecuteAllBranches: o.ExecuteAllBranches,
-		NoFree:             o.NoFree,
 		MaxLoopIters:       o.MaxLoopIters,
 		Ctx:                o.Ctx,
 		Hooks:              o.Hooks,
@@ -304,9 +300,6 @@ func (ex *executor) account(names []string, ts []*tensor.Tensor) error {
 
 // release decrements uses of the node's inputs, freeing dead values.
 func (ex *executor) release(n *graph.Node) {
-	if ex.opts.NoFree {
-		return
-	}
 	for i, in := range n.Inputs {
 		if in == "" || slices.Contains(n.Inputs[:i], in) {
 			continue // absent, or a repeated input already released
@@ -385,19 +378,41 @@ func (ex *executor) execNode(n *graph.Node) error {
 
 	in, allPresent := ex.gatherInputs(n)
 	if !allPresent {
-		// Dead path (untaken Switch branch): propagate absence.
-		ex.emit(n, nil, nil, true)
-		ex.release(n)
+		ex.skip(n)
 		return nil
 	}
-	threads := ex.soloThreads
-	if threads < 1 {
-		threads = 1
-	}
-	out, err := ex.runKernel(n, in, threads)
+	out, err := ex.compute(n, in, max(1, ex.soloThreads))
 	if err != nil {
 		return err
 	}
+	return ex.commit(n, in, out)
+}
+
+// compute runs n's kernel over its gathered inputs and places the
+// outputs in the arena. It only reads executor state, so the workers of
+// a wave call it concurrently (same-wave placements land in disjoint
+// wave-widened regions).
+func (ex *executor) compute(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
+	out, err := ex.runKernel(n, in, threads)
+	if err != nil {
+		return nil, err
+	}
+	for i, name := range n.Outputs {
+		if name == "" || i >= len(out) {
+			continue
+		}
+		if out[i], err = ex.opts.Arena.place(name, out[i]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// commit is all the bookkeeping a computed node leaves behind — taint,
+// values, trace event, liveness accounting, frees. It runs sequentially
+// in planned order: after each compute in the sequential interpreter,
+// after the barrier in a wave.
+func (ex *executor) commit(n *graph.Node, in, out []*tensor.Tensor) error {
 	// Invalidity propagates: a result computed from an untaken branch's
 	// value is itself invalid (but was still executed and costed).
 	tainted := false
@@ -411,12 +426,7 @@ func (ex *executor) execNode(n *graph.Node) error {
 		if name == "" || i >= len(out) {
 			continue
 		}
-		placed, perr := ex.opts.Arena.place(name, out[i])
-		if perr != nil {
-			return perr
-		}
-		out[i] = placed
-		ex.values[name] = placed
+		ex.values[name] = out[i]
 		if tainted {
 			ex.invalid[name] = true
 		}
@@ -427,6 +437,13 @@ func (ex *executor) execNode(n *graph.Node) error {
 	}
 	ex.release(n)
 	return nil
+}
+
+// skip records a node on a dead path (an input from an untaken Switch
+// branch is absent): nothing runs, and the absence propagates.
+func (ex *executor) skip(n *graph.Node) {
+	ex.emit(n, nil, nil, true)
+	ex.release(n)
 }
 
 // truthy interprets a scalar predicate tensor.

@@ -1,10 +1,12 @@
 package exec
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/guard"
 	"repro/internal/lattice"
 	"repro/internal/tensor"
 )
@@ -24,6 +26,60 @@ func TestKernelErrorPropagates(t *testing.T) {
 	}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "MatMul") {
 		t.Errorf("want MatMul shape error, got %v", err)
+	}
+}
+
+// Malformed GEMM/Conv operands and attributes are the kernel's own typed
+// errors: never a nil error over a wrong tensor, never a panic the
+// recover backstop had to contain.
+func TestGemmConvShapeErrorsAreTyped(t *testing.T) {
+	f := func(shape ...int64) *tensor.Tensor { return tensor.New(tensor.Float32, shape...) }
+	for _, tc := range []struct {
+		name  string
+		op    string
+		attrs map[string]graph.AttrValue
+		in    []*tensor.Tensor
+		want  string
+	}{
+		{"cout not divisible by group", "Conv", map[string]graph.AttrValue{"group": graph.IntAttr(4)},
+			[]*tensor.Tensor{f(1, 4, 4, 4), f(6, 1, 1, 1)}, "not divisible by group"},
+		{"one stride", "Conv", map[string]graph.AttrValue{"strides": graph.IntsAttr(1)},
+			[]*tensor.Tensor{f(1, 1, 4, 4), f(1, 1, 1, 1)}, "2 strides"},
+		{"two pads", "Conv", map[string]graph.AttrValue{"pads": graph.IntsAttr(1, 1)},
+			[]*tensor.Tensor{f(1, 1, 4, 4), f(1, 1, 1, 1)}, "4 pads"},
+		{"one dilation", "Conv", map[string]graph.AttrValue{"dilations": graph.IntsAttr(1)},
+			[]*tensor.Tensor{f(1, 1, 4, 4), f(1, 1, 1, 1)}, "2 dilations"},
+		{"zero stride", "Conv", map[string]graph.AttrValue{"strides": graph.IntsAttr(0, 1)},
+			[]*tensor.Tensor{f(1, 1, 4, 4), f(1, 1, 1, 1)}, "non-positive strides"},
+		{"short bias", "Conv", nil,
+			[]*tensor.Tensor{f(1, 1, 4, 4), f(2, 1, 1, 1), f(1)}, "bias"},
+		{"int64 conv input", "Conv", nil,
+			[]*tensor.Tensor{tensor.New(tensor.Int64, 1, 1, 4, 4), f(1, 1, 1, 1)}, "unsupported dtypes"},
+		{"int64 matmul operand", "MatMul", nil,
+			[]*tensor.Tensor{tensor.New(tensor.Int64, 2, 3), f(3, 2)}, "unsupported dtypes"},
+		{"rank-1 gemm operand", "Gemm", nil,
+			[]*tensor.Tensor{f(3), f(3, 2)}, "ranks 1,2"},
+	} {
+		g := graph.New("bad")
+		inputs := map[string]*tensor.Tensor{}
+		var names []string
+		for i, x := range tc.in {
+			name := string(rune('a' + i))
+			g.AddInput(name, x.DType, lattice.FromInts(x.Shape...))
+			inputs[name] = x
+			names = append(names, name)
+		}
+		g.Op(tc.op, "k", names, []string{"y"}, tc.attrs)
+		g.AddOutput("y")
+		_, err := Run(g, inputs, Options{})
+		switch {
+		case err == nil:
+			t.Errorf("%s: nil error", tc.name)
+		case errors.Is(err, guard.ErrPanic):
+			t.Errorf("%s: contained panic, want a typed error: %v", tc.name, err)
+		case !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: err = %v, want it to mention %q", tc.name, err, tc.want)
+		}
 	}
 }
 

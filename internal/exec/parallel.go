@@ -48,10 +48,10 @@ type waveJob struct {
 	wg *sync.WaitGroup
 }
 
-// run executes the job's kernel and places its outputs. It never
-// panics: runKernel contains kernel panics, and the outer recover is a
-// second boundary for placement/bookkeeping bugs, so the worker loop —
-// and with it the pool — survives any job.
+// run computes the job's node. It never panics: runKernel contains
+// kernel panics, and the outer recover is a second boundary for
+// placement bugs, so the worker loop — and with it the pool — survives
+// any job.
 func (j *waveJob) run(ex *executor) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -64,25 +64,7 @@ func (j *waveJob) run(ex *executor) {
 		j.err = err
 		return
 	}
-	out, err := ex.runKernel(j.n, j.in, j.threads)
-	if err != nil {
-		j.err = err
-		return
-	}
-	// Concurrent placement into disjoint wave-widened regions (see the
-	// determinism argument above).
-	for i, name := range j.n.Outputs {
-		if name == "" || i >= len(out) {
-			continue
-		}
-		placed, perr := ex.opts.Arena.place(name, out[i])
-		if perr != nil {
-			j.err = perr
-			return
-		}
-		out[i] = placed
-	}
-	j.out = out
+	j.out, j.err = ex.compute(j.n, j.in, j.threads)
 }
 
 // runWaves executes order wave by wave on a persistent worker pool.
@@ -181,34 +163,15 @@ func (ex *executor) runWave(wave []*graph.Node, jobs chan<- *waveJob, workers in
 	for i, n := range wave {
 		j := pending[i]
 		if j == nil {
-			ex.emit(n, nil, nil, true)
-			ex.release(n)
+			ex.skip(n)
 			continue
 		}
 		if j.err != nil {
 			return j.err // first failure in planned order
 		}
-		tainted := false
-		for _, name := range n.Inputs {
-			if name != "" && ex.invalid[name] {
-				tainted = true
-				break
-			}
-		}
-		for oi, name := range n.Outputs {
-			if name == "" || oi >= len(j.out) {
-				continue
-			}
-			ex.values[name] = j.out[oi]
-			if tainted {
-				ex.invalid[name] = true
-			}
-		}
-		ex.emit(n, j.in, j.out, false)
-		if err := ex.account(n.Outputs, j.out); err != nil {
+		if err := ex.commit(n, j.in, j.out); err != nil {
 			return err
 		}
-		ex.release(n)
 	}
 	return nil
 }

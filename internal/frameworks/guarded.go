@@ -46,8 +46,6 @@ type GuardOptions struct {
 	// The forced fallback is recorded as a KindQuarantine degradation,
 	// never escalated to an error by Strict (the caller asked for it).
 	ForceDynamic bool
-	// SkipFiniteCheck disables the output NaN/Inf scan.
-	SkipFiniteCheck bool
 	// VerifyDrift, on a quantized compile, re-runs the request on the
 	// float32 rung and checks the quantized outputs against the model's
 	// accuracy-drift budget (doubles the request's compute; the
@@ -373,10 +371,8 @@ func (c *Compiled) runRung(r rung, inputs map[string]*tensor.Tensor, opts GuardO
 		gr.ArenaHighWater = eo.Arena.HighWater
 		eo.Arena.Detach(res.Outputs)
 	}
-	if !opts.SkipFiniteCheck {
-		if err := guard.CheckFinite(res.Outputs); err != nil {
-			return nil, err
-		}
+	if err := guard.CheckFinite(res.Outputs); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

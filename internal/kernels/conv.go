@@ -8,32 +8,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// ConvVariant identifies one generated code version of the CONV kernel
-// (direct vs im2col+GEMM; MVC picks per shape regime).
-type ConvVariant uint8
-
-// CONV schedule variants.
-const (
-	ConvDirect ConvVariant = iota
-	ConvIm2col
-)
-
-func (v ConvVariant) String() string {
-	if v == ConvIm2col {
-		return "im2col"
-	}
-	return "direct"
-}
-
-// SelectConvVariant chooses im2col+GEMM for compute-heavy regimes and the
-// direct loop for small channel counts / 1×1 kernels.
-func SelectConvVariant(cin, kh, kw int64) ConvVariant {
-	if cin*kh*kw >= 32 {
-		return ConvIm2col
-	}
-	return ConvDirect
-}
-
 type conv2dArgs struct {
 	n, cin, h, w           int64
 	cout, cinPerGroup      int64
@@ -54,10 +28,24 @@ func convArgsFor(n *graph.Node, x, w *tensor.Tensor) (conv2dArgs, error) {
 	strides := n.AttrInts("strides", []int64{1, 1})
 	pads := n.AttrInts("pads", []int64{0, 0, 0, 0})
 	dil := n.AttrInts("dilations", []int64{1, 1})
+	if len(strides) != 2 || len(pads) != 4 || len(dil) != 2 {
+		// Lengths, not the slices: formatting those would move the three
+		// default literals above to the heap on every call.
+		return a, fmt.Errorf("Conv: want 2 strides, 4 pads, 2 dilations, got %d, %d, %d", len(strides), len(pads), len(dil))
+	}
 	a.strideH, a.strideW = strides[0], strides[1]
 	a.padT, a.padL, a.padB, a.padR = pads[0], pads[1], pads[2], pads[3]
 	a.dilH, a.dilW = dil[0], dil[1]
+	if a.strideH < 1 || a.strideW < 1 || a.dilH < 1 || a.dilW < 1 {
+		return a, fmt.Errorf("Conv: non-positive strides %dx%d or dilations %dx%d", a.strideH, a.strideW, a.dilH, a.dilW)
+	}
 	a.group = n.AttrInt("group", 1)
+	if a.group < 1 || a.cout%a.group != 0 {
+		return a, fmt.Errorf("Conv: cout %d not divisible by group %d", a.cout, a.group)
+	}
+	if a.cin != a.cinPerGroup*a.group {
+		return a, fmt.Errorf("Conv: cin %d != %d*%d", a.cin, a.cinPerGroup, a.group)
+	}
 	effH := (a.kh-1)*a.dilH + 1
 	effW := (a.kw-1)*a.dilW + 1
 	a.outH = (a.h+a.padT+a.padB-effH)/a.strideH + 1
@@ -65,57 +53,46 @@ func convArgsFor(n *graph.Node, x, w *tensor.Tensor) (conv2dArgs, error) {
 	if a.outH <= 0 || a.outW <= 0 {
 		return a, fmt.Errorf("Conv: non-positive output %dx%d", a.outH, a.outW)
 	}
-	if a.cin != a.cinPerGroup*a.group {
-		return a, fmt.Errorf("Conv: cin %d != %d*%d", a.cin, a.cinPerGroup, a.group)
-	}
 	return a, nil
 }
 
+// convKernel lowers every convolution to im2col + GEMM; the filter may
+// be float32 or packed.
 func convKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 2, "Conv"); err != nil {
 		return nil, err
 	}
 	x, w := in[0], in[1]
+	if x.DType != tensor.Float32 || (w.DType != tensor.Float32 && !w.DType.IsQuantized()) {
+		return nil, fmt.Errorf("Conv: unsupported dtypes %v,%v", x.DType, w.DType)
+	}
 	a, err := convArgsFor(n, x, w)
 	if err != nil {
 		return nil, err
 	}
-	out := tensor.New(tensor.Float32, a.n, a.cout, a.outH, a.outW)
-	variant := ConvVariant(n.AttrInt("conv_variant", int64(ConvIm2col)))
-	if v := n.AttrInt("auto_variant", 0); v != 0 {
-		variant = SelectConvVariant(a.cinPerGroup, a.kh, a.kw)
-	}
-	if w.DType.IsQuantized() {
-		if variant == ConvDirect {
-			// Direct is only selected for tiny filters — unpack once
-			// rather than paying per-tap nibble decodes.
-			w = w.Dequantize()
-		} else {
-			if err := convIm2colQuant(x, w, out, a, threads); err != nil {
-				return nil, err
-			}
-			addConvBias(in, out, a)
-			return []*tensor.Tensor{out}, nil
+	var bias *tensor.Tensor
+	if len(in) > 2 && in[2] != nil {
+		bias = in[2]
+		if bias.DType != tensor.Float32 || bias.Len() != a.cout {
+			return nil, fmt.Errorf("Conv: bias %v%v, want %d float32 values", bias.DType, bias.Shape, a.cout)
 		}
 	}
-	switch {
-	case variant == ConvDirect && threads > 1:
-		ConvParallelDirect(x, w, out, a, threads)
-	case variant == ConvDirect:
-		convDirect(x, w, out, a)
-	default:
+	out := tensor.New(tensor.Float32, a.n, a.cout, a.outH, a.outW)
+	if w.DType.IsQuantized() {
+		if err := convIm2colQuant(x, w, out, a, threads); err != nil {
+			return nil, err
+		}
+	} else {
 		convIm2col(x, w, out, a, threads)
 	}
-	addConvBias(in, out, a)
+	if bias != nil {
+		addConvBias(bias, out, a)
+	}
 	return []*tensor.Tensor{out}, nil
 }
 
-// addConvBias adds the optional per-channel bias input in place.
-func addConvBias(in []*tensor.Tensor, out *tensor.Tensor, a conv2dArgs) {
-	if len(in) <= 2 || in[2] == nil {
-		return
-	}
-	bias := in[2]
+// addConvBias adds the per-channel bias in place.
+func addConvBias(bias, out *tensor.Tensor, a conv2dArgs) {
 	plane := a.outH * a.outW
 	for b := int64(0); b < a.n; b++ {
 		for c := int64(0); c < a.cout; c++ {
@@ -123,50 +100,6 @@ func addConvBias(in []*tensor.Tensor, out *tensor.Tensor, a conv2dArgs) {
 			bv := bias.F[c]
 			for i := int64(0); i < plane; i++ {
 				out.F[base+i] += bv
-			}
-		}
-	}
-}
-
-func convDirect(x, w, out *tensor.Tensor, a conv2dArgs) {
-	convDirectStripe(x, w, out, a, 0, a.cout)
-}
-
-// convDirectStripe computes output channels [ocLo, ocHi) only — the unit
-// of work ConvParallelDirect distributes across goroutines. For grouped
-// convolutions it is only called with the full range.
-func convDirectStripe(x, w, out *tensor.Tensor, a conv2dArgs, ocLo, ocHi int64) {
-	coutPerGroup := a.cout / a.group
-	for b := int64(0); b < a.n; b++ {
-		for g := int64(0); g < a.group; g++ {
-			for oc := int64(0); oc < coutPerGroup; oc++ {
-				c := g*coutPerGroup + oc
-				if c < ocLo || c >= ocHi {
-					continue
-				}
-				for oh := int64(0); oh < a.outH; oh++ {
-					for ow := int64(0); ow < a.outW; ow++ {
-						var acc float32
-						for ic := int64(0); ic < a.cinPerGroup; ic++ {
-							inC := g*a.cinPerGroup + ic
-							for kh := int64(0); kh < a.kh; kh++ {
-								ih := oh*a.strideH - a.padT + kh*a.dilH
-								if ih < 0 || ih >= a.h {
-									continue
-								}
-								for kw := int64(0); kw < a.kw; kw++ {
-									iw := ow*a.strideW - a.padL + kw*a.dilW
-									if iw < 0 || iw >= a.w {
-										continue
-									}
-									acc += x.F[((b*a.cin+inC)*a.h+ih)*a.w+iw] *
-										w.F[((c*a.cinPerGroup+ic)*a.kh+kh)*a.kw+kw]
-								}
-							}
-						}
-						out.F[((b*a.cout+c)*a.outH+oh)*a.outW+ow] = acc
-					}
-				}
 			}
 		}
 	}
@@ -187,10 +120,7 @@ func convIm2col(x, w, out *tensor.Tensor, a conv2dArgs, threads int) {
 			// GEMM: [coutPerGroup, k] × [k, cols]
 			wMat := w.F[g*coutPerGroup*k : (g+1)*coutPerGroup*k]
 			outMat := out.F[((b*a.cout)+g*coutPerGroup)*cols : ((b*a.cout)+(g+1)*coutPerGroup)*cols]
-			for i := range outMat {
-				outMat[i] = 0
-			}
-			GemmParallel(GemmTiledRegular, threads, wMat, patch, coutPerGroup, k, cols, outMat)
+			gemmRows(threads, wMat, patch, coutPerGroup, k, cols, outMat)
 		}
 	}
 }
@@ -335,10 +265,7 @@ func globalPoolKernel(avg bool) Kernel {
 }
 
 func init() {
-	register("Conv", func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
-		return convKernel(n, in, 1)
-	})
-	registerBudgeted("Conv", convKernel)
+	registerThreaded("Conv", convKernel)
 	register("MaxPool", poolKernel(false))
 	register("AveragePool", poolKernel(true))
 	register("GlobalAveragePool", globalPoolKernel(true))

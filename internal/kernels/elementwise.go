@@ -50,8 +50,8 @@ func floats(t *tensor.Tensor) []float32 { return t.F }
 func ints(t *tensor.Tensor) []int64     { return t.I }
 func bools(t *tensor.Tensor) []bool     { return t.B }
 
-// registerArith registers a kernel supporting float32 and int64 operands,
-// plus a thread-budget-aware variant that stripes the float path.
+// registerArith registers a kernel supporting float32 and int64 operands;
+// the thread budget stripes the float path.
 func registerArith(name string, fop func(a, b float32) float32, iop func(a, b int64) int64) {
 	arith := func(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 2, name); err != nil {
@@ -79,10 +79,7 @@ func registerArith(name string, fop func(a, b float32) float32, iop func(a, b in
 			return nil, fmt.Errorf("%s: unsupported dtypes %v,%v", name, x.DType, y.DType)
 		}
 	}
-	register(name, func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
-		return arith(n, in, 1)
-	})
-	registerBudgeted(name, arith)
+	registerThreaded(name, arith)
 }
 
 // registerCompare registers a comparison producing a bool tensor.
@@ -106,8 +103,8 @@ func registerCompare(name string, fop func(a, b float32) bool, iop func(a, b int
 	})
 }
 
-// registerUnaryF registers a float unary map kernel plus a
-// thread-budget-aware variant striping the element range.
+// registerUnaryF registers a float unary map kernel; the thread budget
+// stripes the element range.
 func registerUnaryF(name string, op func(v float32) float32) {
 	unary := func(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 1, name); err != nil {
@@ -122,10 +119,7 @@ func registerUnaryF(name string, op func(v float32) float32) {
 		})
 		return []*tensor.Tensor{out}, nil
 	}
-	register(name, func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
-		return unary(n, in, 1)
-	})
-	registerBudgeted(name, unary)
+	registerThreaded(name, unary)
 }
 
 func sigmoid(v float32) float32 { return float32(1 / (1 + math.Exp(-float64(v)))) }

@@ -122,40 +122,6 @@ func TestCast(t *testing.T) {
 	}
 }
 
-// All GEMM variants must agree with the naive implementation.
-func TestGemmVariantsAgree(t *testing.T) {
-	rng := tensor.NewRNG(5)
-	m, k, n := int64(17), int64(23), int64(9)
-	a := tensor.RandomFloats(rng, 1, m, k)
-	b := tensor.RandomFloats(rng, 1, k, n)
-	ref := make([]float32, m*n)
-	Gemm(GemmNaive, a.F, b.F, m, k, n, ref)
-	for _, v := range GemmVariants()[1:] {
-		c := make([]float32, m*n)
-		Gemm(v, a.F, b.F, m, k, n, c)
-		for i := range ref {
-			if math.Abs(float64(ref[i]-c[i])) > 1e-3 {
-				t.Fatalf("variant %v disagrees at %d: %f vs %f", v, i, c[i], ref[i])
-			}
-		}
-	}
-}
-
-func TestSelectGemmVariant(t *testing.T) {
-	if SelectGemmVariant(4, 4, 4) != GemmTiny {
-		t.Error("tiny")
-	}
-	if SelectGemmVariant(1024, 64, 8) != GemmRowMajorFat {
-		t.Error("fat")
-	}
-	if SelectGemmVariant(8, 64, 1024) != GemmColMajorSkinny {
-		t.Error("skinny")
-	}
-	if SelectGemmVariant(256, 256, 256) != GemmTiledRegular {
-		t.Error("regular")
-	}
-}
-
 func TestMatMulBatchBroadcast(t *testing.T) {
 	a := tensor.FromFloats([]int64{2, 2, 3}, []float32{1, 0, 0, 0, 1, 0, 2, 0, 0, 0, 2, 0})
 	b := tensor.FromFloats([]int64{3, 2}, []float32{1, 2, 3, 4, 5, 6})
@@ -183,32 +149,6 @@ func TestGemmTransposeAndBias(t *testing.T) {
 	if got.F[0] != 11 || got.F[1] != 12 || got.F[2] != 13 || got.F[3] != 10 {
 		t.Errorf("row0 = %v", got.F[:4])
 	}
-}
-
-// Conv direct and im2col must agree.
-func TestConvVariantsAgree(t *testing.T) {
-	rng := tensor.NewRNG(7)
-	x := tensor.RandomFloats(rng, 1, 1, 3, 8, 8)
-	w := tensor.RandomFloats(rng, 1, 4, 3, 3, 3)
-	attrs := map[string]graph.AttrValue{
-		"pads": graph.IntsAttr(1, 1, 1, 1), "strides": graph.IntsAttr(2, 2),
-	}
-	direct := run1(t, "Conv", withAttr(attrs, "conv_variant", graph.IntAttr(int64(ConvDirect))), x, w)
-	im2col := run1(t, "Conv", withAttr(attrs, "conv_variant", graph.IntAttr(int64(ConvIm2col))), x, w)
-	if !tensor.SameShape(direct.Shape, []int64{1, 4, 4, 4}) {
-		t.Fatalf("conv shape %v", direct.Shape)
-	}
-	if !tensor.AllClose(direct, im2col, 1e-3) {
-		t.Error("conv variants disagree")
-	}
-}
-
-func withAttr(base map[string]graph.AttrValue, k string, v graph.AttrValue) map[string]graph.AttrValue {
-	out := map[string]graph.AttrValue{k: v}
-	for kk, vv := range base {
-		out[kk] = vv
-	}
-	return out
 }
 
 func TestGroupedConv(t *testing.T) {

@@ -7,133 +7,42 @@ import (
 	"repro/internal/tensor"
 )
 
-// GemmVariant identifies one generated code version of the GEMM kernel.
-// The MVC subsystem (paper §4.4.2) selects among these based on the
-// RDP-predicted shape regime: fat (m ≫ n), skinny (n ≫ m), tiny, and
-// regular tiled schedules.
-type GemmVariant uint8
-
-// GEMM schedule variants.
-const (
-	GemmNaive GemmVariant = iota
-	GemmTiledRegular
-	GemmRowMajorFat
-	GemmColMajorSkinny
-	GemmTiny
-)
-
-func (v GemmVariant) String() string {
-	switch v {
-	case GemmNaive:
-		return "naive"
-	case GemmTiledRegular:
-		return "tiled-regular"
-	case GemmRowMajorFat:
-		return "row-major-fat"
-	case GemmColMajorSkinny:
-		return "col-major-skinny"
-	case GemmTiny:
-		return "tiny"
-	default:
-		return "unknown"
-	}
-}
-
-// GemmVariants lists all selectable variants.
-func GemmVariants() []GemmVariant {
-	return []GemmVariant{GemmNaive, GemmTiledRegular, GemmRowMajorFat, GemmColMajorSkinny, GemmTiny}
-}
-
-// SelectGemmVariant picks the schedule the auto-tuner associates with the
-// (m, k, n) regime — the empirical shape→version mapping of §4.4.2.
-func SelectGemmVariant(m, k, n int64) GemmVariant {
-	switch {
-	case m*n <= 64:
-		return GemmTiny
-	case m >= 4*n:
-		return GemmRowMajorFat
-	case n >= 4*m:
-		return GemmColMajorSkinny
-	default:
-		return GemmTiledRegular
-	}
-}
-
-// Gemm computes C[m,n] = A[m,k] × B[k,n] with the chosen variant. All
-// variants compute identical results; they differ in loop order and
-// blocking (observable in the wall-clock benchmarks).
-func Gemm(variant GemmVariant, a, b []float32, m, k, n int64, c []float32) {
-	switch variant {
-	case GemmNaive, GemmTiny:
-		for i := int64(0); i < m; i++ {
-			for j := int64(0); j < n; j++ {
-				var acc float32
-				for p := int64(0); p < k; p++ {
-					acc += a[i*k+p] * b[p*n+j]
-				}
-				c[i*n+j] = acc
-			}
-		}
-	case GemmRowMajorFat:
-		// ikj order: streams B rows, accumulates into C rows — good when
-		// m is large relative to n.
-		for i := int64(0); i < m; i++ {
-			ci := c[i*n : (i+1)*n]
-			for p := int64(0); p < k; p++ {
-				av := a[i*k+p]
-				bp := b[p*n : (p+1)*n]
-				for j := int64(0); j < n; j++ {
-					ci[j] += av * bp[j]
-				}
-			}
-		}
-	case GemmColMajorSkinny:
-		// jik order with k-inner accumulation: good when n dominates.
-		for j := int64(0); j < n; j++ {
-			for i := int64(0); i < m; i++ {
-				var acc float32
-				for p := int64(0); p < k; p++ {
-					acc += a[i*k+p] * b[p*n+j]
-				}
-				c[i*n+j] = acc
-			}
-		}
-	default: // GemmTiledRegular
-		const tile = 32
-		for i0 := int64(0); i0 < m; i0 += tile {
-			iMax := min64(i0+tile, m)
-			for p0 := int64(0); p0 < k; p0 += tile {
-				pMax := min64(p0+tile, k)
-				for j0 := int64(0); j0 < n; j0 += tile {
-					jMax := min64(j0+tile, n)
-					for i := i0; i < iMax; i++ {
-						for p := p0; p < pMax; p++ {
-							av := a[i*k+p]
-							base := p * n
-							ci := i * n
-							for j := j0; j < jMax; j++ {
-								c[ci+j] += av * b[base+j]
-							}
-						}
-					}
-				}
+// Gemm computes C[m,n] = A[m,k] × B[k,n] — the one float32 GEMM loop
+// nest, under MatMul, the Gemm op and im2col Conv. The ikj order streams
+// a contiguous B row into a contiguous C row per A element; every
+// c[i,j] accumulates its k products in ascending p from zero.
+func Gemm(a, b []float32, m, k, n int64, c []float32) {
+	for i := int64(0); i < m; i++ {
+		ci := c[i*n : (i+1)*n]
+		clear(ci)
+		for p := int64(0); p < k; p++ {
+			av := a[i*k+p]
+			bp := b[p*n : (p+1)*n]
+			for j := range ci {
+				ci[j] += av * bp[j]
 			}
 		}
 	}
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+// gemmRows stripes Gemm's output rows across the thread budget. Stripes
+// write disjoint rows and a row's arithmetic does not depend on its
+// stripe, so the result is bit-identical for any budget.
+func gemmRows(threads int, a, b []float32, m, k, n int64, c []float32) {
+	if threads <= 1 {
+		// The stripe closure below is a heap allocation per call; a
+		// depthwise conv calls here once per group.
+		Gemm(a, b, m, k, n, c)
+		return
 	}
-	return b
+	ParallelForGrain(threads, m, rowGrain(k*n), func(lo, hi int64) {
+		Gemm(a[lo*k:hi*k], b, hi-lo, k, n, c[lo*n:hi*n])
+	})
 }
 
 // matmulKernel implements ONNX MatMul with batch broadcasting. The
-// "variant" node attribute (set by the MVC pass) selects the schedule;
-// the intra-op budget stripes output rows via GemmParallel (bit-identical
-// to the sequential schedule — per-element accumulation order is
-// unchanged by row striping).
+// intra-op budget stripes batch entries when there are several and
+// output rows otherwise.
 func matmulKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 2, "MatMul"); err != nil {
 		return nil, err
@@ -141,6 +50,9 @@ func matmulKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Te
 	a, b := in[0], in[1]
 	if a.Rank() < 2 || b.Rank() < 2 {
 		return nil, fmt.Errorf("MatMul: ranks %d,%d unsupported", a.Rank(), b.Rank())
+	}
+	if a.DType != tensor.Float32 || (b.DType != tensor.Float32 && !b.DType.IsQuantized()) {
+		return nil, fmt.Errorf("MatMul: unsupported dtypes %v,%v", a.DType, b.DType)
 	}
 	m := a.Shape[a.Rank()-2]
 	k := a.Shape[a.Rank()-1]
@@ -163,10 +75,6 @@ func matmulKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Te
 		}
 		return []*tensor.Tensor{out}, nil
 	}
-	variant := GemmVariant(n.AttrInt("variant", int64(GemmTiledRegular)))
-	if v := n.AttrInt("auto_variant", 0); v != 0 {
-		variant = SelectGemmVariant(m, k, nn)
-	}
 	// Batch entries walk A and B by their own (possibly broadcast) batch
 	// strides. With several entries the budget stripes across them (each
 	// writes a disjoint out slab); a single large matmul stripes rows.
@@ -182,7 +90,7 @@ func matmulKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Te
 			for i := int64(0); i < c.n; i++ {
 				aOff := (c.off[0] + i*w.inner(0)) * m * k
 				bOff := (c.off[1] + i*w.inner(1)) * k * nn
-				GemmParallel(variant, rowThreads, a.F[aOff:aOff+m*k], b.F[bOff:bOff+k*nn], m, k, nn, out.F[bi*m*nn:(bi+1)*m*nn])
+				gemmRows(rowThreads, a.F[aOff:aOff+m*k], b.F[bOff:bOff+k*nn], m, k, nn, out.F[bi*m*nn:(bi+1)*m*nn])
 				bi++
 			}
 		}
@@ -190,53 +98,43 @@ func matmulKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Te
 	return []*tensor.Tensor{out}, nil
 }
 
+// gemmKernel implements the ONNX Gemm op: alpha·op(A)·op(B) + beta·C. A
+// transposed operand is packed row-major once so the shared loop nest
+// streams it.
 func gemmKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 2, "Gemm"); err != nil {
 		return nil, err
 	}
 	// Gemm's transpose attributes make a fused packed path unattractive;
-	// quantized operands (rare here — MVC routes weights at MatMul/Conv)
+	// quantized operands (rare here — weights are packed at MatMul/Conv)
 	// unpack up front.
 	a, b := dequantIfNeeded(in[0]), dequantIfNeeded(in[1])
+	if a.Rank() != 2 || b.Rank() != 2 {
+		return nil, fmt.Errorf("Gemm: ranks %d,%d unsupported", a.Rank(), b.Rank())
+	}
+	if a.DType != tensor.Float32 || b.DType != tensor.Float32 {
+		return nil, fmt.Errorf("Gemm: unsupported dtypes %v,%v", a.DType, b.DType)
+	}
 	alpha := float32(n.AttrFloat("alpha", 1))
 	beta := float32(n.AttrFloat("beta", 1))
-	transA := n.AttrInt("transA", 0) != 0
-	transB := n.AttrInt("transB", 0) != 0
+	if n.AttrInt("transA", 0) != 0 {
+		a = transpose2D(a)
+	}
+	if n.AttrInt("transB", 0) != 0 {
+		b = transpose2D(b)
+	}
 	am, ak := a.Shape[0], a.Shape[1]
-	if transA {
-		am, ak = ak, am
-	}
 	bk, bn := b.Shape[0], b.Shape[1]
-	if transB {
-		bk, bn = bn, bk
-	}
 	if ak != bk {
 		return nil, fmt.Errorf("Gemm: inner dims %d vs %d", ak, bk)
 	}
 	out := tensor.New(tensor.Float32, am, bn)
-	at := func(i, p int64) float32 {
-		if transA {
-			return a.F[p*a.Shape[1]+i]
+	gemmRows(threads, a.F, b.F, am, ak, bn, out.F)
+	if alpha != 1 {
+		for i := range out.F {
+			out.F[i] *= alpha
 		}
-		return a.F[i*a.Shape[1]+p]
 	}
-	bt := func(p, j int64) float32 {
-		if transB {
-			return b.F[j*b.Shape[1]+p]
-		}
-		return b.F[p*b.Shape[1]+j]
-	}
-	ParallelForGrain(threads, am, rowGrain(ak*bn), func(iLo, iHi int64) {
-		for i := iLo; i < iHi; i++ {
-			for j := int64(0); j < bn; j++ {
-				var acc float32
-				for p := int64(0); p < ak; p++ {
-					acc += at(i, p) * bt(p, j)
-				}
-				out.F[i*bn+j] = alpha * acc
-			}
-		}
-	})
 	if len(in) > 2 && in[2] != nil && beta != 0 {
 		c := in[2]
 		cs := tensor.BroadcastStrides(c.Shape, out.Shape)
@@ -247,13 +145,14 @@ func gemmKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tens
 	return []*tensor.Tensor{out}, nil
 }
 
+// transpose2D returns the row-major transpose of a rank-2 tensor.
+func transpose2D(x *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(x.DType, x.Shape[1], x.Shape[0])
+	copyWalk(out, x, newWalk(out.Shape, tensor.Strides(out.Shape), tensor.PermuteStrides(x.Shape, []int64{1, 0})))
+	return out
+}
+
 func init() {
-	register("MatMul", func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
-		return matmulKernel(n, in, 1)
-	})
-	registerBudgeted("MatMul", matmulKernel)
-	register("Gemm", func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
-		return gemmKernel(n, in, 1)
-	})
-	registerBudgeted("Gemm", gemmKernel)
+	registerThreaded("MatMul", matmulKernel)
+	registerThreaded("Gemm", gemmKernel)
 }

@@ -245,20 +245,11 @@ func instanceNormKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*ten
 	return groupNormKernel(clone, in, threads)
 }
 
-// registerNorm installs both the sequential and budgeted registrations
-// of a row-parallel normalization kernel.
-func registerNorm(op string, k BudgetedKernel) {
-	register(op, func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
-		return k(n, in, 1)
-	})
-	registerBudgeted(op, k)
-}
-
 func init() {
-	registerNorm("Softmax", softmaxKernel(false))
-	registerNorm("LogSoftmax", softmaxKernel(true))
-	registerNorm("LayerNormalization", layerNormKernel)
-	registerNorm("BatchNormalization", batchNormKernel)
-	registerNorm("GroupNormalization", groupNormKernel)
-	registerNorm("InstanceNormalization", instanceNormKernel)
+	registerThreaded("Softmax", softmaxKernel(false))
+	registerThreaded("LogSoftmax", softmaxKernel(true))
+	registerThreaded("LayerNormalization", layerNormKernel)
+	registerThreaded("BatchNormalization", batchNormKernel)
+	registerThreaded("GroupNormalization", groupNormKernel)
+	registerThreaded("InstanceNormalization", instanceNormKernel)
 }

@@ -1,12 +1,6 @@
 package kernels
 
-import (
-	"fmt"
-	"sync"
-
-	"repro/internal/graph"
-	"repro/internal/tensor"
-)
+import "sync"
 
 // parGrain is the minimum number of scalar elements a stripe must own
 // before ParallelFor spawns a goroutine for it. Below this, goroutine
@@ -56,42 +50,4 @@ func ParallelForGrain(threads int, n, grain int64, f func(lo, hi int64)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// BudgetedKernel executes one operator with an intra-op thread budget.
-// Implementations must produce bit-identical outputs for every budget
-// (stripes are disjoint and per-element arithmetic order is unchanged).
-type BudgetedKernel func(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error)
-
-var budgeted = map[string]BudgetedKernel{}
-
-// registerBudgeted installs a thread-budget-aware kernel variant next to
-// the plain one; duplicates panic at init time.
-func registerBudgeted(op string, k BudgetedKernel) {
-	if _, dup := budgeted[op]; dup {
-		panic("kernels: duplicate budgeted " + op)
-	}
-	budgeted[op] = k
-}
-
-// HasBudgeted reports whether op has a thread-budget-aware variant.
-func HasBudgeted(op string) bool {
-	_, ok := budgeted[op]
-	return ok
-}
-
-// RunWithBudget executes the node's kernel with an intra-op thread
-// budget. Ops without a budgeted variant (or budget <= 1) fall back to
-// the plain sequential kernel; results are bit-identical either way.
-func RunWithBudget(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
-	if threads > 1 {
-		if bk, ok := budgeted[n.OpType]; ok {
-			out, err := bk(n, in, threads)
-			if err != nil {
-				return nil, fmt.Errorf("kernels: %s(%s): %w", n.OpType, n.Name, err)
-			}
-			return out, nil
-		}
-	}
-	return Run(n, in)
 }

@@ -24,7 +24,7 @@ func TestGemmQuantMatchesDequantGemm(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := make([]float32, s.m*s.n)
-			Gemm(GemmNaive, a.F, bq.Dequantize().F, s.m, s.k, s.n, want)
+			refGemm(a.F, bq.Dequantize().F, s.m, s.k, s.n, want)
 			got := make([]float32, s.m*s.n)
 			GemmQuant(bq.Q, a.F, s.m, s.k, s.n, got)
 			for i := range got {
@@ -47,7 +47,7 @@ func TestGemmQuantLHSMatchesDequant(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := make([]float32, m*n)
-		Gemm(GemmNaive, wq.Dequantize().F, b.F, m, k, n, want)
+		refGemm(wq.Dequantize().F, b.F, m, k, n, want)
 		got := make([]float32, m*n)
 		GemmQuantLHS(wq.Q, 0, m, b.F, k, n, got)
 		for i := range got {
@@ -69,13 +69,7 @@ func TestGemmQuantLHSMatchesDequant(t *testing.T) {
 func runOp(t *testing.T, op string, attrs map[string]graph.AttrValue, threads int, in ...*tensor.Tensor) *tensor.Tensor {
 	t.Helper()
 	n := &graph.Node{Name: "t", OpType: op, Attrs: attrs}
-	var out []*tensor.Tensor
-	var err error
-	if threads > 1 {
-		out, err = RunWithBudget(n, in, threads)
-	} else {
-		out, err = Run(n, in)
-	}
+	out, err := RunWithBudget(n, in, threads)
 	if err != nil {
 		t.Fatalf("%s: %v", op, err)
 	}
@@ -122,22 +116,6 @@ func TestConvKernelQuantized(t *testing.T) {
 	}
 }
 
-func TestConvKernelQuantizedDirectVariant(t *testing.T) {
-	rng := tensor.NewRNG(15)
-	x := tensor.RandomFloats(rng, 1, 1, 2, 7, 7)
-	w := tensor.RandomFloats(rng, 1, 4, 2, 1, 1) // cin*kh*kw < 32 → direct
-	wq, err := tensor.Quantize(w, tensor.Int8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	attrs := map[string]graph.AttrValue{"auto_variant": graph.IntAttr(1)}
-	want := runOp(t, "Conv", attrs, 1, x, wq.Dequantize())
-	got := runOp(t, "Conv", attrs, 1, x, wq)
-	if !tensor.AllClose(got, want, 1e-4) {
-		t.Fatal("direct-variant quantized Conv diverges")
-	}
-}
-
 func TestElementwiseQuantized(t *testing.T) {
 	rng := tensor.NewRNG(16)
 	x := tensor.RandomFloats(rng, 1, 5, 40)
@@ -179,10 +157,9 @@ func benchGemm(b *testing.B, m, k, n int64, format tensor.DType) {
 	w := tensor.RandomFloats(rng, 1, k, n)
 	c := make([]float32, m*n)
 	if format == tensor.Float32 {
-		variant := SelectGemmVariant(m, k, n)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			Gemm(variant, a.F, w.F, m, k, n, c)
+			Gemm(a.F, w.F, m, k, n, c)
 		}
 		return
 	}

@@ -537,25 +537,14 @@ func testGemmMatMulDifferential(t *testing.T) {
 		sameBits(t, fmt.Sprint("Gemm bias ", cs), runOp(t, "Gemm", attrs, 1, a, b, c), want)
 	}
 
+	// MatMul's batch offsets: every broadcast pairing of batch dims.
 	for _, p := range [][2][]int64{
 		{{}, {}}, {{3}, {}}, {{}, {3}}, {{2, 3}, {3}}, {{2, 1}, {1, 3}}, {{2, 1, 3}, {4, 1}},
 		{{0}, {1}}, {{2, 3}, {2, 3}}, {{1, 1}, {2, 2}},
 	} {
-		batch, err := tensor.BroadcastShapes(p[0], p[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := randTensor(rng, tensor.Float32, append(append([]int64{}, p[0]...), m, k))
-		y := randTensor(rng, tensor.Float32, append(append([]int64{}, p[1]...), k, n))
-		want := tensor.New(tensor.Float32, append(append([]int64{}, batch...), m, n)...)
-		for bi := int64(0); bi < tensor.NumElems(batch); bi++ {
-			xo := refBroadcastIndex(p[0], batch, bi) * m * k
-			yo := refBroadcastIndex(p[1], batch, bi) * k * n
-			Gemm(GemmTiledRegular, x.F[xo:xo+m*k], y.F[yo:yo+k*n], m, k, n, want.F[bi*m*n:(bi+1)*m*n])
-		}
-		for threads := 1; threads <= 4; threads++ {
-			sameBits(t, fmt.Sprint("MatMul batch ", p, " threads ", threads), runOp(t, "MatMul", nil, threads, x, y), want)
-		}
+		diffMatMul(t,
+			randTensor(rng, tensor.Float32, append(append([]int64{}, p[0]...), m, k)),
+			randTensor(rng, tensor.Float32, append(append([]int64{}, p[1]...), k, n)))
 	}
 }
 

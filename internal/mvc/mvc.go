@@ -4,14 +4,15 @@
 // skinny, tiny matrix regimes — prunes versions that RDP proves
 // unreachable, and runs a genetic-algorithm auto-tuner over tiling/unroll
 // schedules with a deterministic analytic fitness function to pick each
-// version's parameters.
+// version's parameters. The plan is a cost-model input, like
+// fusion.Plan: it prices versions, and no kernel consumes it — every
+// MatMul and Conv runs the one loop nest in internal/kernels.
 package mvc
 
 import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/kernels"
 	"repro/internal/lattice"
 	"repro/internal/symbolic"
 	"repro/internal/tensor"
@@ -64,7 +65,6 @@ func RegimeOf(m, n int64) Regime {
 type Version struct {
 	Regime  Regime
 	DType   tensor.DType
-	Gemm    kernels.GemmVariant
 	Tile    int
 	Unroll  int
 	Threads int
@@ -160,14 +160,6 @@ func BuildPlan(g *graph.Graph, infos map[string]lattice.Info, lo, hi int64) *Pla
 		p.TotalVersions += len(nv.Versions)
 	}
 	return p
-}
-
-// Apply annotates hotspot nodes so the kernels select the tuned variant
-// for the runtime shape.
-func (p *Plan) Apply() {
-	for _, h := range p.Hotspots {
-		h.Node.Attrs["auto_variant"] = graph.IntAttr(1)
-	}
 }
 
 // SelectVersion picks the version covering a concrete shape.
@@ -279,16 +271,6 @@ func TuneRegime(r Regime) Version {
 	sort.Slice(pop, func(i, j int) bool { return fitness(r, pop[i]) > fitness(r, pop[j]) })
 	best := pop[0]
 	v := Version{Regime: r, Tile: best.tile, Unroll: best.unroll, Threads: best.threads}
-	switch r {
-	case RegimeTiny:
-		v.Gemm = kernels.GemmTiny
-	case RegimeFat:
-		v.Gemm = kernels.GemmRowMajorFat
-	case RegimeSkinny:
-		v.Gemm = kernels.GemmColMajorSkinny
-	default:
-		v.Gemm = kernels.GemmTiledRegular
-	}
 	// Tuned efficiency: regime-specialized schedules beat the generic
 	// dynamic-shape kernel (fitness ∈ (0,1]; map to [1.0, 1.6]).
 	v.Efficiency = 1.0 + 0.6*fitness(r, best)
