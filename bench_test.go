@@ -76,17 +76,48 @@ func BenchmarkGemm(b *testing.B) {
 	}
 }
 
-// BenchmarkConv measures the im2col + GEMM convolution end to end.
+// BenchmarkConv measures the Conv kernel end to end (unfold, GEMM, bias)
+// on the models' real convolutions: the residual 3×3s at stride 1 and 2,
+// the 3→c stems, SegmentAnything's 8×8 stride-8 patchify, YOLO-V6's 1×1
+// neck and Conformer's depthwise 3×3 over a [L/4, 1] plane.
 func BenchmarkConv(b *testing.B) {
-	rng := tensor.NewRNG(5)
-	x := tensor.RandomFloats(rng, 1, 1, 16, 56, 56)
-	w := tensor.RandomFloats(rng, 1, 32, 16, 3, 3)
-	n := &graph.Node{Name: "c", OpType: "Conv", Outputs: []string{"y"},
-		Attrs: map[string]graph.AttrValue{"pads": graph.IntsAttr(1, 1, 1, 1)}}
-	for i := 0; i < b.N; i++ {
-		if _, err := kernels.Run(n, []*tensor.Tensor{x, w}); err != nil {
-			b.Fatal(err)
+	for _, cv := range []struct {
+		name                  string
+		cin, hw, w, cout      int64
+		k, stride, pad, group int64
+	}{
+		{"3x3s1_16to32_56x56", 16, 56, 56, 32, 3, 1, 1, 1},
+		{"3x3s2_16to32_56x56", 16, 56, 56, 32, 3, 2, 1, 1},
+		{"stem3x3s2_3to16_224x224", 3, 224, 224, 16, 3, 2, 1, 1},
+		{"stem3x3s1_3to8_128x128", 3, 128, 128, 8, 3, 1, 1, 1},
+		{"patchify8x8s8_3to32_128x128", 3, 128, 128, 32, 8, 8, 0, 1},
+		{"1x1_128to32_14x14", 128, 14, 14, 32, 1, 1, 0, 1},
+		{"depthwise3x3_32_96x1", 32, 96, 1, 32, 3, 1, 1, 32},
+	} {
+		rng := tensor.NewRNG(5)
+		in := []*tensor.Tensor{
+			tensor.RandomFloats(rng, 1, 1, cv.cin, cv.hw, cv.w),
+			tensor.RandomFloats(rng, 1, cv.cout, cv.cin/cv.group, cv.k, cv.k),
+			tensor.RandomFloats(rng, 1, cv.cout),
 		}
+		n := &graph.Node{Name: "c", OpType: "Conv", Outputs: []string{"y"},
+			Attrs: map[string]graph.AttrValue{
+				"strides": graph.IntsAttr(cv.stride, cv.stride),
+				"pads":    graph.IntsAttr(cv.pad, cv.pad, cv.pad, cv.pad),
+				"group":   graph.IntAttr(cv.group),
+			}}
+		b.Run(cv.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var out []*tensor.Tensor
+			for i := 0; i < b.N; i++ {
+				var err error
+				if out, err = kernels.Run(n, in); err != nil {
+					b.Fatal(err)
+				}
+			}
+			flops := 2 * out[0].Len() * cv.cin / cv.group * cv.k * cv.k
+			b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 

@@ -59,6 +59,18 @@ func TestGemmConvShapeErrorsAreTyped(t *testing.T) {
 			[]*tensor.Tensor{tensor.New(tensor.Int64, 2, 3), f(3, 2)}, "unsupported dtypes"},
 		{"rank-1 gemm operand", "Gemm", nil,
 			[]*tensor.Tensor{f(3), f(3, 2)}, "ranks 1,2"},
+		{"one pool kernel extent", "MaxPool", map[string]graph.AttrValue{"kernel_shape": graph.IntsAttr(2)},
+			[]*tensor.Tensor{f(1, 1, 4, 4)}, "2 kernel_shape"},
+		{"one pool stride", "AveragePool", map[string]graph.AttrValue{"kernel_shape": graph.IntsAttr(2, 2), "strides": graph.IntsAttr(2)},
+			[]*tensor.Tensor{f(1, 1, 4, 4)}, "2 strides"},
+		{"two pool pads", "MaxPool", map[string]graph.AttrValue{"kernel_shape": graph.IntsAttr(2, 2), "pads": graph.IntsAttr(1, 1)},
+			[]*tensor.Tensor{f(1, 1, 4, 4)}, "4 pads"},
+		{"zero pool stride", "MaxPool", map[string]graph.AttrValue{"kernel_shape": graph.IntsAttr(2, 2), "strides": graph.IntsAttr(1, 0)},
+			[]*tensor.Tensor{f(1, 1, 4, 4)}, "non-positive strides"},
+		{"int64 pool input", "AveragePool", map[string]graph.AttrValue{"kernel_shape": graph.IntsAttr(2, 2)},
+			[]*tensor.Tensor{tensor.New(tensor.Int64, 1, 1, 4, 4)}, "float32 input"},
+		{"pool window taller than input", "MaxPool", map[string]graph.AttrValue{"kernel_shape": graph.IntsAttr(9, 2)},
+			[]*tensor.Tensor{f(1, 1, 4, 4)}, "non-positive output"},
 	} {
 		g := graph.New("bad")
 		inputs := map[string]*tensor.Tensor{}

@@ -70,93 +70,154 @@ func convKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tens
 	if err != nil {
 		return nil, err
 	}
-	var bias *tensor.Tensor
+	var biasF []float32
 	if len(in) > 2 && in[2] != nil {
-		bias = in[2]
+		bias := in[2]
 		if bias.DType != tensor.Float32 || bias.Len() != a.cout {
 			return nil, fmt.Errorf("Conv: bias %v%v, want %d float32 values", bias.DType, bias.Shape, a.cout)
 		}
+		biasF = bias.F
+	}
+	if k := a.cinPerGroup * a.kh * a.kw; w.DType.IsQuantized() && (w.Q.Rows != a.cout || w.Q.Cols != k) {
+		return nil, fmt.Errorf("Conv: quantized weight grid %dx%d does not match [%d,%d]",
+			w.Q.Rows, w.Q.Cols, a.cout, k)
 	}
 	out := tensor.New(tensor.Float32, a.n, a.cout, a.outH, a.outW)
-	if w.DType.IsQuantized() {
-		if err := convIm2colQuant(x, w, out, a, threads); err != nil {
-			return nil, err
-		}
-	} else {
-		convIm2col(x, w, out, a, threads)
-	}
-	if bias != nil {
-		addConvBias(bias, out, a)
+	if out.Len() > 0 {
+		convIm2col(x, w, biasF, out, a, threads)
 	}
 	return []*tensor.Tensor{out}, nil
 }
 
-// addConvBias adds the per-channel bias in place.
-func addConvBias(bias, out *tensor.Tensor, a conv2dArgs) {
-	plane := a.outH * a.outW
-	for b := int64(0); b < a.n; b++ {
-		for c := int64(0); c < a.cout; c++ {
-			base := (b*a.cout + c) * plane
-			bv := bias.F[c]
-			for i := int64(0); i < plane; i++ {
-				out.F[base+i] += bv
+// panelRows is the number of whole output rows one im2col panel
+// unfolds: as many as fit a gemmNC-wide GEMM block, and at least one.
+func (a *conv2dArgs) panelRows() int64 {
+	return min(a.outH, max(1, gemmNC/a.outW))
+}
+
+// panels is the number of panels that cover one output plane.
+func (a *conv2dArgs) panels() int64 {
+	rows := a.panelRows()
+	return (a.outH + rows - 1) / rows
+}
+
+// convIm2col lowers convolution to GEMM a panel at a time: per (batch,
+// group), each block of panelRows output rows is unfolded into a
+// [cinPerGroup*kh*kw, width] scratch and multiplied by the weight matrix
+// [coutPerGroup, cinPerGroup*kh*kw] straight into those rows of the
+// output. The intra-op budget stripes the (batch, group, panel) units;
+// a unit's arithmetic does not depend on its stripe, so the result is
+// bit-identical for any budget.
+func convIm2col(x, w *tensor.Tensor, bias []float32, out *tensor.Tensor, a conv2dArgs, threads int) {
+	units := a.n * a.group * a.panels()
+	if threads <= 1 {
+		// convStripes' closure captures a, which is past the size a
+		// closure holds by value: mentioning it here would move a to the
+		// heap on every call, striped or not.
+		convPanels(x, w, bias, out, a, 0, units)
+		return
+	}
+	convStripes(x, w, bias, out, a, threads, units)
+}
+
+func convStripes(x, w *tensor.Tensor, bias []float32, out *tensor.Tensor, a conv2dArgs, threads int, units int64) {
+	grain := rowGrain(a.cout / a.group * a.cinPerGroup * a.kh * a.kw * a.panelRows() * a.outW)
+	ParallelForGrain(threads, units, grain, func(lo, hi int64) {
+		convPanels(x, w, bias, out, a, lo, hi)
+	})
+}
+
+// convPanels computes units [lo, hi) of the (batch, group, panel) space
+// out of one panel scratch. The filter may be float32 or packed; the
+// bias goes on while the panel's output block is still in cache.
+func convPanels(x, w *tensor.Tensor, bias []float32, out *tensor.Tensor, a conv2dArgs, lo, hi int64) {
+	coutPerGroup := a.cout / a.group
+	k := a.cinPerGroup * a.kh * a.kw
+	cols := a.outH * a.outW
+	rows, panels := a.panelRows(), a.panels()
+	panel := make([]float32, k*rows*a.outW)
+	var wRow []float32
+	if w.DType.IsQuantized() {
+		wRow = make([]float32, k)
+	}
+	for u := lo; u < hi; u++ {
+		b, g, oh0 := u/panels/a.group, u/panels%a.group, u%panels*rows
+		oh1 := min(oh0+rows, a.outH)
+		width := (oh1 - oh0) * a.outW
+		im2colPanel(x.F, panel, &a, b, g, oh0, oh1)
+		// GEMM: [coutPerGroup, k] × [k, width], C rows a full plane apart.
+		rowLo := g * coutPerGroup
+		c := out.F[(b*a.cout+rowLo)*cols+oh0*a.outW:]
+		if wRow != nil {
+			GemmQuantLHS(w.Q, rowLo, rowLo+coutPerGroup, wRow, panel, width, c, cols, width)
+		} else {
+			gemmBlock(w.F[rowLo*k:(rowLo+coutPerGroup)*k], panel, width, c, cols, coutPerGroup, k, width)
+		}
+		if bias != nil {
+			for oc := int64(0); oc < coutPerGroup; oc++ {
+				bv := bias[rowLo+oc]
+				seg := c[oc*cols : oc*cols+width]
+				for j := range seg {
+					seg[j] += bv
+				}
 			}
 		}
 	}
 }
 
-// convIm2col lowers convolution to GEMM: per (batch, group), build the
-// patch matrix [cinPerGroup*kh*kw, outH*outW] and multiply by the weight
-// matrix [coutPerGroup, cinPerGroup*kh*kw]. The intra-op budget stripes
-// the GEMM's output rows.
-func convIm2col(x, w, out *tensor.Tensor, a conv2dArgs, threads int) {
-	coutPerGroup := a.cout / a.group
-	k := a.cinPerGroup * a.kh * a.kw
-	cols := a.outH * a.outW
-	patch := make([]float32, k*cols)
-	for b := int64(0); b < a.n; b++ {
-		for g := int64(0); g < a.group; g++ {
-			im2colPatch(x, patch, a, b, g, cols)
-			// GEMM: [coutPerGroup, k] × [k, cols]
-			wMat := w.F[g*coutPerGroup*k : (g+1)*coutPerGroup*k]
-			outMat := out.F[((b*a.cout)+g*coutPerGroup)*cols : ((b*a.cout)+(g+1)*coutPerGroup)*cols]
-			gemmRows(threads, wMat, patch, coutPerGroup, k, cols, outMat)
-		}
-	}
+// validSpan returns the span [lo, hi) of output positions o in [0, n)
+// whose input position o*stride+off lies in [0, extent).
+func validSpan(off, stride, extent, n int64) (lo, hi int64) {
+	lo = min(n, max(0, (-off+stride-1)/stride))
+	hi = min(n, max(lo, (extent-off+stride-1)/stride))
+	return lo, hi
 }
 
-// im2colPatch fills patch [cinPerGroup*kh*kw, cols] for one (batch,
-// group) pair — shared by the float and quantized im2col paths.
-func im2colPatch(x *tensor.Tensor, patch []float32, a conv2dArgs, b, g, cols int64) {
+// im2colPanel unfolds output rows [oh0, oh1) of one (batch, group) pair
+// into panel [cinPerGroup*kh*kw, (oh1-oh0)*outW]. A filter tap reads
+// inside the image over one span of oh and one span of ow, so a patch
+// row is a cleared block above, a cleared block below and, per row in
+// between, a cleared fringe either side of one copy (stride 1) or one
+// strided read — no bounds test per element.
+func im2colPanel(x, panel []float32, a *conv2dArgs, b, g, oh0, oh1 int64) {
+	width := (oh1 - oh0) * a.outW
 	row := int64(0)
 	for ic := int64(0); ic < a.cinPerGroup; ic++ {
-		inC := g*a.cinPerGroup + ic
-		base := (b*a.cin + inC) * a.h * a.w
+		base := (b*a.cin + g*a.cinPerGroup + ic) * a.h * a.w
 		for kh := int64(0); kh < a.kh; kh++ {
+			ih0 := kh*a.dilH - a.padT
+			ohLo, ohHi := validSpan(ih0, a.strideH, a.h, a.outH)
+			ohLo, ohHi = min(max(ohLo, oh0), oh1), min(max(ohHi, oh0), oh1)
 			for kw := int64(0); kw < a.kw; kw++ {
-				dst := patch[row*cols : (row+1)*cols]
-				idx := int64(0)
-				for oh := int64(0); oh < a.outH; oh++ {
-					ih := oh*a.strideH - a.padT + kh*a.dilH
-					if ih < 0 || ih >= a.h {
-						for ow := int64(0); ow < a.outW; ow++ {
-							dst[idx] = 0
-							idx++
-						}
+				dst := panel[row*width : (row+1)*width]
+				row++
+				iw0 := kw*a.dilW - a.padL
+				owLo, owHi := validSpan(iw0, a.strideW, a.w, a.outW)
+				if owLo == owHi || ohLo >= ohHi {
+					clear(dst)
+					continue
+				}
+				clear(dst[:(ohLo-oh0)*a.outW])
+				clear(dst[(ohHi-oh0)*a.outW:])
+				for oh := ohLo; oh < ohHi; oh++ {
+					seg := dst[(oh-oh0)*a.outW : (oh-oh0+1)*a.outW]
+					src := x[base+(oh*a.strideH+ih0)*a.w:][:a.w]
+					if owLo > 0 {
+						clear(seg[:owLo])
+					}
+					if owHi < a.outW {
+						clear(seg[owHi:])
+					}
+					// A short interior (Conformer's [L/4, 1] plane has one
+					// element) costs more as a copy call than as the loop.
+					if a.strideW == 1 && owHi-owLo >= 8 {
+						copy(seg[owLo:owHi], src[owLo+iw0:])
 						continue
 					}
-					rowBase := base + ih*a.w
-					for ow := int64(0); ow < a.outW; ow++ {
-						iw := ow*a.strideW - a.padL + kw*a.dilW
-						if iw < 0 || iw >= a.w {
-							dst[idx] = 0
-						} else {
-							dst[idx] = x.F[rowBase+iw]
-						}
-						idx++
+					for ow := owLo; ow < owHi; ow++ {
+						seg[ow] = src[ow*a.strideW+iw0]
 					}
 				}
-				row++
 			}
 		}
 	}
@@ -168,18 +229,25 @@ func poolKernel(avg bool) Kernel {
 			return nil, err
 		}
 		x := in[0]
-		if x.Rank() != 4 {
-			return nil, fmt.Errorf("%s: rank %d unsupported", n.OpType, x.Rank())
+		if x.DType != tensor.Float32 || x.Rank() != 4 {
+			return nil, fmt.Errorf("%s: want a rank-4 float32 input, got %v rank %d", n.OpType, x.DType, x.Rank())
 		}
 		kernel := n.AttrInts("kernel_shape", nil)
-		if kernel == nil {
-			return nil, fmt.Errorf("%s: missing kernel_shape", n.OpType)
-		}
 		strides := n.AttrInts("strides", []int64{1, 1})
 		pads := n.AttrInts("pads", []int64{0, 0, 0, 0})
+		if len(kernel) != 2 || len(strides) != 2 || len(pads) != 4 {
+			// Lengths, not the slices, as in convArgsFor.
+			return nil, fmt.Errorf("%s: want 2 kernel_shape, 2 strides, 4 pads, got %d, %d, %d", n.OpType, len(kernel), len(strides), len(pads))
+		}
+		if strides[0] < 1 || strides[1] < 1 {
+			return nil, fmt.Errorf("%s: non-positive strides %dx%d", n.OpType, strides[0], strides[1])
+		}
 		N, C, H, W := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 		outH := (H+pads[0]+pads[2]-kernel[0])/strides[0] + 1
 		outW := (W+pads[1]+pads[3]-kernel[1])/strides[1] + 1
+		if outH <= 0 || outW <= 0 {
+			return nil, fmt.Errorf("%s: non-positive output %dx%d", n.OpType, outH, outW)
+		}
 		out := tensor.New(tensor.Float32, N, C, outH, outW)
 		for b := int64(0); b < N; b++ {
 			for c := int64(0); c < C; c++ {

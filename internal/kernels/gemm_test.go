@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -9,20 +10,21 @@ import (
 )
 
 // The differential oracle for the one GEMM loop nest. MatMul, the Gemm op
-// and im2col Conv are held bit-identical, at every thread budget, to two
+// and im2col Conv (float32 and packed filter) are held bit-identical, at every thread budget, to two
 // references that share no code with it: a naive p-ascending triple loop
 // and a direct convolution.
 
 var gemmBudgets = []int{1, 2, 3, 8, 64}
 
 // refGemm is the naive ijp triple loop: each c[i,j] accumulates its k
-// products in ascending p from zero.
+// products in ascending p from zero, each product rounded before it is
+// added (the conversion forbids a fused multiply-add).
 func refGemm(a, b []float32, m, k, n int64, c []float32) {
 	for i := int64(0); i < m; i++ {
 		for j := int64(0); j < n; j++ {
 			var acc float32
 			for p := int64(0); p < k; p++ {
-				acc += a[i*k+p] * b[p*n+j]
+				acc += float32(a[i*k+p] * b[p*n+j])
 			}
 			c[i*n+j] = acc
 		}
@@ -53,8 +55,8 @@ func refConvDirect(x, w, bias *tensor.Tensor, a conv2dArgs) *tensor.Tensor {
 								if iw < 0 || iw >= a.w {
 									continue
 								}
-								acc += x.F[((b*a.cin+inC)*a.h+ih)*a.w+iw] *
-									w.F[((c*a.cinPerGroup+ic)*a.kh+kh)*a.kw+kw]
+								acc += float32(x.F[((b*a.cin+inC)*a.h+ih)*a.w+iw] *
+									w.F[((c*a.cinPerGroup+ic)*a.kh+kh)*a.kw+kw])
 							}
 						}
 					}
@@ -181,6 +183,33 @@ func TestGemmDifferential(t *testing.T) {
 				randTensor(rng, tensor.Float32, append(append([]int64{}, bp[1]...), k, n)))
 		}
 	})
+	t.Run("BlockSeams", func(t *testing.T) {
+		// Gemm on a dirty C: column counts 0-17 (every % 8 tail, with and
+		// without an assembly prefix), one either side of a gemmNC block
+		// and several blocks, against every k % 4 and a k of
+		// zero, which must still clear C.
+		rng := tensor.NewRNG(34)
+		ns := []int64{gemmNC - 1, gemmNC, gemmNC + 1, 2*gemmNC + 13, 3 * gemmNC}
+		for n := int64(0); n <= 17; n++ {
+			ns = append(ns, n)
+		}
+		for _, n := range ns {
+			for k := int64(0); k <= 9; k++ {
+				for _, m := range []int64{0, 1, 3} {
+					a, b := randTensor(rng, tensor.Float32, []int64{m, k}), randTensor(rng, tensor.Float32, []int64{k, n})
+					want, got := tensor.New(tensor.Float32, m, n), randTensor(rng, tensor.Float32, []int64{m, n})
+					refGemm(a.F, b.F, m, k, n, want.F)
+					Gemm(a.F, b.F, m, k, n, got.F)
+					sameBits(t, fmt.Sprint("Gemm ", m, k, n), got, want)
+				}
+			}
+		}
+		// Through MatMul, wide enough that the budget stripes rows of a
+		// multi-block product.
+		for _, n := range []int64{gemmNC - 1, gemmNC + 1, 2*gemmNC + 13} {
+			diffMatMul(t, randTensor(rng, tensor.Float32, []int64{2, 9, 7}), randTensor(rng, tensor.Float32, []int64{7, n}))
+		}
+	})
 	t.Run("GemmOp", func(t *testing.T) {
 		rng := tensor.NewRNG(32)
 		for _, sh := range [][3]int64{{5, 4, 6}, {1, 7, 1}, {0, 3, 2}, {3, 0, 2}, {33, 40, 65}} {
@@ -232,6 +261,87 @@ func TestGemmDifferential(t *testing.T) {
 			diffConv(t, attrs, x, w, bias)
 		}
 	})
+	t.Run("ConvPanelSeams", func(t *testing.T) {
+		rng := tensor.NewRNG(35)
+		for _, tc := range []struct {
+			name                string
+			x, w                []int64 // [n, cin, h, w], [cout, cin/group, kh, kw]
+			strides, dils, pads []int64
+			group               int64
+		}{
+			// outH·outW one under, at and one over gemmNC, then several
+			// panels with a short last one.
+			{"511 columns", []int64{1, 3, 73, 7}, []int64{5, 3, 1, 1}, nil, nil, nil, 1},
+			{"512 columns", []int64{1, 3, 16, 32}, []int64{5, 3, 3, 3}, nil, nil, []int64{1, 1, 1, 1}, 1},
+			{"513 columns", []int64{1, 3, 19, 27}, []int64{5, 3, 3, 3}, nil, nil, []int64{1, 1, 1, 1}, 1},
+			{"outW 30 does not divide gemmNC", []int64{2, 4, 40, 30}, []int64{6, 2, 3, 3}, nil, nil, []int64{1, 1, 1, 1}, 2},
+			{"depthwise over several panels", []int64{1, 4, 50, 24}, []int64{4, 1, 3, 3}, nil, nil, []int64{1, 1, 1, 1}, 4},
+			// One output row per panel, each wider than a GEMM block.
+			{"outW over gemmNC", []int64{1, 2, 4, gemmNC + 9}, []int64{3, 2, 3, 3}, nil, nil, []int64{1, 1, 1, 1}, 1},
+			{"outW over gemmNC, stride 2", []int64{1, 2, 5, 2*gemmNC + 40}, []int64{3, 2, 3, 2}, []int64{2, 2}, nil, []int64{0, 1, 1, 0}, 1},
+			// k % 4 = 1, 2, 3, 0 through cin·kh·kw.
+			{"k 5", []int64{1, 5, 30, 30}, []int64{4, 5, 1, 1}, nil, nil, nil, 1},
+			{"k 6", []int64{1, 1, 30, 30}, []int64{4, 1, 2, 3}, nil, nil, nil, 1},
+			{"k 27", []int64{1, 3, 30, 30}, []int64{4, 3, 3, 3}, nil, nil, []int64{1, 1, 1, 1}, 1},
+			{"k 8", []int64{1, 2, 30, 30}, []int64{4, 2, 2, 2}, nil, nil, nil, 1},
+			// Strides, dilation and pads wide enough that whole panel rows
+			// are padding: rows above and below the image, and a tap whose
+			// every column falls outside it.
+			{"stride 2, tall pads", []int64{1, 2, 20, 40}, []int64{3, 2, 3, 3}, []int64{2, 2}, nil, []int64{7, 0, 9, 3}, 1},
+			{"stride 3, dilation 2", []int64{1, 2, 33, 47}, []int64{3, 2, 3, 3}, []int64{3, 3}, []int64{2, 2}, []int64{2, 5, 4, 1}, 1},
+			{"stride 1x3, a tap all padding", []int64{1, 1, 80, 2}, []int64{2, 1, 1, 3}, []int64{1, 3}, nil, []int64{0, 7, 0, 30}, 1},
+			{"dilation 3, pads wider than the image", []int64{2, 2, 6, 5}, []int64{2, 2, 3, 3}, nil, []int64{3, 3}, []int64{12, 14, 13, 15}, 1},
+		} {
+			attrs := map[string]graph.AttrValue{"group": graph.IntAttr(tc.group)}
+			for name, v := range map[string][]int64{"strides": tc.strides, "dilations": tc.dils, "pads": tc.pads} {
+				if v != nil {
+					attrs[name] = graph.IntsAttr(v...)
+				}
+			}
+			x, w := randTensor(rng, tensor.Float32, tc.x), randTensor(rng, tensor.Float32, tc.w)
+			bias := randTensor(rng, tensor.Float32, tc.w[:1])
+			wq, err := tensor.Quantize(w, tensor.Int8, tc.w[1]*tc.w[2]*tc.w[3])
+			if err != nil {
+				t.Fatal(tc.name, err)
+			}
+			diffConv(t, attrs, x, w, nil)
+			diffConv(t, attrs, x, w, bias)
+			diffConv(t, attrs, x, wq, bias)
+		}
+		// No output channel: several panels' worth of plane, nothing to write.
+		diffConv(t, nil, randTensor(rng, tensor.Float32, []int64{1, 2, 40, 40}), tensor.New(tensor.Float32, 0, 2, 3, 3), nil)
+	})
+}
+
+// An all-zero filter tap times a NaN activation is NaN on both tiers:
+// the packed filter runs the float32 core on its dequantized rows, with
+// no skip of a zero weight.
+func TestConvQuantZeroWeightKeepsNaN(t *testing.T) {
+	rng := tensor.NewRNG(36)
+	x := randTensor(rng, tensor.Float32, []int64{1, 2, 6, 6})
+	x.F[6*6+14] = float32(math.NaN())
+	w := randTensor(rng, tensor.Float32, []int64{3, 2, 3, 3})
+	for oc := 0; oc < 3; oc++ {
+		for tap := 9; tap < 18; tap++ { // every tap on the NaN's channel
+			w.F[oc*18+tap] = 0
+		}
+	}
+	wq, err := tensor.Quantize(w, tensor.Int8, 18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrs := map[string]graph.AttrValue{"pads": graph.IntsAttr(1, 1, 1, 1)}
+	got := runOp(t, "Conv", attrs, 1, x, wq)
+	sameBits(t, "int8 vs f32 Conv", got, runOp(t, "Conv", attrs, 1, x, wq.Dequantize()))
+	nans := 0
+	for _, v := range got.F {
+		if v != v {
+			nans++
+		}
+	}
+	if nans != 3*9 {
+		t.Errorf("%d NaN outputs, want the 9 windows over the NaN on each of 3 channels", nans)
+	}
 }
 
 // The exact-shape cases earlier PRs pinned, each now a call into the
@@ -295,7 +405,7 @@ func TestConvKernelQuantizedDirectVariant(t *testing.T) {
 	diffConv(t, nil, x, wq, nil)
 }
 
-// A sequential Conv allocates its output, its patch matrix and its
+// A sequential Conv allocates its output, its panel scratch and its
 // attribute lookups — nothing per group and nothing for the GEMM (the
 // benchmark's allocs_per_req is gated at 2 %; a stripe closure per
 // depthwise group moved it by 3 %).

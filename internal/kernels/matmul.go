@@ -7,20 +7,43 @@ import (
 	"repro/internal/tensor"
 )
 
-// Gemm computes C[m,n] = A[m,k] × B[k,n] — the one float32 GEMM loop
-// nest, under MatMul, the Gemm op and im2col Conv. The ikj order streams
-// a contiguous B row into a contiguous C row per A element; every
-// c[i,j] accumulates its k products in ascending p from zero.
+// gemmNC is the width of a GEMM column block and of an im2col panel:
+// 512 floats keep a row's C segment (2 KiB) and the four B rows axpy4
+// reads against it in L1, and a block's k×gemmNC slice of B in L2 across
+// all m rows of A. EXPERIMENTS.md "GEMM core" has the 256/512/1024 sweep.
+const gemmNC = 512
+
+// Gemm computes C[m,n] = A[m,k] × B[k,n] as column blocks of gemmBlock.
 func Gemm(a, b []float32, m, k, n int64, c []float32) {
+	if m == 0 || k == 0 {
+		// No C row, or no B row, to cut column blocks from.
+		clear(c[:m*n])
+		return
+	}
+	for j := int64(0); j < n; j += gemmNC {
+		gemmBlock(a, b[j:], n, c[j:], n, m, k, min(gemmNC, n-j))
+	}
+}
+
+// gemmBlock is the one float32 GEMM loop nest, under MatMul, the Gemm
+// op, Conv and int8 Conv: C[m,w] = A[m,k] × B[k,w], with A contiguous,
+// B's rows ldb apart and C's rows ldc apart. Per A row it clears the
+// w-wide C segment and folds B's rows into it four at a time, so every
+// c[i,j] accumulates its k products in ascending p from zero whatever
+// the blocking around the call.
+func gemmBlock(a, b []float32, ldb int64, c []float32, ldc, m, k, w int64) {
 	for i := int64(0); i < m; i++ {
-		ci := c[i*n : (i+1)*n]
+		ci := c[i*ldc : i*ldc+w]
 		clear(ci)
-		for p := int64(0); p < k; p++ {
-			av := a[i*k+p]
-			bp := b[p*n : (p+1)*n]
-			for j := range ci {
-				ci[j] += av * bp[j]
-			}
+		ai := a[i*k : (i+1)*k]
+		p := int64(0)
+		for ; p+4 <= k; p += 4 {
+			o := p * ldb
+			axpy4(ci, b[o:o+w], b[o+ldb:o+ldb+w], b[o+2*ldb:o+2*ldb+w], b[o+3*ldb:o+3*ldb+w],
+				ai[p], ai[p+1], ai[p+2], ai[p+3])
+		}
+		for ; p < k; p++ {
+			axpy1(ci, b[p*ldb:p*ldb+w], ai[p])
 		}
 	}
 }
@@ -31,7 +54,7 @@ func Gemm(a, b []float32, m, k, n int64, c []float32) {
 func gemmRows(threads int, a, b []float32, m, k, n int64, c []float32) {
 	if threads <= 1 {
 		// The stripe closure below is a heap allocation per call; a
-		// depthwise conv calls here once per group.
+		// batched MatMul calls here once per batch entry.
 		Gemm(a, b, m, k, n, c)
 		return
 	}

@@ -57,30 +57,17 @@ func GemmQuant(bq *tensor.QuantData, a []float32, m, k, n int64, c []float32) {
 	}
 }
 
-// GemmQuantLHS computes C[rows,n] = dequant(W)[rowLo:rowHi,k] × B[k,n]
+// GemmQuantLHS computes C[rows,w] = dequant(W)[rowLo:rowHi,k] × B[k,w]
 // for a weight matrix quantized row-wise over k (Rows covers the output
-// channels, Cols=k) — the conv im2col orientation, where the packed
-// operand is the left matrix. Each weight row is dequantized once into
-// a scratch row and then streamed against B, so unpacking cost is
-// amortized over the n output columns.
-func GemmQuantLHS(wq *tensor.QuantData, rowLo, rowHi int64, b []float32, k, n int64, c []float32) {
-	row := make([]float32, k)
+// channels, Cols=k=len(row)) — the conv im2col orientation, where the
+// packed operand is the left matrix. Each weight row is dequantized
+// once into the caller's scratch row and then runs the float32 core as a
+// one-row A, so the arithmetic is Gemm's on the dequantized filter. B's
+// rows are ldb apart and C's ldc.
+func GemmQuantLHS(wq *tensor.QuantData, rowLo, rowHi int64, row, b []float32, ldb int64, c []float32, ldc, w int64) {
 	for i := rowLo; i < rowHi; i++ {
 		wq.DequantRow(i, row)
-		ci := c[(i-rowLo)*n : (i-rowLo+1)*n]
-		for j := range ci {
-			ci[j] = 0
-		}
-		for p := int64(0); p < k; p++ {
-			wv := row[p]
-			if wv == 0 {
-				continue
-			}
-			bp := b[p*n : (p+1)*n]
-			for j := int64(0); j < n; j++ {
-				ci[j] += wv * bp[j]
-			}
-		}
+		gemmBlock(row, b, ldb, c[(i-rowLo)*ldc:], ldc, 1, int64(len(row)), w)
 	}
 }
 
@@ -112,35 +99,6 @@ func matmulQuant(a, b *tensor.Tensor, m, k, nn int64, out *tensor.Tensor, thread
 			continue
 		}
 		GemmQuant(b.Q, a.F[bi*m*k:(bi+1)*m*k], m, k, nn, out.F[bi*m*nn:(bi+1)*m*nn])
-	}
-	return nil
-}
-
-// convIm2colQuant mirrors convIm2col with the weight matrix packed
-// row-wise over cinPerGroup*kh*kw (Rows=cout).
-func convIm2colQuant(x, w *tensor.Tensor, out *tensor.Tensor, a conv2dArgs, threads int) error {
-	coutPerGroup := a.cout / a.group
-	k := a.cinPerGroup * a.kh * a.kw
-	if w.Q.Rows != a.cout || w.Q.Cols != k {
-		return fmt.Errorf("Conv: quantized weight grid %dx%d does not match [%d,%d]",
-			w.Q.Rows, w.Q.Cols, a.cout, k)
-	}
-	cols := a.outH * a.outW
-	patch := make([]float32, k*cols)
-	for b := int64(0); b < a.n; b++ {
-		for g := int64(0); g < a.group; g++ {
-			im2colPatch(x, patch, a, b, g, cols)
-			outMat := out.F[((b*a.cout)+g*coutPerGroup)*cols : ((b*a.cout)+(g+1)*coutPerGroup)*cols]
-			rowBase := g * coutPerGroup
-			if threads > 1 && coutPerGroup > 1 {
-				ParallelForGrain(threads, coutPerGroup, rowGrain(k*cols), func(lo, hi int64) {
-					GemmQuantLHS(w.Q, rowBase+lo, rowBase+hi, patch, k, cols,
-						outMat[lo*cols:hi*cols])
-				})
-			} else {
-				GemmQuantLHS(w.Q, rowBase, rowBase+coutPerGroup, patch, k, cols, outMat)
-			}
-		}
 	}
 	return nil
 }

@@ -48,19 +48,25 @@ func TestGemmQuantLHSMatchesDequant(t *testing.T) {
 		}
 		want := make([]float32, m*n)
 		refGemm(wq.Dequantize().F, b.F, m, k, n, want)
+		// On the shared core the result is Gemm's on the dequantized
+		// filter, bit for bit.
+		row := make([]float32, k)
 		got := make([]float32, m*n)
-		GemmQuantLHS(wq.Q, 0, m, b.F, k, n, got)
+		GemmQuantLHS(wq.Q, 0, m, row, b.F, n, got, n, n)
 		for i := range got {
-			if math.Abs(float64(got[i]-want[i])) > 1e-3 {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 				t.Fatalf("%s elem %d: got %g want %g", format, i, got[i], want[i])
 			}
 		}
-		// Stripe subset: rows [3,7) must match the same slab.
-		sub := make([]float32, 4*n)
-		GemmQuantLHS(wq.Q, 3, 7, b.F, k, n, sub)
-		for i := range sub {
-			if math.Abs(float64(sub[i]-want[3*n+int64(i)])) > 1e-3 {
-				t.Fatalf("%s stripe elem %d mismatch", format, i)
+		// Stripe subset into a wider C: rows [3,7), columns [5,n) of B.
+		ldc := n + 3
+		sub := make([]float32, 4*ldc)
+		GemmQuantLHS(wq.Q, 3, 7, row, b.F[5:], n, sub, ldc, n-5)
+		for i := int64(0); i < 4; i++ {
+			for j := int64(0); j < n-5; j++ {
+				if math.Float32bits(sub[i*ldc+j]) != math.Float32bits(want[(3+i)*n+5+j]) {
+					t.Fatalf("%s stripe elem %d,%d mismatch", format, i, j)
+				}
 			}
 		}
 	}
