@@ -7,7 +7,7 @@
 //	sod2 models                         # list the ten evaluation models
 //	sod2 analyze -model CodeBERT        # dump the RDP fixed point
 //	sod2 compile -model YOLO-V6         # fusion/plan/MVC summary
-//	sod2 run -model SkipNet -size 256   # execute one inference + report
+//	sod2 run -model SkipNet -size 256   # one inference: measured + modeled report
 //	sod2 serve -model CodeBERT -addr :8080   # HTTP serving front-end
 //	sod2 sample -model CodeBERT         # wire-format request body for curl
 //	sod2 serve-bench -model BERT -requests 64 -workers 4
@@ -54,7 +54,7 @@ func main() {
 	modelName := fs.String("model", "CodeBERT", "model name (see `sod2 models`)")
 	size := fs.Int64("size", 0, "dynamic input extent (0 = model minimum)")
 	gate := fs.Float64("gate", 0.5, "control-flow gate activity in [0,1]")
-	device := fs.String("device", "sd888-cpu", "device profile: sd888-cpu|sd888-gpu|sd835-cpu|sd835-gpu")
+	device := fs.String("device", "sd888-cpu", "device profile: prices run's modeled report; scores the schedule serve/serve-bench compile: sd888-cpu|sd888-gpu|sd835-cpu|sd835-gpu")
 	requests := fs.Int("requests", 64, "serve-bench: total requests to issue")
 	workers := fs.Int("workers", 4, "serve-bench: concurrent workers")
 	distinct := fs.Int("distinct", 8, "serve-bench: distinct samples cycled through the request stream")
@@ -307,20 +307,28 @@ func runCmd(name string, size int64, gate float32, device string) {
 		fail(err)
 	}
 	s := workload.Fixed(b, 1, size, gate, 42)[0]
-	out, rep, err := c.InferOn(s.Inputs, dev)
+	out, rep, err := c.Infer(s.Inputs)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("model=%s size=%d gate=%.2f device=%s\n", name, size, gate, dev.Name)
-	fmt.Printf("latency: %.3f ms   peak memory: %.2f MB\n", rep.LatencyMS,
-		float64(rep.PeakMemBytes)/(1<<20))
-	if len(rep.Degradations) > 0 {
-		fmt.Printf("fallback tier: %s\n", rep.FallbackTier)
-		for _, d := range rep.Degradations {
-			fmt.Printf("  degraded: %s\n", d.String())
-		}
+	fmt.Printf("model=%s size=%d gate=%.2f\n", name, size, gate)
+	fmt.Printf("measured on this host: latency %.3f ms   peak memory %.2f MB   tier %s\n",
+		rep.LatencyMS, float64(rep.PeakMemBytes)/(1<<20), rep.FallbackTier)
+	for _, d := range rep.Degradations {
+		fmt.Printf("  degraded: %s\n", d.String())
 	}
-	for phase, ms := range rep.Phases {
+	// The modeled report: the evaluation engine prices its own run.
+	fc, err := frameworks.Compile(b)
+	if err != nil {
+		fail(err)
+	}
+	mrep, err := frameworks.NewSoD2(frameworks.FullSoD2()).Run(fc, s, dev)
+	if err != nil {
+		fail(err)
+	}
+	fmt.Printf("modeled on %s: latency %.3f ms   peak memory %.2f MB\n",
+		dev.Name, mrep.LatencyMS, float64(mrep.PeakMemBytes)/(1<<20))
+	for phase, ms := range mrep.Phases {
 		fmt.Printf("  %-10s %.3f ms\n", phase, ms)
 	}
 	for name, t := range out {
@@ -405,7 +413,6 @@ func serveBenchCmd(name, device string, requests, workers, distinct,
 	}
 
 	opts := sod2.SessionOptions{
-		Device:  dev,
 		Workers: workers,
 		Admission: sod2.AdmissionConfig{
 			MaxConcurrent: maxConc,

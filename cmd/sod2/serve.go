@@ -83,7 +83,6 @@ func bootServer(builders []*models.Builder, device, storeDir string,
 		}
 		fmt.Printf("  %-18s %s\n", b.Name, mode)
 		sess := c.NewSession(sod2.SessionOptions{
-			Device: dev,
 			Admission: sod2.AdmissionConfig{
 				MaxConcurrent: maxConc,
 				MaxQueue:      maxQueue,

@@ -1,8 +1,8 @@
 // Package exec is SoD²'s graph executor: it runs a computational graph
 // over concrete tensors in a chosen operator order, executes the
 // control-flow operators (<Switch, Combine>, If, Loop), tracks live
-// intermediate-result memory (the quantity Table 5 reports), and emits a
-// per-operator trace that the device cost model converts into latency.
+// intermediate-result memory (the quantity Table 5 reports), and, for an
+// observed run, emits the per-operator trace the cost model prices.
 package exec
 
 import (
@@ -24,6 +24,8 @@ const DefaultMaxLoopIters = 1_000_000
 // Hooks intercept execution at well-defined points. They exist for the
 // guarded-execution subsystem and the deterministic fault-injection
 // harness; nil hooks cost nothing. Hooks propagate into If/Loop bodies.
+// A non-nil Hooks, even an empty one, also makes the run record
+// Trace.Events — the observed run the cost model prices.
 type Hooks struct {
 	// PreKernel runs before each non-control-flow operator's kernel; a
 	// non-nil error aborts the inference (wrapped in *guard.OpError).
@@ -56,6 +58,7 @@ type OpEvent struct {
 
 // Trace is the ordered record of one inference.
 type Trace struct {
+	// Events is recorded only when Options.Hooks is non-nil.
 	Events []OpEvent
 	// PeakLiveBytes is the maximum concurrently-live intermediate-result
 	// footprint under precise liveness (free-at-last-use).
@@ -339,15 +342,14 @@ func (ex *executor) gatherInputs(n *graph.Node) ([]*tensor.Tensor, bool) {
 }
 
 func (ex *executor) emit(n *graph.Node, in, out []*tensor.Tensor, skipped bool) {
+	if ex.opts.Hooks == nil {
+		return
+	}
 	ev := OpEvent{Node: n, OpType: n.OpType, Skipped: skipped}
 	for i, t := range in {
 		if t != nil {
 			ev.InShapes = append(ev.InShapes, t.Shape)
-			if i < len(n.Inputs) {
-				ev.InNames = append(ev.InNames, n.Inputs[i])
-			} else {
-				ev.InNames = append(ev.InNames, "")
-			}
+			ev.InNames = append(ev.InNames, n.Inputs[i]) // in is gathered per n.Inputs
 		}
 	}
 	for i, t := range out {

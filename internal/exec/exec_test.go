@@ -16,7 +16,7 @@ func TestRunChain(t *testing.T) {
 	g.AddOutput("z")
 	res, err := Run(g, map[string]*tensor.Tensor{
 		"x": tensor.FromFloats([]int64{1, 4}, []float32{-1, 0, 1, 100}),
-	}, Options{})
+	}, Options{Hooks: &Hooks{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSwitchTakesPredicatedPath(t *testing.T) {
 	x := tensor.FromFloats([]int64{1, 4}, []float32{-1, 2, -3, 4})
 
 	// gate > 0.5: path a (Relu)
-	res, err := Run(g, map[string]*tensor.Tensor{"x": x, "gate": tensor.Scalar(1)}, Options{})
+	res, err := Run(g, map[string]*tensor.Tensor{"x": x, "gate": tensor.Scalar(1)}, Options{Hooks: &Hooks{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestExecuteAllBranchesRunsBoth(t *testing.T) {
 	g := gatedGraph()
 	x := tensor.FromFloats([]int64{1, 4}, []float32{-1, 2, -3, 4})
 	res, err := Run(g, map[string]*tensor.Tensor{"x": x, "gate": tensor.Scalar(1)},
-		Options{ExecuteAllBranches: true})
+		Options{ExecuteAllBranches: true, Hooks: &Hooks{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestIfExecution(t *testing.T) {
 	g.AddOutput("y")
 	x := tensor.FromFloats([]int64{2}, []float32{-5, 3})
 
-	rt, err := Run(g, map[string]*tensor.Tensor{"cond": tensor.ScalarBool(true), "x": x}, Options{})
+	rt, err := Run(g, map[string]*tensor.Tensor{"cond": tensor.ScalarBool(true), "x": x}, Options{Hooks: &Hooks{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestIfExecution(t *testing.T) {
 
 	// execute-all runs both branch bodies (2 events) vs 1 predicated.
 	all, err := Run(g, map[string]*tensor.Tensor{"cond": tensor.ScalarBool(true), "x": x},
-		Options{ExecuteAllBranches: true})
+		Options{ExecuteAllBranches: true, Hooks: &Hooks{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestCustomOrderRespected(t *testing.T) {
 	sorted, _ := g.TopoSort()
 	// Swap the two independent ops.
 	order := []*graph.Node{sorted[1], sorted[0], sorted[2]}
-	res, err := Run(g, map[string]*tensor.Tensor{"x": tensor.FromFloats([]int64{2}, []float32{1, -1})}, Options{Order: order})
+	res, err := Run(g, map[string]*tensor.Tensor{"x": tensor.FromFloats([]int64{2}, []float32{1, -1})}, Options{Order: order, Hooks: &Hooks{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,6 +71,24 @@ func TestGemmConvShapeErrorsAreTyped(t *testing.T) {
 			[]*tensor.Tensor{tensor.New(tensor.Int64, 1, 1, 4, 4)}, "float32 input"},
 		{"pool window taller than input", "MaxPool", map[string]graph.AttrValue{"kernel_shape": graph.IntsAttr(9, 2)},
 			[]*tensor.Tensor{f(1, 1, 4, 4)}, "non-positive output"},
+		{"concat axis past rank", "Concat", map[string]graph.AttrValue{"axis": graph.IntAttr(2)},
+			[]*tensor.Tensor{f(2, 3), f(2, 3)}, "axis 2 out of range"},
+		{"concat axis below -rank", "Concat", map[string]graph.AttrValue{"axis": graph.IntAttr(-3)},
+			[]*tensor.Tensor{f(2, 3), f(2, 3)}, "axis -3 out of range"},
+		{"concat non-axis dims differ", "Concat", map[string]graph.AttrValue{"axis": graph.IntAttr(0)},
+			[]*tensor.Tensor{f(2, 3), f(2, 4)}, "input 1 is float32 [2 4]"},
+		{"concat mixed dtypes", "Concat", map[string]graph.AttrValue{"axis": graph.IntAttr(0)},
+			[]*tensor.Tensor{f(2, 3), tensor.New(tensor.Int64, 2, 3)}, "input 1 is int64"},
+		{"split axis past rank", "Split", map[string]graph.AttrValue{"axis": graph.IntAttr(3)},
+			[]*tensor.Tensor{f(2, 4)}, "axis 3 out of range"},
+		{"split sizes overrun the axis", "Split", map[string]graph.AttrValue{"axis": graph.IntAttr(1), "split": graph.IntsAttr(5)},
+			[]*tensor.Tensor{f(2, 4)}, "do not partition axis 1"},
+		{"negative split size", "Split", map[string]graph.AttrValue{"axis": graph.IntAttr(1), "split": graph.IntsAttr(-1, 5)},
+			[]*tensor.Tensor{f(2, 4)}, "do not partition axis 1"},
+		{"flatten axis past rank", "Flatten", map[string]graph.AttrValue{"axis": graph.IntAttr(3)},
+			[]*tensor.Tensor{f(2, 3)}, "axis 3 out of range"},
+		{"flatten axis below -rank", "Flatten", map[string]graph.AttrValue{"axis": graph.IntAttr(-3)},
+			[]*tensor.Tensor{f(2, 3)}, "axis -3 out of range"},
 	} {
 		g := graph.New("bad")
 		inputs := map[string]*tensor.Tensor{}

@@ -95,7 +95,7 @@ func TestLivenessMatchesExecution(t *testing.T) {
 		res, err := Run(g, map[string]*tensor.Tensor{
 			"x0": tensor.RandomFloats(tensor.NewRNG(uint64(trial)), 1, 2, 3),
 			"x1": tensor.RandomFloats(tensor.NewRNG(uint64(trial)+1), 1, 2, 3),
-		}, Options{Order: order})
+		}, Options{Order: order, Hooks: &Hooks{}})
 		if err != nil {
 			t.Fatalf("trial %d: exec failed: %v", trial, err)
 		}

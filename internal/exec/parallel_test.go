@@ -142,12 +142,12 @@ func TestWavesBitIdenticalToSequential(t *testing.T) {
 		t.Fatalf("test graph produced no wide wave (max %d)", wide)
 	}
 	in := fanInputs()
-	seq, err := Run(g, in, Options{Order: order})
+	seq, err := Run(g, in, Options{Order: order, Hooks: &Hooks{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8} {
-		par, err := Run(g, in, Options{Order: order, Waves: waves, Workers: workers})
+		par, err := Run(g, in, Options{Order: order, Waves: waves, Hooks: &Hooks{}, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -172,12 +172,12 @@ func TestWavesWithArenaMatchesSequential(t *testing.T) {
 		}
 	}
 	in := fanInputs()
-	seq, err := Run(g, in, Options{Order: order})
+	seq, err := Run(g, in, Options{Order: order, Hooks: &Hooks{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	arena := NewArena(offsets, off)
-	par, err := Run(g, in, Options{Order: order, Waves: waves, Workers: 4, Arena: arena})
+	par, err := Run(g, in, Options{Order: order, Waves: waves, Workers: 4, Hooks: &Hooks{}, Arena: arena})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +199,11 @@ func TestWavesControlFlowAndSkips(t *testing.T) {
 			"x":    tensor.FromFloats([]int64{1, 4}, []float32{-2, -1, 1, 2}),
 			"gate": tensor.FromFloats(nil, []float32{gate}),
 		}
-		seq, err := Run(g, in, Options{Order: order})
+		seq, err := Run(g, in, Options{Order: order, Hooks: &Hooks{}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := Run(g, in, Options{Order: order, Waves: waves, Workers: 4})
+		par, err := Run(g, in, Options{Order: order, Waves: waves, Hooks: &Hooks{}, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

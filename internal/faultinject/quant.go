@@ -8,28 +8,11 @@ import (
 )
 
 // Quantized-weight corruption: unlike the hook-driven modes, the fault
-// lives in the model's packed weight payload itself — the scale of one
-// quantization block is overwritten, so every inference dequantizes
-// garbage until the guard's accuracy-drift contract catches it and the
-// request falls back to the float32 weight tier. The float originals
-// are separate tensors, so the corruption never reaches the fallback.
-
-// CorruptQuantScale overwrites block scale index `block` of the named
-// quantized initializer with v and returns the scale it replaced. It
-// fails (rather than silently corrupting nothing) when the tensor is
-// missing, unquantized, or the index is out of range.
-func CorruptQuantScale(g *graph.Graph, name string, block int, v float32) (float32, error) {
-	t := g.Initializers[name]
-	if t == nil || t.Q == nil {
-		return 0, fmt.Errorf("faultinject: %q is not a quantized initializer", name)
-	}
-	if block < 0 || block >= len(t.Q.Scales) {
-		return 0, fmt.Errorf("faultinject: scale %d out of range (tensor has %d)", block, len(t.Q.Scales))
-	}
-	old := t.Q.Scales[block]
-	t.Q.Scales[block] = v
-	return old, nil
-}
+// lives in the model's packed weight payload itself — quantization block
+// scales are overwritten, so every inference dequantizes garbage until
+// the guard's accuracy-drift contract catches it and the request falls
+// back to the float32 weight tier. The float originals are separate
+// tensors, so the corruption never reaches the fallback.
 
 // CorruptAnyQuantScale overwrites every block scale of the first
 // quantized initializer in name order (deterministic across runs) and

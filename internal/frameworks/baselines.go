@@ -146,7 +146,7 @@ func (e *MNN) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (Re
 			return 1.0
 		},
 	}
-	prog := traceProgram(m.Graph, tr, fp.internal)
+	prog := TraceProgram(m.Graph, tr, fp.internal)
 	peak := memplan.BestFit(prog).ArenaSize
 	phases["infer"] = dev.TraceCost(tr, opts) * dev.MemPressure(peak) / 1000
 
@@ -196,7 +196,7 @@ func (e *ORT) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (Re
 		GroupOf: baselineGroupFn(fp),
 		Eff:     func(exec.OpEvent) float64 { return 1.0 },
 	}
-	prog := traceProgram(m.Graph, tr, fp.internal)
+	prog := TraceProgram(m.Graph, tr, fp.internal)
 	peak := poolSimArena(prog)
 	phases["infer"] = dev.TraceCost(tr, opts) * dev.MemPressure(peak) / 1000
 
@@ -330,7 +330,7 @@ func (e *TFLite) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) 
 	}
 
 	fp := staticFusionView(m)
-	prog := traceProgram(m.Graph, tr, fp.internal)
+	prog := TraceProgram(m.Graph, tr, fp.internal)
 	natural := memplan.BestFit(prog).ArenaSize
 	peak := natural
 	rematFactor := 1.0

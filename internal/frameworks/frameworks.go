@@ -37,11 +37,13 @@ import (
 
 // Report is the outcome of one inference under one engine.
 type Report struct {
+	// LatencyMS and PeakMemBytes are modeled by an Engine, measured by
+	// the serving facade.
 	LatencyMS    float64
 	PeakMemBytes int64
-	// Phases breaks latency into named components (ms) — "infer",
-	// "reinit-sl", "reinit-st", "reinit-alloc", "shapefn", "malloc",
-	// "memplan", "replan".
+	// Phases breaks a modeled latency into named components (ms) —
+	// "infer", "reinit-sl", "reinit-st", "reinit-alloc", "shapefn",
+	// "malloc", "memplan".
 	Phases map[string]float64
 	// FallbackTier is the tier the inference actually completed on
 	// (TierPlanned when no degradation occurred).
@@ -275,7 +277,8 @@ func (c *Compiled) executeUncached(s workload.Sample, allBranches bool, kind Ord
 	case OrderBFS:
 		order = c.NaiveOrder
 	}
-	r, err := exec.Run(c.Graph, s.Inputs, exec.Options{Order: order, ExecuteAllBranches: allBranches})
+	// Attaching Hooks, even empty, records the Trace.Events the engines price.
+	r, err := exec.Run(c.Graph, s.Inputs, exec.Options{Order: order, ExecuteAllBranches: allBranches, Hooks: &exec.Hooks{}})
 	if err != nil {
 		return nil, err
 	}
@@ -615,29 +618,18 @@ func mergeFusion(dst, src *fusion.Plan) {
 }
 
 // TraceProgram converts an executed trace into a liveness program
-// suitable for memory planning (exported for the bench harness).
+// suitable for memory planning. internal values (fused away) are sized
+// 0; skipped events are ignored.
 func TraceProgram(g *graph.Graph, tr exec.Trace, internal map[string]bool) *memplan.Program {
-	return traceProgram(g, tr, internal)
+	return TraceProgramDeferred(g, tr, internal, 0)
 }
 
-// TraceProgramDeferred is TraceProgram with deferred (coarse-grained)
-// deallocation — the no-lifetime-analysis behaviour (exported for the
-// bench harness's §4.4.1 ablation).
+// TraceProgramDeferred is TraceProgram with every buffer's death deferred
+// by deferFree steps: without a static execution plan the runtime has no
+// lifetime analysis and releases buffers at coarse sub-graph granularity
+// rather than at last use (the memory cost SEP removes; the §4.4.1
+// ablation).
 func TraceProgramDeferred(g *graph.Graph, tr exec.Trace, internal map[string]bool, deferFree int) *memplan.Program {
-	return traceProgramDefer(g, tr, internal, deferFree)
-}
-
-// traceProgram converts an executed trace into a liveness program.
-// internal values (fused away) are sized 0; skipped events are ignored.
-func traceProgram(g *graph.Graph, tr exec.Trace, internal map[string]bool) *memplan.Program {
-	return traceProgramDefer(g, tr, internal, 0)
-}
-
-// traceProgramDefer additionally defers every buffer's death by
-// deferFree steps: without a static execution plan the runtime has no
-// lifetime analysis and releases buffers at coarse sub-graph
-// granularity rather than at last use (the memory cost SEP removes).
-func traceProgramDefer(g *graph.Graph, tr exec.Trace, internal map[string]bool, deferFree int) *memplan.Program {
 	keep := map[string]bool{}
 	for _, o := range g.Outputs {
 		keep[o] = true

@@ -69,9 +69,6 @@ type GuardReport struct {
 	Tier guard.Tier
 	// Degradations taken, in order.
 	Degradations []guard.Degradation
-	// ReplanMS is the wall-clock cost of re-analysis + re-planning
-	// (only non-zero when Tier == TierReplan).
-	ReplanMS float64
 	// ArenaHighWater is the peak arena byte touched (planned tier only).
 	ArenaHighWater int64
 	// RegionCacheHit reports that the statically-proven shape-family plan
@@ -328,7 +325,6 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 		if err != nil {
 			return rung{}, fmt.Errorf("frameworks: re-plan failed: %w", err)
 		}
-		gr.ReplanMS = ms
 		gr.Degradations[len(gr.Degradations)-1].ReplanMS = ms
 		r.order, r.plan = order, nil
 	default:

@@ -232,7 +232,7 @@ var ladderCases = []ladderCase{
 		name: "replan from a bind violation", tier: guard.TierReplan, kind: guard.KindBind,
 		request: batchOfTwo,
 		check: func(t *testing.T, gr *GuardReport) {
-			if gr.ReplanMS <= 0 {
+			if d := gr.Degradations; len(d) == 0 || d[len(d)-1].ReplanMS <= 0 {
 				t.Error("replan cost not measured")
 			}
 		},

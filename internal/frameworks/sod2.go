@@ -126,10 +126,11 @@ func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (R
 // device model over the trace's events, peak memory from the configured
 // allocator policy over the same events. It executes nothing and reads
 // only shapes, names and byte sizes from the trace, so the trace of any
-// run of m serves — the evaluation harness's memoized Execute or a
-// guarded serving run. workers > 1 models wavefront-parallel execution
-// (per-wave makespan) when m has a wave plan; the report carries no
-// tier or degradations, which belong to whoever executed the trace.
+// observed run of m serves — the evaluation harness's memoized Execute
+// or a guarded run with exec.Hooks attached. workers > 1 models
+// wavefront-parallel execution (per-wave makespan) when m has a wave
+// plan; the report carries no tier or degradations, which belong to
+// whoever executed the trace.
 func (s *SoD2) Model(m *Compiled, tr exec.Trace, dev costmodel.Device, workers int) Report {
 
 	// --- Latency -----------------------------------------------------
@@ -158,11 +159,8 @@ func (s *SoD2) Model(m *Compiled, tr exec.Trace, dev costmodel.Device, workers i
 	// SEP improves locality proportionally to how much live memory the
 	// planned order saves over the naive one (cache-pressure model).
 	sepBonus := 1.0
-	if s.Opts.SEP && tr.PeakLiveBytes > 0 && m.ExecPlan.PeakBytes > 0 {
-		naive := tr.TotalAllocBytes
-		if naive > 0 {
-			sepBonus = 1.10
-		}
+	if s.Opts.SEP && tr.PeakLiveBytes > 0 && m.ExecPlan.PeakBytes > 0 && tr.TotalAllocBytes > 0 {
+		sepBonus = 1.10
 	}
 	if s.Opts.MVC || s.Opts.StaticFrozen {
 		opts.Eff = func(ev exec.OpEvent) float64 {
@@ -187,7 +185,7 @@ func (s *SoD2) Model(m *Compiled, tr exec.Trace, dev costmodel.Device, workers i
 	if !s.Opts.SEP {
 		deferFree = 6
 	}
-	prog := traceProgramDefer(m.Graph, tr, internal, deferFree)
+	prog := TraceProgramDeferred(m.Graph, tr, internal, deferFree)
 	var peak int64
 	switch {
 	case s.Opts.DMP:

@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -63,9 +64,9 @@ func flattenKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error)
 		return nil, err
 	}
 	x := in[0]
-	axis := n.AttrInt("axis", 1)
-	if axis < 0 {
-		axis += int64(x.Rank())
+	axis, err := resolveAxis("Flatten", n.AttrInt("axis", 1), x.Rank(), true)
+	if err != nil {
+		return nil, err
 	}
 	a := tensor.NumElems(x.Shape[:axis])
 	b := tensor.NumElems(x.Shape[axis:])
@@ -159,17 +160,23 @@ func concatKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) 
 	if err := wantInputs(in, 1, "Concat"); err != nil {
 		return nil, err
 	}
-	axis := n.AttrInt("axis", 0)
-	if axis < 0 {
-		axis += int64(in[0].Rank())
+	first := in[0]
+	axis, err := resolveAxis("Concat", n.AttrInt("axis", 0), first.Rank(), false)
+	if err != nil {
+		return nil, err
 	}
-	outShape := append([]int64{}, in[0].Shape...)
+	outShape := append([]int64{}, first.Shape...)
 	var axisTotal int64
-	for _, t := range in {
+	for i, t := range in {
+		if t.DType != first.DType || t.Rank() != first.Rank() || !slices.Equal(t.Shape[:axis], first.Shape[:axis]) ||
+			!slices.Equal(t.Shape[axis+1:], first.Shape[axis+1:]) {
+			return nil, fmt.Errorf("Concat: input %d is %v %v, input 0 %v %v (axis %d)",
+				i, t.DType, t.Shape, first.DType, first.Shape, axis)
+		}
 		axisTotal += t.Shape[axis]
 	}
 	outShape[axis] = axisTotal
-	out := tensor.New(in[0].DType, outShape...)
+	out := tensor.New(first.DType, outShape...)
 	outer := tensor.NumElems(outShape[:axis])
 	innerOut := tensor.NumElems(outShape[axis:])
 	copied := int64(0)
@@ -188,9 +195,9 @@ func splitKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 		return nil, err
 	}
 	x := in[0]
-	axis := n.AttrInt("axis", 0)
-	if axis < 0 {
-		axis += int64(x.Rank())
+	axis, err := resolveAxis("Split", n.AttrInt("axis", 0), x.Rank(), false)
+	if err != nil {
+		return nil, err
 	}
 	splits := n.AttrInts("split", nil)
 	if len(in) > 1 && in[1] != nil {
@@ -206,6 +213,13 @@ func splitKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 		for i := range splits {
 			splits[i] = each
 		}
+	}
+	total := int64(0)
+	for _, sz := range splits {
+		total += sz
+	}
+	if total != x.Shape[axis] || slices.ContainsFunc(splits, func(sz int64) bool { return sz < 0 }) {
+		return nil, fmt.Errorf("Split: splits %v do not partition axis %d of extent %d", splits, axis, x.Shape[axis])
 	}
 	outer := tensor.NumElems(x.Shape[:axis])
 	inner := tensor.NumElems(x.Shape[axis+1:])
@@ -224,6 +238,19 @@ func splitKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 		offset += sz
 	}
 	return outs, nil
+}
+
+// resolveAxis maps an axis in [-rank, rank) — [-rank, rank] with end set,
+// for an axis that may name the position after the last dim — to its index.
+func resolveAxis(op string, axis int64, rank int, end bool) (int64, error) {
+	i := axis
+	if i < 0 {
+		i += int64(rank)
+	}
+	if i < 0 || i > int64(rank) || i == int64(rank) && !end {
+		return 0, fmt.Errorf("%s: axis %d out of range for rank %d", op, axis, rank)
+	}
+	return i, nil
 }
 
 func gatherKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {

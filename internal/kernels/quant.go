@@ -30,6 +30,8 @@ func GemmQuant(bq *tensor.QuantData, a []float32, m, k, n int64, c []float32) {
 			ai := a[i*k : (i+1)*k]
 			for p := int64(0); p < k; p++ {
 				avs := ai[p] * bq.Scales[p]
+				// Skipping a zero avs changes no value: int8 codes are
+				// finite, and a NaN scale makes avs NaN, not zero.
 				if avs == 0 {
 					continue
 				}
@@ -45,9 +47,6 @@ func GemmQuant(bq *tensor.QuantData, a []float32, m, k, n int64, c []float32) {
 			bq.DequantRow(p, row)
 			for i := int64(0); i < m; i++ {
 				av := a[i*k+p]
-				if av == 0 {
-					continue
-				}
 				ci := c[i*n : (i+1)*n]
 				for j := int64(0); j < n; j++ {
 					ci[j] += av * row[j]

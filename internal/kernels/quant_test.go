@@ -36,6 +36,40 @@ func TestGemmQuantMatchesDequantGemm(t *testing.T) {
 	}
 }
 
+// A corrupted block scale or min makes its dequantized B row NaN, and
+// 0·NaN is NaN: a zero A element must not hide the fault from the
+// non-finite output check (the float32 tier is what serves it).
+func TestGemmQuantKeepsNaNScale(t *testing.T) {
+	rng := tensor.NewRNG(15)
+	m, k, n := int64(3), int64(8), int64(40)
+	for _, tc := range []struct {
+		format tensor.DType
+		plant  func(q *tensor.QuantData) // poisons B row 5
+	}{
+		{tensor.Int8, func(q *tensor.QuantData) { q.Scales[5] = float32(math.NaN()) }},
+		{tensor.Q4_0, func(q *tensor.QuantData) { q.Scales[5*q.BlocksPerRow()] = float32(math.NaN()) }},
+		{tensor.Q4_1, func(q *tensor.QuantData) { q.Scales[5*q.BlocksPerRow()] = float32(math.NaN()) }},
+		{tensor.Q4_1, func(q *tensor.QuantData) { q.Mins[5*q.BlocksPerRow()] = float32(math.NaN()) }},
+	} {
+		a := tensor.RandomFloats(rng, 1, m, k)
+		for i := int64(0); i < m; i++ {
+			a.F[i*k+5] = 0
+		}
+		bq, err := tensor.Quantize(tensor.RandomFloats(rng, 1, k, n), tc.format, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.plant(bq.Q)
+		c := make([]float32, m*n)
+		GemmQuant(bq.Q, a.F, m, k, n, c)
+		for i := int64(0); i < m; i++ {
+			if v := c[i*n]; v == v {
+				t.Errorf("%s: C[%d,0] = %v, want the poisoned row's NaN", tc.format, i, v)
+			}
+		}
+	}
+}
+
 func TestGemmQuantLHSMatchesDequant(t *testing.T) {
 	rng := tensor.NewRNG(12)
 	m, k, n := int64(12), int64(50), int64(21)

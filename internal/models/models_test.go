@@ -95,7 +95,7 @@ func TestControlFlowModelsReactToGateBias(t *testing.T) {
 		rng := tensor.NewRNG(7)
 		size := b.MinSize
 		countSkipped := func(gateBias float32) int {
-			res, err := exec.Run(g, b.Inputs(rng, size, gateBias), exec.Options{})
+			res, err := exec.Run(g, b.Inputs(rng, size, gateBias), exec.Options{Hooks: &exec.Hooks{}})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -120,7 +120,7 @@ func TestRaNetEarlyExitChangesWork(t *testing.T) {
 	g := b.Build()
 	rng := tensor.NewRNG(3)
 	run := func(gateBias float32) int {
-		res, err := exec.Run(g, b.Inputs(rng, 224, gateBias), exec.Options{})
+		res, err := exec.Run(g, b.Inputs(rng, 224, gateBias), exec.Options{Hooks: &exec.Hooks{}})
 		if err != nil {
 			t.Fatal(err)
 		}

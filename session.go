@@ -29,8 +29,6 @@ func (c *Compiled) CacheStats() CacheStats { return c.inner.Stats() }
 
 // SessionOptions configure a serving session.
 type SessionOptions struct {
-	// Device is the analytic device profile (SD888CPU when zero).
-	Device Device
 	// Workers bounds InferBatch's fan-out (GOMAXPROCS when 0).
 	Workers int
 	// Guard options applied to every request.
@@ -87,7 +85,6 @@ type SessionOptions struct {
 // traffic stays clean — then planned/region serving resumes.
 type Session struct {
 	c       *Compiled
-	dev     Device
 	workers int
 	gopts   GuardOptions
 	timeout time.Duration
@@ -169,16 +166,11 @@ func (s *Session) Close(ctx context.Context) error {
 
 // NewSession builds a serving session over a compiled model.
 func (c *Compiled) NewSession(opts SessionOptions) *Session {
-	var zero Device
-	if opts.Device == zero {
-		opts.Device = SD888CPU
-	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	s := &Session{
 		c:       c,
-		dev:     opts.Device,
 		workers: opts.Workers,
 		gopts: GuardOptions{
 			ArenaBudget:  opts.ArenaBudget,
@@ -213,10 +205,10 @@ func (c *Compiled) NewSession(opts SessionOptions) *Session {
 // session's circuit breaker.
 func (s *Session) Health() resilience.HealthState { return s.brk.State() }
 
-// InferConcurrent executes one set of inputs under the session's device
-// and guard options. Safe to call from any number of goroutines; the
-// returned Report carries the tier served, whether the region proof's
-// plan served it (RegionCacheHit) and any degradations taken.
+// InferConcurrent executes one set of inputs under the session's guard
+// options. Safe to call from any number of goroutines; the returned
+// Report carries the tier served, whether the region proof's plan served
+// it (RegionCacheHit) and any degradations taken.
 func (s *Session) InferConcurrent(inputs map[string]*Tensor) (map[string]*Tensor, Report, error) {
 	return s.InferConcurrentCtx(context.Background(), inputs)
 }
@@ -276,7 +268,7 @@ func (s *Session) serveAdmitted(ctx context.Context, inputs map[string]*Tensor) 
 			// breaker closes — serve on the dynamic fallback tier.
 			gopts.ForceDynamic = true
 		}
-		out, rep, err := s.c.inferOn(inputs, s.dev, gopts)
+		out, rep, err := s.c.infer(inputs, gopts)
 		if err == nil {
 			s.brk.OnSuccess()
 			return out, rep, nil

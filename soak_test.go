@@ -74,7 +74,16 @@ func TestSoakSelfHealing(t *testing.T) {
 				return nil
 			}}
 
-			const timeout = 2 * time.Second
+			samples := workload.Fixed(b, 4, b.MinSize, 0.5, 42)
+			// The deadline scales with the host and the race detector: a
+			// multiple of one clean inference that also re-proves the
+			// region, the slowest path a post-fault request can take.
+			c.Invalidate()
+			start := time.Now()
+			if _, _, err := c.Infer(samples[0].Inputs); err != nil {
+				t.Fatalf("clean inference: %v", err)
+			}
+			timeout := 50 * time.Since(start)
 			sess := c.NewSession(SessionOptions{
 				Hooks:          hooks,
 				Admission:      AdmissionConfig{MaxConcurrent: 4, MaxQueue: 2},
@@ -82,7 +91,6 @@ func TestSoakSelfHealing(t *testing.T) {
 				Breaker:        BreakerConfig{TripThreshold: 3, RecoverSuccesses: 2, ProbationSuccesses: 3},
 				RequestTimeout: timeout,
 			})
-			samples := workload.Fixed(b, 4, b.MinSize, 0.5, 42)
 
 			// Phase 0: clean serving, region fast path on, and a reference
 			// output to compare post-healing results against.

@@ -4,7 +4,7 @@
 //
 //	model := sod2.BuildModel("CodeBERT")          // or assemble a Graph
 //	compiled, _ := sod2.Compile(model)            // RDP → fusion → SEP → DMP → MVC
-//	report, _ := compiled.Infer(inputs)           // execute + latency/memory report
+//	report, _ := compiled.Infer(inputs)           // execute; measured latency + memory
 //
 // Underneath sit the subsystems the paper describes, each usable on its
 // own through this package:
@@ -12,7 +12,6 @@
 //   - Analyze: the RDP data-flow analysis (§4.1) over a computational graph.
 //   - Fuse: RDP-enabled operator fusion (§4.2).
 //   - PlanExecution: static execution-order planning (§4.3).
-//   - PlanMemory: the peak-first dynamic memory plan (§4.4.1).
 //   - Engines: SoD² plus the four baseline framework policies used by the
 //     evaluation (ORT, MNN, TVM-Nimble, TFLite).
 //
@@ -23,15 +22,14 @@ package sod2
 import (
 	"context"
 	"fmt"
+	"time"
 
-	"repro/internal/costmodel"
 	"repro/internal/exec"
 	"repro/internal/frameworks"
 	"repro/internal/fusion"
 	"repro/internal/graph"
 	"repro/internal/guard"
 	"repro/internal/lattice"
-	"repro/internal/memplan"
 	"repro/internal/models"
 	"repro/internal/plan"
 	"repro/internal/rdp"
@@ -60,9 +58,10 @@ type (
 	Expr = symbolic.Expr
 	// Env binds symbolic dimensions to concrete extents.
 	Env = symbolic.Env
-	// Device is an analytic device profile (SD888/SD835, CPU/GPU).
-	Device = costmodel.Device
-	// Report is a per-inference latency/memory report.
+	// Report describes one inference: how it ran (tier, degradations,
+	// cache hits) and its latency and peak memory — measured on this
+	// host when Infer or a Session returns it, modeled when an
+	// evaluation engine does.
 	Report = frameworks.Report
 	// Sample is one concrete workload input.
 	Sample = workload.Sample
@@ -166,14 +165,6 @@ const (
 // "q4_0", "q4_1") to its DType.
 var DTypeByName = tensor.DTypeByName
 
-// Device profiles used throughout the evaluation.
-var (
-	SD888CPU = costmodel.SD888CPU
-	SD888GPU = costmodel.SD888GPU
-	SD835CPU = costmodel.SD835CPU
-	SD835GPU = costmodel.SD835GPU
-)
-
 // NodeAttr is a node attribute value.
 type NodeAttr = graph.AttrValue
 
@@ -229,15 +220,6 @@ func PlanExecution(g *Graph, infos map[string]Info, fp *FusionPlan) (*ExecutionP
 	return plan.Build(g, infos, plan.Options{Fusion: fp})
 }
 
-// MemoryPlan assigns arena offsets to intermediate tensors.
-type MemoryPlan = memplan.Plan
-
-// PlanMemory runs the peak-first planner over a liveness program derived
-// from an executed trace (§4.4.1).
-func PlanMemory(g *Graph, trace exec.Trace, internal map[string]bool) *MemoryPlan {
-	return memplan.PeakFirst(frameworks.TraceProgram(g, trace, internal))
-}
-
 // Compiled is a fully compiled model: RDP results, fusion plan,
 // execution plan, and multi-version kernel plan.
 type Compiled struct {
@@ -275,10 +257,6 @@ func CompileVerifiedSched(b *ModelBuilder, cfg SchedConfig) (*Compiled, *VerifyR
 	}
 	return &Compiled{inner: c}, rep, nil
 }
-
-// DeviceByName resolves a cost-model device profile by its name
-// ("sd888-cpu", "sd888-gpu", "sd835-cpu", "sd835-gpu").
-func DeviceByName(name string) (Device, bool) { return costmodel.DeviceByName(name) }
 
 // Sched returns the scheduling point the compile selected.
 func (c *Compiled) Sched() SchedPoint { return c.inner.Sched }
@@ -332,45 +310,39 @@ func (c *Compiled) Fusion() *FusionPlan { return c.inner.FusionRDP }
 // Execution returns the static execution plan.
 func (c *Compiled) Execution() *ExecutionPlan { return c.inner.ExecPlan }
 
-// Infer executes one set of concrete inputs on the default device
-// (Snapdragon 888 CPU) and returns outputs plus the report.
+// Infer executes one set of concrete inputs, guarded: inputs are checked
+// against the model's runtime contract, kernel panics surface as
+// *OpError, and contract violations degrade to dynamic allocation or a
+// full re-plan instead of failing (the report records the fallback tier
+// and every degradation taken). Nothing in the report is modeled:
+// LatencyMS is the guarded run's wall-clock time on this host, re-plan
+// included, and PeakMemBytes the arena's high water on the planned tier,
+// the peak live intermediate bytes on any other.
 func (c *Compiled) Infer(inputs map[string]*Tensor) (map[string]*Tensor, Report, error) {
-	return c.InferOn(inputs, SD888CPU)
+	return c.infer(inputs, GuardOptions{})
 }
 
-// InferOn executes on a specific device profile. Execution is guarded:
-// inputs are checked against the model's runtime contract, kernel panics
-// surface as *OpError, and contract violations degrade to dynamic
-// allocation or a full re-plan instead of failing (the report records
-// the fallback tier and every degradation taken).
-func (c *Compiled) InferOn(inputs map[string]*Tensor, dev Device) (map[string]*Tensor, Report, error) {
-	return c.inferOn(inputs, dev, GuardOptions{})
-}
-
-// costModel turns a served request's executed trace into its modeled
-// latency/memory report (the full SoD² configuration; stateless).
-var costModel = frameworks.NewSoD2(frameworks.FullSoD2())
-
-// inferOn is the shared guarded-inference path: one guarded execution,
-// whose own trace the cost model prices. How the request ran — tier,
-// degradations, cache hits, wavefronts, specialization — comes from the
-// guard report alone.
-func (c *Compiled) inferOn(inputs map[string]*Tensor, dev Device, gopts GuardOptions) (map[string]*Tensor, Report, error) {
+// infer is the shared guarded-inference path: one timed guarded run,
+// reported through its guard verdicts.
+func (c *Compiled) infer(inputs map[string]*Tensor, gopts GuardOptions) (map[string]*Tensor, Report, error) {
+	start := time.Now()
 	res, gr, err := c.inner.GuardedRun(inputs, gopts)
 	if err != nil {
 		return nil, Report{FallbackTier: gr.Tier, Degradations: gr.Degradations}, err
 	}
-	rep := costModel.Model(c.inner, res.Trace, dev, gr.ParallelWorkers)
-	rep.FallbackTier = gr.Tier
-	rep.Degradations = gr.Degradations
-	rep.RegionCacheHit = gr.RegionCacheHit
-	rep.Wavefronts = gr.Wavefronts
-	rep.ParallelWorkers = gr.ParallelWorkers
-	rep.Specialized = gr.Specialized
-	rep.SpecFallback = gr.SpecFallback
-	if gr.ReplanMS > 0 {
-		rep.Phases["replan"] = gr.ReplanMS
-		rep.LatencyMS += gr.ReplanMS
+	rep := Report{
+		LatencyMS:       float64(time.Since(start).Nanoseconds()) / 1e6,
+		PeakMemBytes:    res.Trace.PeakLiveBytes,
+		FallbackTier:    gr.Tier,
+		Degradations:    gr.Degradations,
+		RegionCacheHit:  gr.RegionCacheHit,
+		Wavefronts:      gr.Wavefronts,
+		ParallelWorkers: gr.ParallelWorkers,
+		Specialized:     gr.Specialized,
+		SpecFallback:    gr.SpecFallback,
+	}
+	if gr.Tier == TierPlanned {
+		rep.PeakMemBytes = gr.ArenaHighWater
 	}
 	return res.Outputs, rep, nil
 }
@@ -378,13 +350,13 @@ func (c *Compiled) inferOn(inputs map[string]*Tensor, dev Device, gopts GuardOpt
 // InferGuarded executes with explicit guard options (context, arena
 // budget, loop caps, fault-injection hooks, strict mode).
 func (c *Compiled) InferGuarded(inputs map[string]*Tensor, opts GuardOptions) (map[string]*Tensor, Report, error) {
-	return c.inferOn(inputs, SD888CPU, opts)
+	return c.infer(inputs, opts)
 }
 
 // InferCtx executes with a context bounding the inference; cancellation
 // is honored between nodes, including inside If/Loop bodies.
 func (c *Compiled) InferCtx(ctx context.Context, inputs map[string]*Tensor) (map[string]*Tensor, Report, error) {
-	return c.inferOn(inputs, SD888CPU, GuardOptions{Ctx: ctx})
+	return c.infer(inputs, GuardOptions{Ctx: ctx})
 }
 
 // Contract returns the model's runtime contract (symbolic input shapes
@@ -416,15 +388,4 @@ func RunGraph(g *Graph, inputs map[string]*Tensor) (map[string]*Tensor, error) {
 		return nil, err
 	}
 	return res.Outputs, nil
-}
-
-// Engines returns the five evaluation engines keyed by name.
-func Engines() map[string]frameworks.Engine {
-	return map[string]frameworks.Engine{
-		"SoD2":   frameworks.NewSoD2(frameworks.FullSoD2()),
-		"ORT":    frameworks.NewORT(),
-		"MNN":    frameworks.NewMNN(),
-		"TVM-N":  frameworks.NewTVMN(),
-		"TFLite": frameworks.NewTFLite(0),
-	}
 }

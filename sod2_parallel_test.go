@@ -121,10 +121,9 @@ func TestParallelChaosPanicContained(t *testing.T) {
 }
 
 // BenchmarkParallelExec sweeps the wavefront worker pool over three
-// multi-branch models. Wall time is the hardware measurement; the
-// modeled-speedup metric is the cost model's sequential-vs-makespan
-// ratio (TraceCost / TraceCostParallel), which is the meaningful number
-// on hosts without spare cores (see EXPERIMENTS.md).
+// multi-branch models and measures wall time. The cost model's
+// sequential-vs-makespan ratio is sod2bench -exp parallel's table (see
+// EXPERIMENTS.md).
 func BenchmarkParallelExec(b *testing.B) {
 	for _, name := range []string{"CodeBERT", "ConvNet-AIG", "BlockDrop"} {
 		mb, err := BuildModel(name)
@@ -136,25 +135,16 @@ func BenchmarkParallelExec(b *testing.B) {
 			b.Fatal(err)
 		}
 		inputs := mb.Inputs(tensor.NewRNG(17), mb.MinSize, 0.5)
-		var seqLatency float64
 		for _, workers := range []int{1, 2, 4, 8} {
 			opts := GuardOptions{}
 			if workers > 1 {
 				opts = GuardOptions{Parallel: true, Workers: workers}
 			}
 			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
-				var rep Report
 				for i := 0; i < b.N; i++ {
-					var err error
-					_, rep, err = c.InferGuarded(inputs, opts)
-					if err != nil {
+					if _, _, err := c.InferGuarded(inputs, opts); err != nil {
 						b.Fatal(err)
 					}
-				}
-				if workers == 1 {
-					seqLatency = rep.LatencyMS
-				} else if rep.LatencyMS > 0 && seqLatency > 0 {
-					b.ReportMetric(seqLatency/rep.LatencyMS, "modeled-speedup")
 				}
 			})
 		}
