@@ -16,7 +16,8 @@ var (
 	// ErrArenaExhausted reports a placement past the arena's optional
 	// byte budget (also returned by the fault injector's OOM mode).
 	ErrArenaExhausted = errors.New("arena budget exhausted")
-	// ErrArenaOverflow reports a placement past the arena's backing store.
+	// ErrArenaOverflow reports a placement past its slot or past the
+	// arena's backing store.
 	ErrArenaOverflow = errors.New("exceeds arena")
 	// ErrArenaMisaligned reports an unaligned planned offset.
 	ErrArenaMisaligned = errors.New("misaligned arena offset")
@@ -29,17 +30,21 @@ func IsArenaFault(err error) bool {
 		errors.Is(err, ErrArenaMisaligned)
 }
 
-// Arena is a runtime memory-allocation plan realized as one backing
-// buffer: float32 intermediates whose offsets were planned are stored at
-// their assigned positions instead of individually allocated. This is
-// the execution-time half of SoD²'s dynamic memory planning (§4.4.1) —
-// and running with it validates the plan end to end: if two
-// concurrently-live tensors were assigned overlapping ranges, the model
-// outputs would be corrupted.
+// Arena is a runtime memory-allocation plan laid over one backing
+// buffer: float32 intermediates with a planned slot are stored in it
+// instead of individually allocated. This is the execution-time half of
+// SoD²'s dynamic memory planning (§4.4.1) — and running with it
+// validates the plan end to end: if two concurrently-live tensors were
+// assigned overlapping ranges, the model outputs would be corrupted.
 type Arena struct {
-	// Offsets maps value names to byte offsets in the arena.
-	Offsets map[string]int64
-	// Size is the arena's byte size.
+	// Slots maps each planned value to its slot: an index into Offsets
+	// and Sizes.
+	Slots map[string]int
+	// Offsets and Sizes are the slots' byte offsets and byte sizes. A
+	// tensor larger than its slot fails with ErrArenaOverflow instead of
+	// spilling into the slot above it.
+	Offsets, Sizes []int64
+	// Size is the arena's byte size: the end of its highest slot.
 	Size int64
 	// Budget, when positive, caps the highest byte the arena may serve:
 	// any placement ending past it fails with ErrArenaExhausted instead
@@ -55,20 +60,26 @@ type Arena struct {
 	buf  []float32
 }
 
-// NewArena allocates the backing store for a plan: one allocation sized
-// by the plan, owned by the run that executes into it and reclaimed by
-// the garbage collector — never recycled, so a tensor viewing the
-// buffer stays valid for as long as it is reachable.
-func NewArena(offsets map[string]int64, size int64) *Arena {
-	return &Arena{Offsets: offsets, Size: size, buf: make([]float32, (size+3)/4)}
+// NewArena lays slots (see Arena) over buf, which should hold Size
+// bytes. The arena neither allocates nor clears its storage: buf is the
+// caller's, who may hand it to a later run once this one has returned
+// and its outputs are detached. No slot is read before place has
+// written it in full, so nothing a previous run left in buf is ever
+// observed — but a tensor viewing buf is valid only until that reuse.
+func NewArena(slots map[string]int, offsets, sizes []int64, buf []float32) *Arena {
+	a := &Arena{Slots: slots, Offsets: offsets, Sizes: sizes, buf: buf}
+	for i, off := range offsets {
+		a.Size = max(a.Size, off+sizes[i])
+	}
+	return a
 }
 
 // Detach replaces every tensor in outputs whose storage aliases the
-// arena's backing buffer with an independent clone, so a small output
-// that lives on does not pin the whole multi-MB arena. Aliases are
-// detected by storage address, which also catches view-producing
-// kernels (Reshape) that forward an arena-placed buffer under a
-// different name.
+// arena's backing buffer with an independent clone, so an output that
+// lives on neither pins the whole multi-MB buffer nor sees its next run
+// overwrite it. Aliases are detected by storage address, which also
+// catches view-producing kernels (Reshape) that forward an arena-placed
+// buffer under a different name.
 func (a *Arena) Detach(outputs map[string]*tensor.Tensor) {
 	if a == nil || len(a.buf) == 0 {
 		return
@@ -93,13 +104,16 @@ func (a *Arena) place(name string, t *tensor.Tensor) (*tensor.Tensor, error) {
 	if a == nil || t == nil || t.DType != tensor.Float32 {
 		return t, nil
 	}
-	off, ok := a.Offsets[name]
+	slot, ok := a.Slots[name]
 	if !ok {
 		return t, nil
 	}
-	n := t.Len()
+	off, n := a.Offsets[slot], t.Len()
 	if off < 0 || off%4 != 0 {
 		return nil, fmt.Errorf("exec: %s at offset %d: %w", name, off, ErrArenaMisaligned)
+	}
+	if n*4 > a.Sizes[slot] {
+		return nil, fmt.Errorf("exec: %s of %d bytes %w: its slot at %d holds %d", name, n*4, ErrArenaOverflow, off, a.Sizes[slot])
 	}
 	end := off + n*4
 	if a.Budget > 0 && end > a.Budget {

@@ -26,6 +26,11 @@ const DefaultMaxLoopIters = 1_000_000
 // harness; nil hooks cost nothing. Hooks propagate into If/Loop bodies.
 // A non-nil Hooks, even an empty one, also makes the run record
 // Trace.Events — the observed run the cost model prices.
+//
+// The tensors PreKernel and PostKernel receive are valid only for the
+// duration of the call: an input may view arena storage that a later
+// request reuses (see NewArena). A hook that keeps tensor data past the
+// call keeps a copy.
 type Hooks struct {
 	// PreKernel runs before each non-control-flow operator's kernel; a
 	// non-nil error aborts the inference (wrapped in *guard.OpError).

@@ -174,12 +174,18 @@ func TestLoopMissingBodyErrors(t *testing.T) {
 	}
 }
 
+// oneSlot is an arena with a single slot of slot bytes at off, for the
+// value name, over a buffer of bufBytes.
+func oneSlot(name string, off, slot, bufBytes int64) *Arena {
+	return NewArena(map[string]int{name: 0}, []int64{off}, []int64{slot}, make([]float32, bufBytes/4))
+}
+
 func TestArenaTooSmallErrors(t *testing.T) {
 	g := graph.New("arena")
 	g.AddInput("x", tensor.Float32, lattice.FromInts(8))
 	g.Op("Relu", "r", []string{"x"}, []string{"y"}, nil)
 	g.AddOutput("y")
-	arena := NewArena(map[string]int64{"y": 0}, 4) // 1 float for 8 floats
+	arena := oneSlot("y", 0, 32, 4) // 1 float for 8 floats
 	_, err := Run(g, map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 8)},
 		Options{Arena: arena})
 	if err == nil || !strings.Contains(err.Error(), "exceeds arena") {
@@ -192,7 +198,7 @@ func TestArenaMisalignedOffsetErrors(t *testing.T) {
 	g.AddInput("x", tensor.Float32, lattice.FromInts(2))
 	g.Op("Relu", "r", []string{"x"}, []string{"y"}, nil)
 	g.AddOutput("y")
-	arena := NewArena(map[string]int64{"y": 2}, 64)
+	arena := oneSlot("y", 2, 8, 64)
 	_, err := Run(g, map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 2)},
 		Options{Arena: arena})
 	if err == nil || !strings.Contains(err.Error(), "aligned") {
@@ -207,7 +213,7 @@ func TestArenaPassthroughForUnplannedValues(t *testing.T) {
 	g.Op("Shape", "s", []string{"y"}, []string{"yshape"}, nil) // int64 output
 	g.AddOutput("y")
 	g.AddOutput("yshape")
-	arena := NewArena(map[string]int64{"y": 0}, 64)
+	arena := oneSlot("y", 0, 16, 64)
 	res, err := Run(g, map[string]*tensor.Tensor{
 		"x": tensor.FromFloats([]int64{4}, []float32{-1, 2, -3, 4})}, Options{Arena: arena})
 	if err != nil {
@@ -218,6 +224,44 @@ func TestArenaPassthroughForUnplannedValues(t *testing.T) {
 	}
 	if res.Outputs["yshape"].I[0] != 4 {
 		t.Errorf("yshape = %v", res.Outputs["yshape"].I)
+	}
+}
+
+// A tensor larger than its slot is an arena fault even where the buffer
+// has room: a fitted layout packs the next slot right above it, and
+// spilling would overwrite a live neighbour instead of failing.
+func TestArenaSlotOverflowErrors(t *testing.T) {
+	g := graph.New("slots")
+	g.AddInput("x", tensor.Float32, lattice.FromInts(8))
+	g.Op("Relu", "r", []string{"x"}, []string{"y"}, nil)
+	g.Op("Neg", "n", []string{"y"}, []string{"z"}, nil)
+	g.AddOutput("z")
+	x := tensor.FromFloats([]int64{8}, []float32{-4, -3, -2, -1, 1, 2, 3, 4})
+	for _, tc := range []struct {
+		name  string
+		sizes []int64 // y's slot at 0, z's right above it
+		fault bool
+	}{
+		{"both fit", []int64{32, 32}, false},
+		{"y outgrows its slot", []int64{16, 32}, true},
+		{"z outgrows its slot", []int64{32, 16}, true},
+	} {
+		arena := NewArena(map[string]int{"y": 0, "z": 1}, []int64{0, tc.sizes[0]}, tc.sizes, make([]float32, 64))
+		res, err := Run(g, map[string]*tensor.Tensor{"x": x}, Options{Arena: arena})
+		if tc.fault {
+			if !errors.Is(err, ErrArenaOverflow) || !IsArenaFault(err) {
+				t.Errorf("%s: want a slot overflow fault, got %v", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i, v := range res.Outputs["z"].F {
+			if want := -max(x.F[i], 0); v != want {
+				t.Errorf("%s: z[%d] = %v, want %v", tc.name, i, v, want)
+			}
+		}
 	}
 }
 

@@ -176,14 +176,14 @@ func TestOnAllocHookOOM(t *testing.T) {
 
 func TestArenaBudgetEnforced(t *testing.T) {
 	g := reluChain(1)
-	arena := NewArena(map[string]int64{"va": 0}, 16)
+	arena := oneSlot("va", 0, 16, 16)
 	arena.Budget = 8 // 4 floats needed, budget of 2
 	_, err := Run(g, map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 4)},
 		Options{Arena: arena})
 	if !errors.Is(err, ErrArenaExhausted) || !IsArenaFault(err) {
 		t.Fatalf("want budget fault, got %v", err)
 	}
-	arena2 := NewArena(map[string]int64{"va": 0}, 16)
+	arena2 := oneSlot("va", 0, 16, 16)
 	arena2.Budget = 16
 	if _, err := Run(g, map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 4)},
 		Options{Arena: arena2}); err != nil {
@@ -196,13 +196,13 @@ func TestArenaBudgetEnforced(t *testing.T) {
 
 func TestArenaFaultClass(t *testing.T) {
 	g := reluChain(1)
-	over := NewArena(map[string]int64{"va": 0}, 4)
+	over := oneSlot("va", 0, 16, 4)
 	_, err := Run(g, map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 4)},
 		Options{Arena: over})
 	if !errors.Is(err, ErrArenaOverflow) || !IsArenaFault(err) {
 		t.Errorf("overflow fault: %v", err)
 	}
-	mis := NewArena(map[string]int64{"va": 2}, 64)
+	mis := oneSlot("va", 2, 16, 64)
 	_, err = Run(g, map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 4)},
 		Options{Arena: mis})
 	if !errors.Is(err, ErrArenaMisaligned) || !IsArenaFault(err) {

@@ -163,11 +163,13 @@ func TestWavesWithArenaMatchesSequential(t *testing.T) {
 	}
 	waves := partitionWaves(order)
 	// Disjoint offsets for every intermediate: trivially wave-widened.
-	offsets := map[string]int64{}
+	slots := map[string]int{}
+	var offsets, sizes []int64
 	var off int64
 	for _, n := range order {
 		for _, o := range n.Outputs {
-			offsets[o] = off
+			slots[o] = len(offsets)
+			offsets, sizes = append(offsets, off), append(sizes, 256*4)
 			off += 256 * 4
 		}
 	}
@@ -176,7 +178,7 @@ func TestWavesWithArenaMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena := NewArena(offsets, off)
+	arena := NewArena(slots, offsets, sizes, make([]float32, off/4))
 	par, err := Run(g, in, Options{Order: order, Waves: waves, Workers: 4, Hooks: &Hooks{}, Arena: arena})
 	if err != nil {
 		t.Fatal(err)

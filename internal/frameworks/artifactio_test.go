@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,32 +34,37 @@ func runOnce(t *testing.T, c *Compiled, seed uint64) map[string]*tensor.Tensor {
 // same keys, same shapes, bit-identical float payloads.
 func requireBitIdentical(t *testing.T, model string, got, want map[string]*tensor.Tensor) {
 	t.Helper()
+	if d := bitDiff(got, want); d != "" {
+		t.Fatalf("%s: %s", model, d)
+	}
+}
+
+// bitDiff describes the first way got differs from want ("" when they
+// have the same keys, shapes and bit-identical float payloads). Unlike
+// requireBitIdentical it is safe to call off the test's goroutine.
+func bitDiff(got, want map[string]*tensor.Tensor) string {
 	if len(got) != len(want) {
-		t.Fatalf("%s: output count %d != %d", model, len(got), len(want))
+		return fmt.Sprintf("output count %d != %d", len(got), len(want))
 	}
 	for name, w := range want {
 		g, ok := got[name]
 		if !ok {
-			t.Fatalf("%s: output %q missing from warm boot", model, name)
+			return fmt.Sprintf("output %q missing", name)
 		}
-		if len(g.Shape) != len(w.Shape) {
-			t.Fatalf("%s/%s: rank %d != %d", model, name, len(g.Shape), len(w.Shape))
-		}
-		for i := range w.Shape {
-			if g.Shape[i] != w.Shape[i] {
-				t.Fatalf("%s/%s: shape %v != %v", model, name, g.Shape, w.Shape)
-			}
+		if !slices.Equal(g.Shape, w.Shape) {
+			return fmt.Sprintf("%s: shape %v != %v", name, g.Shape, w.Shape)
 		}
 		if len(g.F) != len(w.F) {
-			t.Fatalf("%s/%s: payload %d floats != %d", model, name, len(g.F), len(w.F))
+			return fmt.Sprintf("%s: payload %d floats != %d", name, len(g.F), len(w.F))
 		}
 		for i := range w.F {
 			// Bit-level comparison: signed zeros and NaN payloads count.
 			if math.Float32bits(g.F[i]) != math.Float32bits(w.F[i]) {
-				t.Fatalf("%s/%s: float %d differs: %v != %v", model, name, i, g.F[i], w.F[i])
+				return fmt.Sprintf("%s: float %d differs: %v != %v", name, i, g.F[i], w.F[i])
 			}
 		}
 	}
+	return ""
 }
 
 // TestStoreRoundTripAllModels is the tentpole acceptance test: every

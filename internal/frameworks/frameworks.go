@@ -128,6 +128,10 @@ type Compiled struct {
 	verifyGen  atomic.Uint64
 	regionHits atomic.Uint64
 
+	// arenas keeps the arena buffers of finished planned runs for the
+	// next ones (arena.go).
+	arenas arenaStack
+
 	// hotspotIdx maps nodes to their MVC hotspot entry (built once at
 	// compile time; mvcEff previously linear-scanned all hotspots per
 	// trace event).

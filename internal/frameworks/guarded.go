@@ -129,10 +129,13 @@ type rung struct {
 	graph *graph.Graph
 	// order is the schedule (nil = the graph's declaration order).
 	order []*graph.Node
-	// plan places intermediates in one arena (nil = dynamic allocation).
-	plan *memplan.Plan
+	// layout places intermediates in one arena (nil = dynamic
+	// allocation); runRung fits it to the sizes env, the request's
+	// binding, gives each buffer.
+	layout *memplan.Layout
+	env    symbolic.Env
 	// workers > 0 runs the compiled wave partition on that many workers;
-	// plan is then the wave-widened (concurrency-proven) plan.
+	// layout is then the wave-widened (concurrency-proven) one.
 	workers int
 }
 
@@ -162,8 +165,8 @@ type rung struct {
 //
 // GuardedRun is safe for concurrent use on a shared Compiled: nothing is
 // keyed by concrete shape, the region proof is memoized by Verify, and
-// the arena is one allocation owned by this run alone (outputs are
-// detached from it on return so they do not pin the whole buffer).
+// an arena buffer is one run's alone while it runs (taken from the
+// Compiled's kept buffers and returned once the outputs are detached).
 func (c *Compiled) GuardedRun(inputs map[string]*tensor.Tensor, opts GuardOptions) (*exec.Result, *GuardReport, error) {
 	gr := &GuardReport{Tier: guard.TierPlanned}
 	r, err := c.entryRung(inputs, opts, gr)
@@ -253,20 +256,20 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 
 	// One plan source for the planned rung: the region proof. A request
 	// binding inside the proven region is served with the region-wide
-	// worst-case plan — no fact/shape checks, no plan verification,
-	// including for shapes never seen before. rep.Wave.Plan is non-nil
-	// exactly when the wavefront proof passed.
-	r := rung{graph: c.Graph, order: c.ExecPlan.Order}
-	var wave *memplan.Plan
+	// layout, fitted to its own sizes — no fact/shape checks, no plan
+	// verification, including for shapes never seen before.
+	// rep.Wave.Layout is non-nil exactly when the wavefront proof passed.
+	r := rung{graph: c.Graph, order: c.ExecPlan.Order, env: env}
+	var wave *memplan.Layout
 	if cerr == nil && !opts.ForceDynamic && opts.MutatePlan == nil {
 		if rep := c.Verify(); rep.Mem.Proven && rep.Region.ContainsEnv(env) {
-			r.plan, wave = rep.Mem.Plan, rep.Wave.Plan
+			r.layout, wave = rep.Mem.Layout, rep.Wave.Layout
 			gr.RegionCacheHit = true
 			c.regionHits.Add(1)
 		}
 	}
 	// Everything else answers to the analyzed facts and shape ranges.
-	if cerr == nil && r.plan == nil {
+	if cerr == nil && r.layout == nil {
 		if cerr = ct.CheckFacts(env); cerr == nil {
 			cerr = ct.CheckShapes(env)
 		}
@@ -284,19 +287,20 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 	}
 	// No region plan (an unprovable model, an out-of-proof request that
 	// still satisfied the contract, or MutatePlan): verify for this shape.
-	if gr.Tier == guard.TierPlanned && r.plan == nil {
+	if gr.Tier == guard.TierPlanned && r.layout == nil {
 		var verr error
-		if r.plan, wave, verr = c.shapePlans(env, opts); verr != nil {
+		if r.layout, wave, verr = c.shapePlans(env, opts); verr != nil {
 			if err := violated(verr); err != nil {
 				return rung{}, err
 			}
 		}
 	}
 	// The budget is the request's, so it is checked against whichever
-	// plan was chosen rather than baked into any proof.
-	if gr.Tier == guard.TierPlanned && opts.ArenaBudget > 0 && r.plan.ArenaSize > opts.ArenaBudget {
+	// plan was chosen rather than baked into any proof — at the plan's
+	// own arena size, which bounds every fitted one.
+	if gr.Tier == guard.TierPlanned && opts.ArenaBudget > 0 && r.layout.ArenaSize > opts.ArenaBudget {
 		verr := &guard.ContractError{Kind: guard.KindBudget,
-			Detail: fmt.Sprintf("planned arena %d bytes exceeds budget %d", r.plan.ArenaSize, opts.ArenaBudget)}
+			Detail: fmt.Sprintf("planned arena %d bytes exceeds budget %d", r.layout.ArenaSize, opts.ArenaBudget)}
 		if err := violated(verr); err != nil {
 			return rung{}, err
 		}
@@ -311,7 +315,7 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 		// sequentially — a scheduling choice, not a degradation.
 		if opts.Parallel && wave != nil && c.WavePlan != nil &&
 			(opts.ArenaBudget <= 0 || wave.ArenaSize <= opts.ArenaBudget) {
-			r.plan = wave
+			r.layout = wave
 			r.workers = opts.Workers
 			if r.workers <= 0 {
 				r.workers = runtime.GOMAXPROCS(0)
@@ -326,17 +330,19 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 			return rung{}, fmt.Errorf("frameworks: re-plan failed: %w", err)
 		}
 		gr.Degradations[len(gr.Degradations)-1].ReplanMS = ms
-		r.order, r.plan = order, nil
+		r.order, r.layout = order, nil
 	default:
-		r.plan = nil
+		r.layout = nil
 	}
 	return r, nil
 }
 
 // runRung is the one place a guarded request executes: exec.Run under
-// the request's Ctx/MaxLoopIters/Hooks, then the epilogue every tier
-// owes its caller — every graph output produced, outputs detached from
-// the arena, and the non-finite scan.
+// the request's Ctx/MaxLoopIters/Hooks — on a rung with a layout, into a
+// kept arena buffer with the layout fitted to the request — then the
+// epilogue every tier owes its caller: every graph output produced,
+// outputs detached from the arena (before its buffer goes back to the
+// stack), and the non-finite scan.
 func (c *Compiled) runRung(r rung, inputs map[string]*tensor.Tensor, opts GuardOptions, gr *GuardReport) (*exec.Result, error) {
 	eo := exec.Options{
 		Order:        r.order,
@@ -344,8 +350,10 @@ func (c *Compiled) runRung(r rung, inputs map[string]*tensor.Tensor, opts GuardO
 		MaxLoopIters: opts.MaxLoopIters,
 		Hooks:        opts.Hooks,
 	}
-	if r.plan != nil {
-		eo.Arena = exec.NewArena(r.plan.Offsets, r.plan.ArenaSize)
+	if r.layout != nil {
+		ab := c.arenas.pop()
+		defer c.arenas.push(ab)
+		eo.Arena = ab.fit(r.layout, c.Infos, r.env)
 		eo.Arena.Budget = opts.ArenaBudget
 	}
 	if r.workers > 0 {
@@ -381,7 +389,7 @@ func (c *Compiled) descend(r rung, err error, opts GuardOptions) (next rung, kin
 		return rung{}, "", false
 	}
 	switch {
-	case r.plan != nil && exec.IsArenaFault(err):
+	case r.layout != nil && exec.IsArenaFault(err):
 		// The plan disagreed with runtime reality (injected OOM, stale
 		// offsets). The dynamic allocator is immune.
 		return rung{tier: guard.TierDynamic, graph: r.graph, order: r.order}, guard.KindMemPlan, true
@@ -419,9 +427,11 @@ func contractKind(err error) guard.ViolationKind {
 // outside its proof) and for the MutatePlan test hook: verify the
 // execution order, build the memory plan under this one binding, verify
 // it, and (for a parallel request) widen it to wave granularity and
-// verify that too. A widening failure leaves wave nil — the request runs
-// sequentially on the planned rung, never on a lower one.
-func (c *Compiled) shapePlans(env symbolic.Env, opts GuardOptions) (pl, wave *memplan.Plan, err error) {
+// verify that too; each verified plan comes back as its layout over the
+// program it was verified against. A widening failure leaves wave nil —
+// the request runs sequentially on the planned rung, never on a lower
+// one.
+func (c *Compiled) shapePlans(env symbolic.Env, opts GuardOptions) (seq, wave *memplan.Layout, err error) {
 	if err := guard.VerifyExecutionPlan(c.Graph, c.ExecPlan.Order); err != nil {
 		return nil, nil, err
 	}
@@ -435,11 +445,11 @@ func (c *Compiled) shapePlans(env symbolic.Env, opts GuardOptions) (pl, wave *me
 	if opts.Parallel && opts.MutatePlan == nil && c.WavePlan != nil {
 		if widened, werr := memplan.WidenWaves(prog, c.WavePlan.Ranges); werr == nil {
 			if wp := memplan.PeakFirst(widened); guard.VerifyMemoryPlan(wp, widened) == nil {
-				wave = wp
+				wave = memplan.NewLayout(wp, widened)
 			}
 		}
 	}
-	return pl, wave, nil
+	return memplan.NewLayout(pl, prog), wave, nil
 }
 
 // replan re-analyzes the graph with every input shape pinned to its

@@ -26,7 +26,8 @@ func (c *Compiled) PlanArena(inputs map[string]*tensor.Tensor) (*exec.Arena, err
 	if err := plan.Validate(prog); err != nil {
 		return nil, err
 	}
-	return exec.NewArena(plan.Offsets, plan.ArenaSize), nil
+	l := memplan.NewLayout(plan, prog)
+	return exec.NewArena(l.Index, l.Offsets, l.Sizes, make([]float32, (l.ArenaSize+3)/4)), nil
 }
 
 // valueDTypes lazily infers (and caches) the value→dtype map for the

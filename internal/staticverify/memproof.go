@@ -21,9 +21,12 @@ import (
 type MemVerdict struct {
 	Proven bool
 	Reason string
-	// Plan/Program are the region-wide worst-case plan (Proven only).
+	// Plan/Program are the region-wide worst-case plan (Proven only), and
+	// Layout is Plan's placement order over Program: serving fits it to
+	// each request's sizes, which the proof bounds by Program's.
 	Plan    *memplan.Plan
 	Program *memplan.Program
+	Layout  *memplan.Layout
 	// Buffers and ArenaSize summarize the proven plan.
 	Buffers   int
 	ArenaSize int64
@@ -222,6 +225,7 @@ func ProveMemory(g *graph.Graph, infos map[string]lattice.Info, order []*graph.N
 		v.Proven = true
 		v.Plan = plan
 		v.Program = prog
+		v.Layout = memplan.NewLayout(plan, prog)
 	} else {
 		v.Reason = strings.Join(dedupe(reasons), "; ")
 		diags = append(diags, Diagnostic{

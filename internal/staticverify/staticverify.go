@@ -202,7 +202,7 @@ func Analyze(in Input) *Report {
 		// A memory plan over an invalid schedule is meaningless.
 		r.Mem.Proven = false
 		r.Mem.Reason = "execution plan not proven: " + r.Exec.Reason
-		r.Mem.Plan = nil
+		r.Mem.Plan, r.Mem.Layout = nil, nil
 	}
 
 	// 4. Wavefront proof: antichain partition + wave-widened memory
@@ -214,7 +214,7 @@ func Analyze(in Input) *Report {
 		if !r.Exec.Proven && r.Wave.Proven {
 			r.Wave.Proven = false
 			r.Wave.Reason = "execution plan not proven: " + r.Exec.Reason
-			r.Wave.Plan = nil
+			r.Wave.Layout = nil
 		}
 	}
 

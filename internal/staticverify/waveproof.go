@@ -16,10 +16,12 @@ import (
 type WaveVerdict struct {
 	Proven bool
 	Reason string
-	// Plan is the wave-widened region-wide arena plan (Proven only).
-	// Serving uses it for wavefront-parallel requests admitted by the
-	// region fast path.
-	Plan *memplan.Plan
+	// Layout is the wave-widened region-wide arena plan's placement order
+	// over the widened program (Proven only): serving fits it to each
+	// wavefront-parallel request admitted by the region fast path.
+	// (Fitted with the sequential program's lifetimes instead, two
+	// buffers of one wave could overlap.)
+	Layout *memplan.Layout
 	// Waves and MaxWidth summarize the partition; ArenaSize is the
 	// widened plan's footprint (>= the sequential proof's ArenaSize).
 	Waves     int
@@ -112,7 +114,7 @@ func ProveWavefronts(order []*graph.Node, waves [][2]int, mem MemVerdict) (WaveV
 		return v, diags
 	}
 	v.Proven = true
-	v.Plan = plan
+	v.Layout = memplan.NewLayout(plan, widened)
 	v.ArenaSize = plan.ArenaSize
 	return v, diags
 }

@@ -34,7 +34,7 @@ func TestProveWavefrontsProven(t *testing.T) {
 	if !v.Proven {
 		t.Fatalf("not proven: %q (%v)", v.Reason, diags)
 	}
-	if v.Plan == nil || v.Waves != len(order) || v.MaxWidth != 1 {
+	if v.Layout == nil || v.Waves != len(order) || v.MaxWidth != 1 {
 		t.Fatalf("verdict %+v", v)
 	}
 	// Width-1 waves never widen anything: same footprint.
