@@ -385,7 +385,7 @@ func serveBenchCmd(name, device string, requests, workers, distinct,
 	if rep.Mem.Proven {
 		fmt.Printf("static verify: memory plan proven over region — shape-family serving on\n")
 	} else {
-		fmt.Printf("static verify: unprovable (%s) — plans verified per request shape\n", rep.Mem.Reason)
+		fmt.Printf("static verify: unprovable (%s) — requests run with dynamic allocation\n", rep.Mem.Reason)
 	}
 	if parallel > 0 {
 		if rep.Wave.Proven {

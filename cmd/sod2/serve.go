@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -73,7 +74,7 @@ func bootServer(builders []*models.Builder, device, storeDir string,
 		if err != nil {
 			fail(err)
 		}
-		mode := "plans verified per request shape"
+		mode := "memory plan unproven: dynamic allocation"
 		if vrep.Mem.Proven {
 			mode = "region-proven shape-family serving"
 		}
@@ -166,13 +167,15 @@ func sampleCmd(name string, size int64, gate float64, seed uint64) {
 	}
 }
 
-// percentile picks the p-th percentile from sorted latencies.
+// percentile picks the p-th percentile (0 < p <= 1) from sorted
+// latencies by nearest rank: the smallest sample at or above a p share
+// of the samples, so a tail percentile is never under-reported.
 func percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
+	rank := min(max(int(math.Ceil(p*float64(len(sorted)))), 1), len(sorted))
+	return sorted[rank-1]
 }
 
 // httpBenchPass drives one serving configuration over the wire and

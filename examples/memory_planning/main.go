@@ -2,14 +2,18 @@
 // real YOLO-v6 execution trace and compare the three offset planners of
 // §4.4.1 — SoD²'s peak-first bidirectional greedy, the best-fit greedy
 // baseline, and the information-theoretic lower bound — plus what the
-// arena looks like without any plan (the dynamic-allocator pool).
+// arena looks like without any plan (the dynamic-allocator pool), and
+// what the planned tier touches when the region proof's layout is
+// fitted to this request.
 package main
 
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"repro/internal/frameworks"
+	"repro/internal/guard"
 	"repro/internal/memplan"
 	"repro/internal/workload"
 
@@ -58,15 +62,20 @@ func main() {
 	fmt.Printf("no plan (deferred frees):    %8.2f MB peak live\n", mb(noPlan.PeakLive()))
 
 	// Execute *into* the planned arena: the runtime half of DMP. The
-	// outputs are identical to heap execution — the plan is safe.
-	arenaRes, arena, err := c.RunWithArena(s.Inputs)
+	// region proof's worst-case layout is fitted to this request's shapes
+	// on the planned tier; the outputs are identical to heap execution.
+	rep := c.Verify()
+	arenaRes, gr, err := c.GuardedRun(s.Inputs, frameworks.GuardOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("arena-backed execution:      %8.2f MB arena, %d placed tensors\n",
-		mb(arena.Size), len(arena.Offsets))
+	if gr.Tier != guard.TierPlanned {
+		log.Fatalf("served on the %v tier, want planned: %+v", gr.Tier, gr.Degradations)
+	}
+	fmt.Printf("arena-backed execution:      %8.2f MB high water (proven worst case %.2f MB, %d placed buffers)\n",
+		mb(gr.ArenaHighWater), mb(rep.Mem.ArenaSize), rep.Mem.Buffers)
 	for name, ref := range res.Outputs {
-		if got := arenaRes.Outputs[name]; got == nil || len(got.F) != len(ref.F) {
+		if got := arenaRes.Outputs[name]; got == nil || !slices.Equal(got.F, ref.F) {
 			log.Fatalf("arena execution diverged on %s", name)
 		}
 	}

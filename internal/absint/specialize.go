@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -239,13 +240,13 @@ func Replay(g *graph.Graph, cert *Certificate) (*graph.Graph, error) {
 	if err := apply(sg, d); err != nil {
 		return nil, fmt.Errorf("absint: replay: %w", err)
 	}
-	if !equalStrings(d.removed, cert.Removed) {
+	if !slices.Equal(d.removed, cert.Removed) {
 		return nil, fmt.Errorf("absint: replay removed %v, certificate says %v", d.removed, cert.Removed)
 	}
-	if !equalStrings(d.rewritten, cert.Rewritten) {
+	if !slices.Equal(d.rewritten, cert.Rewritten) {
 		return nil, fmt.Errorf("absint: replay rewrote %v, certificate says %v", d.rewritten, cert.Rewritten)
 	}
-	if d.foldedNodes != cert.Folded || !equalStrings(d.foldedConsts, cert.FoldedConsts) {
+	if d.foldedNodes != cert.Folded || !slices.Equal(d.foldedConsts, cert.FoldedConsts) {
 		return nil, fmt.Errorf("absint: replay folded %d nodes (%v), certificate says %d (%v)",
 			d.foldedNodes, d.foldedConsts, cert.Folded, cert.FoldedConsts)
 	}
@@ -740,16 +741,4 @@ func nodeIndex(g *graph.Graph, n *graph.Node) int {
 		}
 	}
 	return -1
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

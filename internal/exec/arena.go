@@ -13,8 +13,9 @@ import (
 // guarded executor can recover from by falling back to the dynamic
 // allocator (use errors.Is, or IsArenaFault for the whole class).
 var (
-	// ErrArenaExhausted reports a placement past the arena's optional
-	// byte budget (also returned by the fault injector's OOM mode).
+	// ErrArenaExhausted reports an allocation the memory ran out for: the
+	// out-of-memory sentinel an OnAlloc hook (the fault injector's OOM
+	// mode) returns.
 	ErrArenaExhausted = errors.New("arena budget exhausted")
 	// ErrArenaOverflow reports a placement past its slot or past the
 	// arena's backing store.
@@ -44,12 +45,6 @@ type Arena struct {
 	// tensor larger than its slot fails with ErrArenaOverflow instead of
 	// spilling into the slot above it.
 	Offsets, Sizes []int64
-	// Size is the arena's byte size: the end of its highest slot.
-	Size int64
-	// Budget, when positive, caps the highest byte the arena may serve:
-	// any placement ending past it fails with ErrArenaExhausted instead
-	// of silently growing the footprint.
-	Budget int64
 	// HighWater is the highest byte actually touched by placements.
 	// Guarded by hwMu: the wavefront executor places same-wave outputs
 	// concurrently (into disjoint planned regions — the copies need no
@@ -60,18 +55,15 @@ type Arena struct {
 	buf  []float32
 }
 
-// NewArena lays slots (see Arena) over buf, which should hold Size
-// bytes. The arena neither allocates nor clears its storage: buf is the
-// caller's, who may hand it to a later run once this one has returned
-// and its outputs are detached. No slot is read before place has
-// written it in full, so nothing a previous run left in buf is ever
-// observed — but a tensor viewing buf is valid only until that reuse.
+// NewArena lays slots (see Arena) over buf, which should reach the end
+// of the highest slot. The arena neither allocates nor clears its
+// storage: buf is the caller's, who may hand it to a later run once this
+// one has returned and its outputs are detached. No slot is read before
+// place has written it in full, so nothing a previous run left in buf is
+// ever observed — but a tensor viewing buf is valid only until that
+// reuse.
 func NewArena(slots map[string]int, offsets, sizes []int64, buf []float32) *Arena {
-	a := &Arena{Slots: slots, Offsets: offsets, Sizes: sizes, buf: buf}
-	for i, off := range offsets {
-		a.Size = max(a.Size, off+sizes[i])
-	}
-	return a
+	return &Arena{Slots: slots, Offsets: offsets, Sizes: sizes, buf: buf}
 }
 
 // Detach replaces every tensor in outputs whose storage aliases the
@@ -116,9 +108,6 @@ func (a *Arena) place(name string, t *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("exec: %s of %d bytes %w: its slot at %d holds %d", name, n*4, ErrArenaOverflow, off, a.Sizes[slot])
 	}
 	end := off + n*4
-	if a.Budget > 0 && end > a.Budget {
-		return nil, fmt.Errorf("exec: %s [%d,%d) over budget %d: %w", name, off, end, a.Budget, ErrArenaExhausted)
-	}
 	start := off / 4
 	if start+n > int64(len(a.buf)) {
 		return nil, fmt.Errorf("exec: %s [%d,%d) %w of %d floats", name, start, start+n, ErrArenaOverflow, int64(len(a.buf)))

@@ -511,6 +511,9 @@ func (ex *executor) execSwitch(n *graph.Node) error {
 		return nil
 	}
 	pred, data := in[0], in[1]
+	if pred == nil || pred.Len() == 0 || data == nil {
+		return fmt.Errorf("exec: Switch %s needs a non-empty predicate and a data input", n.Name)
+	}
 	taken := predIndex(pred, len(n.Outputs))
 	out := make([]*tensor.Tensor, len(n.Outputs))
 	for i, name := range n.Outputs {
@@ -582,6 +585,9 @@ func (ex *executor) execIf(n *graph.Node) error {
 	elseG := n.AttrGraph("else_branch")
 	if thenG == nil || elseG == nil {
 		return fmt.Errorf("exec: If %s missing branches", n.Name)
+	}
+	if len(in) == 0 {
+		return fmt.Errorf("exec: If %s has no condition input", n.Name)
 	}
 	runBranch := func(body *graph.Graph) (*Result, error) {
 		bindings := map[string]*tensor.Tensor{}
@@ -662,6 +668,12 @@ func (ex *executor) execLoop(n *graph.Node) error {
 	body := n.AttrGraph("body")
 	if body == nil {
 		return fmt.Errorf("exec: Loop %s missing body", n.Name)
+	}
+	if len(in) < 2 {
+		return fmt.Errorf("exec: Loop %s needs trip count and condition inputs, has %d inputs", n.Name, len(in))
+	}
+	if in[0] != nil && in[0].DType != tensor.Int64 {
+		return fmt.Errorf("exec: Loop %s trip count is %s, want int64", n.Name, in[0].DType)
 	}
 	maxTrip := int64(1 << 30)
 	if in[0] != nil && in[0].Len() > 0 {

@@ -35,6 +35,18 @@ func TestKernelErrorPropagates(t *testing.T) {
 func TestGemmConvShapeErrorsAreTyped(t *testing.T) {
 	f := func(shape ...int64) *tensor.Tensor { return tensor.New(tensor.Float32, shape...) }
 	ints := func(v ...int64) *tensor.Tensor { return tensor.FromInts([]int64{int64(len(v))}, v) }
+	// branches attaches the same one-node body under each subgraph attribute.
+	branches := func(attrs ...string) map[string]graph.AttrValue {
+		body := graph.New("body")
+		body.AddInput("v", tensor.Float32, lattice.FromInts(2))
+		body.Op("Relu", "r", []string{"v"}, []string{"w"}, nil)
+		body.AddOutput("w")
+		m := map[string]graph.AttrValue{}
+		for _, a := range attrs {
+			m[a] = graph.GraphAttr(body)
+		}
+		return m
+	}
 	for _, tc := range []struct {
 		name  string
 		op    string
@@ -98,6 +110,16 @@ func TestGemmConvShapeErrorsAreTyped(t *testing.T) {
 			[]*tensor.Tensor{f(2, 3), ints(0, 0), ints(1, 1), ints(0, 1), ints(1)}, "do not pair up"},
 		{"slice zero step", "Slice", nil,
 			[]*tensor.Tensor{f(2, 3), ints(0), ints(2), ints(1), ints(0)}, "zero step"},
+		{"empty float32 switch predicate", "Switch", nil,
+			[]*tensor.Tensor{f(0), f(2)}, "non-empty predicate"},
+		{"empty bool switch predicate", "Switch", nil,
+			[]*tensor.Tensor{tensor.New(tensor.Bool, 0), f(2)}, "non-empty predicate"},
+		{"if without a condition", "If", branches("then_branch", "else_branch"),
+			nil, "no condition input"},
+		{"float32 loop trip count", "Loop", branches("body"),
+			[]*tensor.Tensor{f(1), tensor.ScalarBool(true), f(2)}, "trip count is float32"},
+		{"loop with one input", "Loop", branches("body"),
+			[]*tensor.Tensor{tensor.ScalarInt(1)}, "has 1 inputs"},
 	} {
 		g := graph.New("bad")
 		inputs := map[string]*tensor.Tensor{}
@@ -261,6 +283,9 @@ func TestArenaSlotOverflowErrors(t *testing.T) {
 			if want := -max(x.F[i], 0); v != want {
 				t.Errorf("%s: z[%d] = %v, want %v", tc.name, i, v, want)
 			}
+		}
+		if want := tc.sizes[0] + tc.sizes[1]; arena.HighWater != want {
+			t.Errorf("%s: high water = %d, want %d", tc.name, arena.HighWater, want)
 		}
 	}
 }

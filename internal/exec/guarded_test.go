@@ -29,23 +29,17 @@ func reluChain(n int) *graph.Graph {
 }
 
 func TestPanicContainedAsOpError(t *testing.T) {
-	// An empty int64 predicate makes Switch's predIndex index t.I[0]
-	// out of range — a real panic that must surface as *guard.OpError.
+	// A Combine with no output makes execCombine index n.Outputs[0] out
+	// of range — a real panic that must surface as *guard.OpError.
 	g := graph.New("panics")
-	g.AddInput("p", tensor.Int64, lattice.FromInts(0))
 	g.AddInput("x", tensor.Float32, lattice.FromInts(2))
-	g.Op("Switch", "sw", []string{"p", "x"}, []string{"a", "b"}, nil)
-	g.Op("Combine", "cb", []string{"a", "b"}, []string{"y"}, nil)
-	g.AddOutput("y")
-	_, err := Run(g, map[string]*tensor.Tensor{
-		"p": tensor.New(tensor.Int64, 0),
-		"x": tensor.New(tensor.Float32, 2),
-	}, Options{})
+	g.Op("Combine", "cb", []string{"x"}, nil, nil)
+	_, err := Run(g, map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 2)}, Options{})
 	var oe *guard.OpError
 	if !errors.As(err, &oe) {
 		t.Fatalf("want *guard.OpError, got %v", err)
 	}
-	if oe.Op != "Switch" || !errors.Is(err, guard.ErrPanic) {
+	if oe.Op != "Combine" || !errors.Is(err, guard.ErrPanic) {
 		t.Errorf("contained panic = %+v", oe)
 	}
 }
@@ -171,26 +165,6 @@ func TestOnAllocHookOOM(t *testing.T) {
 		Options{Hooks: hooks})
 	if !errors.Is(err, ErrArenaExhausted) {
 		t.Fatalf("want ErrArenaExhausted, got %v", err)
-	}
-}
-
-func TestArenaBudgetEnforced(t *testing.T) {
-	g := reluChain(1)
-	arena := oneSlot("va", 0, 16, 16)
-	arena.Budget = 8 // 4 floats needed, budget of 2
-	_, err := Run(g, map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 4)},
-		Options{Arena: arena})
-	if !errors.Is(err, ErrArenaExhausted) || !IsArenaFault(err) {
-		t.Fatalf("want budget fault, got %v", err)
-	}
-	arena2 := oneSlot("va", 0, 16, 16)
-	arena2.Budget = 16
-	if _, err := Run(g, map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 4)},
-		Options{Arena: arena2}); err != nil {
-		t.Fatalf("within budget: %v", err)
-	}
-	if arena2.HighWater != 16 {
-		t.Errorf("high water = %d, want 16", arena2.HighWater)
 	}
 }
 

@@ -73,3 +73,23 @@ func (ab *arenaBuf) fit(l *memplan.Layout, infos map[string]lattice.Info, env sy
 	}
 	return exec.NewArena(l.Index, ab.offs, ab.sizes, ab.buf[:words])
 }
+
+// evalBytes evaluates a lattice shape's byte size under env (float32
+// element size; 0 when the shape cannot be resolved statically).
+func evalBytes(s lattice.Shape, env symbolic.Env) int64 {
+	if s.Kind != lattice.ShapeRanked {
+		return 0
+	}
+	n := int64(1)
+	for _, d := range s.Dims {
+		if !d.IsExpr() {
+			return 0
+		}
+		v, err := d.E.Eval(env)
+		if err != nil || v < 0 {
+			return 0
+		}
+		n *= v
+	}
+	return n * 4
+}

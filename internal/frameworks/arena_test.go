@@ -11,6 +11,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/models"
 	"repro/internal/tensor"
+	"repro/internal/workload"
 )
 
 // poisonKeptArenas fills every buffer on c's arena stack with NaN across
@@ -122,5 +123,65 @@ func TestFittedArenaAllocatesLessThanWorstCase(t *testing.T) {
 			t.Errorf("%s@%d: a request allocated %d bytes, not below the %d-byte worst-case arena",
 				name, c.Builder.MinSize, best, worst)
 		}
+	}
+}
+
+// Arena-backed execution must produce exactly the same outputs as
+// individually-allocated execution for every model at two sizes — the
+// end-to-end check that the fitted layout never overlaps two
+// concurrently-live tensors — and touch far fewer bytes than allocating
+// every intermediate separately.
+func TestArenaExecutionMatchesHeapExecution(t *testing.T) {
+	for _, b := range models.All() {
+		t.Run(b.Name, func(t *testing.T) {
+			c, err := Compile(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps := (b.MaxSize - b.MinSize) / b.SizeStep
+			for _, size := range []int64{b.MinSize, b.MinSize + steps/2*b.SizeStep} {
+				s := workload.Fixed(b, 1, size, 0.5, 41)[0]
+				ref, err := c.Execute(s, false, OrderPlanned)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, gr, err := c.GuardedRun(s.Inputs, GuardOptions{})
+				if err != nil {
+					t.Fatalf("size %d: %v", size, err)
+				}
+				if gr.Tier != guard.TierPlanned || gr.ArenaHighWater <= 0 {
+					t.Fatalf("size %d: tier %v, arena high water %d: want the planned arena", size, gr.Tier, gr.ArenaHighWater)
+				}
+				requireBitIdentical(t, fmt.Sprintf("%s@%d", b.Name, size), res.Outputs, ref.Outputs)
+				if gr.ArenaHighWater >= ref.Trace.TotalAllocBytes {
+					t.Errorf("size %d: arena high water %d >= total alloc %d", size, gr.ArenaHighWater, ref.Trace.TotalAllocBytes)
+				}
+			}
+		})
+	}
+}
+
+// Negative control: the proven layout with every offset smashed to zero
+// (every tensor aliases every other) must change the outputs — proving
+// the comparison above actually detects overlap bugs.
+func TestArenaOverlapIsDetectable(t *testing.T) {
+	b, _ := models.Get("CodeBERT")
+	c, rep, err := CompileVerified(b)
+	if err != nil || !rep.Mem.Proven {
+		t.Fatalf("compile: err %v, proven %v", err, rep != nil && rep.Mem.Proven)
+	}
+	s := workload.Fixed(b, 1, 96, 0.5, 43)[0]
+	ref, err := c.Execute(s, false, OrderPlanned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := rep.Mem.Layout
+	arena := exec.NewArena(l.Index, make([]int64, len(l.Offsets)), l.Sizes, make([]float32, (l.ArenaSize+3)/4))
+	got, err := exec.Run(c.Graph, s.Inputs, exec.Options{Order: c.ExecPlan.Order, Arena: arena})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bitDiff(got.Outputs, ref.Outputs) == "" {
+		t.Fatal("fully-aliased arena produced identical outputs — overlap detection has no teeth")
 	}
 }

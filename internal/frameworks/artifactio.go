@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -253,13 +254,13 @@ func compileFromManifest(b *models.Builder, g *graph.Graph, man *artifact.Manife
 		gotQuant = man.Quant.Format
 	}
 	if wantQuant != gotQuant {
-		return nil, &loadError{secName("quant"), "version-skew",
+		return nil, &loadError{"quant", "version-skew",
 			fmt.Sprintf("artifact quant config %q, compile requested %q", gotQuant, wantQuant)}
 	}
 
 	res, err := rdp.Analyze(g, nil, rdp.Options{})
 	if err != nil {
-		return nil, &loadError{secName("rdp"), "graph-mismatch", err.Error()}
+		return nil, &loadError{"rdp", "graph-mismatch", err.Error()}
 	}
 	origGraph, origInfos := g, res.Infos
 
@@ -271,33 +272,33 @@ func compileFromManifest(b *models.Builder, g *graph.Graph, man *artifact.Manife
 	if man.Spec != nil {
 		cert = &absint.Certificate{}
 		if err := json.Unmarshal(man.Spec.Certificate, cert); err != nil {
-			return nil, &loadError{secName("spec"), "decode", err.Error()}
+			return nil, &loadError{"spec", "decode", err.Error()}
 		}
 		if got := cert.Digest(); got != man.Spec.Digest {
-			return nil, &loadError{secName("spec"), "proof-mismatch",
+			return nil, &loadError{"spec", "proof-mismatch",
 				fmt.Sprintf("certificate digest %s, section says %s", got, man.Spec.Digest)}
 		}
 		compileCounters.specReplays.Add(1)
 		sg, rerr := absint.Replay(g, cert)
 		if rerr != nil {
-			return nil, &loadError{secName("spec"), "proof-mismatch", rerr.Error()}
+			return nil, &loadError{"spec", "proof-mismatch", rerr.Error()}
 		}
 		if sg != g {
 			g = sg
 			if cert.TopologyChanged() {
 				if res, err = rdp.Analyze(g, nil, rdp.Options{}); err != nil {
-					return nil, &loadError{secName("spec"), "graph-mismatch", err.Error()}
+					return nil, &loadError{"spec", "graph-mismatch", err.Error()}
 				}
 			}
 		}
 	}
 
 	if man.Meta.NodeCount != len(g.Nodes) {
-		return nil, &loadError{secName("meta"), "graph-mismatch",
+		return nil, &loadError{"meta", "graph-mismatch",
 			fmt.Sprintf("artifact has %d nodes, graph has %d", man.Meta.NodeCount, len(g.Nodes))}
 	}
 	if got := shapeDigest(res.Infos); got != man.RDP.ShapeDigest {
-		return nil, &loadError{secName("rdp"), "version-skew",
+		return nil, &loadError{"rdp", "version-skew",
 			fmt.Sprintf("RDP shape digest %s, artifact was compiled against %s", got, man.RDP.ShapeDigest)}
 	}
 
@@ -320,17 +321,17 @@ func compileFromManifest(b *models.Builder, g *graph.Graph, man *artifact.Manife
 
 	// The stored order must schedule every top-level node exactly once.
 	if len(man.SEP.Order) != len(g.Nodes) {
-		return nil, &loadError{secName("sep"), "graph-mismatch",
+		return nil, &loadError{"sep", "graph-mismatch",
 			fmt.Sprintf("order has %d steps, graph has %d nodes", len(man.SEP.Order), len(g.Nodes))}
 	}
-	order, lerr := resolve(secName("sep"), man.SEP.Order)
+	order, lerr := resolve("sep", man.SEP.Order)
 	if lerr != nil {
 		return nil, lerr
 	}
 	seen := make(map[*graph.Node]bool, len(order))
 	for _, n := range order {
 		if seen[n] {
-			return nil, &loadError{secName("sep"), "graph-mismatch",
+			return nil, &loadError{"sep", "graph-mismatch",
 				fmt.Sprintf("node %q scheduled twice", n.Name)}
 		}
 		seen[n] = true
@@ -354,7 +355,7 @@ func compileFromManifest(b *models.Builder, g *graph.Graph, man *artifact.Manife
 	c.FusionStatic = fusion.Fuse(g, res.Infos, fusion.Static)
 	c.ExecPlan = &plan.Plan{Order: order, PeakBytes: man.SEP.PeakBytes}
 	for _, sm := range man.SEP.Subgraphs {
-		nodes, lerr := resolve(secName("sep"), sm.Nodes)
+		nodes, lerr := resolve("sep", sm.Nodes)
 		if lerr != nil {
 			return nil, lerr
 		}
@@ -374,7 +375,7 @@ func compileFromManifest(b *models.Builder, g *graph.Graph, man *artifact.Manife
 	if man.Waves != nil {
 		wp, err := plan.WavefrontsFromRanges(order, man.Waves.Ranges, man.Waves.MemCap)
 		if err != nil {
-			return nil, &loadError{secName("waves"), "graph-mismatch", err.Error()}
+			return nil, &loadError{"waves", "graph-mismatch", err.Error()}
 		}
 		c.WavePlan = wp
 	}
@@ -401,7 +402,7 @@ func compileFromManifest(b *models.Builder, g *graph.Graph, man *artifact.Manife
 func (c *Compiled) restoreQuant(qs *artifact.QuantSection) *loadError {
 	format, ok := tensor.DTypeByName(qs.Format)
 	if !ok || !format.IsQuantized() {
-		return &loadError{secName("quant"), "decode",
+		return &loadError{"quant", "decode",
 			fmt.Sprintf("unknown quant format %q", qs.Format)}
 	}
 	rep := &QuantReport{Format: format, Skipped: qs.Skipped,
@@ -414,17 +415,17 @@ func (c *Compiled) restoreQuant(qs *artifact.QuantSection) *loadError {
 	for _, dto := range qs.Tensors {
 		orig := c.Graph.Initializers[dto.Name]
 		if orig == nil || orig.DType != tensor.Float32 {
-			return &loadError{secName("quant"), "graph-mismatch",
+			return &loadError{"quant", "graph-mismatch",
 				fmt.Sprintf("packed tensor %q is not a float32 initializer of the graph", dto.Name)}
 		}
-		if !equalInt64s(orig.Shape, dto.Shape) {
-			return &loadError{secName("quant"), "graph-mismatch",
+		if !slices.Equal(orig.Shape, dto.Shape) {
+			return &loadError{"quant", "graph-mismatch",
 				fmt.Sprintf("packed tensor %q shape %v, graph has %v", dto.Name, dto.Shape, orig.Shape)}
 		}
 		qd := &tensor.QuantData{Format: format, Rows: dto.Rows, Cols: dto.Cols,
 			Scales: dto.Scales, Mins: dto.Mins, Data: dto.Data}
 		if err := qd.Validate(orig.Shape); err != nil {
-			return &loadError{secName("quant"), "decode", err.Error()}
+			return &loadError{"quant", "decode", err.Error()}
 		}
 		qt := &tensor.Tensor{DType: format, Shape: append([]int64(nil), orig.Shape...), Q: qd}
 		packed[dto.Name] = qt
@@ -445,22 +446,6 @@ func (c *Compiled) restoreQuant(qs *artifact.QuantSection) *loadError {
 	return nil
 }
 
-func equalInt64s(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// secName keeps loadError section labels aligned with the on-disk
-// section names without exporting them from artifact.
-func secName(s string) string { return s }
-
 // crossCheckVerdicts compares a verify-on-load report against the
 // verdicts stored with the artifact. The loaded plans are served only
 // if this binary proves exactly what the compiling binary proved —
@@ -470,7 +455,7 @@ func secName(s string) string { return s }
 func crossCheckVerdicts(rep *staticverify.Report, man *artifact.Manifest) *loadError {
 	v := man.Verdicts
 	mismatch := func(detail string) *loadError {
-		return &loadError{secName("verdicts"), "proof-mismatch", detail}
+		return &loadError{"verdicts", "proof-mismatch", detail}
 	}
 	if !rep.Exec.Proven {
 		return mismatch("stored execution plan no longer proves: " + rep.Exec.Reason)
@@ -520,22 +505,10 @@ func crossCheckVerdicts(rep *staticverify.Report, man *artifact.Manifest) *loadE
 	if got := rep.Errors(); got != v.LintErrors {
 		return mismatch(fmt.Sprintf("lint verdict drifted: stored %d errors, re-run %d", v.LintErrors, got))
 	}
-	if got := diagCodes(rep); !equalStrings(got, v.DiagCodes) {
+	if got := diagCodes(rep); !slices.Equal(got, v.DiagCodes) {
 		return mismatch(fmt.Sprintf("diagnostic codes drifted: stored %v, re-run %v", v.DiagCodes, got))
 	}
 	return nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // BootInfo describes how one model came up through the store.

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/absint"
 	"repro/internal/costmodel"
-	"repro/internal/dtypes"
 	"repro/internal/exec"
 	"repro/internal/fold"
 	"repro/internal/fusion"
@@ -136,11 +135,6 @@ type Compiled struct {
 	// compile time; mvcEff previously linear-scanned all hotspots per
 	// trace event).
 	hotspotIdx map[*graph.Node]*mvc.NodeVersions
-
-	// dtypesOnce guards the lazily inferred value→dtype map that makes
-	// the arena program and memory proofs byte-width-aware.
-	dtypesOnce sync.Once
-	dtypesMap  dtypes.Map
 
 	// Quant describes the weight-quantization pass applied to Graph
 	// (nil = float32 weights). floatInits keeps the original f32

@@ -14,6 +14,7 @@ import (
 	"repro/internal/memplan"
 	"repro/internal/plan"
 	"repro/internal/rdp"
+	"repro/internal/staticverify"
 	"repro/internal/symbolic"
 	"repro/internal/tensor"
 )
@@ -23,7 +24,8 @@ type GuardOptions struct {
 	// Ctx, when non-nil, bounds the inference: cancellation is honored
 	// between nodes, including inside If/Loop bodies.
 	Ctx context.Context
-	// ArenaBudget caps the arena footprint in bytes; a plan over budget
+	// ArenaBudget caps the arena footprint in bytes: a proven layout whose
+	// worst-case arena, which bounds every fitted one, is over budget
 	// degrades to the dynamic allocator instead of being executed.
 	ArenaBudget int64
 	// MaxLoopIters caps Loop trip counts (exec.DefaultMaxLoopIters if 0).
@@ -31,10 +33,6 @@ type GuardOptions struct {
 	// Hooks are threaded into the executor on every rung a request runs
 	// (fault injection, tracing).
 	Hooks *exec.Hooks
-	// MutatePlan, when set, edits the per-shape memory plan before it is
-	// verified and the arena built — a test hook for forcing offset
-	// conflicts. It bypasses the region proof's plan.
-	MutatePlan func(*memplan.Plan)
 	// Strict turns degradations into errors: any contract violation
 	// fails the inference instead of falling back.
 	Strict bool
@@ -55,7 +53,7 @@ type GuardOptions struct {
 	// tier: kernels of each statically planned wave run concurrently on
 	// a worker pool, against the wave-widened (concurrency-proven)
 	// arena plan. Requests that cannot run parallel soundly — no wave
-	// partition, widened plan unverified or over budget, degraded tier —
+	// partition, widened plan unproven or over budget, degraded tier —
 	// silently execute sequentially; check GuardReport.Wavefronts.
 	Parallel bool
 	// Workers sizes the worker pool when Parallel is set
@@ -73,9 +71,9 @@ type GuardReport struct {
 	ArenaHighWater int64
 	// RegionCacheHit reports that the statically-proven shape-family plan
 	// served this request: the input shapes bound inside the verified
-	// region, so the region-wide worst-case plan applied with no
-	// per-shape contract or plan verification — including for shapes
-	// never seen before.
+	// region, so the region-wide layout, fitted to the request, applied
+	// with no per-shape contract checks — including for shapes never seen
+	// before. It is the only way a request runs planned.
 	RegionCacheHit bool
 	// Wavefronts is the number of waves the run executed under the
 	// wavefront-parallel interpreter (0 = sequential), and
@@ -142,7 +140,8 @@ type rung struct {
 // GuardedRun executes one set of inputs under the full runtime contract,
 // as an explicit ladder of rungs:
 //
-//	planned   compiled graph, planned order, arena from a verified plan
+//	planned   compiled graph, planned order, the region proof's layout
+//	          fitted to this request
 //	dynamic   compiled graph, planned order, per-tensor allocation
 //	replan    compiled graph, order rebuilt by re-analysis of these shapes
 //	original  pre-specialization graph, dynamic allocation (reported as
@@ -152,13 +151,14 @@ type rung struct {
 // The inputs are bound against the RDP symbolic shapes exactly once, and
 // that binding's verdicts pick the entry rung (entryRung): inside the
 // statically proven region the request enters on the planned rung with
-// the region-wide plan and no per-shape checking at all; outside it the
-// analyzed facts and shape ranges are checked and — only for a model the
-// verifier could not prove, or under MutatePlan — the plans are verified
-// for this one shape. A run-time fault then descends (descend): an arena
-// fault from planned to dynamic, non-finite outputs of quantized weights
-// to float32. Every step is recorded in the GuardReport; Strict turns
-// each of them into the request's error instead.
+// the region-wide layout and no per-shape checking at all; outside it the
+// analyzed facts and shape ranges are checked, and a request that passes
+// them still has no plan: it enters on the dynamic rung (or the replan
+// rung, when the verifier refuted the compiled order). A run-time fault
+// then descends (descend): an arena fault from planned to dynamic,
+// non-finite outputs of quantized weights to float32. Every step is
+// recorded in the GuardReport; Strict turns each of them into the
+// request's error instead.
 //
 // Kernel panics surface as *guard.OpError; a nil error means the outputs
 // are complete (possibly via a degraded tier — check the GuardReport).
@@ -221,9 +221,9 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 	// violated lowers the entry tier for one verdict, or refuses it under
 	// Strict. A binding that contradicts the analysis, or a schedule that
 	// is not one, means the compiled order cannot be trusted: re-analyze
-	// from scratch. Anything else — out-of-range or misaligned extents, a
-	// bad or over-budget memory plan — only makes planned offsets
-	// unsound: dynamic allocation is safe.
+	// from scratch. Anything else — out-of-range or misaligned extents, no
+	// proven or an over-budget memory plan — only rules out planned
+	// offsets: dynamic allocation is safe.
 	violated := func(verr error) error {
 		if opts.Strict {
 			return verr
@@ -256,14 +256,14 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 
 	// One plan source for the planned rung: the region proof. A request
 	// binding inside the proven region is served with the region-wide
-	// layout, fitted to its own sizes — no fact/shape checks, no plan
-	// verification, including for shapes never seen before.
-	// rep.Wave.Layout is non-nil exactly when the wavefront proof passed.
+	// layout, fitted to its own sizes — no fact/shape checks, including
+	// for shapes never seen before. rep.Wave.Layout is non-nil exactly
+	// when the wavefront proof passed.
 	r := rung{graph: c.Graph, order: c.ExecPlan.Order, env: env}
-	var wave *memplan.Layout
-	if cerr == nil && !opts.ForceDynamic && opts.MutatePlan == nil {
-		if rep := c.Verify(); rep.Mem.Proven && rep.Region.ContainsEnv(env) {
-			r.layout, wave = rep.Mem.Layout, rep.Wave.Layout
+	var rep *staticverify.Report
+	if cerr == nil && !opts.ForceDynamic {
+		if rep = c.Verify(); rep.Mem.Proven && rep.Region.ContainsEnv(env) {
+			r.layout = rep.Mem.Layout
 			gr.RegionCacheHit = true
 			c.regionHits.Add(1)
 		}
@@ -285,19 +285,27 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 	if opts.ForceDynamic && gr.Tier == guard.TierPlanned {
 		gr.degrade("plan quarantined by circuit breaker", guard.KindQuarantine, guard.TierDynamic)
 	}
-	// No region plan (an unprovable model, an out-of-proof request that
-	// still satisfied the contract, or MutatePlan): verify for this shape.
+	// A request that satisfied the contract but that no proof covers (an
+	// unprovable model, a binding outside the proven region) has no plan.
+	// The verifier's verdicts, computed once per compile, name its rung:
+	// a refuted order cannot be trusted at all, anything else only rules
+	// out planned offsets.
 	if gr.Tier == guard.TierPlanned && r.layout == nil {
-		var verr error
-		if r.layout, wave, verr = c.shapePlans(env, opts); verr != nil {
-			if err := violated(verr); err != nil {
-				return rung{}, err
-			}
+		verr := &guard.ContractError{Kind: guard.KindMemPlan, Detail: "binding outside the proven region"}
+		switch {
+		case !rep.Exec.Proven:
+			verr = &guard.ContractError{Kind: guard.KindExecPlan, Detail: "compiled order refuted",
+				Cause: errors.New(rep.Exec.Reason)}
+		case !rep.Mem.Proven:
+			verr.Detail = "memory plan not proven: " + rep.Mem.Reason
+		}
+		if err := violated(verr); err != nil {
+			return rung{}, err
 		}
 	}
-	// The budget is the request's, so it is checked against whichever
-	// plan was chosen rather than baked into any proof — at the plan's
-	// own arena size, which bounds every fitted one.
+	// The budget is the request's, so it is checked against the proven
+	// layout rather than baked into the proof — at its worst-case arena
+	// size, which bounds every fitted one.
 	if gr.Tier == guard.TierPlanned && opts.ArenaBudget > 0 && r.layout.ArenaSize > opts.ArenaBudget {
 		verr := &guard.ContractError{Kind: guard.KindBudget,
 			Detail: fmt.Sprintf("planned arena %d bytes exceeds budget %d", r.layout.ArenaSize, opts.ArenaBudget)}
@@ -313,7 +321,7 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 		// a concurrency-proven widened plan, and only when the (larger)
 		// widened arena also fits the budget. Anything short of that runs
 		// sequentially — a scheduling choice, not a degradation.
-		if opts.Parallel && wave != nil && c.WavePlan != nil &&
+		if wave := rep.Wave.Layout; opts.Parallel && wave != nil && c.WavePlan != nil &&
 			(opts.ArenaBudget <= 0 || wave.ArenaSize <= opts.ArenaBudget) {
 			r.layout = wave
 			r.workers = opts.Workers
@@ -354,7 +362,6 @@ func (c *Compiled) runRung(r rung, inputs map[string]*tensor.Tensor, opts GuardO
 		ab := c.arenas.pop()
 		defer c.arenas.push(ab)
 		eo.Arena = ab.fit(r.layout, c.Infos, r.env)
-		eo.Arena.Budget = opts.ArenaBudget
 	}
 	if r.workers > 0 {
 		eo.Waves, eo.Workers = c.WavePlan.Waves, r.workers
@@ -420,36 +427,6 @@ func contractKind(err error) guard.ViolationKind {
 		return ce.Kind
 	}
 	return ""
-}
-
-// shapePlans is per-shape plan verification — the plan source of last
-// resort, for a model the static verifier could not prove (or a request
-// outside its proof) and for the MutatePlan test hook: verify the
-// execution order, build the memory plan under this one binding, verify
-// it, and (for a parallel request) widen it to wave granularity and
-// verify that too; each verified plan comes back as its layout over the
-// program it was verified against. A widening failure leaves wave nil —
-// the request runs sequentially on the planned rung, never on a lower
-// one.
-func (c *Compiled) shapePlans(env symbolic.Env, opts GuardOptions) (seq, wave *memplan.Layout, err error) {
-	if err := guard.VerifyExecutionPlan(c.Graph, c.ExecPlan.Order); err != nil {
-		return nil, nil, err
-	}
-	pl, prog := memProgram(c.Graph, c.ExecPlan.Order, c.Infos, env, c.valueDTypes())
-	if opts.MutatePlan != nil {
-		opts.MutatePlan(pl)
-	}
-	if err := guard.VerifyMemoryPlan(pl, prog); err != nil {
-		return nil, nil, err
-	}
-	if opts.Parallel && opts.MutatePlan == nil && c.WavePlan != nil {
-		if widened, werr := memplan.WidenWaves(prog, c.WavePlan.Ranges); werr == nil {
-			if wp := memplan.PeakFirst(widened); guard.VerifyMemoryPlan(wp, widened) == nil {
-				wave = memplan.NewLayout(wp, widened)
-			}
-		}
-	}
-	return memplan.NewLayout(pl, prog), wave, nil
 }
 
 // replan re-analyzes the graph with every input shape pinned to its

@@ -11,7 +11,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/guard"
 	"repro/internal/lattice"
-	"repro/internal/memplan"
 	"repro/internal/models"
 	"repro/internal/tensor"
 	"repro/internal/workload"
@@ -93,7 +92,7 @@ func TestGuardedRunPlannedTier(t *testing.T) {
 }
 
 // The degradation table: every row must complete through a fallback tier
-// with the degradation recorded, and produce outputs identical to the
+// with the degradation recorded, and produce outputs bit-identical to the
 // unguarded, unplanned reference execution.
 func TestDegradationPaths(t *testing.T) {
 	cases := []struct {
@@ -101,6 +100,7 @@ func TestDegradationPaths(t *testing.T) {
 		model    string
 		size     int64
 		opts     GuardOptions
+		arrange  func(c *Compiled) (undo func())
 		wantTier guard.Tier
 		wantKind guard.ViolationKind
 	}{
@@ -120,13 +120,11 @@ func TestDegradationPaths(t *testing.T) {
 			wantTier: guard.TierDynamic, wantKind: guard.KindFact,
 		},
 		{
-			name:  "forced arena offset conflict falls back to dynamic",
+			// A request inside the contract that no proof covers: the
+			// planned rung has no other plan source.
+			name:  "unproven memory plan falls back to dynamic",
 			model: "YOLO-V6", size: 256,
-			opts: GuardOptions{MutatePlan: func(pl *memplan.Plan) {
-				for name := range pl.Offsets {
-					pl.Offsets[name] = 0 // everyone at offset 0: guaranteed overlap
-				}
-			}},
+			arrange:  plantUnprovenMemory,
 			wantTier: guard.TierDynamic, wantKind: guard.KindMemPlan,
 		},
 		{
@@ -139,6 +137,9 @@ func TestDegradationPaths(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := compileModel(t, tc.model)
+			if tc.arrange != nil {
+				defer tc.arrange(c)()
+			}
 			inputs := c.Builder.Inputs(tensor.NewRNG(7), tc.size, 0.5)
 			res, gr, err := c.GuardedRun(inputs, tc.opts)
 			if err != nil {
@@ -160,13 +161,21 @@ func TestDegradationPaths(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
-			for name, want := range ref.Outputs {
-				got := res.Outputs[name]
-				if got == nil || !tensor.AllClose(got, want, 1e-5) {
-					t.Errorf("output %q diverges from reference", name)
-				}
-			}
+			requireBitIdentical(t, tc.model, res.Outputs, ref.Outputs)
 		})
+	}
+}
+
+// A missing input is one no tier can run: it is refused before any rung
+// is chosen, on the proven path and the quarantined one alike.
+func TestGuardedRunMissingInput(t *testing.T) {
+	c := compileModel(t, "CodeBERT")
+	for _, opts := range []GuardOptions{{}, {ForceDynamic: true}} {
+		_, gr, err := c.GuardedRun(nil, opts)
+		var ce *guard.ContractError
+		if !errors.As(err, &ce) || ce.Kind != guard.KindInput {
+			t.Errorf("ForceDynamic %v: want an input violation, got %v (tier %v)", opts.ForceDynamic, err, gr.Tier)
+		}
 	}
 }
 

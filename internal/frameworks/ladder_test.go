@@ -13,8 +13,8 @@ import (
 	"repro/internal/graph"
 	"repro/internal/guard"
 	"repro/internal/lattice"
-	"repro/internal/memplan"
 	"repro/internal/models"
+	"repro/internal/staticverify"
 	"repro/internal/symbolic"
 	"repro/internal/tensor"
 )
@@ -138,23 +138,34 @@ func TestEveryRungChecksOutputsProduced(t *testing.T) {
 	}
 }
 
-// ForceDynamic never consults a plan, so it must not build one: the
-// MutatePlan hook fires right after plan construction and stays silent.
+// ForceDynamic never consults a plan, so it takes no arena buffer: the
+// run touches no arena and the Compiled's buffer stack stays empty.
 func TestForceDynamicBuildsNoPlan(t *testing.T) {
 	c := compileModel(t, "SkipNet")
 	in := c.Builder.Inputs(tensor.NewRNG(7), c.Builder.MinSize, 0.5)
-	built := false
-	_, gr, err := c.GuardedRun(in, GuardOptions{ForceDynamic: true,
-		MutatePlan: func(*memplan.Plan) { built = true }})
+	_, gr, err := c.GuardedRun(in, GuardOptions{ForceDynamic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gr.Tier != guard.TierDynamic || len(gr.Degradations) != 1 || gr.Degradations[0].Kind != guard.KindQuarantine {
 		t.Errorf("tier %v, degradations %+v: want one quarantine step to dynamic", gr.Tier, gr.Degradations)
 	}
-	if built {
-		t.Error("ForceDynamic built a memory plan it never uses")
+	if gr.ArenaHighWater != 0 || len(c.arenas.free) != 0 {
+		t.Errorf("arena high water %d, %d kept buffers: ForceDynamic took an arena it never uses",
+			gr.ArenaHighWater, len(c.arenas.free))
 	}
+}
+
+// plantUnprovenMemory swaps c's memoized proof for one whose memory
+// verdict is unproven — what the verifier reports for a model it cannot
+// prove — so a contract-satisfying request has no plan to enter on.
+func plantUnprovenMemory(c *Compiled) (undo func()) {
+	held := c.Verify()
+	planted := *held
+	planted.Mem = staticverify.MemVerdict{Reason: "planted: no proof"}
+	planted.Wave = staticverify.WaveVerdict{}
+	c.verified.Store(&planted)
+	return func() { c.verified.Store(held) }
 }
 
 // ---- Tier equivalence --------------------------------------------------
@@ -239,7 +250,8 @@ var ladderCases = []ladderCase{
 	},
 	{
 		// The other edge into the replan rung: a schedule that is not
-		// one. Invalidate drops the proof that vouched for the old order.
+		// one. Invalidate drops the proof that vouched for the old order,
+		// and the re-run verifier's refuted order names the rung.
 		name: "replan from an invalid plan", tier: guard.TierReplan, kind: guard.KindExecPlan,
 		request: inRegion,
 		arrange: func(c *Compiled) func() {
@@ -251,6 +263,17 @@ var ladderCases = []ladderCase{
 			return func() {
 				c.ExecPlan.Order = good
 				c.Invalidate()
+			}
+		},
+	},
+	{
+		// A request inside the contract that no proof covers is served
+		// unplanned: the region proof is the planned rung's only plan.
+		name: "dynamic from an unproven plan", tier: guard.TierDynamic, kind: guard.KindMemPlan,
+		request: inRegion, arrange: plantUnprovenMemory,
+		check: func(t *testing.T, gr *GuardReport) {
+			if gr.RegionCacheHit || gr.ArenaHighWater != 0 {
+				t.Errorf("region hit %v, arena high water %d: want no plan", gr.RegionCacheHit, gr.ArenaHighWater)
 			}
 		},
 	},

@@ -13,8 +13,8 @@ import (
 // plan — one verification amortized over every shape in the region
 // (GuardReport.RegionCacheHit). A plain Compile serves identically: its
 // first guarded run obtains the same memoized proof through Verify.
-// Unprovable models verify their plans per request shape; the report
-// records why.
+// Requests of an unprovable model run with dynamic allocation (a
+// KindMemPlan degradation); the report records why.
 func CompileVerified(b *models.Builder) (*Compiled, *staticverify.Report, error) {
 	return CompileVerifiedSched(b, SchedConfig{})
 }

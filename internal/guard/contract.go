@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/lattice"
-	"repro/internal/memplan"
 	"repro/internal/rdp"
 	"repro/internal/symbolic"
 	"repro/internal/tensor"
@@ -228,22 +227,6 @@ func VerifyExecutionPlan(g *graph.Graph, order []*graph.Node) error {
 				defined[o] = true
 			}
 		}
-	}
-	return nil
-}
-
-// VerifyMemoryPlan statically checks the arena plan against the
-// liveness program: no overlapping live ranges, every buffer placed,
-// non-negative aligned offsets.
-func VerifyMemoryPlan(pl *memplan.Plan, prog *memplan.Program) error {
-	for name, off := range pl.Offsets {
-		if off < 0 {
-			return &ContractError{Kind: KindMemPlan,
-				Detail: fmt.Sprintf("buffer %q placed at negative offset %d", name, off)}
-		}
-	}
-	if err := pl.Validate(prog); err != nil {
-		return &ContractError{Kind: KindMemPlan, Detail: "offset conflict", Cause: err}
 	}
 	return nil
 }

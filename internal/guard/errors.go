@@ -1,6 +1,6 @@
 // Package guard implements SoD²'s guarded-execution subsystem: runtime
 // contract checking of the statically derived plans (RDP shape facts,
-// execution orders, memory-plan offsets), a structured error taxonomy
+// execution orders), a structured error taxonomy
 // for kernel failures and contract violations, and the degradation
 // records the tiered fallback path (planned → dynamic → re-plan) leaves
 // behind. The premise of the paper is that the runtime commits to
@@ -70,8 +70,8 @@ const (
 	KindShape ViolationKind = "shape"
 	// KindExecPlan: the static execution plan is not a valid schedule.
 	KindExecPlan ViolationKind = "execplan"
-	// KindMemPlan: the memory plan assigns overlapping offsets to
-	// concurrently-live tensors (or omits a buffer).
+	// KindMemPlan: no memory plan serves the request — no proof covers
+	// its binding, or placing a tensor in the planned arena faulted.
 	KindMemPlan ViolationKind = "memplan"
 	// KindBudget: the planned arena exceeds the configured byte budget.
 	KindBudget ViolationKind = "budget"

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/lattice"
-	"repro/internal/memplan"
 	"repro/internal/symbolic"
 	"repro/internal/tensor"
 )
@@ -150,26 +149,6 @@ func TestVerifyExecutionPlan(t *testing.T) {
 	foreign := &graph.Node{Name: "zz", OpType: "Relu"}
 	if err := VerifyExecutionPlan(g, []*graph.Node{a, foreign}); !errors.As(err, &ce) || ce.Kind != KindExecPlan {
 		t.Errorf("foreign node not caught: %v", err)
-	}
-}
-
-func TestVerifyMemoryPlan(t *testing.T) {
-	prog := &memplan.Program{Steps: 2, Bufs: []memplan.Buf{
-		{Name: "a", Size: 16, Birth: 0, Death: 1},
-		{Name: "b", Size: 16, Birth: 0, Death: 1},
-	}}
-	good := &memplan.Plan{Offsets: map[string]int64{"a": 0, "b": 16}, ArenaSize: 32}
-	if err := VerifyMemoryPlan(good, prog); err != nil {
-		t.Fatalf("valid plan: %v", err)
-	}
-	bad := &memplan.Plan{Offsets: map[string]int64{"a": 0, "b": 8}, ArenaSize: 24}
-	var ce *ContractError
-	if err := VerifyMemoryPlan(bad, prog); !errors.As(err, &ce) || ce.Kind != KindMemPlan {
-		t.Errorf("overlap not caught: %v", err)
-	}
-	neg := &memplan.Plan{Offsets: map[string]int64{"a": -4, "b": 16}, ArenaSize: 32}
-	if err := VerifyMemoryPlan(neg, prog); !errors.As(err, &ce) || ce.Kind != KindMemPlan {
-		t.Errorf("negative offset not caught: %v", err)
 	}
 }
 

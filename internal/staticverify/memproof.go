@@ -14,10 +14,10 @@ import (
 
 // MemVerdict is the outcome of the symbolic memory-plan proof. When
 // Proven, Plan is a single arena layout valid for every shape in the
-// region — serving may use it without per-shape re-planning or
+// region — serving fits it to each request without re-planning or
 // re-verification. When not, Reason names why the property is
-// unprovable (never a silent skip) and the serving path must fall back
-// to per-shape planning.
+// unprovable (never a silent skip) and the serving path allocates
+// dynamically.
 type MemVerdict struct {
 	Proven bool
 	Reason string
@@ -82,11 +82,12 @@ func symsWithin(e symbolic.Expr, set map[string]bool) bool {
 	return true
 }
 
-// ProveMemory attempts the region-wide memory-plan proof. It mirrors the
-// per-shape planner exactly — same control-flow skip, same consume set,
-// same "unresolvable shapes allocate dynamically" rule — but sizes every
-// placed buffer at its interval upper bound over the region, so a valid
-// worst-case plan is overlap-free for every member shape. Dimensions
+// ProveMemory attempts the region-wide memory-plan proof. It places
+// exactly the buffers serving fits per request — float32 outputs of
+// non-control-flow nodes whose shapes a request's binding resolves;
+// anything else allocates dynamically — but sizes every placed buffer
+// at its interval upper bound over the region, so a valid worst-case
+// plan is overlap-free for every member shape. Dimensions
 // that the per-shape contract would range-check are proven non-negative
 // over the whole region; any dimension that cannot be bounded (or that
 // may go negative for some member) makes the verdict unprovable with the
@@ -148,12 +149,11 @@ func ProveMemory(g *graph.Graph, infos map[string]lattice.Info, order []*graph.N
 		}
 	}
 
-	// Worst-case placement program: the same step structure the per-shape
-	// planner builds, with each placed buffer sized at its region upper
-	// bound. Like the runtime planner, only values inferred float32 are
-	// placed — the arena never holds int64/bool/quantized tensors, so
-	// excluding them here keeps the proof's program identical to the one
-	// the runtime validates against.
+	// Worst-case placement program: one step per scheduled node, each
+	// placed buffer sized at its region upper bound. Only values inferred
+	// float32 are placed — the arena never holds int64/bool/quantized
+	// tensors, so a dtype mis-inference leaves a value on the dynamic
+	// path and can never alias a planned buffer.
 	dts := dtypes.Infer(g)
 	keep := make(map[string]bool, len(g.Outputs))
 	for _, o := range g.Outputs {
@@ -239,8 +239,8 @@ func ProveMemory(g *graph.Graph, infos map[string]lattice.Info, order []*graph.N
 // worstCaseBytes returns the region upper bound of a value's byte size,
 // or 0 when the value takes the dynamic-allocation path for every shape
 // (unranked, non-expr dims, or symbols a request never binds — exactly
-// the per-shape planner's skip conditions). A non-empty reason means the
-// size is needed but cannot be bounded over the region.
+// the shapes a request's binding cannot size). A non-empty reason means
+// the size is needed but cannot be bounded over the region.
 func worstCaseBytes(s lattice.Shape, inSyms map[string]bool, ivEnv map[string]symbolic.Interval) (int64, string) {
 	if s.Kind != lattice.ShapeRanked {
 		return 0, ""
@@ -251,7 +251,7 @@ func worstCaseBytes(s lattice.Shape, inSyms map[string]bool, ivEnv map[string]sy
 			return 0, ""
 		}
 		if !symsWithin(d.E, inSyms) {
-			return 0, "" // per-shape eval fails too: dynamic allocation
+			return 0, "" // serve-time eval fails too: dynamic allocation
 		}
 		iv, err := symbolic.IntervalOf(d.E, ivEnv)
 		if err != nil {

@@ -2,6 +2,7 @@ package staticverify
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/absint"
 	"repro/internal/graph"
@@ -136,7 +137,7 @@ func sameDecisions(cert *absint.Certificate, re absint.DecisionList) error {
 	for i, c := range cert.Constified {
 		r := re.Constified[i]
 		if c.Value != r.Value || c.RegionDep != r.RegionDep ||
-			!equalInt64s(c.Dims, r.Dims) || !equalInt64s(c.Ints, r.Ints) {
+			!slices.Equal(c.Dims, r.Dims) || !slices.Equal(c.Ints, r.Ints) {
 			return fmt.Errorf("constified %d: recorded %+v, re-derived %+v", i, c, r)
 		}
 	}
@@ -157,7 +158,7 @@ func sameNarrowings(recorded []absint.Narrowing, derived []mvc.VersionDiff) erro
 	}
 	for i, n := range recorded {
 		d := derived[i]
-		if n.Node != d.Node || !equalStringSlices(n.Before, d.Before) || !equalStringSlices(n.After, d.After) {
+		if n.Node != d.Node || !slices.Equal(n.Before, d.Before) || !slices.Equal(n.After, d.After) {
 			return fmt.Errorf("narrowing %d: recorded %+v, re-derived %+v", i, n, d)
 		}
 	}
@@ -177,7 +178,7 @@ func sameGraph(a, b *graph.Graph) error {
 			return fmt.Errorf("input %d differs (%s vs %s)", i, a.Inputs[i].Name, b.Inputs[i].Name)
 		}
 	}
-	if !equalStringSlices(a.Outputs, b.Outputs) {
+	if !slices.Equal(a.Outputs, b.Outputs) {
 		return fmt.Errorf("outputs %v vs %v", a.Outputs, b.Outputs)
 	}
 	if len(a.Initializers) != len(b.Initializers) {
@@ -207,7 +208,7 @@ func sameNode(a, b *graph.Node) error {
 	if a.Name != b.Name || a.OpType != b.OpType {
 		return fmt.Errorf("%s/%s vs %s/%s", a.Name, a.OpType, b.Name, b.OpType)
 	}
-	if !equalStringSlices(a.Inputs, b.Inputs) || !equalStringSlices(a.Outputs, b.Outputs) {
+	if !slices.Equal(a.Inputs, b.Inputs) || !slices.Equal(a.Outputs, b.Outputs) {
 		return fmt.Errorf("%s: wiring differs", a.Name)
 	}
 	if len(a.Attrs) != len(b.Attrs) {
@@ -229,7 +230,7 @@ func sameNode(a, b *graph.Node) error {
 			}
 			continue
 		}
-		if av.I != bv.I || av.F != bv.F || av.S != bv.S || !equalInt64s(av.Ints, bv.Ints) {
+		if av.I != bv.I || av.F != bv.F || av.S != bv.S || !slices.Equal(av.Ints, bv.Ints) {
 			return fmt.Errorf("%s: attr %q value differs", a.Name, k)
 		}
 	}
@@ -240,7 +241,7 @@ func sameTensor(a, b *tensor.Tensor) bool {
 	if a == b {
 		return true
 	}
-	if a.DType != b.DType || !equalInt64s(a.Shape, b.Shape) {
+	if a.DType != b.DType || !slices.Equal(a.Shape, b.Shape) {
 		return false
 	}
 	switch a.DType {
@@ -251,36 +252,12 @@ func sameTensor(a, b *tensor.Tensor) bool {
 			}
 		}
 	case tensor.Int64:
-		return equalInt64s(a.I, b.I)
+		return slices.Equal(a.I, b.I)
 	case tensor.Bool:
 		for i := range a.B {
 			if a.B[i] != b.B[i] {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-func equalInt64s(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalStringSlices(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
 		}
 	}
 	return true

@@ -246,8 +246,7 @@ func (s *Session) serve(ctx context.Context, inputs map[string]*Tensor) (map[str
 	}
 	// Admission: shed instead of queueing unboundedly. The reservation
 	// estimate is the statically proven worst-case arena footprint (0
-	// when no proof is held — the per-request ArenaBudget still bounds
-	// the run).
+	// when no proof is held: only a proven layout takes an arena).
 	release, err := s.adm.Admit(ctx, s.c.inner.PlannedArenaBytes())
 	if err != nil {
 		return nil, Report{}, err

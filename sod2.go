@@ -147,7 +147,9 @@ var (
 	ErrPanic = guard.ErrPanic
 	// ErrContract matches any ContractError.
 	ErrContract = guard.ErrContract
-	// ErrArenaExhausted reports an arena placement past the byte budget.
+	// ErrArenaExhausted is the out-of-memory sentinel an allocation hook
+	// returns (the fault injector's OOM mode); it is an arena fault, so a
+	// planned run that hits it descends to dynamic allocation.
 	ErrArenaExhausted = exec.ErrArenaExhausted
 	// ErrOverloaded matches any admission shed (errors.Is).
 	ErrOverloaded = resilience.ErrOverloaded
@@ -253,12 +255,12 @@ func CompileVerifiedSched(b *ModelBuilder, cfg SchedConfig) (*Compiled, *VerifyR
 // CompileVerified is Compile plus the static plan verifier. When the
 // verifier proves the memory plan over the model's whole input region,
 // every subsequent inference whose input shapes fall inside the region
-// is served with the proven shape-family plan and skips per-shape
-// contract and plan verification (Report.RegionCacheHit) — even for
+// is served with the proven shape-family plan, fitted to its shapes, and
+// skips per-shape contract checks (Report.RegionCacheHit) — even for
 // shapes never seen before. Compile serves the same way (its first
 // inference runs the verifier); CompileVerified runs it up front and
-// hands back the report. Unprovable models verify per request shape;
-// the report's diagnostics record why.
+// hands back the report. Requests of an unprovable model run with
+// dynamic allocation; the report's diagnostics record why.
 func CompileVerified(b *ModelBuilder) (*Compiled, *VerifyReport, error) {
 	c, rep, err := frameworks.CompileVerified(b)
 	if err != nil {
@@ -351,18 +353,6 @@ func (c *Compiled) InferCtx(ctx context.Context, inputs map[string]*Tensor) (map
 // Contract returns the model's runtime contract (symbolic input shapes
 // plus analyzed range/divisibility facts) for inspection.
 func (c *Compiled) Contract() *guard.Contract { return c.inner.Contract() }
-
-// InferWithArena plans the runtime memory arena for the inputs (§4.4.1:
-// symbolic shapes bound by the input dims, liveness from the planned
-// order, peak-first offsets) and executes into it. The returned arena
-// reports the exact linear-memory footprint of the inference.
-func (c *Compiled) InferWithArena(inputs map[string]*Tensor) (map[string]*Tensor, *exec.Arena, error) {
-	res, arena, err := c.inner.RunWithArena(inputs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Outputs, arena, nil
-}
 
 // NewSample builds a workload sample for one of the evaluation models.
 func NewSample(b *ModelBuilder, size int64, gateBias float32, seed uint64) Sample {

@@ -74,11 +74,11 @@ func TestQuantLiveBytesHalved(t *testing.T) {
 			}
 			live := func(c *Compiled) int64 {
 				s := NewSample(b, b.MinSize, 0.5, 7)
-				_, arena, err := c.InferWithArena(s.Inputs)
-				if err != nil {
-					t.Fatalf("arena serve: %v", err)
+				_, rep, err := c.Infer(s.Inputs)
+				if err != nil || rep.FallbackTier != TierPlanned {
+					t.Fatalf("arena serve: tier %v, err %v", rep.FallbackTier, err)
 				}
-				return c.WeightBytes() + arena.Size
+				return c.WeightBytes() + rep.PeakMemBytes
 			}
 			fc, err := Compile(b)
 			if err != nil {

@@ -80,7 +80,10 @@ func TestFacadeDeviceProfiles(t *testing.T) {
 	}
 }
 
-func TestFacadeInferWithArena(t *testing.T) {
+// Infer serves an in-region request on the planned tier — the region
+// proof's layout fitted to the request, whose high water the report
+// carries as its peak memory — with the outputs of unplanned execution.
+func TestFacadeInferPlannedArena(t *testing.T) {
 	b, err := BuildModel("YOLO-V6")
 	if err != nil {
 		t.Fatal(err)
@@ -90,20 +93,21 @@ func TestFacadeInferWithArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewSample(b, 256, 0.5, 61)
-	heap, _, err := c.Infer(s.Inputs)
+	out, rep, err := c.Infer(s.Inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, arena, err := c.InferWithArena(s.Inputs)
+	if worst := c.Verify().Mem.ArenaSize; rep.FallbackTier != TierPlanned || rep.PeakMemBytes <= 0 || rep.PeakMemBytes > worst {
+		t.Fatalf("tier %v, peak memory %d: want the planned arena, at most the proven %d bytes",
+			rep.FallbackTier, rep.PeakMemBytes, worst)
+	}
+	heap, err := RunGraph(c.Graph(), s.Inputs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if arena.Size <= 0 {
-		t.Fatal("empty arena")
 	}
 	for name, ref := range heap {
 		got := out[name]
-		if got == nil || !tensor.AllClose(ref, got, 1e-5) {
+		if got == nil || !tensor.AllClose(ref, got, 0) {
 			t.Fatalf("arena output %s differs", name)
 		}
 	}
