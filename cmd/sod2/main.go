@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,7 +67,6 @@ func main() {
 	fleet := fs.Bool("fleet", false, "serve-bench: serve all models from one process behind a shared admission gate")
 	memBudget := fs.Int64("mem-budget", 0, "serve-bench -fleet: shared arena-byte admission budget (0 = unlimited)")
 	jsonOut := fs.Bool("json", false, "lint: emit machine-readable JSON reports instead of text")
-	specialize := fs.Bool("specialize", false, "lint: print the specialization dry-run diff per model (what the region-proven specializer changed and why)")
 	addr := fs.String("addr", "127.0.0.1:8080", "serve: listen address")
 	batchWindow := fs.Duration("batch-window", 2*time.Millisecond, "serve / serve-bench -http: cross-request coalescing window (0 = per-request serving)")
 	batchMax := fs.Int("batch-max", 8, "serve / serve-bench -http: flush a shape-family bucket at this size")
@@ -115,7 +113,7 @@ func main() {
 				*maxConc, *maxQueue, *deadline, *faultEvery, *parallel, *storeDir, *dtype)
 		}
 	case "lint":
-		lintCmd(*modelName, *jsonOut, *specialize)
+		lintCmd(*modelName, *jsonOut)
 	case "dot":
 		withModel(*modelName, func(b *models.Builder) {
 			fmt.Print(b.Build().DOT())
@@ -164,10 +162,9 @@ func classifyCmd() {
 // lintCmd runs the static plan verifier + graph lint over one model (or
 // all of them) and prints the stable diagnostics report — the same text
 // the golden-snapshot tests pin. -json switches to the machine-readable
-// form (same findings, stable field order); -specialize appends the
-// specialization dry-run diff. Exits non-zero when any Error-severity
-// diagnostic is found, so CI can gate on it.
-func lintCmd(name string, jsonOut, specialize bool) {
+// form (same findings, stable field order). Exits non-zero when any
+// Error-severity diagnostic is found, so CI can gate on it.
+func lintCmd(name string, jsonOut bool) {
 	targets := models.All()
 	if name != "all" {
 		b, ok := models.Get(name)
@@ -181,7 +178,7 @@ func lintCmd(name string, jsonOut, specialize bool) {
 		if i > 0 && !jsonOut {
 			fmt.Println()
 		}
-		c, rep, err := frameworks.CompileVerified(b)
+		_, rep, err := frameworks.CompileVerified(b)
 		if err != nil {
 			fail(err)
 		}
@@ -194,50 +191,12 @@ func lintCmd(name string, jsonOut, specialize bool) {
 		} else {
 			fmt.Print(rep.Format())
 		}
-		if specialize && !jsonOut {
-			printSpecDiff(c)
-		}
 		errors += rep.Errors()
 	}
 	if errors > 0 {
 		fmt.Fprintf(os.Stderr, "sod2 lint: %d error-severity diagnostics\n", errors)
 		os.Exit(1)
 	}
-}
-
-// printSpecDiff renders the specialization dry-run diff: every decision
-// the region-proven specializer took for this model and its structural
-// consequence, against the pre-specialization graph. Nothing here is
-// persisted — lint compiles in memory only.
-func printSpecDiff(c *frameworks.Compiled) {
-	cert := c.SpecCert
-	if cert == nil {
-		fmt.Println("specialize diff: specialization disabled")
-		return
-	}
-	fmt.Printf("specialize diff: %s\n", cert.Summary())
-	for _, br := range cert.Branches {
-		status := "pruned"
-		if !br.Applied {
-			status = "provable but structurally infeasible"
-		}
-		fmt.Printf("  branch %-24s %s arm %d %s (region-dependent=%v)\n",
-			br.Node, br.Op, br.Taken, status, br.RegionDep)
-	}
-	for _, cv := range cert.Constified {
-		fmt.Printf("  const  %-24s = %v\n", cv.Value, cv.Ints)
-	}
-	for _, lb := range cert.LoopBounds {
-		fmt.Printf("  loop   %-24s static max trip %d\n", lb.Node, lb.MaxTrip)
-	}
-	for _, nw := range cert.Narrowings {
-		fmt.Printf("  mvc    %-24s %s → %s\n", nw.Node,
-			strings.Join(nw.Before, ","), strings.Join(nw.After, ","))
-	}
-	for _, rm := range cert.Removed {
-		fmt.Printf("  removed %s\n", rm)
-	}
-	fmt.Printf("  nodes: %d → %d\n", len(c.OrigGraph.Nodes), len(c.Graph.Nodes))
 }
 
 func listModels() {
@@ -527,9 +486,8 @@ func fleetBenchCmd(storeDir string, requests, workers, maxConc, maxQueue int, me
 	warm, cold := f.WarmCount()
 	fmt.Printf("fleet boot: %d warm / %d cold in %v\n", warm, cold, bootWall.Round(time.Millisecond))
 	ctr := sod2.BootCounters()
-	fmt.Printf("compile counters: %d full compiles, %d warm loads, %d plan searches, %d wave builds, %d verifier runs, %d specializations, %d spec replays\n",
-		ctr.FullCompiles, ctr.WarmLoads, ctr.PlanSearches, ctr.WaveBuilds, ctr.VerifyRuns,
-		ctr.Specializations, ctr.SpecReplays)
+	fmt.Printf("compile counters: %d full compiles, %d warm loads, %d plan searches, %d wave builds, %d verifier runs\n",
+		ctr.FullCompiles, ctr.WarmLoads, ctr.PlanSearches, ctr.WaveBuilds, ctr.VerifyRuns)
 	if st != nil {
 		ss := st.Stats()
 		fmt.Printf("store: %d saves, %d loads, %d misses, %d corrupt, %d quarantined, %d temps swept\n",

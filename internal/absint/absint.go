@@ -25,9 +25,14 @@
 // bodies are opaque nodes — so convergence is quick; a sweep bound
 // guards it regardless). Every abstract value carries a RegionDep bit:
 // whether its derivation consulted a region symbol. Facts with
-// RegionDep=false hold for *every* input, not just in-region ones — the
-// specializer uses the distinction to decide which rewrites remain valid
-// on the out-of-region fallback path.
+// RegionDep=false hold for *every* input, not just in-region ones.
+//
+// No compile, serving path or verifier calls this package: on the ten
+// evaluation models Specialize rewrites nothing (no branch pruned, value
+// constified, loop bounded or node removed), so every tier serves the
+// graph exactly as built. Specialize, Options and Certificate remain
+// only because the wall-clock benchmark's traced run still times a
+// compile.absint_ms stage through them; they go when that row does.
 package absint
 
 import (

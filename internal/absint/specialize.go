@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 
@@ -42,7 +41,7 @@ type BranchDecision struct {
 	RegionDep bool `json:"region_dep,omitempty"`
 	// Applied is false when the rewrite was provable but structurally
 	// infeasible (e.g. pruning would orphan a graph output); the
-	// decision is recorded so replay skips it identically.
+	// decision is still recorded.
 	Applied bool `json:"applied"`
 }
 
@@ -63,32 +62,22 @@ type LoopBound struct {
 	RegionDep bool   `json:"region_dep,omitempty"`
 }
 
-// Narrowing records an MVC version set shrunk by region reachability.
-type Narrowing struct {
-	Node   string   `json:"node"`
-	Before []string `json:"before"`
-	After  []string `json:"after"`
-}
-
-// Certificate is the proof-carrying record of a specialization: the
-// region it is valid for, every decision the specializer took, and the
-// structural consequences. It is re-checked by the translation-validation
-// pass in staticverify and persisted in the artifact store so warm boots
-// replay the rewrite without re-running the analysis.
+// Certificate is the record of a specialization: the region it is valid
+// for, every decision the specializer took, and the structural
+// consequences.
 type Certificate struct {
 	Region     map[string]symbolic.Interval `json:"region,omitempty"`
 	Branches   []BranchDecision             `json:"branches,omitempty"`
 	Constified []ConstValue                 `json:"constified,omitempty"`
 	LoopBounds []LoopBound                  `json:"loop_bounds,omitempty"`
-	Narrowings []Narrowing                  `json:"narrowings,omitempty"`
 	// Removed lists nodes of the original graph absent from the
 	// specialized one (pruned arms, dead producers), sorted.
 	Removed []string `json:"removed,omitempty"`
 	// Rewritten lists nodes whose op changed in place (Switch and
 	// Combine collapsed to Identity), sorted.
 	Rewritten []string `json:"rewritten,omitempty"`
-	// Folded counts nodes constant-folded after the rewrites; the new
-	// initializer names are recorded for replay cross-checking.
+	// Folded counts nodes constant-folded after the rewrites and
+	// FoldedConsts names the initializers they became.
 	Folded       int      `json:"folded,omitempty"`
 	FoldedConsts []string `json:"folded_consts,omitempty"`
 	Sweeps       int      `json:"sweeps,omitempty"`
@@ -97,7 +86,7 @@ type Certificate struct {
 // Empty reports whether the certificate records no facts at all.
 func (c *Certificate) Empty() bool {
 	return c == nil || (len(c.Branches) == 0 && len(c.Constified) == 0 &&
-		len(c.LoopBounds) == 0 && len(c.Narrowings) == 0 && c.Folded == 0 && len(c.Removed) == 0)
+		len(c.LoopBounds) == 0 && c.Folded == 0 && len(c.Removed) == 0)
 }
 
 // ChangedGraph reports whether the specialized graph differs from the
@@ -122,8 +111,7 @@ func (c *Certificate) TopologyChanged() bool {
 
 // RegionDependent reports whether any applied graph change leaned on
 // region facts. When true, the specialized graph is only equivalent to
-// the original for in-region inputs, and out-of-region requests must
-// fall back to the original graph.
+// the original for in-region inputs.
 func (c *Certificate) RegionDependent() bool {
 	if c == nil {
 		return false
@@ -146,8 +134,7 @@ func (c *Certificate) RegionDependent() bool {
 	return false
 }
 
-// Digest returns a short stable fingerprint of the certificate, used as
-// the specialization component of shape-family keys.
+// Digest returns a short stable fingerprint of the certificate.
 func (c *Certificate) Digest() string {
 	if c.Empty() {
 		return "none"
@@ -171,33 +158,13 @@ func (c *Certificate) Summary() string {
 			applied++
 		}
 	}
-	return fmt.Sprintf("%d branches pruned, %d values constified, %d loops bounded, %d nodes removed, %d folded, %d MVC sets narrowed",
-		applied, len(c.Constified), len(c.LoopBounds), len(c.Removed), c.Folded, len(c.Narrowings))
-}
-
-// DecisionList is the analytical half of a specialization: every
-// decision the fixpoint licenses, before structural feasibility is
-// decided by application. The translation validator re-derives it from
-// the original graph and demands an exact match with the certificate.
-type DecisionList struct {
-	Branches   []BranchDecision
-	Constified []ConstValue
-	LoopBounds []LoopBound
-}
-
-// Decide runs the abstract interpretation and returns the decision list
-// without applying it.
-func Decide(g *graph.Graph, infos map[string]lattice.Info, opts Options) DecisionList {
-	res := Interpret(g, infos, opts.Region)
-	d := collect(g, infos, res, opts)
-	return DecisionList{Branches: d.branches, Constified: d.constified, LoopBounds: d.loopBounds}
+	return fmt.Sprintf("%d branches pruned, %d values constified, %d loops bounded, %d nodes removed, %d folded",
+		applied, len(c.Constified), len(c.LoopBounds), len(c.Removed), c.Folded)
 }
 
 // Specialize runs the abstract interpretation over g for the region and
 // applies every rewrite its facts license. It returns the specialized
-// graph (g itself when nothing changed) and the certificate. MVC
-// narrowings are appended to the certificate by the caller, which owns
-// the version-plan construction.
+// graph (g itself when nothing changed) and the certificate.
 func Specialize(g *graph.Graph, infos map[string]lattice.Info, opts Options) (*graph.Graph, *Certificate, error) {
 	res := Interpret(g, infos, opts.Region)
 	d := collect(g, infos, res, opts)
@@ -222,44 +189,10 @@ func Specialize(g *graph.Graph, infos map[string]lattice.Info, opts Options) (*g
 	return sg, cert, nil
 }
 
-// Replay mechanically re-applies a recorded certificate to g without any
-// abstract interpretation, then cross-checks that the structural
-// consequences match the certificate bit for bit. It is the warm-boot
-// path: the analysis ran once, cold; every later boot replays.
-func Replay(g *graph.Graph, cert *Certificate) (*graph.Graph, error) {
-	if !cert.ChangedGraph() {
-		return g, nil
-	}
-	d := &decisions{
-		branches:   append([]BranchDecision(nil), cert.Branches...),
-		constified: append([]ConstValue(nil), cert.Constified...),
-		loopBounds: append([]LoopBound(nil), cert.LoopBounds...),
-		trust:      true,
-	}
-	sg := g.Clone()
-	if err := apply(sg, d); err != nil {
-		return nil, fmt.Errorf("absint: replay: %w", err)
-	}
-	if !slices.Equal(d.removed, cert.Removed) {
-		return nil, fmt.Errorf("absint: replay removed %v, certificate says %v", d.removed, cert.Removed)
-	}
-	if !slices.Equal(d.rewritten, cert.Rewritten) {
-		return nil, fmt.Errorf("absint: replay rewrote %v, certificate says %v", d.rewritten, cert.Rewritten)
-	}
-	if d.foldedNodes != cert.Folded || !slices.Equal(d.foldedConsts, cert.FoldedConsts) {
-		return nil, fmt.Errorf("absint: replay folded %d nodes (%v), certificate says %d (%v)",
-			d.foldedNodes, d.foldedConsts, cert.Folded, cert.FoldedConsts)
-	}
-	return sg, nil
-}
-
 type decisions struct {
 	branches   []BranchDecision
 	constified []ConstValue
 	loopBounds []LoopBound
-	// trust: honor the recorded Applied flags instead of re-deciding
-	// feasibility (replay mode).
-	trust bool
 
 	removed      []string
 	rewritten    []string
@@ -268,7 +201,7 @@ type decisions struct {
 }
 
 // collect turns the fixpoint into a decision list, in graph node order
-// so replay is deterministic.
+// so the certificate is deterministic.
 func collect(g *graph.Graph, infos map[string]lattice.Info, res *Result, opts Options) *decisions {
 	d := &decisions{}
 	maxElems := opts.MaxConstElems
@@ -416,22 +349,11 @@ func apply(g *graph.Graph, d *decisions) error {
 		bd := &d.branches[i]
 		n := nodeByName(g, bd.Node)
 		if n == nil {
-			if d.trust && !bd.Applied {
-				continue // was skipped at specialize time too
-			}
 			return fmt.Errorf("absint: branch node %q not found", bd.Node)
 		}
 		switch bd.Op {
 		case "If":
-			feasible := ifFeasible(g, n, bd.Taken)
-			if d.trust {
-				if bd.Applied && !feasible {
-					return fmt.Errorf("absint: certificate applies If %q but inlining is infeasible", bd.Node)
-				}
-			} else {
-				bd.Applied = feasible
-			}
-			if !bd.Applied {
+			if bd.Applied = ifFeasible(g, n, bd.Taken); !bd.Applied {
 				continue
 			}
 			if err := inlineIf(g, n, bd.Taken, d); err != nil {
@@ -439,14 +361,7 @@ func apply(g *graph.Graph, d *decisions) error {
 			}
 		case "Switch":
 			dead, feasible := switchPruneClosure(g, n, bd.Taken)
-			if d.trust {
-				if bd.Applied && !feasible {
-					return fmt.Errorf("absint: certificate applies Switch %q but pruning is infeasible", bd.Node)
-				}
-			} else {
-				bd.Applied = feasible
-			}
-			if !bd.Applied {
+			if bd.Applied = feasible; !bd.Applied {
 				continue
 			}
 			pruneSwitch(g, n, bd.Taken, dead, d)

@@ -62,7 +62,11 @@ import (
 // v5: SEP orders are memory-minimal again and the SEP section carries
 // no scheduling point; v4 artifacts may hold width-aware orders and
 // must recompile.
-const SchemaVersion uint32 = 5
+//
+// v6: artifacts carry no specialization section or verdict — every
+// stored plan describes the graph exactly as built; v5 artifacts may
+// hold a certificate this binary no longer replays and must recompile.
+const SchemaVersion uint32 = 6
 
 // Format constants. The header is:
 //

@@ -39,10 +39,6 @@ type Manifest struct {
 	// MemPlan is the region-wide proven arena plan (nil when the memory
 	// proof did not succeed at compile time).
 	MemPlan *MemPlanSection
-	// Spec is the region-proven specialization certificate (nil when the
-	// compile ran unspecialized). The loader replays it mechanically —
-	// zero analysis — and verify-on-load re-validates it.
-	Spec *SpecSection
 	// Quant persists the weight-quantization pass: the packed bytes of
 	// every quantized initializer plus the accuracy-drift budget (nil
 	// when the compile served float32 weights). Re-quantizing at load
@@ -128,17 +124,6 @@ type MemPlanSection struct {
 	Offsets   map[string]int64 `json:"offsets"`
 }
 
-// SpecSection persists the specialization certificate. The certificate
-// is stored as its own JSON encoding (the same bytes its digest is
-// computed over) so the storage layer stays decoupled from the absint
-// types; the loader decodes and replays it, and verify-on-load
-// re-validates it against the freshly built graph. Digest pins the
-// certificate fingerprint the compile served plan-cache keys under.
-type SpecSection struct {
-	Certificate json.RawMessage `json:"certificate"`
-	Digest      string          `json:"digest"`
-}
-
 // QuantSection persists a quantized compile's packed weights and its
 // accuracy-drift contract. The loader treats every field as untrusted:
 // each tensor's block grid is re-validated against the freshly built
@@ -170,23 +155,16 @@ type QuantTensorDTO struct {
 // VerdictSection pins the compile-time verifier outcome. Verify-on-load
 // must reproduce it exactly; any disagreement is a proof mismatch.
 type VerdictSection struct {
-	ExecProven    bool   `json:"exec_proven"`
-	MemProven     bool   `json:"mem_proven"`
-	MemReason     string `json:"mem_reason,omitempty"`
-	MemArenaSize  int64  `json:"mem_arena_size"`
-	MemBuffers    int    `json:"mem_buffers"`
-	WaveProven    bool   `json:"wave_proven"`
-	WaveReason    string `json:"wave_reason,omitempty"`
-	WaveArenaSize int64  `json:"wave_arena_size"`
-	// Specialization translation-validation verdict (zero values when
-	// the compile ran unspecialized).
-	SpecChecked  bool     `json:"spec_checked,omitempty"`
-	SpecProven   bool     `json:"spec_proven,omitempty"`
-	SpecReason   string   `json:"spec_reason,omitempty"`
-	SpecRemoved  int      `json:"spec_removed,omitempty"`
-	SpecNarrowed int      `json:"spec_narrowed,omitempty"`
-	LintErrors   int      `json:"lint_errors"`
-	DiagCodes    []string `json:"diag_codes,omitempty"`
+	ExecProven    bool     `json:"exec_proven"`
+	MemProven     bool     `json:"mem_proven"`
+	MemReason     string   `json:"mem_reason,omitempty"`
+	MemArenaSize  int64    `json:"mem_arena_size"`
+	MemBuffers    int      `json:"mem_buffers"`
+	WaveProven    bool     `json:"wave_proven"`
+	WaveReason    string   `json:"wave_reason,omitempty"`
+	WaveArenaSize int64    `json:"wave_arena_size"`
+	LintErrors    int      `json:"lint_errors"`
+	DiagCodes     []string `json:"diag_codes,omitempty"`
 }
 
 // Section names. meta/rdp/sep/region/facts/verdicts are required;
@@ -199,7 +177,6 @@ const (
 	secRegion   = "region"
 	secFacts    = "facts"
 	secMemPlan  = "memplan"
-	secSpec     = "spec"
 	secQuant    = "quant"
 	secVerdicts = "verdicts"
 )
@@ -239,11 +216,6 @@ func (m *Manifest) encodeSections() ([]section, error) {
 	}
 	if m.MemPlan != nil {
 		if err := add(secMemPlan, m.MemPlan); err != nil {
-			return nil, err
-		}
-	}
-	if m.Spec != nil {
-		if err := add(secSpec, m.Spec); err != nil {
 			return nil, err
 		}
 	}
@@ -302,12 +274,6 @@ func decodeSections(path string, sections map[string][]byte) (*Manifest, *Corrup
 	if _, ok := sections[secMemPlan]; ok {
 		m.MemPlan = &MemPlanSection{}
 		if ce := dec(secMemPlan, m.MemPlan, true); ce != nil {
-			return nil, ce
-		}
-	}
-	if _, ok := sections[secSpec]; ok {
-		m.Spec = &SpecSection{}
-		if ce := dec(secSpec, m.Spec, true); ce != nil {
 			return nil, ce
 		}
 	}

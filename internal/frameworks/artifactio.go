@@ -2,7 +2,6 @@ package frameworks
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -10,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/absint"
 	"repro/internal/artifact"
 	"repro/internal/fusion"
 	"repro/internal/graph"
@@ -144,15 +142,6 @@ func Snapshot(c *Compiled, rep *staticverify.Report, key artifact.Key) *artifact
 		}
 	}
 
-	// The specialization certificate, as the same JSON its digest pins.
-	// A save that cannot encode the certificate stores none — the warm
-	// boot then recompiles the specialization instead of replaying it.
-	if c.SpecCert != nil {
-		if raw, err := json.Marshal(c.SpecCert); err == nil {
-			m.Spec = &artifact.SpecSection{Certificate: raw, Digest: c.specDigest}
-		}
-	}
-
 	// Quantized weights are persisted byte-for-byte: the warm boot
 	// serves exactly the packed bytes this compile verified and served,
 	// never a re-quantization that a quantizer change could skew.
@@ -190,11 +179,6 @@ func Snapshot(c *Compiled, rep *staticverify.Report, key artifact.Key) *artifact
 		WaveProven:    rep.Wave.Proven,
 		WaveReason:    rep.Wave.Reason,
 		WaveArenaSize: rep.Wave.ArenaSize,
-		SpecChecked:   rep.Spec.Checked,
-		SpecProven:    rep.Spec.Proven,
-		SpecReason:    rep.Spec.Reason,
-		SpecRemoved:   rep.Spec.NodesRemoved,
-		SpecNarrowed:  rep.Spec.Narrowed,
 		LintErrors:    rep.Errors(),
 		DiagCodes:     diagCodes(rep),
 	}
@@ -262,36 +246,6 @@ func compileFromManifest(b *models.Builder, g *graph.Graph, man *artifact.Manife
 	if err != nil {
 		return nil, &loadError{"rdp", "graph-mismatch", err.Error()}
 	}
-	origGraph, origInfos := g, res.Infos
-
-	// Specialization replay: re-apply the stored certificate mechanically
-	// (no abstract interpretation — that is the analysis the store
-	// skips). Every stored reference below, and the shape digest, then
-	// describes the specialized graph, exactly as at compile time.
-	var cert *absint.Certificate
-	if man.Spec != nil {
-		cert = &absint.Certificate{}
-		if err := json.Unmarshal(man.Spec.Certificate, cert); err != nil {
-			return nil, &loadError{"spec", "decode", err.Error()}
-		}
-		if got := cert.Digest(); got != man.Spec.Digest {
-			return nil, &loadError{"spec", "proof-mismatch",
-				fmt.Sprintf("certificate digest %s, section says %s", got, man.Spec.Digest)}
-		}
-		compileCounters.specReplays.Add(1)
-		sg, rerr := absint.Replay(g, cert)
-		if rerr != nil {
-			return nil, &loadError{"spec", "proof-mismatch", rerr.Error()}
-		}
-		if sg != g {
-			g = sg
-			if cert.TopologyChanged() {
-				if res, err = rdp.Analyze(g, nil, rdp.Options{}); err != nil {
-					return nil, &loadError{"spec", "graph-mismatch", err.Error()}
-				}
-			}
-		}
-	}
 
 	if man.Meta.NodeCount != len(g.Nodes) {
 		return nil, &loadError{"meta", "graph-mismatch",
@@ -338,8 +292,7 @@ func compileFromManifest(b *models.Builder, g *graph.Graph, man *artifact.Manife
 	}
 
 	c := &Compiled{Builder: b, Graph: g, Infos: res.Infos, RDPResult: res,
-		OrigGraph: origGraph, OrigInfos: origInfos, SpecCert: cert}
-	c.specDigest = cert.Digest()
+		OrigGraph: g, OrigInfos: res.Infos}
 	c.presetFacts = make([]guard.Fact, 0, len(man.Facts))
 	for _, f := range man.Facts {
 		c.presetFacts = append(c.presetFacts, guard.Fact{
@@ -364,13 +317,9 @@ func compileFromManifest(b *models.Builder, g *graph.Graph, man *artifact.Manife
 			Versions: sm.Versions, Method: sm.Method,
 		})
 	}
-	// MVC versions are a cheap derivation, recomputed with the same
-	// region narrowing the compile used (BuildPlan when unspecialized).
-	if cert != nil {
-		c.MVCPlan = mvc.BuildPlanRegion(g, res.Infos, b.MinSize, b.MaxSize, c.presetRegion)
-	} else {
-		c.MVCPlan = mvc.BuildPlan(g, res.Infos, b.MinSize, b.MaxSize)
-	}
+	// MVC versions are a cheap derivation, recomputed over the stored
+	// region exactly as the compile narrowed them.
+	c.MVCPlan = mvc.BuildPlanRegion(g, res.Infos, b.MinSize, b.MaxSize, c.presetRegion)
 	c.NaiveOrder = plan.BFSOrder(g)
 	if man.Waves != nil {
 		wp, err := plan.WavefrontsFromRanges(order, man.Waves.Ranges, man.Waves.MemCap)
@@ -493,14 +442,6 @@ func crossCheckVerdicts(rep *staticverify.Report, man *artifact.Manifest) *loadE
 	if rep.Wave.Proven && rep.Wave.ArenaSize != v.WaveArenaSize {
 		return mismatch(fmt.Sprintf("widened arena drifted: stored %d, re-proof %d",
 			v.WaveArenaSize, rep.Wave.ArenaSize))
-	}
-	if rep.Spec.Checked != v.SpecChecked || rep.Spec.Proven != v.SpecProven {
-		return mismatch(fmt.Sprintf("specialization verdict drifted: stored checked=%v proven=%v, re-proof checked=%v proven=%v (%s)",
-			v.SpecChecked, v.SpecProven, rep.Spec.Checked, rep.Spec.Proven, rep.Spec.Reason))
-	}
-	if rep.Spec.Checked && (rep.Spec.NodesRemoved != v.SpecRemoved || rep.Spec.Narrowed != v.SpecNarrowed) {
-		return mismatch(fmt.Sprintf("specialization proof drifted: stored %d removed / %d narrowed, re-proof %d / %d",
-			v.SpecRemoved, v.SpecNarrowed, rep.Spec.NodesRemoved, rep.Spec.Narrowed))
 	}
 	if got := rep.Errors(); got != v.LintErrors {
 		return mismatch(fmt.Sprintf("lint verdict drifted: stored %d errors, re-run %d", v.LintErrors, got))

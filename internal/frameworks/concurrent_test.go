@@ -124,14 +124,14 @@ func TestInvalidateDropsEntriesKeepsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.Stats()
-	if before.TraceEntries == 0 || c.PlannedArenaBytes() == 0 {
+	if before.TraceEntries == 0 || c.PlannedArenaBytes(GuardOptions{}) == 0 {
 		t.Fatalf("expected a populated memo and a held proof, got %+v", before)
 	}
 
 	c.Invalidate()
 	st := c.Stats()
-	if st.TraceEntries != 0 || c.PlannedArenaBytes() != 0 {
-		t.Errorf("Invalidate left entries: %+v, proof %d bytes", st, c.PlannedArenaBytes())
+	if st.TraceEntries != 0 || c.PlannedArenaBytes(GuardOptions{}) != 0 {
+		t.Errorf("Invalidate left entries: %+v, proof %d bytes", st, c.PlannedArenaBytes(GuardOptions{}))
 	}
 	if st.TraceMisses != before.TraceMisses || st.RegionHits != before.RegionHits {
 		t.Errorf("Invalidate must preserve counters: %+v vs %+v", st, before)

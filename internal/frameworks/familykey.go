@@ -26,7 +26,7 @@ import (
 func (c *Compiled) FamilyKey(inputs map[string]*tensor.Tensor) (string, bool) {
 	if rep := c.Verify(); rep.Mem.Proven {
 		if env, err := c.Contract().BindInputs(inputs); err == nil && rep.Region.ContainsEnv(env) {
-			return "region|spec:" + c.specDigest, true
+			return "region", true
 		}
 	}
 	var sb strings.Builder

@@ -131,8 +131,8 @@ func (f *Fleet) Infer(model string, inputs map[string]*tensor.Tensor) (*exec.Res
 }
 
 // InferCtx serves one request for the named model through the shared
-// admission gate (the reservation estimate is the model's statically
-// proven worst-case arena footprint) and the model's guarded runtime.
+// admission gate (the reservation estimate is the statically proven
+// worst-case footprint of the arena layout the request runs on) and the model's guarded runtime.
 // Sheds are typed *resilience.OverloadError carrying the model name in
 // Key; an unknown model is errors.Is(ErrUnknownModel).
 func (f *Fleet) InferCtx(ctx context.Context, model string, inputs map[string]*tensor.Tensor) (*exec.Result, *GuardReport, error) {
@@ -140,13 +140,13 @@ func (f *Fleet) InferCtx(ctx context.Context, model string, inputs map[string]*t
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q (serving: %v)", ErrUnknownModel, model, f.order)
 	}
-	release, err := f.adm.Admit(ctx, model, m.c.PlannedArenaBytes())
+	gopts := f.cfg.Guard
+	gopts.Ctx = ctx
+	release, err := f.adm.Admit(ctx, model, m.c.PlannedArenaBytes(gopts))
 	if err != nil {
 		return nil, nil, err
 	}
 	defer release()
-	gopts := f.cfg.Guard
-	gopts.Ctx = ctx
 	return m.c.GuardedRun(inputs, gopts)
 }
 

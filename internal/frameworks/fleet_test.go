@@ -94,8 +94,8 @@ func TestFleetAdmissionFairness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	estA := probe.Model(nameA).PlannedArenaBytes()
-	estB := probe.Model(nameB).PlannedArenaBytes()
+	estA := probe.Model(nameA).PlannedArenaBytes(GuardOptions{})
+	estB := probe.Model(nameB).PlannedArenaBytes(GuardOptions{})
 	if estA == 0 || estB == 0 {
 		t.Skipf("need proven arena estimates, got %d/%d", estA, estB)
 	}

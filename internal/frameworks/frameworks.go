@@ -16,7 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/absint"
 	"repro/internal/costmodel"
 	"repro/internal/exec"
 	"repro/internal/fold"
@@ -60,14 +59,6 @@ type Report struct {
 	// ParallelWorkers the worker-pool size it ran with.
 	Wavefronts      int
 	ParallelWorkers int
-	// Specialized reports that the request was served by a graph the
-	// specializer rewrote (branches pruned, constants folded, or nodes
-	// removed — not just loop bounds or MVC narrowing). SpecFallback
-	// reports that the request's inputs fell outside the specialization
-	// region of a region-dependent certificate, so the original
-	// (pre-specialization) graph served it dynamically instead.
-	Specialized  bool
-	SpecFallback bool
 }
 
 // Engine is one execution framework.
@@ -143,26 +134,22 @@ type Compiled struct {
 	Quant      *QuantReport
 	floatInits map[string]*tensor.Tensor
 
-	// presetFacts/presetRegion are installed at compile time (cold path:
-	// derived by probing the input generator before specialization; warm
-	// path: loaded from the artifact store) so the runtime contract and
-	// the verifier region match the region the specializer proved against
-	// exactly. Set only before the Compiled is published (read-only
-	// afterwards, like every compiled artifact).
+	// presetFacts/presetRegion are installed before the Compiled is
+	// published — the cold compile derives them from its one probe of the
+	// input generator, the warm boot loads them from the artifact store —
+	// so the runtime contract, the verifier region and the MVC narrowing
+	// all quantify over one region. Read-only afterwards, like every
+	// compiled artifact.
 	presetFacts  []guard.Fact
 	presetRegion staticverify.Region
 
-	// OrigGraph/OrigInfos are the pre-specialization graph and its RDP
-	// analysis — the translation-validation baseline, and the sound
-	// execution tier for inputs outside a region-dependent certificate's
-	// region. When the specializer changed nothing they alias
-	// Graph/Infos. SpecCert is the specialization certificate (nil only
-	// when specialization was disabled); specDigest memoizes its Digest()
-	// for the shape-family key.
-	OrigGraph  *graph.Graph
-	OrigInfos  map[string]lattice.Info
-	SpecCert   *absint.Certificate
-	specDigest string
+	// OrigGraph/OrigInfos are the graph as built and its RDP analysis,
+	// before weight quantization swaps the initializers. Nothing in
+	// compiling or serving reads them: the wall-clock benchmark's traced
+	// run hashes OrigGraph into its artifact-store key and times stages
+	// over both, and they go when that run stops reading them.
+	OrigGraph *graph.Graph
+	OrigInfos map[string]lattice.Info
 }
 
 // CompileCounters snapshot how models were brought up process-wide:
@@ -180,28 +167,20 @@ type CompileCounters struct {
 	// verification and warm verify-on-load both count: a loaded plan is
 	// untrusted until re-proven).
 	VerifyRuns uint64
-	// Specializations counts cold abstract-interpretation + specializer
-	// runs; SpecReplays counts warm certificate replays (mechanical
-	// re-application, no analysis). A warm boot moves only SpecReplays —
-	// the zero-analysis property the warm-boot tests assert.
-	Specializations, SpecReplays uint64
 }
 
 var compileCounters struct {
 	fullCompiles, warmLoads, planSearches, waveBuilds, verifyRuns atomic.Uint64
-	specializations, specReplays                                  atomic.Uint64
 }
 
 // Counters snapshots the process-wide compile counters.
 func Counters() CompileCounters {
 	return CompileCounters{
-		FullCompiles:    compileCounters.fullCompiles.Load(),
-		WarmLoads:       compileCounters.warmLoads.Load(),
-		PlanSearches:    compileCounters.planSearches.Load(),
-		WaveBuilds:      compileCounters.waveBuilds.Load(),
-		VerifyRuns:      compileCounters.verifyRuns.Load(),
-		Specializations: compileCounters.specializations.Load(),
-		SpecReplays:     compileCounters.specReplays.Load(),
+		FullCompiles: compileCounters.fullCompiles.Load(),
+		WarmLoads:    compileCounters.warmLoads.Load(),
+		PlanSearches: compileCounters.planSearches.Load(),
+		WaveBuilds:   compileCounters.waveBuilds.Load(),
+		VerifyRuns:   compileCounters.verifyRuns.Load(),
 	}
 }
 
@@ -303,12 +282,15 @@ func (c *Compiled) Invalidate() {
 }
 
 // PlannedArenaBytes returns the statically proven worst-case arena
-// footprint for the model's whole input region, or 0 when no proof is
-// currently held. The serving layer's admission controller uses it as
-// the per-request memory reservation estimate.
-func (c *Compiled) PlannedArenaBytes() int64 {
+// footprint of the layout a planned request under opts runs on — the
+// wave-widened one for a Parallel request that gets it — for the
+// model's whole input region, or 0 when no proof is currently held. The
+// serving layer's admission controller uses it as the per-request
+// memory reservation estimate.
+func (c *Compiled) PlannedArenaBytes(opts GuardOptions) int64 {
 	if r := c.verified.Load(); r != nil && r.Mem.Proven {
-		return r.Mem.ArenaSize
+		layout, _ := c.plannedLayout(r, opts)
+		return layout.ArenaSize
 	}
 	return 0
 }
@@ -363,10 +345,6 @@ func buildGraph(b *models.Builder) (*graph.Graph, error) {
 // compile serves the memory-minimal SEP order. The zero value is the
 // default compile.
 type SchedConfig struct {
-	// NoSpecialize skips region-proven graph specialization: the compile
-	// plans and serves the graph exactly as built. The differential tests
-	// use it to pin specialized output bit-identical to unspecialized.
-	NoSpecialize bool
 	// Quant packs eligible weights into block-quantized storage
 	// (Quant.Format = Int8/Q4_0/Q4_1; the zero value serves float32).
 	Quant QuantConfig
@@ -379,8 +357,8 @@ func Compile(b *models.Builder) (*Compiled, error) {
 	return CompileSched(b, SchedConfig{})
 }
 
-// CompileSched is Compile with an explicit configuration
-// (specialization, weight quantization).
+// CompileSched is Compile with an explicit configuration (weight
+// quantization).
 func CompileSched(b *models.Builder, cfg SchedConfig) (*Compiled, error) {
 	g, err := buildGraph(b)
 	if err != nil {
@@ -396,37 +374,13 @@ func compileGraph(b *models.Builder, g *graph.Graph, cfg SchedConfig) (*Compiled
 	if err != nil {
 		return nil, err
 	}
-	c := &Compiled{Builder: b, OrigGraph: g, OrigInfos: res.Infos}
-
-	// Region-proven specialization: derive the contract facts and the
-	// verification region first — the specializer's proofs are quantified
-	// over exactly the region the verifier and the runtime contract later
-	// enforce — then rewrite the graph under those facts and carry the
-	// proof certificate forward. Failure at any point is non-fatal: the
-	// compile serves the original graph unspecialized.
-	if !cfg.NoSpecialize {
-		probe := probeExtents(b, g, res.Infos)
-		facts := probe.facts()
-		region := probe.region(facts)
-		compileCounters.specializations.Add(1)
-		if sg, cert, serr := absint.Specialize(g, res.Infos, absint.Options{Region: region}); serr == nil {
-			sres := res
-			if cert.TopologyChanged() {
-				if r2, rerr := rdp.Analyze(sg, nil, rdp.Options{}); rerr == nil {
-					sres = r2
-				} else {
-					cert = nil // unanalyzable rewrite: serve the original graph
-				}
-			}
-			if cert != nil {
-				g, res = sg, sres
-				c.SpecCert = cert
-				c.presetFacts = facts
-				c.presetRegion = region
-			}
-		}
-	}
-	c.Graph, c.Infos, c.RDPResult = g, res.Infos, res
+	c := &Compiled{Builder: b, Graph: g, Infos: res.Infos, RDPResult: res,
+		OrigGraph: g, OrigInfos: res.Infos}
+	// One probe of the input generator yields the contract facts and the
+	// region every proof, the runtime contract and MVC quantify over.
+	probe := probeExtents(b, g, res.Infos)
+	c.presetFacts = probe.facts()
+	c.presetRegion = probe.region(c.presetFacts)
 
 	c.FusionRDP = fusion.Fuse(g, res.Infos, fusion.RDP)
 	c.FusionStatic = fusion.Fuse(g, res.Infos, fusion.Static)
@@ -435,20 +389,9 @@ func compileGraph(b *models.Builder, g *graph.Graph, cfg SchedConfig) (*Compiled
 	if err != nil {
 		return nil, err
 	}
-	// Version planning: with a specialization region, build the narrowed
-	// plan and record which version sets it shrank in the certificate —
-	// the translation validator re-derives exactly this diff.
-	if c.SpecCert != nil {
-		base := mvc.BuildPlan(g, res.Infos, b.MinSize, b.MaxSize)
-		c.MVCPlan = mvc.BuildPlanRegion(g, res.Infos, b.MinSize, b.MaxSize, c.presetRegion)
-		for _, d := range mvc.DiffPlans(base, c.MVCPlan) {
-			c.SpecCert.Narrowings = append(c.SpecCert.Narrowings,
-				absint.Narrowing{Node: d.Node, Before: d.Before, After: d.After})
-		}
-	} else {
-		c.MVCPlan = mvc.BuildPlan(g, res.Infos, b.MinSize, b.MaxSize)
-	}
-	c.specDigest = c.SpecCert.Digest()
+	// Version planning over the proven region: hotspots whose shape
+	// regimes the region rules out get fewer versions (§4.4.2).
+	c.MVCPlan = mvc.BuildPlanRegion(g, res.Infos, b.MinSize, b.MaxSize, c.presetRegion)
 	c.NaiveOrder = plan.BFSOrder(g)
 	// Wavefront partition of the memory-minimal order for parallel
 	// execution, each wave capped at twice that order's peak. Failure is
@@ -497,8 +440,6 @@ func (c *Compiled) compileSubgraphs() {
 			}
 			mergeFusion(c.FusionRDP, fusion.Fuse(body, res.Infos, fusion.RDP))
 			mergeFusion(c.FusionStatic, fusion.Fuse(body, res.Infos, fusion.Static))
-			// A nil region makes BuildPlanRegion degenerate to BuildPlan,
-			// so unspecialized compiles plan bodies exactly as before.
 			sub := mvc.BuildPlanRegion(body, res.Infos, c.Builder.MinSize, c.Builder.MaxSize, c.presetRegion)
 			c.MVCPlan.Hotspots = append(c.MVCPlan.Hotspots, sub.Hotspots...)
 			c.MVCPlan.TotalVersions += sub.TotalVersions

@@ -252,3 +252,29 @@ func TestExecuteAllBranchesCostsMore(t *testing.T) {
 		t.Errorf("execute-all %.3f <= predicated %.3f", all.LatencyMS, pred.LatencyMS)
 	}
 }
+
+// TestMVCRegionVersionCounts pins the f32 MVC plan of every model. The
+// plan is built over the proven region, which narrows the version sets
+// of hotspots whose shape regimes it rules out: region-free, CodeBERT,
+// Conformer, StableDiffusion and SegmentAnything would plan 33, 29, 18
+// and 39 versions.
+func TestMVCRegionVersionCounts(t *testing.T) {
+	want := map[string]int{
+		"CodeBERT": 29, "Conformer": 27, "StableDiffusion": 16, "SegmentAnything": 35,
+		"SkipNet": 18, "DGNet": 19, "ConvNet-AIG": 16, "RaNet": 7, "BlockDrop": 13, "YOLO-V6": 15,
+	}
+	total := 0
+	for _, b := range models.All() {
+		c, err := Compile(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.MVCPlan.TotalVersions; got != want[b.Name] {
+			t.Errorf("%s: %d MVC versions, want %d", b.Name, got, want[b.Name])
+		}
+		total += c.MVCPlan.TotalVersions
+	}
+	if total != 195 {
+		t.Errorf("%d MVC versions over the ten models, want 195", total)
+	}
+}

@@ -80,11 +80,6 @@ type GuardReport struct {
 	// ParallelWorkers the pool size it ran with.
 	Wavefronts      int
 	ParallelWorkers int
-	// Specialized reports the run was served by a specializer-rewritten
-	// graph; SpecFallback that it fell back to the original graph because
-	// the inputs were outside a region-dependent certificate's region.
-	Specialized  bool
-	SpecFallback bool
 }
 
 // degrade records one step down the ladder. Below the planned rung
@@ -99,19 +94,13 @@ func (gr *GuardReport) degrade(reason string, kind guard.ViolationKind, to guard
 
 // Contract returns the model's runtime contract: declared symbolic input
 // shapes, the RDP fixed point, and analyzed input facts (extent ranges
-// and divisibility) derived from the model's sampling spec. Built once
+// and divisibility) derived from the model's sampling spec — the facts
+// the compile probed, or the warm boot loaded from the store. Built once
 // and cached on the Compiled (safe for concurrent use).
 func (c *Compiled) Contract() *guard.Contract {
 	c.contractOnce.Do(func() {
 		ct := guard.NewContract(c.Graph, c.Infos)
-		// Warm boot installs the facts persisted at compile time so the
-		// contract matches the stored proof without re-probing the input
-		// generator at both ends of the sampling range.
-		facts := c.presetFacts
-		if facts == nil {
-			facts = probeExtents(c.Builder, c.Graph, c.Infos).facts()
-		}
-		for _, f := range facts {
+		for _, f := range c.presetFacts {
 			ct.AddFact(f)
 		}
 		c.contract = ct
@@ -144,8 +133,6 @@ type rung struct {
 //	          fitted to this request
 //	dynamic   compiled graph, planned order, per-tensor allocation
 //	replan    compiled graph, order rebuilt by re-analysis of these shapes
-//	original  pre-specialization graph, dynamic allocation (reported as
-//	          the dynamic tier with SpecFallback set)
 //	float32   compiled topology with the float32 weights restored
 //
 // The inputs are bound against the RDP symbolic shapes exactly once, and
@@ -236,24 +223,6 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 		return nil
 	}
 
-	// Original-graph rung: a region-dependent certificate means the
-	// specialized graph is only proven equivalent to the original for
-	// in-region inputs. Anything else executes the original graph with
-	// dynamic allocation — a recorded degradation, not an error (unless
-	// Strict), because the original graph is always sound. It shares no
-	// plan, order or wave partition with the specialized one.
-	if c.SpecCert.RegionDependent() && (cerr != nil || !c.presetRegion.ContainsEnv(env)) {
-		verr := &guard.ContractError{Kind: guard.KindFact,
-			Detail: "inputs outside specialization region"}
-		if opts.Strict {
-			return rung{}, verr
-		}
-		gr.degrade(verr.Error()+"; executing original graph", guard.KindFact, guard.TierDynamic)
-		gr.SpecFallback = true
-		return rung{tier: guard.TierDynamic, graph: c.OrigGraph}, nil
-	}
-	gr.Specialized = c.SpecCert.TopologyChanged()
-
 	// One plan source for the planned rung: the region proof. A request
 	// binding inside the proven region is served with the region-wide
 	// layout, fitted to its own sizes — no fact/shape checks, including
@@ -317,13 +286,8 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 	r.tier = gr.Tier
 	switch r.tier {
 	case guard.TierPlanned:
-		// Wavefront-parallel serving: only on the planned rung, only with
-		// a concurrency-proven widened plan, and only when the (larger)
-		// widened arena also fits the budget. Anything short of that runs
-		// sequentially — a scheduling choice, not a degradation.
-		if wave := rep.Wave.Layout; opts.Parallel && wave != nil && c.WavePlan != nil &&
-			(opts.ArenaBudget <= 0 || wave.ArenaSize <= opts.ArenaBudget) {
-			r.layout = wave
+		var parallel bool
+		if r.layout, parallel = c.plannedLayout(rep, opts); parallel {
 			r.workers = opts.Workers
 			if r.workers <= 0 {
 				r.workers = runtime.GOMAXPROCS(0)
@@ -343,6 +307,20 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 		r.layout = nil
 	}
 	return r, nil
+}
+
+// plannedLayout is the proven layout a planned request under opts runs
+// on. Wavefront-parallel serving takes the wave-widened layout: only when
+// the request asks for it, the concurrency proof passed, there is a wave
+// partition to run, and the (larger) widened arena also fits the budget.
+// Anything short of that runs sequentially on the region proof's layout
+// — a scheduling choice, not a degradation.
+func (c *Compiled) plannedLayout(rep *staticverify.Report, opts GuardOptions) (layout *memplan.Layout, parallel bool) {
+	if wave := rep.Wave.Layout; opts.Parallel && wave != nil && c.WavePlan != nil &&
+		(opts.ArenaBudget <= 0 || wave.ArenaSize <= opts.ArenaBudget) {
+		return wave, true
+	}
+	return rep.Mem.Layout, false
 }
 
 // runRung is the one place a guarded request executes: exec.Run under

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/absint"
 	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/graph"
@@ -114,8 +113,7 @@ func TestFloat32RungSeesHooks(t *testing.T) {
 }
 
 // A schedule that skips a producer makes exec.Run hand back a nil output
-// with a nil error. Every rung must refuse that, not only the
-// original-graph one. The order is truncated without Invalidate, so the
+// with a nil error. Every rung must refuse that. The order is truncated without Invalidate, so the
 // memoized region proof still vouches for it.
 func TestEveryRungChecksOutputsProduced(t *testing.T) {
 	b, _ := models.Get("CodeBERT")
@@ -170,15 +168,12 @@ func plantUnprovenMemory(c *Compiled) (undo func()) {
 
 // ---- Tier equivalence --------------------------------------------------
 
-// A ladderRequest is one of the three inputs the ladder is walked with.
+// A ladderRequest is one of the two inputs the ladder is walked with.
 type ladderRequest int
 
 const (
 	// inRegion is the model's smallest in-contract request.
 	inRegion ladderRequest = iota
-	// offRegion steps one stride below the sampling range: a fact
-	// violation — or, for DGNet's fixed 224, a bind violation.
-	offRegion
 	// batchOfTwo stacks the first graph input on itself: batch 2 against
 	// an analyzed batch of 1 is a binding the RDP fixed point
 	// contradicts, and one every model but the two that reshape to a
@@ -187,10 +182,7 @@ const (
 )
 
 func (r ladderRequest) inputs(b *models.Builder) map[string]*tensor.Tensor {
-	switch r {
-	case offRegion:
-		return b.Inputs(tensor.NewRNG(7), b.MinSize-b.SizeStep, 0.5)
-	case batchOfTwo:
+	if r == batchOfTwo {
 		if b.Name == "CodeBERT" || b.Name == "Conformer" {
 			return nil
 		}
@@ -274,25 +266,6 @@ var ladderCases = []ladderCase{
 		check: func(t *testing.T, gr *GuardReport) {
 			if gr.RegionCacheHit || gr.ArenaHighWater != 0 {
 				t.Errorf("region hit %v, arena high water %d: want no plan", gr.RegionCacheHit, gr.ArenaHighWater)
-			}
-		},
-	},
-	{
-		// None of the ten models earns a region-dependent certificate
-		// (their control flow is data-dependent), so one is planted: the
-		// rung only asks the certificate whether it is one.
-		name: "original graph", tier: guard.TierDynamic, kind: guard.KindFact, exact: true,
-		request: offRegion,
-		arrange: func(c *Compiled) func() {
-			held := c.SpecCert
-			planted := *held
-			planted.LoopBounds = append(slices.Clone(held.LoopBounds), absint.LoopBound{RegionDep: true})
-			c.SpecCert = &planted
-			return func() { c.SpecCert = held }
-		},
-		check: func(t *testing.T, gr *GuardReport) {
-			if !gr.SpecFallback || gr.Specialized {
-				t.Errorf("SpecFallback %v, Specialized %v: want the original graph", gr.SpecFallback, gr.Specialized)
 			}
 		},
 	},

@@ -13,11 +13,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file is the compile-side of region-proven graph specialization:
-// the fact/region derivation shared by the cold compile, the runtime
-// contract and the verifier. (The out-of-region escape hatch for
-// region-dependent certificates is the ladder's original-graph rung,
-// guarded.go.)
+// This file derives the input region a compile quantifies over: the
+// contract facts and the verification region, read off one probe of the
+// model's input generator. The cold compile installs both; the runtime
+// contract, the verifier and the MVC plan all read them from there.
 
 // extentProbe is the model's input generator observed at both ends of
 // its declared sampling range (MinSize and the stride-aligned maximum),

@@ -10,7 +10,8 @@ import (
 )
 
 // Quantization must never mutate the pre-quantization graph in place:
-// OrigGraph (the specialization fallback path) and the float originals
+// OrigGraph (the graph as built, whose hash keys its stored artifact)
+// and the float originals
 // behind floatGraph() keep their f32 tensors.
 func TestQuantizeLeavesOriginalGraphIntact(t *testing.T) {
 	b, _ := models.Get("CodeBERT")

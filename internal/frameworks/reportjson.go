@@ -32,8 +32,6 @@ type wireReport struct {
 	RegionCacheHit  bool               `json:"region_cache_hit"`
 	Wavefronts      int                `json:"wavefronts,omitempty"`
 	ParallelWorkers int                `json:"parallel_workers,omitempty"`
-	Specialized     bool               `json:"specialized,omitempty"`
-	SpecFallback    bool               `json:"spec_fallback,omitempty"`
 }
 
 // MarshalJSON serializes the report in the stable wire schema above.
@@ -46,8 +44,6 @@ func (r Report) MarshalJSON() ([]byte, error) {
 		RegionCacheHit:  r.RegionCacheHit,
 		Wavefronts:      r.Wavefronts,
 		ParallelWorkers: r.ParallelWorkers,
-		Specialized:     r.Specialized,
-		SpecFallback:    r.SpecFallback,
 	}
 	for _, d := range r.Degradations {
 		w.Degradations = append(w.Degradations, wireDegradation{
@@ -78,8 +74,6 @@ func (r *Report) UnmarshalJSON(data []byte) error {
 		RegionCacheHit:  w.RegionCacheHit,
 		Wavefronts:      w.Wavefronts,
 		ParallelWorkers: w.ParallelWorkers,
-		Specialized:     w.Specialized,
-		SpecFallback:    w.SpecFallback,
 	}
 	for _, d := range w.Degradations {
 		r.Degradations = append(r.Degradations, guard.Degradation{

@@ -18,7 +18,7 @@ import (
 var updateReportGolden = flag.Bool("update", false, "rewrite the report JSON golden in testdata/")
 
 // goldenReport exercises every wire field: a degraded, replanned,
-// parallel, specialized request with phase timings.
+// parallel request with phase timings.
 func goldenReport() Report {
 	return Report{
 		LatencyMS:    12.375,
@@ -34,8 +34,6 @@ func goldenReport() Report {
 		RegionCacheHit:  true,
 		Wavefronts:      7,
 		ParallelWorkers: 4,
-		Specialized:     true,
-		SpecFallback:    false,
 	}
 }
 

@@ -118,7 +118,6 @@ func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (R
 	rep := s.Model(m, res.Trace, dev, workers)
 	rep.FallbackTier = fallbackTier
 	rep.Degradations = degradations
-	rep.Specialized = m.SpecCert.TopologyChanged()
 	return rep, nil
 }
 

@@ -20,7 +20,7 @@ func CompileVerified(b *models.Builder) (*Compiled, *staticverify.Report, error)
 }
 
 // CompileVerifiedSched is CompileVerified with an explicit compile
-// configuration (specialization, weight quantization).
+// configuration (weight quantization).
 func CompileVerifiedSched(b *models.Builder, cfg SchedConfig) (*Compiled, *staticverify.Report, error) {
 	c, err := CompileSched(b, cfg)
 	if err != nil {
@@ -52,22 +52,10 @@ func (c *Compiled) Verify() *staticverify.Report {
 		Graph:  c.Graph,
 		Infos:  c.Infos,
 		Order:  c.ExecPlan.Order,
-		Region: c.verifyRegion(),
+		Region: c.presetRegion,
 	}
 	if c.WavePlan != nil {
 		in.Waves = c.WavePlan.Ranges
-	}
-	// Translation validation: the specialized graph the proofs above
-	// cover must also be shown equivalent to the original over the
-	// region, by independently re-deriving and replaying the certificate.
-	if c.SpecCert != nil {
-		in.Spec = &staticverify.SpecInput{
-			Orig:      c.OrigGraph,
-			OrigInfos: c.OrigInfos,
-			Cert:      c.SpecCert,
-			MinSize:   minSizeOf(c.Builder),
-			MaxSize:   maxSizeOf(c.Builder),
-		}
 	}
 	r := staticverify.Analyze(in)
 	// Memoize only if no Invalidate raced this analysis; a stale proof
@@ -76,31 +64,4 @@ func (c *Compiled) Verify() *staticverify.Report {
 		c.verified.Store(r)
 	}
 	return r
-}
-
-// verifyRegion is the input region the proofs quantify over. A
-// specialized compile or a warm boot re-proves over the exact region
-// its certificate (and any stored proof) quantified over — re-probing
-// could only shrink or shift it, silently changing what the held proofs
-// mean; any other compile derives it from the contract's facts.
-func (c *Compiled) verifyRegion() staticverify.Region {
-	if c.presetRegion != nil {
-		return c.presetRegion
-	}
-	return probeExtents(c.Builder, c.Graph, c.Infos).region(c.Contract().Facts)
-}
-
-// minSizeOf/maxSizeOf tolerate a nil builder (hand-built test graphs).
-func minSizeOf(b *models.Builder) int64 {
-	if b == nil {
-		return 0
-	}
-	return b.MinSize
-}
-
-func maxSizeOf(b *models.Builder) int64 {
-	if b == nil {
-		return 0
-	}
-	return b.MaxSize
 }

@@ -13,7 +13,7 @@ import (
 // covers the m ≡ n case (self-attention score matrices, where the same
 // sequence-length expression appears on both sides and the fat/skinny
 // regimes are therefore unreachable). The result for every hotspot is a
-// subset of BuildPlan's version set — the specializer's MVC narrowing.
+// subset of BuildPlan's version set: the proven region narrows MVC.
 func BuildPlanRegion(g *graph.Graph, infos map[string]lattice.Info, lo, hi int64, region map[string]symbolic.Interval) *Plan {
 	if lo <= 0 {
 		lo = 16
@@ -144,44 +144,6 @@ func intersectRegimes(base, refined []Regime) []Regime {
 			return refined
 		}
 		return []Regime{RegimeRegular}
-	}
-	return out
-}
-
-// VersionDiff records one hotspot whose version set changed between the
-// region-free and region-narrowed plans.
-type VersionDiff struct {
-	Node   string
-	Before []string
-	After  []string
-}
-
-// DiffPlans lists hotspots whose version sets the narrowed plan shrank,
-// matching hotspots by node name.
-func DiffPlans(base, narrowed *Plan) []VersionDiff {
-	after := map[string][]Regime{}
-	for _, h := range narrowed.Hotspots {
-		after[h.Node.Name] = h.PossibleRegimes
-	}
-	var out []VersionDiff
-	for _, h := range base.Hotspots {
-		nr, ok := after[h.Node.Name]
-		if !ok || len(nr) >= len(h.PossibleRegimes) {
-			continue
-		}
-		out = append(out, VersionDiff{
-			Node:   h.Node.Name,
-			Before: regimeNames(h.PossibleRegimes),
-			After:  regimeNames(nr),
-		})
-	}
-	return out
-}
-
-func regimeNames(rs []Regime) []string {
-	out := make([]string, len(rs))
-	for i, r := range rs {
-		out[i] = r.String()
 	}
 	return out
 }

@@ -47,15 +47,6 @@ func (r *Report) Format() string {
 		fmt.Fprintf(&b, "wavefront plan: UNPROVEN (%s)\n", r.Wave.Reason)
 	}
 
-	if r.Spec.Checked {
-		if r.Spec.Proven {
-			fmt.Fprintf(&b, "specialization: validated (%d branches pruned, %d values constified, %d loops bounded, %d nodes removed, %d MVC sets narrowed)\n",
-				r.Spec.BranchesPruned, r.Spec.Constified, r.Spec.LoopsBounded, r.Spec.NodesRemoved, r.Spec.Narrowed)
-		} else {
-			fmt.Fprintf(&b, "specialization: REJECTED (%s)\n", r.Spec.Reason)
-		}
-	}
-
 	if len(r.Diagnostics) == 0 {
 		b.WriteString("diagnostics: none\n")
 		return b.String()

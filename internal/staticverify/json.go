@@ -25,17 +25,6 @@ type JSONDiagnostic struct {
 	Detail   string `json:"detail"`
 }
 
-// JSONSpec summarizes the translation-validation verdict.
-type JSONSpec struct {
-	Validated      bool   `json:"validated"`
-	Reason         string `json:"reason,omitempty"`
-	BranchesPruned int    `json:"branches_pruned"`
-	Constified     int    `json:"constified"`
-	LoopsBounded   int    `json:"loops_bounded"`
-	NodesRemoved   int    `json:"nodes_removed"`
-	MVCNarrowed    int    `json:"mvc_narrowed"`
-}
-
 // JSONReport is the machine-readable form of a Report.
 type JSONReport struct {
 	Model       string            `json:"model"`
@@ -52,7 +41,6 @@ type JSONReport struct {
 	Waves       int               `json:"waves,omitempty"`
 	MaxWidth    int               `json:"max_width,omitempty"`
 	WaveArena   int64             `json:"wave_arena_bytes,omitempty"`
-	Spec        *JSONSpec         `json:"specialization,omitempty"`
 	Errors      int               `json:"errors"`
 	Diagnostics []JSONDiagnostic  `json:"diagnostics"`
 }
@@ -83,17 +71,6 @@ func JSONReportOf(r *Report) JSONReport {
 	sort.Strings(syms)
 	for _, s := range syms {
 		out.Region = append(out.Region, JSONRegionEntry{Symbol: s, Interval: r.Region[s].String()})
-	}
-	if r.Spec.Checked {
-		out.Spec = &JSONSpec{
-			Validated:      r.Spec.Proven,
-			Reason:         r.Spec.Reason,
-			BranchesPruned: r.Spec.BranchesPruned,
-			Constified:     r.Spec.Constified,
-			LoopsBounded:   r.Spec.LoopsBounded,
-			NodesRemoved:   r.Spec.NodesRemoved,
-			MVCNarrowed:    r.Spec.Narrowed,
-		}
 	}
 	out.Diagnostics = make([]JSONDiagnostic, 0, len(r.Diagnostics))
 	for _, d := range r.Diagnostics {

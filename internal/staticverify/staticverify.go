@@ -127,10 +127,6 @@ type Input struct {
 	// (half-open, contiguous over Order) to certify for parallel
 	// execution; nil skips the wavefront proof.
 	Waves [][2]int
-	// Spec, when non-nil, requests translation validation: Graph/Infos
-	// above describe the *specialized* graph, and Spec carries the
-	// original graph plus the certificate to re-check against it.
-	Spec *SpecInput
 }
 
 // Report is the complete result of one static verification run.
@@ -143,9 +139,6 @@ type Report struct {
 	// Wave certifies the wavefront partition and its widened memory
 	// plan for parallel execution (zero value when Input.Waves was nil).
 	Wave WaveVerdict
-	// Spec is the translation-validation verdict for the specialization
-	// certificate (zero value when Input.Spec was nil).
-	Spec SpecVerdict
 	// Liveness maps every value produced under the order to its static
 	// [Birth, Death] step interval (the intervals the memory plan uses,
 	// and the intervals the instrumented-execution property test checks).
@@ -218,16 +211,7 @@ func Analyze(in Input) *Report {
 		}
 	}
 
-	// 5. Translation validation of the specialization certificate: the
-	// specialized graph (whose plans steps 1–4 just re-proved) must be
-	// shown equivalent to the original over the region.
-	if in.Spec != nil {
-		spec, specDiags := ValidateSpecialization(in.Graph, in.Infos, in.Region, in.Spec)
-		r.Spec = spec
-		r.Diagnostics = append(r.Diagnostics, specDiags...)
-	}
-
-	// 6. Graph lint.
+	// 5. Graph lint.
 	r.Diagnostics = append(r.Diagnostics, Lint(in.Graph, in.Infos, in.Region)...)
 
 	sortDiagnostics(r.Diagnostics)

@@ -20,8 +20,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden lint snapshots in 
 // TestLintGolden pins `sod2 lint` output for all 10 evaluation models —
 // the human text format and the machine-readable JSON form — against
 // checked-in snapshots, so any verifier or lint regression (a lost
-// proof, a new diagnostic, a changed region, a rejected specialization
-// certificate) is visible in review as a testdata diff.
+// proof, a new diagnostic, a changed region) is visible in review as a
+// testdata diff.
 func TestLintGolden(t *testing.T) {
 	for _, b := range models.All() {
 		b := b

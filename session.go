@@ -63,7 +63,7 @@ type SessionOptions struct {
 	Breaker resilience.BreakerConfig
 	// RequestTimeout bounds each request end to end — admission wait,
 	// every retry attempt, and backoff sleeps (0 = none). Per-call
-	// contexts (InferSampleCtx et al.) compose with it; whichever ends
+	// contexts (InferConcurrentCtx et al.) compose with it; whichever ends
 	// first cancels the request.
 	RequestTimeout time.Duration
 }
@@ -231,11 +231,6 @@ func (s *Session) InferSample(sample Sample) (map[string]*Tensor, Report, error)
 	return s.InferConcurrentCtx(context.Background(), sample.Inputs)
 }
 
-// InferSampleCtx is InferSample bounded by a context.
-func (s *Session) InferSampleCtx(ctx context.Context, sample Sample) (map[string]*Tensor, Report, error) {
-	return s.InferConcurrentCtx(ctx, sample.Inputs)
-}
-
 // serve is the resilient request path every inference goes through:
 // deadline, admission, breaker-advised execution, tier-aware retries.
 func (s *Session) serve(ctx context.Context, inputs map[string]*Tensor) (map[string]*Tensor, Report, error) {
@@ -245,9 +240,11 @@ func (s *Session) serve(ctx context.Context, inputs map[string]*Tensor) (map[str
 		defer cancel()
 	}
 	// Admission: shed instead of queueing unboundedly. The reservation
-	// estimate is the statically proven worst-case arena footprint (0
-	// when no proof is held: only a proven layout takes an arena).
-	release, err := s.adm.Admit(ctx, s.c.inner.PlannedArenaBytes())
+	// estimate is the statically proven worst-case footprint of the
+	// layout the request runs on — the wave-widened one for a Parallel
+	// session (0 when no proof is held: only a proven layout takes an
+	// arena).
+	release, err := s.adm.Admit(ctx, s.c.inner.PlannedArenaBytes(s.gopts))
 	if err != nil {
 		return nil, Report{}, err
 	}
@@ -329,7 +326,7 @@ func (s *Session) InferBatchCtx(ctx context.Context, samples []Sample) []BatchRe
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				out, rep, err := s.InferSampleCtx(ctx, samples[i])
+				out, rep, err := s.InferConcurrentCtx(ctx, samples[i].Inputs)
 				results[i] = BatchResult{Index: i, Outputs: out, Report: rep, Err: err,
 					Cancelled: isCancellation(err)}
 			}
@@ -412,7 +409,7 @@ func (s *Session) InferBucketCtx(ctx context.Context, samples []Sample) []BatchR
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
 		defer cancel()
 	}
-	release, err := s.adm.Admit(ctx, s.c.inner.PlannedArenaBytes())
+	release, err := s.adm.Admit(ctx, s.c.inner.PlannedArenaBytes(s.gopts))
 	if err != nil {
 		return fail(err)
 	}

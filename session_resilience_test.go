@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -252,7 +253,7 @@ func TestInferBatchCtxCancellation(t *testing.T) {
 // overload error.
 func TestSessionMemoryAdmission(t *testing.T) {
 	c := compileVerifiedModel(t, "CodeBERT")
-	est := c.inner.PlannedArenaBytes()
+	est := c.inner.PlannedArenaBytes(GuardOptions{})
 	if est <= 0 {
 		t.Fatal("no planned arena estimate")
 	}
@@ -284,6 +285,51 @@ func TestSessionMemoryAdmission(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+	if got := sess.Stats().Admission.ReservedBytes; got != 0 {
+		t.Fatalf("leaked reservation: %d bytes", got)
+	}
+}
+
+// TestSessionParallelAdmission: a Parallel session's request runs on the
+// wave-widened layout, and its kept arena buffer grows to that layout's
+// size, so admission must reserve the widened worst case — not the
+// sequential plan's — while the request is in flight.
+func TestSessionParallelAdmission(t *testing.T) {
+	c := compileVerifiedModel(t, "CodeBERT")
+	wave := c.Verify().Wave
+	if !wave.Proven {
+		t.Fatalf("CodeBERT wavefront plan unproven: %s", wave.Reason)
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	sess := c.NewSession(SessionOptions{
+		Parallel: true,
+		Hooks: &exec.Hooks{PreKernel: func(*graph.Node, []*tensor.Tensor) error {
+			once.Do(func() { close(parked) })
+			<-release
+			return nil
+		}},
+		Admission: AdmissionConfig{MemoryBudget: 1 << 30},
+	})
+	b, _ := BuildModel("CodeBERT")
+	done := make(chan Report, 1)
+	go func() {
+		_, rep, err := sess.InferConcurrent(NewSample(b, 64, 0.5, 4).Inputs)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- rep
+	}()
+	<-parked
+	got := sess.Stats().Admission.ReservedBytes
+	close(release)
+	if rep := <-done; rep.Wavefronts == 0 {
+		t.Fatalf("request ran sequentially (tier %v): the session must serve it wavefront-parallel", rep.FallbackTier)
+	}
+	if got != 4964352 || got != wave.ArenaSize {
+		t.Errorf("in-flight reservation %d bytes, want the widened arena's 4964352 (proof: %d, sequential %d)",
+			got, wave.ArenaSize, c.Verify().Mem.ArenaSize)
 	}
 	if got := sess.Stats().Admission.ReservedBytes; got != 0 {
 		t.Fatalf("leaked reservation: %d bytes", got)

@@ -237,9 +237,9 @@ func Compile(b *ModelBuilder) (*Compiled, error) {
 	return &Compiled{inner: c}, nil
 }
 
-// SchedConfig configures a compile: region-proven specialization and
-// weight quantization. Every compile serves the memory-minimal SEP
-// order; no field selects a schedule.
+// SchedConfig configures a compile: weight quantization. Every compile
+// serves the memory-minimal SEP order of the graph as built; no field
+// selects a schedule.
 type SchedConfig = frameworks.SchedConfig
 
 // CompileVerifiedSched is CompileVerified with an explicit compile
@@ -329,8 +329,6 @@ func (c *Compiled) infer(inputs map[string]*Tensor, gopts GuardOptions) (map[str
 		RegionCacheHit:  gr.RegionCacheHit,
 		Wavefronts:      gr.Wavefronts,
 		ParallelWorkers: gr.ParallelWorkers,
-		Specialized:     gr.Specialized,
-		SpecFallback:    gr.SpecFallback,
 	}
 	if gr.Tier == TierPlanned {
 		rep.PeakMemBytes = gr.ArenaHighWater

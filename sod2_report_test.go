@@ -1,13 +1,16 @@
 package sod2
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/frameworks"
+	"repro/internal/guard"
 	"repro/internal/lattice"
 	"repro/internal/symbolic"
 	"repro/internal/tensor"
@@ -233,9 +236,9 @@ func TestUnobservedRunRecordsNoEvents(t *testing.T) {
 	}
 }
 
-// regionIfModel is a model whose If predicate the sampling region proves
-// constant (L ∈ [2,16] makes L > 1 always true), so the specializer
-// inlines the then-arm under a region-dependent certificate.
+// regionIfModel is a model with a shape-decidable If: its predicate
+// L > 1 holds for every L in the sampling range [2, 16], and the graph
+// is served as built, with the If and both arms in it.
 func regionIfModel() *ModelBuilder {
 	body := func(name, op string) *Graph {
 		g := NewGraph(name)
@@ -268,40 +271,59 @@ func regionIfModel() *ModelBuilder {
 	}
 }
 
-// TestReportSpecFallback: a request outside a region-dependent
-// certificate's region is served by the original graph, and the report
-// must say so instead of claiming the specialized graph served it.
-func TestReportSpecFallback(t *testing.T) {
+// TestReportRegionIf: each arm of a shape-decidable If serves
+// bit-exactly through the If kernel. An in-range request runs the
+// then-arm on the planned tier; L = 1, outside the range, runs the
+// else-arm on the dynamic tier with the fact degradation every
+// out-of-range request gets, and Strict refuses it.
+func TestReportRegionIf(t *testing.T) {
 	b := regionIfModel()
 	c, err := Compile(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.inner.SpecCert.RegionDependent() {
-		t.Fatal("fixture must compile under a region-dependent certificate")
+	if n := c.Graph().Nodes; len(n) != 4 || n[3].OpType != "If" {
+		t.Fatalf("served graph %v: want the If as built", n)
 	}
-
-	_, in, err := c.Infer(b.Inputs(tensor.NewRNG(1), 4, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !in.Specialized || in.SpecFallback || in.FallbackTier != TierPlanned {
-		t.Errorf("in-region: specialized=%v fallback=%v tier=%v, want true/false/planned",
-			in.Specialized, in.SpecFallback, in.FallbackTier)
-	}
-
-	x := b.Inputs(tensor.NewRNG(1), 1, 0) // L = 1: the else-arm the specializer removed
-	outs, out, err := c.Infer(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Specialized || !out.SpecFallback || out.FallbackTier != TierDynamic {
-		t.Errorf("out-of-region: specialized=%v fallback=%v tier=%v, want false/true/dynamic",
-			out.Specialized, out.SpecFallback, out.FallbackTier)
-	}
-	for i, v := range x["x"].F {
-		if outs["y"].F[i] != -v {
-			t.Fatalf("out-of-region output %d = %v, want the else-arm's %v", i, outs["y"].F[i], -v)
+	arms := map[string]int{}
+	hooks := &exec.Hooks{PreKernel: func(n *Node, _ []*Tensor) error {
+		arms[n.Name]++
+		return nil
+	}}
+	serve := func(L int64, want func(v float32) float32, arm string, tier Tier) Report {
+		t.Helper()
+		clear(arms)
+		x := b.Inputs(tensor.NewRNG(1), L, 0)
+		outs, rep, err := c.InferGuarded(x, GuardOptions{Hooks: hooks})
+		if err != nil {
+			t.Fatalf("L=%d: %v", L, err)
 		}
+		// The arms' nodes live only in if1's branch bodies: the one that
+		// launched is the one the If kernel dispatched.
+		if rep.FallbackTier != tier || arms[arm] != 1 || len(arms) != 4 {
+			t.Errorf("L=%d: tier %v, kernels %v: want %v with %s alone of the arms", L, rep.FallbackTier, arms, tier, arm)
+		}
+		for i, v := range x["x"].F {
+			if got := outs["y"].F[i]; math.Float32bits(got) != math.Float32bits(want(v)) {
+				t.Fatalf("L=%d: output %d = %v, want %v", L, i, got, want(v))
+			}
+		}
+		return rep
+	}
+	relu := func(v float32) float32 { return max(v, 0) }
+	neg := func(v float32) float32 { return -v }
+
+	if in := serve(4, relu, "then.bop", TierPlanned); !in.RegionCacheHit || len(in.Degradations) != 0 {
+		t.Errorf("in-range: region hit %v, degradations %+v: want the region proof's plan", in.RegionCacheHit, in.Degradations)
+	}
+	out := serve(1, neg, "else.bop", TierDynamic)
+	if d := out.Degradations; len(d) != 1 || d[0].Kind != guard.KindFact || d[0].To != TierDynamic {
+		t.Errorf("out-of-range degradations %+v: want one fact step to dynamic", d)
+	}
+
+	_, _, err = c.InferGuarded(b.Inputs(tensor.NewRNG(1), 1, 0), GuardOptions{Strict: true})
+	var ce *ContractError
+	if !errors.As(err, &ce) || ce.Kind != guard.KindFact {
+		t.Errorf("Strict out-of-range: err %v, want a fact violation", err)
 	}
 }
