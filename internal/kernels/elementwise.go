@@ -27,11 +27,12 @@ func broadcastWalk(in ...*tensor.Tensor) ([]int64, *walk, error) {
 }
 
 // binary allocates out as the broadcast of x and y and fills it with
-// op(x, y), striped across the thread budget. pick selects the typed
+// op(x, y), striped across the thread budget, through op's vector
+// loops when vec is non-nil (binRuns). pick selects the typed
 // payload of a tensor. Each stripe owns a disjoint slice of the output
 // and per-element arithmetic does not depend on the stripe, so the
 // result is bit-identical for any budget.
-func binary[T, U any](op func(a, b T) U, odt tensor.DType, pickOut func(*tensor.Tensor) []U,
+func binary[T, U any](op func(a, b T) U, vec *vecBodies[T, U], odt tensor.DType, pickOut func(*tensor.Tensor) []U,
 	pickIn func(*tensor.Tensor) []T, x, y *tensor.Tensor, threads int) (*tensor.Tensor, error) {
 	shape, w, err := broadcastWalk(x, y)
 	if err != nil {
@@ -41,7 +42,7 @@ func binary[T, U any](op func(a, b T) U, odt tensor.DType, pickOut func(*tensor.
 	o, xs, ys := pickOut(out), pickIn(x), pickIn(y)
 	ParallelFor(threads, w.n, func(lo, hi int64) {
 		c := w.seek(lo, hi)
-		binRuns(op, o, xs, ys, &c)
+		binRuns(op, vec, o, xs, ys, &c)
 	})
 	return out, nil
 }
@@ -51,8 +52,9 @@ func ints(t *tensor.Tensor) []int64     { return t.I }
 func bools(t *tensor.Tensor) []bool     { return t.B }
 
 // registerArith registers a kernel supporting float32 and int64 operands;
-// the thread budget stripes the float path.
-func registerArith(name string, fop func(a, b float32) float32, iop func(a, b int64) int64) {
+// the thread budget stripes the float path, which runs fvec, the float
+// op's vector loops, where it is non-nil.
+func registerArith(name string, fop func(a, b float32) float32, fvec *vecBodies[float32, float32], iop func(a, b int64) int64) {
 	arith := func(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 2, name); err != nil {
 			return nil, err
@@ -70,10 +72,10 @@ func registerArith(name string, fop func(a, b float32) float32, iop func(a, b in
 		x, y = dequantIfNeeded(x), dequantIfNeeded(y)
 		switch {
 		case x.DType == tensor.Float32 && y.DType == tensor.Float32:
-			out, err := binary(fop, tensor.Float32, floats, floats, x, y, threads)
+			out, err := binary(fop, fvec, tensor.Float32, floats, floats, x, y, threads)
 			return []*tensor.Tensor{out}, err
 		case x.DType == tensor.Int64 && y.DType == tensor.Int64 && iop != nil:
-			out, err := binary(iop, tensor.Int64, ints, ints, x, y, 1)
+			out, err := binary(iop, nil, tensor.Int64, ints, ints, x, y, 1)
 			return []*tensor.Tensor{out}, err
 		default:
 			return nil, fmt.Errorf("%s: unsupported dtypes %v,%v", name, x.DType, y.DType)
@@ -93,9 +95,9 @@ func registerCompare(name string, fop func(a, b float32) bool, iop func(a, b int
 		var err error
 		switch {
 		case x.DType == tensor.Float32 && y.DType == tensor.Float32:
-			out, err = binary(fop, tensor.Bool, bools, floats, x, y, 1)
+			out, err = binary(fop, nil, tensor.Bool, bools, floats, x, y, 1)
 		case x.DType == tensor.Int64 && y.DType == tensor.Int64:
-			out, err = binary(iop, tensor.Bool, bools, ints, x, y, 1)
+			out, err = binary(iop, nil, tensor.Bool, bools, ints, x, y, 1)
 		default:
 			return nil, fmt.Errorf("%s: unsupported dtypes %v,%v", name, x.DType, y.DType)
 		}
@@ -106,6 +108,22 @@ func registerCompare(name string, fop func(a, b float32) bool, iop func(a, b int
 // registerUnaryF registers a float unary map kernel; the thread budget
 // stripes the element range.
 func registerUnaryF(name string, op func(v float32) float32) {
+	registerMapF(name, mapF(op))
+}
+
+// mapF is the stripe body that maps x onto o through op.
+func mapF(op func(v float32) float32) func(o, x []float32) {
+	return func(o, x []float32) {
+		o = o[:len(x)]
+		for i, v := range x {
+			o[i] = op(v)
+		}
+	}
+}
+
+// registerMapF registers a float unary kernel whose body maps one stripe
+// x of the input onto the same stripe o of the output.
+func registerMapF(name string, body func(o, x []float32)) {
 	unary := func(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 1, name); err != nil {
 			return nil, err
@@ -113,9 +131,7 @@ func registerUnaryF(name string, op func(v float32) float32) {
 		x := in[0]
 		out := tensor.New(tensor.Float32, x.Shape...)
 		ParallelFor(threads, x.Len(), func(lo, hi int64) {
-			for i := lo; i < hi; i++ {
-				out.F[i] = op(x.F[i])
-			}
+			body(out.F[lo:hi], x.F[lo:hi])
 		})
 		return []*tensor.Tensor{out}, nil
 	}
@@ -127,10 +143,10 @@ func sigmoid(v float32) float32 { return float32(1 / (1 + math.Exp(-float64(v)))
 func erf(v float64) float64 { return math.Erf(v) }
 
 func init() {
-	registerArith("Add", func(a, b float32) float32 { return a + b }, func(a, b int64) int64 { return a + b })
-	registerArith("Sub", func(a, b float32) float32 { return a - b }, func(a, b int64) int64 { return a - b })
-	registerArith("Mul", func(a, b float32) float32 { return a * b }, func(a, b int64) int64 { return a * b })
-	registerArith("Div", func(a, b float32) float32 { return a / b }, func(a, b int64) int64 {
+	registerArith("Add", func(a, b float32) float32 { return a + b }, addVec, func(a, b int64) int64 { return a + b })
+	registerArith("Sub", func(a, b float32) float32 { return a - b }, nil, func(a, b int64) int64 { return a - b })
+	registerArith("Mul", func(a, b float32) float32 { return a * b }, mulVec, func(a, b int64) int64 { return a * b })
+	registerArith("Div", func(a, b float32) float32 { return a / b }, nil, func(a, b int64) int64 {
 		if b == 0 {
 			return 0
 		}
@@ -140,7 +156,7 @@ func init() {
 		}
 		return q
 	})
-	registerArith("Mod", func(a, b float32) float32 { return float32(math.Mod(float64(a), float64(b))) }, func(a, b int64) int64 {
+	registerArith("Mod", func(a, b float32) float32 { return float32(math.Mod(float64(a), float64(b))) }, nil, func(a, b int64) int64 {
 		if b == 0 {
 			return 0
 		}
@@ -150,13 +166,13 @@ func init() {
 		}
 		return m
 	})
-	registerArith("Pow", func(a, b float32) float32 { return float32(math.Pow(float64(a), float64(b))) }, nil)
+	registerArith("Pow", func(a, b float32) float32 { return float32(math.Pow(float64(a), float64(b))) }, nil, nil)
 	registerArith("Min", func(a, b float32) float32 {
 		if a < b {
 			return a
 		}
 		return b
-	}, func(a, b int64) int64 {
+	}, nil, func(a, b int64) int64 {
 		if a < b {
 			return a
 		}
@@ -167,7 +183,7 @@ func init() {
 			return a
 		}
 		return b
-	}, func(a, b int64) int64 {
+	}, nil, func(a, b int64) int64 {
 		if a > b {
 			return a
 		}
@@ -178,7 +194,7 @@ func init() {
 			return a
 		}
 		return a * b
-	}, nil)
+	}, nil, nil)
 
 	registerCompare("Equal", func(a, b float32) bool { return a == b }, func(a, b int64) bool { return a == b })
 	registerCompare("Greater", func(a, b float32) bool { return a > b }, func(a, b int64) bool { return a > b })
@@ -190,12 +206,7 @@ func init() {
 	register("Or", boolBinary(func(a, b bool) bool { return a || b }))
 	register("Xor", boolBinary(func(a, b bool) bool { return a != b }))
 
-	registerUnaryF("Relu", func(v float32) float32 {
-		if v > 0 {
-			return v
-		}
-		return 0
-	})
+	registerMapF("Relu", relu)
 	registerUnaryF("Sigmoid", sigmoid)
 	registerUnaryF("Tanh", func(v float32) float32 { return float32(math.Tanh(float64(v))) })
 	registerUnaryF("Exp", func(v float32) float32 { return float32(math.Exp(float64(v))) })
@@ -406,7 +417,7 @@ func boolBinary(op func(a, b bool) bool) Kernel {
 		if x.DType != tensor.Bool || y.DType != tensor.Bool {
 			return nil, fmt.Errorf("%s: unsupported dtypes %v,%v", n.OpType, x.DType, y.DType)
 		}
-		out, err := binary(op, tensor.Bool, bools, bools, x, y, 1)
+		out, err := binary(op, nil, tensor.Bool, bools, bools, x, y, 1)
 		return []*tensor.Tensor{out}, err
 	}
 }

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"strings"
@@ -218,6 +219,31 @@ func TestNormZeroExtent(t *testing.T) {
 					t.Errorf("%s%v = %v", op, shape, out)
 				}
 			}
+		}
+	}
+}
+
+// An axis outside [-r, r-1] is a typed error naming the op, the axis and
+// the rank, never a normalisation over nothing or a slice panic.
+func TestLayerNormAxisOutOfRange(t *testing.T) {
+	x := tensor.RandomFloats(tensor.NewRNG(14), 1, 3, 4)
+	for _, tc := range []struct {
+		axis int64
+		ok   bool
+	}{
+		{-2, true}, {-1, true}, {0, true}, {1, true},
+		{2, false}, {5, false}, {-3, false}, {-7, false},
+	} {
+		n := mkNode("LayerNormalization", map[string]graph.AttrValue{"axis": graph.IntAttr(tc.axis)}, 1)
+		_, err := Run(n, []*tensor.Tensor{x})
+		var ae *AxisError
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("axis %d: %v", tc.axis, err)
+		case !tc.ok && !errors.As(err, &ae):
+			t.Errorf("axis %d: got %v, want an *AxisError", tc.axis, err)
+		case !tc.ok && (ae.Op != "LayerNormalization" || ae.Axis != tc.axis || ae.Rank != 2):
+			t.Errorf("axis %d: %+v", tc.axis, *ae)
 		}
 	}
 }

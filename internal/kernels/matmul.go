@@ -163,7 +163,7 @@ func gemmKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tens
 		cs := tensor.BroadcastStrides(c.Shape, out.Shape)
 		os := tensor.Strides(out.Shape)
 		cur := newWalk(out.Shape, os, os, cs).seek(0, out.Len())
-		binRuns(func(acc, cv float32) float32 { return acc + beta*cv }, out.F, out.F, c.F, &cur)
+		binRuns(func(acc, cv float32) float32 { return acc + beta*cv }, nil, out.F, out.F, c.F, &cur)
 	}
 	return []*tensor.Tensor{out}, nil
 }

@@ -240,6 +240,18 @@ func splitKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	return outs, nil
 }
 
+// AxisError reports an axis attribute outside the range an op accepts
+// for its input's rank.
+type AxisError struct {
+	Op   string
+	Axis int64
+	Rank int
+}
+
+func (e *AxisError) Error() string {
+	return fmt.Sprintf("%s: axis %d out of range for rank %d", e.Op, e.Axis, e.Rank)
+}
+
 // resolveAxis maps an axis in [-rank, rank) — [-rank, rank] with end set,
 // for an axis that may name the position after the last dim — to its index.
 func resolveAxis(op string, axis int64, rank int, end bool) (int64, error) {
@@ -248,7 +260,7 @@ func resolveAxis(op string, axis int64, rank int, end bool) (int64, error) {
 		i += int64(rank)
 	}
 	if i < 0 || i > int64(rank) || i == int64(rank) && !end {
-		return 0, fmt.Errorf("%s: axis %d out of range for rank %d", op, axis, rank)
+		return 0, &AxisError{Op: op, Axis: axis, Rank: rank}
 	}
 	return i, nil
 }
@@ -341,7 +353,7 @@ func sliceKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 			a += rank
 		}
 		if a < 0 || a >= rank {
-			return nil, fmt.Errorf("Slice: axis %d out of range for rank %d", aRaw, rank)
+			return nil, &AxisError{Op: "Slice", Axis: aRaw, Rank: int(rank)}
 		}
 		sp := int64(1)
 		if steps != nil {

@@ -82,9 +82,9 @@ func layerNormKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor
 		return nil, err
 	}
 	x := in[0]
-	axis := n.AttrInt("axis", -1)
-	if axis < 0 {
-		axis += int64(x.Rank())
+	axis, err := resolveAxis("LayerNormalization", n.AttrInt("axis", -1), x.Rank(), false)
+	if err != nil {
+		return nil, err
 	}
 	eps := float32(n.AttrFloat("epsilon", 1e-5))
 	out := tensor.New(tensor.Float32, x.Shape...)

@@ -137,8 +137,10 @@ func (c *cursor) next() bool {
 // binRuns writes out = op(x, y) over every run of c, whose operands are
 // (out, x, y) with out contiguous along a run. The loop is chosen once
 // per call from the inner strides: both contiguous, either side a
-// broadcast scalar, or general.
-func binRuns[T, U any](op func(a, b T) U, out []U, x, y []T, c *cursor) {
+// broadcast scalar, or general. An op with vector loops (vec non-nil)
+// runs the one for its run shape over the longest multiple of vecWidth
+// elements of each contiguous or scalar run and op over the rest.
+func binRuns[T, U any](op func(a, b T) U, vec *vecBodies[T, U], out []U, x, y []T, c *cursor) {
 	sx, sy := c.w.inner(1), c.w.inner(2)
 	for c.next() {
 		o := out[c.off[0]:][:c.n]
@@ -146,16 +148,31 @@ func binRuns[T, U any](op func(a, b T) U, out []U, x, y []T, c *cursor) {
 		switch {
 		case sx == 1 && sy == 1:
 			xs, ys := x[xo:][:c.n], y[yo:][:c.n]
+			if vec != nil {
+				n := len(o) &^ (vecWidth - 1)
+				vec.vv(o[:n], xs[:n], ys[:n])
+				o, xs, ys = o[n:], xs[n:], ys[n:]
+			}
 			for i := range o {
 				o[i] = op(xs[i], ys[i])
 			}
 		case sx == 1 && sy == 0:
 			xs, yv := x[xo:][:c.n], y[yo]
+			if vec != nil {
+				n := len(o) &^ (vecWidth - 1)
+				vec.vs(o[:n], xs[:n], yv)
+				o, xs = o[n:], xs[n:]
+			}
 			for i := range o {
 				o[i] = op(xs[i], yv)
 			}
 		case sx == 0 && sy == 1:
 			xv, ys := x[xo], y[yo:][:c.n]
+			if vec != nil {
+				n := len(o) &^ (vecWidth - 1)
+				vec.sv(o[:n], xv, ys[:n])
+				o, ys = o[n:], ys[n:]
+			}
 			for i := range o {
 				o[i] = op(xv, ys[i])
 			}
