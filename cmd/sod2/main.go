@@ -9,6 +9,7 @@
 //	sod2 compile -model YOLO-V6         # fusion/plan/MVC summary
 //	sod2 run -model SkipNet -size 256   # one inference: measured + modeled report
 //	sod2 serve -model CodeBERT -addr :8080   # HTTP serving front-end
+//	sod2 serve -model all -store DIR    # every model, warm-booted from the store
 //	sod2 sample -model CodeBERT         # wire-format request body for curl
 //	sod2 serve-bench -model BERT -requests 64 -workers 4
 //	sod2 serve-bench -model BERT -http  # batched vs per-request HTTP serving
@@ -23,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -63,9 +63,7 @@ func main() {
 	faultEvery := fs.Int64("fault-every", 0, "serve-bench: inject a kernel fault every Nth launch (0 = off; exercises retry/breaker/quarantine)")
 	parallel := fs.Int("parallel", 0, "serve-bench: wavefront-parallel worker pool per request (0 = sequential)")
 	dtype := fs.String("dtype", "f32", "serve-bench: weight storage format — f32, int8, q4_0, or q4_1 (quantized formats serve under the model's accuracy-drift contract)")
-	storeDir := fs.String("store", "", "serve-bench: compiled-artifact store directory (warm-boots from saved artifacts; cold compiles save into it)")
-	fleet := fs.Bool("fleet", false, "serve-bench: serve all models from one process behind a shared admission gate")
-	memBudget := fs.Int64("mem-budget", 0, "serve-bench -fleet: shared arena-byte admission budget (0 = unlimited)")
+	storeDir := fs.String("store", "", "serve / serve-bench: compiled-artifact store directory (warm-boots from saved artifacts; cold compiles save into it)")
 	jsonOut := fs.Bool("json", false, "lint: emit machine-readable JSON reports instead of text")
 	addr := fs.String("addr", "127.0.0.1:8080", "serve: listen address")
 	batchWindow := fs.Duration("batch-window", 2*time.Millisecond, "serve / serve-bench -http: cross-request coalescing window (0 = per-request serving)")
@@ -78,11 +76,8 @@ func main() {
 	httpMode := fs.Bool("http", false, "serve-bench: measure over the wire — batched vs per-request HTTP serving")
 	_ = fs.Parse(os.Args[2:])
 
-	// Resource flags must be sane before any subcommand consumes them: a
-	// negative cap is a configuration error, not "unlimited".
-	if *maxConc < 0 || *maxQueue < 0 || *deadline < 0 {
-		fmt.Fprintf(os.Stderr, "sod2: -max-concurrent (%d), -max-queue (%d), and -deadline (%v) must be non-negative\n",
-			*maxConc, *maxQueue, *deadline)
+	if err := checkNonNegative(fs); err != nil {
+		fmt.Fprintf(os.Stderr, "sod2: %v\n", err)
 		usage()
 	}
 
@@ -102,13 +97,10 @@ func main() {
 	case "sample":
 		sampleCmd(*modelName, *size, *gate, *seed)
 	case "serve-bench":
-		switch {
-		case *httpMode:
+		if *httpMode {
 			httpBenchCmd(*modelName, *device, *requests, *workers, *distinct,
 				*maxConc, *maxQueue, *deadline, *storeDir, *batchWindow, *batchMax)
-		case *fleet:
-			fleetBenchCmd(*storeDir, *requests, *workers, *maxConc, *maxQueue, *memBudget)
-		default:
+		} else {
 			serveBenchCmd(*modelName, *device, *requests, *workers, *distinct,
 				*maxConc, *maxQueue, *deadline, *faultEvery, *parallel, *storeDir, *dtype)
 		}
@@ -129,6 +121,28 @@ func main() {
 	default:
 		usage()
 	}
+}
+
+// checkNonNegative rejects a negative value of any integer or duration
+// flag. Every one of them is a count, a size, a cap or a time span, so a
+// negative value is a configuration error, never "unlimited" or
+// "default", and must not reach a subcommand.
+func checkNonNegative(fs *flag.FlagSet) (err error) {
+	fs.VisitAll(func(f *flag.Flag) {
+		var neg bool
+		switch v := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			neg = v < 0
+		case int64:
+			neg = v < 0
+		case time.Duration:
+			neg = v < 0
+		}
+		if neg && err == nil {
+			err = fmt.Errorf("-%s (%v) must be non-negative", f.Name, f.Value)
+		}
+	})
+	return err
 }
 
 func fail(err error) {
@@ -256,7 +270,7 @@ func runCmd(name string, size int64, gate float32, device string) {
 	}
 	dev, ok := sod2.DeviceByName(device)
 	if !ok {
-		dev = sod2.SD888CPU
+		fail(fmt.Errorf("unknown device %q", device))
 	}
 	c, err := sod2.Compile(b)
 	if err != nil {
@@ -448,107 +462,4 @@ func printBoot(bi sod2.BootInfo) {
 		fmt.Printf("  [corrupt artifact quarantined: %v]", bi.CorruptFallback)
 	}
 	fmt.Println()
-}
-
-// fleetBenchCmd boots every evaluation model into one serving fleet —
-// through the artifact store when -store is given, so a second run
-// warm-boots — and drives a round-robin request sweep through the
-// shared admission gate. The boot table is the cold-start vs warm-boot
-// comparison the store exists for.
-func fleetBenchCmd(storeDir string, requests, workers, maxConc, maxQueue int, memBudget int64) {
-	var st *sod2.ArtifactStore
-	if storeDir != "" {
-		var err error
-		if st, err = sod2.OpenStore(storeDir); err != nil {
-			fail(err)
-		}
-	}
-	builders := models.All()
-	cfg := sod2.FleetConfig{
-		Store: st,
-		Admission: sod2.AdmissionConfig{
-			MaxConcurrent: maxConc,
-			MaxQueue:      maxQueue,
-			MemoryBudget:  memBudget,
-		},
-	}
-	bootStart := time.Now()
-	f, err := sod2.BootFleet(builders, cfg)
-	if err != nil {
-		fail(err)
-	}
-	bootWall := time.Since(bootStart)
-
-	fmt.Printf("fleet boot (%d models):\n", len(builders))
-	for _, bi := range f.Boots() {
-		printBoot(bi)
-	}
-	warm, cold := f.WarmCount()
-	fmt.Printf("fleet boot: %d warm / %d cold in %v\n", warm, cold, bootWall.Round(time.Millisecond))
-	ctr := sod2.BootCounters()
-	fmt.Printf("compile counters: %d full compiles, %d warm loads, %d plan searches, %d wave builds, %d verifier runs\n",
-		ctr.FullCompiles, ctr.WarmLoads, ctr.PlanSearches, ctr.WaveBuilds, ctr.VerifyRuns)
-	if st != nil {
-		ss := st.Stats()
-		fmt.Printf("store: %d saves, %d loads, %d misses, %d corrupt, %d quarantined, %d temps swept\n",
-			ss.Saves, ss.Loads, ss.Misses, ss.Corrupt, ss.Quarantined, ss.TempsSwept)
-	}
-
-	// Round-robin request sweep across the whole fleet.
-	type target struct {
-		name   string
-		inputs map[string]*tensor.Tensor
-	}
-	targets := make([]target, len(builders))
-	for i, b := range builders {
-		targets[i] = target{name: b.Name, inputs: b.Inputs(tensor.NewRNG(42), b.MinSize, 0.5)}
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var served, shed, failed atomic.Int64
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				tg := targets[i%len(targets)]
-				_, _, err := f.Infer(tg.name, tg.inputs)
-				switch {
-				case err == nil:
-					served.Add(1)
-				case errors.Is(err, sod2.ErrOverloaded):
-					shed.Add(1)
-				default:
-					failed.Add(1)
-				}
-			}
-		}()
-	}
-	for i := 0; i < requests; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	wall := time.Since(start)
-
-	fmt.Printf("sweep: %d requests over %d models, %d workers\n", requests, len(targets), workers)
-	fmt.Printf("wall: %v   throughput: %.1f req/s   served: %d   shed: %d   failed: %d\n",
-		wall.Round(time.Millisecond), float64(requests)/wall.Seconds(), served.Load(), shed.Load(), failed.Load())
-	fs := f.Stats()
-	names := make([]string, 0, len(fs.PerModel))
-	for name := range fs.PerModel {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ms := fs.PerModel[name]
-		fmt.Printf("  %-18s share %10d B   admitted %5d   shed %4d\n",
-			name, ms.ShareBytes, ms.Admitted, ms.Shed)
-	}
-	fmt.Printf("admission (global): %d admitted, %d shed (%d concurrency / %d memory)\n",
-		fs.Global.Admitted, fs.Global.Shed(), fs.Global.ShedConcurrency, fs.Global.ShedMemory)
 }

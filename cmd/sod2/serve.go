@@ -46,7 +46,9 @@ func resolveServeModels(list string) []*models.Builder {
 }
 
 // bootServer compiles (or store-boots) each model and wraps the
-// sessions in the HTTP front-end.
+// sessions in the HTTP front-end. With a store it also prints the boot
+// summary: how many models came up warm, and the process's compile
+// counters, which read zero compile work when every model warm-booted.
 func bootServer(builders []*models.Builder, device, storeDir string,
 	batchWindow time.Duration, batchMax, maxConc, maxQueue int,
 	deadline time.Duration, qps float64, burst int) (*server.Server, []server.Model) {
@@ -58,6 +60,8 @@ func bootServer(builders []*models.Builder, device, storeDir string,
 		}
 	}
 	var served []server.Model
+	var warm int
+	bootStart := time.Now()
 	for _, b := range builders {
 		var c *sod2.Compiled
 		var vrep *sod2.VerifyReport
@@ -67,6 +71,9 @@ func bootServer(builders []*models.Builder, device, storeDir string,
 			c, vrep, info, err = sod2.CompileStored(b, st, device)
 			if err == nil {
 				printBoot(info)
+				if info.Warm {
+					warm++
+				}
 			}
 		} else {
 			c, vrep, err = sod2.CompileVerified(b)
@@ -88,6 +95,13 @@ func bootServer(builders []*models.Builder, device, storeDir string,
 			RequestTimeout: deadline,
 		})
 		served = append(served, server.Model{Name: b.Name, Compiled: c, Session: sess})
+	}
+	if st != nil {
+		fmt.Printf("store boot: %d warm / %d cold in %v\n",
+			warm, len(builders)-warm, time.Since(bootStart).Round(time.Millisecond))
+		ctr := sod2.BootCounters()
+		fmt.Printf("compile counters: %d full compiles, %d warm loads, %d plan searches, %d wave builds, %d verifier runs\n",
+			ctr.FullCompiles, ctr.WarmLoads, ctr.PlanSearches, ctr.WaveBuilds, ctr.VerifyRuns)
 	}
 	srv, err := server.New(served, server.Config{
 		Batch: server.BatchConfig{Window: batchWindow, MaxBatch: batchMax},

@@ -1,9 +1,6 @@
 package sod2
 
-import (
-	"repro/internal/costmodel"
-	"repro/internal/frameworks"
-)
+import "repro/internal/costmodel"
 
 // The evaluation side of the facade. Neither an inference report nor a
 // compile is priced on a Device; only the evaluation engines are.
@@ -22,14 +19,3 @@ var (
 // DeviceByName resolves a cost-model device profile by its name
 // ("sd888-cpu", "sd888-gpu", "sd835-cpu", "sd835-gpu").
 func DeviceByName(name string) (Device, bool) { return costmodel.DeviceByName(name) }
-
-// Engines returns the five evaluation engines keyed by name.
-func Engines() map[string]frameworks.Engine {
-	return map[string]frameworks.Engine{
-		"SoD2":   frameworks.NewSoD2(frameworks.FullSoD2()),
-		"ORT":    frameworks.NewORT(),
-		"MNN":    frameworks.NewMNN(),
-		"TVM-N":  frameworks.NewTVMN(),
-		"TFLite": frameworks.NewTFLite(0),
-	}
-}

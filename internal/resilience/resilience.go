@@ -102,9 +102,6 @@ type OverloadError struct {
 	// Resource is "concurrency" (semaphore + queue full) or "memory"
 	// (arena-byte reservation would exceed the budget).
 	Resource string
-	// Key names the per-tenant share that shed the request (fleet
-	// serving); empty for the process-wide gate.
-	Key string
 	// InFlight and Queued are the admitted/waiting request counts at
 	// shed time.
 	InFlight, Queued int
@@ -115,16 +112,12 @@ type OverloadError struct {
 
 // Error renders the shed.
 func (e *OverloadError) Error() string {
-	who := ""
-	if e.Key != "" {
-		who = fmt.Sprintf(" %q", e.Key)
-	}
 	if e.Resource == "memory" {
-		return fmt.Sprintf("resilience: overloaded [memory%s]: %d bytes reserved + %d wanted exceeds budget %d (%d in flight)",
-			who, e.ReservedBytes, e.WantBytes, e.BudgetBytes, e.InFlight)
+		return fmt.Sprintf("resilience: overloaded [memory]: %d bytes reserved + %d wanted exceeds budget %d (%d in flight)",
+			e.ReservedBytes, e.WantBytes, e.BudgetBytes, e.InFlight)
 	}
-	return fmt.Sprintf("resilience: overloaded [%s%s]: %d in flight, %d queued",
-		e.Resource, who, e.InFlight, e.Queued)
+	return fmt.Sprintf("resilience: overloaded [%s]: %d in flight, %d queued",
+		e.Resource, e.InFlight, e.Queued)
 }
 
 // Is makes errors.Is(err, ErrOverloaded) match any OverloadError.

@@ -294,6 +294,56 @@ func TestOverload503(t *testing.T) {
 	}
 }
 
+// TestOverloadIsolatesModels: admission is per model. With model A's
+// one slot held by a stalled request, a second A request sheds 503 while
+// model B, behind the same server and an equally tight gate, serves 200.
+func TestOverloadIsolatesModels(t *testing.T) {
+	inj := faultinject.New(faultinject.KernelStall, 0)
+	inj.Delay = time.Second
+	tight := resilience.AdmissionConfig{MaxConcurrent: 1, MaxQueue: 0}
+	ca, cb := compileModel(t, "CodeBERT"), compileModel(t, "Conformer")
+	sessA := ca.NewSession(sod2.SessionOptions{Hooks: inj.Hooks(), Admission: tight})
+	sessB := cb.NewSession(sod2.SessionOptions{Admission: tight})
+	srv, err := New([]Model{
+		{Name: "a", Compiled: ca, Session: sessA},
+		{Name: "b", Compiled: cb, Session: sessB},
+	}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Drain(ctx)
+	})
+	inA, inB := sampleInputs(t, "CodeBERT", 5), sampleInputs(t, "Conformer", 5)
+
+	firstDone := make(chan int, 1)
+	go func() {
+		status, _, _, _ := postInfer(t, ts.Client(), ts.URL+"/v1/models/a/infer", inA, nil)
+		firstDone <- status
+	}()
+	for deadline := time.Now().Add(30 * time.Second); !inj.Fired(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("stalled request never reached its first kernel")
+		}
+	}
+	if status, _, eb, _ := postInfer(t, ts.Client(), ts.URL+"/v1/models/a/infer", inA, nil); status != http.StatusServiceUnavailable || eb.Code != "overloaded" {
+		t.Fatalf("second A request: %d/%v, want 503/overloaded", status, eb)
+	}
+	if status, _, eb, _ := postInfer(t, ts.Client(), ts.URL+"/v1/models/b/infer", inB, nil); status != http.StatusOK {
+		t.Fatalf("B request while A is saturated: %d/%v, want 200", status, eb)
+	}
+	if s := <-firstDone; s != http.StatusOK {
+		t.Fatalf("stalled-but-admitted A request: %d, want 200", s)
+	}
+	if a, b := sessA.Stats().Admission, sessB.Stats().Admission; a.ShedConcurrency != 1 || b.Shed() != 0 {
+		t.Errorf("sheds: A %d concurrency, B %d; want 1 and 0", a.ShedConcurrency, b.Shed())
+	}
+}
+
 // TestBatchingCoalesces proves the tentpole property: concurrent
 // same-family requests coalesce into ONE bucket execution that consumes
 // ONE admission, and every member's outputs are bit-identical to a

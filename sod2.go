@@ -12,8 +12,6 @@
 //   - Analyze: the RDP data-flow analysis (§4.1) over a computational graph.
 //   - Fuse: RDP-enabled operator fusion (§4.2).
 //   - PlanExecution: static execution-order planning (§4.3).
-//   - Engines: SoD² plus the four baseline framework policies used by the
-//     evaluation (ORT, MNN, TVM-Nimble, TFLite).
 //
 // The `internal/` packages carry the implementations; examples/ and
 // cmd/ demonstrate the API end to end.

@@ -5,12 +5,12 @@ import (
 	"repro/internal/frameworks"
 )
 
-// Root-facade surface of the compiled-artifact store and the
-// multi-model fleet. The store persists everything the compiler and
-// static verifier produced — plans, proofs, verdicts — keyed by
-// (model hash, device profile, schema version); loads are untrusted
-// until verify-on-load re-proves them, and any corruption quarantines
-// the file and falls back to a cold compile.
+// Root-facade surface of the compiled-artifact store. The store
+// persists everything the compiler and static verifier produced —
+// plans, proofs, verdicts — keyed by (model hash, device profile,
+// schema version); loads are untrusted until verify-on-load re-proves
+// them, and any corruption quarantines the file and falls back to a
+// cold compile.
 
 type (
 	// ArtifactStore is the crash-safe on-disk store of compiled
@@ -29,25 +29,13 @@ type (
 	// BootInfo describes how one model came up: warm from the store,
 	// cold compile, or cold after a quarantined artifact.
 	BootInfo = frameworks.BootInfo
-	// Fleet serves many models from one process behind a shared
-	// admission gate with per-model memory shares.
-	Fleet = frameworks.Fleet
-	// FleetConfig configures a fleet (device, store, shared admission,
-	// per-model shares, guard options).
-	FleetConfig = frameworks.FleetConfig
-	// FleetStats snapshots the fleet's shared admission ledger.
-	FleetStats = frameworks.FleetStats
 	// CompileCounters snapshot process-wide boot behavior (full
 	// compiles vs warm loads, plan searches, verifier runs).
 	CompileCounters = frameworks.CompileCounters
 )
 
-var (
-	// ErrArtifactNotFound reports a clean store miss (errors.Is).
-	ErrArtifactNotFound = artifact.ErrNotFound
-	// ErrUnknownModel reports a fleet request for an unserved model.
-	ErrUnknownModel = frameworks.ErrUnknownModel
-)
+// ErrArtifactNotFound reports a clean store miss (errors.Is).
+var ErrArtifactNotFound = artifact.ErrNotFound
 
 // OpenStore opens (creating if needed) an artifact store rooted at dir
 // and sweeps stale temp files left by crashed writers.
@@ -74,12 +62,6 @@ func CompileStoredSched(b *ModelBuilder, st *ArtifactStore, device string, cfg S
 		return nil, nil, info, err
 	}
 	return &Compiled{inner: c}, rep, info, nil
-}
-
-// BootFleet compiles (or warm-boots) every builder into a serving
-// fleet; see FleetConfig.
-func BootFleet(builders []*ModelBuilder, cfg FleetConfig) (*Fleet, error) {
-	return frameworks.BootFleet(builders, cfg)
 }
 
 // BootCounters snapshots the process-wide compile/boot counters.
