@@ -96,7 +96,7 @@ func inferNode(g *graph.Graph, n *graph.Node, m Map) {
 	case "Shape", "Size", "NonZero", "ArgMax", "ArgMin", "Range":
 		set(tensor.Int64)
 	case "Equal", "Greater", "GreaterOrEqual", "Less", "LessOrEqual",
-		"Not", "And", "Or", "Xor", "IsNaN", "IsInf":
+		"Not", "And", "Or", "Xor", "IsNaN":
 		set(tensor.Bool)
 	case "Cast":
 		switch n.AttrString("to", "float32") {

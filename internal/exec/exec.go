@@ -16,10 +16,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// DefaultMaxLoopIters caps Loop trip counts when Options.MaxLoopIters
-// is unset: a runaway or corrupted trip-count tensor returns an error
-// instead of hanging the inference.
-const DefaultMaxLoopIters = 1_000_000
+// LoopTripCap caps Loop trip counts: a runaway or corrupted trip-count
+// tensor returns an error instead of hanging the inference. A node's
+// static_max_trip attribute tightens it for that loop.
+const LoopTripCap = 1_000_000
 
 // Hooks intercept execution at well-defined points. They exist for the
 // guarded-execution subsystem and the deterministic fault-injection
@@ -85,8 +85,6 @@ type Options struct {
 	// Arena, when non-nil, stores planned float32 intermediates at their
 	// assigned offsets in one backing buffer (§4.4.1's runtime plan).
 	Arena *Arena
-	// MaxLoopIters caps Loop trip counts (DefaultMaxLoopIters when 0).
-	MaxLoopIters int64
 	// Ctx, when non-nil, is checked before every operator (including
 	// inside If/Loop bodies): cancellation or deadline expiry aborts
 	// the inference with the context's error.
@@ -120,7 +118,6 @@ type Options struct {
 func (o Options) subOptions() Options {
 	return Options{
 		ExecuteAllBranches: o.ExecuteAllBranches,
-		MaxLoopIters:       o.MaxLoopIters,
 		Ctx:                o.Ctx,
 		Hooks:              o.Hooks,
 	}
@@ -683,13 +680,9 @@ func (ex *executor) execLoop(n *graph.Node) error {
 	if in[1] != nil {
 		cond = truthy(in[1])
 	}
-	limit := ex.opts.MaxLoopIters
-	if limit <= 0 {
-		limit = DefaultMaxLoopIters
-	}
-	// A specializer-proven per-loop trip bound tightens the global
-	// runaway guard to the loop's own static maximum; it never loosens a
-	// caller-imposed MaxLoopIters.
+	// A per-loop static trip bound tightens the global runaway guard to
+	// the loop's own maximum; it never loosens LoopTripCap.
+	limit := int64(LoopTripCap)
 	if static := n.AttrInt("static_max_trip", 0); static > 0 && static < limit {
 		limit = static
 	}
@@ -697,7 +690,7 @@ func (ex *executor) execLoop(n *graph.Node) error {
 	copy(carried, in[2:])
 	for iter := int64(0); iter < maxTrip && cond; iter++ {
 		if iter >= limit {
-			return fmt.Errorf("exec: Loop %s exceeded MaxLoopIters=%d (trip count %d)", n.Name, limit, maxTrip)
+			return fmt.Errorf("exec: Loop %s exceeded trip cap %d (trip count %d)", n.Name, limit, maxTrip)
 		}
 		if err := ex.checkCtx(n); err != nil {
 			return err

@@ -83,16 +83,23 @@ func loopGraph(trip int64) *graph.Graph {
 	return g
 }
 
+// cappedLoopGraph is loopGraph with the Loop node's static trip bound
+// set to limit, which tightens LoopTripCap for that loop.
+func cappedLoopGraph(trip, limit int64) *graph.Graph {
+	g := loopGraph(trip)
+	g.Nodes[0].Attrs["static_max_trip"] = graph.IntAttr(limit)
+	return g
+}
+
 func TestLoopTripCapReturnsError(t *testing.T) {
-	g := loopGraph(1 << 40) // corrupted/hostile trip count
-	_, err := Run(g, map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 1)},
-		Options{MaxLoopIters: 10})
-	if err == nil || !strings.Contains(err.Error(), "MaxLoopIters") {
+	g := cappedLoopGraph(1<<40, 10) // corrupted/hostile trip count
+	_, err := Run(g, map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 1)}, Options{})
+	if err == nil || !strings.Contains(err.Error(), "trip cap 10") {
 		t.Fatalf("want loop-cap error, got %v", err)
 	}
 	// Under the cap the loop completes normally.
-	if _, err := Run(loopGraph(5), map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 1)},
-		Options{MaxLoopIters: 10}); err != nil {
+	if _, err := Run(cappedLoopGraph(5, 10), map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 1)},
+		Options{}); err != nil {
 		t.Fatalf("run under cap: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package faultinject
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -121,23 +120,5 @@ func TestQuantNaNScaleCaughtByFiniteCheck(t *testing.T) {
 	}
 	if err := guard.CheckFinite(res.Outputs); err != nil {
 		t.Fatalf("fallback outputs still non-finite: %v", err)
-	}
-}
-
-// TestQuantCorruptedScaleStrict proves Strict mode turns the violation
-// into a typed error instead of a silent fallback.
-func TestQuantCorruptedScaleStrict(t *testing.T) {
-	b, c := compileQuant(t, "CodeBERT")
-	inputs := b.Inputs(tensor.NewRNG(7), b.MinSize, 0.5)
-	if n := CorruptAllQuantScales(c.Graph, 0); n == 0 {
-		t.Fatal("nothing to corrupt")
-	}
-	_, _, err := c.GuardedRun(inputs, frameworks.GuardOptions{VerifyDrift: true, Strict: true})
-	if err == nil {
-		t.Fatal("strict corrupted run succeeded")
-	}
-	var ce *guard.ContractError
-	if !errors.As(err, &ce) || (ce.Kind != guard.KindQuant && ce.Kind != guard.KindNumeric) {
-		t.Fatalf("want typed quant/numeric contract error, got %v", err)
 	}
 }

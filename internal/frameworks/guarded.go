@@ -24,25 +24,15 @@ type GuardOptions struct {
 	// Ctx, when non-nil, bounds the inference: cancellation is honored
 	// between nodes, including inside If/Loop bodies.
 	Ctx context.Context
-	// ArenaBudget caps the arena footprint in bytes: a proven layout whose
-	// worst-case arena, which bounds every fitted one, is over budget
-	// degrades to the dynamic allocator instead of being executed.
-	ArenaBudget int64
-	// MaxLoopIters caps Loop trip counts (exec.DefaultMaxLoopIters if 0).
-	MaxLoopIters int64
 	// Hooks are threaded into the executor on every rung a request runs
 	// (fault injection, tracing).
 	Hooks *exec.Hooks
-	// Strict turns degradations into errors: any contract violation
-	// fails the inference instead of falling back.
-	Strict bool
 	// ForceDynamic starts the run on the dynamic fallback tier: the
 	// region proof is not consulted and no memory plan is built.
 	// This is the circuit breaker's quarantine/probation serving mode —
 	// the plan is distrusted until re-verification passes, but requests
 	// still complete (contract checking and kernel containment stay on).
-	// The forced fallback is recorded as a KindQuarantine degradation,
-	// never escalated to an error by Strict (the caller asked for it).
+	// The forced fallback is recorded as a KindQuarantine degradation.
 	ForceDynamic bool
 	// VerifyDrift, on a quantized compile, re-runs the request on the
 	// float32 rung and checks the quantized outputs against the model's
@@ -53,8 +43,8 @@ type GuardOptions struct {
 	// tier: kernels of each statically planned wave run concurrently on
 	// a worker pool, against the wave-widened (concurrency-proven)
 	// arena plan. Requests that cannot run parallel soundly — no wave
-	// partition, widened plan unproven or over budget, degraded tier —
-	// silently execute sequentially; check GuardReport.Wavefronts.
+	// partition, widened plan unproven, degraded tier — silently execute
+	// sequentially; check GuardReport.Wavefronts.
 	Parallel bool
 	// Workers sizes the worker pool when Parallel is set
 	// (runtime.GOMAXPROCS(0) if <= 0).
@@ -144,8 +134,7 @@ type rung struct {
 // rung, when the verifier refuted the compiled order). A run-time fault
 // then descends (descend): an arena fault from planned to dynamic,
 // non-finite outputs of quantized weights to float32. Every step is
-// recorded in the GuardReport; Strict turns each of them into the
-// request's error instead.
+// recorded in the GuardReport.
 //
 // Kernel panics surface as *guard.OpError; a nil error means the outputs
 // are complete (possibly via a degraded tier — check the GuardReport).
@@ -162,7 +151,7 @@ func (c *Compiled) GuardedRun(inputs map[string]*tensor.Tensor, opts GuardOption
 	}
 	res, err := c.runRung(r, inputs, opts, gr)
 	for err != nil {
-		next, kind, ok := c.descend(r, err, opts)
+		next, kind, ok := c.descend(r, err)
 		if !ok {
 			return nil, gr, err
 		}
@@ -184,9 +173,6 @@ func (c *Compiled) GuardedRun(inputs map[string]*tensor.Tensor, opts GuardOption
 			return nil, gr, err
 		}
 		if derr := guard.CheckDrift(ref.Outputs, res.Outputs, c.Quant.Budget); derr != nil {
-			if opts.Strict {
-				return nil, gr, derr
-			}
 			gr.degrade(derr.Error(), guard.KindQuant, f32.tier)
 			return ref, gr, nil
 		}
@@ -197,30 +183,25 @@ func (c *Compiled) GuardedRun(inputs map[string]*tensor.Tensor, opts GuardOption
 // entryRung binds the inputs once and reads every entry verdict off that
 // one binding, recording the degradations that lower the entry tier. A
 // non-nil error means no rung may serve the request: inputs no tier can
-// run, or a violation under Strict.
+// run, or a failed re-plan.
 func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions, gr *GuardReport) (rung, error) {
 	ct := c.Contract()
 	env, cerr := ct.BindInputs(inputs)
 	if cerr != nil && contractKind(cerr) == guard.KindInput {
-		// Missing inputs / wrong dtypes cannot run on any tier.
+		// Missing, mistyped or empty inputs cannot run on any tier.
 		return rung{}, cerr
 	}
-	// violated lowers the entry tier for one verdict, or refuses it under
-	// Strict. A binding that contradicts the analysis, or a schedule that
-	// is not one, means the compiled order cannot be trusted: re-analyze
-	// from scratch. Anything else — out-of-range or misaligned extents, no
-	// proven or an over-budget memory plan — only rules out planned
-	// offsets: dynamic allocation is safe.
-	violated := func(verr error) error {
-		if opts.Strict {
-			return verr
-		}
+	// violated lowers the entry tier for one verdict. A binding that
+	// contradicts the analysis, or a schedule that is not one, means the
+	// compiled order cannot be trusted: re-analyze from scratch. Anything
+	// else — out-of-range or misaligned extents, no proven memory plan —
+	// only rules out planned offsets: dynamic allocation is safe.
+	violated := func(verr error) {
 		kind, to := contractKind(verr), guard.TierDynamic
 		if kind == guard.KindBind || kind == guard.KindExecPlan {
 			to = guard.TierReplan
 		}
 		gr.degrade(verr.Error(), kind, to)
-		return nil
 	}
 
 	// One plan source for the planned rung: the region proof. A request
@@ -244,9 +225,7 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 		}
 	}
 	if cerr != nil {
-		if err := violated(cerr); err != nil {
-			return rung{}, err
-		}
+		violated(cerr)
 	}
 	// Quarantined plan: the caller distrusts the planned tier outright.
 	// Only sound bindings are still planned here; degraded entries keep
@@ -268,19 +247,7 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 		case !rep.Mem.Proven:
 			verr.Detail = "memory plan not proven: " + rep.Mem.Reason
 		}
-		if err := violated(verr); err != nil {
-			return rung{}, err
-		}
-	}
-	// The budget is the request's, so it is checked against the proven
-	// layout rather than baked into the proof — at its worst-case arena
-	// size, which bounds every fitted one.
-	if gr.Tier == guard.TierPlanned && opts.ArenaBudget > 0 && r.layout.ArenaSize > opts.ArenaBudget {
-		verr := &guard.ContractError{Kind: guard.KindBudget,
-			Detail: fmt.Sprintf("planned arena %d bytes exceeds budget %d", r.layout.ArenaSize, opts.ArenaBudget)}
-		if err := violated(verr); err != nil {
-			return rung{}, err
-		}
+		violated(verr)
 	}
 
 	r.tier = gr.Tier
@@ -311,31 +278,24 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 
 // plannedLayout is the proven layout a planned request under opts runs
 // on. Wavefront-parallel serving takes the wave-widened layout: only when
-// the request asks for it, the concurrency proof passed, there is a wave
-// partition to run, and the (larger) widened arena also fits the budget.
-// Anything short of that runs sequentially on the region proof's layout
-// — a scheduling choice, not a degradation.
+// the request asks for it, the concurrency proof passed, and there is a
+// wave partition to run. Anything short of that runs sequentially on the
+// region proof's layout — a scheduling choice, not a degradation.
 func (c *Compiled) plannedLayout(rep *staticverify.Report, opts GuardOptions) (layout *memplan.Layout, parallel bool) {
-	if wave := rep.Wave.Layout; opts.Parallel && wave != nil && c.WavePlan != nil &&
-		(opts.ArenaBudget <= 0 || wave.ArenaSize <= opts.ArenaBudget) {
+	if wave := rep.Wave.Layout; opts.Parallel && wave != nil && c.WavePlan != nil {
 		return wave, true
 	}
 	return rep.Mem.Layout, false
 }
 
 // runRung is the one place a guarded request executes: exec.Run under
-// the request's Ctx/MaxLoopIters/Hooks — on a rung with a layout, into a
-// kept arena buffer with the layout fitted to the request — then the
-// epilogue every tier owes its caller: every graph output produced,
-// outputs detached from the arena (before its buffer goes back to the
-// stack), and the non-finite scan.
+// the request's Ctx/Hooks — on a rung with a layout, into a kept arena
+// buffer with the layout fitted to the request — then the epilogue every
+// tier owes its caller: every graph output produced, outputs detached
+// from the arena (before its buffer goes back to the stack), and the
+// non-finite scan.
 func (c *Compiled) runRung(r rung, inputs map[string]*tensor.Tensor, opts GuardOptions, gr *GuardReport) (*exec.Result, error) {
-	eo := exec.Options{
-		Order:        r.order,
-		Ctx:          opts.Ctx,
-		MaxLoopIters: opts.MaxLoopIters,
-		Hooks:        opts.Hooks,
-	}
+	eo := exec.Options{Order: r.order, Ctx: opts.Ctx, Hooks: opts.Hooks}
 	if r.layout != nil {
 		ab := c.arenas.pop()
 		defer c.arenas.push(ab)
@@ -368,11 +328,8 @@ func (c *Compiled) runRung(r rung, inputs map[string]*tensor.Tensor, opts GuardO
 
 // descend names the rung a faulted rung falls to and the violation kind
 // the step is recorded under; ok is false when the fault is the
-// request's answer (always, under Strict).
-func (c *Compiled) descend(r rung, err error, opts GuardOptions) (next rung, kind guard.ViolationKind, ok bool) {
-	if opts.Strict {
-		return rung{}, "", false
-	}
+// request's answer.
+func (c *Compiled) descend(r rung, err error) (next rung, kind guard.ViolationKind, ok bool) {
 	switch {
 	case r.layout != nil && exec.IsArenaFault(err):
 		// The plan disagreed with runtime reality (injected OOM, stale

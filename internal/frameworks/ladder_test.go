@@ -20,7 +20,7 @@ import (
 
 // Regression tests for the faults the single rung runner removes by
 // construction: every rung gets the same epilogue and the same
-// Ctx/MaxLoopIters/Hooks, because there is only one place that runs one.
+// Ctx/Hooks, because there is only one place that runs one.
 
 // matmulModel is x[1,L,32] × W[32,32]: one weight exactly at the
 // quantizer's MinElems floor, so an int8 compile packs it.

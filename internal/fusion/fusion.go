@@ -62,7 +62,7 @@ type Plan struct {
 // isAnchor reports compute-heavy ops that seed fusion groups.
 func isAnchor(op string) bool {
 	switch op {
-	case "Conv", "ConvTranspose", "MatMul", "Gemm":
+	case "Conv", "MatMul", "Gemm":
 		return true
 	}
 	return false

@@ -3,6 +3,7 @@ package guard
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -95,8 +96,8 @@ func (c *Contract) inputShape(in graph.ValueDef) lattice.Shape {
 
 // BindInputs unifies the concrete inputs with the analyzed symbolic
 // input shapes, returning the symbol environment. Missing inputs,
-// dtype mismatches, and shape contradictions come back as structured
-// ContractErrors.
+// dtype mismatches, empty inputs, and shape contradictions come back as
+// structured ContractErrors.
 func (c *Contract) BindInputs(inputs map[string]*tensor.Tensor) (symbolic.Env, error) {
 	env := symbolic.Env{}
 	for _, in := range c.Graph.Inputs {
@@ -108,6 +109,12 @@ func (c *Contract) BindInputs(inputs map[string]*tensor.Tensor) (symbolic.Env, e
 		if t.DType != in.DType {
 			return nil, &ContractError{Kind: KindInput,
 				Detail: fmt.Sprintf("input %q dtype %s, declared %s", in.Name, t.DType, in.DType)}
+		}
+		// An empty input is outside every analyzed range, and the
+		// kernels a degraded tier would run it on index into it.
+		if d := slices.Index(t.Shape, 0); d >= 0 {
+			return nil, &ContractError{Kind: KindInput,
+				Detail: fmt.Sprintf("input %q shape %v has a zero extent in dimension %d", in.Name, t.Shape, d)}
 		}
 		if err := rdp.BindShapes(c.inputShape(in), t.Shape, env); err != nil {
 			return env, &ContractError{Kind: KindBind,

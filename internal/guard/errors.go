@@ -73,8 +73,6 @@ const (
 	// KindMemPlan: no memory plan serves the request — no proof covers
 	// its binding, or placing a tensor in the planned arena faulted.
 	KindMemPlan ViolationKind = "memplan"
-	// KindBudget: the planned arena exceeds the configured byte budget.
-	KindBudget ViolationKind = "budget"
 	// KindQuarantine: the serving layer's circuit breaker has
 	// quarantined the model's plan; the run was forced onto the dynamic
 	// tier without consulting it.
@@ -94,8 +92,7 @@ type ContractError struct {
 	// Symbol and Fact are set for KindFact violations ("H", "H % 32 == 0").
 	Symbol string
 	Fact   string
-	// Value is the concrete value that violated the fact (KindFact) or
-	// budget (KindBudget).
+	// Value is the concrete value that violated the fact (KindFact).
 	Value int64
 	// Detail carries the human-readable specifics.
 	Detail string

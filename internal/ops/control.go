@@ -88,6 +88,4 @@ func init() {
 		out[0].Value = lattice.NACValue()
 		return out, nil
 	}})
-	Register(&Def{Type: "Unique", Class: EDO, Forward: edoForward})
-	Register(&Def{Type: "Compress", Class: EDO, Forward: edoForward})
 }

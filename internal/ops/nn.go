@@ -347,29 +347,6 @@ func softmaxCost(node *graph.Node, in, out [][]int64) (int64, int64) {
 
 func init() {
 	Register(&Def{Type: "Conv", Class: ISDOS, Forward: convForward, Backward: convBackward, Cost: convCost})
-	Register(&Def{Type: "ConvTranspose", Class: ISDOS, Cost: convCost, Forward: func(ctx *InferCtx) ([]lattice.Info, error) {
-		out := nOutputs(ctx.Node)
-		x := ctx.InShape(0)
-		w := ctx.InShape(1)
-		if x.Kind != lattice.ShapeRanked || w.Kind != lattice.ShapeRanked {
-			return out, nil
-		}
-		spatial := len(x.Dims) - 2
-		a := getConvAttrs(ctx.Node, spatial, false)
-		dims := make([]lattice.Dim, len(x.Dims))
-		dims[0] = x.Dims[0]
-		dims[1] = w.Dims[1] // [Cin, Cout/g, kH, kW]
-		for i := 0; i < spatial; i++ {
-			kv, ok := w.Dims[2+i].Const()
-			if !ok {
-				dims[2+i] = lattice.Undef()
-				continue
-			}
-			dims[2+i] = convSpatialIn(x.Dims[2+i], kv, a.strides[i], a.dilations[i], a.pads[i], a.pads[spatial+i])
-		}
-		out[0].Shape = lattice.Ranked(dims...)
-		return out, nil
-	}})
 	Register(&Def{Type: "MaxPool", Class: ISDOS, Forward: poolForward(false), Cost: poolCost})
 	Register(&Def{Type: "AveragePool", Class: ISDOS, Forward: poolForward(false), Cost: poolCost})
 	Register(&Def{Type: "GlobalAveragePool", Class: ISDOS, Forward: poolForward(true), Cost: poolCost})

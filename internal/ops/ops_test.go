@@ -79,7 +79,6 @@ func TestRegistryCoversTable2(t *testing.T) {
 		"TopK":               ISVDOS,
 		"Upsample":           ISVDOS,
 		"OneHot":             ISVDOS,
-		"MaxUnpool":          ISVDOS,
 		"GroupNormalization": ISVDOS,
 		"If":                 EDO,
 		"Loop":               EDO,

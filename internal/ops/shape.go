@@ -791,11 +791,6 @@ func init() {
 	Register(&Def{Type: "Concat", Class: ISDOS, Forward: concatForward, Backward: concatBackward})
 	Register(&Def{Type: "Split", Class: ISVDOS, Forward: splitForward})
 	Register(&Def{Type: "Gather", Class: ISDOS, Forward: gatherForward})
-	Register(&Def{Type: "GatherElements", Class: ISDOS, Forward: func(ctx *InferCtx) ([]lattice.Info, error) {
-		out := nOutputs(ctx.Node)
-		out[0].Shape = ctx.InShape(1)
-		return out, nil
-	}})
 	Register(&Def{Type: "Slice", Class: ISVDOS, Forward: sliceForward})
 	Register(&Def{Type: "Expand", Class: ISVDOS, Forward: expandForward})
 	Register(&Def{Type: "Range", Class: ISVDOS, Forward: rangeForward})
@@ -805,17 +800,6 @@ func init() {
 	Register(&Def{Type: "Tile", Class: ISVDOS, Forward: tileForward})
 	Register(&Def{Type: "TopK", Class: ISVDOS, Forward: topKForward})
 	Register(&Def{Type: "OneHot", Class: ISVDOS, Forward: oneHotForward})
-	Register(&Def{Type: "MaxUnpool", Class: ISVDOS, Forward: func(ctx *InferCtx) ([]lattice.Info, error) {
-		out := nOutputs(ctx.Node)
-		if len(ctx.Node.Inputs) > 2 && ctx.Node.Inputs[2] != "" {
-			if sizes := ctx.InValue(2); sizes.Kind == lattice.ValueElems {
-				dims := make([]lattice.Dim, len(sizes.Elems))
-				copy(dims, sizes.Elems)
-				out[0].Shape = lattice.Ranked(dims...)
-			}
-		}
-		return out, nil
-	}})
 
 	Register(&Def{Type: "SpaceToDepth", Class: ISDOS, Forward: func(ctx *InferCtx) ([]lattice.Info, error) {
 		out := nOutputs(ctx.Node)

@@ -173,16 +173,6 @@ func TestConstantOfShape(t *testing.T) {
 	}
 }
 
-func TestMaxUnpoolWithSizes(t *testing.T) {
-	x := info(lattice.Ranked(lattice.FromInt(1), lattice.FromInt(4), lattice.FromInt(8), lattice.FromInt(8)))
-	idx := info(lattice.Ranked(lattice.FromInt(1), lattice.FromInt(4), lattice.FromInt(8), lattice.FromInt(8)))
-	sizes := lattice.Info{Shape: lattice.FromInts(4), Value: lattice.IntsValue(1, 4, 16, 16)}
-	out := fwd(t, node("MaxUnpool", 3, 1, nil), x, idx, sizes)
-	if c, _ := out[0].Shape.Dims[2].Const(); c != 16 {
-		t.Errorf("maxunpool = %v", out[0].Shape)
-	}
-}
-
 func TestBackwardBinaryRefinement(t *testing.T) {
 	// z = Add(x, b) where b = [1, 1, C]; output known → x refined.
 	n := node("Add", 2, 1, nil)

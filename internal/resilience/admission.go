@@ -21,8 +21,7 @@ type AdmissionConfig struct {
 	// requests (<= 0: unlimited). A request whose estimate does not fit
 	// the remaining headroom sheds — unless nothing is reserved yet, in
 	// which case it is admitted (a single estimate larger than the whole
-	// budget must not become permanently inadmissible; the per-request
-	// ArenaBudget still bounds it at run time).
+	// budget must not become permanently inadmissible).
 	MemoryBudget int64
 }
 

@@ -2,50 +2,22 @@ package resilience
 
 import "sync"
 
-// BreakerConfig tunes the per-model circuit breaker. Zero fields take
-// the defaults noted on each.
-type BreakerConfig struct {
-	// TripThreshold is the consecutive counted faults that open the
-	// breaker (default 5). In Quarantined it is also the fault count
-	// that re-fires a failed re-verification.
-	TripThreshold int
-	// RecoverSuccesses is the consecutive successes that return a
-	// Degraded model to Healthy (default 3).
-	RecoverSuccesses int
-	// ProbationSuccesses is the consecutive dynamic-tier successes that
-	// close the breaker from Probation (default 8). In Quarantined with
-	// no re-verification running (a previous one failed), the same
-	// count of successes re-fires re-verification rather than closing —
-	// the plan stays distrusted until a proof passes.
-	ProbationSuccesses int
-	// OnTrip, when non-nil, is invoked on its own goroutine each time
-	// the breaker opens (or re-fires): it must quarantine the cached
-	// plan (invalidate + re-verify) and report the outcome via
-	// ReverifyDone. When nil, re-verification auto-passes and a trip
-	// moves straight to Probation.
-	OnTrip func()
-}
-
-func (c BreakerConfig) trip() int {
-	if c.TripThreshold <= 0 {
-		return 5
-	}
-	return c.TripThreshold
-}
-
-func (c BreakerConfig) recover() int {
-	if c.RecoverSuccesses <= 0 {
-		return 3
-	}
-	return c.RecoverSuccesses
-}
-
-func (c BreakerConfig) probation() int {
-	if c.ProbationSuccesses <= 0 {
-		return 8
-	}
-	return c.ProbationSuccesses
-}
+// Breaker thresholds.
+const (
+	// tripFaults is the consecutive counted faults that open the
+	// breaker. In Quarantined it is also the fault count that re-fires a
+	// failed re-verification.
+	tripFaults = 5
+	// recoverSuccesses is the consecutive successes that return a
+	// Degraded model to Healthy.
+	recoverSuccesses = 3
+	// probationSuccesses is the consecutive dynamic-tier successes that
+	// close the breaker from Probation. In Quarantined with no
+	// re-verification running (a previous one failed), the same count of
+	// successes re-fires re-verification rather than closing — the plan
+	// stays distrusted until a proof passes.
+	probationSuccesses = 8
+)
 
 // Breaker is the per-model circuit breaker and health state machine:
 //
@@ -58,7 +30,7 @@ func (c BreakerConfig) probation() int {
 // Advice() tells the session to serve through the dynamic fallback
 // tier. All methods are safe for concurrent use.
 type Breaker struct {
-	cfg BreakerConfig
+	onTrip func()
 
 	mu          sync.Mutex
 	state       HealthState
@@ -73,8 +45,11 @@ type Breaker struct {
 	reverifyPass, reverifyFail uint64
 }
 
-// NewBreaker builds a breaker in the Healthy state.
-func NewBreaker(cfg BreakerConfig) *Breaker { return &Breaker{cfg: cfg} }
+// NewBreaker builds a breaker in the Healthy state. onTrip is invoked on
+// its own goroutine each time the breaker opens (or re-fires): it must
+// quarantine the cached plan (invalidate + re-verify) and report the
+// outcome via ReverifyDone.
+func NewBreaker(onTrip func()) *Breaker { return &Breaker{onTrip: onTrip} }
 
 // ServingAdvice is the breaker's instruction for the next request.
 type ServingAdvice uint8
@@ -116,7 +91,7 @@ func (b *Breaker) OnSuccess() {
 		return
 	case Degraded:
 		b.consecOK++
-		if b.consecOK >= b.cfg.recover() {
+		if b.consecOK >= recoverSuccesses {
 			b.state = Healthy
 			b.consecOK = 0
 		}
@@ -124,7 +99,7 @@ func (b *Breaker) OnSuccess() {
 		return
 	case Probation:
 		b.consecOK++
-		if b.consecOK >= b.cfg.probation() {
+		if b.consecOK >= probationSuccesses {
 			b.state = Healthy
 			b.consecOK = 0
 		}
@@ -135,7 +110,7 @@ func (b *Breaker) OnSuccess() {
 		// distrusted. If no re-verification is running (the last one
 		// failed), sustained clean traffic earns another attempt.
 		b.consecOK++
-		if !b.reverifying && b.consecOK >= b.cfg.probation() {
+		if !b.reverifying && b.consecOK >= probationSuccesses {
 			b.consecOK = 0
 			b.fireTripLocked()
 			b.mu.Unlock()
@@ -156,7 +131,7 @@ func (b *Breaker) OnFailure() {
 	case Healthy:
 		b.state = Degraded
 	case Degraded:
-		if b.consecFail >= b.cfg.trip() {
+		if b.consecFail >= tripFaults {
 			b.state = Quarantined
 			b.trips++
 			b.consecFail = 0
@@ -165,7 +140,7 @@ func (b *Breaker) OnFailure() {
 	case Quarantined:
 		// Already open. If the last re-verification failed (none
 		// running), sustained faults re-fire it.
-		if !b.reverifying && b.consecFail >= b.cfg.trip() {
+		if !b.reverifying && b.consecFail >= tripFaults {
 			b.consecFail = 0
 			b.fireTripLocked()
 		}
@@ -180,26 +155,17 @@ func (b *Breaker) OnFailure() {
 	b.mu.Unlock()
 }
 
-// fireTripLocked launches one re-verification (mu held). With no OnTrip
-// hook the re-verification trivially passes.
+// fireTripLocked launches one re-verification (mu held).
 func (b *Breaker) fireTripLocked() {
 	if b.reverifying {
 		return
 	}
 	b.reverifying = true
 	b.reverifies++
-	if b.cfg.OnTrip == nil {
-		// Resolve synchronously under mu: transition to Probation now.
-		b.reverifying = false
-		b.reverifyPass++
-		b.state = Probation
-		b.consecOK = 0
-		return
-	}
-	go b.cfg.OnTrip()
+	go b.onTrip()
 }
 
-// ReverifyDone reports the outcome of the re-verification an OnTrip
+// ReverifyDone reports the outcome of the re-verification the onTrip
 // hook ran: pass moves a Quarantined model to Probation; fail leaves it
 // Quarantined (dynamic-tier serving continues, and further faults or
 // sustained successes re-fire the hook).

@@ -161,8 +161,9 @@ func TestAdmissionMemoryHeadroom(t *testing.T) {
 // --- RetryPolicy -------------------------------------------------------
 
 func TestRetryBackoffLadder(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}
-	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, 4 * time.Millisecond}
+	p := RetryPolicy{MaxAttempts: 9}
+	ms := time.Millisecond
+	want := []time.Duration{1 * ms, 2 * ms, 4 * ms, 8 * ms, 16 * ms, 32 * ms, 50 * ms, 50 * ms}
 	for i, w := range want {
 		if got := p.Backoff(i + 1); got != w {
 			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, w)
@@ -220,7 +221,7 @@ type tripRecorder struct {
 	calls int
 	b     *Breaker
 	pass  bool
-	sync  chan struct{} // each OnTrip sends one token after resolving
+	sync  chan struct{} // each onTrip sends one token after resolving
 }
 
 func (r *tripRecorder) onTrip() {
@@ -232,11 +233,17 @@ func (r *tripRecorder) onTrip() {
 	r.sync <- struct{}{}
 }
 
-func newTripRecorder(cfg BreakerConfig, pass bool) (*Breaker, *tripRecorder) {
+func newTripRecorder(pass bool) (*Breaker, *tripRecorder) {
 	r := &tripRecorder{pass: pass, sync: make(chan struct{}, 16)}
-	cfg.OnTrip = r.onTrip
-	r.b = NewBreaker(cfg)
+	r.b = NewBreaker(r.onTrip)
 	return r.b, r
+}
+
+// repeat calls f n times.
+func repeat(n int, f func()) {
+	for range n {
+		f()
+	}
 }
 
 func (r *tripRecorder) waitTrip(t *testing.T) {
@@ -244,13 +251,12 @@ func (r *tripRecorder) waitTrip(t *testing.T) {
 	select {
 	case <-r.sync:
 	case <-time.After(5 * time.Second):
-		t.Fatal("OnTrip never fired")
+		t.Fatal("onTrip never fired")
 	}
 }
 
 func TestBreakerFullHealingCycle(t *testing.T) {
-	cfg := BreakerConfig{TripThreshold: 3, RecoverSuccesses: 2, ProbationSuccesses: 2}
-	b, rec := newTripRecorder(cfg, true)
+	b, rec := newTripRecorder(true)
 
 	if b.State() != Healthy || b.Advice() != ServePlanned {
 		t.Fatal("new breaker must be healthy, planned serving")
@@ -262,7 +268,10 @@ func TestBreakerFullHealingCycle(t *testing.T) {
 	if b.Advice() != ServePlanned {
 		t.Fatal("degraded must still serve planned")
 	}
-	b.OnFailure()
+	repeat(tripFaults-2, b.OnFailure)
+	if b.State() != Degraded || b.Stats().Trips != 0 {
+		t.Fatalf("after %d faults: %v, want degraded and untripped", tripFaults-1, b.State())
+	}
 	b.OnFailure()
 	rec.waitTrip(t)
 	// Reverify passed → probation, dynamic serving.
@@ -272,21 +281,27 @@ func TestBreakerFullHealingCycle(t *testing.T) {
 	if b.Advice() != ServeDynamic {
 		t.Fatal("probation must serve dynamic")
 	}
-	b.OnSuccess()
+	repeat(probationSuccesses-1, b.OnSuccess)
+	if b.State() != Probation {
+		t.Fatalf("after %d probation successes: %v, want probation", probationSuccesses-1, b.State())
+	}
 	b.OnSuccess()
 	if b.State() != Healthy || b.Advice() != ServePlanned {
 		t.Fatalf("after probation successes: %v, want healthy", b.State())
 	}
 	st := b.Stats()
-	if st.Trips != 1 || st.ReverifyPass != 1 || st.Faults != 3 || st.Successes != 2 {
+	if st.Trips != 1 || st.ReverifyPass != 1 || st.Faults != tripFaults || st.Successes != probationSuccesses {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestBreakerDegradedRecoversWithoutTrip(t *testing.T) {
-	b := NewBreaker(BreakerConfig{TripThreshold: 5, RecoverSuccesses: 2})
+	b, _ := newTripRecorder(true)
 	b.OnFailure()
-	b.OnSuccess()
+	repeat(recoverSuccesses-1, b.OnSuccess)
+	if b.State() != Degraded {
+		t.Fatalf("state = %v after %d successes, want degraded", b.State(), recoverSuccesses-1)
+	}
 	b.OnSuccess()
 	if b.State() != Healthy {
 		t.Fatalf("state = %v, want healthy", b.State())
@@ -297,17 +312,14 @@ func TestBreakerDegradedRecoversWithoutTrip(t *testing.T) {
 }
 
 func TestBreakerFailedReverifyStaysQuarantinedAndRefires(t *testing.T) {
-	cfg := BreakerConfig{TripThreshold: 2, ProbationSuccesses: 2}
-	b, rec := newTripRecorder(cfg, false)
-	b.OnFailure()
-	b.OnFailure()
+	b, rec := newTripRecorder(false)
+	repeat(tripFaults, b.OnFailure)
 	rec.waitTrip(t)
 	if b.State() != Quarantined || b.Advice() != ServeDynamic {
 		t.Fatalf("after failing reverify: %v, want quarantined + dynamic", b.State())
 	}
 	// Sustained faults while quarantined re-fire the re-verification.
-	b.OnFailure()
-	b.OnFailure()
+	repeat(tripFaults, b.OnFailure)
 	rec.waitTrip(t)
 	rec.mu.Lock()
 	calls := rec.calls
@@ -319,8 +331,7 @@ func TestBreakerFailedReverifyStaysQuarantinedAndRefires(t *testing.T) {
 	rec.mu.Lock()
 	rec.pass = true
 	rec.mu.Unlock()
-	b.OnSuccess()
-	b.OnSuccess()
+	repeat(probationSuccesses, b.OnSuccess)
 	rec.waitTrip(t)
 	if b.State() != Probation {
 		t.Fatalf("state = %v, want probation after clean traffic earns a passing reverify", b.State())
@@ -328,10 +339,8 @@ func TestBreakerFailedReverifyStaysQuarantinedAndRefires(t *testing.T) {
 }
 
 func TestBreakerProbationFaultReopens(t *testing.T) {
-	cfg := BreakerConfig{TripThreshold: 2, ProbationSuccesses: 3}
-	b, rec := newTripRecorder(cfg, true)
-	b.OnFailure()
-	b.OnFailure()
+	b, rec := newTripRecorder(true)
+	repeat(tripFaults, b.OnFailure)
 	rec.waitTrip(t)
 	if b.State() != Probation {
 		t.Fatalf("state = %v, want probation", b.State())
@@ -347,21 +356,8 @@ func TestBreakerProbationFaultReopens(t *testing.T) {
 	}
 }
 
-func TestBreakerNilOnTripAutoPasses(t *testing.T) {
-	b := NewBreaker(BreakerConfig{TripThreshold: 1, ProbationSuccesses: 1})
-	b.OnFailure() // healthy → degraded
-	b.OnFailure() // degraded → trip → (auto-pass) probation
-	if b.State() != Probation {
-		t.Fatalf("state = %v, want probation", b.State())
-	}
-	b.OnSuccess()
-	if b.State() != Healthy {
-		t.Fatalf("state = %v, want healthy", b.State())
-	}
-}
-
 func TestBreakerConcurrentRecording(t *testing.T) {
-	b, rec := newTripRecorder(BreakerConfig{TripThreshold: 3, ProbationSuccesses: 4}, true)
+	b, rec := newTripRecorder(true)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

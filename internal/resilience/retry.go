@@ -7,17 +7,19 @@ import (
 	"repro/internal/guard"
 )
 
+// Retry backoff ladder: the sleep before the first retry, doubled for
+// each further retry up to the cap.
+const (
+	baseBackoff = time.Millisecond
+	maxBackoff  = 50 * time.Millisecond
+)
+
 // RetryPolicy is a bounded retry/backoff ladder for transient execution
 // faults. The zero value never retries.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts including the first
 	// (<= 1: no retries).
 	MaxAttempts int
-	// BaseBackoff is the sleep before the first retry (default 1ms when
-	// retries are enabled); each further retry doubles it.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the ladder (default 50ms).
-	MaxBackoff time.Duration
 }
 
 // Attempts normalizes MaxAttempts.
@@ -31,25 +33,11 @@ func (p RetryPolicy) Attempts() int {
 // Backoff returns the sleep before retrying after the attempt-th try
 // (attempt is 1-based: the first retry follows attempt 1).
 func (p RetryPolicy) Backoff(attempt int) time.Duration {
-	base := p.BaseBackoff
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	max := p.MaxBackoff
-	if max <= 0 {
-		max = 50 * time.Millisecond
-	}
-	d := base
-	for i := 1; i < attempt; i++ {
+	d := baseBackoff
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
-		if d >= max {
-			return max
-		}
 	}
-	if d > max {
-		return max
-	}
-	return d
+	return min(d, maxBackoff)
 }
 
 // Retryable reports whether a failed attempt may be retried. Two rules

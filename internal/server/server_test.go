@@ -195,6 +195,7 @@ func TestInferTypedErrors(t *testing.T) {
 		{"trailing garbage", "/v1/models/codebert/infer", `{"inputs":{"x":{"dtype":"float32","shape":[1],"float_data":[1]}}} {"again":1}`, 400, "bad_request"},
 		{"oversized body", "/v1/models/codebert/infer", big, 413, "body_too_large"},
 		{"wrong input names", "/v1/models/codebert/infer", `{"inputs":{"bogus":{"dtype":"float32","shape":[2],"float_data":[1,2]}}}`, 400, "contract_violation"},
+		{"zero extent", "/v1/models/codebert/infer", `{"inputs":{"tokens":{"dtype":"int64","shape":[1,0]}}}`, 400, "contract_violation"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -580,14 +581,12 @@ func TestBreakerVisibleThroughAPI(t *testing.T) {
 	}}
 	setFaults := func(on bool) { mu.Lock(); faultsOn = on; mu.Unlock() }
 
-	_, _, ts := newTestServer(t, sod2.SessionOptions{
-		Hooks:   gated,
-		Breaker: resilience.BreakerConfig{TripThreshold: 2, RecoverSuccesses: 2, ProbationSuccesses: 2},
-	}, Config{})
+	_, _, ts := newTestServer(t, sod2.SessionOptions{Hooks: gated}, Config{})
 	client := ts.Client()
 	inputs := sampleInputs(t, "CodeBERT", 9)
 	url := ts.URL + "/v1/models/codebert/infer"
 
+	// The breaker opens on its fifth consecutive fault.
 	setFaults(true)
 	tripped := false
 	for i := 0; i < 10 && !tripped; i++ {

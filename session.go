@@ -31,10 +31,6 @@ func (c *Compiled) CacheStats() CacheStats { return c.inner.Stats() }
 type SessionOptions struct {
 	// Workers bounds InferBatch's fan-out (GOMAXPROCS when 0).
 	Workers int
-	// Guard options applied to every request.
-	ArenaBudget  int64
-	MaxLoopIters int64
-	Strict       bool
 	// Hooks are threaded into every request's executor (fault injection,
 	// tracing). The hooks are shared by all concurrent requests and must
 	// be safe for concurrent use.
@@ -55,12 +51,6 @@ type SessionOptions struct {
 	// faults. Tier-aware: a request that already degraded to the
 	// dynamic-replan tier is never retried. The zero value never retries.
 	Retry resilience.RetryPolicy
-	// Breaker tunes the per-model circuit breaker driving the health
-	// state machine (healthy → degraded → quarantined → probation →
-	// healthy). Zero fields take the breaker's defaults; the session
-	// installs its own OnTrip hook (plan quarantine + background
-	// re-verification) unless one is set explicitly.
-	Breaker resilience.BreakerConfig
 	// RequestTimeout bounds each request end to end — admission wait,
 	// every retry attempt, and backoff sleeps (0 = none). Per-call
 	// contexts (InferConcurrentCtx et al.) compose with it; whichever ends
@@ -173,31 +163,26 @@ func (c *Compiled) NewSession(opts SessionOptions) *Session {
 		c:       c,
 		workers: opts.Workers,
 		gopts: GuardOptions{
-			ArenaBudget:  opts.ArenaBudget,
-			MaxLoopIters: opts.MaxLoopIters,
-			Strict:       opts.Strict,
-			Hooks:        opts.Hooks,
-			Parallel:     opts.Parallel,
-			Workers:      opts.ParallelWorkers,
+			Hooks:    opts.Hooks,
+			Parallel: opts.Parallel,
+			Workers:  opts.ParallelWorkers,
 		},
 		timeout: opts.RequestTimeout,
 		adm:     resilience.NewAdmission(opts.Admission),
 		retry:   opts.Retry,
 	}
-	brkCfg := opts.Breaker
-	if brkCfg.OnTrip == nil {
-		// Plan quarantine: drop the region proof the faulting requests
-		// were served from, then force exactly one
-		// re-verification. Probation serving starts only when the new
-		// proof passes; an unprovable verdict keeps the model quarantined
-		// on the dynamic tier (safe, just slower).
-		brkCfg.OnTrip = func() {
-			c.inner.Invalidate()
-			rep := c.inner.Verify()
-			s.brk.ReverifyDone(rep.Mem.Proven)
-		}
-	}
-	s.brk = resilience.NewBreaker(brkCfg)
+	// The circuit breaker drives the health state machine (healthy →
+	// degraded → quarantined → probation → healthy). Its trip is plan
+	// quarantine: drop the region proof the faulting requests were
+	// served from, then force exactly one re-verification. Probation
+	// serving starts only when the new proof passes; an unprovable
+	// verdict keeps the model quarantined on the dynamic tier (safe,
+	// just slower).
+	s.brk = resilience.NewBreaker(func() {
+		c.inner.Invalidate()
+		rep := c.inner.Verify()
+		s.brk.ReverifyDone(rep.Mem.Proven)
+	})
 	return s
 }
 

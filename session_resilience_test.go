@@ -3,6 +3,7 @@ package sod2
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/graph"
+	"repro/internal/guard"
 	"repro/internal/resilience"
 	"repro/internal/tensor"
 )
@@ -66,16 +68,13 @@ func TestSessionDeadlineStall(t *testing.T) {
 // one-shot kernel error fails the first attempt, the bounded retry
 // re-runs, the one-shot fault does not re-fire, and the request
 // succeeds. The fault is still recorded by the breaker (degraded), and
-// clean traffic heals it back.
+// three clean runs heal it back: the successful retry is the first.
 func TestSessionRetryRecoversTransientFault(t *testing.T) {
 	c := compileVerifiedModel(t, "CodeBERT")
 	inj := faultinject.New(faultinject.KernelError, 0)
 	sess := c.NewSession(SessionOptions{
 		Hooks: inj.Hooks(),
-		Retry: resilience.RetryPolicy{MaxAttempts: 2, BaseBackoff: 100 * time.Microsecond},
-		Breaker: resilience.BreakerConfig{
-			TripThreshold: 5, RecoverSuccesses: 2,
-		},
+		Retry: resilience.RetryPolicy{MaxAttempts: 2},
 	})
 	b, _ := BuildModel("CodeBERT")
 	sample := NewSample(b, 64, 0.5, 2)
@@ -96,8 +95,12 @@ func TestSessionRetryRecoversTransientFault(t *testing.T) {
 	if st.Health != resilience.Degraded {
 		t.Fatalf("health = %v, want degraded after one fault", st.Health)
 	}
-	// Clean traffic recovers degraded → healthy without a trip.
+	// Clean traffic recovers degraded → healthy without a trip: the
+	// retry and one more clean request do not, the next one does.
 	for i := 0; i < 2; i++ {
+		if st = sess.Stats(); st.Health != resilience.Degraded {
+			t.Fatalf("health = %v after %d clean requests, want degraded", st.Health, i)
+		}
 		if _, _, err := sess.InferConcurrent(sample.Inputs); err != nil {
 			t.Fatal(err)
 		}
@@ -333,5 +336,68 @@ func TestSessionParallelAdmission(t *testing.T) {
 	}
 	if got := sess.Stats().Admission.ReservedBytes; got != 0 {
 		t.Fatalf("leaked reservation: %d bytes", got)
+	}
+}
+
+// zeroExtentInputs copies inputs with the model's first symbolic input
+// extent set to 0 in every input that declares it — or, for a model with
+// fixed input shapes, the first input's last extent: a well-formed
+// request for an empty tensor.
+func zeroExtentInputs(g *Graph, inputs map[string]*Tensor) map[string]*Tensor {
+	sym := ""
+	for _, in := range g.Inputs {
+		for _, d := range in.Shape.Dims {
+			if d.IsSymbolic() && sym == "" {
+				sym = d.String()
+			}
+		}
+	}
+	out := map[string]*Tensor{}
+	for k, in := range g.Inputs {
+		x := inputs[in.Name]
+		shape := slices.Clone(x.Shape)
+		for i, d := range in.Shape.Dims {
+			if d.IsSymbolic() && d.String() == sym {
+				shape[i] = 0
+			}
+		}
+		if sym == "" && k == 0 {
+			shape[len(shape)-1] = 0
+		}
+		if slices.Contains(shape, 0) {
+			x = tensor.New(x.DType, shape...)
+		}
+		out[in.Name] = x
+	}
+	return out
+}
+
+// TestZeroExtentRefusedNotFaulted: a request with an empty input tensor
+// is one no tier can serve. It is refused as an input violation before
+// any rung runs, so it never reaches a kernel, never counts against the
+// plan, and leaves the model healthy however often it is sent.
+func TestZeroExtentRefusedNotFaulted(t *testing.T) {
+	for _, b := range Models() {
+		t.Run(b.Name, func(t *testing.T) {
+			c, err := Compile(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := c.NewSession(SessionOptions{})
+			inputs := zeroExtentInputs(c.Graph(), NewSample(b, b.MinSize, 0.5, 1).Inputs)
+			for i := 0; i < 10; i++ {
+				_, _, err := sess.InferConcurrent(inputs)
+				var ce *ContractError
+				if !errors.Is(err, ErrContract) || !errors.As(err, &ce) || ce.Kind != guard.KindInput {
+					t.Fatalf("request %d: err %v, want an input contract violation", i, err)
+				}
+				if !strings.Contains(ce.Detail, "zero extent") {
+					t.Errorf("request %d: violation should name the empty dimension: %v", i, err)
+				}
+			}
+			if st := sess.Stats(); st.Breaker.Faults != 0 || st.Health != resilience.Healthy {
+				t.Fatalf("empty requests counted against the plan: health %v, breaker %+v", st.Health, st.Breaker)
+			}
+		})
 	}
 }

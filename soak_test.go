@@ -87,8 +87,7 @@ func TestSoakSelfHealing(t *testing.T) {
 			sess := c.NewSession(SessionOptions{
 				Hooks:          hooks,
 				Admission:      AdmissionConfig{MaxConcurrent: 4, MaxQueue: 2},
-				Retry:          RetryPolicy{MaxAttempts: 2, BaseBackoff: 100 * time.Microsecond},
-				Breaker:        BreakerConfig{TripThreshold: 3, RecoverSuccesses: 2, ProbationSuccesses: 3},
+				Retry:          RetryPolicy{MaxAttempts: 2},
 				RequestTimeout: timeout,
 			})
 

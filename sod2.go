@@ -112,9 +112,6 @@ type (
 	// RetryPolicy is the bounded, fallback-tier-aware retry/backoff
 	// ladder a session applies to transient execution faults.
 	RetryPolicy = resilience.RetryPolicy
-	// BreakerConfig tunes the per-model circuit breaker and its health
-	// state machine (healthy → degraded → quarantined → probation).
-	BreakerConfig = resilience.BreakerConfig
 	// HealthState is a model's serving health as judged by the breaker.
 	HealthState = resilience.HealthState
 	// OverloadError is one shed request (errors.Is(err, ErrOverloaded)).

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/guard"
 	"repro/internal/tensor"
 )
 
@@ -45,20 +46,24 @@ func TestFacadeDegradedInferMatchesReference(t *testing.T) {
 	}
 }
 
-func TestFacadeStrictRejectsContractViolation(t *testing.T) {
+// A contract violation is never the request's error: it completes on
+// the dynamic tier, and the recorded step names the violated symbol.
+func TestFacadeContractViolationDegrades(t *testing.T) {
 	b, _ := BuildModel("YOLO-V6")
 	c, err := Compile(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inputs := b.Inputs(tensor.NewRNG(3), 225, 0.5)
-	_, _, err = c.InferGuarded(inputs, GuardOptions{Strict: true})
-	if !errors.Is(err, ErrContract) {
-		t.Fatalf("want ErrContract, got %v", err)
+	outs, rep, err := c.InferGuarded(inputs, GuardOptions{})
+	if err != nil || len(outs) == 0 {
+		t.Fatalf("violation should degrade, not fail: outputs %d, err %v", len(outs), err)
 	}
-	var ce *ContractError
-	if !errors.As(err, &ce) || ce.Symbol == "" {
-		t.Fatalf("violation should name the symbol: %v", err)
+	if rep.FallbackTier != TierDynamic || len(rep.Degradations) != 1 {
+		t.Fatalf("tier %v, degradations %+v: want one step to dynamic", rep.FallbackTier, rep.Degradations)
+	}
+	if d := rep.Degradations[0]; d.Kind != guard.KindFact || d.To != TierDynamic || !strings.Contains(d.Reason, "symbol ") {
+		t.Errorf("degradation %+v: want a fact step to dynamic naming the symbol", d)
 	}
 }
 

@@ -1,7 +1,6 @@
 package sod2
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -275,7 +274,7 @@ func regionIfModel() *ModelBuilder {
 // bit-exactly through the If kernel. An in-range request runs the
 // then-arm on the planned tier; L = 1, outside the range, runs the
 // else-arm on the dynamic tier with the fact degradation every
-// out-of-range request gets, and Strict refuses it.
+// out-of-range request gets.
 func TestReportRegionIf(t *testing.T) {
 	b := regionIfModel()
 	c, err := Compile(b)
@@ -319,11 +318,5 @@ func TestReportRegionIf(t *testing.T) {
 	out := serve(1, neg, "else.bop", TierDynamic)
 	if d := out.Degradations; len(d) != 1 || d[0].Kind != guard.KindFact || d[0].To != TierDynamic {
 		t.Errorf("out-of-range degradations %+v: want one fact step to dynamic", d)
-	}
-
-	_, _, err = c.InferGuarded(b.Inputs(tensor.NewRNG(1), 1, 0), GuardOptions{Strict: true})
-	var ce *ContractError
-	if !errors.As(err, &ce) || ce.Kind != guard.KindFact {
-		t.Errorf("Strict out-of-range: err %v, want a fact violation", err)
 	}
 }
