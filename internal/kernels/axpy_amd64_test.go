@@ -8,6 +8,24 @@ import (
 	"repro/internal/tensor"
 )
 
+// saltedFloats draws normal samples, replacing one in every `every` on
+// average with NaN, ±Inf, ±0, a denormal, ±MaxFloat32 or a signalling
+// NaN — the operands on which an assembly body could round or order
+// differently from the Go arithmetic it stands in for.
+func saltedFloats(rng *tensor.RNG, every int) func() float32 {
+	special := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x80000000), 0, math.SmallestNonzeroFloat32, -3 * math.SmallestNonzeroFloat32,
+		math.MaxFloat32, -math.MaxFloat32, math.Float32frombits(0x7fa00001),
+	}
+	return func() float32 {
+		if rng.Intn(every) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.NormFloat32()
+	}
+}
+
 // The assembly body must round exactly as the Go body does: every
 // length 0-70 (zero to eight 8-lane iterations, every % 8 tail), every
 // operand at its own unaligned offset into a larger slice, and operands
@@ -17,17 +35,7 @@ import (
 // operand order of the Go body (two inlinings of it disagree).
 func TestAxpyBodiesAgree(t *testing.T) {
 	rng := tensor.NewRNG(41)
-	special := []float32{
-		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
-		math.Float32frombits(0x80000000), 0, math.SmallestNonzeroFloat32, -3 * math.SmallestNonzeroFloat32,
-		math.MaxFloat32, -math.MaxFloat32, math.Float32frombits(0x7fa00001),
-	}
-	val := func() float32 {
-		if rng.Intn(4) == 0 {
-			return special[rng.Intn(len(special))]
-		}
-		return rng.NormFloat32()
-	}
+	val := saltedFloats(rng, 4)
 	operand := func(n, off int) []float32 {
 		s := make([]float32, off+n+3)
 		for i := range s {

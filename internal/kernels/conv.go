@@ -136,9 +136,10 @@ func convPanels(x, w *tensor.Tensor, bias []float32, out *tensor.Tensor, a conv2
 	cols := a.outH * a.outW
 	rows, panels := a.panelRows(), a.panels()
 	panel := make([]float32, k*rows*a.outW)
-	var wRow []float32
+	var wRows []float32
 	if w.DType.IsQuantized() {
-		wRow = make([]float32, k)
+		// GemmQuantLHS dequantizes up to four filter rows at a time.
+		wRows = make([]float32, min(4, coutPerGroup)*k)
 	}
 	for u := lo; u < hi; u++ {
 		b, g, oh0 := u/panels/a.group, u/panels%a.group, u%panels*rows
@@ -148,8 +149,8 @@ func convPanels(x, w *tensor.Tensor, bias []float32, out *tensor.Tensor, a conv2
 		// GEMM: [coutPerGroup, k] × [k, width], C rows a full plane apart.
 		rowLo := g * coutPerGroup
 		c := out.F[(b*a.cout+rowLo)*cols+oh0*a.outW:]
-		if wRow != nil {
-			GemmQuantLHS(w.Q, rowLo, rowLo+coutPerGroup, wRow, panel, width, c, cols, width)
+		if wRows != nil {
+			GemmQuantLHS(w.Q, rowLo, rowLo+coutPerGroup, wRows, panel, width, c, cols, width)
 		} else {
 			gemmBlock(w.F[rowLo*k:(rowLo+coutPerGroup)*k], panel, width, c, cols, coutPerGroup, k, width)
 		}

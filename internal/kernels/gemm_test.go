@@ -187,7 +187,8 @@ func TestGemmDifferential(t *testing.T) {
 		// Gemm on a dirty C: column counts 0-17 (every % 8 tail, with and
 		// without an assembly prefix), one either side of a gemmNC block
 		// and several blocks, against every k % 4 and a k of
-		// zero, which must still clear C.
+		// zero, which must still clear C; row counts below, at and
+		// either side of one and two register-tile groups of four.
 		rng := tensor.NewRNG(34)
 		ns := []int64{gemmNC - 1, gemmNC, gemmNC + 1, 2*gemmNC + 13, 3 * gemmNC}
 		for n := int64(0); n <= 17; n++ {
@@ -195,7 +196,7 @@ func TestGemmDifferential(t *testing.T) {
 		}
 		for _, n := range ns {
 			for k := int64(0); k <= 9; k++ {
-				for _, m := range []int64{0, 1, 3} {
+				for _, m := range []int64{0, 1, 3, 4, 5, 7, 8, 9} {
 					a, b := randTensor(rng, tensor.Float32, []int64{m, k}), randTensor(rng, tensor.Float32, []int64{k, n})
 					want, got := tensor.New(tensor.Float32, m, n), randTensor(rng, tensor.Float32, []int64{m, n})
 					refGemm(a.F, b.F, m, k, n, want.F)

@@ -27,30 +27,49 @@ func Gemm(a, b []float32, m, k, n int64, c []float32) {
 
 // gemmBlock is the one float32 GEMM loop nest, under MatMul, the Gemm
 // op, Conv and int8 Conv: C[m,w] = A[m,k] × B[k,w], with A contiguous,
-// B's rows ldb apart and C's rows ldc apart. Per A row it clears the
-// w-wide C segment and folds B's rows into it four at a time, so every
-// c[i,j] accumulates its k products in ascending p from zero whatever
-// the blocking around the call.
+// B's rows ldb apart and C's rows ldc apart. Each group of four A rows
+// runs the register tiles across as many columns as they cover
+// (gemmTiles) and the row loop over the rest; the last m % 4 rows run
+// the row loop over all w. Either way every c[i,j] accumulates its k
+// products in ascending p from +0, so the result does not depend on
+// which path wrote it or on the blocking around the call.
 func gemmBlock(a, b []float32, ldb int64, c []float32, ldc, m, k, w int64) {
-	for i := int64(0); i < m; i++ {
-		ci := c[i*ldc : i*ldc+w]
-		clear(ci)
-		ai := a[i*k : (i+1)*k]
-		p := int64(0)
-		for ; p+4 <= k; p += 4 {
-			o := p * ldb
-			axpy4(ci, b[o:o+w], b[o+ldb:o+ldb+w], b[o+2*ldb:o+2*ldb+w], b[o+3*ldb:o+3*ldb+w],
-				ai[p], ai[p+1], ai[p+2], ai[p+3])
+	i := int64(0)
+	for ; i+4 <= m; i += 4 {
+		j := gemmTiles(a[i*k:], b, ldb, c[i*ldc:], ldc, k, w)
+		if j == w {
+			continue
 		}
-		for ; p < k; p++ {
-			axpy1(ci, b[p*ldb:p*ldb+w], ai[p])
+		for r := i; r < i+4; r++ {
+			gemmRow(a[r*k:(r+1)*k], b[j:], ldb, c[r*ldc+j:r*ldc+w])
 		}
+	}
+	for ; i < m; i++ {
+		gemmRow(a[i*k:(i+1)*k], b, ldb, c[i*ldc:i*ldc+w])
 	}
 }
 
-// gemmRows stripes Gemm's output rows across the thread budget. Stripes
-// write disjoint rows and a row's arithmetic does not depend on its
-// stripe, so the result is bit-identical for any budget.
+// gemmRow is gemmBlock's row loop: it clears the C segment ci and folds
+// B's rows into it four at a time, one product per ai[p].
+func gemmRow(ai, b []float32, ldb int64, ci []float32) {
+	clear(ci)
+	k, w := int64(len(ai)), int64(len(ci))
+	p := int64(0)
+	for ; p+4 <= k; p += 4 {
+		o := p * ldb
+		axpy4(ci, b[o:o+w], b[o+ldb:o+ldb+w], b[o+2*ldb:o+2*ldb+w], b[o+3*ldb:o+3*ldb+w],
+			ai[p], ai[p+1], ai[p+2], ai[p+3])
+	}
+	for ; p < k; p++ {
+		axpy1(ci, b[p*ldb:p*ldb+w], ai[p])
+	}
+}
+
+// gemmRows stripes Gemm's output rows across the thread budget in whole
+// groups of four, so a stripe boundary never cuts a register tile into
+// row-loop rows. Stripes write disjoint rows and a row's arithmetic does
+// not depend on its stripe, so the result is bit-identical for any
+// budget.
 func gemmRows(threads int, a, b []float32, m, k, n int64, c []float32) {
 	if threads <= 1 {
 		// The stripe closure below is a heap allocation per call; a
@@ -58,7 +77,8 @@ func gemmRows(threads int, a, b []float32, m, k, n int64, c []float32) {
 		Gemm(a, b, m, k, n, c)
 		return
 	}
-	ParallelForGrain(threads, m, rowGrain(k*n), func(lo, hi int64) {
+	ParallelForGrain(threads, (m+3)/4, rowGrain(4*k*n), func(lo, hi int64) {
+		lo, hi = 4*lo, min(4*hi, m)
 		Gemm(a[lo*k:hi*k], b, hi-lo, k, n, c[lo*n:hi*n])
 	})
 }

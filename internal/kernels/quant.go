@@ -11,9 +11,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// GemmQuant computes C[m,n] += A[m,k] × dequant(B)[k,n] where B is
-// quantized row-wise over n (Rows=k, Cols=n). C is zeroed first, so the
-// result matches Gemm on the dequantized operand up to float rounding.
+// GemmQuant computes C[m,n] = A[m,k] × dequant(B)[k,n] where B is
+// quantized row-wise over n (Rows=k, Cols=n). C's old contents are
+// overwritten, and the result matches Gemm on the dequantized operand up
+// to float rounding.
 //
 // Int8 runs a fused ikj schedule with the per-row scale hoisted out of
 // the inner loop; the 4-bit formats run a pkj schedule that dequantizes
@@ -58,15 +59,21 @@ func GemmQuant(bq *tensor.QuantData, a []float32, m, k, n int64, c []float32) {
 
 // GemmQuantLHS computes C[rows,w] = dequant(W)[rowLo:rowHi,k] × B[k,w]
 // for a weight matrix quantized row-wise over k (Rows covers the output
-// channels, Cols=k=len(row)) — the conv im2col orientation, where the
-// packed operand is the left matrix. Each weight row is dequantized
-// once into the caller's scratch row and then runs the float32 core as a
-// one-row A, so the arithmetic is Gemm's on the dequantized filter. B's
-// rows are ldb apart and C's ldc.
-func GemmQuantLHS(wq *tensor.QuantData, rowLo, rowHi int64, row, b []float32, ldb int64, c []float32, ldc, w int64) {
-	for i := rowLo; i < rowHi; i++ {
-		wq.DequantRow(i, row)
-		gemmBlock(row, b, ldb, c[(i-rowLo)*ldc:], ldc, 1, int64(len(row)), w)
+// channels, Cols=k) — the conv im2col orientation, where the packed
+// operand is the left matrix. The weight rows are dequantized, each
+// once, up to four at a time into the caller's scratch (min(4,
+// rowHi−rowLo)·k floats) and run through the float32 core as an A of
+// that many rows, so the arithmetic is Gemm's on the dequantized filter
+// and a group of four rows takes the register tiles. B's rows are ldb
+// apart and C's ldc.
+func GemmQuantLHS(wq *tensor.QuantData, rowLo, rowHi int64, scratch, b []float32, ldb int64, c []float32, ldc, w int64) {
+	k := wq.Cols
+	for i := rowLo; i < rowHi; i += 4 {
+		m := min(4, rowHi-i)
+		for r := int64(0); r < m; r++ {
+			wq.DequantRow(i+r, scratch[r*k:(r+1)*k])
+		}
+		gemmBlock(scratch, b, ldb, c[(i-rowLo)*ldc:], ldc, m, k, w)
 	}
 }
 

@@ -84,19 +84,20 @@ func TestGemmQuantLHSMatchesDequant(t *testing.T) {
 		refGemm(wq.Dequantize().F, b.F, m, k, n, want)
 		// On the shared core the result is Gemm's on the dequantized
 		// filter, bit for bit.
-		row := make([]float32, k)
+		scratch := make([]float32, 4*k)
 		got := make([]float32, m*n)
-		GemmQuantLHS(wq.Q, 0, m, row, b.F, n, got, n, n)
+		GemmQuantLHS(wq.Q, 0, m, scratch, b.F, n, got, n, n)
 		for i := range got {
 			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 				t.Fatalf("%s elem %d: got %g want %g", format, i, got[i], want[i])
 			}
 		}
-		// Stripe subset into a wider C: rows [3,7), columns [5,n) of B.
+		// Stripe subset into a wider C: rows [3,12), two groups of four
+		// and a one-row tail, and columns [5,n) of B.
 		ldc := n + 3
-		sub := make([]float32, 4*ldc)
-		GemmQuantLHS(wq.Q, 3, 7, row, b.F[5:], n, sub, ldc, n-5)
-		for i := int64(0); i < 4; i++ {
+		sub := make([]float32, 9*ldc)
+		GemmQuantLHS(wq.Q, 3, 12, scratch, b.F[5:], n, sub, ldc, n-5)
+		for i := int64(0); i < 9; i++ {
 			for j := int64(0); j < n-5; j++ {
 				if math.Float32bits(sub[i*ldc+j]) != math.Float32bits(want[(3+i)*n+5+j]) {
 					t.Fatalf("%s stripe elem %d,%d mismatch", format, i, j)

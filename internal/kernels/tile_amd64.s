@@ -1,0 +1,193 @@
+#include "textflag.h"
+
+// The GEMM register tiles. Each keeps a 4-row block of C in accumulator
+// registers over all of k: per p it loads one B row segment, broadcasts
+// the four A values of column p and adds each rounded product to its
+// accumulator (a multiply then an add, never a fused multiply-add), so
+// every c[i,j] sums its k products in ascending p from +0 as axpy4 does.
+// C is stored once, at the end. A zero k stores the cleared block and
+// never enters the loop.
+
+// func gemm4x16AVX(a, b []float32, ldb int64, c []float32, ldc, k int64)
+//
+// 8-lane AVX: Y0-Y7 are the 4×16 accumulators (two per row), Y8-Y9 the
+// B segment, Y10-Y13 the broadcast A values, Y14-Y15 the products.
+TEXT ·gemm4x16AVX(SB), NOSPLIT, $0-96
+	MOVQ a_base+0(FP), SI
+	MOVQ b_base+24(FP), R8
+	MOVQ ldb+48(FP), R9
+	MOVQ c_base+56(FP), DI
+	MOVQ ldc+80(FP), DX
+	MOVQ k+88(FP), CX
+	SHLQ $2, R9
+	SHLQ $2, DX
+	LEAQ (SI)(CX*4), R10
+	LEAQ (R10)(CX*4), R11
+	LEAQ (R11)(CX*4), R12
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	TESTQ CX, CX
+	JZ store16
+	XORQ AX, AX
+
+loop16:
+	VMOVUPS (R8), Y8
+	VMOVUPS 32(R8), Y9
+	VBROADCASTSS (SI)(AX*1), Y10
+	VBROADCASTSS (R10)(AX*1), Y11
+	VBROADCASTSS (R11)(AX*1), Y12
+	VBROADCASTSS (R12)(AX*1), Y13
+
+	VMULPS Y8, Y10, Y14
+	VMULPS Y9, Y10, Y15
+	VADDPS Y14, Y0, Y0
+	VADDPS Y15, Y1, Y1
+
+	VMULPS Y8, Y11, Y14
+	VMULPS Y9, Y11, Y15
+	VADDPS Y14, Y2, Y2
+	VADDPS Y15, Y3, Y3
+
+	VMULPS Y8, Y12, Y14
+	VMULPS Y9, Y12, Y15
+	VADDPS Y14, Y4, Y4
+	VADDPS Y15, Y5, Y5
+
+	VMULPS Y8, Y13, Y14
+	VMULPS Y9, Y13, Y15
+	VADDPS Y14, Y6, Y6
+	VADDPS Y15, Y7, Y7
+
+	ADDQ $4, AX
+	ADDQ R9, R8
+	DECQ CX
+	JNZ loop16
+
+store16:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ DX, DI
+	VMOVUPS Y2, (DI)
+	VMOVUPS Y3, 32(DI)
+	ADDQ DX, DI
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, 32(DI)
+	ADDQ DX, DI
+	VMOVUPS Y6, (DI)
+	VMOVUPS Y7, 32(DI)
+	VZEROUPPER
+	RET
+
+// func gemm4x8SSE(a, b []float32, ldb int64, c []float32, ldc, k int64)
+//
+// Baseline SSE2, the same body on 4-lane registers: X0-X7 are the 4×8
+// accumulators, X8-X9 the B segment, X10-X15 the broadcasts and their
+// products.
+TEXT ·gemm4x8SSE(SB), NOSPLIT, $0-96
+	MOVQ a_base+0(FP), SI
+	MOVQ b_base+24(FP), R8
+	MOVQ ldb+48(FP), R9
+	MOVQ c_base+56(FP), DI
+	MOVQ ldc+80(FP), DX
+	MOVQ k+88(FP), CX
+	SHLQ $2, R9
+	SHLQ $2, DX
+	LEAQ (SI)(CX*4), R10
+	LEAQ (R10)(CX*4), R11
+	LEAQ (R11)(CX*4), R12
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	XORPS X4, X4
+	XORPS X5, X5
+	XORPS X6, X6
+	XORPS X7, X7
+	TESTQ CX, CX
+	JZ store8
+	XORQ AX, AX
+
+loop8:
+	MOVUPS (R8), X8
+	MOVUPS 16(R8), X9
+
+	MOVSS (SI)(AX*1), X10
+	SHUFPS $0, X10, X10
+	MOVAPS X10, X11
+	MULPS X8, X10
+	MULPS X9, X11
+	ADDPS X10, X0
+	ADDPS X11, X1
+
+	MOVSS (R10)(AX*1), X12
+	SHUFPS $0, X12, X12
+	MOVAPS X12, X13
+	MULPS X8, X12
+	MULPS X9, X13
+	ADDPS X12, X2
+	ADDPS X13, X3
+
+	MOVSS (R11)(AX*1), X14
+	SHUFPS $0, X14, X14
+	MOVAPS X14, X15
+	MULPS X8, X14
+	MULPS X9, X15
+	ADDPS X14, X4
+	ADDPS X15, X5
+
+	MOVSS (R12)(AX*1), X10
+	SHUFPS $0, X10, X10
+	MOVAPS X10, X11
+	MULPS X8, X10
+	MULPS X9, X11
+	ADDPS X10, X6
+	ADDPS X11, X7
+
+	ADDQ $4, AX
+	ADDQ R9, R8
+	DECQ CX
+	JNZ loop8
+
+store8:
+	MOVUPS X0, (DI)
+	MOVUPS X1, 16(DI)
+	ADDQ DX, DI
+	MOVUPS X2, (DI)
+	MOVUPS X3, 16(DI)
+	ADDQ DX, DI
+	MOVUPS X4, (DI)
+	MOVUPS X5, 16(DI)
+	ADDQ DX, DI
+	MOVUPS X6, (DI)
+	MOVUPS X7, 16(DI)
+	RET
+
+// func cpuHasAVX() bool
+//
+// CPUID leaf 1: ECX bit 27 (OSXSAVE: XGETBV is usable) and bit 28 (AVX).
+// XGETBV with ECX = 0 reads XCR0, whose bits 1 and 2 say the OS saves
+// the SSE and the upper-YMM state across context switches.
+TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE noavx
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE noavx
+	MOVB $1, ret+0(FP)
+	RET
+
+noavx:
+	MOVB $0, ret+0(FP)
+	RET
