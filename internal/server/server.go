@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -254,19 +255,13 @@ func (s *Server) prep(w http.ResponseWriter, r *http.Request) (*servedModel, map
 		return nil, nil, nil, nil, err
 	}
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBodyBytes())
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req InferRequest
-	if err := dec.Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, nil, nil, nil, err
-		}
-		return nil, nil, nil, nil, fmt.Errorf("%w: decode body: %v", ErrBadRequest, err)
+	body, err := readBody(w, r, s.cfg.maxBodyBytes())
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
-	if dec.More() {
-		return nil, nil, nil, nil, fmt.Errorf("%w: trailing data after request object", ErrBadRequest)
+	req, err := DecodeRequest(body)
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
 	inputs, err := req.DecodeInputs()
 	if err != nil {
@@ -287,6 +282,28 @@ func (s *Server) prep(w http.ResponseWriter, r *http.Request) (*servedModel, map
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), budget)
 	return sm, inputs, ctx, cancel, nil
+}
+
+// firstReadBytes caps readBody's first allocation.
+const firstReadBytes = 1 << 20
+
+// readBody reads the whole size-capped request body into one buffer.
+// The first allocation is Content-Length (clamped to the cap), at most
+// firstReadBytes; past that the buffer grows as bytes arrive, so a
+// client that declares a large body and stalls holds little memory. A
+// body over the cap is the *http.MaxBytesError (413); any other read
+// failure is a 400.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(r.ContentLength, 0), limit, firstReadBytes)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			return nil, err
+		}
+		return nil, fmt.Errorf("%w: read body: %v", ErrBadRequest, err)
+	}
+	return buf.Bytes(), nil
 }
 
 // serveOne executes one prepared request: through the coalescing

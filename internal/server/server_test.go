@@ -158,10 +158,56 @@ func TestInferHappyPath(t *testing.T) {
 	sameOutputs(t, resp.Outputs, ref)
 }
 
+// typedErrorCase is one refused request of TestInferTypedErrors.
+type typedErrorCase struct {
+	name, path, body string
+	status           int
+	code             string
+}
+
+// typedErrorCases are TestInferTypedErrors' refusals against a CodeBERT
+// server capped at typedErrorsMaxBody; FuzzDecodeRequest seeds from their
+// bodies.
+func typedErrorCases(tb testing.TB) []typedErrorCase {
+	b, err := sod2.BuildModel("CodeBERT")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	okBody, err := json.Marshal(EncodeInputs(sod2.NewSample(b, 64, 0.5, 2).Inputs))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	big := `{"inputs":{"x":{"dtype":"float32","shape":[4096],"float_data":[` +
+		strings.Repeat("1,", 4095) + `1]}}}`
+	// A servable body, then whitespace until the body is over the cap.
+	padded := string(okBody) + strings.Repeat(" ", typedErrorsMaxBody)
+
+	return []typedErrorCase{
+		{"unknown model", "/v1/models/nope/infer", string(okBody), 404, "unknown_model"},
+		{"malformed json", "/v1/models/codebert/infer", `{"inputs": nope`, 400, "bad_request"},
+		{"empty inputs", "/v1/models/codebert/infer", `{"inputs":{}}`, 400, "bad_request"},
+		{"bad dtype", "/v1/models/codebert/infer", `{"inputs":{"x":{"dtype":"float16","shape":[1]}}}`, 400, "bad_request"},
+		{"length mismatch", "/v1/models/codebert/infer", `{"inputs":{"x":{"dtype":"float32","shape":[3],"float_data":[1]}}}`, 400, "bad_request"},
+		{"trailing garbage", "/v1/models/codebert/infer", `{"inputs":{"x":{"dtype":"float32","shape":[1],"float_data":[1]}}} {"again":1}`, 400, "bad_request"},
+		{"trailing bracket", "/v1/models/codebert/infer", string(okBody) + "]", 400, "bad_request"},
+		{"trailing brace", "/v1/models/codebert/infer", string(okBody) + "}", 400, "bad_request"},
+		{"oversized body", "/v1/models/codebert/infer", big, 413, "body_too_large"},
+		{"padded past cap", "/v1/models/codebert/infer", padded, 413, "body_too_large"},
+		{"wrong input names", "/v1/models/codebert/infer", `{"inputs":{"bogus":{"dtype":"float32","shape":[2],"float_data":[1,2]}}}`, 400, "contract_violation"},
+		{"zero extent", "/v1/models/codebert/infer", `{"inputs":{"tokens":{"dtype":"int64","shape":[1,0]}}}`, 400, "contract_violation"},
+	}
+}
+
+// typedErrorsMaxBody is TestInferTypedErrors' body cap.
+const typedErrorsMaxBody = 4 << 10
+
 // TestInferTypedErrors pins the wire error taxonomy: every refusal is a
 // specific status with a machine-readable code in the JSON envelope.
+// Anything but whitespace after the request object is a 400, and every
+// body over the cap is a 413, even when a servable object precedes the
+// excess.
 func TestInferTypedErrors(t *testing.T) {
-	_, _, ts := newTestServer(t, sod2.SessionOptions{}, Config{MaxBodyBytes: 4 << 10})
+	_, _, ts := newTestServer(t, sod2.SessionOptions{}, Config{MaxBodyBytes: typedErrorsMaxBody})
 	client := ts.Client()
 	inputs := sampleInputs(t, "CodeBERT", 2)
 
@@ -178,26 +224,7 @@ func TestInferTypedErrors(t *testing.T) {
 		return resp.StatusCode, env.Error
 	}
 
-	okBody, _ := json.Marshal(EncodeInputs(inputs))
-	big := `{"inputs":{"x":{"dtype":"float32","shape":[4096],"float_data":[` +
-		strings.Repeat("1,", 4095) + `1]}}}`
-
-	cases := []struct {
-		name, path, body string
-		status           int
-		code             string
-	}{
-		{"unknown model", "/v1/models/nope/infer", string(okBody), 404, "unknown_model"},
-		{"malformed json", "/v1/models/codebert/infer", `{"inputs": nope`, 400, "bad_request"},
-		{"empty inputs", "/v1/models/codebert/infer", `{"inputs":{}}`, 400, "bad_request"},
-		{"bad dtype", "/v1/models/codebert/infer", `{"inputs":{"x":{"dtype":"float16","shape":[1]}}}`, 400, "bad_request"},
-		{"length mismatch", "/v1/models/codebert/infer", `{"inputs":{"x":{"dtype":"float32","shape":[3],"float_data":[1]}}}`, 400, "bad_request"},
-		{"trailing garbage", "/v1/models/codebert/infer", `{"inputs":{"x":{"dtype":"float32","shape":[1],"float_data":[1]}}} {"again":1}`, 400, "bad_request"},
-		{"oversized body", "/v1/models/codebert/infer", big, 413, "body_too_large"},
-		{"wrong input names", "/v1/models/codebert/infer", `{"inputs":{"bogus":{"dtype":"float32","shape":[2],"float_data":[1,2]}}}`, 400, "contract_violation"},
-		{"zero extent", "/v1/models/codebert/infer", `{"inputs":{"tokens":{"dtype":"int64","shape":[1,0]}}}`, 400, "contract_violation"},
-	}
-	for _, tc := range cases {
+	for _, tc := range typedErrorCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			status, eb := post(tc.path, tc.body)
 			if status != tc.status || eb.Code != tc.code {
