@@ -61,7 +61,7 @@ func main() {
 	maxQueue := fs.Int("max-queue", 0, "serve-bench: bounded admission queue past the concurrency cap")
 	deadline := fs.Duration("deadline", 0, "serve-bench: per-request deadline (0 = none)")
 	faultEvery := fs.Int64("fault-every", 0, "serve-bench: inject a kernel fault every Nth launch (0 = off; exercises retry/breaker/quarantine)")
-	parallel := fs.Int("parallel", 0, "serve-bench: wavefront-parallel worker pool per request (0 = sequential)")
+	threads := fs.Int("parallel", 0, "serve-bench: intra-op thread budget per request (0 or 1 = sequential kernels)")
 	dtype := fs.String("dtype", "f32", "serve-bench: weight storage format — f32, int8, q4_0, or q4_1 (quantized formats serve under the model's accuracy-drift contract)")
 	storeDir := fs.String("store", "", "serve / serve-bench: compiled-artifact store directory (warm-boots from saved artifacts; cold compiles save into it)")
 	jsonOut := fs.Bool("json", false, "lint: emit machine-readable JSON reports instead of text")
@@ -102,7 +102,7 @@ func main() {
 				*maxConc, *maxQueue, *deadline, *storeDir, *batchWindow, *batchMax)
 		} else {
 			serveBenchCmd(*modelName, *device, *requests, *workers, *distinct,
-				*maxConc, *maxQueue, *deadline, *faultEvery, *parallel, *storeDir, *dtype)
+				*maxConc, *maxQueue, *deadline, *faultEvery, *threads, *storeDir, *dtype)
 		}
 	case "lint":
 		lintCmd(*modelName, *jsonOut)
@@ -312,7 +312,7 @@ func runCmd(name string, size int64, gate float32, device string) {
 // ladder, circuit breaker) on. -fault-every injects periodic kernel faults so the
 // breaker/quarantine counters move.
 func serveBenchCmd(name, device string, requests, workers, distinct,
-	maxConc, maxQueue int, deadline time.Duration, faultEvery int64, parallel int, storeDir string,
+	maxConc, maxQueue int, deadline time.Duration, faultEvery int64, threads int, storeDir string,
 	dtype string) {
 	b, ok := models.Get(name)
 	if !ok {
@@ -360,14 +360,6 @@ func serveBenchCmd(name, device string, requests, workers, distinct,
 	} else {
 		fmt.Printf("static verify: unprovable (%s) — requests run with dynamic allocation\n", rep.Mem.Reason)
 	}
-	if parallel > 0 {
-		if rep.Wave.Proven {
-			fmt.Printf("wavefront plan: proven (%d waves, max width %d, widened arena %d bytes) — parallel serving on\n",
-				rep.Wave.Waves, rep.Wave.MaxWidth, rep.Wave.ArenaSize)
-		} else {
-			fmt.Printf("wavefront plan: unproven (%s) — requests run sequentially\n", rep.Wave.Reason)
-		}
-	}
 	if distinct < 1 {
 		distinct = 1
 	}
@@ -383,10 +375,9 @@ func serveBenchCmd(name, device string, requests, workers, distinct,
 			MaxConcurrent: maxConc,
 			MaxQueue:      maxQueue,
 		},
-		Retry:           sod2.RetryPolicy{MaxAttempts: 2},
-		RequestTimeout:  deadline,
-		Parallel:        parallel > 0,
-		ParallelWorkers: parallel,
+		Retry:          sod2.RetryPolicy{MaxAttempts: 2},
+		RequestTimeout: deadline,
+		Threads:        threads,
 	}
 	var hooks *exec.Hooks
 	if faultEvery > 0 {
@@ -404,7 +395,7 @@ func serveBenchCmd(name, device string, requests, workers, distinct,
 	results := sess.InferBatch(stream)
 	wall := time.Since(start)
 
-	var failed, shed, cancelled, regionHits, waveRuns int
+	var failed, shed, cancelled, regionHits int
 	worstTier := sod2.TierPlanned
 	for _, r := range results {
 		if r.Err != nil {
@@ -421,9 +412,6 @@ func serveBenchCmd(name, device string, requests, workers, distinct,
 		if r.Report.RegionCacheHit {
 			regionHits++
 		}
-		if r.Report.Wavefronts > 0 {
-			waveRuns++
-		}
 		if r.Report.FallbackTier > worstTier {
 			worstTier = r.Report.FallbackTier
 		}
@@ -436,9 +424,8 @@ func serveBenchCmd(name, device string, requests, workers, distinct,
 		wall.Round(time.Millisecond), float64(requests)/wall.Seconds(), failed, shed, cancelled, worstTier)
 	fmt.Printf("region plan: %d/%d request hits (one static proof serves every in-region shape)\n",
 		regionHits, served)
-	if parallel > 0 {
-		fmt.Printf("wavefront parallel: %d/%d requests ran parallel (%d workers per request)\n",
-			waveRuns, served, parallel)
+	if threads > 1 {
+		fmt.Printf("intra-op threads: %d per request, on every tier\n", threads)
 	}
 	fmt.Printf("health: %s   breaker: %d faults / %d successes, %d trips, reverify %d pass / %d fail\n",
 		st.Health, st.Breaker.Faults, st.Breaker.Successes, st.Breaker.Trips,

@@ -100,8 +100,8 @@ func bootServer(builders []*models.Builder, device, storeDir string,
 		fmt.Printf("store boot: %d warm / %d cold in %v\n",
 			warm, len(builders)-warm, time.Since(bootStart).Round(time.Millisecond))
 		ctr := sod2.BootCounters()
-		fmt.Printf("compile counters: %d full compiles, %d warm loads, %d plan searches, %d wave builds, %d verifier runs\n",
-			ctr.FullCompiles, ctr.WarmLoads, ctr.PlanSearches, ctr.WaveBuilds, ctr.VerifyRuns)
+		fmt.Printf("compile counters: %d full compiles, %d warm loads, %d plan searches, %d verifier runs\n",
+			ctr.FullCompiles, ctr.WarmLoads, ctr.PlanSearches, ctr.VerifyRuns)
 	}
 	srv, err := server.New(served, server.Config{
 		Batch: server.BatchConfig{Window: batchWindow, MaxBatch: batchMax},

@@ -26,7 +26,6 @@ func main() {
 	samples := flag.Int("samples", 6, "input samples per model (paper uses 50)")
 	seed := flag.Uint64("seed", 20240427, "workload RNG seed")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	parSnap := flag.String("parallel-snapshot", "", "write the wavefront-parallel JSON snapshot (BENCH_parallel.json) to this file and exit")
 	quantSnap := flag.String("quant-snapshot", "", "write the quantized-serving JSON snapshot (BENCH_quant.json) to this file and exit")
 	flag.Parse()
 
@@ -35,10 +34,6 @@ func main() {
 		return
 	}
 	s := bench.NewSuite(bench.Options{Samples: *samples, Seed: *seed, Out: os.Stdout})
-	if *parSnap != "" {
-		writeSnapshot(*parSnap, s.WriteParallelSnapshot)
-		return
-	}
 	if *quantSnap != "" {
 		writeSnapshot(*quantSnap, s.WriteQuantSnapshot)
 		return

@@ -1,6 +1,6 @@
 // Package artifact is the crash-safe on-disk store for everything the
 // SoD² pipeline compiles: RDP results, the SEP execution order, the
-// wavefront partition, the region-wide memory plan, the shape region
+// region-wide memory plan, the shape region
 // and contract facts, and the static-verifier verdicts. One replica
 // compiles; every replica (and every restart) warm-boots by loading and
 // re-proving the artifact instead of re-running the planning searches.
@@ -66,7 +66,11 @@ import (
 // v6: artifacts carry no specialization section or verdict — every
 // stored plan describes the graph exactly as built; v5 artifacts may
 // hold a certificate this binary no longer replays and must recompile.
-const SchemaVersion uint32 = 6
+//
+// v7: artifacts carry no wave section and no wavefront verdict — there
+// is no wavefront execution; v6 artifacts hold a wave partition this
+// binary no longer replays and must recompile.
+const SchemaVersion uint32 = 7
 
 // Format constants. The header is:
 //

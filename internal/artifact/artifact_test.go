@@ -25,7 +25,6 @@ func sampleManifest() *Manifest {
 			PeakBytes: 4096,
 			Subgraphs: []SubgraphMeta{{ID: 0, Class: 1, Method: "sep", Versions: 2, Nodes: []string{"a", "b"}}},
 		},
-		Waves:  &WaveSection{Ranges: [][2]int{{0, 2}, {2, 3}}, MemCap: 8192, MaxWidth: 2},
 		Region: map[string]IntervalDTO{"N": {Lo: 1, Hi: 64, Stride: 1}},
 		Facts:  []FactDTO{{Symbol: "N", Kind: 0, Min: 1, Max: 64}},
 		MemPlan: &MemPlanSection{
@@ -34,7 +33,7 @@ func sampleManifest() *Manifest {
 		},
 		Verdicts: VerdictSection{
 			ExecProven: true, MemProven: true, MemArenaSize: 2048, MemBuffers: 2,
-			WaveProven: true, WaveArenaSize: 4096, DiagCodes: []string{"W001"},
+			DiagCodes: []string{"W001"},
 		},
 	}
 }
@@ -65,14 +64,12 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestRoundTripMinimal(t *testing.T) {
-	// Optional sections absent: no wave plan, no proven memory plan.
+	// Optional section absent: no proven memory plan.
 	st, _ := Open(t.TempDir())
 	key := testKey()
 	want := sampleManifest()
-	want.Waves = nil
 	want.MemPlan = nil
 	want.Verdicts.MemProven = false
-	want.Verdicts.WaveProven = false
 	if err := st.Save(key, want); err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,10 @@ import (
 // against refactors of the in-memory representations, and a loaded
 // manifest can be validated field by field before anything trusts it.
 //
-// The manifest stores *decisions* (the SEP order, the wave partition,
-// the proven arena offsets, the analyzed facts and region) plus
-// *fingerprints* of the analyses that produced them (the RDP shape
-// digest, the verifier verdicts). Cheap, deterministic derivations —
+// The manifest stores *decisions* (the SEP order, the proven arena
+// offsets, the analyzed facts and region) plus *fingerprints* of the
+// analyses that produced them (the RDP shape digest, the verifier
+// verdicts). Cheap, deterministic derivations —
 // fusion groups, MVC versions, the BFS baseline order — are recomputed
 // at load; expensive searches are reused; and the fingerprints let
 // verify-on-load detect a binary whose analyses have drifted since the
@@ -30,8 +30,6 @@ type Manifest struct {
 	RDP RDPSection
 	// SEP is the planned execution order and its partition metadata.
 	SEP SEPSection
-	// Waves is the wavefront partition (nil when none was built).
-	Waves *WaveSection
 	// Region is the verified shape region, symbol → strided interval.
 	Region map[string]IntervalDTO
 	// Facts are the analyzed input facts the runtime contract checks.
@@ -86,14 +84,6 @@ type SubgraphMeta struct {
 	Method   string   `json:"method"`
 	Versions int      `json:"versions"`
 	Nodes    []string `json:"nodes"`
-}
-
-// WaveSection is the wavefront partition: half-open step ranges over
-// the SEP order, plus the construction parameters for observability.
-type WaveSection struct {
-	Ranges   [][2]int `json:"ranges"`
-	MemCap   int64    `json:"mem_cap"`
-	MaxWidth int      `json:"max_width"`
 }
 
 // IntervalDTO is a strided interval {Lo, Lo+Stride, ..., Hi}.
@@ -155,25 +145,21 @@ type QuantTensorDTO struct {
 // VerdictSection pins the compile-time verifier outcome. Verify-on-load
 // must reproduce it exactly; any disagreement is a proof mismatch.
 type VerdictSection struct {
-	ExecProven    bool     `json:"exec_proven"`
-	MemProven     bool     `json:"mem_proven"`
-	MemReason     string   `json:"mem_reason,omitempty"`
-	MemArenaSize  int64    `json:"mem_arena_size"`
-	MemBuffers    int      `json:"mem_buffers"`
-	WaveProven    bool     `json:"wave_proven"`
-	WaveReason    string   `json:"wave_reason,omitempty"`
-	WaveArenaSize int64    `json:"wave_arena_size"`
-	LintErrors    int      `json:"lint_errors"`
-	DiagCodes     []string `json:"diag_codes,omitempty"`
+	ExecProven   bool     `json:"exec_proven"`
+	MemProven    bool     `json:"mem_proven"`
+	MemReason    string   `json:"mem_reason,omitempty"`
+	MemArenaSize int64    `json:"mem_arena_size"`
+	MemBuffers   int      `json:"mem_buffers"`
+	LintErrors   int      `json:"lint_errors"`
+	DiagCodes    []string `json:"diag_codes,omitempty"`
 }
 
 // Section names. meta/rdp/sep/region/facts/verdicts are required;
-// waves/memplan are present only when the compile produced them.
+// memplan/quant are present only when the compile produced them.
 const (
 	secMeta     = "meta"
 	secRDP      = "rdp"
 	secSEP      = "sep"
-	secWaves    = "waves"
 	secRegion   = "region"
 	secFacts    = "facts"
 	secMemPlan  = "memplan"
@@ -202,11 +188,6 @@ func (m *Manifest) encodeSections() ([]section, error) {
 	}
 	if err := add(secSEP, &m.SEP); err != nil {
 		return nil, err
-	}
-	if m.Waves != nil {
-		if err := add(secWaves, m.Waves); err != nil {
-			return nil, err
-		}
 	}
 	if err := add(secRegion, m.Region); err != nil {
 		return nil, err
@@ -258,12 +239,6 @@ func decodeSections(path string, sections map[string][]byte) (*Manifest, *Corrup
 	}
 	if ce := dec(secSEP, &m.SEP, true); ce != nil {
 		return nil, ce
-	}
-	if _, ok := sections[secWaves]; ok {
-		m.Waves = &WaveSection{}
-		if ce := dec(secWaves, m.Waves, true); ce != nil {
-			return nil, ce
-		}
 	}
 	if ce := dec(secRegion, &m.Region, true); ce != nil {
 		return nil, ce

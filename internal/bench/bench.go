@@ -68,7 +68,7 @@ func (s *Suite) printf(format string, args ...interface{}) {
 func Experiments() []string {
 	return []string{"table1", "table5", "table6", "table7",
 		"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-		"fig12", "fig13", "memopt", "rdpablate", "parallel", "warmboot", "quant"}
+		"fig12", "fig13", "memopt", "rdpablate", "warmboot", "quant"}
 }
 
 // Run dispatches one experiment by ID ("all" runs everything). After
@@ -121,8 +121,6 @@ func (s *Suite) run(id string) error {
 		return s.MemPlanAblation()
 	case "rdpablate":
 		return s.RDPAblation()
-	case "parallel":
-		return s.Parallel()
 	case "warmboot":
 		return s.WarmBoot()
 	case "quant":

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -20,7 +19,7 @@ func runExp(t *testing.T, id string) string {
 }
 
 func TestExperimentIDs(t *testing.T) {
-	if len(Experiments()) != 18 {
+	if len(Experiments()) != 17 {
 		t.Errorf("experiments = %d", len(Experiments()))
 	}
 	s := NewSuite(Options{Samples: 1, Out: &bytes.Buffer{}})
@@ -43,42 +42,6 @@ func TestTable7Output(t *testing.T) {
 	for _, want := range []string{"Table 7", "ORT", "MNN", "TVM-N", "100th"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q", want)
-		}
-	}
-}
-
-func TestParallelOutput(t *testing.T) {
-	out := runExp(t, "parallel")
-	for _, want := range []string{"Wavefront parallel", "CodeBERT", "YOLO-V6", "x @4w"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q", want)
-		}
-	}
-}
-
-func TestParallelSnapshotJSON(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewSuite(Options{Samples: 2, Seed: 5, Out: &buf})
-	var snap bytes.Buffer
-	if err := s.WriteParallelSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	var decoded ParallelSnapshot
-	if err := json.Unmarshal(snap.Bytes(), &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded.Rows) != 10 {
-		t.Fatalf("snapshot rows = %d, want 10", len(decoded.Rows))
-	}
-	for _, r := range decoded.Rows {
-		if r.Waves == 0 || r.SequentialMS <= 0 {
-			t.Fatalf("row %+v incomplete", r)
-		}
-		for _, w := range decoded.Workers {
-			par := r.ParallelMS[workerKey(w)]
-			if par <= 0 || par > r.SequentialMS*1.0001 {
-				t.Fatalf("%s at %d workers: parallel %v vs sequential %v", r.Model, w, par, r.SequentialMS)
-			}
 		}
 	}
 }

@@ -12,6 +12,13 @@ import (
 	"repro/internal/workload"
 )
 
+// roundTo rounds v to the given number of decimals, so snapshot JSON
+// stays stable across runs.
+func roundTo(v float64, decimals int) float64 {
+	p := math.Pow(10, float64(decimals))
+	return math.Round(v*p) / p
+}
+
 // QuantRow is one model's int8-vs-float32 serving comparison: packed
 // storage ratio, measured wall-clock speedup, and output drift against
 // the float32 reference on the same inputs.

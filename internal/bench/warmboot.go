@@ -11,9 +11,9 @@ import (
 // WarmBoot measures what the compiled-artifact store buys at startup:
 // every model is cold-compiled through a fresh store (full pipeline +
 // verification + crash-safe save), then booted a second time from the
-// artifact (verify-on-load only — the SEP search and wavefront
-// construction are skipped). The table reports both boots and the
-// speedup; the counters line proves the warm path did no planning work.
+// artifact (verify-on-load only — the SEP search is skipped). The table
+// reports both boots and the speedup; the counters line proves the warm
+// path did no planning work.
 func (s *Suite) WarmBoot() error {
 	dir, err := os.MkdirTemp("", "sod2-warmboot-*")
 	if err != nil {
@@ -57,9 +57,8 @@ func (s *Suite) WarmBoot() error {
 		overall = coldTotal / warmTotal
 	}
 	s.printf("%-18s %10.2f %10.2f %8.1fx\n", "TOTAL", coldTotal, warmTotal, overall)
-	s.printf("warm path work: %d plan searches, %d wave builds (cold path ran %d each); %d verifier runs total (every load is re-proven)\n",
+	s.printf("warm path work: %d plan searches (cold path ran %d); %d verifier runs total (every load is re-proven)\n",
 		after.PlanSearches-before.PlanSearches-uint64(len(models.All())),
-		after.WaveBuilds-before.WaveBuilds-uint64(len(models.All())),
 		len(models.All()), after.VerifyRuns-before.VerifyRuns)
 	return nil
 }

@@ -1,9 +1,9 @@
 // Package dtypes infers a static element type for every value in a
 // graph, making the memory pipeline byte-width-aware: the arena planner
 // uses it to keep non-float values out of the placement program (the
-// runtime only arena-places float32 tensors), and the SEP/wavefront
-// live-byte accounting uses it to charge 8 bytes for int64 shape
-// tensors and 1 byte for bool masks instead of a flat 4.
+// runtime only arena-places float32 tensors), and the SEP live-byte
+// accounting uses it to charge 8 bytes for int64 shape tensors and 1
+// byte for bool masks instead of a flat 4.
 //
 // The inference mirrors the kernel registry's output types exactly
 // where it assigns a narrow type, and defaults to Float32 everywhere

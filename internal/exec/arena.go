@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"unsafe"
 
 	"repro/internal/tensor"
@@ -46,13 +45,9 @@ type Arena struct {
 	// spilling into the slot above it.
 	Offsets, Sizes []int64
 	// HighWater is the highest byte actually touched by placements.
-	// Guarded by hwMu: the wavefront executor places same-wave outputs
-	// concurrently (into disjoint planned regions — the copies need no
-	// lock, but this max does).
 	HighWater int64
 
-	hwMu sync.Mutex
-	buf  []float32
+	buf []float32
 }
 
 // NewArena lays slots (see Arena) over buf, which should reach the end
@@ -112,11 +107,9 @@ func (a *Arena) place(name string, t *tensor.Tensor) (*tensor.Tensor, error) {
 	if start+n > int64(len(a.buf)) {
 		return nil, fmt.Errorf("exec: %s [%d,%d) %w of %d floats", name, start, start+n, ErrArenaOverflow, int64(len(a.buf)))
 	}
-	a.hwMu.Lock()
 	if end > a.HighWater {
 		a.HighWater = end
 	}
-	a.hwMu.Unlock()
 	dst := a.buf[start : start+n]
 	copy(dst, t.F)
 	return &tensor.Tensor{DType: tensor.Float32, Shape: t.Shape, F: dst}, nil

@@ -90,36 +90,24 @@ type Options struct {
 	// the inference with the context's error.
 	Ctx context.Context
 	// Hooks, when non-nil, intercept kernel and allocation events.
-	// Under wavefront execution (Waves/Workers below) PreKernel and
-	// PostKernel run concurrently from pool workers and must be safe
-	// for concurrent use; OnAlloc stays sequential (wave barrier).
 	Hooks *Hooks
-	// Waves, when non-nil together with Workers > 1, partitions Order
-	// into contiguous dependency wavefronts (flattening Waves must
-	// reproduce Order exactly). The kernels of one wave run concurrently
-	// on a persistent worker pool; all bookkeeping (values, trace,
-	// liveness accounting, frees) happens sequentially in planned order
-	// at the wave barrier, so outputs and traces are bit-identical to
-	// sequential execution. If an Arena is set, its offsets must come
-	// from a wave-widened memory plan (memplan.WidenWaves) — per-step
-	// offsets may overlap across a wave.
-	Waves [][]*graph.Node
-	// Workers sizes the wavefront worker pool (<=1 disables it). Solo
-	// waves and control-flow ops run inline with the full budget as
-	// intra-op threads; a wave of width w gives each kernel
-	// max(1, Workers/w) intra-op threads.
-	Workers int
+	// Threads is the intra-op thread budget every kernel runs with,
+	// including inside If/Loop bodies (<=1 runs each kernel on the
+	// calling goroutine). Kernels stripe their output ranges without
+	// changing any element's arithmetic order, so outputs are
+	// bit-identical at every budget.
+	Threads int
 }
 
-// subOptions derives the options an If/Loop body run inherits. Waves and
-// Workers are intentionally dropped: wavefronts are planned for the top
-// level only, and control-flow bodies run sequentially inside their
-// (solo-wave) parent op.
+// subOptions derives the options an If/Loop body run inherits. Arena and
+// Order are dropped: a body runs in its own declaration order with
+// dynamic allocation.
 func (o Options) subOptions() Options {
 	return Options{
 		ExecuteAllBranches: o.ExecuteAllBranches,
 		Ctx:                o.Ctx,
 		Hooks:              o.Hooks,
+		Threads:            o.Threads,
 	}
 }
 
@@ -148,9 +136,6 @@ type executor struct {
 	// the execute-all policy; Combine strips them (§2: "execution of all
 	// possible paths, and stripping out invalid results").
 	invalid map[string]bool
-	// soloThreads is the intra-op thread budget for kernels executed
-	// inline (solo waves get the whole worker budget); 0 means 1.
-	soloThreads int
 }
 
 func (ex *executor) run(inputs map[string]*tensor.Tensor) (*Result, error) {
@@ -190,18 +175,12 @@ func (ex *executor) run(inputs map[string]*tensor.Tensor) (*Result, error) {
 		ex.values[name] = t
 	}
 
-	if len(ex.opts.Waves) > 0 && ex.opts.Workers > 1 {
-		if err := ex.runWaves(order); err != nil {
+	for _, n := range order {
+		if err := ex.checkCtx(n); err != nil {
 			return nil, err
 		}
-	} else {
-		for _, n := range order {
-			if err := ex.checkCtx(n); err != nil {
-				return nil, err
-			}
-			if err := ex.safeExec(n); err != nil {
-				return nil, err
-			}
+		if err := ex.safeExec(n); err != nil {
+			return nil, err
 		}
 	}
 
@@ -242,10 +221,10 @@ func (ex *executor) safeExec(n *graph.Node) (err error) {
 }
 
 // runKernel executes a node's kernel with hook interception,
-// per-kernel panic containment, and an intra-op thread budget. Every
-// failure surfaces as *guard.OpError. Safe for concurrent use by wave
-// workers: it only reads executor state.
-func (ex *executor) runKernel(n *graph.Node, in []*tensor.Tensor, threads int) (out []*tensor.Tensor, err error) {
+// per-kernel panic containment, and the run's intra-op thread budget.
+// Every failure surfaces as *guard.OpError, including a panic in one of
+// the kernel's stripes (kernels.ParallelForGrain re-raises it here).
+func (ex *executor) runKernel(n *graph.Node, in []*tensor.Tensor) (out []*tensor.Tensor, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = nil
@@ -258,7 +237,7 @@ func (ex *executor) runKernel(n *graph.Node, in []*tensor.Tensor, threads int) (
 			return nil, &guard.OpError{Node: n.Name, Op: n.OpType, InputShapes: inputShapes(in), Cause: herr}
 		}
 	}
-	out, kerr := kernels.RunWithBudget(n, in, threads)
+	out, kerr := kernels.RunWithBudget(n, in, max(1, ex.opts.Threads))
 	if kerr != nil {
 		return nil, &guard.OpError{Node: n.Name, Op: n.OpType, InputShapes: inputShapes(in), Cause: kerr}
 	}
@@ -385,38 +364,18 @@ func (ex *executor) execNode(n *graph.Node) error {
 		ex.skip(n)
 		return nil
 	}
-	out, err := ex.compute(n, in, max(1, ex.soloThreads))
+	out, err := ex.runKernel(n, in)
 	if err != nil {
 		return err
-	}
-	return ex.commit(n, in, out)
-}
-
-// compute runs n's kernel over its gathered inputs and places the
-// outputs in the arena. It only reads executor state, so the workers of
-// a wave call it concurrently (same-wave placements land in disjoint
-// wave-widened regions).
-func (ex *executor) compute(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
-	out, err := ex.runKernel(n, in, threads)
-	if err != nil {
-		return nil, err
 	}
 	for i, name := range n.Outputs {
 		if name == "" || i >= len(out) {
 			continue
 		}
 		if out[i], err = ex.opts.Arena.place(name, out[i]); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
-}
-
-// commit is all the bookkeeping a computed node leaves behind — taint,
-// values, trace event, liveness accounting, frees. It runs sequentially
-// in planned order: after each compute in the sequential interpreter,
-// after the barrier in a wave.
-func (ex *executor) commit(n *graph.Node, in, out []*tensor.Tensor) error {
 	// Invalidity propagates: a result computed from an untaken branch's
 	// value is itself invalid (but was still executed and costed).
 	tainted := false

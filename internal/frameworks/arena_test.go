@@ -117,7 +117,7 @@ func TestFittedArenaAllocatesLessThanWorstCase(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			best = min(best, after.TotalAlloc-before.TotalAlloc)
 		}
-		worst := uint64(c.PlannedArenaBytes(GuardOptions{}))
+		worst := uint64(c.PlannedArenaBytes())
 		t.Logf("%s@%d: %d bytes allocated per request, worst-case arena %d", name, c.Builder.MinSize, best, worst)
 		if best >= worst {
 			t.Errorf("%s@%d: a request allocated %d bytes, not below the %d-byte worst-case arena",

@@ -111,14 +111,6 @@ func Snapshot(c *Compiled, rep *staticverify.Report, key artifact.Key) *artifact
 		})
 	}
 
-	if c.WavePlan != nil {
-		m.Waves = &artifact.WaveSection{
-			Ranges:   c.WavePlan.Ranges,
-			MemCap:   c.WavePlan.MemCap,
-			MaxWidth: c.WavePlan.MaxWidth,
-		}
-	}
-
 	m.Region = map[string]artifact.IntervalDTO{}
 	for sym, iv := range rep.Region {
 		m.Region[sym] = artifact.IntervalDTO{Lo: iv.Lo, Hi: iv.Hi, Stride: iv.Stride}
@@ -171,16 +163,13 @@ func Snapshot(c *Compiled, rep *staticverify.Report, key artifact.Key) *artifact
 	}
 
 	m.Verdicts = artifact.VerdictSection{
-		ExecProven:    rep.Exec.Proven,
-		MemProven:     rep.Mem.Proven,
-		MemReason:     rep.Mem.Reason,
-		MemArenaSize:  rep.Mem.ArenaSize,
-		MemBuffers:    rep.Mem.Buffers,
-		WaveProven:    rep.Wave.Proven,
-		WaveReason:    rep.Wave.Reason,
-		WaveArenaSize: rep.Wave.ArenaSize,
-		LintErrors:    rep.Errors(),
-		DiagCodes:     diagCodes(rep),
+		ExecProven:   rep.Exec.Proven,
+		MemProven:    rep.Mem.Proven,
+		MemReason:    rep.Mem.Reason,
+		MemArenaSize: rep.Mem.ArenaSize,
+		MemBuffers:   rep.Mem.Buffers,
+		LintErrors:   rep.Errors(),
+		DiagCodes:    diagCodes(rep),
 	}
 	return m
 }
@@ -221,11 +210,10 @@ func (e *loadError) Error() string {
 
 // compileFromManifest reconstructs a Compiled from a manifest, treating
 // every stored reference as untrusted: node names must resolve against
-// the freshly built graph exactly once, wave ranges must partition the
-// order, and the RDP digest must match this binary's analysis. Cheap
-// derivations (fusion, MVC, BFS baseline, body sub-graphs) are
-// recomputed; the SEP search and wavefront construction are not — that
-// is the work the store exists to skip.
+// the freshly built graph exactly once, and the RDP digest must match
+// this binary's analysis. Cheap derivations (fusion, MVC, BFS baseline,
+// body sub-graphs) are recomputed; the SEP search is not — that is the
+// work the store exists to skip.
 func compileFromManifest(b *models.Builder, g *graph.Graph, man *artifact.Manifest, cfg SchedConfig) (*Compiled, *loadError) {
 	// Config/section agreement: the key separates quantized and float
 	// artifacts, so a stored quant section that disagrees with the
@@ -321,13 +309,6 @@ func compileFromManifest(b *models.Builder, g *graph.Graph, man *artifact.Manife
 	// region exactly as the compile narrowed them.
 	c.MVCPlan = mvc.BuildPlanRegion(g, res.Infos, b.MinSize, b.MaxSize, c.presetRegion)
 	c.NaiveOrder = plan.BFSOrder(g)
-	if man.Waves != nil {
-		wp, err := plan.WavefrontsFromRanges(order, man.Waves.Ranges, man.Waves.MemCap)
-		if err != nil {
-			return nil, &loadError{"waves", "graph-mismatch", err.Error()}
-		}
-		c.WavePlan = wp
-	}
 
 	c.compileSubgraphs()
 	c.buildHotspotIndex()
@@ -435,14 +416,6 @@ func crossCheckVerdicts(rep *staticverify.Report, man *artifact.Manifest) *loadE
 			}
 		}
 	}
-	if rep.Wave.Proven != v.WaveProven {
-		return mismatch(fmt.Sprintf("wavefront verdict drifted: stored proven=%v, re-proof proven=%v (%s)",
-			v.WaveProven, rep.Wave.Proven, rep.Wave.Reason))
-	}
-	if rep.Wave.Proven && rep.Wave.ArenaSize != v.WaveArenaSize {
-		return mismatch(fmt.Sprintf("widened arena drifted: stored %d, re-proof %d",
-			v.WaveArenaSize, rep.Wave.ArenaSize))
-	}
 	if got := rep.Errors(); got != v.LintErrors {
 		return mismatch(fmt.Sprintf("lint verdict drifted: stored %d errors, re-run %d", v.LintErrors, got))
 	}
@@ -475,8 +448,8 @@ type BootInfo struct {
 
 // CompileWithStore boots one model through the artifact store:
 //
-//   - store hit + verify-on-load pass → warm boot (the SEP search and
-//     wavefront construction are skipped; the static verifier re-proves
+//   - store hit + verify-on-load pass → warm boot (the SEP search is
+//     skipped; the static verifier re-proves
 //     the loaded plans before anything serves from them);
 //   - store miss → cold compile + verify, then a crash-safe save;
 //   - corrupt artifact (torn/checksum/version-skew at load, or a failed

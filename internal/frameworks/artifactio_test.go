@@ -71,7 +71,7 @@ func bitDiff(got, want map[string]*tensor.Tensor) string {
 // evaluation model cold-compiles through the store, warm-boots from the
 // saved artifact (verify-on-load), and produces outputs bit-identical to
 // the in-process compile — while the warm boot provably skips the plan
-// search and wavefront construction (counters).
+// search (counters).
 func TestStoreRoundTripAllModels(t *testing.T) {
 	st, err := artifact.Open(t.TempDir())
 	if err != nil {
@@ -100,9 +100,6 @@ func TestStoreRoundTripAllModels(t *testing.T) {
 			}
 			if after.PlanSearches != before.PlanSearches {
 				t.Errorf("warm boot ran the SEP plan search (%d -> %d)", before.PlanSearches, after.PlanSearches)
-			}
-			if after.WaveBuilds != before.WaveBuilds {
-				t.Errorf("warm boot ran wavefront construction (%d -> %d)", before.WaveBuilds, after.WaveBuilds)
 			}
 			if after.FullCompiles != before.FullCompiles {
 				t.Errorf("warm boot ran a full compile (%d -> %d)", before.FullCompiles, after.FullCompiles)

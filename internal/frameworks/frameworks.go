@@ -54,11 +54,6 @@ type Report struct {
 	// region, so contract and plan re-verification were skipped entirely
 	// (even for a shape never seen before).
 	RegionCacheHit bool
-	// Wavefronts is the number of waves the request executed under the
-	// wavefront-parallel interpreter (0 = sequential execution), and
-	// ParallelWorkers the worker-pool size it ran with.
-	Wavefronts      int
-	ParallelWorkers int
 }
 
 // Engine is one execution framework.
@@ -92,12 +87,6 @@ type Compiled struct {
 	// NaiveOrder is the parallelism-first (BFS) schedule used as the
 	// "no execution planning" baseline.
 	NaiveOrder []*graph.Node
-	// WavePlan partitions ExecPlan.Order — the memory-minimal SEP order
-	// every tier serves — into dependency wavefronts for parallel
-	// execution (nil when the graph yields none, e.g. a build failure —
-	// serving then stays sequential). Like every other compiled artifact
-	// it is read-only after Compile.
-	WavePlan *plan.WavefrontPlan
 
 	// cacheMu guards traces, the evaluation harness's memo of executor
 	// results by (sample, policy), with bounded per-entry LRU eviction.
@@ -160,9 +149,9 @@ type CompileCounters struct {
 	// reconstructed from a stored artifact.
 	FullCompiles, WarmLoads uint64
 	// PlanSearches counts top-level SEP order searches (plan.Build on a
-	// model's main graph); WaveBuilds counts wavefront constructions.
-	// Neither moves on the warm path — that is the point of the store.
-	PlanSearches, WaveBuilds uint64
+	// model's main graph). It does not move on the warm path — that is
+	// the point of the store.
+	PlanSearches uint64
 	// VerifyRuns counts static-verifier analyses (cold compile-time
 	// verification and warm verify-on-load both count: a loaded plan is
 	// untrusted until re-proven).
@@ -170,7 +159,7 @@ type CompileCounters struct {
 }
 
 var compileCounters struct {
-	fullCompiles, warmLoads, planSearches, waveBuilds, verifyRuns atomic.Uint64
+	fullCompiles, warmLoads, planSearches, verifyRuns atomic.Uint64
 }
 
 // Counters snapshots the process-wide compile counters.
@@ -179,7 +168,6 @@ func Counters() CompileCounters {
 		FullCompiles: compileCounters.fullCompiles.Load(),
 		WarmLoads:    compileCounters.warmLoads.Load(),
 		PlanSearches: compileCounters.planSearches.Load(),
-		WaveBuilds:   compileCounters.waveBuilds.Load(),
 		VerifyRuns:   compileCounters.verifyRuns.Load(),
 	}
 }
@@ -282,15 +270,13 @@ func (c *Compiled) Invalidate() {
 }
 
 // PlannedArenaBytes returns the statically proven worst-case arena
-// footprint of the layout a planned request under opts runs on — the
-// wave-widened one for a Parallel request that gets it — for the
+// footprint of the region layout every planned request runs on, for the
 // model's whole input region, or 0 when no proof is currently held. The
 // serving layer's admission controller uses it as the per-request
-// memory reservation estimate.
-func (c *Compiled) PlannedArenaBytes(opts GuardOptions) int64 {
+// memory reservation estimate, whatever the request's thread budget.
+func (c *Compiled) PlannedArenaBytes() int64 {
 	if r := c.verified.Load(); r != nil && r.Mem.Proven {
-		layout, _ := c.plannedLayout(r, opts)
-		return layout.ArenaSize
+		return r.Mem.ArenaSize
 	}
 	return 0
 }
@@ -393,14 +379,6 @@ func compileGraph(b *models.Builder, g *graph.Graph, cfg SchedConfig) (*Compiled
 	// regimes the region rules out get fewer versions (§4.4.2).
 	c.MVCPlan = mvc.BuildPlanRegion(g, res.Infos, b.MinSize, b.MaxSize, c.presetRegion)
 	c.NaiveOrder = plan.BFSOrder(g)
-	// Wavefront partition of the memory-minimal order for parallel
-	// execution, each wave capped at twice that order's peak. Failure is
-	// non-fatal: serving stays sequential.
-	compileCounters.waveBuilds.Add(1)
-	if wp, werr := plan.BuildWavefronts(g, res.Infos, c.ExecPlan.Order,
-		plan.WavefrontOptions{Fusion: c.FusionRDP}); werr == nil {
-		c.WavePlan = wp
-	}
 	c.compileSubgraphs()
 	c.buildHotspotIndex()
 	// Weight quantization runs last: it swaps initializer storage only —

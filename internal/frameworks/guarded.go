@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/exec"
@@ -39,16 +38,11 @@ type GuardOptions struct {
 	// accuracy-drift budget (doubles the request's compute; the
 	// reference outputs serve the request if the contract is violated).
 	VerifyDrift bool
-	// Parallel requests wavefront-parallel execution on the planned
-	// tier: kernels of each statically planned wave run concurrently on
-	// a worker pool, against the wave-widened (concurrency-proven)
-	// arena plan. Requests that cannot run parallel soundly — no wave
-	// partition, widened plan unproven, degraded tier — silently execute
-	// sequentially; check GuardReport.Wavefronts.
-	Parallel bool
-	// Workers sizes the worker pool when Parallel is set
-	// (runtime.GOMAXPROCS(0) if <= 0).
-	Workers int
+	// Threads is the request's intra-op thread budget: every kernel, on
+	// every rung and inside If/Loop bodies, splits its work over up to
+	// that many goroutines (<=1 runs each kernel on the caller's
+	// goroutine). Outputs are bit-identical at every budget.
+	Threads int
 }
 
 // GuardReport describes how a guarded inference actually ran.
@@ -65,21 +59,13 @@ type GuardReport struct {
 	// with no per-shape contract checks — including for shapes never seen
 	// before. It is the only way a request runs planned.
 	RegionCacheHit bool
-	// Wavefronts is the number of waves the run executed under the
-	// wavefront-parallel interpreter (0 = sequential), and
-	// ParallelWorkers the pool size it ran with.
-	Wavefronts      int
-	ParallelWorkers int
 }
 
-// degrade records one step down the ladder. Below the planned rung
-// nothing runs parallel: without the widened arena plan there is no
-// concurrency soundness proof.
+// degrade records one step down the ladder.
 func (gr *GuardReport) degrade(reason string, kind guard.ViolationKind, to guard.Tier) {
 	gr.Degradations = append(gr.Degradations, guard.Degradation{
 		Reason: reason, Kind: kind, From: gr.Tier, To: to})
 	gr.Tier = to
-	gr.Wavefronts, gr.ParallelWorkers = 0, 0
 }
 
 // Contract returns the model's runtime contract: declared symbolic input
@@ -111,9 +97,6 @@ type rung struct {
 	// binding, gives each buffer.
 	layout *memplan.Layout
 	env    symbolic.Env
-	// workers > 0 runs the compiled wave partition on that many workers;
-	// layout is then the wave-widened (concurrency-proven) one.
-	workers int
 }
 
 // GuardedRun executes one set of inputs under the full runtime contract,
@@ -207,8 +190,7 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 	// One plan source for the planned rung: the region proof. A request
 	// binding inside the proven region is served with the region-wide
 	// layout, fitted to its own sizes — no fact/shape checks, including
-	// for shapes never seen before. rep.Wave.Layout is non-nil exactly
-	// when the wavefront proof passed.
+	// for shapes never seen before.
 	r := rung{graph: c.Graph, order: c.ExecPlan.Order, env: env}
 	var rep *staticverify.Report
 	if cerr == nil && !opts.ForceDynamic {
@@ -253,14 +235,7 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 	r.tier = gr.Tier
 	switch r.tier {
 	case guard.TierPlanned:
-		var parallel bool
-		if r.layout, parallel = c.plannedLayout(rep, opts); parallel {
-			r.workers = opts.Workers
-			if r.workers <= 0 {
-				r.workers = runtime.GOMAXPROCS(0)
-			}
-			gr.Wavefronts, gr.ParallelWorkers = c.WavePlan.NumWaves(), r.workers
-		}
+		// r.layout is the region proof's, set above.
 	case guard.TierReplan:
 		// Re-analyze under the concrete input shapes and rebuild the
 		// execution order (MNN-style re-initialization).
@@ -276,33 +251,18 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 	return r, nil
 }
 
-// plannedLayout is the proven layout a planned request under opts runs
-// on. Wavefront-parallel serving takes the wave-widened layout: only when
-// the request asks for it, the concurrency proof passed, and there is a
-// wave partition to run. Anything short of that runs sequentially on the
-// region proof's layout — a scheduling choice, not a degradation.
-func (c *Compiled) plannedLayout(rep *staticverify.Report, opts GuardOptions) (layout *memplan.Layout, parallel bool) {
-	if wave := rep.Wave.Layout; opts.Parallel && wave != nil && c.WavePlan != nil {
-		return wave, true
-	}
-	return rep.Mem.Layout, false
-}
-
 // runRung is the one place a guarded request executes: exec.Run under
-// the request's Ctx/Hooks — on a rung with a layout, into a kept arena
-// buffer with the layout fitted to the request — then the epilogue every
-// tier owes its caller: every graph output produced, outputs detached
-// from the arena (before its buffer goes back to the stack), and the
-// non-finite scan.
+// the request's Ctx/Hooks/Threads — on a rung with a layout, into a kept
+// arena buffer with the layout fitted to the request — then the epilogue
+// every tier owes its caller: every graph output produced, outputs
+// detached from the arena (before its buffer goes back to the stack),
+// and the non-finite scan.
 func (c *Compiled) runRung(r rung, inputs map[string]*tensor.Tensor, opts GuardOptions, gr *GuardReport) (*exec.Result, error) {
-	eo := exec.Options{Order: r.order, Ctx: opts.Ctx, Hooks: opts.Hooks}
+	eo := exec.Options{Order: r.order, Ctx: opts.Ctx, Hooks: opts.Hooks, Threads: opts.Threads}
 	if r.layout != nil {
 		ab := c.arenas.pop()
 		defer c.arenas.push(ab)
 		eo.Arena = ab.fit(r.layout, c.Infos, r.env)
-	}
-	if r.workers > 0 {
-		eo.Waves, eo.Workers = c.WavePlan.Waves, r.workers
 	}
 	res, err := exec.Run(r.graph, inputs, eo)
 	if err != nil {

@@ -2,6 +2,7 @@ package frameworks
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -161,7 +162,6 @@ func plantUnprovenMemory(c *Compiled) (undo func()) {
 	held := c.Verify()
 	planted := *held
 	planted.Mem = staticverify.MemVerdict{Reason: "planted: no proof"}
-	planted.Wave = staticverify.WaveVerdict{}
 	c.verified.Store(&planted)
 	return func() { c.verified.Store(held) }
 }
@@ -283,9 +283,10 @@ var ladderCases = []ladderCase{
 }
 
 // TestTierEquivalence walks the ladder: every rung forced in turn, for
-// all ten models, float32 and int8, each held to the exec.Run oracle on
-// the uncompiled graph — bit-identical where float32 weights ran, within
-// the compile's drift budget where int8 ones did. Whatever tier serves a
+// all ten models, float32 and int8, at thread budgets 1 and 4, each held
+// to the exec.Run oracle on the uncompiled graph — bit-identical where
+// float32 weights ran, within the compile's drift budget where int8 ones
+// did. Whatever tier serves a
 // request, it is the same function of the inputs.
 func TestTierEquivalence(t *testing.T) {
 	for _, b := range models.All() {
@@ -327,27 +328,35 @@ func TestTierEquivalence(t *testing.T) {
 									defer undo()
 								}
 							}
-							res, gr, err := c.GuardedRun(in, lc.opts)
-							if err != nil {
-								t.Fatalf("guarded run: %v (%+v)", err, gr.Degradations)
-							}
-							if gr.Tier != lc.tier {
-								t.Fatalf("served on %v, want %v (%+v)", gr.Tier, lc.tier, gr.Degradations)
-							}
-							if lc.kind == "" && len(gr.Degradations) != 0 {
-								t.Errorf("unexpected degradations %+v", gr.Degradations)
-							}
-							if lc.kind != "" && (len(gr.Degradations) != 1 ||
-								gr.Degradations[0].Kind != lc.kind || gr.Degradations[0].To != lc.tier) {
-								t.Errorf("degradations %+v, want one %v step to %v", gr.Degradations, lc.kind, lc.tier)
-							}
-							if lc.check != nil {
-								lc.check(t, gr)
-							}
-							if dtype == tensor.Float32 || lc.exact {
-								requireBitIdentical(t, b.Name, res.Outputs, oracle)
-							} else if err := guard.CheckDrift(oracle, res.Outputs, c.Quant.Budget); err != nil {
-								t.Errorf("int8 outputs outside the drift budget: %v", err)
+							// Every rung at two thread budgets: striped kernels
+							// are bit-identical to sequential ones.
+							for _, threads := range []int{1, 4} {
+								t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+									opts := lc.opts
+									opts.Threads = threads
+									res, gr, err := c.GuardedRun(in, opts)
+									if err != nil {
+										t.Fatalf("guarded run: %v (%+v)", err, gr.Degradations)
+									}
+									if gr.Tier != lc.tier {
+										t.Fatalf("served on %v, want %v (%+v)", gr.Tier, lc.tier, gr.Degradations)
+									}
+									if lc.kind == "" && len(gr.Degradations) != 0 {
+										t.Errorf("unexpected degradations %+v", gr.Degradations)
+									}
+									if lc.kind != "" && (len(gr.Degradations) != 1 ||
+										gr.Degradations[0].Kind != lc.kind || gr.Degradations[0].To != lc.tier) {
+										t.Errorf("degradations %+v, want one %v step to %v", gr.Degradations, lc.kind, lc.tier)
+									}
+									if lc.check != nil {
+										lc.check(t, gr)
+									}
+									if dtype == tensor.Float32 || lc.exact {
+										requireBitIdentical(t, b.Name, res.Outputs, oracle)
+									} else if err := guard.CheckDrift(oracle, res.Outputs, c.Quant.Budget); err != nil {
+										t.Errorf("int8 outputs outside the drift budget: %v", err)
+									}
+								})
 							}
 						})
 					}

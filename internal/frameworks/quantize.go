@@ -126,7 +126,7 @@ func quantEligible(g *graph.Graph) map[string]int64 {
 
 // applyQuantization packs the eligible weights, swaps them into a
 // shallow copy of the compiled graph (node pointers are shared, so the
-// execution order, MVC hotspots, and wave partition all stay valid),
+// execution order and MVC hotspots stay valid),
 // keeps the float32 originals for the fallback tier, and widens the MVC
 // plan with the installed format.
 func (c *Compiled) applyQuantization(qc QuantConfig) {

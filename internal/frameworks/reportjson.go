@@ -24,26 +24,22 @@ type wireDegradation struct {
 // reportjson_test.go fails on any drift — changing this schema is a
 // wire-protocol change, not a refactor.
 type wireReport struct {
-	LatencyMS       float64            `json:"latency_ms"`
-	PeakMemBytes    int64              `json:"peak_mem_bytes"`
-	Phases          map[string]float64 `json:"phases,omitempty"`
-	Tier            string             `json:"tier"`
-	Degradations    []wireDegradation  `json:"degradations,omitempty"`
-	RegionCacheHit  bool               `json:"region_cache_hit"`
-	Wavefronts      int                `json:"wavefronts,omitempty"`
-	ParallelWorkers int                `json:"parallel_workers,omitempty"`
+	LatencyMS      float64            `json:"latency_ms"`
+	PeakMemBytes   int64              `json:"peak_mem_bytes"`
+	Phases         map[string]float64 `json:"phases,omitempty"`
+	Tier           string             `json:"tier"`
+	Degradations   []wireDegradation  `json:"degradations,omitempty"`
+	RegionCacheHit bool               `json:"region_cache_hit"`
 }
 
 // MarshalJSON serializes the report in the stable wire schema above.
 func (r Report) MarshalJSON() ([]byte, error) {
 	w := wireReport{
-		LatencyMS:       r.LatencyMS,
-		PeakMemBytes:    r.PeakMemBytes,
-		Phases:          r.Phases,
-		Tier:            r.FallbackTier.String(),
-		RegionCacheHit:  r.RegionCacheHit,
-		Wavefronts:      r.Wavefronts,
-		ParallelWorkers: r.ParallelWorkers,
+		LatencyMS:      r.LatencyMS,
+		PeakMemBytes:   r.PeakMemBytes,
+		Phases:         r.Phases,
+		Tier:           r.FallbackTier.String(),
+		RegionCacheHit: r.RegionCacheHit,
 	}
 	for _, d := range r.Degradations {
 		w.Degradations = append(w.Degradations, wireDegradation{
@@ -67,13 +63,11 @@ func (r *Report) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	*r = Report{
-		LatencyMS:       w.LatencyMS,
-		PeakMemBytes:    w.PeakMemBytes,
-		Phases:          w.Phases,
-		FallbackTier:    tierByName(w.Tier),
-		RegionCacheHit:  w.RegionCacheHit,
-		Wavefronts:      w.Wavefronts,
-		ParallelWorkers: w.ParallelWorkers,
+		LatencyMS:      w.LatencyMS,
+		PeakMemBytes:   w.PeakMemBytes,
+		Phases:         w.Phases,
+		FallbackTier:   tierByName(w.Tier),
+		RegionCacheHit: w.RegionCacheHit,
 	}
 	for _, d := range w.Degradations {
 		r.Degradations = append(r.Degradations, guard.Degradation{

@@ -17,8 +17,8 @@ import (
 //	go test -run TestReportJSONGolden -update ./internal/frameworks/
 var updateReportGolden = flag.Bool("update", false, "rewrite the report JSON golden in testdata/")
 
-// goldenReport exercises every wire field: a degraded, replanned,
-// parallel request with phase timings.
+// goldenReport exercises every wire field: a degraded, replanned
+// request with phase timings.
 func goldenReport() Report {
 	return Report{
 		LatencyMS:    12.375,
@@ -31,9 +31,7 @@ func goldenReport() Report {
 			{Reason: "re-analysis forced", Kind: guard.KindBind,
 				From: guard.TierDynamic, To: guard.TierReplan, ReplanMS: 1.5},
 		},
-		RegionCacheHit:  true,
-		Wavefronts:      7,
-		ParallelWorkers: 4,
+		RegionCacheHit: true,
 	}
 }
 

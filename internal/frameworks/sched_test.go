@@ -45,9 +45,7 @@ func TestCompileDeterministic(t *testing.T) {
 }
 
 // TestCompileServesMemoryMinimalOrder: the order a compile serves,
-// proves and persists is exactly the SEP planner's memory-minimal order,
-// and the wave partition is over that order with its default cap of
-// twice the order's peak.
+// proves and persists is exactly the SEP planner's memory-minimal order.
 func TestCompileServesMemoryMinimalOrder(t *testing.T) {
 	for _, name := range []string{"CodeBERT", "BlockDrop", "Conformer"} {
 		b, _ := models.Get(name)
@@ -63,19 +61,12 @@ func TestCompileServesMemoryMinimalOrder(t *testing.T) {
 		if c.ExecPlan.PeakBytes != sep.PeakBytes {
 			t.Errorf("%s: served peak %d, SEP peak %d", name, c.ExecPlan.PeakBytes, sep.PeakBytes)
 		}
-		if c.WavePlan == nil {
-			t.Fatalf("%s: no wave plan", name)
-		}
-		requireSameOrder(t, name+" waves", c.WavePlan.Order(), sep.Order)
-		if want := 2 * sep.PeakBytes; c.WavePlan.MemCap != want {
-			t.Errorf("%s: wave cap %d, want 2x SEP peak = %d", name, c.WavePlan.MemCap, want)
-		}
 	}
 }
 
 // TestArtifactReplaysSchedPoint: a warm boot must replay the persisted
-// schedule — the memory-minimal order, its peak and its wave partition —
-// without re-running the plan search or the wavefront construction.
+// schedule — the memory-minimal order and its peak — without re-running
+// the plan search.
 func TestArtifactReplaysSchedPoint(t *testing.T) {
 	st, err := artifact.Open(t.TempDir())
 	if err != nil {
@@ -99,24 +90,11 @@ func TestArtifactReplaysSchedPoint(t *testing.T) {
 	if !warmInfo.Warm {
 		t.Fatalf("second boot not warm: %+v (fallback: %v)", warmInfo, warmInfo.CorruptFallback)
 	}
-	if after.PlanSearches != before.PlanSearches || after.WaveBuilds != before.WaveBuilds {
-		t.Errorf("warm boot re-ran the search: plan %d->%d, waves %d->%d",
-			before.PlanSearches, after.PlanSearches, before.WaveBuilds, after.WaveBuilds)
+	if after.PlanSearches != before.PlanSearches {
+		t.Errorf("warm boot re-ran the search: plan %d->%d", before.PlanSearches, after.PlanSearches)
 	}
 	requireSameOrder(t, "warm", warm.ExecPlan.Order, cold.ExecPlan.Order)
 	if warm.ExecPlan.PeakBytes != cold.ExecPlan.PeakBytes {
 		t.Errorf("warm peak %d, cold peak %d", warm.ExecPlan.PeakBytes, cold.ExecPlan.PeakBytes)
-	}
-	if warm.WavePlan == nil || cold.WavePlan == nil {
-		t.Fatal("wave plan missing")
-	}
-	if len(warm.WavePlan.Ranges) != len(cold.WavePlan.Ranges) || warm.WavePlan.MemCap != cold.WavePlan.MemCap {
-		t.Errorf("warm waves %d (cap %d), cold %d (cap %d)", len(warm.WavePlan.Ranges), warm.WavePlan.MemCap,
-			len(cold.WavePlan.Ranges), cold.WavePlan.MemCap)
-	}
-	for i, r := range cold.WavePlan.Ranges {
-		if i < len(warm.WavePlan.Ranges) && warm.WavePlan.Ranges[i] != r {
-			t.Fatalf("wave %d: warm range %v, cold %v", i, warm.WavePlan.Ranges[i], r)
-		}
 	}
 }

@@ -1,8 +1,6 @@
 package frameworks
 
 import (
-	"fmt"
-
 	"repro/internal/costmodel"
 	"repro/internal/exec"
 	"repro/internal/graph"
@@ -26,16 +24,9 @@ type SoD2Options struct {
 	// everything known at compile time — no dynamic-planning overhead at
 	// runtime and a slightly deeper fusion search.
 	StaticFrozen bool
-	// ParallelWorkers > 1 models wavefront-parallel execution: latency
-	// is the cost model's per-wave LPT makespan over that many workers
-	// (TraceCostParallel) instead of the sequential trace cost. Requires
-	// SEP (the wave partition is over the planned order); ignored when
-	// the model has no wavefront plan.
-	ParallelWorkers int
 }
 
-// FullSoD2 enables every optimization (sequential execution; set
-// ParallelWorkers for the wavefront-parallel configuration).
+// FullSoD2 enables every optimization.
 func FullSoD2() SoD2Options { return SoD2Options{Fusion: true, SEP: true, DMP: true, MVC: true} }
 
 // SoD2 is the paper's system.
@@ -46,20 +37,13 @@ type SoD2 struct {
 // NewSoD2 builds the engine with the given optimization set.
 func NewSoD2(opts SoD2Options) *SoD2 { return &SoD2{Opts: opts} }
 
-// Name identifies the engine (reflecting disabled optimizations and the
-// parallel worker count).
+// Name identifies the engine (reflecting disabled optimizations).
 func (s *SoD2) Name() string {
 	if s.Opts.StaticFrozen {
 		return "DNNFusion-static"
 	}
-	suffix := ""
-	if s.Opts.ParallelWorkers > 1 {
-		suffix = fmt.Sprintf("-par%d", s.Opts.ParallelWorkers)
-	}
-	base := s.Opts
-	base.ParallelWorkers = 0
-	if base == FullSoD2() {
-		return "SoD2" + suffix
+	if s.Opts == FullSoD2() {
+		return "SoD2"
 	}
 	n := "SoD2[no-opt"
 	if s.Opts.Fusion {
@@ -74,7 +58,7 @@ func (s *SoD2) Name() string {
 	if s.Opts.MVC {
 		n += "+MVC"
 	}
-	return n + "]" + suffix
+	return n + "]"
 }
 
 // Supports: SoD² runs every model on every device.
@@ -96,7 +80,6 @@ func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (R
 	res, err := m.Execute(sample, s.Opts.ExecuteAllBranches, kind)
 	var degradations []guard.Degradation
 	fallbackTier := guard.TierPlanned
-	workers := s.Opts.ParallelWorkers
 	if err != nil && kind == OrderPlanned {
 		// The planned schedule failed (a corrupted or stale plan): fall
 		// back to declaration order, which is always a valid schedule,
@@ -104,7 +87,6 @@ func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (R
 		res, err = m.Execute(sample, s.Opts.ExecuteAllBranches, OrderTopo)
 		if err == nil {
 			fallbackTier = guard.TierReplan
-			workers = 0 // the wave partition is over the planned order
 			degradations = append(degradations, guard.Degradation{
 				Reason: "planned order failed; re-ran in declaration order",
 				Kind:   guard.KindExecPlan,
@@ -115,7 +97,7 @@ func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (R
 	if err != nil {
 		return Report{}, err
 	}
-	rep := s.Model(m, res.Trace, dev, workers)
+	rep := s.Model(m, res.Trace, dev)
 	rep.FallbackTier = fallbackTier
 	rep.Degradations = degradations
 	return rep, nil
@@ -126,11 +108,9 @@ func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (R
 // allocator policy over the same events. It executes nothing and reads
 // only shapes, names and byte sizes from the trace, so the trace of any
 // observed run of m serves — the evaluation harness's memoized Execute
-// or a guarded run with exec.Hooks attached. workers > 1 models
-// wavefront-parallel execution (per-wave makespan) when m has a wave
-// plan; the report carries no tier or degradations, which belong to
-// whoever executed the trace.
-func (s *SoD2) Model(m *Compiled, tr exec.Trace, dev costmodel.Device, workers int) Report {
+// or a guarded run with exec.Hooks attached. The report carries no tier
+// or degradations, which belong to whoever executed the trace.
+func (s *SoD2) Model(m *Compiled, tr exec.Trace, dev costmodel.Device) Report {
 
 	// --- Latency -----------------------------------------------------
 	opts := costmodel.TraceCostOptions{}
@@ -202,24 +182,12 @@ func (s *SoD2) Model(m *Compiled, tr exec.Trace, dev costmodel.Device, workers i
 		peak = poolSimArena(prog)
 	}
 
-	var inferUS float64
-	waves, parWorkers := 0, 0
-	if workers > 1 && s.Opts.SEP && m.WavePlan != nil {
-		// Wavefront-parallel configuration: per-wave LPT makespan over
-		// the workers, sequential costs elsewhere (control-flow bodies,
-		// solo waves). Identical per-event costs to TraceCost, so the
-		// two configurations differ only in scheduling.
-		inferUS = dev.TraceCostParallel(tr, opts, m.WavePlan.WaveOf, workers) * dev.MemPressure(peak)
-		waves, parWorkers = m.WavePlan.NumWaves(), workers
-	} else {
-		inferUS = dev.TraceCost(tr, opts) * dev.MemPressure(peak)
-	}
+	inferUS := dev.TraceCost(tr, opts) * dev.MemPressure(peak)
 	phases["infer"] = inferUS / 1000
 
 	var total float64
 	for _, v := range phases {
 		total += v
 	}
-	return Report{LatencyMS: total, PeakMemBytes: peak, Phases: phases,
-		Wavefronts: waves, ParallelWorkers: parWorkers}
+	return Report{LatencyMS: total, PeakMemBytes: peak, Phases: phases}
 }

@@ -47,17 +47,13 @@ func (c *Compiled) Verify() *staticverify.Report {
 	}
 	gen := c.verifyGen.Load()
 	compileCounters.verifyRuns.Add(1)
-	in := staticverify.Input{
+	r := staticverify.Analyze(staticverify.Input{
 		Model:  name,
 		Graph:  c.Graph,
 		Infos:  c.Infos,
 		Order:  c.ExecPlan.Order,
 		Region: c.presetRegion,
-	}
-	if c.WavePlan != nil {
-		in.Waves = c.WavePlan.Ranges
-	}
-	r := staticverify.Analyze(in)
+	})
 	// Memoize only if no Invalidate raced this analysis; a stale proof
 	// must not be resurrected into the region fast path.
 	if c.verifyGen.Load() == gen {

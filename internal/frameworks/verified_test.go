@@ -163,7 +163,7 @@ func TestInvalidateDropsProof(t *testing.T) {
 		t.Skip("model not provable")
 	}
 	c.Invalidate()
-	if got := c.PlannedArenaBytes(GuardOptions{}); got != 0 {
+	if got := c.PlannedArenaBytes(); got != 0 {
 		t.Errorf("proof survived Invalidate: %d bytes", got)
 	}
 	before := Counters().VerifyRuns
@@ -192,7 +192,7 @@ func TestVerifyInvalidateConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.PlannedArenaBytes(GuardOptions{}) == 0 {
+	if c.PlannedArenaBytes() == 0 {
 		t.Fatal("expected a proven region plan for CodeBERT")
 	}
 	inputs := b.Inputs(tensor.NewRNG(7), 64, 0.5)
@@ -217,13 +217,13 @@ func TestVerifyInvalidateConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	c.Invalidate()
-	if got := c.PlannedArenaBytes(GuardOptions{}); got != 0 {
+	if got := c.PlannedArenaBytes(); got != 0 {
 		t.Fatalf("proof survived Invalidate: %d bytes", got)
 	}
 	if rep := c.Verify(); !rep.Mem.Proven {
 		t.Fatalf("re-verification failed: %s", rep.Mem.Reason)
 	}
-	if c.PlannedArenaBytes(GuardOptions{}) == 0 {
+	if c.PlannedArenaBytes() == 0 {
 		t.Fatal("fresh proof not memoized")
 	}
 }

@@ -18,6 +18,11 @@ func ParallelFor(threads int, n int64, f func(lo, hi int64)) {
 }
 
 // ParallelForGrain is ParallelFor with an explicit per-stripe floor.
+//
+// A panic inside a stripe is recovered on that stripe's goroutine and,
+// once every stripe has finished, the first one in stripe order is
+// re-raised on the caller's goroutine, so the caller's recover boundary
+// (exec's runKernel) sees it exactly as it would a sequential kernel's.
 func ParallelForGrain(threads int, n, grain int64, f func(lo, hi int64)) {
 	if n <= 0 {
 		return
@@ -37,17 +42,20 @@ func ParallelForGrain(threads int, n, grain int64, f func(lo, hi int64)) {
 		return
 	}
 	chunk := (n + stripes - 1) / stripes
+	panics := make([]any, stripes)
 	var wg sync.WaitGroup
-	for lo := int64(0); lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	for s, lo := 0, int64(0); lo < n; s, lo = s+1, lo+chunk {
 		wg.Add(1)
-		go func(lo, hi int64) {
+		go func(s int, lo, hi int64) {
 			defer wg.Done()
+			defer func() { panics[s] = recover() }()
 			f(lo, hi)
-		}(lo, hi)
+		}(s, lo, min(lo+chunk, n))
 	}
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }

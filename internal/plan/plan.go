@@ -148,8 +148,8 @@ func nominalEnv(infos map[string]lattice.Info) symbolic.Env {
 
 // valueSizes estimates the materialized byte size of every value,
 // charging each value its inferred element width (int64 shape tensors
-// cost 8 bytes/elem, bool masks 1) so planned peaks and wave caps
-// account the same bytes the runtime actually holds.
+// cost 8 bytes/elem, bool masks 1) so planned peaks account the same
+// bytes the runtime actually holds.
 func valueSizes(g *graph.Graph, infos map[string]lattice.Info, env symbolic.Env, fp *fusion.Plan) map[string]int64 {
 	dts := dtypes.Infer(g)
 	sizes := map[string]int64{}

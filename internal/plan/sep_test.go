@@ -164,35 +164,3 @@ func TestBuildDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestWavefrontBasePeak pins the default wave cap: twice the base peak,
-// the sequential peak of the memory-minimal order the waves partition,
-// and no multi-op wave holds more live bytes than that.
-func TestWavefrontBasePeak(t *testing.T) {
-	g := fanGraph(6)
-	infos := analyzed(t, g)
-	p, err := Build(g, infos, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wp, err := BuildWavefronts(g, infos, p.Order, WavefrontOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 2 * p.PeakBytes; wp.MemCap != want {
-		t.Errorf("default cap = %d, want 2x SEP peak = %d", wp.MemCap, want)
-	}
-	sizes := valueSizes(g, infos, nominalEnv(infos), nil)
-	s := newScheduler(g, p.Order, sizes)
-	scheduled := map[*graph.Node]bool{}
-	for _, wave := range wp.Waves {
-		if len(wave) > 1 {
-			if live := waveLiveBytes(s, scheduled, wave); live > wp.MemCap {
-				t.Errorf("wave live bytes %d exceed cap %d", live, wp.MemCap)
-			}
-		}
-		for _, n := range wave {
-			scheduled[n] = true
-		}
-	}
-}

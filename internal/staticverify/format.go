@@ -40,12 +40,6 @@ func (r *Report) Format() string {
 	} else {
 		fmt.Fprintf(&b, "memory plan: UNPROVEN (%s)\n", r.Mem.Reason)
 	}
-	if r.Wave.Proven {
-		fmt.Fprintf(&b, "wavefront plan: proven (%d waves, max width %d, widened arena %d bytes)\n",
-			r.Wave.Waves, r.Wave.MaxWidth, r.Wave.ArenaSize)
-	} else if r.Wave.Reason != "" {
-		fmt.Fprintf(&b, "wavefront plan: UNPROVEN (%s)\n", r.Wave.Reason)
-	}
 
 	if len(r.Diagnostics) == 0 {
 		b.WriteString("diagnostics: none\n")

@@ -36,11 +36,6 @@ type JSONReport struct {
 	MemReason   string            `json:"mem_reason,omitempty"`
 	MemBuffers  int               `json:"mem_buffers,omitempty"`
 	MemArena    int64             `json:"mem_arena_bytes,omitempty"`
-	WaveProven  bool              `json:"wave_proven"`
-	WaveReason  string            `json:"wave_reason,omitempty"`
-	Waves       int               `json:"waves,omitempty"`
-	MaxWidth    int               `json:"max_width,omitempty"`
-	WaveArena   int64             `json:"wave_arena_bytes,omitempty"`
 	Errors      int               `json:"errors"`
 	Diagnostics []JSONDiagnostic  `json:"diagnostics"`
 }
@@ -57,11 +52,6 @@ func JSONReportOf(r *Report) JSONReport {
 		MemReason:  r.Mem.Reason,
 		MemBuffers: r.Mem.Buffers,
 		MemArena:   r.Mem.ArenaSize,
-		WaveProven: r.Wave.Proven,
-		WaveReason: r.Wave.Reason,
-		Waves:      r.Wave.Waves,
-		MaxWidth:   r.Wave.MaxWidth,
-		WaveArena:  r.Wave.ArenaSize,
 		Errors:     r.Errors(),
 	}
 	syms := make([]string, 0, len(r.Region))

@@ -123,10 +123,6 @@ type Input struct {
 	Infos  map[string]lattice.Info
 	Order  []*graph.Node
 	Region Region
-	// Waves, when non-nil, are the planned wavefront step ranges
-	// (half-open, contiguous over Order) to certify for parallel
-	// execution; nil skips the wavefront proof.
-	Waves [][2]int
 }
 
 // Report is the complete result of one static verification run.
@@ -136,9 +132,6 @@ type Report struct {
 	Region    Region
 	Exec      ExecVerdict
 	Mem       MemVerdict
-	// Wave certifies the wavefront partition and its widened memory
-	// plan for parallel execution (zero value when Input.Waves was nil).
-	Wave WaveVerdict
 	// Liveness maps every value produced under the order to its static
 	// [Birth, Death] step interval (the intervals the memory plan uses,
 	// and the intervals the instrumented-execution property test checks).
@@ -198,20 +191,7 @@ func Analyze(in Input) *Report {
 		r.Mem.Plan, r.Mem.Layout = nil, nil
 	}
 
-	// 4. Wavefront proof: antichain partition + wave-widened memory
-	// plan (only meaningful over a proven sequential plan and schedule).
-	if in.Waves != nil {
-		wave, waveDiags := ProveWavefronts(order, in.Waves, r.Mem)
-		r.Wave = wave
-		r.Diagnostics = append(r.Diagnostics, waveDiags...)
-		if !r.Exec.Proven && r.Wave.Proven {
-			r.Wave.Proven = false
-			r.Wave.Reason = "execution plan not proven: " + r.Exec.Reason
-			r.Wave.Layout = nil
-		}
-	}
-
-	// 5. Graph lint.
+	// 4. Graph lint.
 	r.Diagnostics = append(r.Diagnostics, Lint(in.Graph, in.Infos, in.Region)...)
 
 	sortDiagnostics(r.Diagnostics)

@@ -35,12 +35,11 @@ type SessionOptions struct {
 	// tracing). The hooks are shared by all concurrent requests and must
 	// be safe for concurrent use.
 	Hooks *exec.Hooks
-	// Parallel serves every request with the wavefront-parallel
-	// interpreter when the model's widened plan is proven (sequential
-	// otherwise — check Report.Wavefronts). ParallelWorkers sizes each
-	// request's worker pool (GOMAXPROCS when 0).
-	Parallel        bool
-	ParallelWorkers int
+	// Threads is each request's intra-op thread budget: its kernels
+	// split their work over up to that many goroutines, on every tier
+	// (<=1 runs them on the request's goroutine). Outputs are
+	// bit-identical at every budget.
+	Threads int
 
 	// Admission bounds concurrent work: a request past the concurrency
 	// semaphore's bounded queue, or whose planned arena estimate does not
@@ -162,11 +161,7 @@ func (c *Compiled) NewSession(opts SessionOptions) *Session {
 	s := &Session{
 		c:       c,
 		workers: opts.Workers,
-		gopts: GuardOptions{
-			Hooks:    opts.Hooks,
-			Parallel: opts.Parallel,
-			Workers:  opts.ParallelWorkers,
-		},
+		gopts:   GuardOptions{Hooks: opts.Hooks, Threads: opts.Threads},
 		timeout: opts.RequestTimeout,
 		adm:     resilience.NewAdmission(opts.Admission),
 		retry:   opts.Retry,
@@ -226,10 +221,9 @@ func (s *Session) serve(ctx context.Context, inputs map[string]*Tensor) (map[str
 	}
 	// Admission: shed instead of queueing unboundedly. The reservation
 	// estimate is the statically proven worst-case footprint of the
-	// layout the request runs on — the wave-widened one for a Parallel
-	// session (0 when no proof is held: only a proven layout takes an
-	// arena).
-	release, err := s.adm.Admit(ctx, s.c.inner.PlannedArenaBytes(s.gopts))
+	// region layout (0 when no proof is held: only a proven layout takes
+	// an arena).
+	release, err := s.adm.Admit(ctx, s.c.inner.PlannedArenaBytes())
 	if err != nil {
 		return nil, Report{}, err
 	}
@@ -394,7 +388,7 @@ func (s *Session) InferBucketCtx(ctx context.Context, samples []Sample) []BatchR
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
 		defer cancel()
 	}
-	release, err := s.adm.Admit(ctx, s.c.inner.PlannedArenaBytes(s.gopts))
+	release, err := s.adm.Admit(ctx, s.c.inner.PlannedArenaBytes())
 	if err != nil {
 		return fail(err)
 	}

@@ -256,7 +256,7 @@ func TestInferBatchCtxCancellation(t *testing.T) {
 // overload error.
 func TestSessionMemoryAdmission(t *testing.T) {
 	c := compileVerifiedModel(t, "CodeBERT")
-	est := c.inner.PlannedArenaBytes(GuardOptions{})
+	est := c.inner.PlannedArenaBytes()
 	if est <= 0 {
 		t.Fatal("no planned arena estimate")
 	}
@@ -294,20 +294,20 @@ func TestSessionMemoryAdmission(t *testing.T) {
 	}
 }
 
-// TestSessionParallelAdmission: a Parallel session's request runs on the
-// wave-widened layout, and its kept arena buffer grows to that layout's
-// size, so admission must reserve the widened worst case — not the
-// sequential plan's — while the request is in flight.
+// TestSessionParallelAdmission: a session with an intra-op thread budget
+// runs its requests on the region layout every planned request uses, so
+// admission reserves that layout's proven worst case while the request
+// is in flight — the thread budget takes no memory of its own.
 func TestSessionParallelAdmission(t *testing.T) {
 	c := compileVerifiedModel(t, "CodeBERT")
-	wave := c.Verify().Wave
-	if !wave.Proven {
-		t.Fatalf("CodeBERT wavefront plan unproven: %s", wave.Reason)
+	mem := c.Verify().Mem
+	if !mem.Proven {
+		t.Fatalf("CodeBERT memory plan unproven: %s", mem.Reason)
 	}
 	parked, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	sess := c.NewSession(SessionOptions{
-		Parallel: true,
+		Threads: 4,
 		Hooks: &exec.Hooks{PreKernel: func(*graph.Node, []*tensor.Tensor) error {
 			once.Do(func() { close(parked) })
 			<-release
@@ -327,12 +327,11 @@ func TestSessionParallelAdmission(t *testing.T) {
 	<-parked
 	got := sess.Stats().Admission.ReservedBytes
 	close(release)
-	if rep := <-done; rep.Wavefronts == 0 {
-		t.Fatalf("request ran sequentially (tier %v): the session must serve it wavefront-parallel", rep.FallbackTier)
+	if rep := <-done; rep.FallbackTier != TierPlanned {
+		t.Fatalf("request served on tier %v, want planned", rep.FallbackTier)
 	}
-	if got != 4964352 || got != wave.ArenaSize {
-		t.Errorf("in-flight reservation %d bytes, want the widened arena's 4964352 (proof: %d, sequential %d)",
-			got, wave.ArenaSize, c.Verify().Mem.ArenaSize)
+	if got != 4915200 || got != mem.ArenaSize {
+		t.Errorf("in-flight reservation %d bytes, want the region arena's 4915200 (proof: %d)", got, mem.ArenaSize)
 	}
 	if got := sess.Stats().Admission.ReservedBytes; got != 0 {
 		t.Fatalf("leaked reservation: %d bytes", got)

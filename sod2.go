@@ -66,8 +66,9 @@ type (
 	// ModelBuilder describes one of the ten evaluation models.
 	ModelBuilder = models.Builder
 
-	// GuardOptions configure a guarded inference (context, budgets,
-	// fault-injection hooks, strict mode).
+	// GuardOptions configure a guarded inference (context, intra-op
+	// thread budget, fault-injection hooks, forced dynamic tier, drift
+	// check).
 	GuardOptions = frameworks.GuardOptions
 	// GuardReport describes how a guarded inference actually ran.
 	GuardReport = frameworks.GuardReport
@@ -317,13 +318,11 @@ func (c *Compiled) infer(inputs map[string]*Tensor, gopts GuardOptions) (map[str
 		return nil, Report{FallbackTier: gr.Tier, Degradations: gr.Degradations}, err
 	}
 	rep := Report{
-		LatencyMS:       float64(time.Since(start).Nanoseconds()) / 1e6,
-		PeakMemBytes:    res.Trace.PeakLiveBytes,
-		FallbackTier:    gr.Tier,
-		Degradations:    gr.Degradations,
-		RegionCacheHit:  gr.RegionCacheHit,
-		Wavefronts:      gr.Wavefronts,
-		ParallelWorkers: gr.ParallelWorkers,
+		LatencyMS:      float64(time.Since(start).Nanoseconds()) / 1e6,
+		PeakMemBytes:   res.Trace.PeakLiveBytes,
+		FallbackTier:   gr.Tier,
+		Degradations:   gr.Degradations,
+		RegionCacheHit: gr.RegionCacheHit,
 	}
 	if gr.Tier == TierPlanned {
 		rep.PeakMemBytes = gr.ArenaHighWater
@@ -331,8 +330,8 @@ func (c *Compiled) infer(inputs map[string]*Tensor, gopts GuardOptions) (map[str
 	return res.Outputs, rep, nil
 }
 
-// InferGuarded executes with explicit guard options (context, arena
-// budget, loop caps, fault-injection hooks, strict mode).
+// InferGuarded executes with explicit guard options (context, intra-op
+// thread budget, fault-injection hooks).
 func (c *Compiled) InferGuarded(inputs map[string]*Tensor, opts GuardOptions) (map[string]*Tensor, Report, error) {
 	return c.infer(inputs, opts)
 }

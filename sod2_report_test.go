@@ -134,7 +134,7 @@ func TestReportMatchesEngine(t *testing.T) {
 			if served.FallbackTier != wantTier || gr.Tier != wantTier {
 				t.Fatalf("%s: served on tier %v, observed run on %v, want %v", tag, served.FallbackTier, gr.Tier, wantTier)
 			}
-			requireSameModeled(t, tag, eng.Model(c.inner, res.Trace, SD888CPU, gr.ParallelWorkers), want)
+			requireSameModeled(t, tag, eng.Model(c.inner, res.Trace, SD888CPU), want)
 
 			wantPeak := res.Trace.PeakLiveBytes
 			if wantTier == TierPlanned {
@@ -189,8 +189,8 @@ func TestReportReplanAddsOnlyReplanPhase(t *testing.T) {
 		t.Errorf("replan %v ms, latency %v ms, phases %v: want the re-plan on record and inside the measured latency, no phases",
 			replan, got.LatencyMS, got.Phases)
 	}
-	res, gr := observedRun(t, c, s.Inputs)
-	requireSameModeled(t, "toy-fixed@8", eng.Model(c.inner, res.Trace, SD888CPU, gr.ParallelWorkers), want)
+	res, _ := observedRun(t, c, s.Inputs)
+	requireSameModeled(t, "toy-fixed@8", eng.Model(c.inner, res.Trace, SD888CPU), want)
 }
 
 // TestUnobservedRunRecordsNoEvents: a guarded run no Hooks consumer
