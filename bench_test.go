@@ -111,7 +111,7 @@ func BenchmarkConv(b *testing.B) {
 			var out []*tensor.Tensor
 			for i := 0; i < b.N; i++ {
 				var err error
-				if out, err = kernels.Run(n, in); err != nil {
+				if out, err = kernels.Run(n, in, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -36,6 +36,10 @@ func IsArenaFault(err error) bool {
 // SoD²'s dynamic memory planning (§4.4.1) — and running with it
 // validates the plan end to end: if two concurrently-live tensors were
 // assigned overlapping ranges, the model outputs would be corrupted.
+//
+// Kernels write a planned output straight into its slot (the run's
+// kernels.Dest hands the slot out); only an output that missed its slot
+// is copied in afterwards, or refused as an arena fault.
 type Arena struct {
 	// Slots maps each planned value to its slot: an index into Offsets
 	// and Sizes.
@@ -46,6 +50,10 @@ type Arena struct {
 	Offsets, Sizes []int64
 	// HighWater is the highest byte actually touched by placements.
 	HighWater int64
+	// Scratch, when non-nil, keeps the kernels' scratch (Conv's im2col
+	// panels) across runs like buf: grown when a kernel asks for more,
+	// never cleared. Nil gives every kernel call fresh scratch.
+	Scratch *[]float32
 
 	buf []float32
 }
@@ -53,10 +61,10 @@ type Arena struct {
 // NewArena lays slots (see Arena) over buf, which should reach the end
 // of the highest slot. The arena neither allocates nor clears its
 // storage: buf is the caller's, who may hand it to a later run once this
-// one has returned and its outputs are detached. No slot is read before
-// place has written it in full, so nothing a previous run left in buf is
-// ever observed — but a tensor viewing buf is valid only until that
-// reuse.
+// one has returned and its outputs are detached. Every kernel writes
+// each element of its output before reading it, so nothing a previous
+// run left in buf is ever observed — but a tensor viewing buf is valid
+// only until that reuse.
 func NewArena(slots map[string]int, offsets, sizes []int64, buf []float32) *Arena {
 	return &Arena{Slots: slots, Offsets: offsets, Sizes: sizes, buf: buf}
 }
@@ -84,33 +92,77 @@ func (a *Arena) Detach(outputs map[string]*tensor.Tensor) {
 	}
 }
 
-// place copies a freshly produced tensor into its planned slot and
-// returns the arena-backed view; tensors without a slot (dynamic
-// fallback: ⊥-shaped values, non-float tensors) pass through unchanged.
-func (a *Arena) place(name string, t *tensor.Tensor) (*tensor.Tensor, error) {
-	if a == nil || t == nil || t.DType != tensor.Float32 {
-		return t, nil
-	}
+// span returns the n floats of name's slot, raising HighWater to their
+// end, or nil when name has no slot. A slot that cannot hold n floats
+// at an aligned offset inside the buffer is an arena fault.
+func (a *Arena) span(name string, n int64) ([]float32, error) {
 	slot, ok := a.Slots[name]
 	if !ok {
-		return t, nil
+		return nil, nil
 	}
-	off, n := a.Offsets[slot], t.Len()
+	off := a.Offsets[slot]
 	if off < 0 || off%4 != 0 {
 		return nil, fmt.Errorf("exec: %s at offset %d: %w", name, off, ErrArenaMisaligned)
 	}
 	if n*4 > a.Sizes[slot] {
 		return nil, fmt.Errorf("exec: %s of %d bytes %w: its slot at %d holds %d", name, n*4, ErrArenaOverflow, off, a.Sizes[slot])
 	}
-	end := off + n*4
 	start := off / 4
 	if start+n > int64(len(a.buf)) {
 		return nil, fmt.Errorf("exec: %s [%d,%d) %w of %d floats", name, start, start+n, ErrArenaOverflow, int64(len(a.buf)))
 	}
-	if end > a.HighWater {
-		a.HighWater = end
+	a.HighWater = max(a.HighWater, off+n*4)
+	return a.buf[start : start+n : start+n], nil
+}
+
+// place stores a produced tensor in its planned slot and returns the
+// arena-backed tensor. A tensor its kernel already wrote into the slot
+// is returned as it is; any other is checked against the slot and
+// copied in. Tensors without a slot (dynamic fallback: ⊥-shaped values,
+// non-float tensors) pass through unchanged.
+func (a *Arena) place(name string, t *tensor.Tensor) (*tensor.Tensor, error) {
+	if a == nil || t == nil || t.DType != tensor.Float32 {
+		return t, nil
 	}
-	dst := a.buf[start : start+n]
+	dst, err := a.span(name, t.Len())
+	if dst == nil || err != nil {
+		return t, err
+	}
+	if len(dst) == 0 || unsafe.SliceData(dst) == unsafe.SliceData(t.F) {
+		return t, nil
+	}
 	copy(dst, t.F)
 	return &tensor.Tensor{DType: tensor.Float32, Shape: t.Shape, F: dst}, nil
+}
+
+// arenaDest is the kernels.Dest of a run with an arena: the running
+// node's float32 outputs go straight into their slots, and its scratch
+// into the arena's kept scratch.
+type arenaDest struct {
+	a *Arena
+	// outs are the output names of the node whose kernel is running.
+	outs []string
+}
+
+// Out hands the kernel the slot of the node's i-th output, or nil (heap)
+// when it has none or cannot hold n floats; place then raises that
+// tensor's arena fault.
+func (d *arenaDest) Out(i int, n int64) []float32 {
+	if i >= len(d.outs) || d.outs[i] == "" {
+		return nil
+	}
+	f, _ := d.a.span(d.outs[i], n)
+	return f
+}
+
+// Scratch returns n floats of the arena's kept scratch, growing it.
+func (d *arenaDest) Scratch(n int64) []float32 {
+	s := d.a.Scratch
+	if s == nil {
+		return make([]float32, n)
+	}
+	if int64(cap(*s)) < n {
+		*s = make([]float32, n)
+	}
+	return (*s)[:n]
 }

@@ -83,7 +83,8 @@ type Options struct {
 	// policy (§2): run every Switch/If path and strip invalid results.
 	ExecuteAllBranches bool
 	// Arena, when non-nil, stores planned float32 intermediates at their
-	// assigned offsets in one backing buffer (§4.4.1's runtime plan).
+	// assigned offsets in one backing buffer (§4.4.1's runtime plan):
+	// kernels write them there directly.
 	Arena *Arena
 	// Ctx, when non-nil, is checked before every operator (including
 	// inside If/Loop bodies): cancellation or deadline expiry aborts
@@ -136,6 +137,11 @@ type executor struct {
 	// the execute-all policy; Combine strips them (§2: "execution of all
 	// possible paths, and stripping out invalid results").
 	invalid map[string]bool
+
+	// kc is every kernel call's context: the run's thread budget and,
+	// with an arena, dest, which hands each kernel its outputs' slots.
+	kc   kernels.Ctx
+	dest arenaDest
 }
 
 func (ex *executor) run(inputs map[string]*tensor.Tensor) (*Result, error) {
@@ -147,6 +153,12 @@ func (ex *executor) run(inputs map[string]*tensor.Tensor) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+	}
+
+	ex.kc.Threads = max(1, ex.opts.Threads)
+	if ex.opts.Arena != nil {
+		ex.dest.a = ex.opts.Arena
+		ex.kc.Dest = &ex.dest
 	}
 
 	// Reference counts for free-at-last-use.
@@ -221,7 +233,8 @@ func (ex *executor) safeExec(n *graph.Node) (err error) {
 }
 
 // runKernel executes a node's kernel with hook interception,
-// per-kernel panic containment, and the run's intra-op thread budget.
+// per-kernel panic containment, the run's intra-op thread budget and,
+// with an arena, the node's slots as its outputs' destination.
 // Every failure surfaces as *guard.OpError, including a panic in one of
 // the kernel's stripes (kernels.ParallelForGrain re-raises it here).
 func (ex *executor) runKernel(n *graph.Node, in []*tensor.Tensor) (out []*tensor.Tensor, err error) {
@@ -237,7 +250,8 @@ func (ex *executor) runKernel(n *graph.Node, in []*tensor.Tensor) (out []*tensor
 			return nil, &guard.OpError{Node: n.Name, Op: n.OpType, InputShapes: inputShapes(in), Cause: herr}
 		}
 	}
-	out, kerr := kernels.RunWithBudget(n, in, max(1, ex.opts.Threads))
+	ex.dest.outs = n.Outputs
+	out, kerr := kernels.Run(n, in, &ex.kc)
 	if kerr != nil {
 		return nil, &guard.OpError{Node: n.Name, Op: n.OpType, InputShapes: inputShapes(in), Cause: kerr}
 	}

@@ -60,7 +60,7 @@ func Fold(g *graph.Graph) (*Result, error) {
 				continue
 			}
 			inputs := gatherConsts(g, n)
-			out, err := kernels.Run(n, inputs)
+			out, err := kernels.Run(n, inputs, nil)
 			if err != nil {
 				return nil, fmt.Errorf("fold: %s(%s): %w", n.OpType, n.Name, err)
 			}

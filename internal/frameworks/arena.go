@@ -12,11 +12,12 @@ import (
 
 // arenaBuf is one planned run's arena storage, kept for the next: the
 // backing buffer — grown to the largest fitted arena it has held, never
-// cleared, because no slot is read before exec writes it in full — and
-// the offsets and sizes of the layout last fitted into it.
+// cleared, because every kernel writes its slot in full before anything
+// reads it — the kernels' scratch, kept the same way, and the offsets
+// and sizes of the layout last fitted into it.
 type arenaBuf struct {
-	buf         []float32
-	offs, sizes []int64
+	buf, scratch []float32
+	offs, sizes  []int64
 }
 
 // arenaStack holds the arenaBufs of a Compiled that no planned run is
@@ -71,7 +72,9 @@ func (ab *arenaBuf) fit(l *memplan.Layout, infos map[string]lattice.Info, env sy
 	if cap(ab.buf) < words {
 		ab.buf = make([]float32, words)
 	}
-	return exec.NewArena(l.Index, ab.offs, ab.sizes, ab.buf[:words])
+	a := exec.NewArena(l.Index, ab.offs, ab.sizes, ab.buf[:words])
+	a.Scratch = &ab.scratch
+	return a
 }
 
 // evalBytes evaluates a lattice shape's byte size under env (float32

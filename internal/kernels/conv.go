@@ -58,7 +58,7 @@ func convArgsFor(n *graph.Node, x, w *tensor.Tensor) (conv2dArgs, error) {
 
 // convKernel lowers every convolution to im2col + GEMM; the filter may
 // be float32 or packed.
-func convKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
+func convKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 2, "Conv"); err != nil {
 		return nil, err
 	}
@@ -82,9 +82,9 @@ func convKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tens
 		return nil, fmt.Errorf("Conv: quantized weight grid %dx%d does not match [%d,%d]",
 			w.Q.Rows, w.Q.Cols, a.cout, k)
 	}
-	out := tensor.New(tensor.Float32, a.n, a.cout, a.outH, a.outW)
+	out := ctx.Out(0, tensor.Float32, a.n, a.cout, a.outH, a.outW)
 	if out.Len() > 0 {
-		convIm2col(x, w, biasF, out, a, threads)
+		convIm2col(x, w, biasF, out, a, ctx)
 	}
 	return []*tensor.Tensor{out}, nil
 }
@@ -107,40 +107,55 @@ func (a *conv2dArgs) panels() int64 {
 // [coutPerGroup, cinPerGroup*kh*kw] straight into those rows of the
 // output. The intra-op budget stripes the (batch, group, panel) units;
 // a unit's arithmetic does not depend on its stripe, so the result is
-// bit-identical for any budget.
-func convIm2col(x, w *tensor.Tensor, bias []float32, out *tensor.Tensor, a conv2dArgs, threads int) {
+// bit-identical for any budget. The scratch is taken from ctx once,
+// one disjoint part per stripe.
+func convIm2col(x, w *tensor.Tensor, bias []float32, out *tensor.Tensor, a conv2dArgs, ctx *Ctx) {
 	units := a.n * a.group * a.panels()
-	if threads <= 1 {
+	threads := ctx.threads()
+	grain := rowGrain(a.cout / a.group * a.cinPerGroup * a.kh * a.kw * a.panelRows() * a.outW)
+	count, chunk := stripes(threads, units, grain)
+	per := a.scratchFloats(w.DType.IsQuantized())
+	scratch := ctx.Scratch(count * per)
+	if count <= 1 {
 		// convStripes' closure captures a, which is past the size a
 		// closure holds by value: mentioning it here would move a to the
 		// heap on every call, striped or not.
-		convPanels(x, w, bias, out, a, 0, units)
+		convPanels(x, w, bias, out, a, 0, units, scratch)
 		return
 	}
-	convStripes(x, w, bias, out, a, threads, units)
+	convStripes(x, w, bias, out, a, threads, units, grain, chunk, per, scratch)
 }
 
-func convStripes(x, w *tensor.Tensor, bias []float32, out *tensor.Tensor, a conv2dArgs, threads int, units int64) {
-	grain := rowGrain(a.cout / a.group * a.cinPerGroup * a.kh * a.kw * a.panelRows() * a.outW)
+// scratchFloats is the scratch one stripe of convPanels works in: the
+// im2col panel and, for a packed filter, the filter rows GemmQuantLHS
+// dequantizes (up to four at a time).
+func (a *conv2dArgs) scratchFloats(quantized bool) int64 {
+	k := a.cinPerGroup * a.kh * a.kw
+	n := k * a.panelRows() * a.outW
+	if quantized {
+		n += min(4, a.cout/a.group) * k
+	}
+	return n
+}
+
+func convStripes(x, w *tensor.Tensor, bias []float32, out *tensor.Tensor, a conv2dArgs, threads int,
+	units, grain, chunk, per int64, scratch []float32) {
 	ParallelForGrain(threads, units, grain, func(lo, hi int64) {
-		convPanels(x, w, bias, out, a, lo, hi)
+		s := lo / chunk
+		convPanels(x, w, bias, out, a, lo, hi, scratch[s*per:(s+1)*per])
 	})
 }
 
 // convPanels computes units [lo, hi) of the (batch, group, panel) space
-// out of one panel scratch. The filter may be float32 or packed; the
-// bias goes on while the panel's output block is still in cache.
-func convPanels(x, w *tensor.Tensor, bias []float32, out *tensor.Tensor, a conv2dArgs, lo, hi int64) {
+// in one stripe's scratch (see scratchFloats). The filter may be float32
+// or packed; the bias goes on while the panel's output block is still
+// in cache.
+func convPanels(x, w *tensor.Tensor, bias []float32, out *tensor.Tensor, a conv2dArgs, lo, hi int64, scratch []float32) {
 	coutPerGroup := a.cout / a.group
 	k := a.cinPerGroup * a.kh * a.kw
 	cols := a.outH * a.outW
 	rows, panels := a.panelRows(), a.panels()
-	panel := make([]float32, k*rows*a.outW)
-	var wRows []float32
-	if w.DType.IsQuantized() {
-		// GemmQuantLHS dequantizes up to four filter rows at a time.
-		wRows = make([]float32, min(4, coutPerGroup)*k)
-	}
+	panel, wRows := scratch[:k*rows*a.outW], scratch[k*rows*a.outW:]
 	for u := lo; u < hi; u++ {
 		b, g, oh0 := u/panels/a.group, u/panels%a.group, u%panels*rows
 		oh1 := min(oh0+rows, a.outH)
@@ -149,7 +164,7 @@ func convPanels(x, w *tensor.Tensor, bias []float32, out *tensor.Tensor, a conv2
 		// GEMM: [coutPerGroup, k] × [k, width], C rows a full plane apart.
 		rowLo := g * coutPerGroup
 		c := out.F[(b*a.cout+rowLo)*cols+oh0*a.outW:]
-		if wRows != nil {
+		if w.DType.IsQuantized() {
 			GemmQuantLHS(w.Q, rowLo, rowLo+coutPerGroup, wRows, panel, width, c, cols, width)
 		} else {
 			gemmBlock(w.F[rowLo*k:(rowLo+coutPerGroup)*k], panel, width, c, cols, coutPerGroup, k, width)
@@ -175,7 +190,8 @@ func validSpan(off, stride, extent, n int64) (lo, hi int64) {
 }
 
 // im2colPanel unfolds output rows [oh0, oh1) of one (batch, group) pair
-// into panel [cinPerGroup*kh*kw, (oh1-oh0)*outW]. A filter tap reads
+// into panel [cinPerGroup*kh*kw, (oh1-oh0)*outW], writing every one of
+// its elements: the panel is reused scratch. A filter tap reads
 // inside the image over one span of oh and one span of ow, so a patch
 // row is a cleared block above, a cleared block below and, per row in
 // between, a cleared fringe either side of one copy (stride 1) or one
@@ -225,7 +241,7 @@ func im2colPanel(x, panel []float32, a *conv2dArgs, b, g, oh0, oh1 int64) {
 }
 
 func poolKernel(avg bool) Kernel {
-	return func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	return func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 1, n.OpType); err != nil {
 			return nil, err
 		}
@@ -249,7 +265,7 @@ func poolKernel(avg bool) Kernel {
 		if outH <= 0 || outW <= 0 {
 			return nil, fmt.Errorf("%s: non-positive output %dx%d", n.OpType, outH, outW)
 		}
-		out := tensor.New(tensor.Float32, N, C, outH, outW)
+		out := ctx.Out(0, tensor.Float32, N, C, outH, outW)
 		for b := int64(0); b < N; b++ {
 			for c := int64(0); c < C; c++ {
 				base := (b*C + c) * H * W
@@ -294,7 +310,7 @@ func poolKernel(avg bool) Kernel {
 }
 
 func globalPoolKernel(avg bool) Kernel {
-	return func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	return func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 1, n.OpType); err != nil {
 			return nil, err
 		}
@@ -308,7 +324,7 @@ func globalPoolKernel(avg bool) Kernel {
 		for i := 2; i < x.Rank(); i++ {
 			outShape[i] = 1
 		}
-		out := tensor.New(tensor.Float32, outShape...)
+		out := ctx.Out(0, tensor.Float32, outShape...)
 		for b := int64(0); b < N; b++ {
 			for c := int64(0); c < C; c++ {
 				base := (b*C + c) * plane
@@ -334,7 +350,7 @@ func globalPoolKernel(avg bool) Kernel {
 }
 
 func init() {
-	registerThreaded("Conv", convKernel)
+	register("Conv", convKernel)
 	register("MaxPool", poolKernel(false))
 	register("AveragePool", poolKernel(true))
 	register("GlobalAveragePool", globalPoolKernel(true))

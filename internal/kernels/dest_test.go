@@ -1,0 +1,74 @@
+package kernels_test
+
+import (
+	"fmt"
+	"sort"
+	"testing"
+
+	"repro/internal/exec"
+	"repro/internal/frameworks"
+	"repro/internal/graph"
+	"repro/internal/kernels"
+	"repro/internal/models"
+	"repro/internal/tensor"
+)
+
+// TestKernelsWriteEveryElement runs every kernel call the ten models
+// make — f32 and int8 weights, every Switch path and If body, at the
+// smallest and a middle size — twice more at thread budgets 1 and 4:
+// once into heap outputs, once into NaN-filled outputs and scratch. The
+// two must match bit for bit. Arena slots and kept scratch are reused
+// and never cleared, so a kernel that skipped an element of its output
+// (relying on tensor.New's zeroing) or read its output or its scratch
+// before writing it would leave a NaN here.
+func TestKernelsWriteEveryElement(t *testing.T) {
+	seen := map[string]int{}
+	bodyCalls := 0
+	for _, b := range models.All() {
+		for _, dtype := range []tensor.DType{tensor.Float32, tensor.Int8} {
+			c, err := frameworks.CompileSched(b, frameworks.SchedConfig{Quant: frameworks.QuantConfig{Format: dtype}})
+			if err != nil {
+				t.Fatalf("%s %v: %v", b.Name, dtype, err)
+			}
+			top := map[*graph.Node]bool{}
+			for _, n := range c.Graph.Nodes {
+				top[n] = true
+			}
+			check := func(n *graph.Node, in []*tensor.Tensor) error {
+				seen[n.OpType]++
+				if !top[n] {
+					bodyCalls++
+				}
+				for _, threads := range []int{1, 4} {
+					heap, herr := kernels.Run(n, in, &kernels.Ctx{Threads: threads})
+					dest, derr := kernels.Run(n, in, &kernels.Ctx{Threads: threads, Dest: kernels.NaNDest{}})
+					if (herr == nil) != (derr == nil) {
+						return fmt.Errorf("threads %d: heap error %v, NaN-destination error %v", threads, herr, derr)
+					}
+					if d := kernels.OutputDiff(dest, heap); d != "" {
+						return fmt.Errorf("threads %d: NaN destination vs heap: %s", threads, d)
+					}
+				}
+				return nil
+			}
+			steps := (b.MaxSize - b.MinSize) / b.SizeStep
+			for _, size := range []int64{b.MinSize, b.MinSize + steps/2*b.SizeStep} {
+				in := b.Inputs(tensor.NewRNG(uint64(size)), size, 0.5)
+				_, err := exec.Run(c.Graph, in, exec.Options{Order: c.ExecPlan.Order, ExecuteAllBranches: true,
+					Hooks: &exec.Hooks{PreKernel: check}})
+				if err != nil {
+					t.Errorf("%s %v @%d: %v", b.Name, dtype, size, err)
+				}
+			}
+		}
+	}
+	ops := make([]string, 0, len(seen))
+	for op := range seen {
+		ops = append(ops, op)
+	}
+	sort.Strings(ops)
+	t.Logf("%d op types checked, %d calls inside If bodies: %v", len(ops), bodyCalls, ops)
+	if bodyCalls == 0 {
+		t.Errorf("no kernel call inside an If body was checked")
+	}
+}

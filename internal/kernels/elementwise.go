@@ -26,19 +26,19 @@ func broadcastWalk(in ...*tensor.Tensor) ([]int64, *walk, error) {
 	return shape, newWalk(shape, strides[:len(in)+1]...), nil
 }
 
-// binary allocates out as the broadcast of x and y and fills it with
-// op(x, y), striped across the thread budget, through op's vector
+// binary takes out from ctx as the broadcast of x and y and fills it
+// with op(x, y), striped across threads, through op's vector
 // loops when vec is non-nil (binRuns). pick selects the typed
 // payload of a tensor. Each stripe owns a disjoint slice of the output
 // and per-element arithmetic does not depend on the stripe, so the
 // result is bit-identical for any budget.
 func binary[T, U any](op func(a, b T) U, vec *vecBodies[T, U], odt tensor.DType, pickOut func(*tensor.Tensor) []U,
-	pickIn func(*tensor.Tensor) []T, x, y *tensor.Tensor, threads int) (*tensor.Tensor, error) {
+	pickIn func(*tensor.Tensor) []T, x, y *tensor.Tensor, ctx *Ctx, threads int) (*tensor.Tensor, error) {
 	shape, w, err := broadcastWalk(x, y)
 	if err != nil {
 		return nil, err
 	}
-	out := tensor.New(odt, shape...)
+	out := ctx.Out(0, odt, shape...)
 	o, xs, ys := pickOut(out), pickIn(x), pickIn(y)
 	ParallelFor(threads, w.n, func(lo, hi int64) {
 		c := w.seek(lo, hi)
@@ -55,7 +55,7 @@ func bools(t *tensor.Tensor) []bool     { return t.B }
 // the thread budget stripes the float path, which runs fvec, the float
 // op's vector loops, where it is non-nil.
 func registerArith(name string, fop func(a, b float32) float32, fvec *vecBodies[float32, float32], iop func(a, b int64) int64) {
-	arith := func(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
+	arith := func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 2, name); err != nil {
 			return nil, err
 		}
@@ -64,29 +64,29 @@ func registerArith(name string, fop func(a, b float32) float32, fvec *vecBodies[
 		// (a quantized scale/bias table): the same-shape case runs the
 		// fused row-wise dequant loop, anything else unpacks.
 		if y.DType.IsQuantized() && x.DType == tensor.Float32 && tensor.SameShape(x.Shape, y.Shape) {
-			return []*tensor.Tensor{binQuantRowwise(fop, x, y)}, nil
+			return []*tensor.Tensor{binQuantRowwise(fop, x, y, ctx)}, nil
 		}
 		if x.DType.IsQuantized() && y.DType == tensor.Float32 && tensor.SameShape(x.Shape, y.Shape) {
-			return []*tensor.Tensor{binQuantRowwise(func(a, b float32) float32 { return fop(b, a) }, y, x)}, nil
+			return []*tensor.Tensor{binQuantRowwise(func(a, b float32) float32 { return fop(b, a) }, y, x, ctx)}, nil
 		}
 		x, y = dequantIfNeeded(x), dequantIfNeeded(y)
 		switch {
 		case x.DType == tensor.Float32 && y.DType == tensor.Float32:
-			out, err := binary(fop, fvec, tensor.Float32, floats, floats, x, y, threads)
+			out, err := binary(fop, fvec, tensor.Float32, floats, floats, x, y, ctx, ctx.threads())
 			return []*tensor.Tensor{out}, err
 		case x.DType == tensor.Int64 && y.DType == tensor.Int64 && iop != nil:
-			out, err := binary(iop, nil, tensor.Int64, ints, ints, x, y, 1)
+			out, err := binary(iop, nil, tensor.Int64, ints, ints, x, y, ctx, 1)
 			return []*tensor.Tensor{out}, err
 		default:
 			return nil, fmt.Errorf("%s: unsupported dtypes %v,%v", name, x.DType, y.DType)
 		}
 	}
-	registerThreaded(name, arith)
+	register(name, arith)
 }
 
 // registerCompare registers a comparison producing a bool tensor.
 func registerCompare(name string, fop func(a, b float32) bool, iop func(a, b int64) bool) {
-	register(name, func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	register(name, func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 2, name); err != nil {
 			return nil, err
 		}
@@ -95,9 +95,9 @@ func registerCompare(name string, fop func(a, b float32) bool, iop func(a, b int
 		var err error
 		switch {
 		case x.DType == tensor.Float32 && y.DType == tensor.Float32:
-			out, err = binary(fop, nil, tensor.Bool, bools, floats, x, y, 1)
+			out, err = binary(fop, nil, tensor.Bool, bools, floats, x, y, ctx, 1)
 		case x.DType == tensor.Int64 && y.DType == tensor.Int64:
-			out, err = binary(iop, nil, tensor.Bool, bools, ints, x, y, 1)
+			out, err = binary(iop, nil, tensor.Bool, bools, ints, x, y, ctx, 1)
 		default:
 			return nil, fmt.Errorf("%s: unsupported dtypes %v,%v", name, x.DType, y.DType)
 		}
@@ -124,18 +124,18 @@ func mapF(op func(v float32) float32) func(o, x []float32) {
 // registerMapF registers a float unary kernel whose body maps one stripe
 // x of the input onto the same stripe o of the output.
 func registerMapF(name string, body func(o, x []float32)) {
-	unary := func(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
+	unary := func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 1, name); err != nil {
 			return nil, err
 		}
 		x := in[0]
-		out := tensor.New(tensor.Float32, x.Shape...)
-		ParallelFor(threads, x.Len(), func(lo, hi int64) {
+		out := ctx.Out(0, tensor.Float32, x.Shape...)
+		ParallelFor(ctx.threads(), x.Len(), func(lo, hi int64) {
 			body(out.F[lo:hi], x.F[lo:hi])
 		})
 		return []*tensor.Tensor{out}, nil
 	}
-	registerThreaded(name, unary)
+	register(name, unary)
 }
 
 func sigmoid(v float32) float32 { return float32(1 / (1 + math.Exp(-float64(v)))) }
@@ -271,13 +271,13 @@ func init() {
 		return float32(scale * (alpha*math.Exp(float64(v)) - alpha))
 	})
 
-	register("LeakyRelu", func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	register("LeakyRelu", func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 1, "LeakyRelu"); err != nil {
 			return nil, err
 		}
 		alpha := float32(n.AttrFloat("alpha", 0.01))
 		x := in[0]
-		out := tensor.New(tensor.Float32, x.Shape...)
+		out := ctx.Out(0, tensor.Float32, x.Shape...)
 		for i, v := range x.F {
 			if v >= 0 {
 				out.F[i] = v
@@ -288,7 +288,7 @@ func init() {
 		return []*tensor.Tensor{out}, nil
 	})
 
-	register("Clip", func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	register("Clip", func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 1, "Clip"); err != nil {
 			return nil, err
 		}
@@ -301,7 +301,7 @@ func init() {
 			hi = in[2].F[0]
 		}
 		x := in[0]
-		out := tensor.New(tensor.Float32, x.Shape...)
+		out := ctx.Out(0, tensor.Float32, x.Shape...)
 		for i, v := range x.F {
 			if v < lo {
 				v = lo
@@ -314,38 +314,38 @@ func init() {
 		return []*tensor.Tensor{out}, nil
 	})
 
-	register("Not", func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	register("Not", func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 1, "Not"); err != nil {
 			return nil, err
 		}
 		x := in[0]
-		out := tensor.New(tensor.Bool, x.Shape...)
+		out := ctx.Out(0, tensor.Bool, x.Shape...)
 		for i, v := range x.B {
 			out.B[i] = !v
 		}
 		return []*tensor.Tensor{out}, nil
 	})
 
-	register("Identity", func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	register("Identity", func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 1, "Identity"); err != nil {
 			return nil, err
 		}
-		return []*tensor.Tensor{in[0].Clone()}, nil
+		return copyOut(ctx, n.OpType, in[0], in[0].Shape)
 	})
-	register("Dropout", func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	register("Dropout", func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 1, "Dropout"); err != nil {
 			return nil, err
 		}
-		return []*tensor.Tensor{in[0].Clone()}, nil
+		return copyOut(ctx, n.OpType, in[0], in[0].Shape)
 	})
 
-	register("Cast", func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	register("Cast", func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 1, "Cast"); err != nil {
 			return nil, err
 		}
 		x := in[0]
 		to := n.AttrString("to", "float32")
-		out := tensor.New(dtypeFromName(to), x.Shape...)
+		out := ctx.Out(0, dtypeFromName(to), x.Shape...)
 		for i := int64(0); i < x.Len(); i++ {
 			var v float64
 			switch x.DType {
@@ -370,7 +370,7 @@ func init() {
 		return []*tensor.Tensor{out}, nil
 	})
 
-	register("Where", func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	register("Where", func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 3, "Where"); err != nil {
 			return nil, err
 		}
@@ -382,7 +382,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		out := tensor.New(x.DType, shape...)
+		out := ctx.Out(0, x.DType, shape...)
 		c := w.seek(0, w.n)
 		switch x.DType {
 		case tensor.Float32:
@@ -395,12 +395,12 @@ func init() {
 		return []*tensor.Tensor{out}, nil
 	})
 
-	register("IsNaN", func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	register("IsNaN", func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 1, "IsNaN"); err != nil {
 			return nil, err
 		}
 		x := in[0]
-		out := tensor.New(tensor.Bool, x.Shape...)
+		out := ctx.Out(0, tensor.Bool, x.Shape...)
 		for i, v := range x.F {
 			out.B[i] = math.IsNaN(float64(v))
 		}
@@ -409,7 +409,7 @@ func init() {
 }
 
 func boolBinary(op func(a, b bool) bool) Kernel {
-	return func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	return func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 2, n.OpType); err != nil {
 			return nil, err
 		}
@@ -417,7 +417,7 @@ func boolBinary(op func(a, b bool) bool) Kernel {
 		if x.DType != tensor.Bool || y.DType != tensor.Bool {
 			return nil, fmt.Errorf("%s: unsupported dtypes %v,%v", n.OpType, x.DType, y.DType)
 		}
-		out, err := binary(op, nil, tensor.Bool, bools, bools, x, y, 1)
+		out, err := binary(op, nil, tensor.Bool, bools, bools, x, y, ctx, 1)
 		return []*tensor.Tensor{out}, err
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // cumSumKernel computes the running sum along an axis.
-func cumSumKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func cumSumKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "CumSum"); err != nil {
 		return nil, err
 	}
@@ -23,7 +23,7 @@ func cumSumKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) 
 	}
 	exclusive := n.AttrInt("exclusive", 0) != 0
 	reverse := n.AttrInt("reverse", 0) != 0
-	out := tensor.New(tensor.Float32, x.Shape...)
+	out := ctx.Out(0, tensor.Float32, x.Shape...)
 	outer := tensor.NumElems(x.Shape[:axis])
 	axisLen := x.Shape[axis]
 	inner := tensor.NumElems(x.Shape[axis+1:])
@@ -51,7 +51,7 @@ func cumSumKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) 
 
 // triluKernel keeps the upper (upper=1) or lower triangle of the last
 // two dims, zeroing the rest; k shifts the diagonal.
-func triluKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func triluKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "Trilu"); err != nil {
 		return nil, err
 	}
@@ -67,7 +67,8 @@ func triluKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	rows := x.Shape[x.Rank()-2]
 	cols := x.Shape[x.Rank()-1]
 	batch := x.Len() / (rows * cols)
-	out := x.Clone()
+	out := ctx.Out(0, x.DType, x.Shape...)
+	copySpan(out, 0, x, 0, x.Len())
 	for b := int64(0); b < batch; b++ {
 		base := b * rows * cols
 		for r := int64(0); r < rows; r++ {
@@ -87,7 +88,7 @@ func triluKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 
 // scatterElementsKernel writes updates into a copy of data at the
 // indices along axis (ONNX ScatterElements, reduction=none).
-func scatterElementsKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func scatterElementsKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 3, "ScatterElements"); err != nil {
 		return nil, err
 	}
@@ -96,7 +97,8 @@ func scatterElementsKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor
 	if axis < 0 {
 		axis += int64(data.Rank())
 	}
-	out := data.Clone()
+	out := ctx.Out(0, data.DType, data.Shape...)
+	copySpan(out, 0, data, 0, data.Len())
 	// Walk the indices with data's strides, the axis dim excepted: along
 	// it the index tensor's value, not its position, picks the element.
 	strides := tensor.Strides(data.Shape)
@@ -127,16 +129,18 @@ func init() {
 	registerUnaryF("Softsign", func(v float32) float32 { return v / (1 + float32(math.Abs(float64(v)))) })
 	registerUnaryF("Sin", func(v float32) float32 { return float32(math.Sin(float64(v))) })
 	registerUnaryF("Cos", func(v float32) float32 { return float32(math.Cos(float64(v))) })
-	register("ThresholdedRelu", func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	register("ThresholdedRelu", func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 1, "ThresholdedRelu"); err != nil {
 			return nil, err
 		}
 		alpha := float32(n.AttrFloat("alpha", 1.0))
 		x := in[0]
-		out := tensor.New(tensor.Float32, x.Shape...)
+		out := ctx.Out(0, tensor.Float32, x.Shape...)
 		for i, v := range x.F {
 			if v > alpha {
 				out.F[i] = v
+			} else {
+				out.F[i] = 0
 			}
 		}
 		return []*tensor.Tensor{out}, nil

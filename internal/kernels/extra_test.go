@@ -66,7 +66,7 @@ func TestScatterElements(t *testing.T) {
 	bad := tensor.FromInts([]int64{1, 1}, []int64{9})
 	badU := tensor.FromFloats([]int64{1, 1}, []float32{1})
 	if _, err := Run(mkNode("ScatterElements", map[string]graph.AttrValue{"axis": graph.IntAttr(1)}, 1),
-		[]*tensor.Tensor{data, bad, badU}); err == nil {
+		[]*tensor.Tensor{data, bad, badU}, nil); err == nil {
 		t.Error("expected range error")
 	}
 }

@@ -418,7 +418,7 @@ func TestConvAllocsIndependentOfGroups(t *testing.T) {
 			"pads": graph.IntsAttr(1, 1, 1, 1), "group": graph.IntAttr(group)}}
 		in := []*tensor.Tensor{x, w}
 		return testing.AllocsPerRun(10, func() {
-			if _, err := Run(n, in); err != nil {
+			if _, err := Run(n, in, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -426,5 +426,57 @@ func TestConvAllocsIndependentOfGroups(t *testing.T) {
 	plain, depthwise := allocs(tensor.RandomFloats(rng, 1, 8, 8, 3, 3), 1), allocs(tensor.RandomFloats(rng, 1, 8, 1, 3, 3), 8)
 	if plain != depthwise || plain > 6 {
 		t.Errorf("allocations per Conv: plain %v, depthwise (8 groups) %v, want equal and at most 6", plain, depthwise)
+	}
+}
+
+// fixedDest hands out the same preallocated output and scratch storage
+// on every call, so a call through it allocates only what the kernel
+// itself does.
+type fixedDest struct{ out, scratch []float32 }
+
+func (d *fixedDest) Out(_ int, n int64) []float32 { return d.out[:n] }
+func (d *fixedDest) Scratch(n int64) []float32    { return d.scratch[:n] }
+
+// A kernel call into a Dest allocates what the heap call does minus the
+// payloads the Dest provides — the output, and Conv's panel scratch —
+// so the Ctx, the Dest and Out box nothing and close over nothing: what
+// is left of an output is its Tensor header and shape.
+func TestDestAllocatesOnlyTheHeader(t *testing.T) {
+	rng := tensor.NewRNG(41)
+	w := tensor.RandomFloats(rng, 1, 8, 8, 3, 3)
+	wq, err := tensor.Quantize(w, tensor.Int8, 8*3*3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.RandomFloats(rng, 1, 1, 8, 16, 16)
+	conv := map[string]graph.AttrValue{"pads": graph.IntsAttr(1, 1, 1, 1)}
+	for _, tc := range []struct {
+		op       string
+		attrs    map[string]graph.AttrValue
+		in       []*tensor.Tensor
+		payloads float64
+	}{
+		{"Conv", conv, []*tensor.Tensor{x, w}, 2},
+		{"Conv", conv, []*tensor.Tensor{x, wq}, 2},
+		{"MatMul", nil, []*tensor.Tensor{tensor.RandomFloats(rng, 1, 2, 9, 16), tensor.RandomFloats(rng, 1, 16, 24)}, 1},
+		{"Add", nil, []*tensor.Tensor{tensor.RandomFloats(rng, 1, 4, 64), tensor.RandomFloats(rng, 1, 64)}, 1},
+		{"Relu", nil, []*tensor.Tensor{tensor.RandomFloats(rng, 1, 4, 64)}, 1},
+		{"Softmax", nil, []*tensor.Tensor{tensor.RandomFloats(rng, 1, 4, 64)}, 1},
+		{"Reshape", nil, []*tensor.Tensor{tensor.RandomFloats(rng, 1, 4, 64), tensor.FromInts([]int64{2}, []int64{16, 16})}, 1},
+	} {
+		n := mkNode(tc.op, tc.attrs, 1)
+		d := &fixedDest{out: make([]float32, 1<<14), scratch: make([]float32, 1<<16)}
+		allocs := func(c *Ctx) float64 {
+			return testing.AllocsPerRun(10, func() {
+				if _, err := Run(n, tc.in, c); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		heap, dest := allocs(nil), allocs(&Ctx{Threads: 1, Dest: d})
+		if heap-dest != tc.payloads {
+			t.Errorf("%s %v: %v allocations into the heap, %v into a Dest; want %v fewer",
+				tc.op, tc.in[1%len(tc.in)].DType, heap, dest, tc.payloads)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -23,13 +24,68 @@ func mkNode(op string, attrs map[string]graph.AttrValue, nOut int) *graph.Node {
 	return &graph.Node{Name: "k", OpType: op, Outputs: outs, Attrs: attrs}
 }
 
+// run1 runs op into heap outputs and into NaNDest's, which must agree
+// bit for bit, and returns its first output.
 func run1(t *testing.T, op string, attrs map[string]graph.AttrValue, in ...*tensor.Tensor) *tensor.Tensor {
 	t.Helper()
-	out, err := Run(mkNode(op, attrs, 1), in)
+	return runBoth(t, mkNode(op, attrs, 1), in, 1)[0]
+}
+
+// runBoth runs n at the thread budget into heap outputs and into
+// NaNDest's and returns the heap outputs once the two agree bit for bit.
+func runBoth(t *testing.T, n *graph.Node, in []*tensor.Tensor, threads int) []*tensor.Tensor {
+	t.Helper()
+	out, err := Run(n, in, &Ctx{Threads: threads})
 	if err != nil {
-		t.Fatalf("%s: %v", op, err)
+		t.Fatalf("%s: %v", n.OpType, err)
 	}
-	return out[0]
+	dest, err := Run(n, in, &Ctx{Threads: threads, Dest: NaNDest{}})
+	if err != nil {
+		t.Fatalf("%s into NaNDest: %v", n.OpType, err)
+	}
+	if d := OutputDiff(dest, out); d != "" {
+		t.Fatalf("%s: NaN destination vs heap: %s", n.OpType, d)
+	}
+	return out
+}
+
+// NaNDest hands out every output and every scratch freshly filled with
+// NaN: storage a kernel reads before writing, or leaves partly unwritten,
+// shows up in its output. (Exported for the kernels_test package.)
+type NaNDest struct{}
+
+func nans(n int64) []float32 {
+	f := make([]float32, n)
+	for i := range f {
+		f[i] = float32(math.NaN())
+	}
+	return f
+}
+
+func (NaNDest) Out(_ int, n int64) []float32 { return nans(n) }
+func (NaNDest) Scratch(n int64) []float32    { return nans(n) }
+
+// OutputDiff describes the first way got differs from want, bit for bit
+// ("" when it does not).
+func OutputDiff(got, want []*tensor.Tensor) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d outputs, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		switch {
+		case g.DType != w.DType || !slices.Equal(g.Shape, w.Shape):
+			return fmt.Sprintf("output %d is %v%v, want %v%v", i, g.DType, g.Shape, w.DType, w.Shape)
+		case !slices.Equal(g.I, w.I) || !slices.Equal(g.B, w.B):
+			return fmt.Sprintf("output %d: integer or bool payload differs", i)
+		}
+		for j := range w.F {
+			if math.Float32bits(g.F[j]) != math.Float32bits(w.F[j]) {
+				return fmt.Sprintf("output %d element %d: %v, want %v", i, j, g.F[j], w.F[j])
+			}
+		}
+	}
+	return ""
 }
 
 func TestAddBroadcast(t *testing.T) {
@@ -101,7 +157,7 @@ func TestCompareAndWhereDTypes(t *testing.T) {
 		{"Less", []*tensor.Tensor{f, i}}, {"Greater", []*tensor.Tensor{i, f}}, {"Equal", []*tensor.Tensor{f, c}},
 		{"Where", []*tensor.Tensor{c, f, i}}, {"Where", []*tensor.Tensor{f, f, f}}, {"And", []*tensor.Tensor{c, f}},
 	} {
-		if _, err := Run(mkNode(tc.op, nil, 1), tc.in); err == nil || !strings.Contains(err.Error(), "unsupported dtypes") {
+		if _, err := Run(mkNode(tc.op, nil, 1), tc.in, nil); err == nil || !strings.Contains(err.Error(), "unsupported dtypes") {
 			t.Errorf("%s on mixed dtypes: err = %v, want an unsupported-dtypes error", tc.op, err)
 		}
 	}
@@ -235,7 +291,7 @@ func TestLayerNormAxisOutOfRange(t *testing.T) {
 		{2, false}, {5, false}, {-3, false}, {-7, false},
 	} {
 		n := mkNode("LayerNormalization", map[string]graph.AttrValue{"axis": graph.IntAttr(tc.axis)}, 1)
-		_, err := Run(n, []*tensor.Tensor{x})
+		_, err := Run(n, []*tensor.Tensor{x}, nil)
 		var ae *AxisError
 		switch {
 		case tc.ok && err != nil:
@@ -333,7 +389,7 @@ func TestSplitKernel(t *testing.T) {
 	x := tensor.FromFloats([]int64{2, 4}, []float32{1, 2, 3, 4, 5, 6, 7, 8})
 	n := &graph.Node{Name: "s", OpType: "Split", Outputs: []string{"a", "b"},
 		Attrs: map[string]graph.AttrValue{"axis": graph.IntAttr(1)}}
-	out, err := Run(n, []*tensor.Tensor{x})
+	out, err := Run(n, []*tensor.Tensor{x}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +448,7 @@ func TestTopK(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			n := &graph.Node{Name: "t", OpType: "TopK", Outputs: []string{"v", "i"},
 				Attrs: map[string]graph.AttrValue{}}
-			out, err := Run(n, []*tensor.Tensor{tc.x, tensor.FromInts([]int64{1}, []int64{tc.k})})
+			out, err := Run(n, []*tensor.Tensor{tc.x, tensor.FromInts([]int64{1}, []int64{tc.k})}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -442,7 +498,7 @@ func TestResizeNearest(t *testing.T) {
 	x := tensor.FromFloats([]int64{1, 1, 2, 2}, []float32{1, 2, 3, 4})
 	sizes := tensor.FromInts([]int64{4}, []int64{1, 1, 4, 4})
 	out, err := Run(&graph.Node{OpType: "Resize", Outputs: []string{"o"}, Attrs: map[string]graph.AttrValue{}},
-		[]*tensor.Tensor{x, nil, nil, sizes})
+		[]*tensor.Tensor{x, nil, nil, sizes}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +518,7 @@ func TestNMS(t *testing.T) {
 	})
 	scores := tensor.FromFloats([]int64{1, 1, 3}, []float32{0.9, 0.8, 0.7})
 	out, err := Run(&graph.Node{OpType: "NonMaxSuppression", Outputs: []string{"o"}, Attrs: map[string]graph.AttrValue{}},
-		[]*tensor.Tensor{boxes, scores})
+		[]*tensor.Tensor{boxes, scores}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +546,7 @@ func TestEyeLike(t *testing.T) {
 }
 
 func TestMissingKernel(t *testing.T) {
-	if _, err := Run(mkNode("NoSuchOp", nil, 1), nil); err == nil {
+	if _, err := Run(mkNode("NoSuchOp", nil, 1), nil, nil); err == nil {
 		t.Error("expected error")
 	}
 	if Has("NoSuchOp") || !Has("Conv") {

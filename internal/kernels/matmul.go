@@ -86,7 +86,7 @@ func gemmRows(threads int, a, b []float32, m, k, n int64, c []float32) {
 // matmulKernel implements ONNX MatMul with batch broadcasting. The
 // intra-op budget stripes batch entries when there are several and
 // output rows otherwise.
-func matmulKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
+func matmulKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 2, "MatMul"); err != nil {
 		return nil, err
 	}
@@ -111,7 +111,8 @@ func matmulKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Te
 		return nil, err
 	}
 	outShape := append(append([]int64{}, batch...), m, nn)
-	out := tensor.New(tensor.Float32, outShape...)
+	out := ctx.Out(0, tensor.Float32, outShape...)
+	threads := ctx.threads()
 	if b.DType.IsQuantized() {
 		if err := matmulQuant(a, b, m, k, nn, out, threads); err != nil {
 			return nil, err
@@ -144,7 +145,7 @@ func matmulKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Te
 // gemmKernel implements the ONNX Gemm op: alpha·op(A)·op(B) + beta·C. A
 // transposed operand is packed row-major once so the shared loop nest
 // streams it.
-func gemmKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
+func gemmKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 2, "Gemm"); err != nil {
 		return nil, err
 	}
@@ -171,8 +172,8 @@ func gemmKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tens
 	if ak != bk {
 		return nil, fmt.Errorf("Gemm: inner dims %d vs %d", ak, bk)
 	}
-	out := tensor.New(tensor.Float32, am, bn)
-	gemmRows(threads, a.F, b.F, am, ak, bn, out.F)
+	out := ctx.Out(0, tensor.Float32, am, bn)
+	gemmRows(ctx.threads(), a.F, b.F, am, ak, bn, out.F)
 	if alpha != 1 {
 		for i := range out.F {
 			out.F[i] *= alpha
@@ -196,6 +197,6 @@ func transpose2D(x *tensor.Tensor) *tensor.Tensor {
 }
 
 func init() {
-	registerThreaded("MatMul", matmulKernel)
-	registerThreaded("Gemm", gemmKernel)
+	register("MatMul", matmulKernel)
+	register("Gemm", gemmKernel)
 }

@@ -10,21 +10,25 @@ import (
 	"repro/internal/tensor"
 )
 
-func shapeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func shapeKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "Shape"); err != nil {
 		return nil, err
 	}
-	return []*tensor.Tensor{tensor.FromInts([]int64{int64(in[0].Rank())}, append([]int64{}, in[0].Shape...))}, nil
+	out := ctx.Out(0, tensor.Int64, int64(in[0].Rank()))
+	copy(out.I, in[0].Shape)
+	return []*tensor.Tensor{out}, nil
 }
 
-func sizeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func sizeKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "Size"); err != nil {
 		return nil, err
 	}
-	return []*tensor.Tensor{tensor.ScalarInt(in[0].Len())}, nil
+	out := ctx.Out(0, tensor.Int64)
+	out.I[0] = in[0].Len()
+	return []*tensor.Tensor{out}, nil
 }
 
-func reshapeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func reshapeKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 2, "Reshape"); err != nil {
 		return nil, err
 	}
@@ -56,10 +60,25 @@ func reshapeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error)
 		}
 		shape[inferIdx] = total / prod
 	}
-	return []*tensor.Tensor{in[0].Clone().Reshaped(shape)}, nil
+	return copyOut(ctx, "Reshape", x, shape)
 }
 
-func flattenKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+// copyOut returns x's elements under shape as the node's output: the
+// shape-only ops copy, never alias, their input. A packed weight has no
+// storage to take from ctx and is cloned.
+func copyOut(ctx *Ctx, op string, x *tensor.Tensor, shape []int64) ([]*tensor.Tensor, error) {
+	if tensor.NumElems(shape) != x.Len() {
+		return nil, fmt.Errorf("%s: %d elements cannot take shape %v", op, x.Len(), shape)
+	}
+	if x.DType.IsQuantized() {
+		return []*tensor.Tensor{x.Clone().Reshaped(shape)}, nil
+	}
+	out := ctx.Out(0, x.DType, shape...)
+	copySpan(out, 0, x, 0, x.Len())
+	return []*tensor.Tensor{out}, nil
+}
+
+func flattenKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "Flatten"); err != nil {
 		return nil, err
 	}
@@ -70,10 +89,10 @@ func flattenKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error)
 	}
 	a := tensor.NumElems(x.Shape[:axis])
 	b := tensor.NumElems(x.Shape[axis:])
-	return []*tensor.Tensor{x.Clone().Reshaped([]int64{a, b})}, nil
+	return copyOut(ctx, "Flatten", x, []int64{a, b})
 }
 
-func squeezeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func squeezeKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "Squeeze"); err != nil {
 		return nil, err
 	}
@@ -102,10 +121,10 @@ func squeezeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error)
 			shape = append(shape, d)
 		}
 	}
-	return []*tensor.Tensor{x.Clone().Reshaped(shape)}, nil
+	return copyOut(ctx, "Squeeze", x, shape)
 }
 
-func unsqueezeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func unsqueezeKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "Unsqueeze"); err != nil {
 		return nil, err
 	}
@@ -132,10 +151,10 @@ func unsqueezeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, erro
 			j++
 		}
 	}
-	return []*tensor.Tensor{x.Clone().Reshaped(shape)}, nil
+	return copyOut(ctx, "Unsqueeze", x, shape)
 }
 
-func transposeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func transposeKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "Transpose"); err != nil {
 		return nil, err
 	}
@@ -151,12 +170,12 @@ func transposeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, erro
 	for i, p := range perm {
 		outShape[i] = x.Shape[p]
 	}
-	out := tensor.New(x.DType, outShape...)
+	out := ctx.Out(0, x.DType, outShape...)
 	copyWalk(out, x, newWalk(outShape, tensor.Strides(outShape), tensor.PermuteStrides(x.Shape, perm)))
 	return []*tensor.Tensor{out}, nil
 }
 
-func concatKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func concatKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "Concat"); err != nil {
 		return nil, err
 	}
@@ -176,7 +195,7 @@ func concatKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) 
 		axisTotal += t.Shape[axis]
 	}
 	outShape[axis] = axisTotal
-	out := tensor.New(first.DType, outShape...)
+	out := ctx.Out(0, first.DType, outShape...)
 	outer := tensor.NumElems(outShape[:axis])
 	innerOut := tensor.NumElems(outShape[axis:])
 	copied := int64(0)
@@ -190,7 +209,7 @@ func concatKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) 
 	return []*tensor.Tensor{out}, nil
 }
 
-func splitKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func splitKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "Split"); err != nil {
 		return nil, err
 	}
@@ -228,7 +247,7 @@ func splitKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	for s, sz := range splits {
 		shape := append([]int64{}, x.Shape...)
 		shape[axis] = sz
-		out := tensor.New(x.DType, shape...)
+		out := ctx.Out(s, x.DType, shape...)
 		for o := int64(0); o < outer; o++ {
 			for a := int64(0); a < sz; a++ {
 				copySpan(out, (o*sz+a)*inner, x, (o*x.Shape[axis]+offset+a)*inner, inner)
@@ -265,7 +284,7 @@ func resolveAxis(op string, axis int64, rank int, end bool) (int64, error) {
 	return i, nil
 }
 
-func gatherKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func gatherKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 2, "Gather"); err != nil {
 		return nil, err
 	}
@@ -285,7 +304,7 @@ func gatherKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) 
 		// per axis-0 entry, so each lookup dequantizes its row straight
 		// into the float32 output — the table is never unpacked whole.
 		if axis == 0 && data.Q.Rows == axisLen && data.Q.Cols == inner {
-			out := tensor.New(tensor.Float32, outShape...)
+			out := ctx.Out(0, tensor.Float32, outShape...)
 			for ii := int64(0); ii < indices.Len(); ii++ {
 				idx := indices.I[ii]
 				if idx < 0 {
@@ -300,7 +319,7 @@ func gatherKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) 
 		}
 		data = data.Dequantize()
 	}
-	out := tensor.New(data.DType, outShape...)
+	out := ctx.Out(0, data.DType, outShape...)
 	nIdx := indices.Len()
 	for o := int64(0); o < outer; o++ {
 		for ii := int64(0); ii < nIdx; ii++ {
@@ -317,7 +336,7 @@ func gatherKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) 
 	return []*tensor.Tensor{out}, nil
 }
 
-func sliceKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func sliceKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 3, "Slice"); err != nil {
 		return nil, err
 	}
@@ -365,7 +384,7 @@ func sliceKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 		start[a], count[a] = tensor.SliceBounds(starts[i], ends[i], sp, x.Shape[a])
 		step[a] = sp
 	}
-	out := tensor.New(x.DType, count...)
+	out := ctx.Out(0, x.DType, count...)
 	srcStrides, srcBase := tensor.SliceStrides(x.Shape, start, step)
 	w := newWalk(count, tensor.Strides(count), srcStrides)
 	w.base[1] = srcBase
@@ -373,7 +392,7 @@ func sliceKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	return []*tensor.Tensor{out}, nil
 }
 
-func expandKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func expandKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 2, "Expand"); err != nil {
 		return nil, err
 	}
@@ -382,12 +401,12 @@ func expandKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) 
 	if err != nil {
 		return nil, err
 	}
-	out := tensor.New(x.DType, shape...)
+	out := ctx.Out(0, x.DType, shape...)
 	copyWalk(out, x, newWalk(shape, tensor.Strides(shape), tensor.BroadcastStrides(x.Shape, shape)))
 	return []*tensor.Tensor{out}, nil
 }
 
-func rangeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func rangeKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 3, "Range"); err != nil {
 		return nil, err
 	}
@@ -400,7 +419,7 @@ func rangeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 		if cnt < 0 {
 			cnt = 0
 		}
-		out := tensor.New(tensor.Int64, cnt)
+		out := ctx.Out(0, tensor.Int64, cnt)
 		v := start
 		for i := int64(0); i < cnt; i++ {
 			out.I[i] = v
@@ -413,26 +432,26 @@ func rangeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if cnt < 0 {
 		cnt = 0
 	}
-	out := tensor.New(tensor.Float32, cnt)
+	out := ctx.Out(0, tensor.Float32, cnt)
 	for i := int64(0); i < cnt; i++ {
 		out.F[i] = start + float32(i)*delta
 	}
 	return []*tensor.Tensor{out}, nil
 }
 
-func constantOfShapeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func constantOfShapeKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "ConstantOfShape"); err != nil {
 		return nil, err
 	}
 	val := float32(n.AttrFloat("value", 0))
-	out := tensor.New(tensor.Float32, in[0].I...)
+	out := ctx.Out(0, tensor.Float32, in[0].I...)
 	for i := range out.F {
 		out.F[i] = val
 	}
 	return []*tensor.Tensor{out}, nil
 }
 
-func eyeLikeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func eyeLikeKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "EyeLike"); err != nil {
 		return nil, err
 	}
@@ -440,7 +459,8 @@ func eyeLikeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error)
 	if x.Rank() != 2 {
 		return nil, fmt.Errorf("EyeLike: rank %d", x.Rank())
 	}
-	out := tensor.New(tensor.Float32, x.Shape...)
+	out := ctx.Out(0, tensor.Float32, x.Shape...)
+	clear(out.F)
 	k := n.AttrInt("k", 0)
 	for i := int64(0); i < x.Shape[0]; i++ {
 		j := i + k
@@ -451,7 +471,7 @@ func eyeLikeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error)
 	return []*tensor.Tensor{out}, nil
 }
 
-func padKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func padKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "Pad"); err != nil {
 		return nil, err
 	}
@@ -471,10 +491,12 @@ func padKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	for i := range outShape {
 		outShape[i] = x.Shape[i] + pads[i] + pads[x.Rank()+i]
 	}
-	out := tensor.New(x.DType, outShape...)
+	out := ctx.Out(0, x.DType, outShape...)
 	for i := range out.F {
 		out.F[i] = cval
 	}
+	clear(out.I) // integer and bool tensors pad with zeros
+	clear(out.B)
 	// Walk the input; it lands in the output's interior, pads[:rank] in
 	// from the origin.
 	outStrides := tensor.Strides(outShape)
@@ -484,7 +506,7 @@ func padKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	return []*tensor.Tensor{out}, nil
 }
 
-func tileKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func tileKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 2, "Tile"); err != nil {
 		return nil, err
 	}
@@ -494,7 +516,7 @@ func tileKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	for i := range outShape {
 		outShape[i] = x.Shape[i] * reps[i]
 	}
-	out := tensor.New(x.DType, outShape...)
+	out := ctx.Out(0, x.DType, outShape...)
 	// Split every output dim into (repeat, input extent): the output is
 	// row-major over the split shape and the input ignores the repeats.
 	split := make([]int64, 0, 2*x.Rank())
@@ -509,7 +531,7 @@ func tileKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 
 // resizeKernel: nearest-neighbour resize driven by scales (input 2) or
 // sizes (input 3); NCHW only.
-func resizeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func resizeKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "Resize"); err != nil {
 		return nil, err
 	}
@@ -528,7 +550,7 @@ func resizeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) 
 	default:
 		return nil, fmt.Errorf("Resize: neither scales nor sizes provided")
 	}
-	out := tensor.New(tensor.Float32, outShape...)
+	out := ctx.Out(0, tensor.Float32, outShape...)
 	N, C := outShape[0], outShape[1]
 	oh, ow := outShape[2], outShape[3]
 	ih, iw := x.Shape[2], x.Shape[3]
@@ -552,7 +574,7 @@ func resizeKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) 
 	return []*tensor.Tensor{out}, nil
 }
 
-func topKKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func topKKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "TopK"); err != nil {
 		return nil, err
 	}
@@ -577,8 +599,8 @@ func topKKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	outer := tensor.NumElems(x.Shape[:axis])
 	outShape := append([]int64{}, x.Shape...)
 	outShape[axis] = k
-	vals := tensor.New(tensor.Float32, outShape...)
-	idxs := tensor.New(tensor.Int64, outShape...)
+	vals := ctx.Out(0, tensor.Float32, outShape...)
+	idxs := ctx.Out(1, tensor.Int64, outShape...)
 	type pair struct {
 		v float32
 		i int64
@@ -604,7 +626,7 @@ func topKKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 }
 
 func argExtremeKernel(isMax bool) Kernel {
-	return func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	return func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 1, n.OpType); err != nil {
 			return nil, err
 		}
@@ -627,7 +649,7 @@ func argExtremeKernel(isMax bool) Kernel {
 			}
 			outShape = append(outShape, d)
 		}
-		out := tensor.New(tensor.Int64, outShape...)
+		out := ctx.Out(0, tensor.Int64, outShape...)
 		for o := int64(0); o < outer; o++ {
 			for i := int64(0); i < inner; i++ {
 				best := x.F[o*axisLen*inner+i]
@@ -646,7 +668,7 @@ func argExtremeKernel(isMax bool) Kernel {
 }
 
 func reduceKernel(init float32, acc func(a, v float32) float32, finish func(a float32, n int64) float32) Kernel {
-	return func(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	return func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 1, n.OpType); err != nil {
 			return nil, err
 		}
@@ -681,7 +703,7 @@ func reduceKernel(init float32, acc func(a, v float32) float32, finish func(a fl
 				outShape = append(outShape, d)
 			}
 		}
-		out := tensor.New(tensor.Float32, outShape...)
+		out := ctx.Out(0, tensor.Float32, outShape...)
 		for i := range out.F {
 			out.F[i] = init
 		}
@@ -726,7 +748,7 @@ func reduceKernel(init float32, acc func(a, v float32) float32, finish func(a fl
 	}
 }
 
-func nonZeroKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func nonZeroKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "NonZero"); err != nil {
 		return nil, err
 	}
@@ -747,7 +769,7 @@ func nonZeroKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error)
 			hits = append(hits, flat)
 		}
 	}
-	out := tensor.New(tensor.Int64, int64(x.Rank()), int64(len(hits)))
+	out := ctx.Out(0, tensor.Int64, int64(x.Rank()), int64(len(hits)))
 	for c, flat := range hits {
 		rem := flat
 		for d := 0; d < x.Rank(); d++ {
@@ -758,7 +780,7 @@ func nonZeroKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error)
 	return []*tensor.Tensor{out}, nil
 }
 
-func oneHotKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func oneHotKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 2, "OneHot"); err != nil {
 		return nil, err
 	}
@@ -769,7 +791,7 @@ func oneHotKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) 
 		offVal, onVal = in[2].F[0], in[2].F[1]
 	}
 	outShape := append(append([]int64{}, idx.Shape...), depth)
-	out := tensor.New(tensor.Float32, outShape...)
+	out := ctx.Out(0, tensor.Float32, outShape...)
 	for i := range out.F {
 		out.F[i] = offVal
 	}
@@ -788,7 +810,7 @@ func oneHotKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) 
 // nmsKernel is a simplified single-class NonMaxSuppression over
 // boxes [1, N, 4] and scores [1, 1, N], returning selected indices
 // [num, 3] like ONNX.
-func nmsKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func nmsKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 2, "NonMaxSuppression"); err != nil {
 		return nil, err
 	}
@@ -844,7 +866,8 @@ func nmsKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
 			selected = append(selected, cand)
 		}
 	}
-	out := tensor.New(tensor.Int64, int64(len(selected)), 3)
+	out := ctx.Out(0, tensor.Int64, int64(len(selected)), 3)
+	clear(out.I)
 	for i, s := range selected {
 		out.I[i*3+2] = s
 	}

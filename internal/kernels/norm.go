@@ -21,8 +21,8 @@ func rowGrain(inner int64) int64 {
 	return g
 }
 
-func softmaxKernel(logMode bool) BudgetedKernel {
-	return func(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
+func softmaxKernel(logMode bool) Kernel {
+	return func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 1, n.OpType); err != nil {
 			return nil, err
 		}
@@ -34,7 +34,7 @@ func softmaxKernel(logMode bool) BudgetedKernel {
 		if int(axis) != x.Rank()-1 {
 			return nil, fmt.Errorf("%s: only last-axis supported (axis=%d rank=%d)", n.OpType, axis, x.Rank())
 		}
-		out := tensor.New(tensor.Float32, x.Shape...)
+		out := ctx.Out(0, tensor.Float32, x.Shape...)
 		if x.Len() == 0 { // nothing to normalise, and inner may be 0
 			return []*tensor.Tensor{out}, nil
 		}
@@ -69,7 +69,7 @@ func softmaxKernel(logMode bool) BudgetedKernel {
 				}
 			}
 		}
-		ParallelForGrain(threads, outer, rowGrain(inner), softmaxRows)
+		ParallelForGrain(ctx.threads(), outer, rowGrain(inner), softmaxRows)
 		return []*tensor.Tensor{out}, nil
 	}
 }
@@ -77,7 +77,7 @@ func softmaxKernel(logMode bool) BudgetedKernel {
 // layerNormKernel normalizes over the trailing axes starting at `axis`
 // (default -1) with optional scale and bias inputs. Rows are normalized
 // independently, so the budget stripes the outer dimension.
-func layerNormKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
+func layerNormKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "LayerNormalization"); err != nil {
 		return nil, err
 	}
@@ -87,7 +87,7 @@ func layerNormKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor
 		return nil, err
 	}
 	eps := float32(n.AttrFloat("epsilon", 1e-5))
-	out := tensor.New(tensor.Float32, x.Shape...)
+	out := ctx.Out(0, tensor.Float32, x.Shape...)
 	if x.Len() == 0 { // nothing to normalise, and inner may be 0
 		return []*tensor.Tensor{out}, nil
 	}
@@ -100,7 +100,7 @@ func layerNormKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor
 	if len(in) > 2 && in[2] != nil {
 		bias = in[2]
 	}
-	ParallelForGrain(threads, outer, rowGrain(inner), func(oLo, oHi int64) {
+	ParallelForGrain(ctx.threads(), outer, rowGrain(inner), func(oLo, oHi int64) {
 		for o := oLo; o < oHi; o++ {
 			row := x.F[o*inner : (o+1)*inner]
 			dst := out.F[o*inner : (o+1)*inner]
@@ -142,7 +142,7 @@ func layerNormKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor
 // batchNormKernel: inference-mode y = scale*(x-mean)/sqrt(var+eps)+bias,
 // parameters indexed by channel (dim 1). (batch, channel) planes are
 // independent, so the budget stripes the flattened N*C range.
-func batchNormKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
+func batchNormKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 5, "BatchNormalization"); err != nil {
 		return nil, err
 	}
@@ -154,8 +154,8 @@ func batchNormKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor
 	C := x.Shape[1]
 	plane := tensor.NumElems(x.Shape[2:])
 	N := x.Shape[0]
-	out := tensor.New(tensor.Float32, x.Shape...)
-	ParallelForGrain(threads, N*C, rowGrain(plane), func(lo, hi int64) {
+	out := ctx.Out(0, tensor.Float32, x.Shape...)
+	ParallelForGrain(ctx.threads(), N*C, rowGrain(plane), func(lo, hi int64) {
 		for bc := lo; bc < hi; bc++ {
 			c := bc % C
 			inv := float32(1 / math.Sqrt(float64(variance.F[c])+float64(eps)))
@@ -172,7 +172,7 @@ func batchNormKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor
 // groupNormKernel normalizes within channel groups. (batch, group)
 // spans are independent, so the budget stripes the flattened N*groups
 // range.
-func groupNormKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
+func groupNormKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "GroupNormalization"); err != nil {
 		return nil, err
 	}
@@ -189,7 +189,7 @@ func groupNormKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor
 	plane := tensor.NumElems(x.Shape[2:])
 	chPerGroup := C / groups
 	span := chPerGroup * plane
-	out := tensor.New(tensor.Float32, x.Shape...)
+	out := ctx.Out(0, tensor.Float32, x.Shape...)
 	var scale, bias *tensor.Tensor
 	if len(in) > 1 && in[1] != nil {
 		scale = in[1]
@@ -197,7 +197,7 @@ func groupNormKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor
 	if len(in) > 2 && in[2] != nil {
 		bias = in[2]
 	}
-	ParallelForGrain(threads, N*groups, rowGrain(span), func(lo, hi int64) {
+	ParallelForGrain(ctx.threads(), N*groups, rowGrain(span), func(lo, hi int64) {
 		for bg := lo; bg < hi; bg++ {
 			b, g := bg/groups, bg%groups
 			base := b*C*plane + g*span
@@ -232,7 +232,7 @@ func groupNormKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor
 	return []*tensor.Tensor{out}, nil
 }
 
-func instanceNormKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*tensor.Tensor, error) {
+func instanceNormKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	// InstanceNorm == GroupNorm with groups == C.
 	if err := wantInputs(in, 1, "InstanceNormalization"); err != nil {
 		return nil, err
@@ -242,14 +242,14 @@ func instanceNormKernel(n *graph.Node, in []*tensor.Tensor, threads int) ([]*ten
 			"num_groups": graph.IntAttr(in[0].Shape[1]),
 			"epsilon":    graph.FloatAttr(n.AttrFloat("epsilon", 1e-5)),
 		}}
-	return groupNormKernel(clone, in, threads)
+	return groupNormKernel(clone, in, ctx)
 }
 
 func init() {
-	registerThreaded("Softmax", softmaxKernel(false))
-	registerThreaded("LogSoftmax", softmaxKernel(true))
-	registerThreaded("LayerNormalization", layerNormKernel)
-	registerThreaded("BatchNormalization", batchNormKernel)
-	registerThreaded("GroupNormalization", groupNormKernel)
-	registerThreaded("InstanceNormalization", instanceNormKernel)
+	register("Softmax", softmaxKernel(false))
+	register("LogSoftmax", softmaxKernel(true))
+	register("LayerNormalization", layerNormKernel)
+	register("BatchNormalization", batchNormKernel)
+	register("GroupNormalization", groupNormKernel)
+	register("InstanceNormalization", instanceNormKernel)
 }

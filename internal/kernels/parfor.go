@@ -24,25 +24,15 @@ func ParallelFor(threads int, n int64, f func(lo, hi int64)) {
 // re-raised on the caller's goroutine, so the caller's recover boundary
 // (exec's runKernel) sees it exactly as it would a sequential kernel's.
 func ParallelForGrain(threads int, n, grain int64, f func(lo, hi int64)) {
-	if n <= 0 {
+	count, chunk := stripes(threads, n, grain)
+	if count == 0 {
 		return
 	}
-	if grain < 1 {
-		grain = 1
-	}
-	stripes := int64(threads)
-	if stripes > n {
-		stripes = n
-	}
-	if maxStripes := (n + grain - 1) / grain; stripes > maxStripes {
-		stripes = maxStripes
-	}
-	if stripes <= 1 {
+	if count == 1 {
 		f(0, n)
 		return
 	}
-	chunk := (n + stripes - 1) / stripes
-	panics := make([]any, stripes)
+	panics := make([]any, count)
 	var wg sync.WaitGroup
 	for s, lo := 0, int64(0); lo < n; s, lo = s+1, lo+chunk {
 		wg.Add(1)
@@ -58,4 +48,15 @@ func ParallelForGrain(threads int, n, grain int64, f func(lo, hi int64)) {
 			panic(p)
 		}
 	}
+}
+
+// stripes is how ParallelForGrain cuts [0,n): into count stripes, stripe
+// s covering [s·chunk, min((s+1)·chunk, n)). A kernel that hands each
+// stripe its own part of one scratch finds a stripe's index as lo/chunk.
+func stripes(threads int, n, grain int64) (count, chunk int64) {
+	if n <= 0 {
+		return 0, 0
+	}
+	count = min(int64(max(1, threads)), n, (n+max(1, grain)-1)/max(1, grain))
+	return count, (n + count - 1) / count
 }

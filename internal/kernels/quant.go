@@ -113,8 +113,8 @@ func matmulQuant(a, b *tensor.Tensor, m, k, nn int64, out *tensor.Tensor, thread
 // shapes match exactly: each storage row of y is dequantized once into
 // a scratch row, keeping the live overhead at O(Cols) instead of a full
 // float copy of the operand.
-func binQuantRowwise(op func(a, b float32) float32, x *tensor.Tensor, y *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(tensor.Float32, x.Shape...)
+func binQuantRowwise(op func(a, b float32) float32, x *tensor.Tensor, y *tensor.Tensor, ctx *Ctx) *tensor.Tensor {
+	out := ctx.Out(0, tensor.Float32, x.Shape...)
 	q := y.Q
 	row := make([]float32, q.Cols)
 	for r := int64(0); r < q.Rows; r++ {

@@ -109,12 +109,7 @@ func TestGemmQuantLHSMatchesDequant(t *testing.T) {
 
 func runOp(t *testing.T, op string, attrs map[string]graph.AttrValue, threads int, in ...*tensor.Tensor) *tensor.Tensor {
 	t.Helper()
-	n := &graph.Node{Name: "t", OpType: op, Attrs: attrs}
-	out, err := RunWithBudget(n, in, threads)
-	if err != nil {
-		t.Fatalf("%s: %v", op, err)
-	}
-	return out[0]
+	return runBoth(t, &graph.Node{Name: "t", OpType: op, Attrs: attrs}, in, threads)[0]
 }
 
 func TestMatMulKernelQuantized(t *testing.T) {
@@ -242,7 +237,7 @@ func benchConv(b *testing.B, format tensor.DType) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(node, []*tensor.Tensor{x, win}); err != nil {
+		if _, err := Run(node, []*tensor.Tensor{x, win}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -279,7 +274,7 @@ func TestGatherQuantizedTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := tensor.FromInts([]int64{1}, []int64{40})
-	if _, err := Run(mkNode("Gather", nil, 1), []*tensor.Tensor{tq, bad}); err == nil {
+	if _, err := Run(mkNode("Gather", nil, 1), []*tensor.Tensor{tq, bad}, nil); err == nil {
 		t.Fatal("out-of-range index on quantized table succeeded")
 	}
 }

@@ -92,7 +92,7 @@ func elementwiseLens() []int {
 // length of elementwiseLens, every operand at its own unaligned offset
 // into a larger slice, with a broadcast scalar on either side; Relu's
 // runs whole. No loop writes past its run. The kernel-table half drives
-// every op of elementwiseDefs and Relu through RunWithBudget at thread
+// every op of elementwiseDefs and Relu through Run at thread
 // budgets 1–4 against the definitions written out above, and pins the
 // NaN and signed-zero semantics.
 func TestElementwiseBodiesAgree(t *testing.T) {
@@ -326,7 +326,7 @@ func BenchmarkElementwise(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(node, bc.in); err != nil {
+				if _, err := Run(node, bc.in, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

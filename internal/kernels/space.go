@@ -9,7 +9,7 @@ import (
 
 // spaceToDepthKernel rearranges [N, C, H, W] → [N, C·b², H/b, W/b]
 // (YOLO-style Focus/slice stems use it to trade resolution for channels).
-func spaceToDepthKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func spaceToDepthKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "SpaceToDepth"); err != nil {
 		return nil, err
 	}
@@ -23,7 +23,7 @@ func spaceToDepthKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, e
 		return nil, fmt.Errorf("SpaceToDepth: %dx%d not divisible by %d", H, W, b)
 	}
 	oh, ow := H/b, W/b
-	out := tensor.New(tensor.Float32, N, C*b*b, oh, ow)
+	out := ctx.Out(0, tensor.Float32, N, C*b*b, oh, ow)
 	for bn := int64(0); bn < N; bn++ {
 		for c := int64(0); c < C; c++ {
 			for by := int64(0); by < b; by++ {
@@ -45,7 +45,7 @@ func spaceToDepthKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, e
 
 // depthToSpaceKernel is the inverse: [N, C·b², H, W] → [N, C, H·b, W·b]
 // (DCR mode).
-func depthToSpaceKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func depthToSpaceKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "DepthToSpace"); err != nil {
 		return nil, err
 	}
@@ -59,7 +59,7 @@ func depthToSpaceKernel(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, e
 		return nil, fmt.Errorf("DepthToSpace: C=%d not divisible by %d", C, b*b)
 	}
 	oc := C / (b * b)
-	out := tensor.New(tensor.Float32, N, oc, H*b, W*b)
+	out := ctx.Out(0, tensor.Float32, N, oc, H*b, W*b)
 	for bn := int64(0); bn < N; bn++ {
 		for c := int64(0); c < oc; c++ {
 			for by := int64(0); by < b; by++ {

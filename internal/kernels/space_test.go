@@ -36,12 +36,12 @@ func TestSpaceToDepthValues(t *testing.T) {
 func TestSpaceToDepthErrors(t *testing.T) {
 	x := tensor.New(tensor.Float32, 1, 1, 3, 3) // not divisible by 2
 	if _, err := Run(mkNode("SpaceToDepth", map[string]graph.AttrValue{
-		"blocksize": graph.IntAttr(2)}, 1), []*tensor.Tensor{x}); err == nil {
+		"blocksize": graph.IntAttr(2)}, 1), []*tensor.Tensor{x}, nil); err == nil {
 		t.Error("expected divisibility error")
 	}
 	y := tensor.New(tensor.Float32, 1, 3, 2, 2) // C not divisible by b²
 	if _, err := Run(mkNode("DepthToSpace", map[string]graph.AttrValue{
-		"blocksize": graph.IntAttr(2)}, 1), []*tensor.Tensor{y}); err == nil {
+		"blocksize": graph.IntAttr(2)}, 1), []*tensor.Tensor{y}, nil); err == nil {
 		t.Error("expected channel-divisibility error")
 	}
 }

@@ -628,7 +628,7 @@ func TestWalkAllocsIndependentOfSize(t *testing.T) {
 		for i, n := range []int64{1 << 10, 1 << 20} {
 			in := bc.in(rng, n)
 			allocs[i] = testing.AllocsPerRun(2, func() {
-				if _, err := Run(node, in); err != nil {
+				if _, err := Run(node, in, nil); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -650,7 +650,7 @@ func benchWalk(b *testing.B, name string) {
 		b.SetBytes(4 << 18)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(node, in); err != nil {
+			if _, err := Run(node, in, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -13,7 +13,7 @@ import (
 
 // kernelsRun adapts the kernel dispatcher for the property tests.
 func kernelsRun(n *graph.Node, in []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	return kernels.Run(n, in)
+	return kernels.Run(n, in, nil)
 }
 
 // randomDAG builds a random valid computational graph over shape-
