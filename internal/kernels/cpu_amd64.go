@@ -1,0 +1,15 @@
+package kernels
+
+// The CPU features the amd64 kernels use beyond the SSE2 baseline, read
+// once at package init by cpuProbe, the one CPUID routine the kernels
+// have; no flag, environment variable or GODEBUG setting reads or
+// overrides them. Each is reported only when the OS also saves the
+// upper-YMM state (XCR0), since all three work on 8-lane registers.
+//
+//   - hasAVX: the 4×16 GEMM tile (tile_amd64.s).
+//   - hasAVX2 and hasFMA: the vector exp (exp_amd64.s), which also needs
+//     its init self-check to agree with math.Exp (vecExp).
+var hasAVX, hasAVX2, hasFMA = cpuProbe()
+
+// cpuProbe reads CPUID and XCR0 (cpu_amd64.s).
+func cpuProbe() (avx, avx2, fma bool)

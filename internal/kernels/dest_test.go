@@ -24,6 +24,40 @@ import (
 func TestKernelsWriteEveryElement(t *testing.T) {
 	seen := map[string]int{}
 	bodyCalls := 0
+	forEachModelCall(t, false, func(n *graph.Node, in []*tensor.Tensor, inBody bool) error {
+		seen[n.OpType]++
+		if inBody {
+			bodyCalls++
+		}
+		for _, threads := range []int{1, 4} {
+			heap, herr := kernels.Run(n, in, &kernels.Ctx{Threads: threads})
+			dest, derr := kernels.Run(n, in, &kernels.Ctx{Threads: threads, Dest: kernels.NaNDest{}})
+			if (herr == nil) != (derr == nil) {
+				return fmt.Errorf("threads %d: heap error %v, NaN-destination error %v", threads, herr, derr)
+			}
+			if d := kernels.OutputDiff(dest, heap); d != "" {
+				return fmt.Errorf("threads %d: NaN destination vs heap: %s", threads, d)
+			}
+		}
+		return nil
+	})
+	ops := make([]string, 0, len(seen))
+	for op := range seen {
+		ops = append(ops, op)
+	}
+	sort.Strings(ops)
+	t.Logf("%d op types checked, %d calls inside If bodies: %v", len(ops), bodyCalls, ops)
+	if bodyCalls == 0 {
+		t.Errorf("no kernel call inside an If body was checked")
+	}
+}
+
+// forEachModelCall hands check every kernel call the ten models make —
+// f32 and int8 weights, every Switch path and If body (inBody) — at the
+// smallest and a middle size, and at the largest too when withMax is
+// set.
+func forEachModelCall(t *testing.T, withMax bool, check func(n *graph.Node, in []*tensor.Tensor, inBody bool) error) {
+	t.Helper()
 	for _, b := range models.All() {
 		for _, dtype := range []tensor.DType{tensor.Float32, tensor.Int8} {
 			c, err := frameworks.CompileSched(b, frameworks.SchedConfig{Quant: frameworks.QuantConfig{Format: dtype}})
@@ -34,41 +68,20 @@ func TestKernelsWriteEveryElement(t *testing.T) {
 			for _, n := range c.Graph.Nodes {
 				top[n] = true
 			}
-			check := func(n *graph.Node, in []*tensor.Tensor) error {
-				seen[n.OpType]++
-				if !top[n] {
-					bodyCalls++
-				}
-				for _, threads := range []int{1, 4} {
-					heap, herr := kernels.Run(n, in, &kernels.Ctx{Threads: threads})
-					dest, derr := kernels.Run(n, in, &kernels.Ctx{Threads: threads, Dest: kernels.NaNDest{}})
-					if (herr == nil) != (derr == nil) {
-						return fmt.Errorf("threads %d: heap error %v, NaN-destination error %v", threads, herr, derr)
-					}
-					if d := kernels.OutputDiff(dest, heap); d != "" {
-						return fmt.Errorf("threads %d: NaN destination vs heap: %s", threads, d)
-					}
-				}
-				return nil
-			}
+			hook := func(n *graph.Node, in []*tensor.Tensor) error { return check(n, in, !top[n]) }
 			steps := (b.MaxSize - b.MinSize) / b.SizeStep
-			for _, size := range []int64{b.MinSize, b.MinSize + steps/2*b.SizeStep} {
+			sizes := []int64{b.MinSize, b.MinSize + steps/2*b.SizeStep}
+			if withMax {
+				sizes = append(sizes, b.MaxSize)
+			}
+			for _, size := range sizes {
 				in := b.Inputs(tensor.NewRNG(uint64(size)), size, 0.5)
 				_, err := exec.Run(c.Graph, in, exec.Options{Order: c.ExecPlan.Order, ExecuteAllBranches: true,
-					Hooks: &exec.Hooks{PreKernel: check}})
+					Hooks: &exec.Hooks{PreKernel: hook}})
 				if err != nil {
 					t.Errorf("%s %v @%d: %v", b.Name, dtype, size, err)
 				}
 			}
 		}
-	}
-	ops := make([]string, 0, len(seen))
-	for op := range seen {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
-	t.Logf("%d op types checked, %d calls inside If bodies: %v", len(ops), bodyCalls, ops)
-	if bodyCalls == 0 {
-		t.Errorf("no kernel call inside an If body was checked")
 	}
 }

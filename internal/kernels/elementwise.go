@@ -138,8 +138,6 @@ func registerMapF(name string, body func(o, x []float32)) {
 	register(name, unary)
 }
 
-func sigmoid(v float32) float32 { return float32(1 / (1 + math.Exp(-float64(v)))) }
-
 func erf(v float64) float64 { return math.Erf(v) }
 
 func init() {
@@ -207,7 +205,7 @@ func init() {
 	register("Xor", boolBinary(func(a, b bool) bool { return a != b }))
 
 	registerMapF("Relu", relu)
-	registerUnaryF("Sigmoid", sigmoid)
+	registerMapF("Sigmoid", sigmoidRow)
 	registerUnaryF("Tanh", func(v float32) float32 { return float32(math.Tanh(float64(v))) })
 	registerUnaryF("Exp", func(v float32) float32 { return float32(math.Exp(float64(v))) })
 	registerUnaryF("Log", func(v float32) float32 { return float32(math.Log(float64(v))) })
@@ -232,7 +230,7 @@ func init() {
 	registerUnaryF("Gelu", func(v float32) float32 {
 		return float32(0.5 * float64(v) * (1 + erf(float64(v)/math.Sqrt2)))
 	})
-	registerUnaryF("Silu", func(v float32) float32 { return v * sigmoid(v) })
+	registerMapF("Silu", siluRow)
 	registerUnaryF("HardSigmoid", func(v float32) float32 {
 		h := 0.2*v + 0.5
 		if h < 0 {

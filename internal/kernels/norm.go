@@ -50,22 +50,14 @@ func softmaxKernel(logMode bool) Kernel {
 						maxV = v
 					}
 				}
-				var sum float64
-				for i, v := range row {
-					e := math.Exp(float64(v - maxV))
-					dst[i] = float32(e)
-					sum += e
-				}
+				sum := expRow(dst, row, maxV)
 				if logMode {
 					ls := float32(math.Log(sum))
 					for i, v := range row {
 						dst[i] = v - maxV - ls
 					}
 				} else {
-					inv := float32(1 / sum)
-					for i := range dst {
-						dst[i] *= inv
-					}
+					scaleRow(dst, float32(1/sum))
 				}
 			}
 		}

@@ -1,12 +1,5 @@
 package kernels
 
-// hasAVX reports whether the CPU and the OS both support AVX: CPUID
-// leaf 1 sets OSXSAVE and AVX, and XCR0 has the SSE and AVX state
-// enabled. AVX is not in the amd64 baseline that the SSE2 bodies assume,
-// and a 4×16 tile needs 8-lane registers to hold its C block, so this is
-// the one probe the kernels make.
-var hasAVX = cpuHasAVX()
-
 // gemmTiles runs the register tiles over C[4,w] = A[4,k] × B[k,w] from
 // the left and returns the number of columns it wrote: 4×16 AVX tiles
 // while 16 columns remain (when the CPU has AVX), then 4×8 SSE2 tiles
@@ -42,5 +35,3 @@ func gemm4x16AVX(a, b []float32, ldb int64, c []float32, ldc, k int64)
 
 //go:noescape
 func gemm4x8SSE(a, b []float32, ldb int64, c []float32, ldc, k int64)
-
-func cpuHasAVX() bool

@@ -167,27 +167,3 @@ store8:
 	MOVUPS X6, (DI)
 	MOVUPS X7, 16(DI)
 	RET
-
-// func cpuHasAVX() bool
-//
-// CPUID leaf 1: ECX bit 27 (OSXSAVE: XGETBV is usable) and bit 28 (AVX).
-// XGETBV with ECX = 0 reads XCR0, whose bits 1 and 2 say the OS saves
-// the SSE and the upper-YMM state across context switches.
-TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE noavx
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE noavx
-	MOVB $1, ret+0(FP)
-	RET
-
-noavx:
-	MOVB $0, ret+0(FP)
-	RET
