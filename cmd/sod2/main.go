@@ -249,15 +249,15 @@ func compileCmd(b *models.Builder) {
 	fmt.Printf("model %s: %d ops (%d incl. subgraphs)\n", b.Name, len(c.Graph.Nodes), c.Graph.NumOps())
 	fmt.Printf("fusion (RDP):    %d groups, %d internal tensors eliminated\n",
 		len(c.FusionRDP.Groups), len(c.FusionRDP.Internal))
-	fmt.Printf("fusion (static): %d groups\n", len(c.FusionStatic.Groups))
+	fmt.Printf("fusion (static): %d groups\n", len(c.FusionStatic().Groups))
 	fmt.Printf("execution plan:  %d sub-graphs, est. peak %d bytes\n",
 		len(c.ExecPlan.Subgraphs), c.ExecPlan.PeakBytes)
 	for _, sg := range c.ExecPlan.Subgraphs {
 		fmt.Printf("  sub-graph %2d: %2d ops, %-16s versions=%d method=%s\n",
 			sg.ID, len(sg.Nodes), sg.Class, sg.Versions, sg.Method)
 	}
-	fmt.Printf("MVC: %d hotspot ops, %d total code versions\n",
-		len(c.MVCPlan.Hotspots), c.MVCPlan.TotalVersions)
+	mp := c.MVCPlan()
+	fmt.Printf("MVC: %d hotspot ops, %d total code versions\n", len(mp.Hotspots), mp.TotalVersions)
 }
 
 func runCmd(name string, size int64, gate float32, device string) {

@@ -17,12 +17,11 @@ import (
 // The manifest stores *decisions* (the SEP order, the proven arena
 // offsets, the analyzed facts and region) plus *fingerprints* of the
 // analyses that produced them (the RDP shape digest, the verifier
-// verdicts). Cheap, deterministic derivations —
-// fusion groups, MVC versions, the BFS baseline order — are recomputed
-// at load; expensive searches are reused; and the fingerprints let
-// verify-on-load detect a binary whose analyses have drifted since the
-// artifact was written (reported as version skew even when the schema
-// number still matches).
+// verdicts). Cheap, deterministic derivations — the RDP fusion groups,
+// the If/Loop bodies' sub-graphs — are recomputed at load; expensive
+// searches are reused; and the fingerprints let verify-on-load detect a
+// binary whose analyses have drifted since the artifact was written
+// (reported as version skew even when the schema number still matches).
 type Manifest struct {
 	// Meta identifies the compile that produced the artifact.
 	Meta MetaSection

@@ -140,7 +140,7 @@ func (s *Suite) Fig7() error {
 		size := (c.Builder.MinSize + c.Builder.MaxSize) / 2
 		size -= size % c.Builder.SizeStep
 		env := envFor(c, size)
-		static := c.FusionStatic.Measure(c.Graph, c.Infos, env)
+		static := c.FusionStatic().Measure(c.Graph, c.Infos, env)
 		rdpM := c.FusionRDP.Measure(c.Graph, c.Infos, env)
 		// Fusion plans cover If/Loop bodies too, so normalize by the
 		// total op count including subgraphs.

@@ -15,7 +15,6 @@ import (
 	"repro/internal/guard"
 	"repro/internal/lattice"
 	"repro/internal/models"
-	"repro/internal/mvc"
 	"repro/internal/plan"
 	"repro/internal/rdp"
 	"repro/internal/staticverify"
@@ -211,9 +210,9 @@ func (e *loadError) Error() string {
 // compileFromManifest reconstructs a Compiled from a manifest, treating
 // every stored reference as untrusted: node names must resolve against
 // the freshly built graph exactly once, and the RDP digest must match
-// this binary's analysis. Cheap derivations (fusion, MVC, BFS baseline,
-// body sub-graphs) are recomputed; the SEP search is not — that is the
-// work the store exists to skip.
+// this binary's analysis. Cheap derivations (the RDP fusion plan, body
+// sub-graphs) are recomputed; the SEP search is not — that is the work
+// the store exists to skip.
 func compileFromManifest(b *models.Builder, g *graph.Graph, man *artifact.Manifest, cfg SchedConfig) (*Compiled, *loadError) {
 	// Config/section agreement: the key separates quantized and float
 	// artifacts, so a stored quant section that disagrees with the
@@ -293,7 +292,6 @@ func compileFromManifest(b *models.Builder, g *graph.Graph, man *artifact.Manife
 		c.presetRegion[sym] = symbolic.NewInterval(iv.Lo, iv.Hi, iv.Stride)
 	}
 	c.FusionRDP = fusion.Fuse(g, res.Infos, fusion.RDP)
-	c.FusionStatic = fusion.Fuse(g, res.Infos, fusion.Static)
 	c.ExecPlan = &plan.Plan{Order: order, PeakBytes: man.SEP.PeakBytes}
 	for _, sm := range man.SEP.Subgraphs {
 		nodes, lerr := resolve("sep", sm.Nodes)
@@ -305,13 +303,7 @@ func compileFromManifest(b *models.Builder, g *graph.Graph, man *artifact.Manife
 			Versions: sm.Versions, Method: sm.Method,
 		})
 	}
-	// MVC versions are a cheap derivation, recomputed over the stored
-	// region exactly as the compile narrowed them.
-	c.MVCPlan = mvc.BuildPlanRegion(g, res.Infos, b.MinSize, b.MaxSize, c.presetRegion)
-	c.NaiveOrder = plan.BFSOrder(g)
-
 	c.compileSubgraphs()
-	c.buildHotspotIndex()
 	// Quantization replay last, mirroring the cold pipeline: the stored
 	// packed bytes replace the float weights only after every plan is
 	// reconstructed against the float graph.
@@ -328,7 +320,7 @@ func compileFromManifest(b *models.Builder, g *graph.Graph, man *artifact.Manife
 // graph's float32 initializer (shape, grid coverage, payload lengths,
 // finite scales) before it is swapped in. Mirrors applyQuantization's
 // install exactly — shallow graph copy, float originals kept for the
-// fallback tier, MVC plan widened with the format.
+// fallback tier.
 func (c *Compiled) restoreQuant(qs *artifact.QuantSection) *loadError {
 	format, ok := tensor.DTypeByName(qs.Format)
 	if !ok || !format.IsQuantized() {
@@ -372,7 +364,6 @@ func (c *Compiled) restoreQuant(qs *artifact.QuantSection) *loadError {
 	qg.Initializers = packed
 	c.Graph = &qg
 	c.floatInits = floatInits
-	c.MVCPlan.WidenDTypes([]tensor.DType{format})
 	return nil
 }
 
@@ -480,8 +471,8 @@ func CompileWithStoreSched(b *models.Builder, st *artifact.Store, device string,
 	key := artifact.Key{ModelHash: hash, Device: device}
 	if cfg.Quant.Format.IsQuantized() {
 		// Distinct weight formats of one model never share an artifact:
-		// the packed bytes, the MVC version set, and the drift budget all
-		// differ even though the graph hash is the same.
+		// the packed bytes and the drift budget differ even though the
+		// graph hash is the same.
 		key.Config = cfg.Quant.Format.String()
 	}
 	info.Key = key

@@ -56,7 +56,8 @@ func (f *fusionPlanView) groupOf(n *graph.Node) int {
 }
 
 func staticFusionView(m *Compiled) *fusionPlanView {
-	return &fusionPlanView{nodeGroup: m.FusionStatic.NodeGroup, internal: m.FusionStatic.Internal}
+	fp := m.FusionStatic()
+	return &fusionPlanView{nodeGroup: fp.NodeGroup, internal: fp.Internal}
 }
 
 // ---- MNN -------------------------------------------------------------

@@ -9,11 +9,13 @@ import (
 )
 
 // BenchmarkCostModel measures the analytic cost model on a memoized
-// trace — the execution itself is cached by sample ID, so the loop body
-// is the per-report work: trace walking with the MVC efficiency lookup
-// (SoD2) and the pool-allocator arena simulation (ORT). These are the
-// two paths the hotspot-index and single-sort rewrites target; the
-// before/after numbers are recorded in EXPERIMENTS.md.
+// trace — the execution itself is cached by sample ID, and the warm-up
+// run builds the harness plans, so the loop body is the per-report
+// work: trace walking with the MVC efficiency lookup through the
+// harness plans' hotspot index (SoD2) and the pool-allocator arena
+// simulation (ORT). These are the two paths the hotspot-index and
+// single-sort rewrites target; the before/after numbers are recorded
+// in EXPERIMENTS.md.
 func BenchmarkCostModel(b *testing.B) {
 	m, ok := models.Get("StableDiffusion")
 	if !ok {
@@ -28,7 +30,7 @@ func BenchmarkCostModel(b *testing.B) {
 
 	b.Run("sod2-mvcEff", func(b *testing.B) {
 		e := NewSoD2(FullSoD2())
-		if _, err := e.Run(c, s, dev); err != nil { // warm the trace memo
+		if _, err := e.Run(c, s, dev); err != nil { // warm the trace memo and the harness plans
 			b.Fatal(err)
 		}
 		b.ResetTimer()

@@ -25,7 +25,6 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/memplan"
 	"repro/internal/models"
-	"repro/internal/mvc"
 	"repro/internal/plan"
 	"repro/internal/rdp"
 	"repro/internal/staticverify"
@@ -71,27 +70,28 @@ type Engine interface {
 //
 // Concurrency contract: after Compile returns, every exported field is
 // read-only and every method on Compiled is safe for concurrent use —
-// the trace memo, the contract and the region proof are all guarded
-// internally. Callers that mutate a compiled artifact in place
-// (tests corrupting ExecPlan.Order, harnesses swapping plans) must call
-// Invalidate() afterwards and must not race the mutation with inferences.
+// the trace memo, the harness plans, the contract and the region proof
+// are all guarded internally. Callers that mutate a compiled artifact in
+// place (tests corrupting ExecPlan.Order, harnesses swapping plans) must
+// call Invalidate() afterwards and must not race the mutation with
+// inferences.
 type Compiled struct {
-	Builder      *models.Builder
-	Graph        *graph.Graph
-	Infos        map[string]lattice.Info
-	RDPResult    *rdp.Result
-	FusionRDP    *fusion.Plan
-	FusionStatic *fusion.Plan
-	ExecPlan     *plan.Plan
-	MVCPlan      *mvc.Plan
-	// NaiveOrder is the parallelism-first (BFS) schedule used as the
-	// "no execution planning" baseline.
-	NaiveOrder []*graph.Node
+	Builder   *models.Builder
+	Graph     *graph.Graph
+	Infos     map[string]lattice.Info
+	RDPResult *rdp.Result
+	FusionRDP *fusion.Plan
+	ExecPlan  *plan.Plan
 
 	// cacheMu guards traces, the evaluation harness's memo of executor
 	// results by (sample, policy), with bounded per-entry LRU eviction.
 	cacheMu sync.Mutex
 	traces  *lruCache[traceKey, *exec.Result]
+
+	// harnessOnce guards harness, the plans only the evaluation harness
+	// reads, built on first use (harnessplans.go).
+	harnessOnce sync.Once
+	harness     *harnessPlans
 
 	// contractOnce guards the lazily built runtime contract.
 	contractOnce sync.Once
@@ -111,11 +111,6 @@ type Compiled struct {
 	// next ones (arena.go).
 	arenas arenaStack
 
-	// hotspotIdx maps nodes to their MVC hotspot entry (built once at
-	// compile time; mvcEff previously linear-scanned all hotspots per
-	// trace event).
-	hotspotIdx map[*graph.Node]*mvc.NodeVersions
-
 	// Quant describes the weight-quantization pass applied to Graph
 	// (nil = float32 weights). floatInits keeps the original f32
 	// initializers: the accuracy-contract fallback tier runs the same
@@ -126,7 +121,7 @@ type Compiled struct {
 	// presetFacts/presetRegion are installed before the Compiled is
 	// published — the cold compile derives them from its one probe of the
 	// input generator, the warm boot loads them from the artifact store —
-	// so the runtime contract, the verifier region and the MVC narrowing
+	// so the runtime contract, the verifier and the harness's MVC plan
 	// all quantify over one region. Read-only afterwards, like every
 	// compiled artifact.
 	presetFacts  []guard.Fact
@@ -234,7 +229,7 @@ func (c *Compiled) executeUncached(s workload.Sample, allBranches bool, kind Ord
 	case OrderPlanned:
 		order = c.ExecPlan.Order
 	case OrderBFS:
-		order = c.NaiveOrder
+		order = c.harnessPlans().naiveOrder
 	}
 	// Attaching Hooks, even empty, records the Trace.Events the engines price.
 	r, err := exec.Run(c.Graph, s.Inputs, exec.Options{Order: order, ExecuteAllBranches: allBranches, Hooks: &exec.Hooks{}})
@@ -363,24 +358,18 @@ func compileGraph(b *models.Builder, g *graph.Graph, cfg SchedConfig) (*Compiled
 	c := &Compiled{Builder: b, Graph: g, Infos: res.Infos, RDPResult: res,
 		OrigGraph: g, OrigInfos: res.Infos}
 	// One probe of the input generator yields the contract facts and the
-	// region every proof, the runtime contract and MVC quantify over.
+	// region every proof and the runtime contract quantify over.
 	probe := probeExtents(b, g, res.Infos)
 	c.presetFacts = probe.facts()
 	c.presetRegion = probe.region(c.presetFacts)
 
 	c.FusionRDP = fusion.Fuse(g, res.Infos, fusion.RDP)
-	c.FusionStatic = fusion.Fuse(g, res.Infos, fusion.Static)
 	compileCounters.planSearches.Add(1)
 	c.ExecPlan, err = plan.Build(g, res.Infos, plan.Options{Fusion: c.FusionRDP})
 	if err != nil {
 		return nil, err
 	}
-	// Version planning over the proven region: hotspots whose shape
-	// regimes the region rules out get fewer versions (§4.4.2).
-	c.MVCPlan = mvc.BuildPlanRegion(g, res.Infos, b.MinSize, b.MaxSize, c.presetRegion)
-	c.NaiveOrder = plan.BFSOrder(g)
 	c.compileSubgraphs()
-	c.buildHotspotIndex()
 	// Weight quantization runs last: it swaps initializer storage only —
 	// shapes, topology, and node pointers are untouched, so every plan
 	// derived above remains valid for the packed graph.
@@ -390,18 +379,36 @@ func compileGraph(b *models.Builder, g *graph.Graph, cfg SchedConfig) (*Compiled
 	return c, nil
 }
 
-// compileSubgraphs extends the fusion and MVC plans into If/Loop branch
-// bodies: SoD² optimizes across control flow (§4.3), so the compute
-// inside a taken branch is fused and multi-versioned like top-level
-// operators. Body value names are globally unique by construction.
+// compileSubgraphs extends the RDP fusion plan and the execution
+// plan's partition into If/Loop branch bodies: SoD² optimizes across
+// control flow (§4.3), so the compute inside a taken branch is fused
+// like top-level operators, and each body is a planning region of its
+// own.
 func (c *Compiled) compileSubgraphs() {
-	for _, n := range c.Graph.Nodes {
+	forEachBody(c.Graph, c.Infos, func(body *graph.Graph, res *rdp.Result) {
+		mergeFusion(c.FusionRDP, fusion.Fuse(body, res.Infos, fusion.RDP))
+		if bodyPlan, err := plan.Build(body, res.Infos, plan.Options{}); err == nil {
+			base := len(c.ExecPlan.Subgraphs)
+			for _, sg := range bodyPlan.Subgraphs {
+				sg.ID += base
+				c.ExecPlan.Subgraphs = append(c.ExecPlan.Subgraphs, sg)
+			}
+		}
+	})
+}
+
+// forEachBody calls fn, in graph order, with every If/Loop body of g and
+// its RDP analysis, the body's inputs bound to the parent's inferred
+// shapes. A body whose analysis fails is skipped: it is conservatively
+// left unoptimized. Body value names are globally unique by
+// construction.
+func forEachBody(g *graph.Graph, infos map[string]lattice.Info, fn func(body *graph.Graph, res *rdp.Result)) {
+	for _, n := range g.Nodes {
 		for _, attrName := range []string{"then_branch", "else_branch", "body"} {
 			body := n.AttrGraph(attrName)
 			if body == nil {
 				continue
 			}
-			// Bind body inputs to the parent's inferred shapes.
 			overrides := map[string]lattice.Shape{}
 			for i, in := range body.Inputs {
 				parentIdx := i + 1
@@ -409,27 +416,14 @@ func (c *Compiled) compileSubgraphs() {
 					parentIdx = i
 				}
 				if parentIdx < len(n.Inputs) && n.Inputs[parentIdx] != "" {
-					overrides[in.Name] = c.Infos[n.Inputs[parentIdx]].Shape
+					overrides[in.Name] = infos[n.Inputs[parentIdx]].Shape
 				}
 			}
 			res, err := rdp.Analyze(body, overrides, rdp.Options{})
 			if err != nil {
-				continue // conservatively leave the body unoptimized
+				continue
 			}
-			mergeFusion(c.FusionRDP, fusion.Fuse(body, res.Infos, fusion.RDP))
-			mergeFusion(c.FusionStatic, fusion.Fuse(body, res.Infos, fusion.Static))
-			sub := mvc.BuildPlanRegion(body, res.Infos, c.Builder.MinSize, c.Builder.MaxSize, c.presetRegion)
-			c.MVCPlan.Hotspots = append(c.MVCPlan.Hotspots, sub.Hotspots...)
-			c.MVCPlan.TotalVersions += sub.TotalVersions
-			// Branch bodies are planning regions of their own (§4.3):
-			// fold their sub-graph partition into the model's.
-			if bodyPlan, err := plan.Build(body, res.Infos, plan.Options{}); err == nil {
-				base := len(c.ExecPlan.Subgraphs)
-				for _, sg := range bodyPlan.Subgraphs {
-					sg.ID += base
-					c.ExecPlan.Subgraphs = append(c.ExecPlan.Subgraphs, sg)
-				}
-			}
+			fn(body, res)
 		}
 	}
 }
@@ -555,57 +549,4 @@ func poolSimArena(p *memplan.Program) int64 {
 		}
 	}
 	return arena
-}
-
-// mvcEff returns the tuned-kernel efficiency for an executed hotspot op,
-// resolving the hotspot through the compile-time node index (the old
-// path linear-scanned every hotspot for every trace event).
-func (c *Compiled) mvcEff(ev exec.OpEvent) float64 {
-	if c.MVCPlan == nil {
-		return 1.0
-	}
-	h := c.hotspotIdx[ev.Node]
-	if h == nil {
-		return 1.0
-	}
-	return hotspotEff(h, ev)
-}
-
-// hotspotEff evaluates one hotspot's version selection for an event.
-func hotspotEff(h *mvc.NodeVersions, ev exec.OpEvent) float64 {
-	m, n := int64(64), int64(64)
-	switch ev.OpType {
-	case "MatMul", "Gemm":
-		if len(ev.InShapes) >= 2 {
-			a := ev.InShapes[0]
-			b := ev.InShapes[1]
-			if len(a) >= 2 {
-				m = a[len(a)-2]
-			}
-			if len(b) >= 1 {
-				n = b[len(b)-1]
-			}
-		}
-	case "Conv":
-		if len(ev.OutShapes) >= 1 && len(ev.OutShapes[0]) == 4 {
-			o := ev.OutShapes[0]
-			m = o[1]
-			n = o[2] * o[3]
-		}
-	}
-	return h.SelectVersion(m, n).Efficiency
-}
-
-// buildHotspotIndex precomputes the node → hotspot map mvcEff consults.
-// Called once at the end of Compile, after subgraph hotspots have been
-// folded in, so the index never changes afterwards (safe to share).
-func (c *Compiled) buildHotspotIndex() {
-	if c.MVCPlan == nil {
-		return
-	}
-	c.hotspotIdx = make(map[*graph.Node]*mvc.NodeVersions, len(c.MVCPlan.Hotspots))
-	for i := range c.MVCPlan.Hotspots {
-		h := &c.MVCPlan.Hotspots[i]
-		c.hotspotIdx[h.Node] = h
-	}
 }

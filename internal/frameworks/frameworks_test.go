@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/models"
+	"repro/internal/tensor"
 	"repro/internal/workload"
 )
 
@@ -253,28 +254,37 @@ func TestExecuteAllBranchesCostsMore(t *testing.T) {
 	}
 }
 
-// TestMVCRegionVersionCounts pins the f32 MVC plan of every model. The
-// plan is built over the proven region, which narrows the version sets
-// of hotspots whose shape regimes it rules out: region-free, CodeBERT,
-// Conformer, StableDiffusion and SegmentAnything would plan 33, 29, 18
-// and 39 versions.
+// TestMVCRegionVersionCounts pins the harness plans of every model,
+// bodies included: the MVC version count and the static fusion group
+// count (RaNet's 20 static groups include 9 from its If bodies). The
+// MVC plan is built over the proven region, which narrows the version
+// sets of hotspots whose shape regimes it rules out: region-free,
+// CodeBERT, Conformer, StableDiffusion and SegmentAnything would plan
+// 33, 30, 18 and 39 versions. MVC has no dtype axis, so an int8 compile
+// plans exactly what a float32 one does.
 func TestMVCRegionVersionCounts(t *testing.T) {
-	want := map[string]int{
-		"CodeBERT": 29, "Conformer": 27, "StableDiffusion": 16, "SegmentAnything": 35,
-		"SkipNet": 18, "DGNet": 19, "ConvNet-AIG": 16, "RaNet": 7, "BlockDrop": 13, "YOLO-V6": 15,
+	want := map[string]struct{ versions, staticGroups int }{
+		"CodeBERT": {29, 77}, "Conformer": {28, 67}, "StableDiffusion": {16, 50}, "SegmentAnything": {35, 83},
+		"SkipNet": {18, 57}, "DGNet": {19, 40}, "ConvNet-AIG": {16, 56}, "RaNet": {7, 20}, "BlockDrop": {13, 46}, "YOLO-V6": {15, 38},
 	}
-	total := 0
-	for _, b := range models.All() {
-		c, err := Compile(b)
-		if err != nil {
-			t.Fatal(err)
+	for _, format := range []tensor.DType{tensor.Float32, tensor.Int8} {
+		total := 0
+		for _, b := range models.All() {
+			c, err := CompileSched(b, SchedConfig{Quant: QuantConfig{Format: format}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := want[b.Name]
+			if got := c.MVCPlan().TotalVersions; got != w.versions {
+				t.Errorf("%s %v: %d MVC versions, want %d", b.Name, format, got, w.versions)
+			}
+			if got := len(c.FusionStatic().Groups); got != w.staticGroups {
+				t.Errorf("%s %v: %d static fusion groups, want %d", b.Name, format, got, w.staticGroups)
+			}
+			total += c.MVCPlan().TotalVersions
 		}
-		if got := c.MVCPlan.TotalVersions; got != want[b.Name] {
-			t.Errorf("%s: %d MVC versions, want %d", b.Name, got, want[b.Name])
+		if total != 196 {
+			t.Errorf("%v: %d MVC versions over the ten models, want 196", format, total)
 		}
-		total += c.MVCPlan.TotalVersions
-	}
-	if total != 195 {
-		t.Errorf("%d MVC versions over the ten models, want 195", total)
 	}
 }

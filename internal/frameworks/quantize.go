@@ -2,9 +2,8 @@ package frameworks
 
 // Weight-only quantization as a compile configuration: eligible
 // initializers are re-packed into block-quantized storage (int8 per-row
-// scale, Q4_0/Q4_1 32-element blocks) and the MVC plan is widened with
-// one tuned version per (regime × format) pair. The pass runs after all
-// shape analysis and planning — it changes values' storage, never their
+// scale, Q4_0/Q4_1 32-element blocks). The pass runs after all shape
+// analysis and planning — it changes values' storage, never their
 // shapes — so every statically derived plan stays valid, and the
 // original float32 weights are retained as the fallback tier the guard
 // re-serves from when a quantized run violates its accuracy contract.
@@ -126,9 +125,8 @@ func quantEligible(g *graph.Graph) map[string]int64 {
 
 // applyQuantization packs the eligible weights, swaps them into a
 // shallow copy of the compiled graph (node pointers are shared, so the
-// execution order and MVC hotspots stay valid),
-// keeps the float32 originals for the fallback tier, and widens the MVC
-// plan with the installed format.
+// execution order and every node-keyed plan stay valid) and keeps the
+// float32 originals for the fallback tier.
 func (c *Compiled) applyQuantization(qc QuantConfig) {
 	qc = qc.resolve()
 	rep := &QuantReport{Format: qc.Format, Budget: qc.Budget}
@@ -168,7 +166,6 @@ func (c *Compiled) applyQuantization(qc QuantConfig) {
 	qg.Initializers = packed
 	c.Graph = &qg
 	c.floatInits = floatInits
-	c.MVCPlan.WidenDTypes([]tensor.DType{qc.Format})
 }
 
 // floatGraph returns the compiled topology with the original float32

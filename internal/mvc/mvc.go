@@ -5,8 +5,9 @@
 // unreachable, and runs a genetic-algorithm auto-tuner over tiling/unroll
 // schedules with a deterministic analytic fitness function to pick each
 // version's parameters. The plan is a cost-model input, like
-// fusion.Plan: it prices versions, and no kernel consumes it — every
-// MatMul and Conv runs the one loop nest in internal/kernels.
+// fusion.Plan: it prices versions for the evaluation harness's modeled
+// engines, no kernel consumes it — every MatMul and Conv runs the one
+// loop nest in internal/kernels — and no serving compile builds it.
 package mvc
 
 import (
@@ -57,14 +58,10 @@ func RegimeOf(m, n int64) Regime {
 	}
 }
 
-// Version is one generated code version of a hotspot kernel. Versions
-// span two dimensions: the shape regime and the weight storage dtype
-// (Float32, or a quantized format whose packed variant streams fewer
-// weight bytes). The zero DType is Float32, so regime-only call sites
-// keep their meaning.
+// Version is one generated code version of a hotspot kernel, tuned for
+// one shape regime.
 type Version struct {
 	Regime  Regime
-	DType   tensor.DType
 	Tile    int
 	Unroll  int
 	Threads int
@@ -99,7 +96,6 @@ func possibleRegimes(m, n lattice.Dim, lo, hi int64) []Regime {
 	if mKnown && nKnown {
 		return []Regime{RegimeOf(mv, nv)}
 	}
-	set := map[Regime]bool{}
 	mLo, mHi := lo, hi
 	nLo, nHi := lo, hi
 	if mKnown {
@@ -116,22 +112,38 @@ func possibleRegimes(m, n lattice.Dim, lo, hi int64) []Regime {
 			nLo, nHi = a, b
 		}
 	}
-	// Probe the corner combinations plus midpoints.
-	for _, mm := range []int64{mLo, (mLo + mHi) / 2, mHi} {
-		for _, nn := range []int64{nLo, (nLo + nHi) / 2, nHi} {
-			if mm > 0 && nn > 0 {
-				set[RegimeOf(mm, nn)] = true
-			}
-		}
+	return regimesInBox(mLo, mHi, nLo, nHi)
+}
+
+// regimesInBox returns, in Regime order, exactly the regimes RegimeOf
+// reaches on some positive integer point of [mLo, mHi] × [nLo, nHi]
+// (RegimeRegular when the box holds no positive point). Each regime is
+// decided at the box point where its condition is easiest to meet:
+//   - tiny (m·n ≤ 64) at the smallest corner;
+//   - fat (m ≥ 4n, m·n > 64) at m = mHi, the largest n ≤ mHi/4;
+//   - skinny (n ≥ 4m, m·n > 64) at n = nHi, the largest m ≤ nHi/4;
+//   - regular (n/4 < m < 4n, m·n > 64) at the largest point of that
+//     cone, (min(mHi, 4nHi−1), min(nHi, 4mHi−1)).
+//
+// For fat, skinny and regular, m·n > 64 only gets easier as m and n
+// grow, so the largest box point meeting the ratio condition decides.
+func regimesInBox(mLo, mHi, nLo, nHi int64) []Regime {
+	mLo, nLo = max(mLo, 1), max(nLo, 1)
+	if mLo > mHi || nLo > nHi {
+		return []Regime{RegimeRegular}
 	}
 	var out []Regime
-	for r := RegimeTiny; r <= RegimeRegular; r++ {
-		if set[r] {
-			out = append(out, r)
-		}
+	if mLo*nLo <= 64 {
+		out = append(out, RegimeTiny)
 	}
-	if len(out) == 0 {
-		out = []Regime{RegimeRegular}
+	if n := min(nHi, mHi/4); n >= nLo && mHi*n > 64 {
+		out = append(out, RegimeFat)
+	}
+	if m := min(mHi, nHi/4); m >= mLo && m*nHi > 64 {
+		out = append(out, RegimeSkinny)
+	}
+	if m, n := min(mHi, 4*nHi-1), min(nHi, 4*mHi-1); m >= mLo && n >= nLo && m*n > 64 {
+		out = append(out, RegimeRegular)
 	}
 	return out
 }
@@ -162,7 +174,9 @@ func BuildPlan(g *graph.Graph, infos map[string]lattice.Info, lo, hi int64) *Pla
 	return p
 }
 
-// SelectVersion picks the version covering a concrete shape.
+// SelectVersion returns the first version generated for the regime of
+// a concrete shape, or the last version when none was (a shape outside
+// the range the plan was built for).
 func (nv *NodeVersions) SelectVersion(m, n int64) Version {
 	want := RegimeOf(m, n)
 	for _, v := range nv.Versions {
@@ -170,7 +184,6 @@ func (nv *NodeVersions) SelectVersion(m, n int64) Version {
 			return v
 		}
 	}
-	// Fallback: nearest generated version.
 	return nv.Versions[len(nv.Versions)-1]
 }
 

@@ -130,3 +130,40 @@ func TestConvHotspot(t *testing.T) {
 		t.Errorf("conv regimes = %v, want skinny included", p.Hotspots[0].PossibleRegimes)
 	}
 }
+
+// TestRegimesInBoxExact compares the closed-form regime enumeration with
+// RegimeOf over every point of random small boxes, including boxes that
+// reach below 1 (only positive points count) and empty ones.
+func TestRegimesInBoxExact(t *testing.T) {
+	rng := tensor.NewRNG(7)
+	for i := 0; i < 20000; i++ {
+		mLo := int64(rng.Intn(70)) - 2
+		nLo := int64(rng.Intn(70)) - 2
+		mHi := mLo + int64(rng.Intn(40)) - 3
+		nHi := nLo + int64(rng.Intn(40)) - 3
+		seen := map[Regime]bool{}
+		for m := max(mLo, 1); m <= mHi; m++ {
+			for n := max(nLo, 1); n <= nHi; n++ {
+				seen[RegimeOf(m, n)] = true
+			}
+		}
+		var want []Regime
+		for r := RegimeTiny; r <= RegimeRegular; r++ {
+			if seen[r] {
+				want = append(want, r)
+			}
+		}
+		if len(want) == 0 {
+			want = []Regime{RegimeRegular}
+		}
+		got := regimesInBox(mLo, mHi, nLo, nHi)
+		if len(got) != len(want) {
+			t.Fatalf("box [%d,%d]x[%d,%d]: got %v, want %v", mLo, mHi, nLo, nHi, got, want)
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("box [%d,%d]x[%d,%d]: got %v, want %v", mLo, mHi, nLo, nHi, got, want)
+			}
+		}
+	}
+}

@@ -92,21 +92,7 @@ func possibleRegimesRegion(m, n lattice.Dim, lo, hi int64, region map[string]sym
 	}
 	mLo, mHi := dimBoundsRegion(m, lo, hi, region)
 	nLo, nHi := dimBoundsRegion(n, lo, hi, region)
-	set := map[Regime]bool{}
-	for _, mm := range []int64{mLo, (mLo + mHi) / 2, mHi} {
-		for _, nv := range []int64{nLo, (nLo + nHi) / 2, nHi} {
-			if mm > 0 && nv > 0 {
-				set[RegimeOf(mm, nv)] = true
-			}
-		}
-	}
-	var probed []Regime
-	for r := RegimeTiny; r <= RegimeRegular; r++ {
-		if set[r] {
-			probed = append(probed, r)
-		}
-	}
-	return intersectRegimes(base, probed)
+	return intersectRegimes(base, regimesInBox(mLo, mHi, nLo, nHi))
 }
 
 // dimBoundsRegion bounds one hotspot dimension, preferring the region

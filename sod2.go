@@ -3,7 +3,7 @@
 // (Niu, Agrawal, Ren — ASPLOS 2024). It exposes the complete pipeline:
 //
 //	model := sod2.BuildModel("CodeBERT")          // or assemble a Graph
-//	compiled, _ := sod2.Compile(model)            // RDP → fusion → SEP → DMP → MVC
+//	compiled, _ := sod2.Compile(model)            // RDP → fusion → SEP → DMP
 //	report, _ := compiled.Infer(inputs)           // execute; measured latency + memory
 //
 // Underneath sit the subsystems the paper describes, each usable on its
