@@ -55,12 +55,13 @@ func BenchmarkMemPlanAblation(b *testing.B) { benchExperiment(b, "memopt") }
 // ---- Wall-clock kernel benchmarks -------------------------------------
 
 // BenchmarkGemm measures the one GEMM loop nest on the (m, k, n) shapes
-// the ten models issue most: im2col convs (few rows, long columns), the
+// the ten models issue most: im2col convs (few rows, long columns, and
+// 16×144×496, one panel of a 3×3 16→16 conv on a 62-wide plane), the
 // attention products (196×8×196, 196×196×8), a square-ish projection and
 // a 1×k×n classifier head.
 func BenchmarkGemm(b *testing.B) {
 	for _, sh := range []struct{ m, k, n int64 }{
-		{16, 144, 3600}, {32, 288, 900}, {16, 27, 14400},
+		{16, 144, 3600}, {32, 288, 900}, {16, 27, 14400}, {16, 144, 496},
 		{128, 32, 32}, {196, 8, 196}, {196, 196, 8}, {1, 32, 10},
 	} {
 		rng := tensor.NewRNG(3)
@@ -79,7 +80,9 @@ func BenchmarkGemm(b *testing.B) {
 // BenchmarkConv measures the Conv kernel end to end (unfold, GEMM, bias)
 // on the models' real convolutions: the residual 3×3s at stride 1 and 2,
 // the 3→c stems, SegmentAnything's 8×8 stride-8 patchify, YOLO-V6's 1×1
-// neck and Conformer's depthwise 3×3 over a [L/4, 1] plane.
+// neck and Conformer's depthwise 3×3 over a [L/4, 1] plane. The two
+// rows at 62×62 and 248×248 are the convolutions that lead the gated
+// CNNs' conv time at input size 248.
 func BenchmarkConv(b *testing.B) {
 	for _, cv := range []struct {
 		name                  string
@@ -88,6 +91,8 @@ func BenchmarkConv(b *testing.B) {
 	}{
 		{"3x3s1_16to32_56x56", 16, 56, 56, 32, 3, 1, 1, 1},
 		{"3x3s2_16to32_56x56", 16, 56, 56, 32, 3, 2, 1, 1},
+		{"3x3s1_16to16_62x62", 16, 62, 62, 16, 3, 1, 1, 1},
+		{"stem3x3s2_3to16_248x248", 3, 248, 248, 16, 3, 2, 1, 1},
 		{"stem3x3s2_3to16_224x224", 3, 224, 224, 16, 3, 2, 1, 1},
 		{"stem3x3s1_3to8_128x128", 3, 128, 128, 8, 3, 1, 1, 1},
 		{"patchify8x8s8_3to32_128x128", 3, 128, 128, 32, 8, 8, 0, 1},

@@ -171,13 +171,24 @@ func convPanels(x, w *tensor.Tensor, bias []float32, out *tensor.Tensor, a conv2
 		}
 		if bias != nil {
 			for oc := int64(0); oc < coutPerGroup; oc++ {
-				bv := bias[rowLo+oc]
-				seg := c[oc*cols : oc*cols+width]
-				for j := range seg {
-					seg[j] += bv
-				}
+				addBias(c[oc*cols:oc*cols+width], bias[rowLo+oc])
 			}
 		}
+	}
+}
+
+// addBias adds bv to every element of seg: Add's vector-scalar loop
+// (addVec.vs, where there is one) over the longest multiple of vecWidth
+// elements, the scalar add over the rest. Both are one IEEE add of bv
+// per element, so the sum does not depend on which one ran.
+func addBias(seg []float32, bv float32) {
+	n := 0
+	if addVec != nil {
+		n = len(seg) &^ (vecWidth - 1)
+		addVec.vs(seg[:n], seg[:n], bv)
+	}
+	for j := n; j < len(seg); j++ {
+		seg[j] += bv
 	}
 }
 
@@ -194,8 +205,8 @@ func validSpan(off, stride, extent, n int64) (lo, hi int64) {
 // its elements: the panel is reused scratch. A filter tap reads
 // inside the image over one span of oh and one span of ow, so a patch
 // row is a cleared block above, a cleared block below and, per row in
-// between, a cleared fringe either side of one copy (stride 1) or one
-// strided read — no bounds test per element.
+// between, a cleared fringe either side of one copy (stride 1), one
+// gather2 (stride 2) or one strided read — no bounds test per element.
 func im2colPanel(x, panel []float32, a *conv2dArgs, b, g, oh0, oh1 int64) {
 	width := (oh1 - oh0) * a.outW
 	row := int64(0)
@@ -231,12 +242,24 @@ func im2colPanel(x, panel []float32, a *conv2dArgs, b, g, oh0, oh1 int64) {
 						copy(seg[owLo:owHi], src[owLo+iw0:])
 						continue
 					}
+					if a.strideW == 2 {
+						gather2(seg[owLo:owHi], src[2*owLo+iw0:])
+						continue
+					}
 					for ow := owLo; ow < owHi; ow++ {
 						seg[ow] = src[ow*a.strideW+iw0]
 					}
 				}
 			}
 		}
+	}
+}
+
+// gather2Go sets dst[i] = src[2·i] for every i of dst: im2colPanel's
+// stride-2 row, with src holding at least 2·len(dst)−1 floats.
+func gather2Go(dst, src []float32) {
+	for i := range dst {
+		dst[i] = src[2*i]
 	}
 }
 

@@ -4,12 +4,15 @@ package kernels
 // once at package init by cpuProbe, the one CPUID routine the kernels
 // have; no flag, environment variable or GODEBUG setting reads or
 // overrides them. Each is reported only when the OS also saves the
-// upper-YMM state (XCR0), since all three work on 8-lane registers.
+// register state it needs (XCR0): the upper YMM halves for the first
+// three, the ZMM state and the opmasks too for hasAVX512.
 //
 //   - hasAVX: the 4×16 GEMM tile (tile_amd64.s).
+//   - hasAVX2: the stride-2 unfold body (gather_amd64.s).
 //   - hasAVX2 and hasFMA: the vector exp (exp_amd64.s), which also needs
 //     its init self-check to agree with math.Exp (vecExp).
-var hasAVX, hasAVX2, hasFMA = cpuProbe()
+//   - hasAVX512 (AVX-512F): the 4×32 GEMM tile (tile_amd64.s).
+var hasAVX, hasAVX2, hasFMA, hasAVX512 = cpuProbe()
 
 // cpuProbe reads CPUID and XCR0 (cpu_amd64.s).
-func cpuProbe() (avx, avx2, fma bool)
+func cpuProbe() (avx, avx2, fma, avx512 bool)

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// The CPU probe's verdicts match the kernels': Linux lists avx, avx2 and
-// fma in /proc/cpuinfo only when the CPU has them and the OS saves their
-// state.
+// The CPU probe's verdicts match the kernels': Linux lists avx, avx2,
+// fma and avx512f in /proc/cpuinfo only when the CPU has them and the OS
+// saves their state.
 func TestCPUProbeMatchesCPUInfo(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -24,7 +24,7 @@ func TestCPUProbeMatchesCPUInfo(t *testing.T) {
 		for _, f := range []struct {
 			flag  string
 			probe bool
-		}{{"avx", hasAVX}, {"avx2", hasAVX2}, {"fma", hasFMA}} {
+		}{{"avx", hasAVX}, {"avx2", hasAVX2}, {"fma", hasFMA}, {"avx512f", hasAVX512}} {
 			if want := slices.Contains(fields, f.flag); f.probe != want {
 				t.Errorf("probe reports %s %v, /proc/cpuinfo flags say %v", f.flag, f.probe, want)
 			}

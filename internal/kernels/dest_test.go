@@ -20,7 +20,8 @@ import (
 // two must match bit for bit. Arena slots and kept scratch are reused
 // and never cleared, so a kernel that skipped an element of its output
 // (relying on tensor.New's zeroing) or read its output or its scratch
-// before writing it would leave a NaN here.
+// before writing it would leave a NaN here. The GEMM ops (Conv, MatMul,
+// Gemm) run with the 4×32 AVX-512 tile on and off.
 func TestKernelsWriteEveryElement(t *testing.T) {
 	seen := map[string]int{}
 	bodyCalls := 0
@@ -29,14 +30,14 @@ func TestKernelsWriteEveryElement(t *testing.T) {
 		if inBody {
 			bodyCalls++
 		}
-		for _, threads := range []int{1, 4} {
-			heap, herr := kernels.Run(n, in, &kernels.Ctx{Threads: threads})
-			dest, derr := kernels.Run(n, in, &kernels.Ctx{Threads: threads, Dest: kernels.NaNDest{}})
-			if (herr == nil) != (derr == nil) {
-				return fmt.Errorf("threads %d: heap error %v, NaN-destination error %v", threads, herr, derr)
-			}
-			if d := kernels.OutputDiff(dest, heap); d != "" {
-				return fmt.Errorf("threads %d: NaN destination vs heap: %s", threads, d)
+		modes := []bool{true}
+		switch n.OpType {
+		case "Conv", "MatMul", "Gemm":
+			modes = []bool{true, false}
+		}
+		for _, wide := range modes {
+			if err := writesEveryElement(n, in, wide); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -50,6 +51,24 @@ func TestKernelsWriteEveryElement(t *testing.T) {
 	if bodyCalls == 0 {
 		t.Errorf("no kernel call inside an If body was checked")
 	}
+}
+
+// writesEveryElement runs n on in into heap outputs and into NaN-filled
+// outputs at thread budgets 1 and 4, with the 4×32 tile as selected
+// (wide) or off, and compares the two bit for bit.
+func writesEveryElement(n *graph.Node, in []*tensor.Tensor, wide bool) error {
+	defer kernels.SetTile512(wide)()
+	for _, threads := range []int{1, 4} {
+		heap, herr := kernels.Run(n, in, &kernels.Ctx{Threads: threads})
+		dest, derr := kernels.Run(n, in, &kernels.Ctx{Threads: threads, Dest: kernels.NaNDest{}})
+		if (herr == nil) != (derr == nil) {
+			return fmt.Errorf("tile512 %v threads %d: heap error %v, NaN-destination error %v", wide, threads, herr, derr)
+		}
+		if d := kernels.OutputDiff(dest, heap); d != "" {
+			return fmt.Errorf("tile512 %v threads %d: NaN destination vs heap: %s", wide, threads, d)
+		}
+	}
+	return nil
 }
 
 // forEachModelCall hands check every kernel call the ten models make —

@@ -16,6 +16,35 @@ import (
 
 var gemmBudgets = []int{1, 2, 3, 8, 64}
 
+// SetTile512 switches the 4×32 AVX-512 tile on or off and returns a func
+// that restores the previous setting. Switching on where the CPU probe
+// reports no AVX-512 leaves it off. (Exported for the kernels_test
+// package.)
+func SetTile512(on bool) (restore func()) {
+	prev := tile512
+	tile512 = on && tile512Selected
+	return func() { tile512 = prev }
+}
+
+// tile512Selected is tile512 as package init chose it.
+var tile512Selected = tile512
+
+// forTile512Modes runs f with the 4×32 tile as selected and, when that
+// is on, once more with it off, so that an AVX-512 CPU still covers the
+// 4×16 tile under it.
+func forTile512Modes(f func(wide bool)) {
+	modes := []bool{false}
+	if tile512Selected {
+		modes = []bool{true, false}
+	}
+	for _, wide := range modes {
+		func() {
+			defer SetTile512(wide)()
+			f(wide)
+		}()
+	}
+}
+
 // refGemm is the naive ijp triple loop: each c[i,j] accumulates its k
 // products in ascending p from zero, each product rounded before it is
 // added (the conversion forbids a fused multiply-add).
@@ -86,9 +115,12 @@ func diffMatMul(t *testing.T, x, y *tensor.Tensor) {
 		yo := refBroadcastIndex(by, batch, bi) * k * n
 		refGemm(x.F[xo:xo+m*k], y.F[yo:yo+k*n], m, k, n, want.F[bi*m*n:(bi+1)*m*n])
 	}
-	for _, threads := range gemmBudgets {
-		sameBits(t, fmt.Sprint("MatMul ", x.Shape, y.Shape, " threads ", threads), runOp(t, "MatMul", nil, threads, x, y), want)
-	}
+	forTile512Modes(func(wide bool) {
+		for _, threads := range gemmBudgets {
+			sameBits(t, fmt.Sprint("MatMul ", x.Shape, y.Shape, " threads ", threads, " tile512 ", wide),
+				runOp(t, "MatMul", nil, threads, x, y), want)
+		}
+	})
 }
 
 // diffGemmOp holds the Gemm op to alpha·op(A)·op(B) + beta·C computed
@@ -128,11 +160,13 @@ func diffGemmOp(t *testing.T, transA, transB bool, alpha, beta float32, a, b, c 
 	if c != nil {
 		in = append(in, c)
 	}
-	for _, threads := range gemmBudgets {
-		tag := fmt.Sprint("Gemm ", a.Shape, b.Shape, " transA ", transA, " transB ", transB,
-			" alpha ", alpha, " beta ", beta, " bias ", c != nil, " threads ", threads)
-		sameBits(t, tag, runOp(t, "Gemm", attrs, threads, in...), want)
-	}
+	forTile512Modes(func(wide bool) {
+		for _, threads := range gemmBudgets {
+			tag := fmt.Sprint("Gemm ", a.Shape, b.Shape, " transA ", transA, " transB ", transB,
+				" alpha ", alpha, " beta ", beta, " bias ", c != nil, " threads ", threads, " tile512 ", wide)
+			sameBits(t, tag, runOp(t, "Gemm", attrs, threads, in...), want)
+		}
+	})
 }
 
 func btoi(b bool) int64 {
@@ -156,10 +190,12 @@ func diffConv(t *testing.T, attrs map[string]graph.AttrValue, x, w, bias *tensor
 	if bias != nil {
 		in = append(in, bias)
 	}
-	for _, threads := range gemmBudgets {
-		sameBits(t, fmt.Sprint("Conv ", x.Shape, w.Shape, w.DType, attrs, " threads ", threads),
-			runOp(t, "Conv", attrs, threads, in...), want)
-	}
+	forTile512Modes(func(wide bool) {
+		for _, threads := range gemmBudgets {
+			sameBits(t, fmt.Sprint("Conv ", x.Shape, w.Shape, w.DType, attrs, " threads ", threads, " tile512 ", wide),
+				runOp(t, "Conv", attrs, threads, in...), want)
+		}
+	})
 }
 
 func TestGemmDifferential(t *testing.T) {
@@ -185,23 +221,30 @@ func TestGemmDifferential(t *testing.T) {
 	})
 	t.Run("BlockSeams", func(t *testing.T) {
 		// Gemm on a dirty C: column counts 0-17 (every % 8 tail, with and
-		// without an assembly prefix), one either side of a gemmNC block
-		// and several blocks, against every k % 4 and a k of
-		// zero, which must still clear C; row counts below, at and
-		// either side of one and two register-tile groups of four.
+		// without an assembly prefix), 31-49 (one 4×32 tile and every
+		// tail after it, through the 4×16 and 4×8 tiles to the row
+		// loop), one either side of a gemmNC block and several blocks,
+		// against every k % 4 and a k of zero, which must still clear C;
+		// row counts below, at and either side of one and two
+		// register-tile groups of four.
 		rng := tensor.NewRNG(34)
 		ns := []int64{gemmNC - 1, gemmNC, gemmNC + 1, 2*gemmNC + 13, 3 * gemmNC}
-		for n := int64(0); n <= 17; n++ {
-			ns = append(ns, n)
+		for n := int64(0); n <= 49; n++ {
+			if n <= 17 || n >= 31 {
+				ns = append(ns, n)
+			}
 		}
 		for _, n := range ns {
 			for k := int64(0); k <= 9; k++ {
 				for _, m := range []int64{0, 1, 3, 4, 5, 7, 8, 9} {
 					a, b := randTensor(rng, tensor.Float32, []int64{m, k}), randTensor(rng, tensor.Float32, []int64{k, n})
-					want, got := tensor.New(tensor.Float32, m, n), randTensor(rng, tensor.Float32, []int64{m, n})
+					want := tensor.New(tensor.Float32, m, n)
 					refGemm(a.F, b.F, m, k, n, want.F)
-					Gemm(a.F, b.F, m, k, n, got.F)
-					sameBits(t, fmt.Sprint("Gemm ", m, k, n), got, want)
+					forTile512Modes(func(wide bool) {
+						got := randTensor(rng, tensor.Float32, []int64{m, n})
+						Gemm(a.F, b.F, m, k, n, got.F)
+						sameBits(t, fmt.Sprint("Gemm ", m, k, n, " tile512 ", wide), got, want)
+					})
 				}
 			}
 		}

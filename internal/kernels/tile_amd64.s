@@ -8,6 +8,84 @@
 // C is stored once, at the end. A zero k stores the cleared block and
 // never enters the loop.
 
+// func gemm4x32AVX512(a, b []float32, ldb int64, c []float32, ldc, k int64)
+//
+// gemm4x16AVX on 16-lane AVX-512F registers: Z0-Z7 are the 4×32
+// accumulators (two per row), Z8-Z9 the B segment, Z10-Z13 the broadcast
+// A values, Z14-Z15 the products. Only Z0-Z15 are used, so the closing
+// VZEROUPPER leaves no upper register state dirty.
+TEXT ·gemm4x32AVX512(SB), NOSPLIT, $0-96
+	MOVQ a_base+0(FP), SI
+	MOVQ b_base+24(FP), R8
+	MOVQ ldb+48(FP), R9
+	MOVQ c_base+56(FP), DI
+	MOVQ ldc+80(FP), DX
+	MOVQ k+88(FP), CX
+	SHLQ $2, R9
+	SHLQ $2, DX
+	LEAQ (SI)(CX*4), R10
+	LEAQ (R10)(CX*4), R11
+	LEAQ (R11)(CX*4), R12
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	TESTQ CX, CX
+	JZ store32
+	XORQ AX, AX
+
+loop32:
+	VMOVUPS (R8), Z8
+	VMOVUPS 64(R8), Z9
+	VBROADCASTSS (SI)(AX*1), Z10
+	VBROADCASTSS (R10)(AX*1), Z11
+	VBROADCASTSS (R11)(AX*1), Z12
+	VBROADCASTSS (R12)(AX*1), Z13
+
+	VMULPS Z8, Z10, Z14
+	VMULPS Z9, Z10, Z15
+	VADDPS Z14, Z0, Z0
+	VADDPS Z15, Z1, Z1
+
+	VMULPS Z8, Z11, Z14
+	VMULPS Z9, Z11, Z15
+	VADDPS Z14, Z2, Z2
+	VADDPS Z15, Z3, Z3
+
+	VMULPS Z8, Z12, Z14
+	VMULPS Z9, Z12, Z15
+	VADDPS Z14, Z4, Z4
+	VADDPS Z15, Z5, Z5
+
+	VMULPS Z8, Z13, Z14
+	VMULPS Z9, Z13, Z15
+	VADDPS Z14, Z6, Z6
+	VADDPS Z15, Z7, Z7
+
+	ADDQ $4, AX
+	ADDQ R9, R8
+	DECQ CX
+	JNZ loop32
+
+store32:
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	ADDQ DX, DI
+	VMOVUPS Z2, (DI)
+	VMOVUPS Z3, 64(DI)
+	ADDQ DX, DI
+	VMOVUPS Z4, (DI)
+	VMOVUPS Z5, 64(DI)
+	ADDQ DX, DI
+	VMOVUPS Z6, (DI)
+	VMOVUPS Z7, 64(DI)
+	VZEROUPPER
+	RET
+
 // func gemm4x16AVX(a, b []float32, ldb int64, c []float32, ldc, k int64)
 //
 // 8-lane AVX: Y0-Y7 are the 4×16 accumulators (two per row), Y8-Y9 the

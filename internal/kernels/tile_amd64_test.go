@@ -27,14 +27,21 @@ func TestGemmTilesAgree(t *testing.T) {
 		width int64
 		body  func(a, b []float32, ldb int64, c []float32, ldc, k int64)
 	}{
+		{"gemm4x32AVX512", 32, gemm4x32AVX512},
 		{"gemm4x16AVX", 16, gemm4x16AVX},
 		{"gemm4x8SSE", 8, gemm4x8SSE},
 	}
+	var ran []string
 	for _, tile := range tiles {
+		if tile.width == 32 && !hasAVX512 {
+			t.Logf("%s skipped: the CPU probe reports no AVX-512", tile.name)
+			continue
+		}
 		if tile.width == 16 && !hasAVX {
 			t.Logf("%s skipped: the CPU probe reports no AVX", tile.name)
 			continue
 		}
+		ran = append(ran, tile.name)
 		wd := tile.width
 		for k := int64(1); k <= 70; k++ {
 			for trial := int64(0); trial < 4; trial++ {
@@ -74,4 +81,5 @@ func TestGemmTilesAgree(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("tiles checked: %v", ran)
 }
