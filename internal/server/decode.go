@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"unicode"
 	"unicode/utf16"
@@ -14,10 +15,14 @@ import (
 // with DisallowUnknownFields followed by nothing but whitespace, and
 // produces the same values:
 //
-//   - number tokens are checked against the strict JSON grammar, then
-//     parsed with the calls encoding/json makes for the field type:
-//     strconv.ParseFloat(tok, 32) for float_data, strconv.ParseInt(tok,
-//     10, 64) for shape and int_data, so every value is bit-identical;
+//   - each number token is scanned once, checking the strict JSON
+//     grammar while collecting its mantissa and exponent, and gets the
+//     value of the call encoding/json makes for the field type,
+//     strconv.ParseFloat(tok, 32) for float_data and strconv.ParseInt(tok,
+//     10, 64) for shape and int_data, bit for bit: a float from one
+//     correctly rounded float64 operation where that cannot differ from
+//     strconv (num.float32), an integer of up to 18 digits from the
+//     mantissa, and every other token from that strconv call itself;
 //   - names are unescaped like encoding/json does (a lone surrogate or
 //     invalid UTF-8 becomes U+FFFD), and struct field names match
 //     case-folded (bytes.EqualFold); an unknown field is refused;
@@ -35,6 +40,11 @@ import (
 // DecodeInputs validates the result.
 func DecodeRequest(body []byte) (*InferRequest, error) {
 	d := decoder{b: body, presized: len(body) / 2}
+	return d.decode()
+}
+
+// decode reads the whole body as one request.
+func (d *decoder) decode() (*InferRequest, error) {
 	var req InferRequest
 	d.ws()
 	if err := d.request(&req); err != nil {
@@ -48,11 +58,13 @@ func DecodeRequest(body []byte) (*InferRequest, error) {
 }
 
 // decoder is a cursor over one request body. presized is the number of
-// elements presize may still allocate for this request.
+// elements presize may still allocate for this request; slow counts the
+// numbers handed to strconv.
 type decoder struct {
 	b        []byte
 	off      int
 	presized int
+	slow     int
 }
 
 func (d *decoder) errorf(format string, args ...any) error {
@@ -283,10 +295,20 @@ func array[T any](d *decoder, s []T, shape []int64, elem func(*T) error) ([]T, e
 }
 
 func (d *decoder) float32(p *float32) error {
-	tok, err := d.number()
+	start := d.off
+	n, err := d.number()
 	if err != nil {
 		return err
 	}
+	if f, ok := n.float32(); ok {
+		if d.b[start] == '-' {
+			f = -f
+		}
+		*p = f
+		return nil
+	}
+	d.slow++
+	tok := d.b[start:d.off]
 	f, err := strconv.ParseFloat(string(tok), 32)
 	if err != nil {
 		return d.errorf("float_data element %s: %v", tok, err)
@@ -296,15 +318,26 @@ func (d *decoder) float32(p *float32) error {
 }
 
 func (d *decoder) int64(p *int64) error {
-	tok, err := d.number()
+	start := d.off
+	n, err := d.number()
 	if err != nil {
 		return err
 	}
-	n, err := strconv.ParseInt(string(tok), 10, 64)
+	// Up to 18 digits the mantissa is the whole integer, below 2^63.
+	if n.integer && n.digits <= 18 {
+		*p = int64(n.mant)
+		if d.b[start] == '-' {
+			*p = -*p
+		}
+		return nil
+	}
+	d.slow++
+	tok := d.b[start:d.off]
+	v, err := strconv.ParseInt(string(tok), 10, 64)
 	if err != nil {
 		return d.errorf("integer element %s: %v", tok, err)
 	}
-	*p = n
+	*p = v
 	return nil
 }
 
@@ -322,12 +355,60 @@ func (d *decoder) bool(p *bool) error {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
+// mantDigits is how many digits num.mant holds exactly: 10^19 - 1
+// still fits a uint64. A longer token's mant wraps, and no conversion
+// reads it.
+const mantDigits = 19
+
+// num is what number collects while it scans one token: the token's
+// magnitude is mant·10^exp when digits <= mantDigits. It has at most
+// four fields, so the compiler keeps it in registers; the sign is the
+// token's first byte.
+type num struct {
+	mant    uint64 // the significant digits, as an integer
+	exp     int    // decimal exponent of the last digit
+	digits  int    // significant digits in the token, leading zeros not counted
+	integer bool   // no fraction and no exponent
+}
+
+// float32 converts n's magnitude in one correctly rounded float64
+// operation, as Clinger's fast path does: mant <= 2^53 and 10^|exp| for
+// |exp| <= 22 are exact float64s, so y = mant·10^exp or mant/10^-exp is
+// the decimal rounded once to float64. Every float32 and every midpoint
+// between two adjacent ones is a float64, and rounding is monotone, so
+// y is on the same side of each midpoint as the decimal unless y is a
+// midpoint itself. float32(y) is then the decimal's correctly rounded
+// float32, which is strconv.ParseFloat(tok, 32)'s value, whenever y's
+// low 29 mantissa bits, the ones float32 drops, are not exactly one
+// half. The bounds keep a nonzero y in [1e-22, 2^53·1e22], inside
+// float32's normal range, so no subnormal or overflow reaches the
+// conversion, and a zero mant gives 0. It reports false for every other
+// token.
+func (n num) float32() (float32, bool) {
+	if n.digits > mantDigits || n.mant > 1<<53 || n.exp < -22 || n.exp > 22 {
+		return 0, false
+	}
+	y := float64(n.mant)
+	if n.exp < 0 {
+		y /= math.Pow10(-n.exp)
+	} else {
+		y *= math.Pow10(n.exp)
+	}
+	if math.Float64bits(y)&(1<<29-1) == 1<<28 {
+		return 0, false
+	}
+	return float32(y), true
+}
+
 // number consumes one token of the JSON number grammar
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and returns it. It
-// refuses what strconv would otherwise take: a leading +, leading
-// zeros, .5, 1., inf, nan, hex and underscores.
-func (d *decoder) number() ([]byte, error) {
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and returns its
+// mantissa and exponent, in one pass over its bytes. It refuses
+// what strconv would otherwise take: a leading +, leading zeros, .5,
+// 1., inf, nan, hex and underscores.
+func (d *decoder) number() (num, error) {
 	b, i := d.b, d.off
+	var mant uint64
+	exp, digits := 0, 0
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
@@ -335,37 +416,62 @@ func (d *decoder) number() ([]byte, error) {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		for i++; i < len(b) && isDigit(b[i]); i++ {
+		start := i
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			mant = mant*10 + uint64(b[i]-'0')
 		}
+		digits = i - start
 	default:
-		return nil, d.errorf("expected number")
+		return num{}, d.errorf("expected number")
 	}
+	integer := true
 	if i < len(b) && b[i] == '.' {
+		integer = false
 		i++
 		start := i
-		for i < len(b) && isDigit(b[i]) {
-			i++
+		if digits == 0 { // 0.: the zeros that follow are not significant
+			for i < len(b) && b[i] == '0' {
+				i++
+			}
+		}
+		sig := i
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			mant = mant*10 + uint64(b[i]-'0')
 		}
 		if i == start {
-			return nil, d.errorf("no digits after decimal point")
+			return num{}, d.errorf("no digits after decimal point")
 		}
+		exp = start - i
+		digits += i - sig
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		integer = false
 		i++
+		eneg := false
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			eneg = b[i] == '-'
 			i++
 		}
 		start := i
-		for i < len(b) && isDigit(b[i]) {
-			i++
+		e := 0
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			// Saturating at strconv's bound keeps exp what strconv's
+			// readFloat computes, even where a saturated exponent meets
+			// thousands of leading zeros.
+			if e < 10000 {
+				e = e*10 + int(b[i]-'0')
+			}
 		}
 		if i == start {
-			return nil, d.errorf("no digits in exponent")
+			return num{}, d.errorf("no digits in exponent")
 		}
+		if eneg {
+			e = -e
+		}
+		exp += e
 	}
-	tok := b[d.off:i]
 	d.off = i
-	return tok, nil
+	return num{mant: mant, exp: exp, digits: digits, integer: integer}, nil
 }
 
 // str consumes one string token (the cursor is on its opening quote)

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -117,6 +119,13 @@ func decodeEdgeBodies() []string {
 		f1("NaN"), f1("1_0"), f1("1E+2"), f1("2.5e-3"), f1("0.1"), f1(`"1"`), f1("true"), f1("[1]"),
 		i1("1.0"), i1("1e2"), i1("-0"), i1("9223372036854775807"), i1("9223372036854775808"),
 		i1("-9223372036854775808"), i1("null"),
+		// One-scan refusals: a midpoint, 19 and 20 digits, |exp| 22 and
+		// 23, zero with a huge exponent, a subnormal and the overflow
+		// threshold, with the neighbours the fast path takes.
+		f1("16777217"), f1("1234567890123456789"), f1("12345678901234567890"), f1("9007199254740993"),
+		f1("1e22"), f1("1e-22"), f1("1e23"), f1("1e-23"), f1("0e999999"), f1("-0.0"), f1("1e-40"),
+		f1("340282356779733661637539395458142568448"), f1("340282356779733661637539395458142568447"),
+		i1("123456789012345678"), i1("-1234567890123456789"),
 		one(`"dtype":"bool","shape":[2],"bool_data":[true,null]`), one(`"dtype":"bool","shape":[1],"bool_data":[1]`),
 		// Case-folded and unknown keys.
 		`{"INPUTS":{"x":{"DType":"float32","Shape":[1],"FLOAT_DATA":[1]}}}`,
@@ -190,6 +199,160 @@ func TestDecodeRequestAgrees(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestWireNumbersTakeOneScan: every number of the ten models' sample
+// bodies is converted from the decoder's own scan, none by strconv.
+func TestWireNumbersTakeOneScan(t *testing.T) {
+	for _, b := range sod2.Models() {
+		body := modelBody(t, b.Name, 0)
+		d := decoder{b: body, presized: len(body) / 2}
+		if _, err := d.decode(); err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if d.slow != 0 {
+			t.Errorf("%s: %d numbers went to strconv", b.Name, d.slow)
+		}
+	}
+}
+
+// float32Agrees decodes tok as one float_data element and compares it
+// with strconv.ParseFloat(tok, 32): the same bits, or both an error,
+// and an error only from strconv. It reports whether tok went to
+// strconv.
+func float32Agrees(tok []byte) (slow bool, err error) {
+	d := decoder{b: tok}
+	var got float32
+	gerr := d.float32(&got)
+	want, werr := strconv.ParseFloat(string(tok), 32)
+	switch {
+	case gerr == nil && d.off != len(tok):
+		return false, fmt.Errorf("%s: decoder stopped at offset %d", tok, d.off)
+	case (gerr == nil) != (werr == nil):
+		return false, fmt.Errorf("%s: decoder err = %v, strconv err = %v", tok, gerr, werr)
+	case gerr != nil && d.slow == 0:
+		return false, fmt.Errorf("%s: error %v not from strconv", tok, gerr)
+	case gerr == nil && math.Float32bits(got) != math.Float32bits(float32(want)):
+		return false, fmt.Errorf("%s: decoder %#x, strconv %#x", tok, math.Float32bits(got), math.Float32bits(float32(want)))
+	}
+	return d.slow != 0, nil
+}
+
+// TestFloat32MatchesStrconv holds the one-scan float32 conversion to
+// strconv.ParseFloat(tok, 32) bit for bit: on boundary literals, on
+// the shortest 'g', 'e' and 'f' forms of every 997th float32 pattern,
+// on random decimals of 1-20 digits with exponents in ±45, and on
+// planted float32 midpoints, whose exact decimals must go to strconv.
+// -short and -race builds take a coarser sample.
+func TestFloat32MatchesStrconv(t *testing.T) {
+	stride, randoms, midpoints := uint64(997), 2_000_000, 400_000
+	if testing.Short() || raceEnabled {
+		stride, randoms, midpoints = 99_991, 20_000, 4_000
+	}
+	for _, c := range []struct {
+		tok  string
+		slow bool
+	}{
+		{"0", false}, {"-0", false}, {"-0.0", false}, {"0.000", false}, {"0e999999", true},
+		{"0.1", false}, {"-2.5e-3", false}, {"1E+2", false}, {"123.456e-7", false},
+		{"16777216", false}, {"16777217", true}, {"16777219", true}, {"16777218.5", false},
+		{"9007199254740992", false}, {"9007199254740993", true},
+		{"1234567890123456789", true}, {"12345678901234567890", true}, {"1.000000000000000000", true},
+		{"1e22", false}, {"1e-22", false}, {"9007199254740992e22", false}, {"1e23", true}, {"1e-23", true},
+		{"1.17549435e-38", true}, {"1.1754944e-38", true}, {"1e-45", true}, {"1e-46", true}, {"-1e-40", true},
+		{"3.4028235e38", true}, {"3.4028236e38", true}, {"-3.4028236e38", true}, {"1e39", true},
+		{"340282356779733661637539395458142568447", true}, {"340282356779733661637539395458142568448", true},
+		// strconv saturates the exponent at 10000 before adding the
+		// leading zeros' offset: both read these as 1 and 10.
+		{"0." + strings.Repeat("0", 9999) + "1e10000000", false}, {"0." + strings.Repeat("0", 9998) + "1e10000000", false},
+	} {
+		slow, err := float32Agrees([]byte(c.tok))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slow != c.slow {
+			t.Errorf("%s: went to strconv = %v, want %v", c.tok, slow, c.slow)
+		}
+	}
+
+	var buf []byte
+	for bits := uint64(0); bits < 1<<32; bits += stride {
+		f := float64(math.Float32frombits(uint32(bits)))
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			continue
+		}
+		for _, format := range []byte{'g', 'e', 'f'} {
+			buf = strconv.AppendFloat(buf[:0], f, format, -1, 32)
+			if _, err := float32Agrees(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(43))
+	for range randoms {
+		buf = buf[:0]
+		if rng.Intn(2) == 0 {
+			buf = append(buf, '-')
+		}
+		n := 1 + rng.Intn(20)
+		point := 1 + rng.Intn(n)
+		for i := range n {
+			if i == point {
+				buf = append(buf, '.')
+			}
+			digit := rng.Intn(10)
+			if i == 0 && n > 1 && point > 1 {
+				digit = 1 + rng.Intn(9)
+			}
+			buf = append(buf, byte('0'+digit))
+		}
+		if rng.Intn(4) != 0 {
+			buf = strconv.AppendInt(append(buf, 'e'), int64(rng.Intn(91)-45), 10)
+		}
+		if _, err := float32Agrees(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A midpoint's exact decimal is refused, by its length or by the
+	// midpoint test; half the plants sit in [2^7, 2^53), where exact
+	// decimals are often short enough to reach the midpoint test. Its
+	// shortest float64 form lands on the midpoint without being it.
+	reached := 0
+	for i := range midpoints {
+		exp := rng.Intn(254) - 126
+		if i%2 == 0 {
+			exp = 7 + rng.Intn(46)
+		}
+		lo := math.Float32frombits(uint32(exp+127)<<23 | uint32(rng.Intn(1<<23)))
+		hi := math.Nextafter32(lo, float32(math.Inf(1)))
+		mid := (float64(lo) + float64(hi)) / 2
+		exact := strconv.FormatFloat(mid, 'e', 160, 64)
+		mant, e, _ := strings.Cut(exact, "e")
+		if trimmed := strings.TrimRight(mant, "0"); len(trimmed) < len(mant) {
+			exact = strings.TrimSuffix(trimmed, ".") + "e" + e
+		} else {
+			t.Fatalf("%g: 160 digits do not hold the exact decimal", mid)
+		}
+		d := decoder{b: []byte(exact)}
+		if n, _ := d.number(); n.digits <= mantDigits && n.mant <= 1<<53 && -22 <= n.exp && n.exp <= 22 {
+			reached++
+		}
+		slow, err := float32Agrees([]byte(exact))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slow {
+			t.Fatalf("midpoint %s did not go to strconv", exact)
+		}
+		if _, err := float32Agrees(strconv.AppendFloat(buf[:0], mid, 'g', -1, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reached < midpoints/4 {
+		t.Errorf("%d of %d planted midpoints reach the midpoint test, want at least a quarter", reached, midpoints)
 	}
 }
 
