@@ -289,46 +289,75 @@ func poolKernel(avg bool) Kernel {
 			return nil, fmt.Errorf("%s: non-positive output %dx%d", n.OpType, outH, outW)
 		}
 		out := ctx.Out(0, tensor.Float32, N, C, outH, outW)
-		for b := int64(0); b < N; b++ {
-			for c := int64(0); c < C; c++ {
-				base := (b*C + c) * H * W
-				for oh := int64(0); oh < outH; oh++ {
-					for ow := int64(0); ow < outW; ow++ {
-						var acc float32
-						count := int64(0)
-						best := float32(math.Inf(-1))
-						for kh := int64(0); kh < kernel[0]; kh++ {
-							ih := oh*strides[0] - pads[0] + kh
-							if ih < 0 || ih >= H {
-								continue
-							}
-							for kw := int64(0); kw < kernel[1]; kw++ {
-								iw := ow*strides[1] - pads[1] + kw
-								if iw < 0 || iw >= W {
-									continue
-								}
-								v := x.F[base+ih*W+iw]
-								acc += v
-								count++
-								if v > best {
-									best = v
-								}
-							}
-						}
-						var res float32
-						if avg {
-							if count > 0 {
-								res = acc / float32(count)
-							}
-						} else {
-							res = best
-						}
-						out.F[((b*C+c)*outH+oh)*outW+ow] = res
-					}
-				}
+		p := poolWindows{kh: kernel[0], kw: kernel[1], sh: strides[0], sw: strides[1],
+			padT: pads[0], padL: pads[1], h: H, w: W, outH: outH, outW: outW}
+		for c := int64(0); c < N*C; c++ {
+			src, dst := x.F[c*H*W:(c+1)*H*W], out.F[c*outH*outW:(c+1)*outH*outW]
+			if avg {
+				avgPoolPlane(src, dst, &p)
+			} else {
+				maxPoolPlane(src, dst, &p)
 			}
 		}
 		return []*tensor.Tensor{out}, nil
+	}
+}
+
+// poolWindows is the window geometry of a 2-D pool over one H×W plane.
+type poolWindows struct {
+	kh, kw, sh, sw, padT, padL int64
+	h, w, outH, outW           int64
+}
+
+// clip returns the input rows [ih0, ih1) and columns [iw0, iw1) of
+// output (oh, ow)'s window that lie inside the plane; a window wholly in
+// the padding gets an empty range.
+func (p *poolWindows) clip(oh, ow int64) (ih0, ih1, iw0, iw1 int64) {
+	ih, iw := oh*p.sh-p.padT, ow*p.sw-p.padL
+	ih0, iw0 = min(max(0, ih), p.h), min(max(0, iw), p.w)
+	return ih0, max(ih0, min(p.h, ih+p.kh)), iw0, max(iw0, min(p.w, iw+p.kw))
+}
+
+// maxPoolPlane writes each window's largest in-bounds value, taken in
+// row-major tap order by v > best from −Inf: a NaN is never taken, of
+// equal values the first stays (so −0 before +0 gives −0), and an
+// all-padding window gives −Inf.
+func maxPoolPlane(x, out []float32, p *poolWindows) {
+	for oh := int64(0); oh < p.outH; oh++ {
+		for ow := int64(0); ow < p.outW; ow++ {
+			ih0, ih1, iw0, iw1 := p.clip(oh, ow)
+			best := float32(math.Inf(-1))
+			for ih := ih0; ih < ih1; ih++ {
+				for _, v := range x[ih*p.w+iw0 : ih*p.w+iw1] {
+					if v > best {
+						best = v
+					}
+				}
+			}
+			out[oh*p.outW+ow] = best
+		}
+	}
+}
+
+// avgPoolPlane writes each window's mean over its in-bounds values (the
+// padding is not counted): the sum from +0 in row-major tap order,
+// divided by the count. An all-padding window gives 0.
+func avgPoolPlane(x, out []float32, p *poolWindows) {
+	for oh := int64(0); oh < p.outH; oh++ {
+		for ow := int64(0); ow < p.outW; ow++ {
+			ih0, ih1, iw0, iw1 := p.clip(oh, ow)
+			var acc float32
+			for ih := ih0; ih < ih1; ih++ {
+				for _, v := range x[ih*p.w+iw0 : ih*p.w+iw1] {
+					acc += v
+				}
+			}
+			var res float32
+			if count := (ih1 - ih0) * (iw1 - iw0); count > 0 {
+				res = acc / float32(count)
+			}
+			out[oh*p.outW+ow] = res
+		}
 	}
 }
 

@@ -481,7 +481,8 @@ func (d *fixedDest) Out(_ int, n int64) []float32 { return d.out[:n] }
 func (d *fixedDest) Scratch(n int64) []float32    { return d.scratch[:n] }
 
 // A kernel call into a Dest allocates what the heap call does minus the
-// payloads the Dest provides — the output, and Conv's panel scratch —
+// payloads the Dest provides — the output, and the panel scratch of
+// Conv and of MatMul with a packed B —
 // so the Ctx, the Dest and Out box nothing and close over nothing: what
 // is left of an output is its Tensor header and shape.
 func TestDestAllocatesOnlyTheHeader(t *testing.T) {
@@ -492,6 +493,10 @@ func TestDestAllocatesOnlyTheHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := tensor.RandomFloats(rng, 1, 1, 8, 16, 16)
+	bq, err := tensor.Quantize(tensor.RandomFloats(rng, 1, 16, 24), tensor.Int8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	conv := map[string]graph.AttrValue{"pads": graph.IntsAttr(1, 1, 1, 1)}
 	for _, tc := range []struct {
 		op       string
@@ -502,6 +507,7 @@ func TestDestAllocatesOnlyTheHeader(t *testing.T) {
 		{"Conv", conv, []*tensor.Tensor{x, w}, 2},
 		{"Conv", conv, []*tensor.Tensor{x, wq}, 2},
 		{"MatMul", nil, []*tensor.Tensor{tensor.RandomFloats(rng, 1, 2, 9, 16), tensor.RandomFloats(rng, 1, 16, 24)}, 1},
+		{"MatMul", nil, []*tensor.Tensor{tensor.RandomFloats(rng, 1, 2, 9, 16), bq}, 2},
 		{"Add", nil, []*tensor.Tensor{tensor.RandomFloats(rng, 1, 4, 64), tensor.RandomFloats(rng, 1, 64)}, 1},
 		{"Relu", nil, []*tensor.Tensor{tensor.RandomFloats(rng, 1, 4, 64)}, 1},
 		{"Softmax", nil, []*tensor.Tensor{tensor.RandomFloats(rng, 1, 4, 64)}, 1},

@@ -249,6 +249,93 @@ func TestPooling(t *testing.T) {
 	}
 }
 
+// refPool is the pooling loop MaxPool and AveragePool ran before each
+// got its own body: every tap of every window tests its bounds, and both
+// modes' state is kept on every in-bounds tap.
+func refPool(x *tensor.Tensor, avg bool, kernel, strides, pads []int64) *tensor.Tensor {
+	N, C, H, W := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	outH := (H+pads[0]+pads[2]-kernel[0])/strides[0] + 1
+	outW := (W+pads[1]+pads[3]-kernel[1])/strides[1] + 1
+	out := tensor.New(tensor.Float32, N, C, outH, outW)
+	for b := int64(0); b < N; b++ {
+		for c := int64(0); c < C; c++ {
+			base := (b*C + c) * H * W
+			for oh := int64(0); oh < outH; oh++ {
+				for ow := int64(0); ow < outW; ow++ {
+					var acc float32
+					count := int64(0)
+					best := float32(math.Inf(-1))
+					for kh := int64(0); kh < kernel[0]; kh++ {
+						ih := oh*strides[0] - pads[0] + kh
+						if ih < 0 || ih >= H {
+							continue
+						}
+						for kw := int64(0); kw < kernel[1]; kw++ {
+							iw := ow*strides[1] - pads[1] + kw
+							if iw < 0 || iw >= W {
+								continue
+							}
+							v := x.F[base+ih*W+iw]
+							acc += v
+							count++
+							if v > best {
+								best = v
+							}
+						}
+					}
+					var res float32
+					if avg {
+						if count > 0 {
+							res = acc / float32(count)
+						}
+					} else {
+						res = best
+					}
+					out.F[((b*C+c)*outH+oh)*outW+ow] = res
+				}
+			}
+		}
+	}
+	return out
+}
+
+// MaxPool and AveragePool match refPool bit for bit: over NaN, ±Inf and
+// planes of mixed −0/+0, on windows inside the plane, cut by the
+// padding, and wholly in it (−Inf for max, 0 for average).
+func TestPoolMatchesReferenceLoop(t *testing.T) {
+	rng := tensor.NewRNG(19)
+	x := tensor.RandomFloats(rng, 1, 2, 3, 9, 11)
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for i, v := range specials {
+		x.F[17+41*i] = v
+	}
+	// Plane (1, 2) is all zeros of both signs, so max must keep the
+	// first of equal values and the mean sums signed zeros.
+	plane := x.F[5*9*11 : 6*9*11]
+	for i := range plane {
+		plane[i] = float32(math.Copysign(0, float64(1-2*(i*7%3%2))))
+	}
+	for _, tc := range []struct{ kernel, strides, pads []int64 }{
+		{[]int64{3, 3}, []int64{2, 2}, []int64{1, 1, 1, 1}},
+		{[]int64{2, 2}, []int64{2, 2}, []int64{0, 0, 0, 0}},
+		{[]int64{3, 3}, []int64{1, 1}, []int64{1, 1, 1, 1}},
+		{[]int64{1, 1}, []int64{1, 1}, []int64{0, 0, 0, 0}},
+		{[]int64{2, 3}, []int64{1, 2}, []int64{0, 1, 1, 0}},
+		{[]int64{2, 2}, []int64{1, 1}, []int64{3, 3, 3, 3}}, // corner windows wholly in the padding
+		{[]int64{3, 2}, []int64{3, 4}, []int64{4, 0, 4, 5}}, // whole rows and columns of them
+	} {
+		attrs := map[string]graph.AttrValue{"kernel_shape": graph.IntsAttr(tc.kernel...),
+			"strides": graph.IntsAttr(tc.strides...), "pads": graph.IntsAttr(tc.pads...)}
+		for _, avg := range []bool{false, true} {
+			op := "MaxPool"
+			if avg {
+				op = "AveragePool"
+			}
+			sameBits(t, fmt.Sprint(op, tc), run1(t, op, attrs, x), refPool(x, avg, tc.kernel, tc.strides, tc.pads))
+		}
+	}
+}
+
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	rng := tensor.NewRNG(11)
 	x := tensor.RandomFloats(rng, 3, 4, 7)

@@ -112,13 +112,13 @@ func matmulKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tenso
 	}
 	outShape := append(append([]int64{}, batch...), m, nn)
 	out := ctx.Out(0, tensor.Float32, outShape...)
-	threads := ctx.threads()
 	if b.DType.IsQuantized() {
-		if err := matmulQuant(a, b, m, k, nn, out, threads); err != nil {
+		if err := matmulQuant(a, b, m, k, nn, out, ctx); err != nil {
 			return nil, err
 		}
 		return []*tensor.Tensor{out}, nil
 	}
+	threads := ctx.threads()
 	// Batch entries walk A and B by their own (possibly broadcast) batch
 	// strides. With several entries the budget stripes across them (each
 	// writes a disjoint out slab); a single large matmul stripes rows.

@@ -1,8 +1,10 @@
 // Quantized-weight kernels: GEMM, CONV, and elementwise paths that
-// consume int8/Q4 block-quantized weights directly, dequantizing on the
-// fly inside the inner loops. Activations stay float32 throughout —
-// this is weight-only quantization, so only the B-side (MatMul) or
-// filter-side (Conv) operand is ever packed.
+// consume int8/Q4 block-quantized weights directly. The GEMMs widen or
+// dequantize the packed operand a panel at a time into scratch and run
+// the float32 core (gemmBlock) on it, so the products and their order
+// are the float kernel's. Activations stay float32 throughout — this is
+// weight-only quantization, so only the B-side (MatMul) or filter-side
+// (Conv) operand is ever packed.
 package kernels
 
 import (
@@ -11,49 +13,80 @@ import (
 	"repro/internal/tensor"
 )
 
-// GemmQuant computes C[m,n] = A[m,k] × dequant(B)[k,n] where B is
-// quantized row-wise over n (Rows=k, Cols=n). C's old contents are
-// overwritten, and the result matches Gemm on the dequantized operand up
-// to float rounding.
-//
-// Int8 runs a fused ikj schedule with the per-row scale hoisted out of
-// the inner loop; the 4-bit formats run a pkj schedule that dequantizes
-// each B row exactly once into a scratch row shared across all m output
-// rows, amortizing the nibble unpacking.
-func GemmQuant(bq *tensor.QuantData, a []float32, m, k, n int64, c []float32) {
-	for i := range c[:m*n] {
-		c[i] = 0
+// gemmQuantScratch is the scratch GemmQuant works in for a B of k rows
+// and n columns: a k×min(n, gemmNC) panel of B and, for int8, four rows
+// of scaled A and the scales repeated four times.
+func gemmQuantScratch(format tensor.DType, k, n int64) int64 {
+	s := k * min(n, gemmNC)
+	if format == tensor.Int8 {
+		s += 8 * k
 	}
-	switch bq.Format {
-	case tensor.Int8:
-		for i := int64(0); i < m; i++ {
-			ci := c[i*n : (i+1)*n]
-			ai := a[i*k : (i+1)*k]
+	return s
+}
+
+// GemmQuant computes C[m,n] = A[m,k] × dequant(B)[k,n] where B is
+// quantized row-wise over n (Rows=k, Cols=n), overwriting C, in scratch
+// of gemmQuantScratch floats. Each gemmNC-wide column block of B is
+// unpacked into a panel, and gemmBlock runs on it.
+//
+// Int8 widens the codes, which is exact, and scales A instead: column p
+// of A, four rows at a time, times Scales[p]. Each c[i,j] then sums the
+// float32 products (a·scale)·code in ascending p from +0; the 4-bit
+// formats sum a·deq likewise. The result is bit-identical to Gemm on
+// A·diag(Scales) and the codes (int8) or on the dequantized B (4-bit).
+func GemmQuant(bq *tensor.QuantData, a []float32, m, k, n int64, c, scratch []float32) {
+	if m == 0 {
+		return
+	}
+	panel := scratch[:k*min(n, gemmNC)]
+	var as, scales []float32
+	if bq.Format == tensor.Int8 {
+		// Four copies of the scales let one multiply scale four A rows.
+		rest := scratch[len(panel):]
+		as, scales = rest[:4*k], rest[4*k:8*k]
+		for r := int64(0); r < 4; r++ {
+			copy(scales[r*k:(r+1)*k], bq.Scales[:k])
+		}
+	}
+	for j := int64(0); j < n; j += gemmNC {
+		w := min(gemmNC, n-j)
+		if bq.Format != tensor.Int8 {
 			for p := int64(0); p < k; p++ {
-				avs := ai[p] * bq.Scales[p]
-				// Skipping a zero avs changes no value: int8 codes are
-				// finite, and a NaN scale makes avs NaN, not zero.
-				if avs == 0 {
-					continue
-				}
-				bp := bq.Data[p*n : (p+1)*n]
-				for j := int64(0); j < n; j++ {
-					ci[j] += avs * float32(int8(bp[j]))
-				}
+				bq.DequantCols(p, j, j+w, panel[p*w:(p+1)*w])
 			}
+			gemmBlock(a, panel, w, c[j:], n, m, k, w)
+			continue
 		}
-	default:
-		row := make([]float32, n)
 		for p := int64(0); p < k; p++ {
-			bq.DequantRow(p, row)
-			for i := int64(0); i < m; i++ {
-				av := a[i*k+p]
-				ci := c[i*n : (i+1)*n]
-				for j := int64(0); j < n; j++ {
-					ci[j] += av * row[j]
-				}
-			}
+			widenInt8(panel[p*w:(p+1)*w], bq.Data[p*n+j:p*n+j+w])
 		}
+		for i := int64(0); i < m; i += 4 {
+			rows := min(4, m-i)
+			mulInto(as[:rows*k], a[i*k:(i+rows)*k], scales[:rows*k])
+			gemmBlock(as, panel, w, c[i*n+j:], n, rows, k, w)
+		}
+	}
+}
+
+// widenInt8 sets dst[j] to the int8 code src[j] as a float32.
+func widenInt8(dst []float32, src []byte) {
+	dst = dst[:len(src)]
+	for j, v := range src {
+		dst[j] = float32(int8(v))
+	}
+}
+
+// mulInto sets dst[p] = a[p]·s[p]: Mul's vector loop (mulVec.vv, where
+// there is one) over the longest multiple of vecWidth elements, the
+// scalar product over the rest. Both are one IEEE multiply per element.
+func mulInto(dst, a, s []float32) {
+	n := 0
+	if mulVec != nil {
+		n = len(a) &^ (vecWidth - 1)
+		mulVec.vv(dst[:n], a[:n], s[:n])
+	}
+	for p := n; p < len(a); p++ {
+		dst[p] = a[p] * s[p]
 	}
 }
 
@@ -79,34 +112,59 @@ func GemmQuantLHS(wq *tensor.QuantData, rowLo, rowHi int64, scratch, b []float32
 
 // matmulQuant is the MatMul path for a quantized weight operand: B must
 // be a rank-2 weight [k, n] packed with Rows=k (the reduction dim), and
-// A batches broadcast over it.
-func matmulQuant(a, b *tensor.Tensor, m, k, nn int64, out *tensor.Tensor, threads int) error {
+// A batches broadcast over it. The intra-op budget stripes batch entries
+// when there are several and output rows, in whole groups of four,
+// otherwise. The scratch is taken from ctx once, one disjoint part per
+// stripe.
+func matmulQuant(a, b *tensor.Tensor, m, k, nn int64, out *tensor.Tensor, ctx *Ctx) error {
 	if b.Rank() != 2 || b.Q.Rows != k || b.Q.Cols != nn {
 		return fmt.Errorf("MatMul: quantized B grid %dx%d does not match [%d,%d]",
 			b.Q.Rows, b.Q.Cols, k, nn)
 	}
-	nBatch := out.Len() / (m * nn)
-	if int64(threads) > 1 && nBatch > 1 {
-		ParallelForGrain(threads, nBatch, 1, func(lo, hi int64) {
-			for bi := lo; bi < hi; bi++ {
-				GemmQuant(b.Q, a.F[bi*m*k:(bi+1)*m*k], m, k, nn, out.F[bi*m*nn:(bi+1)*m*nn])
-			}
-		})
+	nBatch := tensor.NumElems(out.Shape[:out.Rank()-2])
+	threads := ctx.threads()
+	per := gemmQuantScratch(b.Q.Format, k, nn)
+	if threads > 1 && nBatch > 1 {
+		count, chunk := stripes(threads, nBatch, 1)
+		quantBatchStripes(b.Q, a.F, m, k, nn, out.F, threads, nBatch, chunk, per, ctx.Scratch(count*per))
 		return nil
 	}
+	count, chunk := stripes(threads, (m+3)/4, rowGrain(4*k*nn))
+	scratch := ctx.Scratch(count * per)
 	for bi := int64(0); bi < nBatch; bi++ {
-		if int64(threads) > 1 && m > 1 {
-			// Stripe output rows: each stripe reads the shared packed B.
-			aOff, oOff := bi*m*k, bi*m*nn
-			ParallelForGrain(threads, m, rowGrain(k*nn), func(iLo, iHi int64) {
-				GemmQuant(b.Q, a.F[aOff+iLo*k:aOff+iHi*k], iHi-iLo, k, nn,
-					out.F[oOff+iLo*nn:oOff+iHi*nn])
-			})
+		ai, ci := a.F[bi*m*k:(bi+1)*m*k], out.F[bi*m*nn:(bi+1)*m*nn]
+		if count <= 1 {
+			// The stripe closure is a heap allocation per call.
+			GemmQuant(b.Q, ai, m, k, nn, ci, scratch)
 			continue
 		}
-		GemmQuant(b.Q, a.F[bi*m*k:(bi+1)*m*k], m, k, nn, out.F[bi*m*nn:(bi+1)*m*nn])
+		quantRowStripes(b.Q, ai, m, k, nn, ci, threads, chunk, per, scratch)
 	}
 	return nil
+}
+
+// quantBatchStripes runs GemmQuant on each of the nBatch entries, the
+// budget striping the entries, stripe s in scratch part s.
+func quantBatchStripes(q *tensor.QuantData, a []float32, m, k, nn int64, c []float32, threads int,
+	nBatch, chunk, per int64, scratch []float32) {
+	ParallelForGrain(threads, nBatch, 1, func(lo, hi int64) {
+		s := scratch[lo/chunk*per : (lo/chunk+1)*per]
+		for bi := lo; bi < hi; bi++ {
+			GemmQuant(q, a[bi*m*k:(bi+1)*m*k], m, k, nn, c[bi*m*nn:(bi+1)*m*nn], s)
+		}
+	})
+}
+
+// quantRowStripes runs GemmQuant on one batch entry, the budget striping
+// its rows in groups of four (as gemmRows does), stripe s in scratch
+// part s.
+func quantRowStripes(q *tensor.QuantData, a []float32, m, k, nn int64, c []float32, threads int,
+	chunk, per int64, scratch []float32) {
+	ParallelForGrain(threads, (m+3)/4, rowGrain(4*k*nn), func(lo, hi int64) {
+		s := scratch[lo/chunk*per : (lo/chunk+1)*per]
+		lo, hi = 4*lo, min(4*hi, m)
+		GemmQuant(q, a[lo*k:hi*k], hi-lo, k, nn, c[lo*nn:hi*nn], s)
+	})
 }
 
 // binQuantRowwise applies a float binary op where y is quantized and

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -10,28 +11,66 @@ import (
 
 var quantFormats = []tensor.DType{tensor.Int8, tensor.Q4_0, tensor.Q4_1}
 
-// The quantized kernels must agree with the float kernel run on the
-// dequantized operand — same values, only accumulation order differs.
+// GemmQuant is the float32 GEMM on B's unpacked values, bit for bit:
+// int8 is refGemm(A·diag(Scales), float32(codes)), the products
+// (a·scale)·code in ascending p, and the 4-bit formats are refGemm on
+// the dequantized B. The shapes cover m % 4 ≠ 0, n off the 8/16/32 tile
+// widths, n past gemmNC (two column blocks), k = 0 and m = 0; the
+// activations include ±0, NaN and ±Inf, and one scale is zero. Output
+// and scratch start as NaN, so an element read before it is written, or
+// left unwritten, shows.
 func TestGemmQuantMatchesDequantGemm(t *testing.T) {
 	rng := tensor.NewRNG(11)
-	shapes := []struct{ m, k, n int64 }{{1, 64, 33}, {8, 96, 40}, {17, 33, 5}}
+	shapes := []struct{ m, k, n int64 }{
+		{1, 64, 33}, {8, 96, 40}, {17, 33, 5}, {6, 40, 48}, {13, 32, 128}, {5, 24, gemmNC + 88},
+		{3, 0, 7}, {0, 9, 7},
+	}
 	for _, format := range quantFormats {
 		for _, s := range shapes {
 			a := tensor.RandomFloats(rng, 1, s.m, s.k)
-			b := tensor.RandomFloats(rng, 1, s.k, s.n)
-			bq, err := tensor.Quantize(b, format, 0)
+			plantSpecials(a.F, s.k)
+			bq, err := tensor.Quantize(tensor.RandomFloats(rng, 1, s.k, s.n), format, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := make([]float32, s.m*s.n)
-			refGemm(a.F, bq.Dequantize().F, s.m, s.k, s.n, want)
-			got := make([]float32, s.m*s.n)
-			GemmQuant(bq.Q, a.F, s.m, s.k, s.n, got)
-			for i := range got {
-				if math.Abs(float64(got[i]-want[i])) > 1e-3 {
-					t.Fatalf("%s %dx%dx%d elem %d: got %g want %g", format, s.m, s.k, s.n, i, got[i], want[i])
-				}
+			if s.k > 2 {
+				bq.Q.Scales[2] = 0 // int8: row 2; 4-bit: storage block 2
 			}
+			want := make([]float32, s.m*s.n)
+			if format == tensor.Int8 {
+				as := make([]float32, s.m*s.k)
+				for i := range as {
+					as[i] = a.F[i] * bq.Q.Scales[int64(i)%s.k]
+				}
+				codes := make([]float32, s.k*s.n)
+				for i, c := range bq.Q.Data {
+					codes[i] = float32(int8(c))
+				}
+				refGemm(as, codes, s.m, s.k, s.n, want)
+			} else {
+				refGemm(a.F, bq.Dequantize().F, s.m, s.k, s.n, want)
+			}
+			forTile512Modes(func(wide bool) {
+				got := nans(s.m * s.n)
+				GemmQuant(bq.Q, a.F, s.m, s.k, s.n, got, nans(gemmQuantScratch(format, s.k, s.n)))
+				for i := range got {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%s %dx%dx%d tile512 %v elem %d: got %g want %g", format, s.m, s.k, s.n, wide, i, got[i], want[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// plantSpecials puts +0, −0, NaN, +Inf and −Inf into rows 0 to 4 of a
+// k-column A (those that exist), the i-th of them at column 3i mod k.
+func plantSpecials(a []float32, k int64) {
+	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.NaN()),
+		float32(math.Inf(1)), float32(math.Inf(-1))}
+	for i, v := range specials {
+		if row := int64(i); k > 0 && (row+1)*k <= int64(len(a)) {
+			a[row*k+int64(3*i)%k] = v
 		}
 	}
 }
@@ -61,7 +100,7 @@ func TestGemmQuantKeepsNaNScale(t *testing.T) {
 		}
 		tc.plant(bq.Q)
 		c := make([]float32, m*n)
-		GemmQuant(bq.Q, a.F, m, k, n, c)
+		GemmQuant(bq.Q, a.F, m, k, n, c, make([]float32, gemmQuantScratch(tc.format, k, n)))
 		for i := int64(0); i < m; i++ {
 			if v := c[i*n]; v == v {
 				t.Errorf("%s: C[%d,0] = %v, want the poisoned row's NaN", tc.format, i, v)
@@ -112,20 +151,36 @@ func runOp(t *testing.T, op string, attrs map[string]graph.AttrValue, threads in
 	return runBoth(t, &graph.Node{Name: "t", OpType: op, Attrs: attrs}, in, threads)[0]
 }
 
+// MatMul with a packed B is the float MatMul on B's unpacked operands,
+// bit for bit, batched (the budget stripes entries) and unbatched (it
+// stripes rows in groups of four), at thread budgets 1 and 4: int8 is
+// MatMul(A·diag(Scales), codes), the 4-bit formats MatMul(A, dequant(B)).
 func TestMatMulKernelQuantized(t *testing.T) {
 	rng := tensor.NewRNG(13)
-	a := tensor.RandomFloats(rng, 1, 2, 9, 48)
 	b := tensor.RandomFloats(rng, 1, 48, 37)
-	for _, format := range quantFormats {
-		bq, err := tensor.Quantize(b, format, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := runOp(t, "MatMul", nil, 1, a, bq.Dequantize())
-		for _, threads := range []int{1, 4} {
-			got := runOp(t, "MatMul", nil, threads, a, bq)
-			if !tensor.AllClose(got, want, 1e-3) {
-				t.Fatalf("%s threads=%d: quantized MatMul diverges from dequantized reference", format, threads)
+	for _, a := range []*tensor.Tensor{tensor.RandomFloats(rng, 1, 2, 9, 48), tensor.RandomFloats(rng, 1, 30, 48)} {
+		for _, format := range quantFormats {
+			bq, err := tensor.Quantize(b, format, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want *tensor.Tensor
+			if format == tensor.Int8 {
+				as := tensor.New(tensor.Float32, a.Shape...)
+				for i := range as.F {
+					as.F[i] = a.F[i] * bq.Q.Scales[i%48]
+				}
+				codes := tensor.New(tensor.Float32, b.Shape...)
+				for i, c := range bq.Q.Data {
+					codes.F[i] = float32(int8(c))
+				}
+				want = runOp(t, "MatMul", nil, 1, as, codes)
+			} else {
+				want = runOp(t, "MatMul", nil, 1, a, bq.Dequantize())
+			}
+			for _, threads := range []int{1, 4} {
+				got := runOp(t, "MatMul", nil, threads, a, bq)
+				sameBits(t, fmt.Sprint(format, " A", a.Shape, " threads ", threads), got, want)
 			}
 		}
 	}
@@ -188,6 +243,7 @@ func TestElementwiseQuantized(t *testing.T) {
 // fewer weight bytes on memory-bound shapes (skinny/GEMV-like), which
 // is exactly the regime MVC routes to the packed variants.
 func benchGemm(b *testing.B, m, k, n int64, format tensor.DType) {
+	defer func() { b.ReportMetric(float64(2*m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s") }()
 	rng := tensor.NewRNG(21)
 	a := tensor.RandomFloats(rng, 1, m, k)
 	w := tensor.RandomFloats(rng, 1, k, n)
@@ -203,9 +259,10 @@ func benchGemm(b *testing.B, m, k, n int64, format tensor.DType) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	scratch := make([]float32, gemmQuantScratch(format, k, n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GemmQuant(wq.Q, a.F, m, k, n, c)
+		GemmQuant(wq.Q, a.F, m, k, n, c, scratch)
 	}
 }
 
@@ -220,6 +277,22 @@ func BenchmarkGemmRegularQ40(b *testing.B)  { benchGemm(b, 256, 256, 256, tensor
 
 func BenchmarkGemmFatF32(b *testing.B)  { benchGemm(b, 1024, 512, 64, tensor.Float32) }
 func BenchmarkGemmFatInt8(b *testing.B) { benchGemm(b, 1024, 512, 64, tensor.Int8) }
+
+// servedGemmShapes are quant-int8's MatMul shapes (m×k×n): three row
+// counts across the (k, n) pairs of its weights.
+func servedGemmShapes(b *testing.B, format tensor.DType) {
+	for _, m := range []int64{122, 243, 400} {
+		for _, kn := range [][2]int64{{32, 32}, {32, 128}, {128, 32}} {
+			b.Run(fmt.Sprintf("%dx%dx%d", m, kn[0], kn[1]), func(b *testing.B) {
+				b.ReportAllocs()
+				benchGemm(b, m, kn[0], kn[1], format)
+			})
+		}
+	}
+}
+
+func BenchmarkGemmServedF32(b *testing.B)  { servedGemmShapes(b, tensor.Float32) }
+func BenchmarkGemmServedInt8(b *testing.B) { servedGemmShapes(b, tensor.Int8) }
 
 func benchConv(b *testing.B, format tensor.DType) {
 	rng := tensor.NewRNG(22)

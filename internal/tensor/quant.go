@@ -274,41 +274,35 @@ func getNibble(data []byte, j int) byte {
 
 // DequantRow reconstructs storage row r into dst (len >= Cols).
 func (q *QuantData) DequantRow(r int64, dst []float32) {
+	q.DequantCols(r, 0, q.Cols, dst)
+}
+
+// DequantCols reconstructs columns [lo, hi) of storage row r into
+// dst[:hi-lo], each value computed as DequantRow computes it.
+func (q *QuantData) DequantCols(r, lo, hi int64, dst []float32) {
+	dst = dst[:hi-lo]
 	switch q.Format {
 	case Int8:
 		s := q.Scales[r]
-		row := q.Data[r*q.Cols : (r+1)*q.Cols]
-		for j, c := range row {
+		for j, c := range q.Data[r*q.Cols+lo : r*q.Cols+hi] {
 			dst[j] = s * float32(int8(c))
 		}
-	case Q4_0:
+	case Q4_0, Q4_1:
 		bpr := q.BlocksPerRow()
-		for b := int64(0); b < bpr; b++ {
+		for b := lo / QBlock; b*QBlock < hi; b++ {
 			bi := r*bpr + b
+			data := q.Data[bi*QBlockBytes : (bi+1)*QBlockBytes]
+			j0, j1 := max(lo, b*QBlock), min(hi, (b+1)*QBlock)
 			s := q.Scales[bi]
-			data := q.Data[bi*QBlockBytes : (bi+1)*QBlockBytes]
-			lo := b * QBlock
-			hi := lo + QBlock
-			if hi > q.Cols {
-				hi = q.Cols
+			if q.Format == Q4_0 {
+				for j := j0; j < j1; j++ {
+					dst[j-lo] = s * float32(int64(getNibble(data, int(j-b*QBlock)))-8)
+				}
+				continue
 			}
-			for j := lo; j < hi; j++ {
-				dst[j] = s * float32(int64(getNibble(data, int(j-lo)))-8)
-			}
-		}
-	case Q4_1:
-		bpr := q.BlocksPerRow()
-		for b := int64(0); b < bpr; b++ {
-			bi := r*bpr + b
-			s, m := q.Scales[bi], q.Mins[bi]
-			data := q.Data[bi*QBlockBytes : (bi+1)*QBlockBytes]
-			lo := b * QBlock
-			hi := lo + QBlock
-			if hi > q.Cols {
-				hi = q.Cols
-			}
-			for j := lo; j < hi; j++ {
-				dst[j] = s*float32(getNibble(data, int(j-lo))) + m
+			m := q.Mins[bi]
+			for j := j0; j < j1; j++ {
+				dst[j-lo] = s*float32(getNibble(data, int(j-b*QBlock))) + m
 			}
 		}
 	}

@@ -209,3 +209,42 @@ func FuzzQuantRoundTrip(f *testing.F) {
 		checkRoundTrip(t, src, format)
 	})
 }
+
+// DequantCols over any column range is that range of the row, and each
+// value is its format's reconstruction: s·code for int8, s·(nibble−8)
+// for Q4_0, s·nibble + min for Q4_1, bit for bit. The ranges cut 4-bit
+// blocks anywhere, and Cols is not a multiple of the block.
+func TestDequantColsMatchesRow(t *testing.T) {
+	src := RandomFloats(NewRNG(17), 1, 3, 100)
+	ranges := [][2]int64{{0, 100}, {5, 37}, {32, 64}, {64, 100}, {31, 33}, {99, 100}, {10, 10}}
+	for _, format := range quantFormats {
+		qt, err := Quantize(src, format, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := qt.Q
+		for r := int64(0); r < q.Rows; r++ {
+			want := make([]float32, q.Cols)
+			for j := int64(0); j < q.Cols; j++ {
+				bi := r*q.BlocksPerRow() + j/QBlock
+				switch format {
+				case Int8:
+					want[j] = q.Scales[r] * float32(int8(q.Data[r*q.Cols+j]))
+				case Q4_0:
+					want[j] = q.Scales[bi] * float32(int64(getNibble(q.Data[bi*QBlockBytes:], int(j%QBlock)))-8)
+				case Q4_1:
+					want[j] = q.Scales[bi]*float32(getNibble(q.Data[bi*QBlockBytes:], int(j%QBlock))) + q.Mins[bi]
+				}
+			}
+			for _, rg := range ranges {
+				got := make([]float32, rg[1]-rg[0])
+				q.DequantCols(r, rg[0], rg[1], got)
+				for j, v := range got {
+					if math.Float32bits(v) != math.Float32bits(want[rg[0]+int64(j)]) {
+						t.Fatalf("%s row %d cols %v: elem %d = %v, want %v", format, r, rg, j, v, want[rg[0]+int64(j)])
+					}
+				}
+			}
+		}
+	}
+}
