@@ -6,6 +6,7 @@
 package sod2
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -34,11 +35,11 @@ func BenchmarkConcurrentInfer(b *testing.B) {
 		for _, gor := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/goroutines=%d", name, gor), func(b *testing.B) {
 				c.Invalidate()
-				sess := c.NewSession(SessionOptions{Workers: gor})
+				sess := c.NewSession(SessionOptions{})
 				// Warm once (the first request proves the region) so the
 				// steady-state serving path is what the loop measures.
 				for _, s := range pool {
-					if _, _, err := sess.InferSample(s); err != nil {
+					if _, _, err := sess.InferConcurrentCtx(context.Background(), s.Inputs); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -69,7 +70,7 @@ func benchDistinct(b *testing.B, sess *Session, pool []Sample, gor int) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
 				s := pool[(g+i)%len(pool)]
-				if _, _, err := sess.InferSample(s); err != nil {
+				if _, _, err := sess.InferConcurrentCtx(context.Background(), s.Inputs); err != nil {
 					b.Error(err)
 					return
 				}

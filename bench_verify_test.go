@@ -8,6 +8,7 @@
 package sod2
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/frameworks"
@@ -40,13 +41,13 @@ func BenchmarkShapeSweep(b *testing.B) {
 			// Warm once so the loop measures steady-state serving; the
 			// warmup's verification is part of the accounting.
 			for _, s := range pool {
-				if _, _, err := sess.InferSample(s); err != nil {
+				if _, _, err := sess.InferConcurrentCtx(context.Background(), s.Inputs); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sess.InferSample(pool[i%distinct]); err != nil {
+				if _, _, err := sess.InferConcurrentCtx(context.Background(), pool[i%distinct].Inputs); err != nil {
 					b.Fatal(err)
 				}
 			}

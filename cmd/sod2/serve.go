@@ -1,22 +1,17 @@
 package main
 
-// serve: the network front-end subcommand, plus the HTTP mode of
-// serve-bench. Kept apart from main.go so the CLI surface of the paper
+// serve: the network front-end subcommand and its curl companion,
+// sample. Kept apart from main.go so the CLI surface of the paper
 // pipeline (analyze/compile/run) stays readable.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -51,7 +46,7 @@ func resolveServeModels(list string) []*models.Builder {
 // counters, which read zero compile work when every model warm-booted.
 func bootServer(builders []*models.Builder, device, storeDir string,
 	batchWindow time.Duration, batchMax, maxConc, maxQueue int,
-	deadline time.Duration, qps float64, burst int) (*server.Server, []server.Model) {
+	deadline time.Duration, qps float64, burst int) *server.Server {
 	var st *sod2.ArtifactStore
 	if storeDir != "" {
 		var err error
@@ -110,7 +105,7 @@ func bootServer(builders []*models.Builder, device, storeDir string,
 	if err != nil {
 		fail(err)
 	}
-	return srv, served
+	return srv
 }
 
 // serveCmd boots the HTTP serving front-end over one or more models and
@@ -123,7 +118,7 @@ func serveCmd(modelList, device, addr, storeDir string,
 	drainGrace, drainTimeout time.Duration) {
 	builders := resolveServeModels(modelList)
 	fmt.Printf("booting %d model(s):\n", len(builders))
-	srv, _ := bootServer(builders, device, storeDir,
+	srv := bootServer(builders, device, storeDir,
 		batchWindow, batchMax, maxConc, maxQueue, deadline, qps, burst)
 
 	hs := srv.HTTPServer(addr)
@@ -178,158 +173,5 @@ func sampleCmd(name string, size int64, gate float64, seed uint64) {
 	enc := json.NewEncoder(os.Stdout)
 	if err := enc.Encode(server.EncodeInputs(s.Inputs)); err != nil {
 		fail(err)
-	}
-}
-
-// percentile picks the p-th percentile (0 < p <= 1) from sorted
-// latencies by nearest rank: the smallest sample at or above a p share
-// of the samples, so a tail percentile is never under-reported.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := min(max(int(math.Ceil(p*float64(len(sorted)))), 1), len(sorted))
-	return sorted[rank-1]
-}
-
-// httpBenchPass drives one serving configuration over the wire and
-// returns its latency distribution plus the amortization counters.
-type httpBenchPass struct {
-	label      string
-	wall       time.Duration
-	latencies  []time.Duration
-	served     int
-	shed       int
-	failed     int
-	admissions uint64
-	buckets    uint64
-	members    uint64
-}
-
-func runHTTPBenchPass(label string, b *models.Builder, device, storeDir string,
-	requests, workers, distinct, maxConc, maxQueue int, deadline time.Duration,
-	batchWindow time.Duration, batchMax int) httpBenchPass {
-	srv, served := bootServer([]*models.Builder{b}, device, storeDir,
-		batchWindow, batchMax, maxConc, maxQueue, deadline, 0, 0)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fail(err)
-	}
-	hs := srv.HTTPServer("")
-	go hs.Serve(ln)
-	url := fmt.Sprintf("http://%s/v1/models/%s/infer", ln.Addr(), b.Name)
-
-	pool := workload.Samples(b, distinct, 42)
-	bodies := make([][]byte, len(pool))
-	for i, s := range pool {
-		bodies[i], err = json.Marshal(server.EncodeInputs(s.Inputs))
-		if err != nil {
-			fail(err)
-		}
-	}
-
-	pass := httpBenchPass{label: label, latencies: make([]time.Duration, 0, requests)}
-	var mu sync.Mutex
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			client := &http.Client{Timeout: 60 * time.Second}
-			for i := range jobs {
-				t0 := time.Now()
-				resp, err := client.Post(url, "application/json", bytes.NewReader(bodies[i%len(bodies)]))
-				lat := time.Since(t0)
-				mu.Lock()
-				switch {
-				case err != nil:
-					pass.failed++
-				case resp.StatusCode == http.StatusOK:
-					pass.served++
-					pass.latencies = append(pass.latencies, lat)
-				case resp.StatusCode == http.StatusTooManyRequests,
-					resp.StatusCode == http.StatusServiceUnavailable:
-					pass.shed++
-				default:
-					pass.failed++
-				}
-				mu.Unlock()
-				if err == nil {
-					resp.Body.Close()
-				}
-			}
-		}()
-	}
-	for i := 0; i < requests; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	pass.wall = time.Since(start)
-
-	st := served[0].Session.Stats()
-	pass.admissions = st.Admission.Admitted
-	pass.buckets = st.Buckets
-	pass.members = st.BucketMembers
-
-	dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	srv.StartDraining()
-	hs.Shutdown(dctx)
-	if err := srv.Drain(dctx); err != nil {
-		fail(err)
-	}
-	sort.Slice(pass.latencies, func(i, j int) bool { return pass.latencies[i] < pass.latencies[j] })
-	return pass
-}
-
-func (p httpBenchPass) print(requests int) {
-	fmt.Printf("%-14s wall %8v   %7.1f req/s   served %d  shed %d  failed %d\n",
-		p.label+":", p.wall.Round(time.Millisecond),
-		float64(requests)/p.wall.Seconds(), p.served, p.shed, p.failed)
-	fmt.Printf("%-14s p50 %v   p90 %v   p99 %v\n", "",
-		percentile(p.latencies, 0.50).Round(10*time.Microsecond),
-		percentile(p.latencies, 0.90).Round(10*time.Microsecond),
-		percentile(p.latencies, 0.99).Round(10*time.Microsecond))
-	ratio := 0.0
-	if p.buckets > 0 {
-		ratio = float64(p.members) / float64(p.buckets)
-	}
-	fmt.Printf("%-14s admissions %d   buckets %d (avg %.1f members — requests per reservation)\n",
-		"", p.admissions, p.buckets, ratio)
-}
-
-// httpBenchCmd is serve-bench -http: the same request stream measured
-// through the wire twice — per-request serving vs shape-family batched
-// serving — printing the throughput and latency-percentile comparison
-// the batching layer is justified by.
-func httpBenchCmd(name, device string, requests, workers, distinct,
-	maxConc, maxQueue int, deadline time.Duration, storeDir string,
-	batchWindow time.Duration, batchMax int) {
-	b, ok := models.Get(name)
-	if !ok {
-		fail(fmt.Errorf("unknown model %q", name))
-	}
-	if distinct < 1 {
-		distinct = 1
-	}
-	if batchWindow <= 0 {
-		batchWindow = 2 * time.Millisecond
-	}
-	fmt.Printf("http bench: model=%s requests=%d workers=%d distinct=%d batch window=%v max=%d\n",
-		name, requests, workers, distinct, batchWindow, batchMax)
-
-	per := runHTTPBenchPass("per-request", b, device, storeDir,
-		requests, workers, distinct, maxConc, maxQueue, deadline, 0, 0)
-	batched := runHTTPBenchPass("batched", b, device, storeDir,
-		requests, workers, distinct, maxConc, maxQueue, deadline, batchWindow, batchMax)
-
-	per.print(requests)
-	batched.print(requests)
-	if per.wall > 0 && batched.wall > 0 {
-		fmt.Printf("batched/per-request throughput: %.2fx\n",
-			(float64(requests)/batched.wall.Seconds())/(float64(requests)/per.wall.Seconds()))
 	}
 }

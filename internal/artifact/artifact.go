@@ -166,7 +166,7 @@ type Key struct {
 	ModelHash string
 	Device    string
 	// Config names the compile configuration variant — e.g. the weight
-	// quantization format ("int8", "q4_0"). Empty is the default float32
+	// quantization format ("int8"). Empty is the default float32
 	// compile; distinct variants of one model never share an artifact.
 	Config string
 }

@@ -115,10 +115,10 @@ type MemPlanSection struct {
 
 // QuantSection persists a quantized compile's packed weights and its
 // accuracy-drift contract. The loader treats every field as untrusted:
-// each tensor's block grid is re-validated against the freshly built
+// each tensor's row grid is re-validated against the freshly built
 // graph's initializer shape before the packed bytes replace it.
 type QuantSection struct {
-	// Format is the packed storage format name ("int8", "q4_0", "q4_1").
+	// Format is the packed storage format name ("int8").
 	Format string `json:"format"`
 	// MaxAbs/MaxRel are the drift budget the compile enforced.
 	MaxAbs float64 `json:"max_abs,omitempty"`
@@ -129,15 +129,14 @@ type QuantSection struct {
 	Tensors []QuantTensorDTO `json:"tensors"`
 }
 
-// QuantTensorDTO is one packed initializer: its block grid, the scale
-// (and, for Q4_1, min) tables, and the code payload (base64 in JSON).
+// QuantTensorDTO is one packed initializer: its row grid, the per-row
+// scale table, and the code payload (base64 in JSON).
 type QuantTensorDTO struct {
 	Name   string    `json:"name"`
 	Shape  []int64   `json:"shape"`
 	Rows   int64     `json:"rows"`
 	Cols   int64     `json:"cols"`
 	Scales []float32 `json:"scales"`
-	Mins   []float32 `json:"mins,omitempty"`
 	Data   []byte    `json:"data"`
 }
 

@@ -14,9 +14,9 @@ import (
 // back to the float32 weight tier. The float originals are separate
 // tensors, so the corruption never reaches the fallback.
 
-// CorruptAnyQuantScale overwrites every block scale of the first
+// CorruptAnyQuantScale overwrites every row scale of the first
 // quantized initializer in name order (deterministic across runs) and
-// returns the tensor it hit. Corrupting all blocks guarantees the fault
+// returns the tensor it hit. Corrupting all rows guarantees the fault
 // reaches the outputs regardless of which rows an input actually
 // touches — an embedding table, for instance, only dequantizes the rows
 // the request looks up.
@@ -38,7 +38,7 @@ func CorruptAnyQuantScale(g *graph.Graph, v float32) (string, error) {
 	return names[0], nil
 }
 
-// CorruptAllQuantScales overwrites every block scale of every quantized
+// CorruptAllQuantScales overwrites every row scale of every quantized
 // initializer and returns how many tensors were hit. Zero is the most
 // reliable corruption value for drift-contract tests: every packed
 // weight dequantizes to 0, so the fault provably reaches the outputs on

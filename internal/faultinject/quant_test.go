@@ -49,7 +49,7 @@ func TestQuantDriftContractClean(t *testing.T) {
 }
 
 // TestQuantCorruptedScaleFallsBackToFloat32 is the accuracy-drift
-// contract test: a corrupted block scale in the packed weights must
+// contract test: a corrupted row scale in the packed weights must
 // surface as a typed KindQuant degradation to the float32 weight tier —
 // with outputs matching the float32 reference — never as a silent wrong
 // answer and never as a panic.

@@ -143,7 +143,7 @@ func TestFittedArenaAllocatesLessThanWorstCase(t *testing.T) {
 				runtime.ReadMemStats(&after)
 				best = min(best, after.TotalAlloc-before.TotalAlloc)
 			}
-			worst := uint64(c.PlannedArenaBytes())
+			worst := uint64(c.Verify().Mem.ArenaSize)
 			t.Logf("%s@%d: %d bytes allocated per request, %d bytes of intermediates, worst-case arena %d",
 				name, size, best, intermediates, worst)
 			if best >= worst {

@@ -155,7 +155,7 @@ func Snapshot(c *Compiled, rep *staticverify.Report, key artifact.Key) *artifact
 			}
 			qs.Tensors = append(qs.Tensors, artifact.QuantTensorDTO{
 				Name: name, Shape: t.Shape, Rows: t.Q.Rows, Cols: t.Q.Cols,
-				Scales: t.Q.Scales, Mins: t.Q.Mins, Data: t.Q.Data,
+				Scales: t.Q.Scales, Data: t.Q.Data,
 			})
 		}
 		m.Quant = qs
@@ -345,7 +345,7 @@ func (c *Compiled) restoreQuant(qs *artifact.QuantSection) *loadError {
 				fmt.Sprintf("packed tensor %q shape %v, graph has %v", dto.Name, dto.Shape, orig.Shape)}
 		}
 		qd := &tensor.QuantData{Format: format, Rows: dto.Rows, Cols: dto.Cols,
-			Scales: dto.Scales, Mins: dto.Mins, Data: dto.Data}
+			Scales: dto.Scales, Data: dto.Data}
 		if err := qd.Validate(orig.Shape); err != nil {
 			return &loadError{"quant", "decode", err.Error()}
 		}

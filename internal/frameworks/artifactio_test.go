@@ -150,7 +150,14 @@ func bootModel(t *testing.T, name string) (*artifact.Store, *models.Builder, art
 // corruption, with the bad file quarantined and serving still working.
 func requireColdFallback(t *testing.T, st *artifact.Store, b *models.Builder, wantReason string) {
 	t.Helper()
-	c, rep, info, err := CompileWithStore(b, st, "cpu")
+	requireColdFallbackSched(t, st, b, SchedConfig{}, wantReason)
+}
+
+// requireColdFallbackSched is requireColdFallback for a compile
+// configuration, which also keys the artifact.
+func requireColdFallbackSched(t *testing.T, st *artifact.Store, b *models.Builder, cfg SchedConfig, wantReason string) {
+	t.Helper()
+	c, rep, info, err := CompileWithStoreSched(b, st, "cpu", cfg)
 	if err != nil {
 		t.Fatalf("corrupt artifact must not fail the boot: %v", err)
 	}
@@ -172,7 +179,7 @@ func requireColdFallback(t *testing.T, st *artifact.Store, b *models.Builder, wa
 	}
 	runOnce(t, c, 3) // the model must still serve
 	// The fallback re-saved a clean artifact: next boot is warm again.
-	_, _, info2, err := CompileWithStore(b, st, "cpu")
+	_, _, info2, err := CompileWithStoreSched(b, st, "cpu", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,6 +242,40 @@ func TestBootProofMismatchFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireColdFallback(t, st, b, "proof-mismatch")
+}
+
+// TestBootRetiredQuantFormatFallsBack: an int8 artifact whose quant
+// section names a format this binary no longer packs (the 4-bit
+// "q4_0") is version skew, never a warm boot.
+func TestBootRetiredQuantFormatFallsBack(t *testing.T) {
+	b, ok := models.Get("CodeBERT")
+	if !ok {
+		t.Fatal("model CodeBERT not registered")
+	}
+	st, err := artifact.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SchedConfig{Quant: QuantConfig{Format: tensor.Int8}}
+	_, _, info, err := CompileWithStoreSched(b, st, "cpu", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Saved {
+		t.Fatalf("cold boot did not save: %+v", info)
+	}
+	man, err := st.Load(info.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Quant == nil || man.Quant.Format != "int8" {
+		t.Fatalf("int8 artifact quant section = %+v", man.Quant)
+	}
+	man.Quant.Format = "q4_0"
+	if err := st.Save(info.Key, man); err != nil {
+		t.Fatal(err)
+	}
+	requireColdFallbackSched(t, st, b, cfg, "version-skew")
 }
 
 // TestBootGraphMismatchFallsBack serves an artifact whose execution

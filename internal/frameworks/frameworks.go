@@ -264,18 +264,6 @@ func (c *Compiled) Invalidate() {
 	c.verified.Store(nil)
 }
 
-// PlannedArenaBytes returns the statically proven worst-case arena
-// footprint of the region layout every planned request runs on, for the
-// model's whole input region, or 0 when no proof is currently held. The
-// serving layer's admission controller uses it as the per-request
-// memory reservation estimate, whatever the request's thread budget.
-func (c *Compiled) PlannedArenaBytes() int64 {
-	if r := c.verified.Load(); r != nil && r.Mem.Proven {
-		return r.Mem.ArenaSize
-	}
-	return 0
-}
-
 // CacheStats reports the cumulative effectiveness of Compiled's runtime
 // caches.
 type CacheStats struct {
@@ -326,8 +314,8 @@ func buildGraph(b *models.Builder) (*graph.Graph, error) {
 // compile serves the memory-minimal SEP order. The zero value is the
 // default compile.
 type SchedConfig struct {
-	// Quant packs eligible weights into block-quantized storage
-	// (Quant.Format = Int8/Q4_0/Q4_1; the zero value serves float32).
+	// Quant packs eligible weights into int8 storage (Quant.Format =
+	// Int8; the zero value serves float32).
 	Quant QuantConfig
 }
 

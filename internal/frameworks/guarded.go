@@ -297,7 +297,7 @@ func (c *Compiled) descend(r rung, err error) (next rung, kind guard.ViolationKi
 		return rung{tier: guard.TierDynamic, graph: r.graph, order: r.order}, guard.KindMemPlan, true
 	case r.graph == c.Graph && c.quantized() && contractKind(err) == guard.KindNumeric:
 		// Non-finite outputs from packed weights may be the weights' own
-		// fault (a corrupted block scale): re-serve on the float32 rung
+		// fault (a corrupted row scale): re-serve on the float32 rung
 		// instead of failing the request.
 		return c.float32Rung(r), guard.KindQuant, true
 	}

@@ -24,7 +24,7 @@ import (
 // Ctx/Hooks, because there is only one place that runs one.
 
 // matmulModel is x[1,L,32] × W[32,32]: one weight exactly at the
-// quantizer's MinElems floor, so an int8 compile packs it.
+// quantizer's quantMinElems floor, so an int8 compile packs it.
 func matmulModel() *models.Builder {
 	return &models.Builder{
 		Name: "toy-matmul", MinSize: 2, MaxSize: 8, SizeStep: 1,

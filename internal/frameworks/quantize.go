@@ -1,12 +1,12 @@
 package frameworks
 
 // Weight-only quantization as a compile configuration: eligible
-// initializers are re-packed into block-quantized storage (int8 per-row
-// scale, Q4_0/Q4_1 32-element blocks). The pass runs after all shape
-// analysis and planning — it changes values' storage, never their
-// shapes — so every statically derived plan stays valid, and the
-// original float32 weights are retained as the fallback tier the guard
-// re-serves from when a quantized run violates its accuracy contract.
+// initializers are re-packed into int8 storage with a per-row scale.
+// The pass runs after all shape analysis and planning — it changes
+// values' storage, never their shapes — so every statically derived
+// plan stays valid, and the original float32 weights are retained as
+// the fallback tier the guard re-serves from when a quantized run
+// violates its accuracy contract.
 
 import (
 	"repro/internal/graph"
@@ -16,32 +16,18 @@ import (
 
 // QuantConfig selects weight-only quantized storage for a compile.
 type QuantConfig struct {
-	// Format is the packed storage format (Int8, Q4_0, Q4_1); any other
-	// value disables the pass.
+	// Format is the packed storage format (Int8); any other value
+	// disables the pass.
 	Format tensor.DType
-	// MinElems is the smallest initializer worth packing (default 1024:
-	// below that the scale overhead and the unpack cost beat the
-	// bandwidth win, and the f32 version is selected anyway).
-	MinElems int64
-	// Budget is the model's accuracy-drift contract. The zero value
-	// resolves to a per-format default relative budget.
-	Budget guard.QuantBudget
 }
 
-func (qc QuantConfig) resolve() QuantConfig {
-	if qc.MinElems <= 0 {
-		qc.MinElems = 1024
-	}
-	if !qc.Budget.Enabled() {
-		switch qc.Format {
-		case tensor.Int8:
-			qc.Budget = guard.QuantBudget{MaxAbs: 0.005, MaxRel: 0.08}
-		case tensor.Q4_0, tensor.Q4_1:
-			qc.Budget = guard.QuantBudget{MaxAbs: 0.01, MaxRel: 0.15}
-		}
-	}
-	return qc
-}
+// quantMinElems is the smallest initializer worth packing: below it the
+// scale overhead and the unpack cost beat the bandwidth win, and the
+// f32 version is selected anyway.
+const quantMinElems = 1024
+
+// int8Budget is every int8 compile's accuracy-drift contract.
+var int8Budget = guard.QuantBudget{MaxAbs: 0.005, MaxRel: 0.08}
 
 // QuantReport describes the quantization pass applied to a compile.
 type QuantReport struct {
@@ -52,7 +38,7 @@ type QuantReport struct {
 	Tensors int
 	Skipped int
 	// FloatBytes and QuantBytes are the packed tensors' storage before
-	// and after (scales and mins included).
+	// and after (scales included).
 	FloatBytes int64
 	QuantBytes int64
 	// Budget is the accuracy-drift contract enforced for this compile.
@@ -128,14 +114,13 @@ func quantEligible(g *graph.Graph) map[string]int64 {
 // execution order and every node-keyed plan stay valid) and keeps the
 // float32 originals for the fallback tier.
 func (c *Compiled) applyQuantization(qc QuantConfig) {
-	qc = qc.resolve()
-	rep := &QuantReport{Format: qc.Format, Budget: qc.Budget}
+	rep := &QuantReport{Format: qc.Format, Budget: int8Budget}
 	elig := quantEligible(c.Graph)
 	var packed map[string]*tensor.Tensor
 	floatInits := map[string]*tensor.Tensor{}
 	for name, rowSize := range elig {
 		t := c.Graph.Initializers[name]
-		if t.DType != tensor.Float32 || t.Len() < qc.MinElems {
+		if t.DType != tensor.Float32 || t.Len() < quantMinElems {
 			rep.Skipped++
 			continue
 		}
@@ -188,7 +173,7 @@ func (c *Compiled) floatGraph() *graph.Graph {
 }
 
 // WeightBytes sums the storage of every initializer as compiled
-// (packed bytes for quantized weights, including scales and mins).
+// (packed bytes for quantized weights, including scales).
 func (c *Compiled) WeightBytes() int64 {
 	var total int64
 	for _, t := range c.Graph.Initializers {

@@ -3,9 +3,11 @@ package frameworks
 import (
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/graph"
 	"repro/internal/lattice"
 	"repro/internal/models"
+	"repro/internal/symbolic"
 	"repro/internal/tensor"
 )
 
@@ -80,21 +82,61 @@ func TestQuantEligibilityExcludesSharedUses(t *testing.T) {
 	}
 }
 
-// MinElems keeps small tensors float32 and the report counts them.
+// The quantMinElems floor keeps small tensors float32 and the report
+// counts them: a weight one row of 32 under it stays float32, one at
+// it packs.
 func TestQuantizeMinElemsSkip(t *testing.T) {
-	b, _ := models.Get("CodeBERT")
-	c, err := CompileSched(b, SchedConfig{
-		Quant: QuantConfig{Format: tensor.Int8, MinElems: 1 << 30},
-	})
+	for _, tc := range []struct {
+		cols   int64
+		packed bool
+	}{{quantMinElems/32 - 1, false}, {quantMinElems / 32, true}} {
+		b := &models.Builder{
+			Name: "toy-floor", MinSize: 2, MaxSize: 8, SizeStep: 1,
+			Build: func() *graph.Graph {
+				g := graph.New("toy-floor")
+				g.AddInput("x", tensor.Float32, lattice.Ranked(
+					lattice.FromInt(1), lattice.FromExpr(symbolic.NewSym("L")), lattice.FromInt(32)))
+				g.AddInitializer("W", tensor.RandomFloats(tensor.NewRNG(3), 1, 32, tc.cols))
+				g.Op("MatMul", "mm", []string{"x", "W"}, []string{"y"}, nil)
+				g.AddOutput("y")
+				return g
+			},
+		}
+		c, err := CompileSched(b, SchedConfig{Quant: QuantConfig{Format: tensor.Int8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Graph.Initializers["W"].DType.IsQuantized(); got != tc.packed {
+			t.Fatalf("32x%d weight packed = %v, want %v (floor %d)", tc.cols, got, tc.packed, quantMinElems)
+		}
+		if want := map[bool]int{false: 0, true: 1}[tc.packed]; c.Quant.Tensors != want || c.Quant.Skipped != 1-want {
+			t.Fatalf("32x%d weight: report %+v, want %d packed / %d skipped", tc.cols, c.Quant, want, 1-want)
+		}
+	}
+}
+
+// Every int8 compile enforces the one int8 drift budget, and a warm boot
+// restores it from the artifact unchanged.
+func TestQuantBudgetSurvivesWarmBoot(t *testing.T) {
+	b, ok := models.Get("CodeBERT")
+	if !ok {
+		t.Fatal("model CodeBERT not registered")
+	}
+	st, err := artifact.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Quant == nil || c.Quant.Tensors != 0 || c.Quant.Skipped == 0 {
-		t.Fatalf("giant MinElems should skip everything: %+v", c.Quant)
-	}
-	for name, ti := range c.Graph.Initializers {
-		if ti.DType.IsQuantized() {
-			t.Fatalf("%q packed despite MinElems", name)
+	cfg := SchedConfig{Quant: QuantConfig{Format: tensor.Int8}}
+	for _, wantWarm := range []bool{false, true} {
+		c, _, info, err := CompileWithStoreSched(b, st, "cpu", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Warm != wantWarm {
+			t.Fatalf("boot warm = %v, want %v (%+v)", info.Warm, wantWarm, info)
+		}
+		if c.Quant == nil || c.Quant.Budget != int8Budget {
+			t.Fatalf("warm=%v: quant report %+v, want budget %+v", wantWarm, c.Quant, int8Budget)
 		}
 	}
 }

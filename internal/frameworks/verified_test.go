@@ -163,8 +163,8 @@ func TestInvalidateDropsProof(t *testing.T) {
 		t.Skip("model not provable")
 	}
 	c.Invalidate()
-	if got := c.PlannedArenaBytes(); got != 0 {
-		t.Errorf("proof survived Invalidate: %d bytes", got)
+	if c.verified.Load() != nil {
+		t.Error("proof survived Invalidate")
 	}
 	before := Counters().VerifyRuns
 	in := b.Inputs(tensor.NewRNG(7), b.MinSize, 0.5)
@@ -192,7 +192,7 @@ func TestVerifyInvalidateConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.PlannedArenaBytes() == 0 {
+	if c.Verify().Mem.ArenaSize == 0 {
 		t.Fatal("expected a proven region plan for CodeBERT")
 	}
 	inputs := b.Inputs(tensor.NewRNG(7), 64, 0.5)
@@ -217,13 +217,13 @@ func TestVerifyInvalidateConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	c.Invalidate()
-	if got := c.PlannedArenaBytes(); got != 0 {
-		t.Fatalf("proof survived Invalidate: %d bytes", got)
+	if c.verified.Load() != nil {
+		t.Fatal("proof survived Invalidate")
 	}
 	if rep := c.Verify(); !rep.Mem.Proven {
 		t.Fatalf("re-verification failed: %s", rep.Mem.Reason)
 	}
-	if c.PlannedArenaBytes() == 0 {
+	if r := c.verified.Load(); r == nil || r.Mem.ArenaSize == 0 {
 		t.Fatal("fresh proof not memoized")
 	}
 }

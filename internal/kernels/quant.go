@@ -1,5 +1,5 @@
 // Quantized-weight kernels: GEMM, CONV, and elementwise paths that
-// consume int8/Q4 block-quantized weights directly. The GEMMs widen or
+// consume int8 row-quantized weights directly. The GEMMs widen or
 // dequantize the packed operand a panel at a time into scratch and run
 // the float32 core (gemmBlock) on it, so the products and their order
 // are the float kernel's. Activations stay float32 throughout — this is
@@ -14,49 +14,33 @@ import (
 )
 
 // gemmQuantScratch is the scratch GemmQuant works in for a B of k rows
-// and n columns: a k×min(n, gemmNC) panel of B and, for int8, four rows
-// of scaled A and the scales repeated four times.
-func gemmQuantScratch(format tensor.DType, k, n int64) int64 {
-	s := k * min(n, gemmNC)
-	if format == tensor.Int8 {
-		s += 8 * k
-	}
-	return s
+// and n columns: a k×min(n, gemmNC) panel of B's widened codes, four
+// rows of scaled A and the scales repeated four times.
+func gemmQuantScratch(k, n int64) int64 {
+	return k*min(n, gemmNC) + 8*k
 }
 
 // GemmQuant computes C[m,n] = A[m,k] × dequant(B)[k,n] where B is
-// quantized row-wise over n (Rows=k, Cols=n), overwriting C, in scratch
-// of gemmQuantScratch floats. Each gemmNC-wide column block of B is
-// unpacked into a panel, and gemmBlock runs on it.
-//
-// Int8 widens the codes, which is exact, and scales A instead: column p
-// of A, four rows at a time, times Scales[p]. Each c[i,j] then sums the
-// float32 products (a·scale)·code in ascending p from +0; the 4-bit
-// formats sum a·deq likewise. The result is bit-identical to Gemm on
-// A·diag(Scales) and the codes (int8) or on the dequantized B (4-bit).
+// int8-quantized row-wise over n (Rows=k, Cols=n), overwriting C, in
+// scratch of gemmQuantScratch floats. Each gemmNC-wide column block of
+// B's codes is widened into a panel, which is exact, and gemmBlock runs
+// on it with A scaled instead: column p of A, four rows at a time,
+// times Scales[p]. Each c[i,j] then sums the float32 products
+// (a·scale)·code in ascending p from +0, bit-identical to Gemm on
+// A·diag(Scales) and the codes.
 func GemmQuant(bq *tensor.QuantData, a []float32, m, k, n int64, c, scratch []float32) {
 	if m == 0 {
 		return
 	}
 	panel := scratch[:k*min(n, gemmNC)]
-	var as, scales []float32
-	if bq.Format == tensor.Int8 {
-		// Four copies of the scales let one multiply scale four A rows.
-		rest := scratch[len(panel):]
-		as, scales = rest[:4*k], rest[4*k:8*k]
-		for r := int64(0); r < 4; r++ {
-			copy(scales[r*k:(r+1)*k], bq.Scales[:k])
-		}
+	// Four copies of the scales let one multiply scale four A rows.
+	rest := scratch[len(panel):]
+	as, scales := rest[:4*k], rest[4*k:8*k]
+	for r := int64(0); r < 4; r++ {
+		copy(scales[r*k:(r+1)*k], bq.Scales[:k])
 	}
 	for j := int64(0); j < n; j += gemmNC {
 		w := min(gemmNC, n-j)
-		if bq.Format != tensor.Int8 {
-			for p := int64(0); p < k; p++ {
-				bq.DequantCols(p, j, j+w, panel[p*w:(p+1)*w])
-			}
-			gemmBlock(a, panel, w, c[j:], n, m, k, w)
-			continue
-		}
 		for p := int64(0); p < k; p++ {
 			widenInt8(panel[p*w:(p+1)*w], bq.Data[p*n+j:p*n+j+w])
 		}
@@ -123,7 +107,7 @@ func matmulQuant(a, b *tensor.Tensor, m, k, nn int64, out *tensor.Tensor, ctx *C
 	}
 	nBatch := tensor.NumElems(out.Shape[:out.Rank()-2])
 	threads := ctx.threads()
-	per := gemmQuantScratch(b.Q.Format, k, nn)
+	per := gemmQuantScratch(k, nn)
 	if threads > 1 && nBatch > 1 {
 		count, chunk := stripes(threads, nBatch, 1)
 		quantBatchStripes(b.Q, a.F, m, k, nn, out.F, threads, nBatch, chunk, per, ctx.Scratch(count*per))

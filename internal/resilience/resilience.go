@@ -3,13 +3,13 @@
 // contains faults *per request* — panic containment, fallback tiers,
 // contract checks — but on its own the serving session never learns
 // from them: a model whose verified plan keeps faulting is re-tried
-// from scratch on every request, there is no overload shedding against
-// the arena budget, and no request deadline. This package supplies the
+// from scratch on every request, there is no overload shedding, and no
+// request deadline. This package supplies the
 // three policies the session composes:
 //
-//   - Admission: a concurrency semaphore plus live arena-byte headroom
-//     gate. Requests past capacity shed with a typed ErrOverloaded
-//     instead of queueing unboundedly.
+//   - Admission: a concurrency semaphore with a bounded wait queue.
+//     Requests past capacity shed with a typed ErrOverloaded instead
+//     of queueing unboundedly.
 //   - RetryPolicy: a bounded retry/backoff ladder that is
 //     fallback-tier-aware — a request that already degraded to the
 //     dynamic-replan tier is never retried (the replan *was* the
@@ -99,23 +99,15 @@ var ErrOverloaded = errors.New("resilience: overloaded")
 // OverloadError reports one shed request: which admission resource was
 // exhausted and the load at the time.
 type OverloadError struct {
-	// Resource is "concurrency" (semaphore + queue full) or "memory"
-	// (arena-byte reservation would exceed the budget).
+	// Resource is "concurrency" (semaphore + queue full).
 	Resource string
 	// InFlight and Queued are the admitted/waiting request counts at
 	// shed time.
 	InFlight, Queued int
-	// ReservedBytes/WantBytes/BudgetBytes describe the memory headroom
-	// check (memory sheds only).
-	ReservedBytes, WantBytes, BudgetBytes int64
 }
 
 // Error renders the shed.
 func (e *OverloadError) Error() string {
-	if e.Resource == "memory" {
-		return fmt.Sprintf("resilience: overloaded [memory]: %d bytes reserved + %d wanted exceeds budget %d (%d in flight)",
-			e.ReservedBytes, e.WantBytes, e.BudgetBytes, e.InFlight)
-	}
 	return fmt.Sprintf("resilience: overloaded [%s]: %d in flight, %d queued",
 		e.Resource, e.InFlight, e.Queued)
 }

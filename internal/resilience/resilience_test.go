@@ -18,7 +18,7 @@ func TestAdmissionUnlimitedByDefault(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{})
 	var releases []func()
 	for i := 0; i < 100; i++ {
-		rel, err := a.Admit(context.Background(), 1<<20)
+		rel, err := a.Admit(context.Background())
 		if err != nil {
 			t.Fatalf("zero config must admit everything, got %v", err)
 		}
@@ -30,19 +30,19 @@ func TestAdmissionUnlimitedByDefault(t *testing.T) {
 	for _, rel := range releases {
 		rel()
 	}
-	if st := a.Stats(); st.InFlight != 0 || st.ReservedBytes != 0 {
-		t.Fatalf("after release: %+v, want zero in-flight/reserved", st)
+	if st := a.Stats(); st.InFlight != 0 || st.Queued != 0 {
+		t.Fatalf("after release: %+v, want zero in-flight/queued", st)
 	}
 }
 
 func TestAdmissionShedsOnConcurrency(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{MaxConcurrent: 2})
-	rel1, err1 := a.Admit(context.Background(), 0)
-	rel2, err2 := a.Admit(context.Background(), 0)
+	rel1, err1 := a.Admit(context.Background())
+	rel2, err2 := a.Admit(context.Background())
 	if err1 != nil || err2 != nil {
 		t.Fatalf("first two admits failed: %v %v", err1, err2)
 	}
-	_, err := a.Admit(context.Background(), 0)
+	_, err := a.Admit(context.Background())
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("third admit: err = %v, want ErrOverloaded", err)
 	}
@@ -52,7 +52,7 @@ func TestAdmissionShedsOnConcurrency(t *testing.T) {
 	}
 	rel1()
 	rel1() // idempotent
-	if rel3, err := a.Admit(context.Background(), 0); err != nil {
+	if rel3, err := a.Admit(context.Background()); err != nil {
 		t.Fatalf("admit after release: %v", err)
 	} else {
 		rel3()
@@ -66,14 +66,14 @@ func TestAdmissionShedsOnConcurrency(t *testing.T) {
 
 func TestAdmissionBoundedQueue(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 1})
-	rel, err := a.Admit(context.Background(), 0)
+	rel, err := a.Admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// One request may wait; it admits once the slot frees.
 	admitted := make(chan error, 1)
 	go func() {
-		rel2, err := a.Admit(context.Background(), 0)
+		rel2, err := a.Admit(context.Background())
 		if err == nil {
 			rel2()
 		}
@@ -87,7 +87,7 @@ func TestAdmissionBoundedQueue(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := a.Admit(context.Background(), 0); !errors.Is(err, ErrOverloaded) {
+	if _, err := a.Admit(context.Background()); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overflow request: err = %v, want ErrOverloaded", err)
 	}
 	rel()
@@ -98,7 +98,7 @@ func TestAdmissionBoundedQueue(t *testing.T) {
 
 func TestAdmissionQueueAbandonedOnCancel(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 4})
-	rel, err := a.Admit(context.Background(), 0)
+	rel, err := a.Admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestAdmissionQueueAbandonedOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := a.Admit(ctx, 0)
+		_, err := a.Admit(ctx)
 		errc <- err
 	}()
 	deadline := time.Now().Add(2 * time.Second)
@@ -126,35 +126,35 @@ func TestAdmissionQueueAbandonedOnCancel(t *testing.T) {
 	}
 }
 
-func TestAdmissionMemoryHeadroom(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{MemoryBudget: 100})
-	rel1, err := a.Admit(context.Background(), 60)
+// A release func frees its slot once, however often it is called: a
+// second call must not hand out a slot another request still holds.
+func TestAdmissionReleaseIdempotent(t *testing.T) {
+	a := NewAdmission(AdmissionConfig{MaxConcurrent: 2})
+	relA, err := a.Admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = a.Admit(context.Background(), 60)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("over-budget admit: err = %v, want ErrOverloaded", err)
+	relB, err := a.Admit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	relA()
+	relA()
+	if got := a.Stats().InFlight; got != 1 {
+		t.Fatalf("InFlight after a double release = %d, want 1", got)
+	}
+	relC, err := a.Admit(context.Background())
+	if err != nil {
+		t.Fatalf("freed slot not reusable: %v", err)
 	}
 	var oe *OverloadError
-	if !errors.As(err, &oe) || oe.Resource != "memory" {
-		t.Fatalf("err = %#v, want memory OverloadError", err)
+	if _, err := a.Admit(context.Background()); !errors.As(err, &oe) {
+		t.Fatalf("third concurrent admit: err = %v, want *OverloadError", err)
 	}
-	rel2, err := a.Admit(context.Background(), 40)
-	if err != nil {
-		t.Fatalf("within-budget admit: %v", err)
-	}
-	rel1()
-	rel2()
-	// A single estimate past the whole budget is still admitted when the
-	// ledger is empty (never permanently inadmissible).
-	rel3, err := a.Admit(context.Background(), 1000)
-	if err != nil {
-		t.Fatalf("oversized-but-first admit: %v", err)
-	}
-	rel3()
-	if got := a.Stats().ReservedBytes; got != 0 {
-		t.Fatalf("ReservedBytes = %d after all releases, want 0", got)
+	relB()
+	relC()
+	if st := a.Stats(); st.InFlight != 0 || st.Admitted != 3 || st.ShedConcurrency != 1 {
+		t.Fatalf("stats = %+v, want 0 in flight, 3 admitted, 1 shed", st)
 	}
 }
 

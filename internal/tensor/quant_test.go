@@ -5,47 +5,28 @@ import (
 	"testing"
 )
 
-var quantFormats = []DType{Int8, Q4_0, Q4_1}
-
-// maxRoundTripErr quantizes, dequantizes, and returns the largest
-// absolute error alongside the per-row/block analytic bound check.
-func checkRoundTrip(t *testing.T, src *Tensor, format DType) {
+// checkRoundTrip quantizes to int8, dequantizes, and holds every
+// element's absolute error to its row's analytic bound.
+func checkRoundTrip(t *testing.T, src *Tensor) {
 	t.Helper()
-	qt, err := Quantize(src, format, 0)
+	qt, err := Quantize(src, Int8, 0)
 	if err != nil {
-		t.Fatalf("Quantize(%s): %v", format, err)
+		t.Fatalf("Quantize: %v", err)
 	}
 	got := qt.Dequantize()
 	q := qt.Q
 	for r := int64(0); r < q.Rows; r++ {
 		row := src.F[r*q.Cols : (r+1)*q.Cols]
-		// Group extent: whole row for int8, 32-blocks for Q4.
-		group := q.Cols
-		if format != Int8 {
-			group = QBlock
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, v := range row {
+			lo, hi = math.Min(lo, float64(v)), math.Max(hi, float64(v))
 		}
-		for lo := int64(0); lo < q.Cols; lo += group {
-			hi := lo + group
-			if hi > q.Cols {
-				hi = q.Cols
-			}
-			gLo, gHi := math.Inf(1), math.Inf(-1)
-			for _, v := range row[lo:hi] {
-				f := float64(v)
-				if f < gLo {
-					gLo = f
-				}
-				if f > gHi {
-					gHi = f
-				}
-			}
-			bound := AbsErrorBound(format, gLo, gHi)
-			for j := lo; j < hi; j++ {
-				err := math.Abs(float64(got.F[r*q.Cols+j]) - float64(row[j]))
-				if err > bound {
-					t.Fatalf("%s row %d elem %d: |%g - %g| = %g exceeds bound %g",
-						format, r, j, got.F[r*q.Cols+j], row[j], err, bound)
-				}
+		bound := AbsErrorBound(Int8, lo, hi)
+		for j := range row {
+			err := math.Abs(float64(got.F[r*q.Cols+int64(j)]) - float64(row[j]))
+			if err > bound {
+				t.Fatalf("row %d elem %d: |%g - %g| = %g exceeds bound %g",
+					r, j, got.F[r*q.Cols+int64(j)], row[j], err, bound)
 			}
 		}
 	}
@@ -53,11 +34,8 @@ func checkRoundTrip(t *testing.T, src *Tensor, format DType) {
 
 func TestQuantRoundTripRandom(t *testing.T) {
 	rng := NewRNG(7)
-	for _, format := range quantFormats {
-		for _, shape := range [][]int64{{4, 64}, {3, 33}, {2, 31}, {1, 100}, {5, 1}, {128}} {
-			src := RandomFloats(rng, 2.5, shape...)
-			checkRoundTrip(t, src, format)
-		}
+	for _, shape := range [][]int64{{4, 64}, {3, 33}, {2, 31}, {1, 100}, {5, 1}, {128}} {
+		checkRoundTrip(t, RandomFloats(rng, 2.5, shape...))
 	}
 }
 
@@ -72,19 +50,15 @@ func TestQuantSubnormalsAndZeros(t *testing.T) {
 			src.F[i] = -sub * 7
 		}
 	}
-	for _, format := range quantFormats {
-		checkRoundTrip(t, src, format)
-	}
+	checkRoundTrip(t, src)
 }
 
 func TestQuantRejectsNonFinite(t *testing.T) {
 	for _, bad := range []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())} {
 		src := FromFloats([]int64{1, 32}, make([]float32, 32))
 		src.F[13] = bad
-		for _, format := range quantFormats {
-			if _, err := Quantize(src, format, 0); err == nil {
-				t.Fatalf("Quantize(%s) accepted %v", format, bad)
-			}
+		if _, err := Quantize(src, Int8, 0); err == nil {
+			t.Fatalf("Quantize accepted %v", bad)
 		}
 	}
 }
@@ -109,24 +83,19 @@ func TestQuantRowSizeValidation(t *testing.T) {
 func TestQuantBytesShrink(t *testing.T) {
 	src := RandomFloats(NewRNG(3), 1, 256, 256)
 	f32 := src.Bytes()
-	// int8: 1 byte/elem + scale/row; Q4_0: 20 bytes per 32 elems
-	// (0.15625x); Q4_1: 24 bytes per 32 elems (0.1875x).
-	wantMax := map[DType]float64{Int8: 0.27, Q4_0: 0.16, Q4_1: 0.19}
-	for _, format := range quantFormats {
-		qt, err := Quantize(src, format, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ratio := float64(qt.Bytes()) / float64(f32)
-		if ratio > wantMax[format] {
-			t.Fatalf("%s bytes ratio %.3f, want <= %.2f", format, ratio, wantMax[format])
-		}
+	// 1 byte/elem + a 4-byte scale per row.
+	qt, err := Quantize(src, Int8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ratio := float64(qt.Bytes()) / float64(f32); ratio > 0.27 {
+		t.Fatalf("bytes ratio %.3f, want <= 0.27", ratio)
 	}
 }
 
 func TestQuantCloneAndReshape(t *testing.T) {
 	src := RandomFloats(NewRNG(9), 1, 4, 32)
-	qt, err := Quantize(src, Q4_1, 0)
+	qt, err := Quantize(src, Int8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +115,7 @@ func TestQuantCloneAndReshape(t *testing.T) {
 
 func TestQuantValidate(t *testing.T) {
 	src := RandomFloats(NewRNG(5), 1, 3, 40)
-	qt, err := Quantize(src, Q4_0, 0)
+	qt, err := Quantize(src, Int8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,19 +139,18 @@ func TestQuantValidate(t *testing.T) {
 	}
 }
 
-// FuzzQuantRoundTrip drives random blocks — including subnormals and
-// ragged tails — through every format and checks the analytic bound;
-// non-finite inputs must be rejected, never encoded.
+// FuzzQuantRoundTrip drives random rows — including subnormals — through
+// int8 and checks the analytic bound; non-finite inputs must be
+// rejected, never encoded.
 func FuzzQuantRoundTrip(f *testing.F) {
-	f.Add(uint64(1), int64(32), uint8(0), false)
-	f.Add(uint64(2), int64(33), uint8(1), false)
-	f.Add(uint64(3), int64(31), uint8(2), true)
-	f.Add(uint64(4), int64(1), uint8(0), true)
-	f.Fuzz(func(t *testing.T, seed uint64, cols int64, fsel uint8, inject bool) {
+	f.Add(uint64(1), int64(32), false)
+	f.Add(uint64(2), int64(33), false)
+	f.Add(uint64(3), int64(31), true)
+	f.Add(uint64(4), int64(1), true)
+	f.Fuzz(func(t *testing.T, seed uint64, cols int64, inject bool) {
 		if cols < 1 || cols > 512 {
 			t.Skip()
 		}
-		format := quantFormats[int(fsel)%len(quantFormats)]
 		rng := NewRNG(seed)
 		rows := int64(1 + rng.Intn(4))
 		src := New(Float32, rows, cols)
@@ -201,49 +169,45 @@ func FuzzQuantRoundTrip(f *testing.F) {
 		if inject {
 			bad := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
 			src.F[rng.Intn(len(src.F))] = bad[rng.Intn(3)]
-			if _, err := Quantize(src, format, 0); err == nil {
-				t.Fatalf("Quantize(%s) accepted non-finite input", format)
+			if _, err := Quantize(src, Int8, 0); err == nil {
+				t.Fatal("Quantize accepted non-finite input")
 			}
 			return
 		}
-		checkRoundTrip(t, src, format)
+		checkRoundTrip(t, src)
 	})
 }
 
-// DequantCols over any column range is that range of the row, and each
-// value is its format's reconstruction: s·code for int8, s·(nibble−8)
-// for Q4_0, s·nibble + min for Q4_1, bit for bit. The ranges cut 4-bit
-// blocks anywhere, and Cols is not a multiple of the block.
-func TestDequantColsMatchesRow(t *testing.T) {
-	src := RandomFloats(NewRNG(17), 1, 3, 100)
-	ranges := [][2]int64{{0, 100}, {5, 37}, {32, 64}, {64, 100}, {31, 33}, {99, 100}, {10, 10}}
-	for _, format := range quantFormats {
-		qt, err := Quantize(src, format, 0)
-		if err != nil {
-			t.Fatal(err)
+// DTypeByName is String's inverse for every dtype the artifact loader
+// accepts; any other name, including the retired 4-bit formats, is
+// refused.
+func TestDTypeByNameRoundTrip(t *testing.T) {
+	for _, d := range []DType{Float32, Int64, Bool, Int8} {
+		if got, ok := DTypeByName(d.String()); !ok || got != d {
+			t.Errorf("DTypeByName(%q) = %v, %v; want %v, true", d.String(), got, ok, d)
 		}
-		q := qt.Q
-		for r := int64(0); r < q.Rows; r++ {
-			want := make([]float32, q.Cols)
-			for j := int64(0); j < q.Cols; j++ {
-				bi := r*q.BlocksPerRow() + j/QBlock
-				switch format {
-				case Int8:
-					want[j] = q.Scales[r] * float32(int8(q.Data[r*q.Cols+j]))
-				case Q4_0:
-					want[j] = q.Scales[bi] * float32(int64(getNibble(q.Data[bi*QBlockBytes:], int(j%QBlock)))-8)
-				case Q4_1:
-					want[j] = q.Scales[bi]*float32(getNibble(q.Data[bi*QBlockBytes:], int(j%QBlock))) + q.Mins[bi]
-				}
-			}
-			for _, rg := range ranges {
-				got := make([]float32, rg[1]-rg[0])
-				q.DequantCols(r, rg[0], rg[1], got)
-				for j, v := range got {
-					if math.Float32bits(v) != math.Float32bits(want[rg[0]+int64(j)]) {
-						t.Fatalf("%s row %d cols %v: elem %d = %v, want %v", format, r, rg, j, v, want[rg[0]+int64(j)])
-					}
-				}
+	}
+	for _, name := range []string{"", "q4_0", "q4_1", "INT8", "dtype(9)"} {
+		if d, ok := DTypeByName(name); ok {
+			t.Errorf("DTypeByName(%q) = %v, accepted; want refused", name, d)
+		}
+	}
+}
+
+// DequantRow reconstructs each element as s·code, bit for bit.
+func TestDequantRowIsScaleTimesCode(t *testing.T) {
+	qt, err := Quantize(RandomFloats(NewRNG(17), 1, 3, 100), Int8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := qt.Q
+	got := make([]float32, q.Cols)
+	for r := int64(0); r < q.Rows; r++ {
+		q.DequantRow(r, got)
+		for j, v := range got {
+			want := q.Scales[r] * float32(int8(q.Data[r*q.Cols+int64(j)]))
+			if math.Float32bits(v) != math.Float32bits(want) {
+				t.Fatalf("row %d elem %d = %v, want %v", r, j, v, want)
 			}
 		}
 	}

@@ -21,11 +21,6 @@ const (
 	Bool
 	// Int8 is weight-only quantized storage with a per-row scale.
 	Int8
-	// Q4_0 is 4-bit block-quantized storage: 32-element blocks with a
-	// per-block scale (symmetric, nibble 8 = zero).
-	Q4_0
-	// Q4_1 is 4-bit block-quantized storage with per-block scale + min.
-	Q4_1
 )
 
 func (d DType) String() string {
@@ -38,28 +33,21 @@ func (d DType) String() string {
 		return "bool"
 	case Int8:
 		return "int8"
-	case Q4_0:
-		return "q4_0"
-	case Q4_1:
-		return "q4_1"
 	default:
 		return fmt.Sprintf("dtype(%d)", uint8(d))
 	}
 }
 
-// Size returns the byte width of one element. The quantized formats
-// report a conservative 1-byte ceiling (Q4 packs two elements per byte
-// plus scale tables); exact accounting always goes through
-// Tensor.Bytes, which reads the packed payload size.
+// Size returns the byte width of one element. Int8 reports its 1-byte
+// code; exact accounting always goes through Tensor.Bytes, which adds
+// the packed payload's scale table.
 func (d DType) Size() int64 {
 	switch d {
 	case Float32:
 		return 4
 	case Int64:
 		return 8
-	case Bool:
-		return 1
-	case Int8, Q4_0, Q4_1:
+	case Bool, Int8:
 		return 1
 	default:
 		return 0
@@ -161,7 +149,7 @@ func (t *Tensor) Clone() *Tensor {
 		c.I = append([]int64(nil), t.I...)
 	case Bool:
 		c.B = append([]bool(nil), t.B...)
-	case Int8, Q4_0, Q4_1:
+	case Int8:
 		c.Q = t.Q.clone()
 	}
 	return c

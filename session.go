@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,22 +28,14 @@ func (c *Compiled) CacheStats() CacheStats { return c.inner.Stats() }
 
 // SessionOptions configure a serving session.
 type SessionOptions struct {
-	// Workers bounds InferBatch's fan-out (GOMAXPROCS when 0).
-	Workers int
 	// Hooks are threaded into every request's executor (fault injection,
 	// tracing). The hooks are shared by all concurrent requests and must
 	// be safe for concurrent use.
 	Hooks *exec.Hooks
-	// Threads is each request's intra-op thread budget: its kernels
-	// split their work over up to that many goroutines, on every tier
-	// (<=1 runs them on the request's goroutine). Outputs are
-	// bit-identical at every budget.
-	Threads int
 
 	// Admission bounds concurrent work: a request past the concurrency
-	// semaphore's bounded queue, or whose planned arena estimate does not
-	// fit the memory budget's headroom, sheds with ErrOverloaded instead
-	// of queueing unboundedly. The zero value admits everything.
+	// semaphore's bounded queue sheds with ErrOverloaded instead of
+	// queueing unboundedly. The zero value admits everything.
 	Admission resilience.AdmissionConfig
 	// Retry is the bounded retry/backoff ladder for transient execution
 	// faults. Tier-aware: a request that already degraded to the
@@ -52,18 +43,18 @@ type SessionOptions struct {
 	Retry resilience.RetryPolicy
 	// RequestTimeout bounds each request end to end — admission wait,
 	// every retry attempt, and backoff sleeps (0 = none). Per-call
-	// contexts (InferConcurrentCtx et al.) compose with it; whichever ends
-	// first cancels the request.
+	// contexts (InferConcurrentCtx, InferBucketCtx) compose with it;
+	// whichever ends first cancels the request.
 	RequestTimeout time.Duration
 }
 
 // Session is the concurrent serving facade over one compiled model: any
-// number of goroutines may call InferConcurrent/InferSample/InferBatch
-// (or their Ctx variants) on one Session. The session owns the serving
-// policies — admission gate, retry ladder, and the circuit breaker's
-// health state — while the one piece of shape-dependent state, the
-// region proof, lives on the shared Compiled, so several Sessions over
-// one model share it (but each judges health on its own traffic).
+// number of goroutines may call InferConcurrentCtx and InferBucketCtx on
+// one Session. The session owns the serving policies — admission gate,
+// retry ladder, and the circuit breaker's health state — while the one
+// piece of shape-dependent state, the region proof, lives on the shared
+// Compiled, so several Sessions over one model share it (but each
+// judges health on its own traffic).
 //
 // Self-healing: execution faults (contained kernel panics/errors, arena
 // faults, numeric contract violations) feed the breaker. Enough
@@ -74,7 +65,6 @@ type SessionOptions struct {
 // traffic stays clean — then planned/region serving resumes.
 type Session struct {
 	c       *Compiled
-	workers int
 	gopts   GuardOptions
 	timeout time.Duration
 
@@ -155,13 +145,9 @@ func (s *Session) Close(ctx context.Context) error {
 
 // NewSession builds a serving session over a compiled model.
 func (c *Compiled) NewSession(opts SessionOptions) *Session {
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
 	s := &Session{
 		c:       c,
-		workers: opts.Workers,
-		gopts:   GuardOptions{Hooks: opts.Hooks, Threads: opts.Threads},
+		gopts:   GuardOptions{Hooks: opts.Hooks},
 		timeout: opts.RequestTimeout,
 		adm:     resilience.NewAdmission(opts.Admission),
 		retry:   opts.Retry,
@@ -185,18 +171,13 @@ func (c *Compiled) NewSession(opts SessionOptions) *Session {
 // session's circuit breaker.
 func (s *Session) Health() resilience.HealthState { return s.brk.State() }
 
-// InferConcurrent executes one set of inputs under the session's guard
-// options. Safe to call from any number of goroutines; the returned
-// Report carries the tier served, whether the region proof's plan served
-// it (RegionCacheHit) and any degradations taken.
-func (s *Session) InferConcurrent(inputs map[string]*Tensor) (map[string]*Tensor, Report, error) {
-	return s.InferConcurrentCtx(context.Background(), inputs)
-}
-
-// InferConcurrentCtx is InferConcurrent bounded by a context:
-// cancellation is honored while queued for admission, between retry
-// attempts, and between executed nodes (including inside If/Loop
-// bodies).
+// InferConcurrentCtx executes one set of inputs under the session's
+// guard options, bounded by a context: cancellation is honored while
+// queued for admission, between retry attempts, and between executed
+// nodes (including inside If/Loop bodies). Safe to call from any number
+// of goroutines; the returned Report carries the tier served, whether
+// the region proof's plan served it (RegionCacheHit) and any
+// degradations taken.
 func (s *Session) InferConcurrentCtx(ctx context.Context, inputs map[string]*Tensor) (map[string]*Tensor, Report, error) {
 	if err := s.begin(); err != nil {
 		return nil, Report{}, err
@@ -204,11 +185,6 @@ func (s *Session) InferConcurrentCtx(ctx context.Context, inputs map[string]*Ten
 	defer s.end()
 	s.requests.Add(1)
 	return s.serve(ctx, inputs)
-}
-
-// InferSample executes one workload sample's inputs.
-func (s *Session) InferSample(sample Sample) (map[string]*Tensor, Report, error) {
-	return s.InferConcurrentCtx(context.Background(), sample.Inputs)
 }
 
 // serve is the resilient request path every inference goes through:
@@ -219,11 +195,8 @@ func (s *Session) serve(ctx context.Context, inputs map[string]*Tensor) (map[str
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
 		defer cancel()
 	}
-	// Admission: shed instead of queueing unboundedly. The reservation
-	// estimate is the statically proven worst-case footprint of the
-	// region layout (0 when no proof is held: only a proven layout takes
-	// an arena).
-	release, err := s.adm.Admit(ctx, s.c.inner.PlannedArenaBytes())
+	// Admission: shed instead of queueing unboundedly.
+	release, err := s.adm.Admit(ctx)
 	if err != nil {
 		return nil, Report{}, err
 	}
@@ -233,7 +206,7 @@ func (s *Session) serve(ctx context.Context, inputs map[string]*Tensor) (map[str
 
 // serveAdmitted is the post-admission request path: breaker-advised
 // execution with tier-aware retries. The caller holds the admission
-// reservation for the duration.
+// slot for the duration.
 func (s *Session) serveAdmitted(ctx context.Context, inputs map[string]*Tensor) (map[string]*Tensor, Report, error) {
 	for attempt := 1; ; attempt++ {
 		gopts := s.gopts
@@ -265,7 +238,7 @@ func (s *Session) serveAdmitted(ctx context.Context, inputs map[string]*Tensor) 
 	}
 }
 
-// BatchResult is one request's outcome within an InferBatch fan-out.
+// BatchResult is one request's outcome within an InferBucketCtx bucket.
 type BatchResult struct {
 	// Index is the request's position in the submitted slice.
 	Index int
@@ -275,59 +248,10 @@ type BatchResult struct {
 	Report Report
 	// Err is the request's failure, if any (other requests proceed).
 	Err error
-	// Cancelled reports that Err is the batch context ending (deadline
+	// Cancelled reports that Err is the bucket context ending (deadline
 	// or cancellation) rather than a model or admission failure — the
 	// sample itself was never refuted.
 	Cancelled bool
-}
-
-// InferBatch fans the samples out over the session's worker pool and
-// returns one result per sample, in submission order. A failed request
-// records its error without affecting the rest of the batch.
-func (s *Session) InferBatch(samples []Sample) []BatchResult {
-	return s.InferBatchCtx(context.Background(), samples)
-}
-
-// InferBatchCtx is InferBatch bounded by a context. When the context
-// ends mid-batch, in-flight samples return their cancellation and
-// not-yet-dispatched samples are marked without running; both carry
-// Cancelled=true, distinct from per-sample model errors.
-func (s *Session) InferBatchCtx(ctx context.Context, samples []Sample) []BatchResult {
-	results := make([]BatchResult, len(samples))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	workers := s.workers
-	if workers > len(samples) {
-		workers = len(samples)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out, rep, err := s.InferConcurrentCtx(ctx, samples[i].Inputs)
-				results[i] = BatchResult{Index: i, Outputs: out, Report: rep, Err: err,
-					Cancelled: isCancellation(err)}
-			}
-		}()
-	}
-	for i := range samples {
-		select {
-		case jobs <- i:
-			continue
-		case <-ctx.Done():
-		}
-		// Context ended before this sample was dispatched: mark it and
-		// everything after it cancelled without executing.
-		for j := i; j < len(samples); j++ {
-			results[j] = BatchResult{Index: j, Cancelled: true,
-				Err: fmt.Errorf("sod2: batch cancelled before dispatch: %w", ctx.Err())}
-		}
-		break
-	}
-	close(jobs)
-	wg.Wait()
-	return results
 }
 
 // isCancellation classifies a request error as context-driven.
@@ -349,19 +273,16 @@ func (s *Session) FamilyKey(inputs map[string]*Tensor) (string, bool) {
 
 // InferBucketCtx executes one shape-family bucket of samples as a
 // single coalesced unit of work: the bucket is admitted ONCE — one
-// concurrency slot and one planned-arena-byte reservation cover every
-// member — and the members then execute sequentially against the
-// shared verified plan. Sequential member execution is what keeps the
-// single reservation honest: at most one member's arena is live at a
-// time, so the admission ledger's accounting of the bucket equals its
-// true peak. Admission cost and ledger traffic amortize across the
+// concurrency slot covers every member — and the members then execute
+// sequentially against the shared verified plan, so at most one
+// member's arena is live at a time. Admission cost amortizes across the
 // bucket's clients; wall-clock parallelism comes from distinct buckets
 // running concurrently.
 //
-// Per-member semantics mirror InferBatchCtx: a member failure records
-// its error without affecting the rest, members not yet dispatched when
-// ctx ends come back Cancelled, and a shed bucket sheds every member
-// with the same typed error. The session's RequestTimeout bounds the
+// Results come back in submission order (Index is the position): a
+// member failure records its error without affecting the rest, members
+// not yet dispatched when ctx ends come back Cancelled, and a shed
+// bucket sheds every member with the same typed error. The session's RequestTimeout bounds the
 // whole bucket — the bucket is one request from the resilience layer's
 // point of view.
 func (s *Session) InferBucketCtx(ctx context.Context, samples []Sample) []BatchResult {
@@ -388,7 +309,7 @@ func (s *Session) InferBucketCtx(ctx context.Context, samples []Sample) []BatchR
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
 		defer cancel()
 	}
-	release, err := s.adm.Admit(ctx, s.c.inner.PlannedArenaBytes())
+	release, err := s.adm.Admit(ctx)
 	if err != nil {
 		return fail(err)
 	}
@@ -428,8 +349,8 @@ type SessionStats struct {
 	// Breaker snapshots the circuit breaker: cumulative faults and
 	// successes, trips, and re-verification outcomes.
 	Breaker resilience.BreakerStats
-	// Admission snapshots the overload gate: in-flight/queued counts,
-	// live arena-byte reservation, and shed counters.
+	// Admission snapshots the overload gate: in-flight/queued counts and
+	// shed counters.
 	Admission resilience.AdmissionStats
 	// Cache snapshots the shared Compiled's cache counters.
 	Cache CacheStats

@@ -17,7 +17,7 @@ import (
 
 // stallFromHook counts kernel launches and stalls every launch at or
 // past a movable threshold — the per-sample analogue of the
-// fault-injection stall, used to make exactly one sample of a batch
+// fault-injection stall, used to make exactly one sample of a bucket
 // blow a deadline.
 type stallFromHook struct {
 	launches  atomic.Int64
@@ -36,21 +36,18 @@ func (h *stallFromHook) hooks() *exec.Hooks {
 }
 
 // TestInferBatchCtxMixedDeadline pins the mixed-deadline contract of
-// InferBatchCtx: when the batch context expires mid-batch, exactly the
+// InferBucketCtx: when the bucket context expires mid-bucket, exactly the
 // deadline-exceeding samples come back Cancelled — never as a model
 // error — samples that finished in time keep their outputs, undispatched
-// samples are marked without executing, and the admission ledger drains
-// to zero.
+// samples are marked without executing, and admission drains to zero.
 func TestInferBatchCtxMixedDeadline(t *testing.T) {
 	c := compileVerifiedModel(t, "CodeBERT")
 	hook := &stallFromHook{delay: 25 * time.Millisecond}
 	hook.stallFrom.Store(-1)
+	// A bucket runs its members in order: sample order is execution order.
 	sess := c.NewSession(SessionOptions{
-		Workers: 1, // sequential dispatch: sample order is execution order
-		Hooks:   hook.hooks(),
-		Admission: resilience.AdmissionConfig{
-			MaxConcurrent: 2, MaxQueue: 2, MemoryBudget: 1 << 30,
-		},
+		Hooks:     hook.hooks(),
+		Admission: resilience.AdmissionConfig{MaxConcurrent: 2, MaxQueue: 2},
 	})
 	defer sess.Close(context.Background())
 
@@ -58,8 +55,8 @@ func TestInferBatchCtxMixedDeadline(t *testing.T) {
 	samples := []Sample{NewSample(b, 64, 0.5, 1), NewSample(b, 64, 0.5, 2), NewSample(b, 64, 0.5, 3)}
 
 	// Warm-up measures L, the launches of one inference at this shape,
-	// so the stall can be aimed at the batch's SECOND sample only.
-	if _, _, err := sess.InferSample(samples[0]); err != nil {
+	// so the stall can be aimed at the bucket's SECOND sample only.
+	if _, _, err := sess.InferConcurrentCtx(context.Background(), samples[0].Inputs); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
 	perInfer := hook.launches.Load()
@@ -70,7 +67,7 @@ func TestInferBatchCtxMixedDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
-	results := sess.InferBatchCtx(ctx, samples)
+	results := sess.InferBucketCtx(ctx, samples)
 
 	// Sample 0 ran un-stalled inside the deadline: full success.
 	if results[0].Err != nil || results[0].Cancelled || len(results[0].Outputs) == 0 {
@@ -98,8 +95,8 @@ func TestInferBatchCtxMixedDeadline(t *testing.T) {
 	}
 
 	st := sess.Stats()
-	if st.Admission.InFlight != 0 || st.Admission.Queued != 0 || st.Admission.ReservedBytes != 0 {
-		t.Fatalf("admission ledger leak after mixed-deadline batch: %+v", st.Admission)
+	if st.Admission.InFlight != 0 || st.Admission.Queued != 0 {
+		t.Fatalf("admission leak after mixed-deadline bucket: %+v", st.Admission)
 	}
 	if st.Breaker.Faults != 0 {
 		t.Fatalf("deadline expiry counted as plan fault: %+v", st.Breaker)
@@ -108,14 +105,12 @@ func TestInferBatchCtxMixedDeadline(t *testing.T) {
 
 // TestInferBucketCtxSingleAdmission pins the amortization the batching
 // server is built on: a bucket of N samples consumes exactly ONE
-// admission (one slot, one arena reservation) and each member's outputs
+// admission (one slot) and each member's outputs
 // are bit-identical to a direct un-batched inference.
 func TestInferBucketCtxSingleAdmission(t *testing.T) {
 	c := compileVerifiedModel(t, "CodeBERT")
 	sess := c.NewSession(SessionOptions{
-		Admission: resilience.AdmissionConfig{
-			MaxConcurrent: 1, MaxQueue: 0, MemoryBudget: 1 << 30,
-		},
+		Admission: resilience.AdmissionConfig{MaxConcurrent: 1, MaxQueue: 0},
 	})
 	defer sess.Close(context.Background())
 
@@ -156,7 +151,7 @@ func TestInferBucketCtxSingleAdmission(t *testing.T) {
 	if st.Admission.Admitted != 1 {
 		t.Fatalf("bucket consumed %d admissions, want 1", st.Admission.Admitted)
 	}
-	if st.Admission.InFlight != 0 || st.Admission.ReservedBytes != 0 {
+	if st.Admission.InFlight != 0 || st.Admission.Queued != 0 {
 		t.Fatalf("admission leak after bucket: %+v", st.Admission)
 	}
 	if st.Requests != uint64(len(samples)) {
@@ -181,7 +176,7 @@ func TestInferBucketCtxShedTyped(t *testing.T) {
 	occupied := make(chan struct{})
 	go func() {
 		close(occupied)
-		sess.InferSample(sample)
+		sess.InferConcurrentCtx(context.Background(), sample.Inputs)
 	}()
 	<-occupied
 	time.Sleep(50 * time.Millisecond) // let the stalled request take the slot

@@ -29,21 +29,18 @@ func closeFixture(t *testing.T, hooks *exec.Hooks) (*Session, map[string]*Tensor
 
 func TestSessionCloseRejectsNewWork(t *testing.T) {
 	sess, inputs := closeFixture(t, nil)
-	if _, _, err := sess.InferConcurrent(inputs); err != nil {
+	if _, _, err := sess.InferConcurrentCtx(context.Background(), inputs); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sess.InferConcurrent(inputs); !errors.Is(err, ErrClosed) {
+	if _, _, err := sess.InferConcurrentCtx(context.Background(), inputs); !errors.Is(err, ErrClosed) {
 		t.Errorf("infer after close: want ErrClosed, got %v", err)
 	}
-	if _, _, err := sess.InferSample(Sample{ID: 42, Inputs: inputs}); !errors.Is(err, ErrClosed) {
-		t.Errorf("sample infer after close: want ErrClosed, got %v", err)
-	}
-	res := sess.InferBatch([]Sample{{Inputs: inputs}})
+	res := sess.InferBucketCtx(context.Background(), []Sample{{Inputs: inputs}})
 	if !errors.Is(res[0].Err, ErrClosed) {
-		t.Errorf("batch after close: want ErrClosed, got %v", res[0].Err)
+		t.Errorf("bucket after close: want ErrClosed, got %v", res[0].Err)
 	}
 }
 
@@ -72,7 +69,7 @@ func TestSessionCloseDrainsInFlight(t *testing.T) {
 
 	inferDone := make(chan error, 1)
 	go func() {
-		_, _, err := sess.InferConcurrent(inputs)
+		_, _, err := sess.InferConcurrentCtx(context.Background(), inputs)
 		inferDone <- err
 	}()
 	select {
@@ -90,7 +87,7 @@ func TestSessionCloseDrainsInFlight(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("close past deadline: want DeadlineExceeded, got %v", err)
 	}
-	if _, _, err := sess.InferConcurrent(inputs); !errors.Is(err, ErrClosed) {
+	if _, _, err := sess.InferConcurrentCtx(context.Background(), inputs); !errors.Is(err, ErrClosed) {
 		t.Errorf("session must be closed to new work even after a timed-out drain: %v", err)
 	}
 
@@ -119,7 +116,7 @@ func TestSessionCloseWaitsForCompletion(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := sess.InferConcurrent(inputs)
+		_, _, err := sess.InferConcurrentCtx(context.Background(), inputs)
 		done <- err
 	}()
 	<-started

@@ -51,7 +51,7 @@ func TestSessionDeadlineStall(t *testing.T) {
 	})
 	b, _ := BuildModel("CodeBERT")
 	sample := NewSample(b, 64, 0.5, 1)
-	_, _, err := sess.InferConcurrent(sample.Inputs)
+	_, _, err := sess.InferConcurrentCtx(context.Background(), sample.Inputs)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -78,7 +78,7 @@ func TestSessionRetryRecoversTransientFault(t *testing.T) {
 	})
 	b, _ := BuildModel("CodeBERT")
 	sample := NewSample(b, 64, 0.5, 2)
-	out, _, err := sess.InferConcurrent(sample.Inputs)
+	out, _, err := sess.InferConcurrentCtx(context.Background(), sample.Inputs)
 	if err != nil {
 		t.Fatalf("retry should have recovered the one-shot fault: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestSessionRetryRecoversTransientFault(t *testing.T) {
 		if st = sess.Stats(); st.Health != resilience.Degraded {
 			t.Fatalf("health = %v after %d clean requests, want degraded", st.Health, i)
 		}
-		if _, _, err := sess.InferConcurrent(sample.Inputs); err != nil {
+		if _, _, err := sess.InferConcurrentCtx(context.Background(), sample.Inputs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,7 +140,7 @@ func TestSessionShedsWhenSaturated(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := sess.InferConcurrent(sample.Inputs)
+		_, _, err := sess.InferConcurrentCtx(context.Background(), sample.Inputs)
 		done <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -151,7 +151,7 @@ func TestSessionShedsWhenSaturated(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	start := time.Now()
-	_, _, err := sess.InferConcurrent(sample.Inputs)
+	_, _, err := sess.InferConcurrentCtx(context.Background(), sample.Inputs)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("saturated session: err = %v, want ErrOverloaded", err)
 	}
@@ -171,23 +171,25 @@ func TestSessionShedsWhenSaturated(t *testing.T) {
 	}
 }
 
-// TestInferBatchCtxCancellation pins that per-sample cancellation is
-// reported distinctly from model errors, for both flavors: a request
-// cancelled in flight (the executor's between-node context check) and a
-// request cancelled before dispatch. A gate hook deterministically
-// parks in-flight requests at their first kernel so the cancellation
-// always lands mid-batch — no timing dependence.
+// TestInferBatchCtxCancellation pins that per-sample cancellation in an
+// InferBucketCtx bucket is reported distinctly from model errors, for
+// both flavors: a member cancelled in flight (the executor's between-node
+// context check) and members cancelled before dispatch. A gate hook
+// deterministically parks the first member at its first kernel so the
+// cancellation always lands mid-bucket — no timing dependence.
 func TestInferBatchCtxCancellation(t *testing.T) {
 	c := compileVerifiedModel(t, "CodeBERT")
 	var gateOn atomic.Bool
-	gate := make(chan struct{})
+	gate, parked := make(chan struct{}), make(chan struct{})
+	var parkOnce sync.Once
 	hooks := &exec.Hooks{PreKernel: func(_ *graph.Node, _ []*tensor.Tensor) error {
 		if gateOn.Load() {
+			parkOnce.Do(func() { close(parked) })
 			<-gate
 		}
 		return nil
 	}}
-	sess := c.NewSession(SessionOptions{Workers: 2, Hooks: hooks})
+	sess := c.NewSession(SessionOptions{Hooks: hooks})
 	b, _ := BuildModel("CodeBERT")
 	mkSamples := func(n, seed int) []Sample {
 		samples := make([]Sample, n)
@@ -197,28 +199,28 @@ func TestInferBatchCtxCancellation(t *testing.T) {
 		return samples
 	}
 
-	// Un-cancelled batch: everything completes, nothing is cancelled.
-	for _, r := range sess.InferBatch(mkSamples(4, 100)) {
+	// Un-cancelled bucket: everything completes, nothing is cancelled.
+	for _, r := range sess.InferBucketCtx(context.Background(), mkSamples(4, 100)) {
 		if r.Err != nil || r.Cancelled {
-			t.Fatalf("clean batch sample %d: err=%v cancelled=%v", r.Index, r.Err, r.Cancelled)
+			t.Fatalf("clean bucket sample %d: err=%v cancelled=%v", r.Index, r.Err, r.Cancelled)
 		}
 	}
 
-	// Cancelled mid-batch: workers park at the gate, the context is
-	// cancelled, the gate opens — in-flight requests abort at the next
-	// node, undispatched ones are marked without running.
+	// Cancelled mid-bucket: the first member parks at the gate, the
+	// context is cancelled, the gate opens — the in-flight member aborts
+	// at the next node, undispatched ones are marked without running.
 	gateOn.Store(true)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		deadline := time.Now().Add(5 * time.Second)
-		for sess.Stats().Admission.InFlight < 2 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
+		select {
+		case <-parked:
+		case <-time.After(5 * time.Second):
 		}
 		cancel()
 		gateOn.Store(false)
 		close(gate)
 	}()
-	results := sess.InferBatchCtx(ctx, mkSamples(8, 200))
+	results := sess.InferBucketCtx(ctx, mkSamples(8, 200))
 	var cancelled, beforeDispatch int
 	for _, r := range results {
 		if r.Err == nil || !r.Cancelled {
@@ -231,7 +233,7 @@ func TestInferBatchCtxCancellation(t *testing.T) {
 			t.Errorf("sample %d: cancelled result carries outputs", r.Index)
 		}
 		cancelled++
-		if strings.Contains(r.Err.Error(), "before dispatch") {
+		if strings.Contains(r.Err.Error(), "before member dispatch") {
 			beforeDispatch++
 		}
 	}
@@ -247,94 +249,6 @@ func TestInferBatchCtxCancellation(t *testing.T) {
 	// Cancellation is not a model fault: health stays clean.
 	if st := sess.Stats(); st.Breaker.Faults != 0 || st.Health != resilience.Healthy {
 		t.Fatalf("cancellations counted against health: %+v", st.Breaker)
-	}
-}
-
-// TestSessionMemoryAdmission exercises the arena-headroom gate: with a
-// proven region plan as the per-request estimate and a budget below two
-// plans, a second concurrent request sheds with the typed memory
-// overload error.
-func TestSessionMemoryAdmission(t *testing.T) {
-	c := compileVerifiedModel(t, "CodeBERT")
-	est := c.inner.PlannedArenaBytes()
-	if est <= 0 {
-		t.Fatal("no planned arena estimate")
-	}
-	inj := faultinject.New(faultinject.KernelStall, 0)
-	inj.Repeat = true
-	inj.Delay = 30 * time.Millisecond
-	sess := c.NewSession(SessionOptions{
-		Hooks:     inj.Hooks(),
-		Admission: AdmissionConfig{MemoryBudget: est + est/2},
-	})
-	b, _ := BuildModel("CodeBERT")
-	sample := NewSample(b, 64, 0.5, 4)
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := sess.InferConcurrent(sample.Inputs)
-		done <- err
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for sess.Stats().Admission.ReservedBytes == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never reserved")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	_, _, err := sess.InferConcurrent(sample.Inputs)
-	var oe *OverloadError
-	if !errors.As(err, &oe) || oe.Resource != "memory" {
-		t.Fatalf("err = %v, want memory OverloadError", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if got := sess.Stats().Admission.ReservedBytes; got != 0 {
-		t.Fatalf("leaked reservation: %d bytes", got)
-	}
-}
-
-// TestSessionParallelAdmission: a session with an intra-op thread budget
-// runs its requests on the region layout every planned request uses, so
-// admission reserves that layout's proven worst case while the request
-// is in flight — the thread budget takes no memory of its own.
-func TestSessionParallelAdmission(t *testing.T) {
-	c := compileVerifiedModel(t, "CodeBERT")
-	mem := c.Verify().Mem
-	if !mem.Proven {
-		t.Fatalf("CodeBERT memory plan unproven: %s", mem.Reason)
-	}
-	parked, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	sess := c.NewSession(SessionOptions{
-		Threads: 4,
-		Hooks: &exec.Hooks{PreKernel: func(*graph.Node, []*tensor.Tensor) error {
-			once.Do(func() { close(parked) })
-			<-release
-			return nil
-		}},
-		Admission: AdmissionConfig{MemoryBudget: 1 << 30},
-	})
-	b, _ := BuildModel("CodeBERT")
-	done := make(chan Report, 1)
-	go func() {
-		_, rep, err := sess.InferConcurrent(NewSample(b, 64, 0.5, 4).Inputs)
-		if err != nil {
-			t.Error(err)
-		}
-		done <- rep
-	}()
-	<-parked
-	got := sess.Stats().Admission.ReservedBytes
-	close(release)
-	if rep := <-done; rep.FallbackTier != TierPlanned {
-		t.Fatalf("request served on tier %v, want planned", rep.FallbackTier)
-	}
-	if got != 4915200 || got != mem.ArenaSize {
-		t.Errorf("in-flight reservation %d bytes, want the region arena's 4915200 (proof: %d)", got, mem.ArenaSize)
-	}
-	if got := sess.Stats().Admission.ReservedBytes; got != 0 {
-		t.Fatalf("leaked reservation: %d bytes", got)
 	}
 }
 
@@ -385,7 +299,7 @@ func TestZeroExtentRefusedNotFaulted(t *testing.T) {
 			sess := c.NewSession(SessionOptions{})
 			inputs := zeroExtentInputs(c.Graph(), NewSample(b, b.MinSize, 0.5, 1).Inputs)
 			for i := 0; i < 10; i++ {
-				_, _, err := sess.InferConcurrent(inputs)
+				_, _, err := sess.InferConcurrentCtx(context.Background(), inputs)
 				var ce *ContractError
 				if !errors.Is(err, ErrContract) || !errors.As(err, &ce) || ce.Kind != guard.KindInput {
 					t.Fatalf("request %d: err %v, want an input contract violation", i, err)

@@ -1,6 +1,7 @@
 package sod2
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -93,7 +94,7 @@ func TestSoakSelfHealing(t *testing.T) {
 
 			// Phase 0: clean serving, region fast path on, and a reference
 			// output to compare post-healing results against.
-			refOut, rep, err := sess.InferSample(samples[0])
+			refOut, rep, err := sess.InferConcurrentCtx(context.Background(), samples[0].Inputs)
 			if err != nil {
 				t.Fatalf("clean request: %v", err)
 			}
@@ -112,7 +113,7 @@ func TestSoakSelfHealing(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < phase1PerWorker; i++ {
 						start := time.Now()
-						_, _, err := sess.InferSample(samples[(w+i)%len(samples)])
+						_, _, err := sess.InferConcurrentCtx(context.Background(), samples[(w+i)%len(samples)].Inputs)
 						if d := int64(time.Since(start)); d > worstLatency.Load() {
 							worstLatency.Store(d)
 						}
@@ -150,7 +151,7 @@ func TestSoakSelfHealing(t *testing.T) {
 			if st.Health == resilience.Healthy {
 				t.Fatalf("health still %v after %d faults", st.Health, st.Breaker.Faults)
 			}
-			if st.Admission.InFlight != 0 || st.Admission.Queued != 0 || st.Admission.ReservedBytes != 0 {
+			if st.Admission.InFlight != 0 || st.Admission.Queued != 0 {
 				t.Fatalf("admission leaked across phase 1: %+v", st.Admission)
 			}
 
@@ -162,7 +163,7 @@ func TestSoakSelfHealing(t *testing.T) {
 			healed := false
 			sawQuarantineTier := false
 			for i := 0; i < healBudget; i++ {
-				out, rep, err := sess.InferSample(samples[0])
+				out, rep, err := sess.InferConcurrentCtx(context.Background(), samples[0].Inputs)
 				if err != nil {
 					t.Fatalf("post-fault request %d failed: %v", i, err)
 				}
@@ -192,7 +193,7 @@ func TestSoakSelfHealing(t *testing.T) {
 			if st.Breaker.ReverifyPass == 0 {
 				t.Fatalf("healing without a passing re-verification: %+v", st.Breaker)
 			}
-			if st.Admission.InFlight != 0 || st.Admission.ReservedBytes != 0 {
+			if st.Admission.InFlight != 0 || st.Admission.Queued != 0 {
 				t.Fatalf("admission leaked: %+v", st.Admission)
 			}
 		})

@@ -18,7 +18,6 @@
 package sod2
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -86,7 +85,7 @@ type (
 	Fact = guard.Fact
 
 	// DType is a tensor element/storage type, including the packed
-	// quantized formats (Int8, Q4_0, Q4_1).
+	// quantized format Int8.
 	DType = tensor.DType
 	// QuantConfig selects weight-only quantized storage for a compile
 	// (SchedConfig.Quant).
@@ -107,8 +106,8 @@ type (
 	ShapeRegion = staticverify.Region
 
 	// AdmissionConfig bounds a session's concurrent work (semaphore +
-	// bounded queue + arena-byte budget); past capacity, requests shed
-	// with ErrOverloaded instead of queueing unboundedly.
+	// bounded queue); past capacity, requests shed with ErrOverloaded
+	// instead of queueing unboundedly.
 	AdmissionConfig = resilience.AdmissionConfig
 	// RetryPolicy is the bounded, fallback-tier-aware retry/backoff
 	// ladder a session applies to transient execution faults.
@@ -151,17 +150,11 @@ var (
 	ErrOverloaded = resilience.ErrOverloaded
 )
 
-// Tensor storage formats, including the block-quantized weight formats.
+// Tensor storage formats, including the int8 weight format.
 const (
 	Float32 = tensor.Float32
 	Int8    = tensor.Int8
-	Q4_0    = tensor.Q4_0
-	Q4_1    = tensor.Q4_1
 )
-
-// DTypeByName resolves a storage-format name ("float32", "int8",
-// "q4_0", "q4_1") to its DType.
-var DTypeByName = tensor.DTypeByName
 
 // NodeAttr is a node attribute value.
 type NodeAttr = graph.AttrValue
@@ -334,12 +327,6 @@ func (c *Compiled) infer(inputs map[string]*Tensor, gopts GuardOptions) (map[str
 // thread budget, fault-injection hooks).
 func (c *Compiled) InferGuarded(inputs map[string]*Tensor, opts GuardOptions) (map[string]*Tensor, Report, error) {
 	return c.infer(inputs, opts)
-}
-
-// InferCtx executes with a context bounding the inference; cancellation
-// is honored between nodes, including inside If/Loop bodies.
-func (c *Compiled) InferCtx(ctx context.Context, inputs map[string]*Tensor) (map[string]*Tensor, Report, error) {
-	return c.infer(inputs, GuardOptions{Ctx: ctx})
 }
 
 // Contract returns the model's runtime contract (symbolic input shapes

@@ -5,6 +5,7 @@
 package sod2
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -95,8 +96,9 @@ func TestConcurrentInferAllModels(t *testing.T) {
 	}
 }
 
-// TestSessionInferBatch: results come back in submission order, each
-// with its own report, and a bad request fails alone.
+// TestSessionInferBatch: InferBucketCtx's results come back in
+// submission order, each with its own report, and a bad request fails
+// alone.
 func TestSessionInferBatch(t *testing.T) {
 	b, err := BuildModel("CodeBERT")
 	if err != nil {
@@ -106,7 +108,7 @@ func TestSessionInferBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := c.NewSession(SessionOptions{Workers: 4})
+	sess := c.NewSession(SessionOptions{})
 
 	samples := make([]Sample, 6)
 	for i := range samples {
@@ -116,7 +118,7 @@ func TestSessionInferBatch(t *testing.T) {
 	// only.
 	samples[3].Inputs = map[string]*Tensor{}
 
-	results := sess.InferBatch(samples)
+	results := sess.InferBucketCtx(context.Background(), samples)
 	if len(results) != len(samples) {
 		t.Fatalf("got %d results for %d samples", len(results), len(samples))
 	}
@@ -158,11 +160,11 @@ func TestSessionStatsCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := c.NewSession(SessionOptions{Workers: 1})
+	sess := c.NewSession(SessionOptions{})
 	s1 := NewSample(b, 64, 0.5, 31)
 	s2 := NewSample(b, 80, 0.5, 32)
 	for _, s := range []Sample{s1, s2, s1, s2, s1} {
-		if _, _, err := sess.InferSample(s); err != nil {
+		if _, _, err := sess.InferConcurrentCtx(context.Background(), s.Inputs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,12 +201,12 @@ func TestSessionsShareModelCaches(t *testing.T) {
 	}
 	s := NewSample(b, 64, 0.5, 41)
 	sessA := c.NewSession(SessionOptions{})
-	if _, _, err := sessA.InferSample(s); err != nil {
+	if _, _, err := sessA.InferConcurrentCtx(context.Background(), s.Inputs); err != nil {
 		t.Fatal(err)
 	}
 	verifyRuns := frameworks.Counters().VerifyRuns
 	sessB := c.NewSession(SessionOptions{})
-	_, rep, err := sessB.InferSample(s)
+	_, rep, err := sessB.InferConcurrentCtx(context.Background(), s.Inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +218,9 @@ func TestSessionsShareModelCaches(t *testing.T) {
 func ExampleSession() {
 	b, _ := BuildModel("CodeBERT")
 	c, _ := Compile(b)
-	sess := c.NewSession(SessionOptions{Workers: 2})
+	sess := c.NewSession(SessionOptions{})
 	samples := []Sample{NewSample(b, 64, 0.5, 1), NewSample(b, 64, 0.5, 2)}
-	results := sess.InferBatch(samples)
+	results := sess.InferBucketCtx(context.Background(), samples)
 	fmt.Println(len(results), results[0].Err == nil)
 	// Output: 2 true
 }

@@ -75,7 +75,7 @@ func TestFacadeInferCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err = c.InferCtx(ctx, b.Inputs(tensor.NewRNG(3), 64, 0.5))
+	_, _, err = c.InferGuarded(b.Inputs(tensor.NewRNG(3), 64, 0.5), GuardOptions{Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

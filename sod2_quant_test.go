@@ -3,6 +3,7 @@ package sod2
 import (
 	"testing"
 
+	"repro/internal/frameworks"
 	"repro/internal/tensor"
 )
 
@@ -105,42 +106,6 @@ func TestQuantLiveBytesHalved(t *testing.T) {
 	}
 }
 
-// TestQuantQ4ServesWithinContract spot-checks the 4-bit block formats on
-// the largest transformer: both Q4 variants compile, pack below the int8
-// footprint, and serve within their (looser) drift contracts.
-func TestQuantQ4ServesWithinContract(t *testing.T) {
-	b, err := BuildModel("CodeBERT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	int8c, _, err := CompileVerifiedSched(b, SchedConfig{Quant: QuantConfig{Format: Int8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []DType{Q4_0, Q4_1} {
-		t.Run(f.String(), func(t *testing.T) {
-			qc, _, err := CompileVerifiedSched(b, SchedConfig{Quant: QuantConfig{Format: f}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if qc.Quant() == nil || qc.Quant().Tensors == 0 {
-				t.Fatal("no tensors packed")
-			}
-			if qc.WeightBytes() >= int8c.WeightBytes() {
-				t.Fatalf("%v weights %d not below int8 %d", f, qc.WeightBytes(), int8c.WeightBytes())
-			}
-			s := NewSample(b, b.MinSize, 0.5, 7)
-			_, rep, err := qc.InferGuarded(s.Inputs, GuardOptions{VerifyDrift: true})
-			if err != nil {
-				t.Fatalf("%v serve: %v", f, err)
-			}
-			if rep.FallbackTier == TierFloat32 {
-				t.Fatalf("%v violated its drift contract: %+v", f, rep.Degradations)
-			}
-		})
-	}
-}
-
 // TestQuantArtifactRoundTrip proves quantized compiles persist and warm-
 // boot: the packed bytes are stored verbatim (never re-quantized at
 // load), the warm boot replays the same quant report, its outputs match
@@ -155,18 +120,18 @@ func TestQuantArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SchedConfig{Quant: QuantConfig{Format: Int8}}
-	cold, _, coldInfo, err := CompileStoredSched(b, st, "cpu", cfg)
-	if err != nil {
-		t.Fatal(err)
+	boot := func() (*Compiled, BootInfo) {
+		c, _, info, err := frameworks.CompileWithStoreSched(b, st, "cpu", SchedConfig{Quant: QuantConfig{Format: Int8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Compiled{inner: c}, info
 	}
+	cold, coldInfo := boot()
 	if coldInfo.Warm || !coldInfo.Saved {
 		t.Fatalf("first boot: %+v", coldInfo)
 	}
-	warm, _, warmInfo, err := CompileStoredSched(b, st, "cpu", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm, warmInfo := boot()
 	if !warmInfo.Warm {
 		t.Fatalf("second boot not warm: %+v (corrupt=%v)", warmInfo, warmInfo.CorruptFallback)
 	}

@@ -54,15 +54,5 @@ func CompileStored(b *ModelBuilder, st *ArtifactStore, device string) (*Compiled
 	return &Compiled{inner: c}, rep, info, nil
 }
 
-// CompileStoredSched is CompileStored with an explicit compile
-// configuration; its quantization format also keys the artifact.
-func CompileStoredSched(b *ModelBuilder, st *ArtifactStore, device string, cfg SchedConfig) (*Compiled, *VerifyReport, BootInfo, error) {
-	c, rep, info, err := frameworks.CompileWithStoreSched(b, st, device, cfg)
-	if err != nil {
-		return nil, nil, info, err
-	}
-	return &Compiled{inner: c}, rep, info, nil
-}
-
 // BootCounters snapshots the process-wide compile/boot counters.
 func BootCounters() CompileCounters { return frameworks.Counters() }
