@@ -4,16 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/guard"
-	"repro/internal/lattice"
 	"repro/internal/memplan"
-	"repro/internal/plan"
-	"repro/internal/rdp"
-	"repro/internal/staticverify"
 	"repro/internal/symbolic"
 	"repro/internal/tensor"
 )
@@ -27,7 +22,7 @@ type GuardOptions struct {
 	// (fault injection, tracing).
 	Hooks *exec.Hooks
 	// ForceDynamic starts the run on the dynamic fallback tier: the
-	// region proof is not consulted and no memory plan is built.
+	// region proof's layout is not used and no arena is taken.
 	// This is the circuit breaker's quarantine/probation serving mode —
 	// the plan is distrusted until re-verification passes, but requests
 	// still complete (contract checking and kernel containment stay on).
@@ -104,20 +99,18 @@ type rung struct {
 //
 //	planned   compiled graph, planned order, the region proof's layout
 //	          fitted to this request
-//	dynamic   compiled graph, planned order, per-tensor allocation
-//	replan    compiled graph, order rebuilt by re-analysis of these shapes
+//	dynamic   compiled graph, planned order (declaration order when the
+//	          verifier refuted it), per-tensor allocation
 //	float32   compiled topology with the float32 weights restored
 //
 // The inputs are bound against the RDP symbolic shapes exactly once, and
 // that binding's verdicts pick the entry rung (entryRung): inside the
 // statically proven region the request enters on the planned rung with
-// the region-wide layout and no per-shape checking at all; outside it the
-// analyzed facts and shape ranges are checked, and a request that passes
-// them still has no plan: it enters on the dynamic rung (or the replan
-// rung, when the verifier refuted the compiled order). A run-time fault
-// then descends (descend): an arena fault from planned to dynamic,
-// non-finite outputs of quantized weights to float32. Every step is
-// recorded in the GuardReport.
+// the region-wide layout and no per-shape checking at all; every other
+// request enters on the dynamic rung, with no per-request re-analysis.
+// A run-time fault then descends (descend): an arena fault from planned
+// to dynamic, non-finite outputs of quantized weights to float32. Every
+// step is recorded in the GuardReport.
 //
 // Kernel panics surface as *guard.OpError; a nil error means the outputs
 // are complete (possibly via a degraded tier — check the GuardReport).
@@ -164,9 +157,11 @@ func (c *Compiled) GuardedRun(inputs map[string]*tensor.Tensor, opts GuardOption
 }
 
 // entryRung binds the inputs once and reads every entry verdict off that
-// one binding, recording the degradations that lower the entry tier. A
+// one binding. A request inside the statically proven region enters on
+// the planned rung; any other enters on the dynamic rung, with one
+// degradation naming the first verdict that kept it off the plan. A
 // non-nil error means no rung may serve the request: inputs no tier can
-// run, or a failed re-plan.
+// run.
 func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions, gr *GuardReport) (rung, error) {
 	ct := c.Contract()
 	env, cerr := ct.BindInputs(inputs)
@@ -174,79 +169,52 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 		// Missing, mistyped or empty inputs cannot run on any tier.
 		return rung{}, cerr
 	}
-	// violated lowers the entry tier for one verdict. A binding that
-	// contradicts the analysis, or a schedule that is not one, means the
-	// compiled order cannot be trusted: re-analyze from scratch. Anything
-	// else — out-of-range or misaligned extents, no proven memory plan —
-	// only rules out planned offsets: dynamic allocation is safe.
-	violated := func(verr error) {
-		kind, to := contractKind(verr), guard.TierDynamic
-		if kind == guard.KindBind || kind == guard.KindExecPlan {
-			to = guard.TierReplan
-		}
-		gr.degrade(verr.Error(), kind, to)
-	}
 
 	// One plan source for the planned rung: the region proof. A request
 	// binding inside the proven region is served with the region-wide
 	// layout, fitted to its own sizes — no fact/shape checks, including
 	// for shapes never seen before.
-	r := rung{graph: c.Graph, order: c.ExecPlan.Order, env: env}
-	var rep *staticverify.Report
-	if cerr == nil && !opts.ForceDynamic {
-		if rep = c.Verify(); rep.Mem.Proven && rep.Region.ContainsEnv(env) {
-			r.layout = rep.Mem.Layout
-			gr.RegionCacheHit = true
-			c.regionHits.Add(1)
-		}
+	rep := c.Verify()
+	r := rung{tier: guard.TierPlanned, graph: c.Graph, order: c.ExecPlan.Order, env: env}
+	if cerr == nil && !opts.ForceDynamic && rep.Mem.Proven && rep.Region.ContainsEnv(env) {
+		r.layout = rep.Mem.Layout
+		gr.RegionCacheHit = true
+		c.regionHits.Add(1)
+		return r, nil
 	}
-	// Everything else answers to the analyzed facts and shape ranges.
-	if cerr == nil && r.layout == nil {
+
+	// Everything else runs dynamic. Its verdict, in order: the binding,
+	// the analyzed facts and shape ranges, a quarantined plan, and then
+	// whichever proof does not cover a request that satisfied the
+	// contract (a refuted order, an unproven memory plan, a binding
+	// outside the proven region).
+	if cerr == nil {
 		if cerr = ct.CheckFacts(env); cerr == nil {
 			cerr = ct.CheckShapes(env)
 		}
 	}
-	if cerr != nil {
-		violated(cerr)
-	}
-	// Quarantined plan: the caller distrusts the planned tier outright.
-	// Only sound bindings are still planned here; degraded entries keep
-	// their (stronger) fallback.
-	if opts.ForceDynamic && gr.Tier == guard.TierPlanned {
+	switch {
+	case cerr != nil:
+		gr.degrade(cerr.Error(), contractKind(cerr), guard.TierDynamic)
+	case opts.ForceDynamic:
 		gr.degrade("plan quarantined by circuit breaker", guard.KindQuarantine, guard.TierDynamic)
-	}
-	// A request that satisfied the contract but that no proof covers (an
-	// unprovable model, a binding outside the proven region) has no plan.
-	// The verifier's verdicts, computed once per compile, name its rung:
-	// a refuted order cannot be trusted at all, anything else only rules
-	// out planned offsets.
-	if gr.Tier == guard.TierPlanned && r.layout == nil {
+	case !rep.Exec.Proven:
+		verr := &guard.ContractError{Kind: guard.KindExecPlan, Detail: "compiled order refuted",
+			Cause: errors.New(rep.Exec.Reason)}
+		gr.degrade(verr.Error(), verr.Kind, guard.TierDynamic)
+	default:
 		verr := &guard.ContractError{Kind: guard.KindMemPlan, Detail: "binding outside the proven region"}
-		switch {
-		case !rep.Exec.Proven:
-			verr = &guard.ContractError{Kind: guard.KindExecPlan, Detail: "compiled order refuted",
-				Cause: errors.New(rep.Exec.Reason)}
-		case !rep.Mem.Proven:
+		if !rep.Mem.Proven {
 			verr.Detail = "memory plan not proven: " + rep.Mem.Reason
 		}
-		violated(verr)
+		gr.degrade(verr.Error(), verr.Kind, guard.TierDynamic)
 	}
-
-	r.tier = gr.Tier
-	switch r.tier {
-	case guard.TierPlanned:
-		// r.layout is the region proof's, set above.
-	case guard.TierReplan:
-		// Re-analyze under the concrete input shapes and rebuild the
-		// execution order (MNN-style re-initialization).
-		order, ms, err := c.replan(inputs)
-		if err != nil {
-			return rung{}, fmt.Errorf("frameworks: re-plan failed: %w", err)
-		}
-		gr.Degradations[len(gr.Degradations)-1].ReplanMS = ms
-		r.order, r.layout = order, nil
-	default:
-		r.layout = nil
+	r.tier = guard.TierDynamic
+	if !rep.Exec.Proven {
+		// The order and a node's arithmetic are independent, so any
+		// topological order serves the same outputs; the refuted one is
+		// no schedule at all.
+		r.order = nil
 	}
 	return r, nil
 }
@@ -322,26 +290,4 @@ func contractKind(err error) guard.ViolationKind {
 		return ce.Kind
 	}
 	return ""
-}
-
-// replan re-analyzes the graph with every input shape pinned to its
-// concrete dims and rebuilds the execution plan, returning the new order
-// and the wall-clock cost in milliseconds.
-func (c *Compiled) replan(inputs map[string]*tensor.Tensor) ([]*graph.Node, float64, error) {
-	start := time.Now()
-	overrides := map[string]lattice.Shape{}
-	for _, in := range c.Graph.Inputs {
-		if t := inputs[in.Name]; t != nil {
-			overrides[in.Name] = lattice.FromInts(t.Shape...)
-		}
-	}
-	res, err := rdp.Analyze(c.Graph, overrides, rdp.Options{})
-	if err != nil {
-		return nil, 0, err
-	}
-	p, err := plan.Build(c.Graph, res.Infos, plan.Options{})
-	if err != nil {
-		return nil, 0, err
-	}
-	return p.Order, float64(time.Since(start).Microseconds()) / 1000, nil
 }

@@ -166,6 +166,49 @@ func plantUnprovenMemory(c *Compiled) (undo func()) {
 	return func() { c.verified.Store(held) }
 }
 
+// refuteCompiledOrder reverses c's compiled order, so the first node it
+// schedules consumes values not yet produced, and drops the proof that
+// vouched for the old one.
+func refuteCompiledOrder(c *Compiled) (undo func()) {
+	good := c.ExecPlan.Order
+	bad := slices.Clone(good)
+	slices.Reverse(bad)
+	c.ExecPlan.Order = bad
+	c.Invalidate()
+	return func() {
+		c.ExecPlan.Order = good
+		c.Invalidate()
+	}
+}
+
+// A request whose compiled order the verifier refutes runs every kernel
+// in the graph's declaration order, the schedule exec.Run takes when
+// given none.
+func TestRefutedOrderRunsInDeclarationOrder(t *testing.T) {
+	c := compileModel(t, "CodeBERT")
+	defer refuteCompiledOrder(c)()
+	want, err := c.Graph.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran []*graph.Node
+	hooks := &exec.Hooks{PreKernel: func(n *graph.Node, _ []*tensor.Tensor) error {
+		ran = append(ran, n)
+		return nil
+	}}
+	in := c.Builder.Inputs(tensor.NewRNG(7), c.Builder.MinSize, 0.5)
+	_, gr, err := c.GuardedRun(in, GuardOptions{Hooks: hooks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gr.Tier != guard.TierDynamic || len(gr.Degradations) != 1 || gr.Degradations[0].Kind != guard.KindExecPlan {
+		t.Fatalf("tier %v, degradations %+v: want one execplan step to dynamic", gr.Tier, gr.Degradations)
+	}
+	if !slices.Equal(ran, want) {
+		t.Errorf("ran %d kernels off the declaration order of %d nodes", len(ran), len(want))
+	}
+}
+
 // ---- Tier equivalence --------------------------------------------------
 
 // A ladderRequest is one of the two inputs the ladder is walked with.
@@ -232,31 +275,18 @@ var ladderCases = []ladderCase{
 		request: inRegion, opts: GuardOptions{ForceDynamic: true},
 	},
 	{
-		name: "replan from a bind violation", tier: guard.TierReplan, kind: guard.KindBind,
+		// A binding the RDP fixed point contradicts runs dynamic in the
+		// compiled order: nothing is re-analyzed per request.
+		name: "dynamic from a bind violation", tier: guard.TierDynamic, kind: guard.KindBind,
 		request: batchOfTwo,
-		check: func(t *testing.T, gr *GuardReport) {
-			if d := gr.Degradations; len(d) == 0 || d[len(d)-1].ReplanMS <= 0 {
-				t.Error("replan cost not measured")
-			}
-		},
 	},
 	{
-		// The other edge into the replan rung: a schedule that is not
-		// one. Invalidate drops the proof that vouched for the old order,
-		// and the re-run verifier's refuted order names the rung.
-		name: "replan from an invalid plan", tier: guard.TierReplan, kind: guard.KindExecPlan,
-		request: inRegion,
-		arrange: func(c *Compiled) func() {
-			good := c.ExecPlan.Order
-			bad := slices.Clone(good)
-			slices.Reverse(bad)
-			c.ExecPlan.Order = bad
-			c.Invalidate()
-			return func() {
-				c.ExecPlan.Order = good
-				c.Invalidate()
-			}
-		},
+		// A schedule that is not one. Invalidate drops the proof that
+		// vouched for the old order, the re-run verifier refutes it, and
+		// the request runs dynamic in declaration order — bit-identical,
+		// since the order never changes a node's arithmetic.
+		name: "dynamic in declaration order from a refuted order", tier: guard.TierDynamic, kind: guard.KindExecPlan,
+		request: inRegion, arrange: refuteCompiledOrder,
 	},
 	{
 		// A request inside the contract that no proof covers is served

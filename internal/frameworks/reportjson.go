@@ -9,11 +9,10 @@ import (
 // wireDegradation is the stable serialization of one guarded-execution
 // fallback record.
 type wireDegradation struct {
-	Reason   string  `json:"reason"`
-	Kind     string  `json:"kind,omitempty"`
-	From     string  `json:"from"`
-	To       string  `json:"to"`
-	ReplanMS float64 `json:"replan_ms,omitempty"`
+	Reason string `json:"reason"`
+	Kind   string `json:"kind,omitempty"`
+	From   string `json:"from"`
+	To     string `json:"to"`
 }
 
 // wireReport pins Report's JSON schema: the exact field set, names, and
@@ -43,11 +42,10 @@ func (r Report) MarshalJSON() ([]byte, error) {
 	}
 	for _, d := range r.Degradations {
 		w.Degradations = append(w.Degradations, wireDegradation{
-			Reason:   d.Reason,
-			Kind:     string(d.Kind),
-			From:     d.From.String(),
-			To:       d.To.String(),
-			ReplanMS: d.ReplanMS,
+			Reason: d.Reason,
+			Kind:   string(d.Kind),
+			From:   d.From.String(),
+			To:     d.To.String(),
 		})
 	}
 	return json.Marshal(w)
@@ -71,11 +69,10 @@ func (r *Report) UnmarshalJSON(data []byte) error {
 	}
 	for _, d := range w.Degradations {
 		r.Degradations = append(r.Degradations, guard.Degradation{
-			Reason:   d.Reason,
-			Kind:     guard.ViolationKind(d.Kind),
-			From:     tierByName(d.From),
-			To:       tierByName(d.To),
-			ReplanMS: d.ReplanMS,
+			Reason: d.Reason,
+			Kind:   guard.ViolationKind(d.Kind),
+			From:   tierByName(d.From),
+			To:     tierByName(d.To),
 		})
 	}
 	return nil
@@ -87,8 +84,8 @@ func tierByName(name string) guard.Tier {
 	switch name {
 	case guard.TierDynamic.String():
 		return guard.TierDynamic
-	case guard.TierReplan.String():
-		return guard.TierReplan
+	case guard.TierFloat32.String():
+		return guard.TierFloat32
 	}
 	return guard.TierPlanned
 }

@@ -14,22 +14,22 @@ import (
 
 // -update rewrites the report-JSON golden instead of diffing it:
 //
-//	go test -run TestReportJSONGolden -update ./internal/frameworks/
+//	go test ./internal/frameworks/ -run TestReportJSONGolden -args -update
 var updateReportGolden = flag.Bool("update", false, "rewrite the report JSON golden in testdata/")
 
-// goldenReport exercises every wire field: a degraded, replanned
-// request with phase timings.
+// goldenReport exercises every wire field: a request degraded down the
+// whole ladder, with phase timings.
 func goldenReport() Report {
 	return Report{
 		LatencyMS:    12.375,
 		PeakMemBytes: 1 << 20,
-		Phases:       map[string]float64{"infer": 10.5, "replan": 1.5, "shapefn": 0.375},
-		FallbackTier: guard.TierReplan,
+		Phases:       map[string]float64{"infer": 10.5, "shapefn": 0.375},
+		FallbackTier: guard.TierFloat32,
 		Degradations: []guard.Degradation{
 			{Reason: "symbol L = 999 violates range", Kind: guard.KindFact,
 				From: guard.TierPlanned, To: guard.TierDynamic},
-			{Reason: "re-analysis forced", Kind: guard.KindBind,
-				From: guard.TierDynamic, To: guard.TierReplan, ReplanMS: 1.5},
+			{Reason: "non-finite outputs", Kind: guard.KindQuant,
+				From: guard.TierDynamic, To: guard.TierFloat32},
 		},
 		RegionCacheHit: true,
 	}
@@ -64,10 +64,16 @@ func TestReportJSONGolden(t *testing.T) {
 }
 
 // TestReportJSONRoundTrip proves the wire schema loses nothing a client
-// needs: unmarshal(marshal(r)) == r for a fully populated report and
-// for the zero report.
+// needs: unmarshal(marshal(r)) == r for a fully populated report, for
+// the zero report, and for a report served on each degraded tier after
+// one step into it.
 func TestReportJSONRoundTrip(t *testing.T) {
-	for _, r := range []Report{goldenReport(), {}} {
+	reports := []Report{goldenReport(), {}}
+	for _, tier := range []guard.Tier{guard.TierDynamic, guard.TierFloat32} {
+		reports = append(reports, Report{FallbackTier: tier, Degradations: []guard.Degradation{
+			{Reason: "step down", Kind: guard.KindMemPlan, From: guard.TierPlanned, To: tier}}})
+	}
+	for _, r := range reports {
 		data, err := json.Marshal(r)
 		if err != nil {
 			t.Fatalf("marshal: %v", err)

@@ -86,11 +86,11 @@ func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (R
 		// and record the degradation rather than failing the inference.
 		res, err = m.Execute(sample, s.Opts.ExecuteAllBranches, OrderTopo)
 		if err == nil {
-			fallbackTier = guard.TierReplan
+			fallbackTier = guard.TierDynamic
 			degradations = append(degradations, guard.Degradation{
 				Reason: "planned order failed; re-ran in declaration order",
 				Kind:   guard.KindExecPlan,
-				From:   guard.TierPlanned, To: guard.TierReplan,
+				From:   guard.TierPlanned, To: guard.TierDynamic,
 			})
 		}
 	}

@@ -176,23 +176,6 @@ func (c *Contract) CheckShapes(env symbolic.Env) error {
 	return nil
 }
 
-// Check runs the full input-side contract: bind, facts, shape ranges.
-// It returns the symbol environment (also on fact/shape violations, so
-// callers can still plan a degraded execution with it).
-func (c *Contract) Check(inputs map[string]*tensor.Tensor) (symbolic.Env, error) {
-	env, err := c.BindInputs(inputs)
-	if err != nil {
-		return env, err
-	}
-	if err := c.CheckFacts(env); err != nil {
-		return env, err
-	}
-	if err := c.CheckShapes(env); err != nil {
-		return env, err
-	}
-	return env, nil
-}
-
 // VerifyExecutionPlan statically checks that order is a valid schedule
 // of g: every node scheduled exactly once and every input produced
 // before its consumer runs.

@@ -2,12 +2,12 @@
 // contract checking of the statically derived plans (RDP shape facts,
 // execution orders), a structured error taxonomy
 // for kernel failures and contract violations, and the degradation
-// records the tiered fallback path (planned → dynamic → re-plan) leaves
+// records the tiered fallback path (planned → dynamic → float32) leaves
 // behind. The premise of the paper is that the runtime commits to
 // offline plans; the premise of this package is that it must *verify*
 // those plans against the actual input before committing, and degrade
-// like the baselines (MNN re-initialization, Nimble shape functions)
-// instead of crashing when an assumption does not hold.
+// like Nimble's shape functions (per-tensor allocation, no per-request
+// re-analysis) instead of crashing when an assumption does not hold.
 package guard
 
 import (
@@ -75,7 +75,7 @@ const (
 	KindMemPlan ViolationKind = "memplan"
 	// KindQuarantine: the serving layer's circuit breaker has
 	// quarantined the model's plan; the run was forced onto the dynamic
-	// tier without consulting it.
+	// tier without its memory plan.
 	KindQuarantine ViolationKind = "quarantine"
 	// KindNumeric: execution produced non-finite output values.
 	KindNumeric ViolationKind = "numeric"
@@ -130,12 +130,10 @@ type Tier uint8
 const (
 	// TierPlanned: arena-planned execution under the static plans.
 	TierPlanned Tier = iota
-	// TierDynamic: planned order but per-tensor dynamic allocation
-	// (the Nimble-style shape-function fallback).
+	// TierDynamic: per-tensor dynamic allocation in the planned order,
+	// or in declaration order when the verifier refuted it (the
+	// Nimble-style shape-function fallback).
 	TierDynamic
-	// TierReplan: full re-analysis + re-planning for the actual input
-	// (the MNN-style re-initialization fallback).
-	TierReplan
 	// TierFloat32: the quantized-weight run violated its accuracy-drift
 	// contract and the request was re-served with the original float32
 	// weights (dynamic allocation; the quantized plans are bypassed).
@@ -148,8 +146,6 @@ func (t Tier) String() string {
 		return "planned"
 	case TierDynamic:
 		return "dynamic"
-	case TierReplan:
-		return "replan"
 	case TierFloat32:
 		return "float32"
 	default:
@@ -158,8 +154,7 @@ func (t Tier) String() string {
 }
 
 // Degradation records one guarded-execution fallback: why the contract
-// failed, which tier the executor left and entered, and what the
-// recovery cost (re-planning time) was.
+// failed, and which tier the executor left and entered.
 type Degradation struct {
 	// Reason is the triggering error's message.
 	Reason string
@@ -167,16 +162,9 @@ type Degradation struct {
 	Kind ViolationKind
 	// From and To are the tiers before and after the fallback.
 	From, To Tier
-	// ReplanMS is the measured re-analysis + re-planning cost in
-	// milliseconds (0 unless To == TierReplan).
-	ReplanMS float64
 }
 
 // String renders the degradation for logs and reports.
 func (d Degradation) String() string {
-	s := fmt.Sprintf("%s→%s [%s] %s", d.From, d.To, d.Kind, d.Reason)
-	if d.ReplanMS > 0 {
-		s += fmt.Sprintf(" (replan %.3fms)", d.ReplanMS)
-	}
-	return s
+	return fmt.Sprintf("%s→%s [%s] %s", d.From, d.To, d.Kind, d.Reason)
 }

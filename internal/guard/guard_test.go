@@ -76,32 +76,39 @@ func TestContractBindAndFacts(t *testing.T) {
 	ct := NewContract(g, nil)
 	ct.AddFact(Fact{Symbol: "H", Kind: FactDivisible, Mod: 32})
 
-	env, err := ct.Check(map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 1, 64, 7)})
+	env, err := ct.BindInputs(map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 1, 64, 7)})
 	if err != nil {
+		t.Fatalf("64 aligned: %v", err)
+	}
+	if err := ct.CheckFacts(env); err != nil {
 		t.Fatalf("64 aligned: %v", err)
 	}
 	if env["H"] != 64 || env["W"] != 7 {
 		t.Errorf("env = %v", env)
 	}
 
-	_, err = ct.Check(map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 1, 65, 7)})
+	env, err = ct.BindInputs(map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 1, 65, 7)})
+	if err != nil {
+		t.Fatalf("65 binds: %v", err)
+	}
+	err = ct.CheckFacts(env)
 	var ce *ContractError
 	if !errors.As(err, &ce) || ce.Kind != KindFact {
 		t.Fatalf("want fact violation, got %v", err)
 	}
 
 	// Rank mismatch is a bind violation.
-	_, err = ct.Check(map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 64, 7)})
+	_, err = ct.BindInputs(map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 64, 7)})
 	if !errors.As(err, &ce) || ce.Kind != KindBind {
 		t.Fatalf("want bind violation, got %v", err)
 	}
 
 	// Wrong dtype and missing inputs are input violations.
-	_, err = ct.Check(map[string]*tensor.Tensor{"x": tensor.New(tensor.Int64, 1, 64, 7)})
+	_, err = ct.BindInputs(map[string]*tensor.Tensor{"x": tensor.New(tensor.Int64, 1, 64, 7)})
 	if !errors.As(err, &ce) || ce.Kind != KindInput {
 		t.Fatalf("want dtype violation, got %v", err)
 	}
-	_, err = ct.Check(nil)
+	_, err = ct.BindInputs(nil)
 	if !errors.As(err, &ce) || ce.Kind != KindInput {
 		t.Fatalf("want missing-input violation, got %v", err)
 	}
@@ -116,10 +123,17 @@ func TestContractCheckShapesRejectsNegativeExtent(t *testing.T) {
 			symbolic.Sub(symbolic.NewSym("H"), symbolic.NewConst(10))))},
 	}
 	ct := NewContract(g, infos)
-	if _, err := ct.Check(map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 1, 64, 7)}); err != nil {
+	env, err := ct.BindInputs(map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 1, 64, 7)})
+	if err != nil {
 		t.Fatalf("H=64: %v", err)
 	}
-	_, err := ct.Check(map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 1, 4, 7)})
+	if err := ct.CheckShapes(env); err != nil {
+		t.Fatalf("H=64: %v", err)
+	}
+	if env, err = ct.BindInputs(map[string]*tensor.Tensor{"x": tensor.New(tensor.Float32, 1, 4, 7)}); err != nil {
+		t.Fatalf("H=4 binds: %v", err)
+	}
+	err = ct.CheckShapes(env)
 	var ce *ContractError
 	if !errors.As(err, &ce) || ce.Kind != KindShape {
 		t.Fatalf("want shape violation for H=4, got %v", err)
@@ -176,12 +190,12 @@ func TestCheckFinite(t *testing.T) {
 }
 
 func TestTierAndDegradationStrings(t *testing.T) {
-	if TierPlanned.String() != "planned" || TierDynamic.String() != "dynamic" || TierReplan.String() != "replan" {
+	if TierPlanned.String() != "planned" || TierDynamic.String() != "dynamic" || TierFloat32.String() != "float32" {
 		t.Error("tier names")
 	}
-	d := Degradation{Reason: "H out of range", Kind: KindFact, From: TierPlanned, To: TierReplan, ReplanMS: 1.5}
+	d := Degradation{Reason: "H out of range", Kind: KindFact, From: TierPlanned, To: TierDynamic}
 	s := d.String()
-	for _, want := range []string{"planned", "replan", "fact", "H out of range", "1.500ms"} {
+	for _, want := range []string{"planned", "dynamic", "fact", "H out of range"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("degradation %q missing %q", s, want)
 		}

@@ -11,9 +11,9 @@
 //     Requests past capacity shed with a typed ErrOverloaded instead
 //     of queueing unboundedly.
 //   - RetryPolicy: a bounded retry/backoff ladder that is
-//     fallback-tier-aware — a request that already degraded to the
-//     dynamic-replan tier is never retried (the replan *was* the
-//     retry), and deterministic contract verdicts are never retried.
+//     fallback-tier-aware — a request that already descended to the
+//     float32 tier, the last rung, is never retried (that rung *was*
+//     the retry), and deterministic contract verdicts are never retried.
 //   - Breaker: a per-model circuit breaker driving the health state
 //     machine healthy → degraded → quarantined → probation → healthy.
 //     Repeated execution faults trip the breaker, which quarantines

@@ -185,7 +185,7 @@ func TestRetryableClassification(t *testing.T) {
 	}{
 		{"kernel fault on planned tier", opErr, guard.TierPlanned, true},
 		{"kernel fault on dynamic tier", opErr, guard.TierDynamic, true},
-		{"kernel fault after replan", opErr, guard.TierReplan, false},
+		{"kernel fault on float32 tier", opErr, guard.TierFloat32, false},
 		{"arena fault", fmt.Errorf("x: %w", exec.ErrArenaExhausted), guard.TierPlanned, true},
 		{"numeric contract", &guard.ContractError{Kind: guard.KindNumeric}, guard.TierPlanned, true},
 		{"bind contract", &guard.ContractError{Kind: guard.KindBind}, guard.TierPlanned, false},

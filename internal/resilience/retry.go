@@ -43,13 +43,13 @@ func (p RetryPolicy) Backoff(attempt int) time.Duration {
 // Retryable reports whether a failed attempt may be retried. Two rules
 // beyond fault classification:
 //
-//   - tier-awareness: a request that already degraded to the
-//     dynamic-replan tier is never retried — the replan was itself the
+//   - tier-awareness: a request that already descended to the float32
+//     tier, the last rung, is never retried — that rung was itself the
 //     recovery attempt, and its failure is not transient;
 //   - only execution faults retry (CountsAsFault): deterministic
 //     contract verdicts, cancellation, and sheds would fail identically.
 func (p RetryPolicy) Retryable(err error, tier guard.Tier) bool {
-	if tier >= guard.TierReplan {
+	if tier >= guard.TierFloat32 {
 		return false
 	}
 	return CountsAsFault(err)

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/graph"
+	"repro/internal/guard"
 	"repro/internal/resilience"
 	"repro/internal/tensor"
 
@@ -54,7 +56,13 @@ func sampleInputs(t *testing.T, name string, seed uint64) map[string]*tensor.Ten
 // httptest front. Callers customize via opts/cfg.
 func newTestServer(t *testing.T, opts sod2.SessionOptions, cfg Config) (*Server, *sod2.Session, *httptest.Server) {
 	t.Helper()
-	c := compileModel(t, "CodeBERT")
+	return serveCompiled(t, compileModel(t, "CodeBERT"), opts, cfg)
+}
+
+// serveCompiled serves c as the one model "codebert" behind an httptest
+// front.
+func serveCompiled(t *testing.T, c *sod2.Compiled, opts sod2.SessionOptions, cfg Config) (*Server, *sod2.Session, *httptest.Server) {
+	t.Helper()
 	sess := c.NewSession(opts)
 	srv, err := New([]Model{{Name: "codebert", Compiled: c, Session: sess}}, cfg)
 	if err != nil {
@@ -155,6 +163,43 @@ func TestInferHappyPath(t *testing.T) {
 	}
 	if hdr.Get(HeaderTier) == "" || hdr.Get(HeaderBatch) != "1" {
 		t.Fatalf("missing tier/batch headers: %q %q", hdr.Get(HeaderTier), hdr.Get(HeaderBatch))
+	}
+	sameOutputs(t, resp.Outputs, ref)
+}
+
+// TestInferFloat32Tier: an int8 compile whose packed scales are all
+// non-finite serves on the float32 rung, the last one. The tier header
+// and the decoded JSON report both name it, and the outputs are the
+// float32 compile's bit for bit.
+func TestInferFloat32Tier(t *testing.T) {
+	b, err := sod2.BuildModel("CodeBERT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := sod2.CompileVerifiedSched(b, sod2.SchedConfig{Quant: sod2.QuantConfig{Format: sod2.Int8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := faultinject.CorruptAllQuantScales(c.Graph(), float32(math.NaN())); n == 0 {
+		t.Fatal("int8 compile packed nothing")
+	}
+	_, _, ts := serveCompiled(t, c, sod2.SessionOptions{}, Config{})
+	inputs := sampleInputs(t, "CodeBERT", 1)
+	ref, _, err := compileModel(t, "CodeBERT").Infer(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, resp, _, hdr := postInfer(t, ts.Client(), ts.URL+"/v1/models/codebert/infer", inputs, nil)
+	if status != http.StatusOK {
+		t.Fatalf("status = %d, want 200", status)
+	}
+	if got := hdr.Get(HeaderTier); got != "float32" {
+		t.Errorf("%s header = %q, want float32", HeaderTier, got)
+	}
+	rep := resp.Report
+	if rep.FallbackTier != sod2.TierFloat32 || len(rep.Degradations) != 1 ||
+		rep.Degradations[0].Kind != guard.KindQuant || rep.Degradations[0].To != sod2.TierFloat32 {
+		t.Errorf("decoded report tier %v, degradations %+v: want one quant step to float32", rep.FallbackTier, rep.Degradations)
 	}
 	sameOutputs(t, resp.Outputs, ref)
 }

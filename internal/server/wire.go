@@ -50,7 +50,7 @@ const (
 	// requests without it are keyed by remote address.
 	HeaderClient = "X-Client-Id"
 	// HeaderTier (response) is the degradation tier the request was
-	// actually served on (Report.FallbackTier: planned/dynamic/replan).
+	// actually served on (Report.FallbackTier: planned/dynamic/float32).
 	HeaderTier = "X-Sod2-Tier"
 	// HeaderBatch (response) is the size of the coalesced shape-family
 	// bucket the request was served in (1 = served alone).

@@ -38,8 +38,9 @@ type SessionOptions struct {
 	// queueing unboundedly. The zero value admits everything.
 	Admission resilience.AdmissionConfig
 	// Retry is the bounded retry/backoff ladder for transient execution
-	// faults. Tier-aware: a request that already degraded to the
-	// dynamic-replan tier is never retried. The zero value never retries.
+	// faults. Tier-aware: a request that already descended to the
+	// float32 tier, the last rung, is never retried. The zero value never
+	// retries.
 	Retry resilience.RetryPolicy
 	// RequestTimeout bounds each request end to end — admission wait,
 	// every retry attempt, and backoff sleeps (0 = none). Per-call

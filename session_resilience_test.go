@@ -110,16 +110,19 @@ func TestSessionRetryRecoversTransientFault(t *testing.T) {
 	}
 }
 
-// TestSessionReplanTierNotRetried pins the tier-awareness rule: a fault
-// on a request that already degraded to the dynamic-replan tier is not
-// retried — the replan was the recovery attempt.
-func TestSessionReplanTierNotRetried(t *testing.T) {
+// TestSessionFloat32TierNotRetried pins the tier-awareness rule: a fault
+// on a request that already descended to the float32 tier, the last
+// rung, is not retried — that rung was the recovery attempt.
+func TestSessionFloat32TierNotRetried(t *testing.T) {
 	p := resilience.RetryPolicy{MaxAttempts: 3}
-	if p.Retryable(&OpError{Op: "MatMul"}, TierReplan) {
-		t.Fatal("replan-tier fault must not be retryable")
+	if p.Retryable(&OpError{Op: "MatMul"}, TierFloat32) {
+		t.Fatal("float32-tier fault must not be retryable")
 	}
 	if !p.Retryable(&OpError{Op: "MatMul"}, TierPlanned) {
 		t.Fatal("planned-tier kernel fault must be retryable")
+	}
+	if !p.Retryable(&OpError{Op: "MatMul"}, TierDynamic) {
+		t.Fatal("dynamic-tier kernel fault must be retryable")
 	}
 }
 

@@ -78,8 +78,7 @@ type (
 	ContractError = guard.ContractError
 	// Degradation records one guarded-execution fallback.
 	Degradation = guard.Degradation
-	// Tier identifies an execution tier (planned / dynamic / replan /
-	// float32).
+	// Tier identifies an execution tier (planned / dynamic / float32).
 	Tier = guard.Tier
 	// Fact is one analyzed input property (range or divisibility).
 	Fact = guard.Fact
@@ -134,7 +133,6 @@ const (
 var (
 	TierPlanned = guard.TierPlanned
 	TierDynamic = guard.TierDynamic
-	TierReplan  = guard.TierReplan
 	// TierFloat32 serves a request with the original float32 weights
 	// after a quantized run violated its accuracy-drift contract.
 	TierFloat32 = guard.TierFloat32
@@ -292,12 +290,12 @@ func (c *Compiled) Execution() *ExecutionPlan { return c.inner.ExecPlan }
 
 // Infer executes one set of concrete inputs, guarded: inputs are checked
 // against the model's runtime contract, kernel panics surface as
-// *OpError, and contract violations degrade to dynamic allocation or a
-// full re-plan instead of failing (the report records the fallback tier
-// and every degradation taken). Nothing in the report is modeled:
-// LatencyMS is the guarded run's wall-clock time on this host, re-plan
-// included, and PeakMemBytes the arena's high water on the planned tier,
-// the peak live intermediate bytes on any other.
+// *OpError, and contract violations degrade to dynamic allocation
+// instead of failing (the report records the fallback tier and every
+// degradation taken). Nothing in the report is modeled: LatencyMS is the
+// guarded run's wall-clock time on this host, and PeakMemBytes the
+// arena's high water on the planned tier, the peak live intermediate
+// bytes on any other.
 func (c *Compiled) Infer(inputs map[string]*Tensor) (map[string]*Tensor, Report, error) {
 	return c.infer(inputs, GuardOptions{})
 }

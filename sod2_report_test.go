@@ -148,11 +148,13 @@ func TestReportMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestReportReplanAddsOnlyReplanPhase: a request whose shapes contradict
-// the analysis is re-planned. The re-plan's cost is on record in its
-// degradation and inside the measured latency; the served report carries
-// no modeled phase, and the observed trace prices exactly as the engine's.
-func TestReportReplanAddsOnlyReplanPhase(t *testing.T) {
+// TestReportBindViolationServedDynamic: a request whose shapes
+// contradict the analysis is served on the dynamic rung, with no
+// per-request re-analysis. Its one degradation is a bind step to dynamic,
+// the served report carries no modeled phase and its peak memory is the
+// run's peak live bytes, and the observed trace prices exactly as the
+// engine's.
+func TestReportBindViolationServedDynamic(t *testing.T) {
 	b := &ModelBuilder{
 		Name: "toy-fixed", MinSize: 4, MaxSize: 4, SizeStep: 1,
 		Build: func() *Graph {
@@ -182,14 +184,15 @@ func TestReportReplanAddsOnlyReplanPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.FallbackTier != TierReplan || len(got.Degradations) != 1 {
-		t.Fatalf("tier %v, degradations %v: want one step to the replan tier", got.FallbackTier, got.Degradations)
-	}
-	if replan := got.Degradations[0].ReplanMS; replan <= 0 || got.LatencyMS < replan || got.Phases != nil {
-		t.Errorf("replan %v ms, latency %v ms, phases %v: want the re-plan on record and inside the measured latency, no phases",
-			replan, got.LatencyMS, got.Phases)
+	if got.FallbackTier != TierDynamic || len(got.Degradations) != 1 ||
+		got.Degradations[0].Kind != guard.KindBind || got.Degradations[0].To != TierDynamic {
+		t.Fatalf("tier %v, degradations %v: want one bind step to the dynamic tier", got.FallbackTier, got.Degradations)
 	}
 	res, _ := observedRun(t, c, s.Inputs)
+	if got.Phases != nil || got.LatencyMS <= 0 || got.PeakMemBytes != res.Trace.PeakLiveBytes {
+		t.Errorf("phases %v, latency %v ms, peak %d B: want no phases, a measured latency, peak %d B",
+			got.Phases, got.LatencyMS, got.PeakMemBytes, res.Trace.PeakLiveBytes)
+	}
 	requireSameModeled(t, "toy-fixed@8", eng.Model(c.inner, res.Trace, SD888CPU), want)
 }
 
