@@ -291,12 +291,16 @@ func poolKernel(avg bool) Kernel {
 		out := ctx.Out(0, tensor.Float32, N, C, outH, outW)
 		p := poolWindows{kh: kernel[0], kw: kernel[1], sh: strides[0], sw: strides[1],
 			padT: pads[0], padL: pads[1], h: H, w: W, outH: outH, outW: outW}
+		var scratch []float32
+		if !avg {
+			scratch = ctx.Scratch(p.maxScratch())
+		}
 		for c := int64(0); c < N*C; c++ {
 			src, dst := x.F[c*H*W:(c+1)*H*W], out.F[c*outH*outW:(c+1)*outH*outW]
 			if avg {
 				avgPoolPlane(src, dst, &p)
 			} else {
-				maxPoolPlane(src, dst, &p)
+				maxPoolPlane(src, dst, scratch, &p)
 			}
 		}
 		return []*tensor.Tensor{out}, nil
@@ -322,21 +326,58 @@ func (p *poolWindows) clip(oh, ow int64) (ih0, ih1, iw0, iw1 int64) {
 // row-major tap order by v > best from −Inf: a NaN is never taken, of
 // equal values the first stays (so −0 before +0 gives −0), and an
 // all-padding window gives −Inf.
-func maxPoolPlane(x, out []float32, p *poolWindows) {
-	for oh := int64(0); oh < p.outH; oh++ {
-		for ow := int64(0); ow < p.outW; ow++ {
-			ih0, ih1, iw0, iw1 := p.clip(oh, ow)
-			best := float32(math.Inf(-1))
-			for ih := ih0; ih < ih1; ih++ {
-				for _, v := range x[ih*p.w+iw0 : ih*p.w+iw1] {
-					if v > best {
-						best = v
-					}
-				}
-			}
-			out[oh*p.outW+ow] = best
+//
+// It folds separably, with the same rule. The row pass folds each input
+// row's kw taps per output column, left to right, over a copy of the row
+// with −Inf margins; the column pass folds each output's rows of those
+// results in ascending order. A tap outside the plane is −Inf there,
+// which is never taken, so it counts as skipped. The first tap in
+// row-major order that holds the window's maximum is the first of its
+// row to hold it, in the first row whose fold reaches it, so both
+// passes keep the tap the one loop keeps. The scratch is maxScratch
+// floats: the padded row, then H rows of row-pass results.
+func maxPoolPlane(x, out, scratch []float32, p *poolWindows) {
+	if p.kw < 1 { // every window is empty
+		fillNegInf(out)
+		return
+	}
+	width := (p.outW-1)*p.sw + p.kw + 1
+	padded, rm := scratch[:width], scratch[width:p.maxScratch()]
+	// padded[j] holds the row's element j − padL; the rest are −Inf.
+	lo := min(max(p.padL, 0), width)
+	hi := min(max(p.padL+p.w, lo), width)
+	fillNegInf(padded[:lo])
+	fillNegInf(padded[hi:])
+	for ih := int64(0); ih < p.h; ih++ {
+		if lo < hi {
+			copy(padded[lo:hi], x[ih*p.w+lo-p.padL:])
+		}
+		dst := rm[ih*p.outW : (ih+1)*p.outW]
+		for ow := maxTaps(dst, padded, p.sw, p.kw); ow < p.outW; ow++ {
+			dst[ow] = maxRowGo(padded[ow*p.sw : ow*p.sw+p.kw])
 		}
 	}
+	for oh := int64(0); oh < p.outH; oh++ {
+		ih0, ih1, _, _ := p.clip(oh, 0)
+		dst := out[oh*p.outW : (oh+1)*p.outW]
+		if ih0 == ih1 {
+			fillNegInf(dst)
+			continue
+		}
+		// The row-pass results hold no NaN, so the first row's fold from
+		// −Inf is a copy.
+		copy(dst, rm[ih0*p.outW:])
+		for ih := ih0 + 1; ih < ih1; ih++ {
+			maxFold(dst, rm[ih*p.outW:(ih+1)*p.outW])
+		}
+	}
+}
+
+// maxScratch is the scratch maxPoolPlane works in: one padded input row
+// of (outW−1)·sw + kw floats plus one past it for the stride-2 body's
+// last load, and H rows of outW row-pass results.
+func (p *poolWindows) maxScratch() int64 {
+	return max(0, (p.outW-1)*p.sw+p.kw+1) + p.h*p.outW
 }
 
 // avgPoolPlane writes each window's mean over its in-bounds values (the

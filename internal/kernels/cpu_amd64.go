@@ -8,9 +8,12 @@ package kernels
 // three, the ZMM state and the opmasks too for hasAVX512.
 //
 //   - hasAVX: the 4×16 GEMM tile (tile_amd64.s).
-//   - hasAVX2: the stride-2 unfold body (gather_amd64.s).
+//   - hasAVX2: the stride-2 unfold body (gather_amd64.s) and the max
+//     bodies under Softmax and MaxPool (max_amd64.s, vecMax).
 //   - hasAVX2 and hasFMA: the vector exp (exp_amd64.s), which also needs
-//     its init self-check to agree with math.Exp (vecExp).
+//     its init self-check to agree with math.Exp (vecExp), and the
+//     vector erf under Gelu, which needs the exp and its own self-check
+//     against math.Erf (vecErf).
 //   - hasAVX512 (AVX-512F): the 4×32 GEMM tile (tile_amd64.s).
 var hasAVX, hasAVX2, hasFMA, hasAVX512 = cpuProbe()
 

@@ -138,8 +138,6 @@ func registerMapF(name string, body func(o, x []float32)) {
 	register(name, unary)
 }
 
-func erf(v float64) float64 { return math.Erf(v) }
-
 func init() {
 	registerArith("Add", func(a, b float32) float32 { return a + b }, addVec, func(a, b int64) int64 { return a + b })
 	registerArith("Sub", func(a, b float32) float32 { return a - b }, nil, func(a, b int64) int64 { return a - b })
@@ -226,10 +224,8 @@ func init() {
 			return 0
 		}
 	})
-	registerUnaryF("Erf", func(v float32) float32 { return float32(erf(float64(v))) })
-	registerUnaryF("Gelu", func(v float32) float32 {
-		return float32(0.5 * float64(v) * (1 + erf(float64(v)/math.Sqrt2)))
-	})
+	registerUnaryF("Erf", func(v float32) float32 { return float32(math.Erf(float64(v))) })
+	registerMapF("Gelu", geluRow)
 	registerMapF("Silu", siluRow)
 	registerUnaryF("HardSigmoid", func(v float32) float32 {
 		h := 0.2*v + 0.5

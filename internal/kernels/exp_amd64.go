@@ -12,6 +12,16 @@ import "math"
 // scalar definitions. Tests set it to compare the two paths.
 var vecExp = hasAVX2 && hasFMA && expSelfCheck()
 
+// vecErf selects the vector Gelu (exp_amd64.s), which computes math.Erf
+// on four lanes. Its exps are the vector exp's, so it needs vecExp; and
+// it follows erf.go with every product rounded before its sum, so it is
+// bit-identical to math.Erf only where the compiler built erf.go that
+// way. go1.24 does at every GOAMD64 level; a toolchain that fused
+// erf.go's x*y+z into FMAs would build a different math.Erf, and the
+// one-time self-check against math.Erf on erfCheckInputs refuses the
+// body wherever the two differ. Tests set it to compare the two paths.
+var vecErf = vecExp && erfSelfCheck()
+
 // expCheckInputs is the self-check's table: −0.001·i for i < 1024,
 // where math.Exp's FMA and non-FMA branches disagree on about one input
 // in nine (the first is i = 52), then 256 points spread over the whole
@@ -29,28 +39,59 @@ func expCheckInputs() []float64 {
 
 // expSelfCheck reports whether the vector body computes math.Exp, bit
 // for bit, on every input of expCheckInputs.
-func expSelfCheck() bool {
-	x := expCheckInputs()
+func expSelfCheck() bool { return selfCheck(expCheckInputs(), expAVX, math.Exp) }
+
+// selfCheck reports whether body(dst, x) writes ref of every element of
+// x, bit for bit; len(x) must be a multiple of four.
+func selfCheck(x []float64, body func(dst, x []float64) int, ref func(float64) float64) bool {
 	got := make([]float64, len(x))
-	if expAVX(got, x) != len(x) {
+	if body(got, x) != len(x) {
 		return false
 	}
 	for i, v := range x {
-		if math.Float64bits(got[i]) != math.Float64bits(math.Exp(v)) {
+		if math.Float64bits(got[i]) != math.Float64bits(ref(v)) {
 			return false
 		}
 	}
 	return true
 }
 
-// expRow is expRowGo(dst, row, maxV, 0): the vector body takes the
-// groups of four from the left until one has an argument it leaves to
-// math.Exp, the scalar definition takes that group, and the body
-// resumes after it; the scalar definition finishes the row's last
-// len(row) % 4 elements. Both add each exp to the running sum in index
-// order, so the sum is the scalar loop's bit for bit.
-func expRow(dst, row []float32, maxV float32) float64 {
-	var sum float64
+// erfCheckInputs is the Gelu self-check's table: ±0, ±Inf, each of
+// erf.go's interval boundaries 2⁻²⁸, 0.84375, 1.25, 1/0.35 and 6 with its
+// neighbours an ulp either side, four inputs in each of the first three
+// polynomial intervals where a fused multiply-add changes math.Erf's
+// result (TestErfSelfCheck checks that they do), and 511 points spread
+// over (−6.5, 6.5). Over [1/0.35, 6) erf rounds to within an ulp of 1,
+// and no sampled input tells the two builds apart. Its length is a
+// multiple of four.
+func erfCheckInputs() []float64 {
+	x := []float64{0, math.Inf(1),
+		0.028739729879221, 0.05455671481427976, 0.08728314774048815, 0.13373144569051706,
+		0.8437504062487813, 0.8441655925032225, 0.8716133851598445, 0.8737405037784887,
+		1.253034276611456, 1.4999919285956427, 1.754739378639007, 2.2287904564857732}
+	for _, b := range []float64{1.0 / (1 << 28), 0.84375, 1.25, 1 / 0.35, 6} {
+		x = append(x, math.Nextafter(b, 0), b, math.Nextafter(b, 7))
+	}
+	for i := 1; i <= 511; i++ {
+		x = append(x, float64(i)*(6.5/512))
+	}
+	for i, n := 0, len(x); i < n; i++ {
+		x = append(x, -x[i])
+	}
+	return x
+}
+
+// erfSelfCheck reports whether the vector erf computes math.Erf, bit
+// for bit, on every input of erfCheckInputs.
+func erfSelfCheck() bool { return selfCheck(erfCheckInputs(), erfAVX, math.Erf) }
+
+// expRow is expRowGo: the vector body takes the groups of four from the
+// left until one has an argument it leaves to math.Exp, the scalar
+// definition takes that group, and the body resumes after it; the
+// scalar definition finishes the row's last len(row) % 4 elements. Both
+// add each exp to the running sum in index order, so the sum is the
+// scalar loop's bit for bit.
+func expRow(dst, row []float32, maxV float32, sum float64) float64 {
 	i := 0
 	if vecExp {
 		n := len(row) &^ 3
@@ -66,15 +107,44 @@ func expRow(dst, row []float32, maxV float32) float64 {
 	return expRowGo(dst[i:len(row)], row[i:], maxV, sum)
 }
 
-func sigmoidRow(o, x []float32) { mapExp(o, x, sigmoidRowAVX, sigmoidRowGo) }
-func siluRow(o, x []float32)    { mapExp(o, x, siluRowAVX, siluRowGo) }
+// expRows runs expRowGo over each of the len(x)/inner rows of x, at
+// most four, row r against maxV[r] and continuing sum[r]. Four rows go
+// through the interleaved body, one row per lane, by 4×4 blocks from
+// the left; a block it stops at takes expRowGo row by row, and each
+// row's last inner % 4 columns, like fewer than four rows, take expRow.
+// Every row's exps are added to its sum in column order throughout. The
+// reslices are the bounds checks the assembly does not make.
+func expRows(dst, x []float32, inner int64, maxV *[4]float32, sum *[4]float64) {
+	rows, j := int64(len(x))/inner, int64(0)
+	if vecExp && rows == 4 {
+		n := inner &^ 3
+		for j < n {
+			j += int64(expRows4AVX(dst[j:3*inner+n], x[j:3*inner+n], int(inner), int(n-j), maxV, sum))
+			if j < n {
+				for r := int64(0); r < 4; r++ {
+					at := r*inner + j
+					sum[r] = expRowGo(dst[at:at+4], x[at:at+4], maxV[r], sum[r])
+				}
+				j += 4
+			}
+		}
+	}
+	for r := int64(0); r < rows; r++ {
+		sum[r] = expRow(dst[r*inner+j:(r+1)*inner], x[r*inner+j:(r+1)*inner], maxV[r], sum[r])
+	}
+}
 
-// mapExp maps x onto o as expRow walks a row: the vector body over
-// groups of four, scalar over a group it stops at and over the tail.
-func mapExp(o, x []float32, avx func(o, x []float32) int, scalar func(o, x []float32)) {
+func sigmoidRow(o, x []float32) { mapVec(vecExp, o, x, sigmoidRowAVX, sigmoidRowGo) }
+func siluRow(o, x []float32)    { mapVec(vecExp, o, x, siluRowAVX, siluRowGo) }
+func geluRow(o, x []float32)    { mapVec(vecErf, o, x, geluRowAVX, geluRowGo) }
+
+// mapVec maps x onto o as expRow walks a row: when on, the vector body
+// over groups of four, scalar over a group it stops at; scalar over the
+// tail.
+func mapVec(on bool, o, x []float32, avx func(o, x []float32) int, scalar func(o, x []float32)) {
 	o = o[:len(x)]
 	i := 0
-	if vecExp {
+	if on {
 		n := len(x) &^ 3
 		for i < n {
 			if i += avx(o[i:n], x[i:n]); i < n {
@@ -104,7 +174,14 @@ func scaleRow(dst []float32, s float32) {
 //
 //   - expAVX: dst[i] = math.Exp(x[i]).
 //   - expRowAVX: expRowGo's loop, returning the running sum as s.
+//   - expRows4AVX: expRowAVX on four rows at once, a stride apart, with
+//     their maxima and sums (exp_amd64.s); it takes n columns.
 //   - sigmoidRowAVX, siluRowAVX: sigmoid and silu of each element.
+//
+// The vector erf bodies stop before the first group with a NaN instead:
+//
+//   - erfAVX: dst[i] = math.Erf(x[i]).
+//   - geluRowAVX: gelu of each element.
 
 //go:noescape
 func expAVX(dst, x []float64) int
@@ -113,7 +190,16 @@ func expAVX(dst, x []float64) int
 func expRowAVX(dst, row []float32, maxV float32, sum float64) (n int, s float64)
 
 //go:noescape
+func expRows4AVX(dst, x []float32, stride, n int, maxV *[4]float32, sum *[4]float64) int
+
+//go:noescape
 func sigmoidRowAVX(o, x []float32) int
 
 //go:noescape
 func siluRowAVX(o, x []float32) int
+
+//go:noescape
+func erfAVX(dst, x []float64) int
+
+//go:noescape
+func geluRowAVX(o, x []float32) int

@@ -481,8 +481,8 @@ func (d *fixedDest) Out(_ int, n int64) []float32 { return d.out[:n] }
 func (d *fixedDest) Scratch(n int64) []float32    { return d.scratch[:n] }
 
 // A kernel call into a Dest allocates what the heap call does minus the
-// payloads the Dest provides — the output, and the panel scratch of
-// Conv and of MatMul with a packed B —
+// payloads the Dest provides — the output, and the scratch of Conv's
+// panels, of MatMul with a packed B and of MaxPool's row passes —
 // so the Ctx, the Dest and Out box nothing and close over nothing: what
 // is left of an output is its Tensor header and shape.
 func TestDestAllocatesOnlyTheHeader(t *testing.T) {
@@ -511,6 +511,8 @@ func TestDestAllocatesOnlyTheHeader(t *testing.T) {
 		{"Add", nil, []*tensor.Tensor{tensor.RandomFloats(rng, 1, 4, 64), tensor.RandomFloats(rng, 1, 64)}, 1},
 		{"Relu", nil, []*tensor.Tensor{tensor.RandomFloats(rng, 1, 4, 64)}, 1},
 		{"Softmax", nil, []*tensor.Tensor{tensor.RandomFloats(rng, 1, 4, 64)}, 1},
+		{"MaxPool", map[string]graph.AttrValue{"kernel_shape": graph.IntsAttr(5, 5), "pads": graph.IntsAttr(2, 2, 2, 2)},
+			[]*tensor.Tensor{x}, 2},
 		{"Reshape", nil, []*tensor.Tensor{tensor.RandomFloats(rng, 1, 4, 64), tensor.FromInts([]int64{2}, []int64{16, 16})}, 1},
 	} {
 		n := mkNode(tc.op, tc.attrs, 1)

@@ -301,7 +301,10 @@ func refPool(x *tensor.Tensor, avg bool, kernel, strides, pads []int64) *tensor.
 
 // MaxPool and AveragePool match refPool bit for bit: over NaN, ±Inf and
 // planes of mixed −0/+0, on windows inside the plane, cut by the
-// padding, and wholly in it (−Inf for max, 0 for average).
+// padding, and wholly in it (−Inf for max, 0 for average). The wide
+// planes put each special value at every offset of the max bodies'
+// 8- and 16-float loads, under YOLO-V6's 5×5 s1 p2 window and SkipNet's
+// 2×2 s2 one, with the vector bodies on and forced off.
 func TestPoolMatchesReferenceLoop(t *testing.T) {
 	rng := tensor.NewRNG(19)
 	x := tensor.RandomFloats(rng, 1, 2, 3, 9, 11)
@@ -315,25 +318,77 @@ func TestPoolMatchesReferenceLoop(t *testing.T) {
 	for i := range plane {
 		plane[i] = float32(math.Copysign(0, float64(1-2*(i*7%3%2))))
 	}
-	for _, tc := range []struct{ kernel, strides, pads []int64 }{
-		{[]int64{3, 3}, []int64{2, 2}, []int64{1, 1, 1, 1}},
-		{[]int64{2, 2}, []int64{2, 2}, []int64{0, 0, 0, 0}},
-		{[]int64{3, 3}, []int64{1, 1}, []int64{1, 1, 1, 1}},
-		{[]int64{1, 1}, []int64{1, 1}, []int64{0, 0, 0, 0}},
-		{[]int64{2, 3}, []int64{1, 2}, []int64{0, 1, 1, 0}},
-		{[]int64{2, 2}, []int64{1, 1}, []int64{3, 3, 3, 3}}, // corner windows wholly in the padding
-		{[]int64{3, 2}, []int64{3, 4}, []int64{4, 0, 4, 5}}, // whole rows and columns of them
-	} {
-		attrs := map[string]graph.AttrValue{"kernel_shape": graph.IntsAttr(tc.kernel...),
-			"strides": graph.IntsAttr(tc.strides...), "pads": graph.IntsAttr(tc.pads...)}
-		for _, avg := range []bool{false, true} {
-			op := "MaxPool"
-			if avg {
-				op = "AveragePool"
+	for _, on := range expModes() {
+		restore := SetVecBodies(on)
+		for _, tc := range []struct{ kernel, strides, pads []int64 }{
+			{[]int64{3, 3}, []int64{2, 2}, []int64{1, 1, 1, 1}},
+			{[]int64{2, 2}, []int64{2, 2}, []int64{0, 0, 0, 0}},
+			{[]int64{3, 3}, []int64{1, 1}, []int64{1, 1, 1, 1}},
+			{[]int64{1, 1}, []int64{1, 1}, []int64{0, 0, 0, 0}},
+			{[]int64{2, 3}, []int64{1, 2}, []int64{0, 1, 1, 0}},
+			{[]int64{2, 2}, []int64{1, 1}, []int64{3, 3, 3, 3}}, // corner windows wholly in the padding
+			{[]int64{3, 2}, []int64{3, 4}, []int64{4, 0, 4, 5}}, // whole rows and columns of them
+		} {
+			attrs := map[string]graph.AttrValue{"kernel_shape": graph.IntsAttr(tc.kernel...),
+				"strides": graph.IntsAttr(tc.strides...), "pads": graph.IntsAttr(tc.pads...)}
+			for _, avg := range []bool{false, true} {
+				op := "MaxPool"
+				if avg {
+					op = "AveragePool"
+				}
+				sameBits(t, fmt.Sprint(op, tc, " vector ", on), run1(t, op, attrs, x), refPool(x, avg, tc.kernel, tc.strides, tc.pads))
 			}
-			sameBits(t, fmt.Sprint(op, tc), run1(t, op, attrs, x), refPool(x, avg, tc.kernel, tc.strides, tc.pads))
+		}
+		for _, w := range []int64{17, 23, 37, 41} {
+			x := poolSpecialPlanes(tensor.NewRNG(uint64(w)), 16, w)
+			for _, tc := range []struct{ kernel, strides, pads []int64 }{
+				{[]int64{5, 5}, []int64{1, 1}, []int64{2, 2, 2, 2}},
+				{[]int64{2, 2}, []int64{2, 2}, []int64{0, 0, 0, 0}},
+				{[]int64{3, 3}, []int64{2, 2}, []int64{1, 1, 1, 1}},
+				{[]int64{1, 4}, []int64{1, 1}, []int64{0, 3, 0, 2}},
+			} {
+				attrs := map[string]graph.AttrValue{"kernel_shape": graph.IntsAttr(tc.kernel...),
+					"strides": graph.IntsAttr(tc.strides...), "pads": graph.IntsAttr(tc.pads...)}
+				sameBits(t, fmt.Sprint("MaxPool W ", w, tc, " vector ", on), run1(t, "MaxPool", attrs, x),
+					refPool(x, false, tc.kernel, tc.strides, tc.pads))
+			}
+		}
+		restore()
+	}
+}
+
+// poolSpecialPlanes returns a [1, 7, h, w] tensor whose planes each
+// salt one kind of special value at a step coprime to 16, so that over
+// 16 steps it lands at every offset of a max body's 8- and 16-float
+// loads: NaN among normals; +Inf; −Inf and NaN; +0 and −0 among
+// negatives, in either order; NaN and −Inf only; and ±0 with NaN.
+func poolSpecialPlanes(rng *tensor.RNG, h, w int64) *tensor.Tensor {
+	nan, inf, neg0 := float32(math.NaN()), float32(math.Inf(1)), float32(math.Copysign(0, -1))
+	x := tensor.New(tensor.Float32, 1, 7, h, w)
+	for p := 0; p < 7; p++ {
+		plane := x.F[int64(p)*h*w : int64(p+1)*h*w]
+		for k := range plane {
+			v := rng.NormFloat32()
+			switch {
+			case p == 0 && k%5 == 0, p == 2 && k%7 == 3, p == 5 && k%2 == 0, p == 6 && k%11 == 0:
+				v = nan
+			case p == 1 && k%5 == 0:
+				v = inf
+			case p == 2 && k%5 == 0, p == 5:
+				v = -inf
+			case p == 3 && k%5 == 0, p == 4 && k%5 == 2:
+				v = 0
+			case p == 3 && k%3 == 1, p == 4 && k%5 == 0:
+				v = neg0
+			case p == 6:
+				v = float32(math.Copysign(0, float64(1-2*(k*7%3%2))))
+			case p >= 3:
+				v = -float32(math.Abs(float64(v)))
+			}
+			plane[k] = v
 		}
 	}
+	return x
 }
 
 func TestSoftmaxRowsSumToOne(t *testing.T) {

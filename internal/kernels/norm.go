@@ -40,24 +40,27 @@ func softmaxKernel(logMode bool) Kernel {
 		}
 		inner := x.Shape[x.Rank()-1]
 		outer := x.Len() / inner
+		// Rows go four at a time, the interleaved exp body's group.
 		softmaxRows := func(oLo, oHi int64) {
-			for o := oLo; o < oHi; o++ {
-				row := x.F[o*inner : (o+1)*inner]
-				dst := out.F[o*inner : (o+1)*inner]
-				maxV := float32(math.Inf(-1))
-				for _, v := range row {
-					if v > maxV {
-						maxV = v
-					}
+			for o := oLo; o < oHi; o += 4 {
+				k := min(4, oHi-o)
+				rows, dsts := x.F[o*inner:(o+k)*inner], out.F[o*inner:(o+k)*inner]
+				var maxV [4]float32
+				var sum [4]float64
+				for r := int64(0); r < k; r++ {
+					maxV[r] = maxRow(rows[r*inner : (r+1)*inner])
 				}
-				sum := expRow(dst, row, maxV)
-				if logMode {
-					ls := float32(math.Log(sum))
-					for i, v := range row {
-						dst[i] = v - maxV - ls
+				expRows(dsts, rows, inner, &maxV, &sum)
+				for r := int64(0); r < k; r++ {
+					row, dst := rows[r*inner:(r+1)*inner], dsts[r*inner:(r+1)*inner]
+					if logMode {
+						ls := float32(math.Log(sum[r]))
+						for i, v := range row {
+							dst[i] = v - maxV[r] - ls
+						}
+					} else {
+						scaleRow(dst, float32(1/sum[r]))
 					}
-				} else {
-					scaleRow(dst, float32(1/sum))
 				}
 			}
 		}
