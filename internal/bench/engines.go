@@ -1,15 +1,86 @@
-package frameworks
+package bench
 
 import (
-	"sync"
-
 	"repro/internal/costmodel"
 	"repro/internal/exec"
-	"repro/internal/graph"
+	"repro/internal/frameworks"
 	"repro/internal/memplan"
 	"repro/internal/remat"
 	"repro/internal/workload"
 )
+
+// Policy is the executor policy a trace is executed under: every
+// control-flow branch or only the taken ones, in the given order.
+type Policy struct {
+	AllBranches bool
+	Order       frameworks.OrderKind
+}
+
+// Engine is one execution framework of the evaluation, as a pricing
+// policy over executed traces (DESIGN.md §2): it names the executor
+// policy whose trace it prices and models latency and peak memory from
+// that trace, executing nothing itself. An engine keeps per-model shape
+// state and is used by one goroutine at a time.
+type Engine interface {
+	Name() string
+	// Supports mirrors the paper's "-" cells (Table 5/6).
+	Supports(model string, dev costmodel.Device) bool
+	// Policy is the executor policy of the trace Price reads.
+	Policy() Policy
+	// Price models one sample's report from its executed trace.
+	Price(m *frameworks.Compiled, s workload.Sample, tr exec.Trace, dev costmodel.Device) frameworks.Report
+	// Reset clears shape caches (call between experiments).
+	Reset()
+}
+
+// sod2Engine prices the SoD² variants with frameworks.SoD2.Model.
+type sod2Engine struct{ *frameworks.SoD2 }
+
+// NewSoD2 builds the SoD² engine with the given optimization set.
+func NewSoD2(opts frameworks.SoD2Options) Engine { return sod2Engine{frameworks.NewSoD2(opts)} }
+
+// Name identifies the engine (reflecting disabled optimizations).
+func (e sod2Engine) Name() string {
+	o := e.Opts
+	if o.StaticFrozen {
+		return "DNNFusion-static"
+	}
+	if o == frameworks.FullSoD2() {
+		return "SoD2"
+	}
+	n := "SoD2[no-opt"
+	if o.Fusion {
+		n += "+Fusion"
+	}
+	if o.SEP {
+		n += "+SEP"
+	}
+	if o.DMP {
+		n += "+DMP"
+	}
+	if o.MVC {
+		n += "+MVC"
+	}
+	return n + "]"
+}
+
+// Supports: SoD² runs every model on every device.
+func (sod2Engine) Supports(string, costmodel.Device) bool { return true }
+
+// Policy is frameworks.SoD2's own, so the harness prices the trace
+// SoD2.Run executes.
+func (e sod2Engine) Policy() Policy {
+	all, order := e.ExecPolicy()
+	return Policy{AllBranches: all, Order: order}
+}
+
+// Price applies SoD²'s cost model to the trace.
+func (e sod2Engine) Price(m *frameworks.Compiled, _ workload.Sample, tr exec.Trace, dev costmodel.Device) frameworks.Report {
+	return e.Model(m, tr, dev)
+}
+
+// Reset is a no-op: the engine keeps no per-shape state.
+func (sod2Engine) Reset() {}
 
 // supportMatrix mirrors the "-" cells of Tables 5/6: which baseline can
 // run which model (missing operators / optimization limits in the real
@@ -35,29 +106,34 @@ var supportMatrix = map[string]map[string]bool{
 	},
 }
 
-func baselineGroupFn(fp *fusionPlanView) func(n *graph.Node) int {
-	if fp == nil {
-		return nil
+// executeAll is the baselines' control-flow policy (§2): every branch,
+// in declaration order.
+var executeAll = Policy{AllBranches: true, Order: frameworks.OrderTopo}
+
+// shapeCache is a static framework's last-initialized input shape per
+// model: a run at any other shape re-initializes the execution.
+type shapeCache map[string]int64
+
+// reinit adds the re-initialization phases (Table 1's SL/ST/Alloc) to
+// phases when s's shape is not the one m last ran at, and records it.
+func (c shapeCache) reinit(phases map[string]float64, m *frameworks.Compiled, s workload.Sample, tr exec.Trace, dev costmodel.Device) {
+	if c[m.Builder.Name] == s.ShapeKey {
+		return
 	}
-	return fp.groupOf
+	c[m.Builder.Name] = s.ShapeKey
+	re := dev.Reinit(len(m.Graph.Nodes), tr.TotalAllocBytes)
+	phases["reinit-sl"] = re.ShapeLayoutMS
+	phases["reinit-st"] = re.ScheduleMS
+	phases["reinit-alloc"] = re.AllocMS
 }
 
-// fusionPlanView adapts a fusion plan for the cost model.
-type fusionPlanView struct {
-	nodeGroup map[*graph.Node]int
-	internal  map[string]bool
-}
-
-func (f *fusionPlanView) groupOf(n *graph.Node) int {
-	if gid, ok := f.nodeGroup[n]; ok {
-		return gid
+// sum totals a report's phases.
+func sum(phases map[string]float64) float64 {
+	var total float64
+	for _, v := range phases {
+		total += v
 	}
-	return -1
-}
-
-func staticFusionView(m *Compiled) *fusionPlanView {
-	fp := m.FusionStatic()
-	return &fusionPlanView{nodeGroup: fp.NodeGroup, internal: fp.Internal}
+	return total
 }
 
 // ---- MNN -------------------------------------------------------------
@@ -67,8 +143,7 @@ func staticFusionView(m *Compiled) *fusionPlanView {
 // SL/ST/Alloc phases), static-only fusion, execute-all control flow, and
 // a best-fit greedy memory plan rebuilt at each re-initialization.
 type MNN struct {
-	mu        sync.Mutex       // guards lastShape under concurrent Run
-	lastShape map[string]int64 // model name → last shape key
+	last shapeCache
 	// CountReinit includes re-initialization in LatencyMS. The paper
 	// isolates re-init in Table 1 and the Fig. 10 stability study but
 	// reports steady-state inference in Tables 5/6.
@@ -76,13 +151,11 @@ type MNN struct {
 }
 
 // NewMNN constructs the engine (steady-state latency reporting).
-func NewMNN() *MNN { return &MNN{lastShape: map[string]int64{}} }
+func NewMNN() *MNN { return &MNN{last: shapeCache{}} }
 
 // NewMNNWithReinit constructs the engine with re-initialization counted
 // in every shape-changing inference (Table 1 / Fig. 10 mode).
-func NewMNNWithReinit() *MNN {
-	return &MNN{lastShape: map[string]int64{}, CountReinit: true}
-}
+func NewMNNWithReinit() *MNN { return &MNN{last: shapeCache{}, CountReinit: true} }
 
 // Name identifies the engine.
 func (e *MNN) Name() string { return "MNN" }
@@ -90,48 +163,24 @@ func (e *MNN) Name() string { return "MNN" }
 // Supports consults the paper's support matrix.
 func (e *MNN) Supports(model string, _ costmodel.Device) bool { return supportMatrix["MNN"][model] }
 
+// Policy executes every branch in declaration order.
+func (e *MNN) Policy() Policy { return executeAll }
+
 // Reset clears the shape cache.
-func (e *MNN) Reset() {
-	e.mu.Lock()
-	e.lastShape = map[string]int64{}
-	e.mu.Unlock()
-}
+func (e *MNN) Reset() { clear(e.last) }
 
-// shapeChanged atomically tests-and-sets the engine's last-seen shape.
-func (e *MNN) shapeChanged(model string, key int64) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.lastShape[model] == key {
-		return false
-	}
-	e.lastShape[model] = key
-	return true
-}
-
-// Run executes one sample under MNN's policy.
-func (e *MNN) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (Report, error) {
-	res, err := m.Execute(sample, true, OrderTopo)
-	if err != nil {
-		return Report{}, err
-	}
-	tr := res.Trace
+// Price models one sample under MNN's policy.
+func (e *MNN) Price(m *frameworks.Compiled, s workload.Sample, tr exec.Trace, dev costmodel.Device) frameworks.Report {
 	phases := map[string]float64{}
+	e.last.reinit(phases, m, s, tr, dev)
 
-	// Re-initialization on shape change.
-	if e.shapeChanged(m.Builder.Name, sample.ShapeKey) {
-		re := dev.Reinit(len(m.Graph.Nodes), tr.TotalAllocBytes)
-		phases["reinit-sl"] = re.ShapeLayoutMS
-		phases["reinit-st"] = re.ScheduleMS
-		phases["reinit-alloc"] = re.AllocMS
-	}
-
-	fp := staticFusionView(m)
+	fp := m.FusionStatic()
 	opts := costmodel.TraceCostOptions{
-		GroupOf: baselineGroupFn(fp),
+		GroupOf: fp.GroupOf,
 		InternalBytes: func(ev exec.OpEvent) int64 {
 			var b int64
 			for i, name := range ev.OutNames {
-				if name != "" && fp.internal[name] {
+				if name != "" && fp.Internal[name] {
 					b += ev.OutBytes[i]
 				}
 			}
@@ -147,7 +196,7 @@ func (e *MNN) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (Re
 			return 1.0
 		},
 	}
-	prog := TraceProgram(m.Graph, tr, fp.internal)
+	prog := frameworks.TraceProgram(m.Graph, tr, fp.Internal)
 	peak := memplan.BestFit(prog).ArenaSize
 	phases["infer"] = dev.TraceCost(tr, opts) * dev.MemPressure(peak) / 1000
 
@@ -155,7 +204,7 @@ func (e *MNN) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (Re
 	if e.CountReinit {
 		total += phases["reinit-sl"] + phases["reinit-st"] + phases["reinit-alloc"]
 	}
-	return Report{LatencyMS: total, PeakMemBytes: peak, Phases: phases}, nil
+	return frameworks.Report{LatencyMS: total, PeakMemBytes: peak, Phases: phases}
 }
 
 // ---- ONNX Runtime ------------------------------------------------------
@@ -175,37 +224,28 @@ func (e *ORT) Name() string { return "ORT" }
 // Supports consults the support matrix.
 func (e *ORT) Supports(model string, _ costmodel.Device) bool { return supportMatrix["ORT"][model] }
 
+// Policy executes every branch in declaration order.
+func (e *ORT) Policy() Policy { return executeAll }
+
 // Reset is a no-op.
 func (e *ORT) Reset() {}
 
-// Run executes one sample under ORT's policy.
-func (e *ORT) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (Report, error) {
-	res, err := m.Execute(sample, true, OrderTopo)
-	if err != nil {
-		return Report{}, err
-	}
-	tr := res.Trace
+// Price models one sample under ORT's policy.
+func (e *ORT) Price(m *frameworks.Compiled, _ workload.Sample, tr exec.Trace, dev costmodel.Device) frameworks.Report {
 	phases := map[string]float64{}
-
 	// Runtime shape inference for every node, every inference.
 	phases["shapefn"] = float64(len(m.Graph.Nodes)) * 1.5 / 1000
 	// Dynamic allocation per intermediate.
 	phases["malloc"] = float64(tr.AllocCount) * dev.MallocUS / 1000
 
-	fp := staticFusionView(m)
+	fp := m.FusionStatic()
 	opts := costmodel.TraceCostOptions{
-		GroupOf: baselineGroupFn(fp),
+		GroupOf: fp.GroupOf,
 		Eff:     func(exec.OpEvent) float64 { return 1.0 },
 	}
-	prog := TraceProgram(m.Graph, tr, fp.internal)
-	peak := poolSimArena(prog)
+	peak := memplan.PoolArena(frameworks.TraceProgram(m.Graph, tr, fp.Internal))
 	phases["infer"] = dev.TraceCost(tr, opts) * dev.MemPressure(peak) / 1000
-
-	var total float64
-	for _, v := range phases {
-		total += v
-	}
-	return Report{LatencyMS: total, PeakMemBytes: peak, Phases: phases}, nil
+	return frameworks.Report{LatencyMS: sum(phases), PeakMemBytes: peak, Phases: phases}
 }
 
 // ---- TVM + Nimble ------------------------------------------------------
@@ -228,6 +268,9 @@ func (e *TVMN) Supports(model string, dev costmodel.Device) bool {
 	return !dev.IsGPU && supportMatrix["TVM-N"][model]
 }
 
+// Policy executes every branch in declaration order.
+func (e *TVMN) Policy() Policy { return executeAll }
+
 // Reset is a no-op.
 func (e *TVMN) Reset() {}
 
@@ -235,13 +278,8 @@ func (e *TVMN) Reset() {}
 // model sizes; the real system's is hundreds of MB).
 const rpcBaseBytes = int64(10) << 20
 
-// Run executes one sample under Nimble's policy.
-func (e *TVMN) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (Report, error) {
-	res, err := m.Execute(sample, true, OrderTopo)
-	if err != nil {
-		return Report{}, err
-	}
-	tr := res.Trace
+// Price models one sample under Nimble's policy.
+func (e *TVMN) Price(m *frameworks.Compiled, _ workload.Sample, tr exec.Trace, dev costmodel.Device) frameworks.Report {
 	phases := map[string]float64{}
 	n := float64(len(m.Graph.Nodes))
 	phases["shapefn"] = n * dev.ShapeFuncUS() / 1000
@@ -261,12 +299,7 @@ func (e *TVMN) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (R
 	// Deferred frees mean the touched footprint sits between the live
 	// set and the full watermark.
 	phases["infer"] = dev.TraceCost(tr, opts) * dev.MemPressure((tr.PeakLiveBytes+tr.TotalAllocBytes)/2) / 1000
-
-	var total float64
-	for _, v := range phases {
-		total += v
-	}
-	return Report{LatencyMS: total, PeakMemBytes: peak, Phases: phases}, nil
+	return frameworks.Report{LatencyMS: sum(phases), PeakMemBytes: peak, Phases: phases}
 }
 
 // ---- TensorFlow Lite ----------------------------------------------------
@@ -279,14 +312,11 @@ func (e *TVMN) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (R
 type TFLite struct {
 	// BudgetBytes caps memory (0 = uncapped).
 	BudgetBytes int64
-	mu          sync.Mutex // guards lastShape under concurrent Run
-	lastShape   map[string]int64
+	last        shapeCache
 }
 
 // NewTFLite constructs the engine.
-func NewTFLite(budget int64) *TFLite {
-	return &TFLite{BudgetBytes: budget, lastShape: map[string]int64{}}
-}
+func NewTFLite(budget int64) *TFLite { return &TFLite{BudgetBytes: budget, last: shapeCache{}} }
 
 // Name identifies the engine.
 func (e *TFLite) Name() string { return "TFLite" }
@@ -296,42 +326,20 @@ func (e *TFLite) Supports(model string, _ costmodel.Device) bool {
 	return supportMatrix["TFLite"][model]
 }
 
+// Policy: a fixed execution path, predicated control flow with frozen
+// gates, in declaration order.
+func (e *TFLite) Policy() Policy { return Policy{Order: frameworks.OrderTopo} }
+
 // Reset clears the shape cache.
-func (e *TFLite) Reset() {
-	e.mu.Lock()
-	e.lastShape = map[string]int64{}
-	e.mu.Unlock()
-}
+func (e *TFLite) Reset() { clear(e.last) }
 
-// shapeChanged atomically tests-and-sets the engine's last-seen shape.
-func (e *TFLite) shapeChanged(model string, key int64) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.lastShape[model] == key {
-		return false
-	}
-	e.lastShape[model] = key
-	return true
-}
-
-// Run executes one sample under TFLite's policy.
-func (e *TFLite) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (Report, error) {
-	// Fixed execution path: predicated control flow with frozen gates.
-	res, err := m.Execute(sample, false, OrderTopo)
-	if err != nil {
-		return Report{}, err
-	}
-	tr := res.Trace
+// Price models one sample under TFLite's policy.
+func (e *TFLite) Price(m *frameworks.Compiled, s workload.Sample, tr exec.Trace, dev costmodel.Device) frameworks.Report {
 	phases := map[string]float64{}
-	if e.shapeChanged(m.Builder.Name, sample.ShapeKey) {
-		re := dev.Reinit(len(m.Graph.Nodes), tr.TotalAllocBytes)
-		phases["reinit-sl"] = re.ShapeLayoutMS
-		phases["reinit-st"] = re.ScheduleMS
-		phases["reinit-alloc"] = re.AllocMS
-	}
+	e.last.reinit(phases, m, s, tr, dev)
 
-	fp := staticFusionView(m)
-	prog := TraceProgram(m.Graph, tr, fp.internal)
+	fp := m.FusionStatic()
+	prog := frameworks.TraceProgram(m.Graph, tr, fp.Internal)
 	natural := memplan.BestFit(prog).ArenaSize
 	peak := natural
 	rematFactor := 1.0
@@ -357,22 +365,14 @@ func (e *TFLite) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) 
 			over := float64(rp.PeakBytes)/float64(e.BudgetBytes) - 1
 			rematFactor *= 1 + 0.4*gpuPenalty*over
 		}
-		peak = rp.PeakBytes
-		if peak > e.BudgetBytes {
-			peak = e.BudgetBytes // clamp: the allocator enforces the budget
-		}
+		peak = min(rp.PeakBytes, e.BudgetBytes) // the allocator enforces the budget
 	}
 	opts := costmodel.TraceCostOptions{
-		GroupOf: baselineGroupFn(fp),
+		GroupOf: fp.GroupOf,
 		Eff:     func(exec.OpEvent) float64 { return 1.2 },
 	}
 	phases["infer"] = dev.TraceCost(tr, opts) * dev.MemPressure(natural) / 1000 * rematFactor
-
-	var total float64
-	for _, v := range phases {
-		total += v
-	}
-	return Report{LatencyMS: total, PeakMemBytes: peak, Phases: phases}, nil
+	return frameworks.Report{LatencyMS: sum(phases), PeakMemBytes: peak, Phases: phases}
 }
 
 // rematCandidates derives eviction candidates from a trace: each

@@ -57,7 +57,7 @@ func (s *Suite) Fig5() error {
 		var base float64
 		s.printf("%-16s |", name)
 		for i, lv := range levels {
-			a, err := runEngine(frameworks.NewSoD2(lv.Opts), c, samples, dev)
+			a, err := s.runEngine(NewSoD2(lv.Opts), c, samples, dev)
 			if err != nil {
 				return err
 			}
@@ -92,7 +92,7 @@ func (s *Suite) Fig6() error {
 			var base float64
 			s.printf("%-16s |", name)
 			for i, lv := range levels {
-				a, err := runEngine(frameworks.NewSoD2(lv.Opts), c, samples, dev)
+				a, err := s.runEngine(NewSoD2(lv.Opts), c, samples, dev)
 				if err != nil {
 					return err
 				}
@@ -186,13 +186,13 @@ func (s *Suite) Fig8() error {
 		total := len(c.ExecPlan.Subgraphs)
 		// Latency attribution over one median sample.
 		sample := workload.Fixed(c.Builder, 1, (c.Builder.MinSize+c.Builder.MaxSize)/2, 0.5, s.opts.Seed)[0]
-		res, err := c.Execute(sample, false, frameworks.OrderPlanned)
+		tr, err := s.trace(c, sample, Policy{Order: frameworks.OrderPlanned})
 		if err != nil {
 			return err
 		}
 		latBy := map[plan.SubgraphClass]float64{}
 		var latTotal float64
-		for _, ev := range res.Trace.Events {
+		for _, ev := range tr.Events {
 			if ev.Skipped {
 				continue
 			}
@@ -225,11 +225,11 @@ func (s *Suite) Fig9() error {
 			return err
 		}
 		samples := workload.Samples(c.Builder, s.opts.Samples, s.opts.Seed)
-		aS, err := runEngine(frameworks.NewSoD2(allOpts), c, samples, dev)
+		aS, err := s.runEngine(NewSoD2(allOpts), c, samples, dev)
 		if err != nil {
 			return err
 		}
-		aM, err := runEngine(frameworks.NewMNN(), c, samples, dev)
+		aM, err := s.runEngine(NewMNN(), c, samples, dev)
 		if err != nil {
 			return err
 		}
@@ -255,11 +255,11 @@ func (s *Suite) Fig10() error {
 			s.printf(" %7d", smp.Size)
 		}
 		s.printf("\n")
-		for _, e := range []frameworks.Engine{frameworks.NewMNNWithReinit(), frameworks.NewSoD2(frameworks.FullSoD2())} {
+		for _, e := range []Engine{NewMNNWithReinit(), NewSoD2(frameworks.FullSoD2())} {
 			e.Reset()
 			s.printf("%-8s", e.Name()+":")
 			for _, smp := range samples {
-				r, err := e.Run(c, smp, dev)
+				r, err := s.price(e, c, smp, dev)
 				if err != nil {
 					return err
 				}
@@ -285,20 +285,20 @@ func (s *Suite) Fig11() error {
 		sample := workload.Fixed(c.Builder, 1, c.Builder.MinSize, 0.8, s.opts.Seed)[0]
 		var cells []float64
 		for _, dev := range []costmodel.Device{costmodel.SD888CPU, costmodel.SD888GPU} {
-			sod := frameworks.NewSoD2(frameworks.FullSoD2())
-			rS, err := sod.Run(c, sample, dev)
+			sod := NewSoD2(frameworks.FullSoD2())
+			rS, err := s.price(sod, c, sample, dev)
 			if err != nil {
 				return err
 			}
 			// Budget = SoD²'s peak; TFLite pays rematerialization.
-			tfl := frameworks.NewTFLite(rS.PeakMemBytes)
-			rT, err := tfl.Run(c, sample, dev)
+			tfl := NewTFLite(rS.PeakMemBytes)
+			rT, err := s.price(tfl, c, sample, dev)
 			if err != nil {
 				return err
 			}
 			// Warm TFLite (drop the one-time re-init, as the paper's
 			// steady-state comparison does).
-			rT2, err := tfl.Run(c, sample, dev)
+			rT2, err := s.price(tfl, c, sample, dev)
 			if err != nil {
 				return err
 			}
@@ -326,11 +326,11 @@ func (s *Suite) Fig12() error {
 		sample := workload.Fixed(c.Builder, 1, c.Builder.MinSize, 1.0, s.opts.Seed)[0]
 		var cells []float64
 		for _, dev := range []costmodel.Device{costmodel.SD888CPU, costmodel.SD888GPU} {
-			rS, err := frameworks.NewSoD2(frameworks.FullSoD2()).Run(c, sample, dev)
+			rS, err := s.price(NewSoD2(frameworks.FullSoD2()), c, sample, dev)
 			if err != nil {
 				return err
 			}
-			rD, err := frameworks.NewSoD2(staticOpts).Run(c, sample, dev)
+			rD, err := s.price(NewSoD2(staticOpts), c, sample, dev)
 			if err != nil {
 				return err
 			}
@@ -355,18 +355,18 @@ func (s *Suite) Fig13() error {
 				return err
 			}
 			samples := workload.Samples(c.Builder, s.opts.Samples, s.opts.Seed)
-			aM, err := runEngine(frameworks.NewMNN(), c, samples, dev)
+			aM, err := s.runEngine(NewMNN(), c, samples, dev)
 			if err != nil {
 				return err
 			}
 			s.printf("%-16s |", name)
-			for _, e := range []frameworks.Engine{frameworks.NewORT(), frameworks.NewMNN(),
-				frameworks.NewTVMN(), frameworks.NewSoD2(frameworks.FullSoD2())} {
+			for _, e := range []Engine{NewORT(), NewMNN(),
+				NewTVMN(), NewSoD2(frameworks.FullSoD2())} {
 				if !e.Supports(name, dev) {
 					s.printf(" %7s", "-")
 					continue
 				}
-				a, err := runEngine(e, c, samples, dev)
+				a, err := s.runEngine(e, c, samples, dev)
 				if err != nil {
 					return err
 				}
@@ -391,13 +391,13 @@ func (s *Suite) MemPlanAblation() error {
 		return err
 	}
 	sample := workload.Fixed(c.Builder, 1, c.Builder.MinSize, 0.7, s.opts.Seed)[0]
-	res, err := c.Execute(sample, false, frameworks.OrderBFS)
+	tr, err := s.trace(c, sample, Policy{Order: frameworks.OrderBFS})
 	if err != nil {
 		return err
 	}
 	// The allocation problem a dynamic framework faces: coarse (deferred)
 	// deallocation over the parallelism-first trace.
-	prog := frameworks.TraceProgramDeferred(c.Graph, res.Trace, c.FusionRDP.Internal, 3)
+	prog := frameworks.TraceProgramDeferred(c.Graph, tr, c.FusionRDP.Internal, 3)
 
 	// Full-program comparison against the peak-live lower bound
 	// (optimal >= lower bound, so ratios reported are upper bounds on

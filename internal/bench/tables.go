@@ -20,7 +20,7 @@ func (s *Suite) Table1() error {
 		}
 		row := make([]float64, 8)
 		for di, dev := range []costmodel.Device{costmodel.SD888CPU, costmodel.SD888GPU} {
-			mnn := frameworks.NewMNNWithReinit()
+			mnn := NewMNNWithReinit()
 			samples := workload.Samples(c.Builder, s.opts.Samples, s.opts.Seed)
 			// Force a shape change every run: re-sort so consecutive
 			// samples differ (random sampling already mostly does).
@@ -28,7 +28,7 @@ func (s *Suite) Table1() error {
 			n := 0
 			for _, smp := range samples {
 				mnn.Reset() // new shape every inference (worst case)
-				r, err := mnn.Run(c, smp, dev)
+				r, err := s.price(mnn, c, smp, dev)
 				if err != nil {
 					return err
 				}
@@ -50,13 +50,13 @@ func (s *Suite) Table1() error {
 	return nil
 }
 
-// enginesForComparison builds the Table 5/6 engine set.
-func engines() []frameworks.Engine {
-	return []frameworks.Engine{
-		frameworks.NewORT(),
-		frameworks.NewMNN(),
-		frameworks.NewTVMN(),
-		frameworks.NewSoD2(frameworks.FullSoD2()),
+// engines builds the Table 5/6 engine set.
+func engines() []Engine {
+	return []Engine{
+		NewORT(),
+		NewMNN(),
+		NewTVMN(),
+		NewSoD2(frameworks.FullSoD2()),
 	}
 }
 
@@ -89,7 +89,7 @@ func (s *Suite) Table5() error {
 				s.printf(" %11s %11s |", "-", "-")
 				continue
 			}
-			a, err := runEngine(e, c, samples, dev)
+			a, err := s.runEngine(e, c, samples, dev)
 			if err != nil {
 				return err
 			}
@@ -140,7 +140,7 @@ func (s *Suite) Table6() error {
 					s.printf(" %11s %11s |", "-", "-")
 					continue
 				}
-				a, err := runEngine(e, c, samples, dev)
+				a, err := s.runEngine(e, c, samples, dev)
 				if err != nil {
 					return err
 				}
@@ -179,8 +179,8 @@ func (s *Suite) Table7() error {
 		return err
 	}
 	dev := costmodel.SD888CPU
-	sod2 := frameworks.NewSoD2(frameworks.FullSoD2())
-	baselines := []frameworks.Engine{frameworks.NewORT(), frameworks.NewMNN(), frameworks.NewTVMN()}
+	sod2 := NewSoD2(frameworks.FullSoD2())
+	baselines := []Engine{NewORT(), NewMNN(), NewTVMN()}
 	pcts := []float64{1, 25, 50, 75, 100}
 	s.printf("%-8s |", "Baseline")
 	for _, p := range pcts {
@@ -190,12 +190,12 @@ func (s *Suite) Table7() error {
 	results := map[string][]float64{}
 	for _, p := range pcts {
 		samples := workload.PercentileSamples(c.Builder, s.opts.Samples, p, s.opts.Seed+uint64(p))
-		aS, err := runEngine(sod2, c, samples, dev)
+		aS, err := s.runEngine(sod2, c, samples, dev)
 		if err != nil {
 			return err
 		}
 		for _, e := range baselines {
-			a, err := runEngine(e, c, samples, dev)
+			a, err := s.runEngine(e, c, samples, dev)
 			if err != nil {
 				return err
 			}

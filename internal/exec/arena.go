@@ -51,8 +51,11 @@ type Arena struct {
 	// HighWater is the highest byte actually touched by placements.
 	HighWater int64
 	// Scratch, when non-nil, keeps the kernels' scratch (Conv's im2col
-	// panels) across runs like buf: grown when a kernel asks for more,
-	// never cleared. Nil gives every kernel call fresh scratch.
+	// panels, MaxPool's row pass, the int8 MatMul's widened panel)
+	// across runs like buf: grown when a kernel asks for more, never
+	// cleared. Nil gives every kernel call fresh scratch. An Arena with
+	// no slots and a Scratch is how a run that allocates every
+	// intermediate still keeps its scratch.
 	Scratch *[]float32
 
 	buf []float32

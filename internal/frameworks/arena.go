@@ -10,20 +10,23 @@ import (
 	"repro/internal/symbolic"
 )
 
-// arenaBuf is one planned run's arena storage, kept for the next: the
-// backing buffer — grown to the largest fitted arena it has held, never
-// cleared, because every kernel writes its slot in full before anything
-// reads it — the kernels' scratch, kept the same way, and the offsets
-// and sizes of the layout last fitted into it.
+// arenaBuf is one guarded run's storage, kept for the next: the
+// backing buffer of a planned run's arena — grown to the largest fitted
+// arena it has held, never cleared, because every kernel writes its slot
+// in full before anything reads it — the kernels' scratch, kept the
+// same way on every rung, and the offsets and sizes of the layout last
+// fitted into it.
 type arenaBuf struct {
 	buf, scratch []float32
 	offs, sizes  []int64
+	// bare is the slotless arena of a run with no layout (scratchOnly).
+	bare exec.Arena
 }
 
-// arenaStack holds the arenaBufs of a Compiled that no planned run is
+// arenaStack holds the arenaBufs of a Compiled that no guarded run is
 // using. A run pops one, or makes one when the stack is empty, and
 // pushes it back once its outputs are detached from it, so the stack
-// holds at most one buffer per planned run the Compiled has served at
+// holds at most one buffer per guarded run the Compiled has served at
 // once. Unlike a sync.Pool it has no size classes and the garbage
 // collector never empties it.
 type arenaStack struct {
@@ -75,6 +78,13 @@ func (ab *arenaBuf) fit(l *memplan.Layout, infos map[string]lattice.Info, env sy
 	a := exec.NewArena(l.Index, ab.offs, ab.sizes, ab.buf[:words])
 	a.Scratch = &ab.scratch
 	return a
+}
+
+// scratchOnly is the arena of a run with no layout: no slots, so every
+// intermediate is allocated on the heap, and ab's kept kernel scratch.
+func (ab *arenaBuf) scratchOnly() *exec.Arena {
+	ab.bare.Scratch = &ab.scratch
+	return &ab.bare
 }
 
 // evalBytes evaluates a lattice shape's byte size under env (float32

@@ -1,22 +1,19 @@
-// Package frameworks implements the five DNN execution engines the
-// evaluation compares (paper §2, §5): SoD² itself and policy-faithful
-// simulators of ONNX Runtime, MNN, TVM with the Nimble extension, and
-// TensorFlow Lite. All engines execute the same graphs through the same
-// kernels; they differ in exactly the ways the paper describes — how
-// they handle dynamic shapes (re-initialization, runtime shape
-// functions, dynamic allocation) and dynamic control flow (predicated
-// execution vs execute-all-and-strip), and which optimizations they can
-// apply. Latency comes from the device cost model over the executed
-// trace; memory from each engine's allocator policy over the same trace.
+// Package frameworks is SoD²'s runtime: it compiles a model once (RDP
+// analysis, fusion, the SEP execution order, the region proof) and
+// serves it through the guarded tier ladder (guarded.go), with the
+// compiled-artifact store, weight quantization and the served report.
+// For the evaluation it also executes a sample's trace (Execute) and
+// prices it with the modeled SoD² engine (SoD2: the paper's latency and
+// memory from the device cost model over that trace). The baseline
+// frameworks the paper compares against are pricing policies over the
+// same traces, and live with the experiment harness (internal/bench).
 package frameworks
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/costmodel"
 	"repro/internal/exec"
 	"repro/internal/fold"
 	"repro/internal/fusion"
@@ -55,26 +52,16 @@ type Report struct {
 	RegionCacheHit bool
 }
 
-// Engine is one execution framework.
-type Engine interface {
-	Name() string
-	// Supports mirrors the paper's "-" cells (Table 5/6).
-	Supports(model string, dev costmodel.Device) bool
-	// Run executes one sample and reports latency and peak memory.
-	Run(m *Compiled, s workload.Sample, dev costmodel.Device) (Report, error)
-	// Reset clears shape caches (call between experiments).
-	Reset()
-}
-
-// Compiled caches the per-model artifacts all engines share.
+// Compiled holds one model's compiled artifacts: what serving runs and
+// what the evaluation prices.
 //
 // Concurrency contract: after Compile returns, every exported field is
 // read-only and every method on Compiled is safe for concurrent use —
-// the trace memo, the harness plans, the contract and the region proof
-// are all guarded internally. Callers that mutate a compiled artifact in
-// place (tests corrupting ExecPlan.Order, harnesses swapping plans) must
-// call Invalidate() afterwards and must not race the mutation with
-// inferences.
+// the harness plans, the contract, the region proof and the kept arena
+// buffers are all guarded internally; Execute keeps nothing. Callers
+// that mutate a compiled artifact in place (tests corrupting
+// ExecPlan.Order, harnesses swapping plans) must call Invalidate()
+// afterwards and must not race the mutation with inferences.
 type Compiled struct {
 	Builder   *models.Builder
 	Graph     *graph.Graph
@@ -82,11 +69,6 @@ type Compiled struct {
 	RDPResult *rdp.Result
 	FusionRDP *fusion.Plan
 	ExecPlan  *plan.Plan
-
-	// cacheMu guards traces, the evaluation harness's memo of executor
-	// results by (sample, policy), with bounded per-entry LRU eviction.
-	cacheMu sync.Mutex
-	traces  *lruCache[traceKey, *exec.Result]
 
 	// harnessOnce guards harness, the plans only the evaluation harness
 	// reads, built on first use (harnessplans.go).
@@ -167,9 +149,6 @@ func Counters() CompileCounters {
 	}
 }
 
-// traceCacheCap bounds the (sample, policy) → trace memo.
-const traceCacheCap = 256
-
 // OrderKind selects the execution order policy for Execute.
 type OrderKind uint8
 
@@ -184,46 +163,12 @@ const (
 	OrderPlanned
 )
 
-type traceKey struct {
-	sampleID    uint64
-	allBranches bool
-	order       OrderKind
-}
-
-// Execute runs the graph for one sample, memoizing by (sample, policy):
-// all engines and devices that need the same executor policy share one
-// real execution — the tensors and trace are identical by construction.
-// This is the evaluation harness's memo; no serving path touches it.
-// Safe for concurrent use: the memo is a bounded LRU (hot entries
-// survive eviction). Concurrent misses on one key each execute — the
-// results are identical, and the harness is sequential.
+// Execute runs the graph for one sample under an executor policy —
+// every branch or only the taken ones, in the given order — with the
+// trace's events recorded: the evaluation's execution, which serving
+// never calls. Every call executes; the experiment harness keeps the
+// traces it reuses (internal/bench).
 func (c *Compiled) Execute(s workload.Sample, allBranches bool, kind OrderKind) (*exec.Result, error) {
-	if s.ID == 0 {
-		// Anonymous sample: never memoized.
-		return c.executeUncached(s, allBranches, kind)
-	}
-	key := traceKey{sampleID: s.ID, allBranches: allBranches, order: kind}
-	c.cacheMu.Lock()
-	if c.traces == nil {
-		c.traces = newLRU[traceKey, *exec.Result](traceCacheCap)
-	}
-	r, ok := c.traces.Get(key)
-	c.cacheMu.Unlock()
-	if ok {
-		return r, nil
-	}
-	r, err := c.executeUncached(s, allBranches, kind)
-	if err != nil {
-		return nil, err
-	}
-	c.cacheMu.Lock()
-	c.traces.Add(key, r)
-	c.cacheMu.Unlock()
-	return r, nil
-}
-
-// executeUncached performs the real execution for Execute.
-func (c *Compiled) executeUncached(s workload.Sample, allBranches bool, kind OrderKind) (*exec.Result, error) {
 	var order []*graph.Node
 	switch kind {
 	case OrderPlanned:
@@ -246,17 +191,11 @@ func (c *Compiled) executeUncached(s workload.Sample, allBranches bool, kind Ord
 	return r, nil
 }
 
-// Invalidate drops every memoized runtime artifact — the (sample,
-// policy) trace memo and the static region proof. Call it between
-// experiments (the bench harness does) so traces cannot leak across
-// runs, and after mutating any compiled artifact in place. Cumulative
-// hit/miss counters survive invalidation.
+// Invalidate drops the memoized static region proof; the next request
+// re-verifies. Call it after mutating any compiled artifact in place
+// (the bench harness also calls it between experiments). The cumulative
+// region-hit counter survives invalidation.
 func (c *Compiled) Invalidate() {
-	c.cacheMu.Lock()
-	if c.traces != nil {
-		c.traces.Purge()
-	}
-	c.cacheMu.Unlock()
 	// A mutated artifact invalidates the static proof; Verify() rebuilds
 	// it on demand. The generation bump precedes the drop so an Analyze
 	// that was already running cannot store its stale report afterwards.
@@ -267,30 +206,21 @@ func (c *Compiled) Invalidate() {
 // CacheStats reports the cumulative effectiveness of Compiled's runtime
 // caches.
 type CacheStats struct {
-	// TraceHits/TraceMisses count (sample, policy) trace-memo lookups.
-	TraceHits, TraceMisses uint64
-	// PlanHits/PlanMisses counted the shape-keyed plan cache, which is
-	// gone: they read 0 and stay declared only until the wall-clock
+	// TraceHits/TraceMisses counted the per-model trace memo, which is
+	// gone (the experiment harness keeps its own traces), and
+	// PlanHits/PlanMisses the shape-keyed plan cache, also gone: all
+	// four read 0 and stay declared only until the wall-clock
 	// benchmark's next revision stops reading them.
-	PlanHits, PlanMisses uint64
+	TraceHits, TraceMisses uint64
+	PlanHits, PlanMisses   uint64
 	// RegionHits counts requests served by the statically-proven
 	// shape-family plan (no per-shape verification at all).
 	RegionHits uint64
-	// TraceEntries is the trace memo's current size.
-	TraceEntries int
 }
 
 // Stats snapshots the cache counters.
 func (c *Compiled) Stats() CacheStats {
-	var st CacheStats
-	c.cacheMu.Lock()
-	if c.traces != nil {
-		st.TraceHits, st.TraceMisses = c.traces.Stats()
-		st.TraceEntries = c.traces.Len()
-	}
-	c.cacheMu.Unlock()
-	st.RegionHits = c.regionHits.Load()
-	return st
+	return CacheStats{RegionHits: c.regionHits.Load()}
 }
 
 // buildGraph constructs and statically pre-optimizes a model's graph —
@@ -485,56 +415,4 @@ func TraceProgramDeferred(g *graph.Graph, tr exec.Trace, internal map[string]boo
 		}
 	}
 	return prog
-}
-
-// poolSimArena simulates a caching pool allocator (ONNX Runtime's
-// BFC-arena behaviour under dynamic shapes): freed chunks are reused
-// only for requests within [size, 2×size); everything else grows the
-// arena, which never shrinks.
-func poolSimArena(p *memplan.Program) int64 {
-	type chunk struct{ size int64 }
-	var freed []chunk
-	var arena int64
-	// Chronological events.
-	type ev struct {
-		step  int
-		alloc bool
-		size  int64
-	}
-	var evs []ev
-	for _, b := range p.Bufs {
-		if b.Size == 0 {
-			continue
-		}
-		evs = append(evs, ev{step: b.Birth, alloc: true, size: b.Size})
-		evs = append(evs, ev{step: b.Death + 1, alloc: false, size: b.Size})
-	}
-	// Stable order: by step; frees before allocs at the same step. One
-	// sort replaces the old per-step rescan of every event (which made
-	// the simulation O(steps × events)).
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].step != evs[j].step {
-			return evs[i].step < evs[j].step
-		}
-		return !evs[i].alloc && evs[j].alloc
-	})
-	for _, e := range evs {
-		if !e.alloc {
-			freed = append(freed, chunk{e.size})
-			continue
-		}
-		reused := -1
-		var bestSize int64 = 1 << 62
-		for i, c := range freed {
-			if c.size >= e.size && c.size < 2*e.size && c.size < bestSize {
-				reused, bestSize = i, c.size
-			}
-		}
-		if reused >= 0 {
-			freed = append(freed[:reused], freed[reused+1:]...)
-		} else {
-			arena += e.size
-		}
-	}
-	return arena
 }

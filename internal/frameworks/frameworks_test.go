@@ -30,109 +30,28 @@ func TestCompileAllModels(t *testing.T) {
 	}
 }
 
-func TestSoD2BeatsBaselinesOnCodeBERT(t *testing.T) {
+// Execute keeps nothing: a second call for one sample executes again
+// (fresh event storage), and the trace counters, declared for the
+// wall-clock benchmark, stay at zero.
+func TestExecuteNeverMemoizes(t *testing.T) {
 	c := compiled(t, "CodeBERT")
-	samples := workload.Samples(c.Builder, 4, 11)
-	dev := costmodel.SD888CPU
-
-	sod2 := NewSoD2(FullSoD2())
-	mnn := NewMNN()
-	ort := NewORT()
-
-	var sodLat, mnnLat, ortLat float64
-	var sodMem, mnnMem, ortMem int64
-	for _, s := range samples {
-		r1, err := sod2.Run(c, s, dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := mnn.Run(c, s, dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r3, err := ort.Run(c, s, dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sodLat += r1.LatencyMS
-		mnnLat += r2.LatencyMS
-		ortLat += r3.LatencyMS
-		if r1.PeakMemBytes > sodMem {
-			sodMem = r1.PeakMemBytes
-		}
-		if r2.PeakMemBytes > mnnMem {
-			mnnMem = r2.PeakMemBytes
-		}
-		if r3.PeakMemBytes > ortMem {
-			ortMem = r3.PeakMemBytes
-		}
-	}
-	if sodLat >= mnnLat {
-		t.Errorf("SoD2 latency %.2f >= MNN %.2f", sodLat, mnnLat)
-	}
-	if sodLat >= ortLat {
-		t.Errorf("SoD2 latency %.2f >= ORT %.2f", sodLat, ortLat)
-	}
-	if sodMem > mnnMem {
-		t.Errorf("SoD2 mem %d > MNN %d", sodMem, mnnMem)
-	}
-	if sodMem > ortMem {
-		t.Errorf("SoD2 mem %d > ORT %d", sodMem, ortMem)
-	}
-}
-
-func TestMNNReinitOnlyOnShapeChange(t *testing.T) {
-	c := compiled(t, "CodeBERT")
-	dev := costmodel.SD888CPU
-	mnn := NewMNN()
-	fixed := workload.Fixed(c.Builder, 2, 64, 0.5, 3)
-	r1, err := mnn.Run(c, fixed[0], dev)
+	s := workload.Fixed(c.Builder, 1, 64, 0.5, 7)[0]
+	first, err := c.Execute(s, false, OrderPlanned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Phases["reinit-st"] == 0 {
-		t.Error("first run should re-initialize")
-	}
-	r2, err := mnn.Run(c, fixed[1], dev)
+	again, err := c.Execute(s, false, OrderPlanned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Phases["reinit-st"] != 0 {
-		t.Error("same shape should not re-initialize")
+	if len(first.Trace.Events) == 0 || len(again.Trace.Events) != len(first.Trace.Events) {
+		t.Fatalf("events = %d then %d, want the same non-zero count", len(first.Trace.Events), len(again.Trace.Events))
 	}
-	other := workload.Fixed(c.Builder, 1, 128, 0.5, 3)[0]
-	r3, err := mnn.Run(c, other, dev)
-	if err != nil {
-		t.Fatal(err)
+	if &again.Trace.Events[0] == &first.Trace.Events[0] {
+		t.Error("second Execute of one sample returned the first one's trace")
 	}
-	if r3.Phases["reinit-st"] == 0 {
-		t.Error("shape change should re-initialize")
-	}
-	// Re-initialization dominates the inference itself (Table 1's point).
-	if r3.Phases["reinit-st"]+r3.Phases["reinit-alloc"] < r3.Phases["infer"] {
-		t.Errorf("reinit %.2f+%.2f should exceed infer %.2f",
-			r3.Phases["reinit-st"], r3.Phases["reinit-alloc"], r3.Phases["infer"])
-	}
-}
-
-func TestSupportMatrixMirrorsPaper(t *testing.T) {
-	dev := costmodel.SD888CPU
-	gpu := costmodel.SD888GPU
-	ort, mnn, tvmn := NewORT(), NewMNN(), NewTVMN()
-	if ort.Supports("SegmentAnything", dev) || ort.Supports("Conformer", dev) {
-		t.Error("ORT should not support SAM/Conformer")
-	}
-	if !mnn.Supports("Conformer", dev) || mnn.Supports("SegmentAnything", dev) {
-		t.Error("MNN support wrong")
-	}
-	if !tvmn.Supports("YOLO-V6", dev) || tvmn.Supports("CodeBERT", dev) {
-		t.Error("TVM-N support wrong")
-	}
-	if tvmn.Supports("YOLO-V6", gpu) {
-		t.Error("TVM-N does not support mobile GPU")
-	}
-	if !NewSoD2(FullSoD2()).Supports("SegmentAnything", gpu) {
-		t.Error("SoD2 supports everything")
+	if st := c.Stats(); st.TraceHits != 0 || st.TraceMisses != 0 {
+		t.Errorf("trace counters = %d hits, %d misses, want 0 and 0", st.TraceHits, st.TraceMisses)
 	}
 }
 
@@ -166,48 +85,6 @@ func TestOptBreakdownMonotoneMemory(t *testing.T) {
 	}
 	if full.LatencyMS >= lats[0] {
 		t.Errorf("full %.3f >= no-opt %.3f", full.LatencyMS, lats[0])
-	}
-}
-
-func TestTVMNUsesMostMemory(t *testing.T) {
-	c := compiled(t, "YOLO-V6")
-	dev := costmodel.SD888CPU
-	s := workload.Fixed(c.Builder, 1, 256, 0.5, 7)[0]
-	sod2, _ := NewSoD2(FullSoD2()).Run(c, s, dev)
-	tvmn, err := NewTVMN().Run(c, s, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tvmn.PeakMemBytes < 4*sod2.PeakMemBytes {
-		t.Errorf("TVM-N %d not ≫ SoD2 %d", tvmn.PeakMemBytes, sod2.PeakMemBytes)
-	}
-}
-
-func TestTFLiteRematUnderBudget(t *testing.T) {
-	c := compiled(t, "SkipNet")
-	dev := costmodel.SD888CPU
-	s := workload.Fixed(c.Builder, 1, 224, 0.8, 9)[0]
-	free, err := NewTFLite(0).Run(c, s, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := free.PeakMemBytes / 3
-	capped := NewTFLite(budget)
-	capped.Reset()
-	r, err := capped.Run(c, s, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.PeakMemBytes > budget {
-		t.Errorf("capped mem %d > budget %d", r.PeakMemBytes, budget)
-	}
-	if r.Phases["infer"] < free.Phases["infer"] {
-		t.Errorf("capped run cannot be faster: %.3f vs %.3f", r.Phases["infer"], free.Phases["infer"])
-	}
-	// A budget three times below the natural peak is beyond what
-	// rematerialization can absorb on these chains: paging must cost.
-	if r.Phases["infer"] <= free.Phases["infer"]*1.05 {
-		t.Errorf("infeasible budget should page: %.3f vs %.3f", r.Phases["infer"], free.Phases["infer"])
 	}
 }
 

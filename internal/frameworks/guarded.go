@@ -22,7 +22,9 @@ type GuardOptions struct {
 	// (fault injection, tracing).
 	Hooks *exec.Hooks
 	// ForceDynamic starts the run on the dynamic fallback tier: the
-	// region proof's layout is not used and no arena is taken.
+	// region proof's layout is not used and every intermediate is
+	// allocated; only the kernels' scratch comes from a kept buffer, as
+	// on every rung.
 	// This is the circuit breaker's quarantine/probation serving mode —
 	// the plan is distrusted until re-verification passes, but requests
 	// still complete (contract checking and kernel containment stay on).
@@ -220,17 +222,20 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 }
 
 // runRung is the one place a guarded request executes: exec.Run under
-// the request's Ctx/Hooks/Threads — on a rung with a layout, into a kept
-// arena buffer with the layout fitted to the request — then the epilogue
+// the request's Ctx/Hooks/Threads with a kept arena buffer — on a rung
+// with a layout, the layout fitted to the request into that buffer; on
+// any other, only the buffer's kernel scratch — then the epilogue
 // every tier owes its caller: every graph output produced, outputs
 // detached from the arena (before its buffer goes back to the stack),
 // and the non-finite scan.
 func (c *Compiled) runRung(r rung, inputs map[string]*tensor.Tensor, opts GuardOptions, gr *GuardReport) (*exec.Result, error) {
 	eo := exec.Options{Order: r.order, Ctx: opts.Ctx, Hooks: opts.Hooks, Threads: opts.Threads}
+	ab := c.arenas.pop()
+	defer c.arenas.push(ab)
 	if r.layout != nil {
-		ab := c.arenas.pop()
-		defer c.arenas.push(ab)
 		eo.Arena = ab.fit(r.layout, c.Infos, r.env)
+	} else {
+		eo.Arena = ab.scratchOnly()
 	}
 	res, err := exec.Run(r.graph, inputs, eo)
 	if err != nil {
@@ -244,7 +249,7 @@ func (c *Compiled) runRung(r rung, inputs map[string]*tensor.Tensor, opts GuardO
 				Detail: fmt.Sprintf("%s tier produced no output %q (incomplete schedule)", r.tier, o)}
 		}
 	}
-	if eo.Arena != nil {
+	if r.layout != nil {
 		gr.ArenaHighWater = eo.Arena.HighWater
 		eo.Arena.Detach(res.Outputs)
 	}

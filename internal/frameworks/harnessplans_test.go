@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/costmodel"
+	"repro/internal/fusion"
 	"repro/internal/models"
 	"repro/internal/mvc"
 	"repro/internal/tensor"
@@ -57,43 +58,49 @@ func TestServingLeavesHarnessPlansUnbuilt(t *testing.T) {
 }
 
 // TestHarnessPlansBuildOnceConcurrently races the lazy build: goroutines
-// run the modeled SoD² and MNN engines on one fresh Compiled, whose
-// first use builds the MVC and static fusion plans, and every report
-// equals the serial one's.
+// run the modeled SoD² engine and read the static fusion plan the
+// baselines are priced with on one fresh Compiled, whose first use
+// builds the MVC and static fusion plans. Every report and every static
+// plan (each node's group, each group's members and versions, the
+// internal values) equals the serial one's, and all goroutines share
+// one built plan.
 func TestHarnessPlansBuildOnceConcurrently(t *testing.T) {
 	dev := costmodel.SD888CPU
+	type result struct {
+		rep    Report
+		static staticPlanView
+	}
 	for _, name := range []string{"RaNet", "Conformer"} {
 		b, _ := models.Get(name)
 		s := workload.Fixed(b, 1, b.MinSize, 0.5, 11)[0]
-		run := func(c *Compiled) ([2]Report, error) {
-			var out [2]Report
-			for i, e := range []Engine{NewSoD2(FullSoD2()), NewMNN()} {
-				r, err := e.Run(c, s, dev)
-				if err != nil {
-					return out, err
-				}
-				out[i] = r
-			}
-			return out, nil
+		run := func(c *Compiled) (result, *fusion.Plan, error) {
+			r, err := NewSoD2(FullSoD2()).Run(c, s, dev)
+			fp := c.FusionStatic()
+			return result{r, viewStaticPlan(fp)}, fp, err
 		}
-		want, err := run(compiled(t, name))
+		want, serial, err := run(compiled(t, name))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(want.static.NodeGroup) != len(serial.NodeGroup) {
+			t.Fatalf("%s: node names are not unique, the view by name would hide a misgrouped node", name)
 		}
 		c := compiled(t, name)
 		const goroutines = 8
 		errs := make(chan error, goroutines)
+		plans := make([]*fusion.Plan, goroutines)
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got, err := run(c)
+				got, fp, err := run(c)
+				plans[g] = fp
 				switch {
 				case err != nil:
 					errs <- err
 				case !reflect.DeepEqual(got, want):
-					errs <- fmt.Errorf("%s: concurrent reports %+v, serial %+v", name, got, want)
+					errs <- fmt.Errorf("%s: concurrent result %+v, serial %+v", name, got, want)
 				}
 			}()
 		}
@@ -102,7 +109,42 @@ func TestHarnessPlansBuildOnceConcurrently(t *testing.T) {
 		for err := range errs {
 			t.Error(err)
 		}
+		for g, fp := range plans {
+			if fp != plans[0] {
+				t.Errorf("%s: goroutine %d read a different static plan than goroutine 0", name, g)
+			}
+		}
 	}
+}
+
+// staticPlanView is a fusion plan keyed by node names, so plans built
+// on different Compileds of one model compare with reflect.DeepEqual.
+type staticPlanView struct {
+	Mode      fusion.Mode
+	Groups    []groupView
+	NodeGroup map[string]int
+	Internal  map[string]bool
+}
+
+type groupView struct {
+	ID       int
+	Nodes    []string
+	Versions int
+}
+
+func viewStaticPlan(fp *fusion.Plan) staticPlanView {
+	v := staticPlanView{Mode: fp.Mode, NodeGroup: map[string]int{}, Internal: fp.Internal}
+	for _, g := range fp.Groups {
+		gv := groupView{ID: g.ID, Versions: g.Versions}
+		for _, n := range g.Nodes {
+			gv.Nodes = append(gv.Nodes, n.Name)
+		}
+		v.Groups = append(v.Groups, gv)
+	}
+	for n, gid := range fp.NodeGroup {
+		v.NodeGroup[n.Name] = gid
+	}
+	return v
 }
 
 // TestMVCCoversEveryHotspotEvent checks that MVC's regime enumeration
@@ -126,7 +168,7 @@ func TestMVCCoversEveryHotspotEvent(t *testing.T) {
 		}
 		for _, size := range append(sizes, b.MaxSize) {
 			s := workload.Fixed(b, 1, size, 0.5, 5)[0]
-			res, err := c.executeUncached(s, true, OrderTopo)
+			res, err := c.Execute(s, true, OrderTopo)
 			if err != nil {
 				t.Fatalf("%s size %d: %v", b.Name, size, err)
 			}

@@ -3,7 +3,6 @@ package frameworks
 import (
 	"testing"
 
-	"repro/internal/costmodel"
 	"repro/internal/models"
 	"repro/internal/tensor"
 	"repro/internal/workload"
@@ -57,99 +56,6 @@ func compareOutputs(t *testing.T, label string, ref, got map[string]*tensor.Tens
 			}
 		} else if !tensor.SameShape(r.Shape, g.Shape) {
 			t.Fatalf("%s: output %s shape %v vs %v", label, name, r.Shape, g.Shape)
-		}
-	}
-}
-
-// Every engine must be able to run every model it claims to support on
-// every device it claims to support, and produce sane reports.
-func TestAllEnginesAllSupportedModels(t *testing.T) {
-	engs := []Engine{
-		NewSoD2(FullSoD2()), NewORT(), NewMNN(), NewMNNWithReinit(),
-		NewTVMN(), NewTFLite(0),
-	}
-	devs := []costmodel.Device{costmodel.SD888CPU, costmodel.SD888GPU, costmodel.SD835CPU}
-	for _, b := range models.All() {
-		c, err := Compile(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := workload.Fixed(b, 1, b.MinSize, 0.5, 17)[0]
-		for _, e := range engs {
-			for _, dev := range devs {
-				if !e.Supports(b.Name, dev) {
-					continue
-				}
-				r, err := e.Run(c, s, dev)
-				if err != nil {
-					t.Errorf("%s/%s/%s: %v", e.Name(), b.Name, dev.Name, err)
-					continue
-				}
-				if r.LatencyMS <= 0 || r.PeakMemBytes <= 0 {
-					t.Errorf("%s/%s/%s: degenerate report %+v", e.Name(), b.Name, dev.Name, r)
-				}
-			}
-		}
-	}
-}
-
-// Memory ordering invariant (Table 5's headline): for every model on
-// every supported engine, SoD² uses the least memory.
-func TestSoD2MinimalMemoryAcrossModels(t *testing.T) {
-	dev := costmodel.SD888CPU
-	sod := NewSoD2(FullSoD2())
-	baselines := []Engine{NewORT(), NewMNN(), NewTVMN()}
-	for _, b := range models.All() {
-		c, err := Compile(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := workload.Fixed(b, 1, b.MinSize, 0.5, 23)[0]
-		rs, err := sod.Run(c, s, dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range baselines {
-			if !e.Supports(b.Name, dev) {
-				continue
-			}
-			r, err := e.Run(c, s, dev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rs.PeakMemBytes > r.PeakMemBytes {
-				t.Errorf("%s: SoD2 mem %d > %s mem %d", b.Name, rs.PeakMemBytes, e.Name(), r.PeakMemBytes)
-			}
-		}
-	}
-}
-
-// Latency ordering invariant (Table 6's headline) on the CPU profile.
-func TestSoD2FastestAcrossModels(t *testing.T) {
-	dev := costmodel.SD888CPU
-	sod := NewSoD2(FullSoD2())
-	baselines := []Engine{NewORT(), NewMNN(), NewTVMN()}
-	for _, b := range models.All() {
-		c, err := Compile(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := workload.Fixed(b, 1, b.MinSize, 0.5, 29)[0]
-		rs, err := sod.Run(c, s, dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range baselines {
-			if !e.Supports(b.Name, dev) {
-				continue
-			}
-			r, err := e.Run(c, s, dev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rs.LatencyMS >= r.LatencyMS {
-				t.Errorf("%s: SoD2 %.3fms >= %s %.3fms", b.Name, rs.LatencyMS, e.Name(), r.LatencyMS)
-			}
 		}
 	}
 }

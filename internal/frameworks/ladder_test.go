@@ -149,9 +149,82 @@ func TestForceDynamicBuildsNoPlan(t *testing.T) {
 	if gr.Tier != guard.TierDynamic || len(gr.Degradations) != 1 || gr.Degradations[0].Kind != guard.KindQuarantine {
 		t.Errorf("tier %v, degradations %+v: want one quarantine step to dynamic", gr.Tier, gr.Degradations)
 	}
-	if gr.ArenaHighWater != 0 || len(c.arenas.free) != 0 {
-		t.Errorf("arena high water %d, %d kept buffers: ForceDynamic took an arena it never uses",
-			gr.ArenaHighWater, len(c.arenas.free))
+	if gr.ArenaHighWater != 0 {
+		t.Errorf("arena high water %d: ForceDynamic placed tensors in an arena", gr.ArenaHighWater)
+	}
+	// The run kept its kernel scratch in a buffer of the stack, but laid
+	// no arena over it.
+	for _, ab := range c.arenas.free {
+		if cap(ab.buf) != 0 || len(ab.offs) != 0 {
+			t.Errorf("ForceDynamic fitted an arena: %d floats, %d slots", cap(ab.buf), len(ab.offs))
+		}
+	}
+}
+
+// convPoolModel is k shape-keeping Conv→MaxPool pairs (3×3, stride 1,
+// padding 1) over x[1,4,S,S]: every node takes kernel scratch.
+func convPoolModel(k int) *models.Builder {
+	name := fmt.Sprintf("toy-convpool-%d", k)
+	return &models.Builder{
+		Name: name, MinSize: 8, MaxSize: 16, SizeStep: 1,
+		Build: func() *graph.Graph {
+			g := graph.New(name)
+			side := lattice.FromExpr(symbolic.NewSym("S"))
+			g.AddInput("x", tensor.Float32, lattice.Ranked(lattice.FromInt(1), lattice.FromInt(4), side, side))
+			x := "x"
+			for i := range k {
+				w, conv, pool := fmt.Sprintf("w%d", i), fmt.Sprintf("conv%d", i), fmt.Sprintf("pool%d", i)
+				g.AddInitializer(w, tensor.RandomFloats(tensor.NewRNG(uint64(i+1)), 1, 4, 4, 3, 3))
+				g.Op("Conv", conv, []string{x, w}, []string{conv}, map[string]graph.AttrValue{
+					"pads": graph.IntsAttr(1, 1, 1, 1)})
+				g.Op("MaxPool", pool, []string{conv}, []string{pool}, map[string]graph.AttrValue{
+					"kernel_shape": graph.IntsAttr(3, 3), "pads": graph.IntsAttr(1, 1, 1, 1)})
+				x = pool
+			}
+			g.AddOutput(x)
+			return g
+		},
+		Inputs: func(rng *tensor.RNG, size int64, _ float32) map[string]*tensor.Tensor {
+			return map[string]*tensor.Tensor{"x": tensor.RandomFloats(rng, 1, 1, 4, size, size)}
+		},
+	}
+}
+
+// TestForceDynamicKeepsScratch: the dynamic rung keeps its kernels'
+// scratch across runs, as the planned rung does, so a dynamic run's
+// allocations grow with its Conv and MaxPool nodes only by their
+// outputs' headers and payloads — exactly as fast as those of an
+// exec.Run handed one kept scratch buffer, whatever the node count.
+func TestForceDynamicKeepsScratch(t *testing.T) {
+	// growth is the allocations one Conv→MaxPool pair adds to a run.
+	growth := func(run func(c *Compiled, in map[string]*tensor.Tensor)) float64 {
+		const few, many = 1, 5
+		var n [2]float64
+		for i, k := range []int{few, many} {
+			b := convPoolModel(k)
+			c, err := Compile(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := b.Inputs(tensor.NewRNG(5), 12, 0.5)
+			n[i] = testing.AllocsPerRun(20, func() { run(c, in) })
+		}
+		return (n[1] - n[0]) / (many - few)
+	}
+	dynamic := growth(func(c *Compiled, in map[string]*tensor.Tensor) {
+		if _, _, err := c.GuardedRun(in, GuardOptions{ForceDynamic: true}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var kept []float32
+	reference := growth(func(c *Compiled, in map[string]*tensor.Tensor) {
+		if _, err := exec.Run(c.Graph, in, exec.Options{Order: c.ExecPlan.Order, Arena: &exec.Arena{Scratch: &kept}}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if dynamic > reference {
+		t.Errorf("a Conv→MaxPool pair adds %.2f allocations to a dynamic run, %.2f to a run with kept scratch: scratch is allocated per call",
+			dynamic, reference)
 	}
 }
 
@@ -364,6 +437,8 @@ func TestTierEquivalence(t *testing.T) {
 								t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
 									opts := lc.opts
 									opts.Threads = threads
+									// Every rung runs over stale kept storage.
+									poisonKeptArenas(c)
 									res, gr, err := c.GuardedRun(in, opts)
 									if err != nil {
 										t.Fatalf("guarded run: %v (%+v)", err, gr.Degradations)

@@ -3,7 +3,6 @@ package frameworks
 import (
 	"repro/internal/costmodel"
 	"repro/internal/exec"
-	"repro/internal/graph"
 	"repro/internal/guard"
 	"repro/internal/memplan"
 	"repro/internal/workload"
@@ -37,54 +36,30 @@ type SoD2 struct {
 // NewSoD2 builds the engine with the given optimization set.
 func NewSoD2(opts SoD2Options) *SoD2 { return &SoD2{Opts: opts} }
 
-// Name identifies the engine (reflecting disabled optimizations).
-func (s *SoD2) Name() string {
-	if s.Opts.StaticFrozen {
-		return "DNNFusion-static"
-	}
-	if s.Opts == FullSoD2() {
-		return "SoD2"
-	}
-	n := "SoD2[no-opt"
-	if s.Opts.Fusion {
-		n += "+Fusion"
-	}
+// ExecPolicy is the executor policy whose trace the configured
+// optimization set is priced over: the planned order with SEP, the
+// breadth-first one without, every branch only with ExecuteAllBranches.
+// Run executes under it, and so does the experiment harness.
+func (s *SoD2) ExecPolicy() (allBranches bool, order OrderKind) {
+	order = OrderBFS
 	if s.Opts.SEP {
-		n += "+SEP"
+		order = OrderPlanned
 	}
-	if s.Opts.DMP {
-		n += "+DMP"
-	}
-	if s.Opts.MVC {
-		n += "+MVC"
-	}
-	return n + "]"
+	return s.Opts.ExecuteAllBranches, order
 }
 
-// Supports: SoD² runs every model on every device.
-func (s *SoD2) Supports(string, costmodel.Device) bool { return true }
-
-// Reset is a no-op: the engine itself keeps no per-shape state. The
-// shape-dependent memoization (executor traces, verified plans) lives on
-// Compiled — harnesses clear it with Compiled.Invalidate() between
-// experiments.
-func (s *SoD2) Reset() {}
-
-// Run executes one sample under the configured optimization set and
-// models its report from the executed trace.
+// Run executes one sample under the configured optimization set (one
+// Execute, never reused) and models its report from the executed trace.
 func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (Report, error) {
-	kind := OrderBFS
-	if s.Opts.SEP {
-		kind = OrderPlanned
-	}
-	res, err := m.Execute(sample, s.Opts.ExecuteAllBranches, kind)
+	allBranches, kind := s.ExecPolicy()
+	res, err := m.Execute(sample, allBranches, kind)
 	var degradations []guard.Degradation
 	fallbackTier := guard.TierPlanned
 	if err != nil && kind == OrderPlanned {
 		// The planned schedule failed (a corrupted or stale plan): fall
 		// back to declaration order, which is always a valid schedule,
 		// and record the degradation rather than failing the inference.
-		res, err = m.Execute(sample, s.Opts.ExecuteAllBranches, OrderTopo)
+		res, err = m.Execute(sample, allBranches, OrderTopo)
 		if err == nil {
 			fallbackTier = guard.TierDynamic
 			degradations = append(degradations, guard.Degradation{
@@ -107,8 +82,8 @@ func (s *SoD2) Run(m *Compiled, sample workload.Sample, dev costmodel.Device) (R
 // device model over the trace's events, peak memory from the configured
 // allocator policy over the same events. It executes nothing and reads
 // only shapes, names and byte sizes from the trace, so the trace of any
-// observed run of m serves — the evaluation harness's memoized Execute
-// or a guarded run with exec.Hooks attached. The report carries no tier
+// observed run of m serves — an Execute, the experiment harness's kept
+// traces, or a guarded run with exec.Hooks attached. The report carries no tier
 // or degradations, which belong to whoever executed the trace.
 func (s *SoD2) Model(m *Compiled, tr exec.Trace, dev costmodel.Device) Report {
 
@@ -118,12 +93,7 @@ func (s *SoD2) Model(m *Compiled, tr exec.Trace, dev costmodel.Device) Report {
 	if s.Opts.Fusion {
 		fp := m.FusionRDP
 		internal = fp.Internal
-		opts.GroupOf = func(n *graph.Node) int {
-			if gid, ok := fp.NodeGroup[n]; ok {
-				return gid
-			}
-			return -1
-		}
+		opts.GroupOf = fp.GroupOf
 		opts.InternalBytes = func(ev exec.OpEvent) int64 {
 			var b int64
 			for i, name := range ev.OutNames {
@@ -179,7 +149,7 @@ func (s *SoD2) Model(m *Compiled, tr exec.Trace, dev costmodel.Device) Report {
 		// Without DMP every tensor goes through the dynamic allocator.
 		mallocUS := float64(tr.AllocCount) * dev.MallocUS
 		phases["malloc"] = mallocUS / 1000
-		peak = poolSimArena(prog)
+		peak = memplan.PoolArena(prog)
 	}
 
 	inferUS := dev.TraceCost(tr, opts) * dev.MemPressure(peak)

@@ -359,6 +359,15 @@ func groupVersions(grp *Group, g *graph.Graph, infos map[string]lattice.Info, mo
 	return 1 << unresolved
 }
 
+// GroupOf is the ID of n's fusion group, or -1 when no group holds n
+// (the cost model's view of a plan).
+func (p *Plan) GroupOf(n *graph.Node) int {
+	if gid, ok := p.NodeGroup[n]; ok {
+		return gid
+	}
+	return -1
+}
+
 // LayerCount is the number of fused layers (groups).
 func (p *Plan) LayerCount() int { return len(p.Groups) }
 

@@ -4,7 +4,8 @@
 // arena so that concurrently-live tensors never overlap. Three planners
 // are provided: SoD²'s peak-first bidirectional greedy, the MNN-style
 // best-fit greedy baseline, and an exhaustive optimal search for small
-// programs (used by the 1.05×-vs-1.16×-of-optimal ablation).
+// programs (used by the 1.05×-vs-1.16×-of-optimal ablation). PoolArena
+// prices the planless alternative, a caching pool allocator.
 package memplan
 
 import (
@@ -154,6 +155,54 @@ func BestFit(p *Program) *Plan {
 	bufs := append([]Buf(nil), p.Bufs...)
 	sort.SliceStable(bufs, func(i, j int) bool { return bufs[i].Birth < bufs[j].Birth })
 	return finish(p, placeAll(bufs, bestFit), "best-fit")
+}
+
+// PoolArena simulates a caching pool allocator (ONNX Runtime's
+// BFC-arena behaviour under dynamic shapes) over p and returns the arena
+// it grows to: a freed chunk is reused only for a request within
+// [size, 2×size); everything else grows the arena, which never shrinks.
+func PoolArena(p *Program) int64 {
+	type ev struct {
+		step  int
+		alloc bool
+		size  int64
+	}
+	var evs []ev
+	for _, b := range p.Bufs {
+		if b.Size == 0 {
+			continue
+		}
+		evs = append(evs, ev{step: b.Birth, alloc: true, size: b.Size})
+		evs = append(evs, ev{step: b.Death + 1, alloc: false, size: b.Size})
+	}
+	// Chronological, frees before allocs at the same step.
+	sort.SliceStable(evs, func(i, j int) bool {
+		if evs[i].step != evs[j].step {
+			return evs[i].step < evs[j].step
+		}
+		return !evs[i].alloc && evs[j].alloc
+	})
+	var freed []int64
+	var arena int64
+	for _, e := range evs {
+		if !e.alloc {
+			freed = append(freed, e.size)
+			continue
+		}
+		reused := -1
+		var bestSize int64 = 1 << 62
+		for i, c := range freed {
+			if c >= e.size && c < 2*e.size && c < bestSize {
+				reused, bestSize = i, c
+			}
+		}
+		if reused >= 0 {
+			freed = append(freed[:reused], freed[reused+1:]...)
+		} else {
+			arena += e.size
+		}
+	}
+	return arena
 }
 
 // PeakFirst is SoD²'s planner: placement starts from the peak-memory

@@ -16,8 +16,8 @@ import (
 
 // Sample is one concrete inference input.
 type Sample struct {
-	// ID uniquely identifies the sample within a generator call
-	// (engines use it to memoize executor traces).
+	// ID uniquely identifies the sample process-wide (the experiment
+	// harness keys its executed traces by it); 0 is an anonymous sample.
 	ID       uint64
 	Size     int64
 	GateBias float32
@@ -26,9 +26,9 @@ type Sample struct {
 	ShapeKey int64
 }
 
-// sampleIDCounter is atomic so concurrent serving paths can generate
-// samples without racing on IDs (duplicate IDs would alias distinct
-// inputs in the engines' trace memo).
+// sampleIDCounter is atomic so concurrent callers can generate samples
+// without racing on IDs (duplicate IDs would alias distinct inputs in
+// the experiment harness's traces).
 var sampleIDCounter atomic.Uint64
 
 func nextID() uint64 { return sampleIDCounter.Add(1) }

@@ -13,14 +13,14 @@ import (
 	"repro/internal/resilience"
 )
 
-// CacheStats snapshots a compiled model's runtime-cache effectiveness
-// (trace memo hit/miss counters and region-proof hits).
+// CacheStats snapshots a compiled model's runtime-cache effectiveness:
+// region-proof hits. Its trace and plan hit/miss counters belonged to
+// caches that are gone and read 0.
 type CacheStats = frameworks.CacheStats
 
-// Invalidate drops the compiled model's memoized runtime artifacts —
-// the (sample, policy) trace memo and the static region proof (the next
-// request re-proves it). Call it between experiments, and after mutating
-// any compiled artifact in place. Cumulative hit/miss counters survive.
+// Invalidate drops the compiled model's memoized static region proof
+// (the next request re-proves it). Call it after mutating any compiled
+// artifact in place. The cumulative region-hit counter survives.
 func (c *Compiled) Invalidate() { c.inner.Invalidate() }
 
 // CacheStats snapshots the compiled model's cache counters.

@@ -181,8 +181,7 @@ func TestSessionStatsCounts(t *testing.T) {
 		t.Errorf("retired counters moved: coalesced %d, plan %d hits / %d misses",
 			st.Coalesced, st.Cache.PlanHits, st.Cache.PlanMisses)
 	}
-	// A served request is one guarded execution; the evaluation
-	// harness's trace memo is never consulted.
+	// The retired trace-memo counters read 0 too.
 	if st.Cache.TraceMisses != 0 || st.Cache.TraceHits != 0 {
 		t.Errorf("trace counters = %d hits / %d misses, want 0/0", st.Cache.TraceHits, st.Cache.TraceMisses)
 	}
