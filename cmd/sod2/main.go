@@ -53,12 +53,10 @@ func main() {
 	storeDir := fs.String("store", "", "serve: compiled-artifact store directory (warm-boots from saved artifacts; cold compiles save into it)")
 	jsonOut := fs.Bool("json", false, "lint: emit machine-readable JSON reports instead of text")
 	addr := fs.String("addr", "127.0.0.1:8080", "serve: listen address")
-	batchWindow := fs.Duration("batch-window", 2*time.Millisecond, "serve: cross-request coalescing window (0 = per-request serving)")
-	batchMax := fs.Int("batch-max", 8, "serve: flush a shape-family bucket at this size")
 	qps := fs.Float64("qps", 0, "serve: per-client token-bucket rate (0 = no quota)")
 	burst := fs.Int("burst", 0, "serve: per-client token-bucket burst (0 = derived from -qps)")
 	drainGrace := fs.Duration("drain-grace", 2*time.Second, "serve: readiness-flip to listener-close grace period on SIGTERM")
-	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "serve: bound on flushing buckets and closing sessions")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "serve: bound on closing the listener and the sessions")
 	seed := fs.Uint64("seed", 42, "sample: RNG seed for the generated inputs")
 	_ = fs.Parse(os.Args[2:])
 
@@ -78,8 +76,7 @@ func main() {
 		runCmd(*modelName, *size, float32(*gate), *device)
 	case "serve":
 		serveCmd(*modelName, *device, *addr, *storeDir,
-			*batchWindow, *batchMax, *maxConc, *maxQueue, *deadline,
-			*qps, *burst, *drainGrace, *drainTimeout)
+			*maxConc, *maxQueue, *deadline, *qps, *burst, *drainGrace, *drainTimeout)
 	case "sample":
 		sampleCmd(*modelName, *size, *gate, *seed)
 	case "lint":

@@ -58,9 +58,7 @@ func TestBadFlagValuesFail(t *testing.T) {
 		{[]string{"sample", "-model", "SkipNet", "-size", "-1"}, 2, "-size (-1) must be non-negative"},
 		{[]string{"serve", "-model", "SkipNet", "-burst", "-1"}, 2, "-burst (-1) must be non-negative"},
 		{[]string{"serve", "-drain-grace", "-2s"}, 2, "-drain-grace (-2s) must be non-negative"},
-		{[]string{"serve", "-batch-window", "-1ms"}, 2, "-batch-window (-1ms) must be non-negative"},
 		{[]string{"serve", "-drain-timeout", "-3s"}, 2, "-drain-timeout (-3s) must be non-negative"},
-		{[]string{"serve", "-batch-max", "-1"}, 2, "-batch-max (-1) must be non-negative"},
 		{[]string{"serve", "-max-concurrent", "-1"}, 2, "-max-concurrent (-1) must be non-negative"},
 		{[]string{"serve", "-max-queue", "-1"}, 2, "-max-queue (-1) must be non-negative"},
 		{[]string{"serve", "-deadline", "-1s"}, 2, "-deadline (-1s) must be non-negative"},
@@ -94,6 +92,18 @@ func TestServeBenchRemoved(t *testing.T) {
 		code, stderr := runCLI(t, "models", "-"+f, "1")
 		if want := "flag provided but not defined: -" + f; code != 2 || !strings.Contains(stderr, want) {
 			t.Errorf("sod2 models -%s 1: exit %d, stderr %q; want exit 2 with %q", f, code, stderr, want)
+		}
+	}
+}
+
+// Cross-request batching is gone, and with it -batch-window and
+// -batch-max: each is a usage error, so a script that still passes one
+// fails instead of having it ignored.
+func TestBatchFlagsRemoved(t *testing.T) {
+	for _, args := range [][]string{{"serve", "-batch-window", "2ms"}, {"serve", "-batch-max", "8"}} {
+		code, stderr := runCLI(t, args...)
+		if want := "flag provided but not defined: " + args[1]; code != 2 || !strings.Contains(stderr, want) {
+			t.Errorf("sod2 %s: exit %d, stderr %q; want exit 2 with %q", strings.Join(args, " "), code, stderr, want)
 		}
 	}
 }

@@ -45,8 +45,7 @@ func resolveServeModels(list string) []*models.Builder {
 // summary: how many models came up warm, and the process's compile
 // counters, which read zero compile work when every model warm-booted.
 func bootServer(builders []*models.Builder, device, storeDir string,
-	batchWindow time.Duration, batchMax, maxConc, maxQueue int,
-	deadline time.Duration, qps float64, burst int) *server.Server {
+	maxConc, maxQueue int, deadline time.Duration, qps float64, burst int) *server.Server {
 	var st *sod2.ArtifactStore
 	if storeDir != "" {
 		var err error
@@ -99,7 +98,6 @@ func bootServer(builders []*models.Builder, device, storeDir string,
 			ctr.FullCompiles, ctr.WarmLoads, ctr.PlanSearches, ctr.VerifyRuns)
 	}
 	srv, err := server.New(served, server.Config{
-		Batch: server.BatchConfig{Window: batchWindow, MaxBatch: batchMax},
 		Quota: server.QuotaConfig{RatePerSec: qps, Burst: burst},
 	})
 	if err != nil {
@@ -111,15 +109,14 @@ func bootServer(builders []*models.Builder, device, storeDir string,
 // serveCmd boots the HTTP serving front-end over one or more models and
 // runs until SIGTERM/SIGINT, then drains gracefully: readiness flips
 // first (load balancers stop routing), a grace period passes, the
-// listener closes, pending batch buckets flush, and the sessions close.
+// listener closes, and the sessions close once their in-flight
+// requests finish.
 func serveCmd(modelList, device, addr, storeDir string,
-	batchWindow time.Duration, batchMax, maxConc, maxQueue int,
-	deadline time.Duration, qps float64, burst int,
+	maxConc, maxQueue int, deadline time.Duration, qps float64, burst int,
 	drainGrace, drainTimeout time.Duration) {
 	builders := resolveServeModels(modelList)
 	fmt.Printf("booting %d model(s):\n", len(builders))
-	srv := bootServer(builders, device, storeDir,
-		batchWindow, batchMax, maxConc, maxQueue, deadline, qps, burst)
+	srv := bootServer(builders, device, storeDir, maxConc, maxQueue, deadline, qps, burst)
 
 	hs := srv.HTTPServer(addr)
 	ln, err := net.Listen("tcp", addr)
@@ -128,8 +125,7 @@ func serveCmd(modelList, device, addr, storeDir string,
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
-	fmt.Printf("serving on http://%s (batch window %v, POST /v1/models/{name}/infer)\n",
-		ln.Addr(), batchWindow)
+	fmt.Printf("serving on http://%s (POST /v1/models/{name}/infer)\n", ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	select {
@@ -142,7 +138,7 @@ func serveCmd(modelList, device, addr, storeDir string,
 
 	// Graceful drain: flip readiness immediately so /readyz reports 503
 	// while the listener still answers probes, wait out the grace
-	// period, then stop accepting and flush/close everything.
+	// period, then stop accepting and close everything.
 	fmt.Fprintf(os.Stderr, "sod2 serve: signal received, draining (grace %v)\n", drainGrace)
 	srv.StartDraining()
 	time.Sleep(drainGrace)

@@ -100,16 +100,24 @@ type Options struct {
 	Threads int
 }
 
-// subOptions derives the options an If/Loop body run inherits. Arena and
-// Order are dropped: a body runs in its own declaration order with
-// dynamic allocation.
-func (o Options) subOptions() Options {
-	return Options{
+// subOptions derives the options an If/Loop body run inherits. Order
+// and the arena's slots are dropped: a body runs in its own declaration
+// order with dynamic allocation. Its kernels keep the run's scratch,
+// through bodyArena, a slotless arena held on the executor, so a body
+// run allocates nothing more for it.
+func (ex *executor) subOptions() Options {
+	o := ex.opts
+	sub := Options{
 		ExecuteAllBranches: o.ExecuteAllBranches,
 		Ctx:                o.Ctx,
 		Hooks:              o.Hooks,
 		Threads:            o.Threads,
 	}
+	if o.Arena != nil && o.Arena.Scratch != nil {
+		ex.bodyArena.Scratch = o.Arena.Scratch
+		sub.Arena = &ex.bodyArena
+	}
+	return sub
 }
 
 // Result bundles the outputs and the trace of one inference.
@@ -142,6 +150,9 @@ type executor struct {
 	// with an arena, dest, which hands each kernel its outputs' slots.
 	kc   kernels.Ctx
 	dest arenaDest
+	// bodyArena carries the run's kept scratch, and no slots, into its
+	// If/Loop bodies (subOptions).
+	bodyArena Arena
 }
 
 func (ex *executor) run(inputs map[string]*tensor.Tensor) (*Result, error) {
@@ -566,7 +577,7 @@ func (ex *executor) execIf(n *graph.Node) error {
 				bindings[bin.Name] = in[i+1]
 			}
 		}
-		return Run(body, bindings, ex.opts.subOptions())
+		return Run(body, bindings, ex.subOptions())
 	}
 	cond := truthy(in[0])
 	var chosen *Result
@@ -681,7 +692,7 @@ func (ex *executor) execLoop(n *graph.Node) error {
 				}
 			}
 		}
-		r, err := Run(body, bindings, ex.opts.subOptions())
+		r, err := Run(body, bindings, ex.subOptions())
 		if err != nil {
 			return err
 		}

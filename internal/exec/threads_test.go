@@ -143,9 +143,15 @@ func TestThreadsControlFlowAndSkips(t *testing.T) {
 		}
 		assertIdentical(t, seq, par)
 	}
-	// If/Loop bodies run with the parent's budget.
-	if sub := (Options{Threads: 4, Arena: &Arena{}}).subOptions(); sub.Threads != 4 || sub.Arena != nil {
-		t.Fatalf("body options %+v: want Threads 4 and no arena", sub)
+	// If/Loop bodies run with the parent's budget and scratch, never
+	// its slots.
+	var kept []float32
+	parent := &executor{opts: Options{Threads: 4, Arena: &Arena{Slots: map[string]int{"y": 0}, Scratch: &kept}}}
+	if sub := parent.subOptions(); sub.Threads != 4 || sub.Arena == nil || sub.Arena.Slots != nil || sub.Arena.Scratch != &kept {
+		t.Fatalf("body options %+v: want Threads 4 and a slotless arena with the parent's scratch", sub)
+	}
+	if sub := (&executor{opts: Options{Threads: 4}}).subOptions(); sub.Arena != nil {
+		t.Fatalf("body of a run without an arena got one: %+v", sub.Arena)
 	}
 }
 

@@ -7,22 +7,19 @@ import (
 	"repro/internal/tensor"
 )
 
-// FamilyKey returns the shape-family bucket key the serving layer
-// coalesces cross-request batches under, and whether the key is the
-// statically proven region ("shape family") key.
+// FamilyKey returns the shape-family key of one concrete input set, and
+// whether the key is the statically proven region ("shape family") key.
 //
 // When the static verifier proved the memory plan over the model's
 // whole input region and the concrete inputs bind inside that region,
-// every such request shares ONE key — the region proof is the shape
-// family: a single verified plan (and a single admission reservation)
-// serves every in-region shape, so requests for different in-region
-// shapes may still ride the same coalesced batch. Outside the region
-// (or for an unprovable model) the key degrades to the concrete input
-// dtypes and dims: only identically-shaped requests coalesce.
+// every such input set shares ONE key — the region proof is the shape
+// family: a single verified plan serves every in-region shape. Outside
+// the region (or for an unprovable model) the key degrades to the
+// concrete input dtypes and dims. An empty key means the inputs do not
+// name every graph input.
 //
-// An empty key (inputs that do not even name every graph input) means
-// the request cannot be bucketed; callers should serve it individually
-// and let the guarded run surface the structured error.
+// No serving path calls it; sod2.Compiled.FamilyKey keeps it for the
+// wall-clock benchmark.
 func (c *Compiled) FamilyKey(inputs map[string]*tensor.Tensor) (string, bool) {
 	if rep := c.Verify(); rep.Mem.Proven {
 		if env, err := c.Contract().BindInputs(inputs); err == nil && rep.Region.ContainsEnv(env) {

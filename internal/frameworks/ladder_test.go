@@ -190,18 +190,77 @@ func convPoolModel(k int) *models.Builder {
 	}
 }
 
+// convIfModel is k shape-keeping 3×3 Convs over x[1,4,S,S] and an If
+// on a constant true condition whose branches both return their input
+// x. With inBody the Convs run inside the taken branch, else before the
+// If.
+func convIfModel(k int, inBody bool) *models.Builder {
+	name := fmt.Sprintf("toy-convif-%d-%v", k, inBody)
+	convs := func(g *graph.Graph, x string) string {
+		for i := range k {
+			w, conv := fmt.Sprintf("w%d", i), fmt.Sprintf("conv%d", i)
+			g.AddInitializer(w, tensor.RandomFloats(tensor.NewRNG(uint64(i+1)), 1, 4, 4, 3, 3))
+			g.Op("Conv", conv, []string{x, w}, []string{conv}, map[string]graph.AttrValue{
+				"pads": graph.IntsAttr(1, 1, 1, 1)})
+			x = conv
+		}
+		return x
+	}
+	branch := func(bname string, withConvs bool) *graph.Graph {
+		g := graph.New(bname)
+		g.AddInput("bx", tensor.Float32, lattice.UndefShape())
+		out := "bx"
+		if withConvs {
+			out = convs(g, out)
+		}
+		g.Op("Identity", "bout", []string{out}, []string{"by"}, nil)
+		g.AddOutput("by")
+		return g
+	}
+	return &models.Builder{
+		Name: name, MinSize: 8, MaxSize: 16, SizeStep: 1,
+		Build: func() *graph.Graph {
+			g := graph.New(name)
+			side := lattice.FromExpr(symbolic.NewSym("S"))
+			g.AddInput("x", tensor.Float32, lattice.Ranked(lattice.FromInt(1), lattice.FromInt(4), side, side))
+			g.AddInitializer("cond", tensor.ScalarBool(true))
+			x := "x"
+			if !inBody {
+				x = convs(g, x)
+			}
+			g.Op("If", "if", []string{"cond", x}, []string{"y"}, map[string]graph.AttrValue{
+				"then_branch": graph.GraphAttr(branch("then", inBody)),
+				"else_branch": graph.GraphAttr(branch("else", false)),
+			})
+			g.AddOutput("y")
+			return g
+		},
+		Inputs: func(rng *tensor.RNG, size int64, _ float32) map[string]*tensor.Tensor {
+			return map[string]*tensor.Tensor{"x": tensor.RandomFloats(rng, 1, 1, 4, size, size)}
+		},
+	}
+}
+
 // TestForceDynamicKeepsScratch: the dynamic rung keeps its kernels'
 // scratch across runs, as the planned rung does, so a dynamic run's
 // allocations grow with its Conv and MaxPool nodes only by their
 // outputs' headers and payloads — exactly as fast as those of an
-// exec.Run handed one kept scratch buffer, whatever the node count.
+// exec.Run handed one kept scratch buffer, whatever the node count. A
+// Conv inside a taken If branch keeps it too: it adds exactly the
+// allocations of a Conv before the If.
 func TestForceDynamicKeepsScratch(t *testing.T) {
-	// growth is the allocations one Conv→MaxPool pair adds to a run.
-	growth := func(run func(c *Compiled, in map[string]*tensor.Tensor)) float64 {
+	dynamicRun := func(c *Compiled, in map[string]*tensor.Tensor) {
+		if _, _, err := c.GuardedRun(in, GuardOptions{ForceDynamic: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// growth is the allocations one Conv→MaxPool pair (or one Conv of
+	// convIfModel) adds to a run.
+	growth := func(model func(k int) *models.Builder, run func(c *Compiled, in map[string]*tensor.Tensor)) float64 {
 		const few, many = 1, 5
 		var n [2]float64
 		for i, k := range []int{few, many} {
-			b := convPoolModel(k)
+			b := model(k)
 			c, err := Compile(b)
 			if err != nil {
 				t.Fatal(err)
@@ -211,13 +270,9 @@ func TestForceDynamicKeepsScratch(t *testing.T) {
 		}
 		return (n[1] - n[0]) / (many - few)
 	}
-	dynamic := growth(func(c *Compiled, in map[string]*tensor.Tensor) {
-		if _, _, err := c.GuardedRun(in, GuardOptions{ForceDynamic: true}); err != nil {
-			t.Fatal(err)
-		}
-	})
+	dynamic := growth(convPoolModel, dynamicRun)
 	var kept []float32
-	reference := growth(func(c *Compiled, in map[string]*tensor.Tensor) {
+	reference := growth(convPoolModel, func(c *Compiled, in map[string]*tensor.Tensor) {
 		if _, err := exec.Run(c.Graph, in, exec.Options{Order: c.ExecPlan.Order, Arena: &exec.Arena{Scratch: &kept}}); err != nil {
 			t.Fatal(err)
 		}
@@ -225,6 +280,13 @@ func TestForceDynamicKeepsScratch(t *testing.T) {
 	if dynamic > reference {
 		t.Errorf("a Conv→MaxPool pair adds %.2f allocations to a dynamic run, %.2f to a run with kept scratch: scratch is allocated per call",
 			dynamic, reference)
+	}
+
+	body := growth(func(k int) *models.Builder { return convIfModel(k, true) }, dynamicRun)
+	top := growth(func(k int) *models.Builder { return convIfModel(k, false) }, dynamicRun)
+	if body != top {
+		t.Errorf("a Conv adds %.2f allocations to a dynamic run inside a taken If branch, %.2f before the If: a body's kernels do not keep the run's scratch",
+			body, top)
 	}
 }
 

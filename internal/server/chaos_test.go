@@ -34,10 +34,10 @@ var chaosModels = []string{"CodeBERT", "SkipNet", "DGNet"}
 //   - every refusal is a typed HTTP status (400/404/408/413/429/503,
 //     plus 200 for good traffic) — no hangs, no untyped failures;
 //   - well-formed requests keep succeeding throughout the attack, and
-//     coalesced batch members return bit-identical outputs;
-//   - SIGTERM-style drain flips /readyz, flushes buckets, closes
-//     sessions; after shutdown no goroutines and no admission
-//     reservations (ledger bytes, in-flight slots, queue) leak.
+//     concurrent good requests return bit-identical outputs;
+//   - SIGTERM-style drain flips /readyz and closes sessions; after
+//     shutdown no goroutines and no admission reservations (in-flight
+//     slots, queue) leak.
 //
 // CI runs it under -race; -short drops to one model and fewer rounds.
 func TestWireChaosSoak(t *testing.T) {
@@ -67,7 +67,6 @@ func TestWireChaosSoak(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 
 	srv, err := New(models, Config{
-		Batch:        BatchConfig{Window: 2 * time.Millisecond, MaxBatch: 4},
 		Quota:        QuotaConfig{RatePerSec: 1000, Burst: 1000},
 		MaxBodyBytes: 1 << 20,
 		MaxDeadline:  5 * time.Second,
@@ -185,8 +184,8 @@ func TestWireChaosSoak(t *testing.T) {
 		t.Fatalf("robustness contract violated:\n%v", violations)
 	}
 
-	// Bit-identical coalescing under load: concurrent same-family
-	// members must return exactly the outputs of a direct inference.
+	// Bit-identical serving under load: concurrent good requests must
+	// return exactly the outputs of a direct inference.
 	for _, m := range ms {
 		refIn := make([]map[string]*tensor.Tensor, 3)
 		refOut := make([]map[string]*tensor.Tensor, 3)
@@ -210,7 +209,7 @@ func TestWireChaosSoak(t *testing.T) {
 					base+"/v1/models/"+m.name+"/infer", refIn[i], nil)
 				if status != 200 {
 					mu.Lock()
-					violations = append(violations, fmt.Sprintf("batch member %s/%d: %d %v", m.name, i, status, eb))
+					violations = append(violations, fmt.Sprintf("concurrent request %s/%d: %d %v", m.name, i, status, eb))
 					mu.Unlock()
 					return
 				}
@@ -220,7 +219,7 @@ func TestWireChaosSoak(t *testing.T) {
 		bwg.Wait()
 	}
 	if len(violations) > 0 {
-		t.Fatalf("batched serving violated:\n%v", violations)
+		t.Fatalf("concurrent serving violated:\n%v", violations)
 	}
 
 	// SIGTERM-style shutdown: readiness flips first, then drain, then

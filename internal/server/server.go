@@ -30,8 +30,12 @@ type Model struct {
 }
 
 // Config tunes the HTTP front-end. The zero value serves with sane
-// defaults: batching off, quotas off, 8 MiB body cap, 30 s deadline cap.
+// defaults: quotas off, 8 MiB body cap, 30 s deadline cap.
 type Config struct {
+	// Batch configured cross-request batching, which is gone: every
+	// request is served on its own and Batch is ignored. It stays
+	// declared only until the wall-clock benchmark's next revision stops
+	// setting it.
 	Batch BatchConfig
 	Quota QuotaConfig
 	// MaxBodyBytes caps request bodies (http.MaxBytesReader); <= 0
@@ -43,6 +47,13 @@ type Config struct {
 	// DefaultDeadline bounds requests that send no X-Deadline-Ms;
 	// 0 means unbounded (the session's own timeout still applies).
 	DefaultDeadline time.Duration
+}
+
+// BatchConfig is the type of the ignored Config.Batch, declared only
+// until the wall-clock benchmark's next revision stops setting it.
+type BatchConfig struct {
+	Window   time.Duration
+	MaxBatch int
 }
 
 func (c Config) maxBodyBytes() int64 {
@@ -60,9 +71,8 @@ func (c Config) maxDeadline() time.Duration {
 }
 
 type servedModel struct {
-	name    string
-	sess    *sod2.Session
-	batcher *batcher // nil when batching disabled
+	name string
+	sess *sod2.Session
 }
 
 // Server is the HTTP front-end. Create with New, mount via Handler or
@@ -74,7 +84,6 @@ type Server struct {
 	quota  *quotaSet
 	mux    *http.ServeMux
 
-	stop      chan struct{} // closed by Drain: cancels in-flight batch flushes
 	draining  atomic.Bool
 	drainOnce sync.Once
 	drainErr  error
@@ -92,7 +101,6 @@ func New(models []Model, cfg Config) (*Server, error) {
 		cfg:    cfg,
 		models: make(map[string]*servedModel, len(models)),
 		quota:  newQuotaSet(cfg.Quota),
-		stop:   make(chan struct{}),
 	}
 	for _, m := range models {
 		if m.Name == "" || m.Session == nil {
@@ -101,11 +109,7 @@ func New(models []Model, cfg Config) (*Server, error) {
 		if _, dup := s.models[m.Name]; dup {
 			return nil, fmt.Errorf("server: duplicate model %q", m.Name)
 		}
-		sm := &servedModel{name: m.Name, sess: m.Session}
-		if cfg.Batch.enabled() {
-			sm.batcher = newBatcher(m.Session, cfg.Batch, s.stop)
-		}
-		s.models[m.Name] = sm
+		s.models[m.Name] = &servedModel{name: m.Name, sess: m.Session}
 		s.order = append(s.order, m.Name)
 	}
 	mux := http.NewServeMux()
@@ -145,24 +149,13 @@ func (s *Server) StartDraining() { s.draining.Store(true) }
 // Draining reports whether StartDraining has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Drain completes shutdown: refuse new work, flush every pending batch
-// bucket, then close each session (waiting for in-flight inferences),
-// all bounded by ctx. Idempotent; concurrent calls share one result.
+// Drain completes shutdown: refuse new work, then close each session
+// (waiting for in-flight inferences), all bounded by ctx. Idempotent;
+// concurrent calls share one result.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
 		var errs []error
-		for _, name := range s.order {
-			sm := s.models[name]
-			if sm.batcher != nil {
-				if err := sm.batcher.drain(ctx); err != nil {
-					errs = append(errs, fmt.Errorf("batcher %q: %w", name, err))
-				}
-			}
-		}
-		// Only after buckets flushed: cancel the flush-watch goroutines
-		// and close sessions (Close waits for in-flight requests).
-		close(s.stop)
 		for _, name := range s.order {
 			if err := s.models[name].sess.Close(ctx); err != nil && !errors.Is(err, sod2.ErrClosed) {
 				errs = append(errs, fmt.Errorf("session %q: %w", name, err))
@@ -196,7 +189,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 type modelStats struct {
 	Health  resilience.HealthState `json:"health"`
 	Session sod2.SessionStats      `json:"session"`
-	Batcher *BatcherStats          `json:"batcher,omitempty"`
 }
 
 // statszBody is the /statsz response.
@@ -224,12 +216,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Models:       make(map[string]modelStats, len(s.models)),
 	}
 	for name, sm := range s.models {
-		ms := modelStats{Health: sm.sess.Health(), Session: sm.sess.Stats()}
-		if sm.batcher != nil {
-			bs := sm.batcher.statsSnapshot()
-			ms.Batcher = &bs
-		}
-		body.Models[name] = ms
+		body.Models[name] = modelStats{Health: sm.sess.Health(), Session: sm.sess.Stats()}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -312,19 +299,6 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 	return buf.Bytes(), nil
 }
 
-// serveOne executes one prepared request: through the coalescing
-// batcher when the inputs map to a bucketable region-proof key, else
-// directly through the session.
-func (s *Server) serveOne(ctx context.Context, sm *servedModel, inputs map[string]*tensor.Tensor) BatchOutcome {
-	if sm.batcher != nil {
-		if key, _ := sm.sess.FamilyKey(inputs); key != "" {
-			return sm.batcher.enqueue(ctx, key, sod2.Sample{Inputs: inputs})
-		}
-	}
-	out, rep, err := sm.sess.InferConcurrentCtx(ctx, inputs)
-	return BatchOutcome{Outputs: out, Report: rep, Size: 1, Err: err}
-}
-
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	sm, inputs, ctx, cancel, err := s.prep(w, r)
@@ -333,19 +307,18 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	res := s.serveOne(ctx, sm, inputs)
-	if res.Err != nil {
-		s.writeError(w, res.Err)
+	out, rep, err := sm.sess.InferConcurrentCtx(ctx, inputs)
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
-	resp := InferResponse{Model: sm.name, Batched: res.Size, Report: res.Report,
-		Outputs: make(map[string]*WireTensor, len(res.Outputs))}
-	for name, t := range res.Outputs {
+	resp := InferResponse{Model: sm.name, Batched: 1, Report: rep,
+		Outputs: make(map[string]*WireTensor, len(out))}
+	for name, t := range out {
 		resp.Outputs[name] = ToWire(t)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(HeaderTier, res.Report.FallbackTier.String())
-	w.Header().Set(HeaderBatch, strconv.Itoa(res.Size))
+	w.Header().Set(HeaderTier, rep.FallbackTier.String())
 	json.NewEncoder(w).Encode(resp)
 }
 
@@ -378,20 +351,19 @@ func (s *Server) handleInferStream(w http.ResponseWriter, r *http.Request) {
 		return // reader gone before work started; nothing owed
 	}
 
-	res := s.serveOne(ctx, sm, inputs)
-	if res.Err != nil {
-		status, body := Classify(res.Err)
+	out, rep, err := sm.sess.InferConcurrentCtx(ctx, inputs)
+	if err != nil {
+		status, body := Classify(err)
 		s.countError(status)
 		writeEvent(StreamEvent{Event: "error", Error: &body})
 		return
 	}
-	for name, t := range res.Outputs {
+	for name, t := range out {
 		if err := writeEvent(StreamEvent{Event: "output", Name: name, Tensor: ToWire(t)}); err != nil {
 			return
 		}
 	}
-	rep := res.Report
-	writeEvent(StreamEvent{Event: "done", Model: sm.name, Batched: res.Size, Report: &rep})
+	writeEvent(StreamEvent{Event: "done", Model: sm.name, Report: &rep})
 }
 
 func (s *Server) countError(status int) {

@@ -26,7 +26,7 @@ import (
 )
 
 // compileModel compiles one evaluation model with the static verifier
-// on, so region serving (and therefore shape-family batching) works.
+// on, so requests are served from the region proof's plan.
 func compileModel(t *testing.T, name string) *sod2.Compiled {
 	t.Helper()
 	b, err := sod2.BuildModel(name)
@@ -145,8 +145,8 @@ func sameOutputs(t *testing.T, got map[string]*WireTensor, want map[string]*tens
 }
 
 // TestInferHappyPath: a well-formed request serves 200 with outputs
-// bit-identical to a direct in-process inference, and the tier/batch
-// headers are present.
+// bit-identical to a direct in-process inference, and the tier header
+// is present.
 func TestInferHappyPath(t *testing.T) {
 	_, _, ts := newTestServer(t, sod2.SessionOptions{}, Config{})
 	inputs := sampleInputs(t, "CodeBERT", 1)
@@ -161,8 +161,8 @@ func TestInferHappyPath(t *testing.T) {
 	if resp.Model != "codebert" || resp.Batched != 1 {
 		t.Fatalf("resp meta = %q/%d, want codebert/1", resp.Model, resp.Batched)
 	}
-	if hdr.Get(HeaderTier) == "" || hdr.Get(HeaderBatch) != "1" {
-		t.Fatalf("missing tier/batch headers: %q %q", hdr.Get(HeaderTier), hdr.Get(HeaderBatch))
+	if hdr.Get(HeaderTier) == "" {
+		t.Fatal("missing tier header")
 	}
 	sameOutputs(t, resp.Outputs, ref)
 }
@@ -439,14 +439,13 @@ func TestOverloadIsolatesModels(t *testing.T) {
 	}
 }
 
-// TestBatchingCoalesces proves the tentpole property: concurrent
-// same-family requests coalesce into ONE bucket execution that consumes
-// ONE admission, and every member's outputs are bit-identical to a
-// direct un-batched inference on its own inputs.
-func TestBatchingCoalesces(t *testing.T) {
-	_, sess, ts := newTestServer(t, sod2.SessionOptions{}, Config{
-		Batch: BatchConfig{Window: 250 * time.Millisecond, MaxBatch: 8},
-	})
+// TestInferConcurrentServesDirectly: concurrent clients of one model
+// are each served on their own: every request takes its own admission,
+// answers Batched == 1 with no batch header, and returns outputs
+// bit-identical to a direct inference on its own inputs. Nothing is left
+// in flight or queued.
+func TestInferConcurrentServesDirectly(t *testing.T) {
+	_, sess, ts := newTestServer(t, sod2.SessionOptions{}, Config{})
 	c := compileModel(t, "CodeBERT")
 	const n = 4
 	url := ts.URL + "/v1/models/codebert/infer"
@@ -454,7 +453,7 @@ func TestBatchingCoalesces(t *testing.T) {
 	refs := make([]map[string]*tensor.Tensor, n)
 	ins := make([]map[string]*tensor.Tensor, n)
 	for i := range ins {
-		ins[i] = sampleInputs(t, "CodeBERT", uint64(10+i)) // distinct data, same family
+		ins[i] = sampleInputs(t, "CodeBERT", uint64(10+i)) // distinct data
 		ref, _, err := c.Infer(ins[i])
 		if err != nil {
 			t.Fatal(err)
@@ -462,42 +461,132 @@ func TestBatchingCoalesces(t *testing.T) {
 		refs[i] = ref
 	}
 
-	var wg sync.WaitGroup
 	type got struct {
 		status int
 		resp   *InferResponse
-		batch  string
+		hdr    http.Header
 	}
 	results := make([]got, n)
-	for i := 0; i < n; i++ {
+	var wg sync.WaitGroup
+	for i := range n {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			status, resp, _, hdr := postInfer(t, ts.Client(), url, ins[i], nil)
-			results[i] = got{status, resp, hdr.Get(HeaderBatch)}
-		}(i)
+			results[i] = got{status, resp, hdr}
+		}()
 	}
 	wg.Wait()
 
 	for i, r := range results {
-		if r.status != 200 {
-			t.Fatalf("member %d: status %d", i, r.status)
+		if r.status != http.StatusOK {
+			t.Fatalf("client %d: status %d", i, r.status)
 		}
-		if r.resp.Batched != n || r.batch != fmt.Sprint(n) {
-			t.Fatalf("member %d: batched = %d/%s, want %d (all members must coalesce)", i, r.resp.Batched, r.batch, n)
+		if r.resp.Batched != 1 {
+			t.Errorf("client %d: batched = %d, want 1", i, r.resp.Batched)
+		}
+		if v, ok := r.hdr["X-Sod2-Batch"]; ok {
+			t.Errorf("client %d: X-Sod2-Batch header %q is retired", i, v)
 		}
 		sameOutputs(t, r.resp.Outputs, refs[i])
 	}
 
 	st := sess.Stats()
-	if st.Buckets != 1 || st.BucketMembers != uint64(n) {
-		t.Fatalf("buckets/members = %d/%d, want 1/%d", st.Buckets, st.BucketMembers, n)
-	}
-	if st.Admission.Admitted != 1 {
-		t.Fatalf("admissions = %d, want 1 (one reservation amortized over %d requests)", st.Admission.Admitted, n)
+	if st.Admission.Admitted != n {
+		t.Fatalf("admissions = %d, want %d (one per request)", st.Admission.Admitted, n)
 	}
 	if st.Admission.InFlight != 0 || st.Admission.Queued != 0 {
-		t.Fatalf("admission leak after batch: %+v", st.Admission)
+		t.Fatalf("admission leak: %+v", st.Admission)
+	}
+}
+
+// TestBatchConfigIgnored: Config.Batch is declared but inert. A server
+// configured with a batch window far longer than an inference still
+// answers each of two concurrent requests on its own, before the window
+// could have closed: Batched == 1, no batch header, its own admission
+// and outputs bit-identical to a direct inference.
+func TestBatchConfigIgnored(t *testing.T) {
+	const window = 2 * time.Second
+	_, sess, ts := newTestServer(t, sod2.SessionOptions{}, Config{Batch: BatchConfig{Window: window, MaxBatch: 8}})
+	c := compileModel(t, "CodeBERT")
+	url := ts.URL + "/v1/models/codebert/infer"
+	ins := []map[string]*tensor.Tensor{sampleInputs(t, "CodeBERT", 20), sampleInputs(t, "CodeBERT", 21)}
+
+	type got struct {
+		status int
+		resp   *InferResponse
+		hdr    http.Header
+		took   time.Duration
+	}
+	results := make([]got, len(ins))
+	var wg sync.WaitGroup
+	for i := range ins {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := time.Now()
+			status, resp, _, hdr := postInfer(t, ts.Client(), url, ins[i], nil)
+			results[i] = got{status, resp, hdr, time.Since(start)}
+		}()
+	}
+	wg.Wait()
+
+	for i, r := range results {
+		if r.status != http.StatusOK {
+			t.Fatalf("client %d: status %d", i, r.status)
+		}
+		if r.took >= window {
+			t.Errorf("client %d: answered after %v, not before the ignored %v window", i, r.took, window)
+		}
+		if r.resp.Batched != 1 {
+			t.Errorf("client %d: batched = %d, want 1", i, r.resp.Batched)
+		}
+		if v, ok := r.hdr["X-Sod2-Batch"]; ok {
+			t.Errorf("client %d: X-Sod2-Batch header %q is retired", i, v)
+		}
+		ref, _, err := c.Infer(ins[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameOutputs(t, r.resp.Outputs, ref)
+	}
+	if st := sess.Stats(); st.Admission.Admitted != uint64(len(ins)) || st.Buckets != 0 || st.BucketMembers != 0 {
+		t.Fatalf("admissions = %d, buckets = %d/%d; want %d and 0/0",
+			st.Admission.Admitted, st.Buckets, st.BucketMembers, len(ins))
+	}
+}
+
+// TestStreamingEventsCarryNoBatch: no event of the NDJSON stream has a
+// "batched" field, with or without a configured batch window.
+func TestStreamingEventsCarryNoBatch(t *testing.T) {
+	_, _, ts := newTestServer(t, sod2.SessionOptions{}, Config{Batch: BatchConfig{Window: time.Millisecond}})
+	body, _ := json.Marshal(EncodeInputs(sampleInputs(t, "CodeBERT", 22)))
+	resp, err := ts.Client().Post(ts.URL+"/v1/models/codebert/infer/stream", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream accept: %d", resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	var last string
+	for sc.Scan() {
+		var ev map[string]json.RawMessage
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		if _, ok := ev["batched"]; ok {
+			t.Errorf("event %s carries the retired batched field", ev["event"])
+		}
+		last = string(ev["event"])
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if last != `"done"` {
+		t.Fatalf("last event = %s, want done", last)
 	}
 }
 
@@ -545,7 +634,7 @@ func TestStreamingEndpoint(t *testing.T) {
 		outs[ev.Name] = ev.Tensor
 	}
 	sameOutputs(t, outs, ref)
-	if done := events[len(events)-1]; done.Report == nil || done.Batched < 1 {
+	if done := events[len(events)-1]; done.Report == nil {
 		t.Fatalf("done event incomplete: %+v", done)
 	}
 }
@@ -776,5 +865,37 @@ func TestStatszAdmissionSchema(t *testing.T) {
 	}
 	if adm["Admitted"] != "1" || adm["InFlight"] != "0" || adm["Queued"] != "0" {
 		t.Fatalf("admission = %v, want 1 admitted and nothing in flight or queued", adm)
+	}
+}
+
+// TestStatszModelSchema pins each model's /statsz entry to its health
+// and session stats: no batcher block, even with a batch window
+// configured.
+func TestStatszModelSchema(t *testing.T) {
+	_, _, ts := newTestServer(t, sod2.SessionOptions{}, Config{Batch: BatchConfig{Window: time.Millisecond}})
+	client := ts.Client()
+	postInfer(t, client, ts.URL+"/v1/models/codebert/infer", sampleInputs(t, "CodeBERT", 13), nil)
+	resp, err := client.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Models map[string]map[string]json.RawMessage `json:"models"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("decode statsz: %v", err)
+	}
+	m, ok := body.Models["codebert"]
+	if !ok {
+		t.Fatalf("statsz models = %v, want codebert", body.Models)
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	if want := []string{"health", "session"}; !slices.Equal(keys, want) {
+		t.Fatalf("model keys = %v, want %v", keys, want)
 	}
 }

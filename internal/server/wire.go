@@ -11,22 +11,20 @@
 // The front-end extends the repository's static-to-dynamic contract
 // across the network boundary:
 //
-//   - Cross-request batching buckets in-flight requests by their
-//     region-proof key (the shape family the static verifier proved one
-//     plan for) and serves each bucket as one coalesced
-//     Session.InferBucketCtx call, so plan verification and admission
-//     reservations amortize across clients.
+//   - Every request is served on its own: decoded, then one
+//     Session.InferConcurrentCtx call, whose admission gate bounds
+//     concurrency. Nothing is coalesced across requests.
 //   - Per-client token-bucket quotas shed abusive clients with 429 +
 //     Retry-After before they reach admission.
 //   - The X-Deadline-Ms request header propagates into a
-//     context.WithTimeout bounding admission wait, batching wait, and
-//     execution; expiry surfaces as a typed 408.
+//     context.WithTimeout bounding admission wait and execution; expiry
+//     surfaces as a typed 408.
 //   - Overloads are typed, never silent: admission sheds map to 503 +
 //     Retry-After, quota to 429, oversized bodies to 413, malformed
 //     bodies to 400, and the degradation tier actually served rides
 //     back in the X-Sod2-Tier response header.
-//   - Draining flips /readyz, refuses new work with 503, flushes every
-//     batch bucket, and closes the sessions bounded by a deadline.
+//   - Draining flips /readyz, refuses new work with 503, and closes the
+//     sessions bounded by a deadline.
 package server
 
 import (
@@ -52,9 +50,6 @@ const (
 	// HeaderTier (response) is the degradation tier the request was
 	// actually served on (Report.FallbackTier: planned/dynamic/float32).
 	HeaderTier = "X-Sod2-Tier"
-	// HeaderBatch (response) is the size of the coalesced shape-family
-	// bucket the request was served in (1 = served alone).
-	HeaderBatch = "X-Sod2-Batch"
 )
 
 // maxWireElems caps a single wire tensor's element count (16Mi) so a
@@ -182,8 +177,10 @@ func (r *InferRequest) DecodeInputs() (map[string]*tensor.Tensor, error) {
 // InferResponse is the 200 body of /v1/models/{model}/infer.
 type InferResponse struct {
 	Model string `json:"model"`
-	// Batched is the coalesced bucket size this request was served in
-	// (1 = alone; also in the X-Sod2-Batch header).
+	// Batched was the size of the cross-request batch the request was
+	// served in. Batching is gone, so it is always 1; it stays declared
+	// only until the wall-clock benchmark's next revision stops reading
+	// it.
 	Batched int                    `json:"batched"`
 	Outputs map[string]*WireTensor `json:"outputs"`
 	Report  sod2.Report            `json:"report"`
@@ -193,13 +190,12 @@ type InferResponse struct {
 // sequence is `accepted`, one `output` per output tensor, then exactly
 // one terminal `done` or `error`.
 type StreamEvent struct {
-	Event   string       `json:"event"`
-	Model   string       `json:"model,omitempty"`
-	Name    string       `json:"name,omitempty"`
-	Tensor  *WireTensor  `json:"tensor,omitempty"`
-	Batched int          `json:"batched,omitempty"`
-	Report  *sod2.Report `json:"report,omitempty"`
-	Error   *ErrorBody   `json:"error,omitempty"`
+	Event  string       `json:"event"`
+	Model  string       `json:"model,omitempty"`
+	Name   string       `json:"name,omitempty"`
+	Tensor *WireTensor  `json:"tensor,omitempty"`
+	Report *sod2.Report `json:"report,omitempty"`
+	Error  *ErrorBody   `json:"error,omitempty"`
 }
 
 // ErrorBody is the JSON error envelope every non-200 response carries

@@ -43,16 +43,16 @@ type SessionOptions struct {
 	// retries.
 	Retry resilience.RetryPolicy
 	// RequestTimeout bounds each request end to end — admission wait,
-	// every retry attempt, and backoff sleeps (0 = none). Per-call
-	// contexts (InferConcurrentCtx, InferBucketCtx) compose with it;
-	// whichever ends first cancels the request.
+	// every retry attempt, and backoff sleeps (0 = none). The per-call
+	// context of InferConcurrentCtx composes with it; whichever ends
+	// first cancels the request.
 	RequestTimeout time.Duration
 }
 
 // Session is the concurrent serving facade over one compiled model: any
-// number of goroutines may call InferConcurrentCtx and InferBucketCtx on
-// one Session. The session owns the serving policies — admission gate,
-// retry ladder, and the circuit breaker's health state — while the one
+// number of goroutines may call InferConcurrentCtx on one Session, each
+// call one request. The session owns the serving policies — admission
+// gate, retry ladder, and the circuit breaker's health state — while the one
 // piece of shape-dependent state, the region proof, lives on the shared
 // Compiled, so several Sessions over one model share it (but each
 // judges health on its own traffic).
@@ -80,9 +80,6 @@ type Session struct {
 
 	requests atomic.Uint64
 	retries  atomic.Uint64
-
-	buckets       atomic.Uint64
-	bucketMembers atomic.Uint64
 }
 
 // ErrClosed is returned by every inference entry point after Close has
@@ -185,12 +182,8 @@ func (s *Session) InferConcurrentCtx(ctx context.Context, inputs map[string]*Ten
 	}
 	defer s.end()
 	s.requests.Add(1)
-	return s.serve(ctx, inputs)
-}
-
-// serve is the resilient request path every inference goes through:
-// deadline, admission, breaker-advised execution, tier-aware retries.
-func (s *Session) serve(ctx context.Context, inputs map[string]*Tensor) (map[string]*Tensor, Report, error) {
+	// The resilient request path: deadline, admission, breaker-advised
+	// execution, tier-aware retries.
 	if s.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
@@ -202,13 +195,6 @@ func (s *Session) serve(ctx context.Context, inputs map[string]*Tensor) (map[str
 		return nil, Report{}, err
 	}
 	defer release()
-	return s.serveAdmitted(ctx, inputs)
-}
-
-// serveAdmitted is the post-admission request path: breaker-advised
-// execution with tier-aware retries. The caller holds the admission
-// slot for the duration.
-func (s *Session) serveAdmitted(ctx context.Context, inputs map[string]*Tensor) (map[string]*Tensor, Report, error) {
 	for attempt := 1; ; attempt++ {
 		gopts := s.gopts
 		gopts.Ctx = ctx
@@ -239,95 +225,6 @@ func (s *Session) serveAdmitted(ctx context.Context, inputs map[string]*Tensor) 
 	}
 }
 
-// BatchResult is one request's outcome within an InferBucketCtx bucket.
-type BatchResult struct {
-	// Index is the request's position in the submitted slice.
-	Index int
-	// Outputs are the inference outputs (nil on error).
-	Outputs map[string]*Tensor
-	// Report is the per-request latency/memory/cache report.
-	Report Report
-	// Err is the request's failure, if any (other requests proceed).
-	Err error
-	// Cancelled reports that Err is the bucket context ending (deadline
-	// or cancellation) rather than a model or admission failure — the
-	// sample itself was never refuted.
-	Cancelled bool
-}
-
-// isCancellation classifies a request error as context-driven.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// FamilyKey returns the shape-family bucket key for one concrete input
-// set, and whether that key is the statically proven region key. All
-// requests whose inputs bind inside the verified region share a single
-// key — the region proof *is* the shape family — so a cross-request
-// batching layer can coalesce them even when their concrete shapes
-// differ. Outside the region the key degrades to the concrete input
-// shapes; an empty key means the inputs are incomplete and cannot be
-// bucketed.
-func (s *Session) FamilyKey(inputs map[string]*Tensor) (string, bool) {
-	return s.c.inner.FamilyKey(inputs)
-}
-
-// InferBucketCtx executes one shape-family bucket of samples as a
-// single coalesced unit of work: the bucket is admitted ONCE — one
-// concurrency slot covers every member — and the members then execute
-// sequentially against the shared verified plan, so at most one
-// member's arena is live at a time. Admission cost amortizes across the
-// bucket's clients; wall-clock parallelism comes from distinct buckets
-// running concurrently.
-//
-// Results come back in submission order (Index is the position): a
-// member failure records its error without affecting the rest, members
-// not yet dispatched when ctx ends come back Cancelled, and a shed
-// bucket sheds every member with the same typed error. The session's RequestTimeout bounds the
-// whole bucket — the bucket is one request from the resilience layer's
-// point of view.
-func (s *Session) InferBucketCtx(ctx context.Context, samples []Sample) []BatchResult {
-	results := make([]BatchResult, len(samples))
-	if len(samples) == 0 {
-		return results
-	}
-	fail := func(err error) []BatchResult {
-		cancelled := isCancellation(err)
-		for i := range results {
-			results[i] = BatchResult{Index: i, Err: err, Cancelled: cancelled}
-		}
-		return results
-	}
-	if err := s.begin(); err != nil {
-		return fail(err)
-	}
-	defer s.end()
-	s.requests.Add(uint64(len(samples)))
-	s.buckets.Add(1)
-	s.bucketMembers.Add(uint64(len(samples)))
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-	}
-	release, err := s.adm.Admit(ctx)
-	if err != nil {
-		return fail(err)
-	}
-	defer release()
-	for i := range samples {
-		if cerr := ctx.Err(); cerr != nil {
-			results[i] = BatchResult{Index: i, Cancelled: true,
-				Err: fmt.Errorf("sod2: bucket cancelled before member dispatch: %w", cerr)}
-			continue
-		}
-		out, rep, err := s.serveAdmitted(ctx, samples[i].Inputs)
-		results[i] = BatchResult{Index: i, Outputs: out, Report: rep, Err: err,
-			Cancelled: isCancellation(err)}
-	}
-	return results
-}
-
 // SessionStats describes a session's request flow, the serving health
 // the resilience layer maintains, and the shared model caches behind it.
 type SessionStats struct {
@@ -340,10 +237,10 @@ type SessionStats struct {
 	// Retries counts retry attempts taken by the bounded backoff ladder
 	// (beyond first attempts).
 	Retries uint64
-	// Buckets counts coalesced shape-family buckets served via
-	// InferBucketCtx, and BucketMembers the requests inside them (each
-	// bucket consumed ONE admission for BucketMembers/Buckets requests
-	// on average — the cross-request amortization ratio).
+	// Buckets and BucketMembers counted the shape-family buckets of
+	// cross-request batching, which is gone: they read 0 and stay
+	// declared only until the wall-clock benchmark's next revision stops
+	// reading them.
 	Buckets, BucketMembers uint64
 	// Health is the model's current health state (breaker-judged).
 	Health resilience.HealthState
@@ -361,13 +258,11 @@ type SessionStats struct {
 func (s *Session) Stats() SessionStats {
 	bs := s.brk.Stats()
 	return SessionStats{
-		Requests:      s.requests.Load(),
-		Retries:       s.retries.Load(),
-		Buckets:       s.buckets.Load(),
-		BucketMembers: s.bucketMembers.Load(),
-		Health:        bs.State,
-		Breaker:       bs,
-		Admission:     s.adm.Stats(),
-		Cache:         s.c.CacheStats(),
+		Requests:  s.requests.Load(),
+		Retries:   s.retries.Load(),
+		Health:    bs.State,
+		Breaker:   bs,
+		Admission: s.adm.Stats(),
+		Cache:     s.c.CacheStats(),
 	}
 }

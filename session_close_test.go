@@ -38,10 +38,6 @@ func TestSessionCloseRejectsNewWork(t *testing.T) {
 	if _, _, err := sess.InferConcurrentCtx(context.Background(), inputs); !errors.Is(err, ErrClosed) {
 		t.Errorf("infer after close: want ErrClosed, got %v", err)
 	}
-	res := sess.InferBucketCtx(context.Background(), []Sample{{Inputs: inputs}})
-	if !errors.Is(res[0].Err, ErrClosed) {
-		t.Errorf("bucket after close: want ErrClosed, got %v", res[0].Err)
-	}
 }
 
 func TestSessionDoubleClose(t *testing.T) {

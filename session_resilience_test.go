@@ -174,13 +174,13 @@ func TestSessionShedsWhenSaturated(t *testing.T) {
 	}
 }
 
-// TestInferBatchCtxCancellation pins that per-sample cancellation in an
-// InferBucketCtx bucket is reported distinctly from model errors, for
-// both flavors: a member cancelled in flight (the executor's between-node
-// context check) and members cancelled before dispatch. A gate hook
-// deterministically parks the first member at its first kernel so the
-// cancellation always lands mid-bucket — no timing dependence.
-func TestInferBatchCtxCancellation(t *testing.T) {
+// TestSessionCancelledInFlight: a request whose context is cancelled
+// while it executes aborts at the executor's next between-node check and
+// reports the cancellation — no outputs, never a model error the breaker
+// would count — and releases its admission slot. A gate hook parks the
+// request at its first kernel, so the cancellation always lands in
+// flight, with no timing dependence.
+func TestSessionCancelledInFlight(t *testing.T) {
 	c := compileVerifiedModel(t, "CodeBERT")
 	var gateOn atomic.Bool
 	gate, parked := make(chan struct{}), make(chan struct{})
@@ -194,24 +194,8 @@ func TestInferBatchCtxCancellation(t *testing.T) {
 	}}
 	sess := c.NewSession(SessionOptions{Hooks: hooks})
 	b, _ := BuildModel("CodeBERT")
-	mkSamples := func(n, seed int) []Sample {
-		samples := make([]Sample, n)
-		for i := range samples {
-			samples[i] = NewSample(b, 64, 0.5, uint64(seed+i))
-		}
-		return samples
-	}
+	sample := NewSample(b, 64, 0.5, 200)
 
-	// Un-cancelled bucket: everything completes, nothing is cancelled.
-	for _, r := range sess.InferBucketCtx(context.Background(), mkSamples(4, 100)) {
-		if r.Err != nil || r.Cancelled {
-			t.Fatalf("clean bucket sample %d: err=%v cancelled=%v", r.Index, r.Err, r.Cancelled)
-		}
-	}
-
-	// Cancelled mid-bucket: the first member parks at the gate, the
-	// context is cancelled, the gate opens — the in-flight member aborts
-	// at the next node, undispatched ones are marked without running.
 	gateOn.Store(true)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -223,35 +207,113 @@ func TestInferBatchCtxCancellation(t *testing.T) {
 		gateOn.Store(false)
 		close(gate)
 	}()
-	results := sess.InferBucketCtx(ctx, mkSamples(8, 200))
-	var cancelled, beforeDispatch int
-	for _, r := range results {
-		if r.Err == nil || !r.Cancelled {
-			t.Fatalf("sample %d: err=%v cancelled=%v, want cancellation", r.Index, r.Err, r.Cancelled)
+	out, _, err := sess.InferConcurrentCtx(ctx, sample.Inputs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want one that unwraps to context.Canceled", err)
+	}
+	var oe *guard.OpError
+	var ce *guard.ContractError
+	if errors.As(err, &oe) || errors.As(err, &ce) {
+		t.Fatalf("cancellation surfaced as a model error: %v", err)
+	}
+	if out != nil {
+		t.Error("cancelled request carries outputs")
+	}
+	// Cancellation is not a model fault: health stays clean, the slot is
+	// released and the next request serves.
+	st := sess.Stats()
+	if st.Breaker.Faults != 0 || st.Health != resilience.Healthy {
+		t.Fatalf("cancellation counted against health: %+v", st.Breaker)
+	}
+	if st.Admission.InFlight != 0 || st.Admission.Queued != 0 {
+		t.Fatalf("admission leak after cancellation: %+v", st.Admission)
+	}
+	if _, _, err := sess.InferConcurrentCtx(context.Background(), sample.Inputs); err != nil {
+		t.Fatalf("request after the cancelled one: %v", err)
+	}
+}
+
+// TestSessionMixedDeadlines: each request carries its own deadline. With
+// two requests in flight on one session, the one whose deadline expires
+// mid-run reports only the deadline — no outputs, never a model error
+// the breaker would count — while the other, running alongside with no
+// deadline, returns outputs bit-identical to a direct inference. A gate
+// hook parks the deadlined request at its first kernel until its
+// deadline has passed, so the expiry always lands in flight.
+func TestSessionMixedDeadlines(t *testing.T) {
+	c := compileVerifiedModel(t, "CodeBERT")
+	var parkFirst atomic.Bool
+	gate, parked := make(chan struct{}), make(chan struct{})
+	hooks := &exec.Hooks{PreKernel: func(_ *graph.Node, _ []*tensor.Tensor) error {
+		if parkFirst.CompareAndSwap(true, false) {
+			close(parked)
+			<-gate
 		}
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Errorf("sample %d: err = %v, does not unwrap to context.Canceled", r.Index, r.Err)
+		return nil
+	}}
+	sess := c.NewSession(SessionOptions{
+		Hooks:     hooks,
+		Admission: AdmissionConfig{MaxConcurrent: 2, MaxQueue: 0},
+	})
+	defer sess.Close(context.Background())
+	b, _ := BuildModel("CodeBERT")
+	late, onTime := NewSample(b, 64, 0.5, 301), NewSample(b, 64, 0.5, 302)
+	ref, _, err := c.Infer(onTime.Inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	parkFirst.Store(true)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	lateErr := make(chan error, 1)
+	go func() {
+		out, _, err := sess.InferConcurrentCtx(ctx, late.Inputs)
+		if out != nil {
+			t.Error("deadlined request carries outputs")
 		}
-		if r.Outputs != nil {
-			t.Errorf("sample %d: cancelled result carries outputs", r.Index)
+		lateErr <- err
+	}()
+	select {
+	case <-parked:
+	case <-time.After(30 * time.Second):
+		t.Fatal("deadlined request never reached its first kernel")
+	}
+
+	// The parked request holds one slot; the other request serves in full.
+	out, _, err := sess.InferConcurrentCtx(context.Background(), onTime.Inputs)
+	if err != nil {
+		t.Fatalf("request without a deadline: %v", err)
+	}
+	for name, want := range ref {
+		got := out[name]
+		if got == nil {
+			t.Fatalf("missing output %q", name)
 		}
-		cancelled++
-		if strings.Contains(r.Err.Error(), "before member dispatch") {
-			beforeDispatch++
+		for i := range want.F {
+			if got.F[i] != want.F[i] {
+				t.Fatalf("output %q[%d] = %v, want %v (must be bit-identical)", name, i, got.F[i], want.F[i])
+			}
 		}
 	}
-	if cancelled != 8 {
-		t.Fatalf("cancelled = %d, want all 8", cancelled)
+
+	<-ctx.Done()
+	close(gate)
+	err = <-lateErr
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("deadlined request: err = %v, want one that unwraps to context.DeadlineExceeded", err)
 	}
-	if beforeDispatch == 0 {
-		t.Error("no sample was marked cancelled-before-dispatch")
+	var oe *guard.OpError
+	var ce *guard.ContractError
+	if errors.As(err, &oe) || errors.As(err, &ce) {
+		t.Fatalf("deadline surfaced as a model error: %v", err)
 	}
-	if beforeDispatch == 8 {
-		t.Error("no sample observed in-flight cancellation")
+	st := sess.Stats()
+	if st.Breaker.Faults != 0 || st.Health != resilience.Healthy {
+		t.Fatalf("deadline expiry counted against health: %+v", st.Breaker)
 	}
-	// Cancellation is not a model fault: health stays clean.
-	if st := sess.Stats(); st.Breaker.Faults != 0 || st.Health != resilience.Healthy {
-		t.Fatalf("cancellations counted against health: %+v", st.Breaker)
+	if st.Admission.Admitted != 2 || st.Admission.InFlight != 0 || st.Admission.Queued != 0 {
+		t.Fatalf("admission = %+v, want 2 admitted and nothing in flight or queued", st.Admission)
 	}
 }
 

@@ -25,7 +25,8 @@ import (
 // unstructured error (and never a panic; the harness would crash).
 func soakStructured(err error) bool {
 	var oe *guard.OpError
-	return errors.As(err, &oe) || errors.Is(err, ErrOverloaded) || isCancellation(err)
+	return errors.As(err, &oe) || errors.Is(err, ErrOverloaded) ||
+		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // TestSoakSelfHealing drives concurrent traffic over the evaluation
@@ -199,7 +200,7 @@ func TestSoakSelfHealing(t *testing.T) {
 		})
 	}
 
-	// No goroutine leaks: background re-verifications and batch workers
+	// No goroutine leaks: background re-verifications and the workers
 	// must all have exited (allow scheduler slack).
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseGoroutines+2 {

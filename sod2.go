@@ -268,10 +268,12 @@ func (c *Compiled) Quant() *QuantReport { return c.inner.Quant }
 // (packed bytes for quantized weights, including scale/min tables).
 func (c *Compiled) WeightBytes() int64 { return c.inner.WeightBytes() }
 
-// FamilyKey returns the shape-family bucket key for one concrete input
-// set (see Session.FamilyKey): the statically proven region key when
-// the inputs bind inside the verified region, the concrete input shapes
-// otherwise, or "" for unbucketable inputs.
+// FamilyKey returns the shape-family key of one concrete input set: the
+// statically proven region key when the inputs bind inside the verified
+// region, the concrete input shapes otherwise, or "" for inputs that do
+// not name every graph input. No serving path calls it (the HTTP server
+// serves every request on its own); it stays declared only until the
+// wall-clock benchmark's next revision stops reading it.
 func (c *Compiled) FamilyKey(inputs map[string]*Tensor) (string, bool) {
 	return c.inner.FamilyKey(inputs)
 }

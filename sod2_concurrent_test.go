@@ -1,18 +1,22 @@
 // The concurrent serving suite (run under -race in CI): a shared
 // Compiled must serve simultaneous guarded inferences from many
 // goroutines with outputs bit-identical to the serial run, and the
-// Session facade must fan out and report correctly.
+// Session facade must report each request correctly.
 package sod2
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/frameworks"
+	"repro/internal/guard"
 	"repro/internal/models"
+	"repro/internal/resilience"
 	"repro/internal/tensor"
+	"repro/internal/workload"
 )
 
 // TestConcurrentInferAllModels runs N goroutines of InferGuarded against
@@ -96,10 +100,11 @@ func TestConcurrentInferAllModels(t *testing.T) {
 	}
 }
 
-// TestSessionInferBatch: InferBucketCtx's results come back in
-// submission order, each with its own report, and a bad request fails
-// alone.
-func TestSessionInferBatch(t *testing.T) {
+// TestSessionBadRequestFailsAlone: a request missing its inputs fails
+// with an input contract violation, not counted against the plan, and
+// the requests around it serve, each reporting the region proof's plan
+// (distinct in-region shapes share one proof).
+func TestSessionBadRequestFailsAlone(t *testing.T) {
 	b, err := BuildModel("CodeBERT")
 	if err != nil {
 		t.Fatal(err)
@@ -109,43 +114,48 @@ func TestSessionInferBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := c.NewSession(SessionOptions{})
-
-	samples := make([]Sample, 6)
-	for i := range samples {
-		samples[i] = NewSample(b, int64(48+8*i), 0.5, uint64(100+i))
-	}
-	// Sabotage one request: a missing graph input must fail that request
-	// only.
-	samples[3].Inputs = map[string]*Tensor{}
-
-	results := sess.InferBucketCtx(context.Background(), samples)
-	if len(results) != len(samples) {
-		t.Fatalf("got %d results for %d samples", len(results), len(samples))
-	}
-	for i, r := range results {
-		if r.Index != i {
-			t.Errorf("result %d carries index %d", i, r.Index)
-		}
-		if i == 3 {
-			if r.Err == nil {
-				t.Error("sabotaged request should fail")
+	for i, in := range []map[string]*Tensor{
+		NewSample(b, 48, 0.5, 100).Inputs, {}, NewSample(b, 72, 0.5, 101).Inputs,
+	} {
+		out, rep, err := sess.InferConcurrentCtx(context.Background(), in)
+		if i == 1 {
+			var ce *ContractError
+			if !errors.As(err, &ce) || ce.Kind != guard.KindInput {
+				t.Errorf("request without inputs: err %v, want an input contract violation", err)
 			}
 			continue
 		}
-		if r.Err != nil {
-			t.Errorf("request %d failed: %v", i, r.Err)
+		if err != nil || len(out) == 0 {
+			t.Fatalf("request %d: %d outputs, err %v", i, len(out), err)
 		}
-		if len(r.Outputs) == 0 {
-			t.Errorf("request %d produced no outputs", i)
-		}
-	}
-
-	// Per-request reports say which plan served them: every in-region
-	// shape rides the one region proof.
-	for i, r := range results {
-		if i != 3 && !r.Report.RegionCacheHit {
+		if !rep.RegionCacheHit {
 			t.Errorf("request %d should report a region hit", i)
 		}
+	}
+	if st := sess.Stats(); st.Breaker.Faults != 0 || st.Health != resilience.Healthy {
+		t.Errorf("bad request counted against the plan: health %v, breaker %+v", st.Health, st.Breaker)
+	}
+}
+
+// TestFamilyKeyRegionSharing: every input set binding inside the
+// verified region shares ONE family key (different concrete shapes
+// included), and inputs that do not name every graph input have none.
+func TestFamilyKeyRegionSharing(t *testing.T) {
+	c := compileVerifiedModel(t, "CodeBERT")
+	b, _ := BuildModel("CodeBERT")
+	samples := workload.Samples(b, 4, 7)
+	key0, proven0 := c.FamilyKey(samples[0].Inputs)
+	if key0 == "" || !proven0 {
+		t.Fatalf("in-region inputs: key=%q proven=%v, want region key", key0, proven0)
+	}
+	for _, s := range samples[1:] {
+		key, proven := c.FamilyKey(s.Inputs)
+		if key != key0 || !proven {
+			t.Fatalf("region key not shared across the family: %q/%v vs %q", key, proven, key0)
+		}
+	}
+	if key, proven := c.FamilyKey(map[string]*Tensor{}); key != "" || proven {
+		t.Fatalf("unbindable inputs must have no key, got %q/%v", key, proven)
 	}
 }
 
@@ -176,10 +186,11 @@ func TestSessionStatsCounts(t *testing.T) {
 	if st.Cache.RegionHits != 5 {
 		t.Errorf("region hits = %d, want 5", st.Cache.RegionHits)
 	}
-	// The retired plan-cache and coalescing counters read 0.
-	if st.Coalesced != 0 || st.Cache.PlanMisses != 0 || st.Cache.PlanHits != 0 {
-		t.Errorf("retired counters moved: coalesced %d, plan %d hits / %d misses",
-			st.Coalesced, st.Cache.PlanHits, st.Cache.PlanMisses)
+	// The retired plan-cache, coalescing and bucket counters read 0.
+	if st.Coalesced != 0 || st.Cache.PlanMisses != 0 || st.Cache.PlanHits != 0 ||
+		st.Buckets != 0 || st.BucketMembers != 0 {
+		t.Errorf("retired counters moved: coalesced %d, plan %d hits / %d misses, buckets %d of %d members",
+			st.Coalesced, st.Cache.PlanHits, st.Cache.PlanMisses, st.Buckets, st.BucketMembers)
 	}
 	// The retired trace-memo counters read 0 too.
 	if st.Cache.TraceMisses != 0 || st.Cache.TraceHits != 0 {
@@ -218,8 +229,7 @@ func ExampleSession() {
 	b, _ := BuildModel("CodeBERT")
 	c, _ := Compile(b)
 	sess := c.NewSession(SessionOptions{})
-	samples := []Sample{NewSample(b, 64, 0.5, 1), NewSample(b, 64, 0.5, 2)}
-	results := sess.InferBucketCtx(context.Background(), samples)
-	fmt.Println(len(results), results[0].Err == nil)
-	// Output: 2 true
+	out, rep, err := sess.InferConcurrentCtx(context.Background(), NewSample(b, 64, 0.5, 1).Inputs)
+	fmt.Println(len(out), rep.RegionCacheHit, err == nil)
+	// Output: 1 true true
 }
