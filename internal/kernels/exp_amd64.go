@@ -22,10 +22,19 @@ var vecExp = hasAVX2 && hasFMA && expSelfCheck()
 // body wherever the two differ. Tests set it to compare the two paths.
 var vecErf = vecExp && erfSelfCheck()
 
+// exp512 selects the eight-lane exp bodies (exp_amd64.s), EXP4 on ZMM
+// registers under expRows, Sigmoid and Silu: on when vecExp holds, the
+// CPU probe reports AVX-512F, and the exp self-check, run once more
+// through the eight-lane core (expAVX512), agrees with math.Exp bit for
+// bit. A group of eight they stop at, and a row's last four columns,
+// fall to the four-lane bodies. Tests clear it to cover the four-lane
+// bodies on such a CPU.
+var exp512 = vecExp && hasAVX512 && selfCheck(expCheckInputs(), expAVX512, math.Exp)
+
 // expCheckInputs is the self-check's table: −0.001·i for i < 1024,
 // where math.Exp's FMA and non-FMA branches disagree on about one input
 // in nine (the first is i = 52), then 256 points spread over the whole
-// range the bodies accept. Its length is a multiple of four.
+// range the bodies accept. Its length is a multiple of eight.
 func expCheckInputs() []float64 {
 	var x []float64
 	for i := 0; i < 1024; i++ {
@@ -42,7 +51,7 @@ func expCheckInputs() []float64 {
 func expSelfCheck() bool { return selfCheck(expCheckInputs(), expAVX, math.Exp) }
 
 // selfCheck reports whether body(dst, x) writes ref of every element of
-// x, bit for bit; len(x) must be a multiple of four.
+// x, bit for bit; len(x) must be a multiple of the body's width.
 func selfCheck(x []float64, body func(dst, x []float64) int, ref func(float64) float64) bool {
 	got := make([]float64, len(x))
 	if body(got, x) != len(x) {
@@ -109,18 +118,28 @@ func expRow(dst, row []float32, maxV float32, sum float64) float64 {
 
 // expRows runs expRowGo over each of the len(x)/inner rows of x, at
 // most four, row r against maxV[r] and continuing sum[r]. Four rows go
-// through the interleaved body, one row per lane, by 4×4 blocks from
-// the left; a block it stops at takes expRowGo row by row, and each
-// row's last inner % 4 columns, like fewer than four rows, take expRow.
-// Every row's exps are added to its sum in column order throughout. The
-// reslices are the bounds checks the assembly does not make.
+// through the interleaved bodies, one row per lane, from the left: by
+// 4×8 blocks when exp512 holds, and a block that body stops at, like a
+// last four columns, by the 4×4 body; a 4×4 block that one stops at
+// takes expRowGo row by row, and each row's last inner % 4 columns,
+// like fewer than four rows, take expRow. Every row's exps are added to
+// its sum in column order throughout. The reslices are the bounds
+// checks the assembly does not make.
 func expRows(dst, x []float32, inner int64, maxV *[4]float32, sum *[4]float64) {
 	rows, j := int64(len(x))/inner, int64(0)
 	if vecExp && rows == 4 {
 		n := inner &^ 3
 		for j < n {
-			j += int64(expRows4AVX(dst[j:3*inner+n], x[j:3*inner+n], int(inner), int(n-j), maxV, sum))
-			if j < n {
+			end := n
+			if exp512 {
+				n8 := j + (n-j)&^7
+				if j += int64(expRows4AVX512(dst[j:3*inner+n8], x[j:3*inner+n8], int(inner), int(n8-j), maxV, sum)); j == n {
+					break
+				}
+				end = min(j+8, n)
+			}
+			j += int64(expRows4AVX(dst[j:3*inner+end], x[j:3*inner+end], int(inner), int(end-j), maxV, sum))
+			if j < end {
 				for r := int64(0); r < 4; r++ {
 					at := r*inner + j
 					sum[r] = expRowGo(dst[at:at+4], x[at:at+4], maxV[r], sum[r])
@@ -134,20 +153,30 @@ func expRows(dst, x []float32, inner int64, maxV *[4]float32, sum *[4]float64) {
 	}
 }
 
-func sigmoidRow(o, x []float32) { mapVec(vecExp, o, x, sigmoidRowAVX, sigmoidRowGo) }
-func siluRow(o, x []float32)    { mapVec(vecExp, o, x, siluRowAVX, siluRowGo) }
-func geluRow(o, x []float32)    { mapVec(vecErf, o, x, geluRowAVX, geluRowGo) }
+func sigmoidRow(o, x []float32) { mapVec(vecExp, o, x, sigmoidRowAVX512, sigmoidRowAVX, sigmoidRowGo) }
+func siluRow(o, x []float32)    { mapVec(vecExp, o, x, siluRowAVX512, siluRowAVX, siluRowGo) }
+func geluRow(o, x []float32)    { mapVec(vecErf, o, x, nil, geluRowAVX, geluRowGo) }
 
-// mapVec maps x onto o as expRow walks a row: when on, the vector body
-// over groups of four, scalar over a group it stops at; scalar over the
+// mapVec maps x onto o as expRows walks a row: when on, the eight-lane
+// body wide (when exp512 holds and there is one) over groups of eight,
+// the four-lane body avx over a group it stops at and over the last
+// four, scalar over a group of four that one stops at; scalar over the
 // tail.
-func mapVec(on bool, o, x []float32, avx func(o, x []float32) int, scalar func(o, x []float32)) {
+func mapVec(on bool, o, x []float32, wide, avx func(o, x []float32) int, scalar func(o, x []float32)) {
 	o = o[:len(x)]
 	i := 0
 	if on {
 		n := len(x) &^ 3
 		for i < n {
-			if i += avx(o[i:n], x[i:n]); i < n {
+			end := n
+			if wide != nil && exp512 {
+				n8 := i + (n-i)&^7
+				if i += wide(o[i:n8], x[i:n8]); i == n {
+					break
+				}
+				end = min(i+8, n)
+			}
+			if i += avx(o[i:end], x[i:end]); i < end {
 				scalar(o[i:i+4], x[i:i+4])
 				i += 4
 			}
@@ -178,6 +207,11 @@ func scaleRow(dst []float32, s float32) {
 //     their maxima and sums (exp_amd64.s); it takes n columns.
 //   - sigmoidRowAVX, siluRowAVX: sigmoid and silu of each element.
 //
+// The eight-lane bodies need AVX-512F too and take groups of eight
+// (len(x), or n, a multiple of eight): expAVX512, expRows4AVX512 (4×8
+// blocks), sigmoidRowAVX512 and siluRowAVX512 are the bodies above on
+// eight lanes.
+//
 // The vector erf bodies stop before the first group with a NaN instead:
 //
 //   - erfAVX: dst[i] = math.Erf(x[i]).
@@ -203,3 +237,15 @@ func erfAVX(dst, x []float64) int
 
 //go:noescape
 func geluRowAVX(o, x []float32) int
+
+//go:noescape
+func expAVX512(dst, x []float64) int
+
+//go:noescape
+func expRows4AVX512(dst, x []float32, stride, n int, maxV *[4]float32, sum *[4]float64) int
+
+//go:noescape
+func sigmoidRowAVX512(o, x []float32) int
+
+//go:noescape
+func siluRowAVX512(o, x []float32) int

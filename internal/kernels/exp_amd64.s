@@ -365,6 +365,249 @@ siludone:
 	VZEROUPPER
 	RET
 
+// The eight-lane exp bodies (AVX-512F): EXP4's steps on ZMM registers,
+// eight float64 lanes per step, operation for operation with the same
+// constants, each memory operand an embedded broadcast (.BCST) of the
+// first copy of its vector in expconst. The range check keeps EXP4's
+// _OQ compares but writes an opmask (K1, K2): a group of eight with a
+// lane outside [−708, 709] or NaN stops the loop and is left to the
+// caller, which hands it to the four-lane bodies above. Only AVX-512F
+// forms are used (the 512-bit sign flip is VPXORQ, since VXORPD on ZMM
+// needs AVX512DQ; the 256-bit transposes and sums are VEX-encoded AVX),
+// and only Z0–Z15, so the closing VZEROUPPER leaves no upper register
+// state dirty.
+
+// INRANGE8(out) jumps to out unless every lane of Z0 is ordered and in
+// [−708, 709]; the second compare is masked by the first, so K1 is
+// their AND.
+#define INRANGE8(out) \
+	VCMPPD.BCST $0x1D, expconst<>+C_LO(SB), Z0, K1; \
+	VCMPPD.BCST $0x12, expconst<>+C_HI(SB), Z0, K1, K1; \
+	KMOVW K1, DX; \
+	CMPL DX, $0xFF; \
+	JNE out
+
+// The steps of EXP4 on ZMM registers, as EXP4X4's stages name them:
+// x the lanes, t the temporary, kx the rounded k as eight int32s and ky
+// the ZMM register that holds kx (and then 2^k). VCVTPD2DQ zeroes ky
+// above kx, so the bias is added on all of ky (VPADDD.BCST, an
+// AVX-512F form) and only kx's lanes are widened.
+#define Z_ROUND(x, t, kx, ky) VMULPD.BCST expconst<>+C_LOG2E(SB), x, t; VCVTPD2DQ t, kx; VCVTDQ2PD kx, t
+#define Z_REDUCE(x, t, kx, ky) VFNMADD231PD.BCST expconst<>+C_LN2U(SB), t, x; VFNMADD231PD.BCST expconst<>+C_LN2L(SB), t, x; VMULPD.BCST expconst<>+C_RED(SB), x, x; VBROADCASTSD expconst<>+C_P8(SB), t
+#define Z_HORNER(c, x, t) VFMADD213PD.BCST expconst<>+c(SB), x, t
+#define Z_MUL(x, t, kx, ky) VMULPD t, x, x
+#define Z_SQUARE(x, t, kx, ky) VADDPD.BCST expconst<>+C_TWO(SB), x, t; VMULPD t, x, x
+#define Z_LAST(x, t, kx, ky) VADDPD.BCST expconst<>+C_TWO(SB), x, t; VFMADD213PD.BCST expconst<>+C_ONE(SB), t, x
+#define Z_SCALE(x, t, kx, ky) VPADDD.BCST expconst<>+C_BIAS(SB), ky, ky; VPMOVZXDQ kx, ky; VPSLLQ $52, ky, ky; VMULPD ky, x, x
+#define EXP8STEPS(X, XC) \
+	X(Z_ROUND); \
+	X(Z_REDUCE); \
+	XC(Z_HORNER, C_P7); \
+	XC(Z_HORNER, C_P6); \
+	XC(Z_HORNER, C_P5); \
+	XC(Z_HORNER, C_P4); \
+	XC(Z_HORNER, C_P3); \
+	XC(Z_HORNER, C_HALF); \
+	XC(Z_HORNER, C_ONE); \
+	X(Z_MUL); \
+	X(Z_SQUARE); \
+	X(Z_SQUARE); \
+	X(Z_SQUARE); \
+	X(Z_LAST); \
+	X(Z_SCALE)
+
+// EXP8: Z0 = exp(Z0), with Z1 and Z2 (Y2) as EXP4 uses Y1 and Y2 (X2).
+#define ONE8(M) M(Z0, Z1, Y2, Z2)
+#define ONE8C(M, c) M(c, Z0, Z1)
+#define EXP8 EXP8STEPS(ONE8, ONE8C)
+
+// EXP8X4: Z8..Z11 = exp(Z8..Z11), as EXP4X4 interleaves EXP4: group i
+// works in Z8+i with Zi and Z12+i (Y12+i).
+#define FOUR8(M) M(Z8, Z0, Y12, Z12); M(Z9, Z1, Y13, Z13); M(Z10, Z2, Y14, Z14); M(Z11, Z3, Y15, Z15)
+#define FOUR8C(M, c) M(c, Z8, Z0); M(c, Z9, Z1); M(c, Z10, Z2); M(c, Z11, Z3)
+#define EXP8X4 EXP8STEPS(FOUR8, FOUR8C)
+
+// func expAVX512(dst, x []float64) int
+TEXT ·expAVX512(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	XORQ AX, AX
+
+loop8:
+	CMPQ AX, CX
+	JGE done8
+	VMOVUPD (SI)(AX*8), Z0
+	INRANGE8(done8)
+	EXP8
+	VMOVUPD Z0, (DI)(AX*8)
+	ADDQ $8, AX
+	JMP loop8
+
+done8:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// TRANSPOSE4X2 transposes the 4×4 float32 block in each 128-bit lane of
+// Y8..Y11 (one row of eight each) in place, through Y12..Y15: the low
+// lanes hold columns c..c+3, the high lanes columns c+4..c+7, and the
+// transpose is its own inverse.
+#define TRANSPOSE4X2 \
+	VUNPCKLPS Y9, Y8, Y12; \
+	VUNPCKLPS Y11, Y10, Y13; \
+	VUNPCKHPS Y9, Y8, Y14; \
+	VUNPCKHPS Y11, Y10, Y15; \
+	VUNPCKLPD Y13, Y12, Y8; \
+	VUNPCKHPD Y13, Y12, Y9; \
+	VUNPCKLPD Y15, Y14, Y10; \
+	VUNPCKHPD Y15, Y14, Y11
+
+// INRANGE8X2(k, za, zb) sets opmask k to the lanes of za and zb that are
+// ordered and in [−708, 709].
+#define INRANGE8X2(k, za, zb) \
+	VCMPPD.BCST $0x1D, expconst<>+C_LO(SB), za, k; \
+	VCMPPD.BCST $0x12, expconst<>+C_HI(SB), za, k, k; \
+	VCMPPD.BCST $0x1D, expconst<>+C_LO(SB), zb, k, k; \
+	VCMPPD.BCST $0x12, expconst<>+C_HI(SB), zb, k, k
+
+// func expRows4AVX512(dst, x []float32, stride, n int, maxV *[4]float32, sum *[4]float64) int
+//
+// expRows4AVX on blocks of four rows by eight columns, n a multiple of
+// eight. A block is loaded one row per YMM register and transposed
+// within each 128-bit lane (TRANSPOSE4X2), and each register widened to
+// a ZMM one: lanes 0–3 of Z8+i hold column c+i and lanes 4–7 column
+// c+4+i, row r in lanes r and 4+r. After the exps (EXP8X4), lane r of Y6
+// adds row r's exps one column at a time in column order — the low
+// halves Y8..Y11 (columns c..c+3), then the high halves (c+4..c+7) —
+// each row's scalar chain, bit for bit. A block with any argument
+// outside [−708, 709] or NaN stops the loop before anything of it is
+// written; the count of columns done is returned and sum holds the sums
+// so far.
+TEXT ·expRows4AVX512(SB), NOSPLIT, $0-88
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ stride+48(FP), R8
+	MOVQ n+56(FP), CX
+	MOVQ maxV+64(FP), R9
+	MOVQ sum+72(FP), R10
+	VBROADCASTF128 (R9), Y5
+	VMOVUPD (R10), Y6
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R11
+	XORQ AX, AX
+
+block8loop:
+	CMPQ AX, CX
+	JGE block8done
+	LEAQ (SI)(AX*4), DX
+	VMOVUPS (DX), Y8
+	VMOVUPS (DX)(R8*1), Y9
+	VMOVUPS (DX)(R8*2), Y10
+	VMOVUPS (DX)(R11*1), Y11
+	TRANSPOSE4X2
+	VSUBPS Y5, Y8, Y8
+	VSUBPS Y5, Y9, Y9
+	VSUBPS Y5, Y10, Y10
+	VSUBPS Y5, Y11, Y11
+	VCVTPS2PD Y8, Z8
+	VCVTPS2PD Y9, Z9
+	VCVTPS2PD Y10, Z10
+	VCVTPS2PD Y11, Z11
+	INRANGE8X2(K1, Z8, Z9)
+	INRANGE8X2(K2, Z10, Z11)
+	KANDW K1, K2, K1
+	KMOVW K1, BX
+	CMPL BX, $0xFF
+	JNE block8done
+	EXP8X4
+	VADDPD Y8, Y6, Y6
+	VADDPD Y9, Y6, Y6
+	VADDPD Y10, Y6, Y6
+	VADDPD Y11, Y6, Y6
+	VEXTRACTF64X4 $1, Z8, Y12
+	VEXTRACTF64X4 $1, Z9, Y13
+	VEXTRACTF64X4 $1, Z10, Y14
+	VEXTRACTF64X4 $1, Z11, Y15
+	VADDPD Y12, Y6, Y6
+	VADDPD Y13, Y6, Y6
+	VADDPD Y14, Y6, Y6
+	VADDPD Y15, Y6, Y6
+	VCVTPD2PS Z8, Y8
+	VCVTPD2PS Z9, Y9
+	VCVTPD2PS Z10, Y10
+	VCVTPD2PS Z11, Y11
+	TRANSPOSE4X2
+	LEAQ (DI)(AX*4), DX
+	VMOVUPS Y8, (DX)
+	VMOVUPS Y9, (DX)(R8*1)
+	VMOVUPS Y10, (DX)(R8*2)
+	VMOVUPS Y11, (DX)(R11*1)
+	ADDQ $8, AX
+	JMP block8loop
+
+block8done:
+	VMOVUPD Y6, (R10)
+	MOVQ AX, ret+80(FP)
+	VZEROUPPER
+	RET
+
+// SIGMOID8: Y0 = float32(1/(1+exp(−float64(v)))) for the eight float32
+// lanes v of Y8, with Z7 = 1.0 in every lane; SIGMOID4 on eight lanes.
+#define SIGMOID8(out) \
+	VCVTPS2PD Y8, Z0; \
+	VPXORQ.BCST expconst<>+C_SIGN(SB), Z0, Z0; \
+	INRANGE8(out); \
+	EXP8; \
+	VADDPD Z0, Z7, Z0; \
+	VDIVPD Z0, Z7, Z0; \
+	VCVTPD2PS Z0, Y0
+
+// func sigmoidRowAVX512(o, x []float32) int
+TEXT ·sigmoidRowAVX512(SB), NOSPLIT, $0-56
+	MOVQ o_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	VBROADCASTSD expconst<>+C_ONE(SB), Z7
+	XORQ AX, AX
+
+sig8loop:
+	CMPQ AX, CX
+	JGE sig8done
+	VMOVUPS (SI)(AX*4), Y8
+	SIGMOID8(sig8done)
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ $8, AX
+	JMP sig8loop
+
+sig8done:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func siluRowAVX512(o, x []float32) int
+TEXT ·siluRowAVX512(SB), NOSPLIT, $0-56
+	MOVQ o_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	VBROADCASTSD expconst<>+C_ONE(SB), Z7
+	XORQ AX, AX
+
+silu8loop:
+	CMPQ AX, CX
+	JGE silu8done
+	VMOVUPS (SI)(AX*4), Y8
+	SIGMOID8(silu8done)
+	VMULPS Y8, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ $8, AX
+	JMP silu8loop
+
+silu8done:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
 // The vector Gelu: four float64 lanes through math.Erf's pure-Go
 // definition ($GOROOT/src/math/erf.go) with the same constants, then
 // Gelu's 0.5·v·(1+erf(v/√2)) in the scalar kernel's order. erf.go's five

@@ -43,10 +43,13 @@ func archExpModel(x float64, fused bool) float64 {
 // The self-check's table tells math.Exp's two amd64 branches apart, and
 // vecExp is on exactly when the CPU has AVX2 and FMA and math.Exp takes
 // the FMA branch the vector body mirrors — so under GODEBUG=cpu.fma=off
-// (or cpu.avx=off) the vector body is left off. Where it runs, it is
-// the FMA branch bit for bit on the table and on random arguments over
-// its whole range, and it stops at the first group of four holding an
-// argument outside [−708, 709] or a NaN.
+// (or cpu.avx=off) the vector body is left off; exp512 is on exactly
+// when vecExp is and the CPU has AVX-512F, so the eight-lane core agreed
+// with math.Exp on the table too. Where they run, both widths (expAVX,
+// and expAVX512 when the CPU probe reports AVX-512F) are the FMA branch
+// bit for bit on the table and on random arguments over their whole
+// range, and each stops at the first group of its width holding an
+// argument outside [−708, 709] or a NaN. The log names the widths run.
 func TestExpSelfCheck(t *testing.T) {
 	table := expCheckInputs()
 	if len(table)%4 != 0 {
@@ -75,6 +78,10 @@ func TestExpSelfCheck(t *testing.T) {
 		t.Fatalf("vecExp selected %v, want %v (avx2 %v, fma %v, math.Exp fused %v)",
 			vecExpSelected, want, hasAVX2, hasFMA, mathFused)
 	}
+	if want := vecExpSelected && hasAVX512; exp512Selected != want {
+		t.Fatalf("exp512 selected %v, want %v (vecExp %v, avx512 %v): the eight-lane core disagrees with math.Exp on the table",
+			exp512Selected, want, vecExpSelected, hasAVX512)
+	}
 	if !hasAVX2 || !hasFMA {
 		t.Skip("the CPU probe reports no AVX2+FMA: the vector body cannot run")
 	}
@@ -84,24 +91,39 @@ func TestExpSelfCheck(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		x = append(x, -708+1417*float64(rng.Uint64()>>11)/(1<<53))
 	}
-	got := make([]float64, len(x))
-	if n := expAVX(got, x); n != len(x) {
-		t.Fatalf("expAVX stopped at %d of %d in-range arguments", n, len(x))
-	}
-	for i, v := range x {
-		if want := archExpModel(v, true); math.Float64bits(got[i]) != math.Float64bits(want) {
-			t.Fatalf("expAVX(%v) = %v, FMA branch %v", v, got[i], want)
+	bodies := []struct {
+		name  string
+		width int
+		body  func(dst, x []float64) int
+	}{{"expAVX", 4, expAVX}, {"expAVX512", 8, expAVX512}}
+	var ran []string
+	for _, b := range bodies {
+		if b.width == 8 && !hasAVX512 {
+			t.Logf("%s skipped: the CPU probe reports no AVX-512", b.name)
+			continue
 		}
-	}
-	for _, bad := range []float64{-708.0000000000001, 709.0000000000001, -1e9, 1e9, math.Inf(-1), math.Inf(1), math.NaN()} {
-		for at := 0; at < 16; at++ {
-			x := make([]float64, 16)
-			x[at] = bad
-			if n := expAVX(make([]float64, 16), x); n != at&^3 {
-				t.Fatalf("expAVX with %v at %d stopped at %d, want %d", bad, at, n, at&^3)
+		ran = append(ran, b.name)
+		x := x[:len(x)/b.width*b.width]
+		got := make([]float64, len(x))
+		if n := b.body(got, x); n != len(x) {
+			t.Fatalf("%s stopped at %d of %d in-range arguments", b.name, n, len(x))
+		}
+		for i, v := range x {
+			if want := archExpModel(v, true); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%s(%v) = %v, FMA branch %v", b.name, v, got[i], want)
+			}
+		}
+		for _, bad := range []float64{-708.0000000000001, 709.0000000000001, -1e9, 1e9, math.Inf(-1), math.Inf(1), math.NaN()} {
+			for at := 0; at < 24; at++ {
+				x := make([]float64, 24)
+				x[at] = bad
+				if n, want := b.body(make([]float64, 24), x), at/b.width*b.width; n != want {
+					t.Fatalf("%s with %v at %d stopped at %d, want %d", b.name, bad, at, n, want)
+				}
 			}
 		}
 	}
+	t.Logf("exp bodies checked: %v", ran)
 }
 
 // erfModel is math.Erf's pure-Go definition ($GOROOT/src/math/erf.go)

@@ -3,9 +3,9 @@
 package kernels
 
 // Off amd64 there is no vector exp or erf: every element takes the
-// scalar definitions, and vecExp and vecErf, which only tests set,
-// change nothing.
-var vecExp, vecErf = false, false
+// scalar definitions, and vecExp, vecErf and exp512, which only tests
+// set, change nothing.
+var vecExp, vecErf, exp512 = false, false, false
 
 func expRow(dst, row []float32, maxV float32, sum float64) float64 {
 	return expRowGo(dst, row, maxV, sum)

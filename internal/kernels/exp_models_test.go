@@ -13,12 +13,14 @@ import (
 // TestExpBodiesMatchMathOnModels extends TestExpBodiesMatchMath and
 // TestPoolMatchesReferenceLoop to every Softmax, LogSoftmax, Sigmoid,
 // Silu, Gelu and MaxPool call the ten models make, at the smallest, a
-// middle and the largest size: with the vector bodies on (where the CPU
-// and the self-checks allow them) and forced off, at thread budgets 1
-// and 4, into NaN-filled outputs, each call matches the scalar
-// definitions bit for bit.
+// middle and the largest size: at every width the CPU and the
+// self-checks allow (the eight-lane exp bodies, the four-lane ones, and
+// the vector bodies forced off), at thread budgets 1 and 4, into
+// NaN-filled outputs, each call matches the scalar definitions bit for
+// bit. The log names the widths run.
 func TestExpBodiesMatchMathOnModels(t *testing.T) {
 	seen := map[string]int{}
+	widths := kernels.ExpWidths()
 	forEachModelCall(t, true, func(n *graph.Node, in []*tensor.Tensor, _ bool) error {
 		switch n.OpType {
 		case "Softmax", "LogSoftmax", "Sigmoid", "Silu", "Gelu", "MaxPool":
@@ -27,14 +29,14 @@ func TestExpBodiesMatchMathOnModels(t *testing.T) {
 		}
 		seen[n.OpType]++
 		want := kernels.VecOpDef(n, in[0])
-		for _, on := range []bool{true, false} {
-			if err := matchExpOp(n, in, on, want); err != nil {
+		for _, w := range widths {
+			if err := matchExpOp(n, in, w, want); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	t.Logf("calls checked: %v", seen)
+	t.Logf("calls checked: %v; widths run: %v", seen, widths)
 	for _, op := range []string{"Softmax", "Sigmoid", "Silu", "Gelu", "MaxPool"} {
 		if seen[op] == 0 {
 			t.Errorf("no %s call was checked", op)
@@ -42,10 +44,10 @@ func TestExpBodiesMatchMathOnModels(t *testing.T) {
 	}
 }
 
-// matchExpOp runs n on in with the vector bodies on or off, at thread
+// matchExpOp runs n on in with the vector bodies at width w, at thread
 // budgets 1 and 4, and compares its output with want bit for bit.
-func matchExpOp(n *graph.Node, in []*tensor.Tensor, vector bool, want []float32) error {
-	defer kernels.SetVecBodies(vector)()
+func matchExpOp(n *graph.Node, in []*tensor.Tensor, w kernels.ExpWidth, want []float32) error {
+	defer w.Set()()
 	for _, threads := range []int{1, 4} {
 		out, err := kernels.Run(n, in, &kernels.Ctx{Threads: threads, Dest: kernels.NaNDest{}})
 		if err != nil {
@@ -53,8 +55,8 @@ func matchExpOp(n *graph.Node, in []*tensor.Tensor, vector bool, want []float32)
 		}
 		for i, v := range out[0].F {
 			if math.Float32bits(v) != math.Float32bits(want[i]) {
-				return fmt.Errorf("%s %v vector %v threads %d: element %d of %d (x %v) = %v, want %v",
-					n.OpType, in[0].Shape, vector, threads, i, len(want), in[0].F[i], v, want[i])
+				return fmt.Errorf("%s %v %s threads %d: element %d of %d (x %v) = %v, want %v",
+					n.OpType, in[0].Shape, w.Name, threads, i, len(want), in[0].F[i], v, want[i])
 			}
 		}
 	}

@@ -99,6 +99,51 @@ func SetVecBodies(on bool) (restore func()) {
 // The vector bodies' settings as package init chose them.
 var vecExpSelected, vecErfSelected, vecMaxSelected = vecExp, vecErf, vecMax
 
+// SetExp512 switches the eight-lane exp bodies on or off and returns a
+// func that restores the previous setting. Switching on where package
+// init did not select them leaves them off; they run only while the
+// vector exp is on. (Exported for the kernels_test package.)
+func SetExp512(on bool) (restore func()) {
+	prev := exp512
+	exp512 = on && exp512Selected
+	return func() { exp512 = prev }
+}
+
+// exp512Selected is exp512 as package init chose it.
+var exp512Selected = exp512
+
+// ExpWidth is a setting the vector bodies run at in a test: "width=8"
+// (the eight-lane exp bodies over the four-lane ones), "width=4" (the
+// four-lane bodies alone) or "scalar" (every vector body off).
+// (Exported for the kernels_test package.)
+type ExpWidth struct {
+	Name      string
+	vec, wide bool
+}
+
+func (w ExpWidth) String() string { return w.Name }
+
+// Set switches the bodies to w and returns a func that restores the
+// previous settings.
+func (w ExpWidth) Set() (restore func()) {
+	restoreVec, restoreWide := SetVecBodies(w.vec), SetExp512(w.wide)
+	return func() { restoreWide(); restoreVec() }
+}
+
+// ExpWidths are the settings package init allows, widest first: width=8
+// when it selected the eight-lane bodies, width=4 when it selected any
+// vector body, and scalar.
+func ExpWidths() []ExpWidth {
+	var ws []ExpWidth
+	if exp512Selected {
+		ws = append(ws, ExpWidth{"width=8", true, true})
+	}
+	if vecExpSelected || vecErfSelected || vecMaxSelected {
+		ws = append(ws, ExpWidth{"width=4", true, false})
+	}
+	return append(ws, ExpWidth{"scalar", false, false})
+}
+
 // expModes are the settings SetVecBodies takes in a test: on and off
 // when init selected any vector body, only off otherwise.
 func expModes() []bool {
@@ -165,8 +210,9 @@ func expRowVals(rng *tensor.RNG) float32 {
 // TestExpBodiesMatchMath holds the vector rows — expRow, expRows,
 // maxRow, sigmoidRow, siluRow and geluRow — and the Softmax,
 // LogSoftmax, Sigmoid, Silu and Gelu kernels to the scalar definitions
-// above bit for bit, with the vector bodies on (where package init
-// selected them) and forced off:
+// above bit for bit, at every width package init allows (ExpWidths: the
+// eight-lane bodies, the four-lane ones, and the vector bodies forced
+// off), and logs the widths it ran:
 //
 //   - every 997th float32 bit pattern and the values around Gelu's erf
 //     boundaries, in rows of every length mod 4, through all four rows
@@ -179,13 +225,19 @@ func expRowVals(rng *tensor.RNG) float32 {
 //     ±0 maxima, a NaN at every position, all NaN and all −Inf;
 //   - the interleaved exp-and-sum on 1–9 rows, clean and with one row
 //     holding an argument outside [−708, 709] mid-row;
+//   - four rows, and Sigmoid and Silu rows, with an argument outside
+//     [−708, 709] or a NaN at each of the upper four columns of a group
+//     of eight only, so that the four-lane bodies take the group's lower
+//     half and the scalar definitions its upper half, and the rows
+//     resume eight lanes wide after it;
 //   - the kernels on salted [rows, L] tensors, 1–9 and 37 rows, at
 //     thread budgets 1 and 4, into heap and NaN-filled outputs.
 func TestExpBodiesMatchMath(t *testing.T) {
 	sweep := sweepFloats()
-	for _, on := range expModes() {
-		restore := SetVecBodies(on)
-		name := map[bool]string{true: "vector", false: "scalar"}[on]
+	widths := ExpWidths()
+	for _, w := range widths {
+		restore := w.Set()
+		name := w.Name
 		t.Run(name+"/sweep", func(t *testing.T) {
 			got, want := make([]float32, 4099), make([]float32, 4099)
 			for lo, k := 0, 0; lo < len(sweep); k++ {
@@ -324,6 +376,50 @@ func TestExpBodiesMatchMath(t *testing.T) {
 				}
 			}
 		})
+		t.Run(name+"/upper", func(t *testing.T) {
+			rng := tensor.NewRNG(57)
+			for _, l := range []int64{8, 12, 16, 20, 27, 64} {
+				for at := int64(4); at < l; at++ {
+					if at%8 < 4 {
+						continue
+					}
+					for _, bad := range []float32{-1e9, 800, float32(math.NaN())} {
+						x := tensor.RandomFloats(rng, 4, 4, l).F
+						r := at % 4
+						x[r*l+at] = bad
+						var maxV [4]float32 // 0: each exp argument is x itself
+						var sum [4]float64
+						got, want := nans(4*l), make([]float32, 4*l)
+						expRows(got, x, l, &maxV, &sum)
+						for q := int64(0); q < 4; q++ {
+							ws := expRowDef(want[q*l:(q+1)*l], x[q*l:(q+1)*l], maxV[q])
+							if math.Float64bits(sum[q]) != math.Float64bits(ws) {
+								t.Fatalf("expRows 4×%d, %v at row %d column %d: row %d sum %v, want %v", l, bad, r, at, q, sum[q], ws)
+							}
+						}
+						if i, ok := sameF32(got, want); !ok {
+							t.Fatalf("expRows 4×%d, %v at row %d column %d: element %d = %v, want %v", l, bad, r, at, i, got[i], want[i])
+						}
+						row := x[:l]
+						row[at] = -bad // Sigmoid's and Silu's exp argument is −v
+						for _, body := range []struct {
+							name string
+							row  func(o, x []float32)
+							def  func(float32) float32
+						}{{"sigmoidRow", sigmoidRow, sigmoidDef}, {"siluRow", siluRow, siluDef}} {
+							got := nans(l)
+							body.row(got, row)
+							for i, v := range row {
+								want[i] = body.def(v)
+							}
+							if i, ok := sameF32(got, want[:l]); !ok {
+								t.Fatalf("%s of %d, %v at %d: element %d = %v, want %v", body.name, l, -bad, at, i, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		})
 		t.Run(name+"/kernels", func(t *testing.T) {
 			rng := tensor.NewRNG(48)
 			for _, op := range []string{"Softmax", "LogSoftmax", "Sigmoid", "Silu", "Gelu"} {
@@ -347,38 +443,46 @@ func TestExpBodiesMatchMath(t *testing.T) {
 		})
 		restore()
 	}
+	t.Logf("widths run: %v", widths)
 }
 
 // BenchmarkSoftmaxRows sizes the Softmax kernel on attention-score
-// shapes, 64 rows of L, with the vector exp body and with the scalar
-// definition.
+// shapes, 64 rows of L, at every width package init allows (scalar,
+// width=4, width=8), and reports ns per element.
 func BenchmarkSoftmaxRows(b *testing.B) {
 	rng := tensor.NewRNG(49)
 	node := &graph.Node{Name: "b", OpType: "Softmax"}
 	for _, l := range []int64{64, 160, 243} {
 		x := tensor.RandomFloats(rng, 4, 64, l)
-		for _, on := range []bool{false, true} {
-			b.Run(fmt.Sprintf("L=%d/%s", l, map[bool]string{true: "vector", false: "scalar"}[on]), func(b *testing.B) {
-				defer SetVecBodies(on)()
+		for _, w := range ExpWidths() {
+			b.Run(fmt.Sprintf("L=%d/%s", l, w.Name), func(b *testing.B) {
+				defer w.Set()()
 				benchKernel(b, node, x)
+				reportPerElement(b, x)
 			})
 		}
 	}
 }
 
-// BenchmarkSigmoidSilu sizes Sigmoid and Silu on 64 Ki elements with the
-// vector exp body and with the scalar definition.
+// BenchmarkSigmoidSilu sizes Sigmoid and Silu on 64 Ki elements at every
+// width package init allows, and reports ns per element.
 func BenchmarkSigmoidSilu(b *testing.B) {
 	x := tensor.RandomFloats(tensor.NewRNG(50), 4, 64, 1024)
 	for _, op := range []string{"Sigmoid", "Silu"} {
 		node := &graph.Node{Name: "b", OpType: op}
-		for _, on := range []bool{false, true} {
-			b.Run(fmt.Sprintf("%s/%s", op, map[bool]string{true: "vector", false: "scalar"}[on]), func(b *testing.B) {
-				defer SetVecBodies(on)()
+		for _, w := range ExpWidths() {
+			b.Run(fmt.Sprintf("%s/%s", op, w.Name), func(b *testing.B) {
+				defer w.Set()()
 				benchKernel(b, node, x)
+				reportPerElement(b, x)
 			})
 		}
 	}
+}
+
+// reportPerElement reports the benchmark's time per element of x.
+func reportPerElement(b *testing.B, x *tensor.Tensor) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.Len()), "ns/elem")
 }
 
 // BenchmarkGelu sizes Gelu on 64 Ki elements of a unit normal — the

@@ -96,42 +96,90 @@ func layerNormKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Te
 		bias = in[2]
 	}
 	ParallelForGrain(ctx.threads(), outer, rowGrain(inner), func(oLo, oHi int64) {
-		for o := oLo; o < oHi; o++ {
-			row := x.F[o*inner : (o+1)*inner]
-			dst := out.F[o*inner : (o+1)*inner]
-			var mean float64
-			for _, v := range row {
-				mean += float64(v)
-			}
-			mean /= float64(inner)
-			var variance float64
-			for _, v := range row {
-				d := float64(v) - mean
-				variance += d * d
-			}
-			variance /= float64(inner)
-			inv := float32(1 / math.Sqrt(variance+float64(eps)))
-			// scale and bias repeat along the row when shorter than it.
-			si, bi := 0, 0
-			for i, v := range row {
-				r := (v - float32(mean)) * inv
-				if scale != nil {
-					r *= scale.F[si]
-					if si++; si == len(scale.F) {
-						si = 0
+		for o := oLo; o < oHi; o += 4 {
+			k := min(4, oHi-o)
+			mean, variance := rowStats(x.F[o*inner:(o+k)*inner], inner)
+			for r := int64(0); r < k; r++ {
+				row := x.F[(o+r)*inner : (o+r+1)*inner]
+				dst := out.F[(o+r)*inner : (o+r+1)*inner]
+				inv := float32(1 / math.Sqrt(variance[r]+float64(eps)))
+				m := float32(mean[r])
+				// scale and bias repeat along the row when shorter than it.
+				si, bi := 0, 0
+				for i, v := range row {
+					y := (v - m) * inv
+					if scale != nil {
+						y *= scale.F[si]
+						if si++; si == len(scale.F) {
+							si = 0
+						}
 					}
-				}
-				if bias != nil {
-					r += bias.F[bi]
-					if bi++; bi == len(bias.F) {
-						bi = 0
+					if bias != nil {
+						y += bias.F[bi]
+						if bi++; bi == len(bias.F) {
+							bi = 0
+						}
 					}
+					dst[i] = y
 				}
-				dst[i] = r
 			}
 		}
 	})
 	return []*tensor.Tensor{out}, nil
+}
+
+// rowStats returns the float64 mean and variance of each of the
+// len(x)/l rows of x, at most four, row r in mean[r] and variance[r]:
+// the sum of the row's values in ascending order over l, then the sum of
+// their squared deviations from that mean in ascending order over l.
+// Four rows go through rowStats4, fewer one at a time; either way each
+// row's two sums are the same chain of additions.
+func rowStats(x []float32, l int64) (mean, variance [4]float64) {
+	if int64(len(x)) == 4*l {
+		return rowStats4(x, l)
+	}
+	for r := int64(0); r < int64(len(x))/l; r++ {
+		row := x[r*l : (r+1)*l]
+		var m, v float64
+		for _, e := range row {
+			m += float64(e)
+		}
+		m /= float64(l)
+		for _, e := range row {
+			d := float64(e) - m
+			v += d * d
+		}
+		mean[r], variance[r] = m, v/float64(l)
+	}
+	return mean, variance
+}
+
+// rowStats4 is rowStats on four rows of l values, their four chains
+// interleaved in one loop per sum, so that the additions of different
+// rows overlap where one row's would wait on each other.
+func rowStats4(x []float32, l int64) (mean, variance [4]float64) {
+	r0, r1, r2, r3 := x[:l], x[l:2*l], x[2*l:3*l], x[3*l:4*l]
+	var m0, m1, m2, m3 float64
+	for i, e := range r0 {
+		m0 += float64(e)
+		m1 += float64(r1[i])
+		m2 += float64(r2[i])
+		m3 += float64(r3[i])
+	}
+	n := float64(l)
+	m0, m1, m2, m3 = m0/n, m1/n, m2/n, m3/n
+	var v0, v1, v2, v3 float64
+	for i, e := range r0 {
+		d0 := float64(e) - m0
+		d1 := float64(r1[i]) - m1
+		d2 := float64(r2[i]) - m2
+		d3 := float64(r3[i]) - m3
+		v0 += d0 * d0
+		v1 += d1 * d1
+		v2 += d2 * d2
+		v3 += d3 * d3
+	}
+	return [4]float64{m0, m1, m2, m3}, [4]float64{v0 / n, v1 / n, v2 / n, v3 / n}
 }
 
 // batchNormKernel: inference-mode y = scale*(x-mean)/sqrt(var+eps)+bias,
@@ -192,39 +240,40 @@ func groupNormKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Te
 	if len(in) > 2 && in[2] != nil {
 		bias = in[2]
 	}
+	// A (batch, group) span is x[bg·span:(bg+1)·span]; they go four at a
+	// time through rowStats.
 	ParallelForGrain(ctx.threads(), N*groups, rowGrain(span), func(lo, hi int64) {
-		for bg := lo; bg < hi; bg++ {
-			b, g := bg/groups, bg%groups
-			base := b*C*plane + g*span
-			var mean float64
-			for i := int64(0); i < span; i++ {
-				mean += float64(x.F[base+i])
-			}
-			mean /= float64(span)
-			var variance float64
-			for i := int64(0); i < span; i++ {
-				d := float64(x.F[base+i]) - mean
-				variance += d * d
-			}
-			variance /= float64(span)
-			inv := float32(1 / math.Sqrt(variance+float64(eps)))
-			for c := int64(0); c < chPerGroup; c++ {
-				ch := g*chPerGroup + c
-				s, bi := float32(1), float32(0)
-				if scale != nil {
-					s = scale.F[ch]
-				}
-				if bias != nil {
-					bi = bias.F[ch]
-				}
-				cbase := base + c*plane
-				for i := int64(0); i < plane; i++ {
-					out.F[cbase+i] = s*(x.F[cbase+i]-float32(mean))*inv + bi
+		for bg0 := lo; bg0 < hi; bg0 += 4 {
+			k := min(4, hi-bg0)
+			mean, variance := rowStats(x.F[bg0*span:(bg0+k)*span], span)
+			for r := int64(0); r < k; r++ {
+				g := (bg0 + r) % groups
+				inv := float32(1 / math.Sqrt(variance[r]+float64(eps)))
+				for c := int64(0); c < chPerGroup; c++ {
+					ch := g*chPerGroup + c
+					s, bi := float32(1), float32(0)
+					if scale != nil {
+						s = scale.F[ch]
+					}
+					if bias != nil {
+						bi = bias.F[ch]
+					}
+					cbase := (bg0+r)*span + c*plane
+					normAffine(out.F[cbase:cbase+plane], x.F[cbase:cbase+plane], s, float32(mean[r]), inv, bi)
 				}
 			}
 		}
 	})
 	return []*tensor.Tensor{out}, nil
+}
+
+// normAffineGo stores s·(v−m)·inv + b for each v of x into o, each
+// operation rounded in float32 in that order: GroupNorm's last pass.
+func normAffineGo(o, x []float32, s, m, inv, b float32) {
+	o = o[:len(x)]
+	for i, v := range x {
+		o[i] = s*(v-m)*inv + b
+	}
 }
 
 func instanceNormKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {

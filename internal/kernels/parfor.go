@@ -51,12 +51,16 @@ func ParallelForGrain(threads int, n, grain int64, f func(lo, hi int64)) {
 }
 
 // stripes is how ParallelForGrain cuts [0,n): into count stripes, stripe
-// s covering [s·chunk, min((s+1)·chunk, n)). A kernel that hands each
-// stripe its own part of one scratch finds a stripe's index as lo/chunk.
+// s covering [s·chunk, min((s+1)·chunk, n)). Rounding chunk up can leave
+// fewer stripes than the budget allows (n = 9 over 8 threads is 5
+// stripes of 2), and count is the stripes cut, not the budget. A kernel
+// that hands each stripe its own part of one scratch finds a stripe's
+// index as lo/chunk.
 func stripes(threads int, n, grain int64) (count, chunk int64) {
 	if n <= 0 {
 		return 0, 0
 	}
 	count = min(int64(max(1, threads)), n, (n+max(1, grain)-1)/max(1, grain))
-	return count, (n + count - 1) / count
+	chunk = (n + count - 1) / count
+	return (n + chunk - 1) / chunk, chunk
 }

@@ -16,6 +16,14 @@ func relu(o, x []float32) {
 	reluTail(o[n:], x[n:])
 }
 
+// normAffine is normAffineGo: its SSE2 loop over the largest multiple of
+// vecWidth elements, then the scalar definition over the rest.
+func normAffine(o, x []float32, s, m, inv, b float32) {
+	n := len(x) &^ (vecWidth - 1)
+	normAffineSSE(o[:n], x[:n], s, m, inv, b)
+	normAffineGo(o[n:len(x)], x[n:], s, m, inv, b)
+}
+
 // The SSE2 loops take len(o), a multiple of vecWidth, elements; a vector
 // operand must be at least as long (runbody_amd64.s).
 
@@ -39,3 +47,6 @@ func mulSVSSE(o []float32, x float32, y []float32)
 
 //go:noescape
 func reluSSE(o, x []float32)
+
+//go:noescape
+func normAffineSSE(o, x []float32, s, m, inv, b float32)

@@ -133,3 +133,47 @@ TEXT ·reluSSE(SB), NOSPLIT, $0-48
 	MOVQ x_base+24(FP), SI
 	XORPS X4, X4
 	VS(MAXPS)
+
+// func normAffineSSE(o, x []float32, s, m, inv, b float32)
+//
+// o[i] = s·(x[i]−m)·inv + b, GroupNorm's last pass, each operation
+// rounded on its own in the scalar definition's order: x[i]−m, s times
+// that with s the left operand (copied into X0/X1 each iteration, as SV
+// does), times inv, plus b.
+TEXT ·normAffineSSE(SB), NOSPLIT, $0-64
+	MOVQ o_base+0(FP), DI
+	MOVQ o_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	MOVSS s+48(FP), X4
+	MOVSS m+52(FP), X5
+	MOVSS inv+56(FP), X6
+	MOVSS b+60(FP), X7
+	SHUFPS $0, X4, X4
+	SHUFPS $0, X5, X5
+	SHUFPS $0, X6, X6
+	SHUFPS $0, X7, X7
+	XORQ AX, AX
+	SHRQ $3, CX
+	JZ done
+
+loop:
+	MOVUPS (SI)(AX*1), X2
+	MOVUPS 16(SI)(AX*1), X3
+	SUBPS X5, X2
+	SUBPS X5, X3
+	MOVAPS X4, X0
+	MOVAPS X4, X1
+	MULPS X2, X0
+	MULPS X3, X1
+	MULPS X6, X0
+	MULPS X6, X1
+	ADDPS X7, X0
+	ADDPS X7, X1
+	MOVUPS X0, (DI)(AX*1)
+	MOVUPS X1, 16(DI)(AX*1)
+	ADDQ $32, AX
+	DECQ CX
+	JNZ loop
+
+done:
+	RET
