@@ -19,13 +19,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
 
 	"repro/internal/frameworks"
+	"repro/internal/kernels"
 	"repro/internal/models"
-	"repro/internal/ops"
 	"repro/internal/rdp"
 	"repro/internal/workload"
 
@@ -92,7 +93,7 @@ func main() {
 			}
 		})
 	case "classify":
-		classifyCmd()
+		classifyCmd(os.Stdout)
 	default:
 		usage()
 	}
@@ -139,17 +140,17 @@ func withModel(name string, f func(b *models.Builder)) {
 	f(b)
 }
 
-// classifyCmd prints the operator registry grouped by dynamism class —
+// classifyCmd prints the operator table grouped by dynamism class —
 // this repository's rendering of the paper's Table 2.
-func classifyCmd() {
-	byClass := map[ops.DynClass][]string{}
-	for _, t := range ops.Types() {
-		byClass[ops.ClassOf(t)] = append(byClass[ops.ClassOf(t)], t)
+func classifyCmd(w io.Writer) {
+	byClass := map[kernels.DynClass][]string{}
+	for _, t := range kernels.AllTypes() {
+		byClass[kernels.ClassOf(t)] = append(byClass[kernels.ClassOf(t)], t)
 	}
-	for c := ops.ISDO; c <= ops.EDO; c++ {
-		fmt.Printf("%s (%d ops):\n", c, len(byClass[c]))
+	for c := kernels.ISDO; c <= kernels.EDO; c++ {
+		fmt.Fprintf(w, "%s (%d ops):\n", c, len(byClass[c]))
 		for _, t := range byClass[c] {
-			fmt.Printf("  %s\n", t)
+			fmt.Fprintf(w, "  %s\n", t)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -105,5 +106,20 @@ func TestBatchFlagsRemoved(t *testing.T) {
 		if want := "flag provided but not defined: " + args[1]; code != 2 || !strings.Contains(stderr, want) {
 			t.Errorf("sod2 %s: exit %d, stderr %q; want exit 2 with %q", strings.Join(args, " "), code, stderr, want)
 		}
+	}
+}
+
+// `sod2 classify` renders the paper's Table 2 from the operator table:
+// every row, control flow included, under its dynamism class. The
+// golden pins the class of each of the rows.
+func TestClassifyGolden(t *testing.T) {
+	var got strings.Builder
+	classifyCmd(&got)
+	want, err := os.ReadFile(filepath.Join("testdata", "classify.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("sod2 classify differs from testdata/classify.golden:\n%s", got.String())
 	}
 }

@@ -37,8 +37,8 @@ package absint
 
 import (
 	"repro/internal/graph"
+	"repro/internal/kernels"
 	"repro/internal/lattice"
-	"repro/internal/ops"
 	"repro/internal/symbolic"
 	"repro/internal/tensor"
 )
@@ -520,7 +520,7 @@ func gcdI(a, b int64) int64 {
 // the data input (index 0 by ONNX convention for the ops in the
 // registry) is excluded.
 func ISVDOSInputs(n *graph.Node) []int {
-	if ops.ClassOf(n.OpType) != ops.ISVDOS {
+	if kernels.ClassOf(n.OpType) != kernels.ISVDOS {
 		return nil
 	}
 	var out []int

@@ -12,7 +12,7 @@ package costmodel
 import (
 	"repro/internal/exec"
 	"repro/internal/graph"
-	"repro/internal/ops"
+	"repro/internal/kernels"
 )
 
 // Device is one profiled execution target.
@@ -94,12 +94,12 @@ func (d Device) EventCost(ev exec.OpEvent, eff float64) float64 {
 	if ev.Skipped {
 		return 0
 	}
-	def, ok := ops.Get(ev.OpType)
+	def, ok := kernels.Get(ev.OpType)
 	var flops, bytes int64
 	if ok {
 		flops, bytes = def.Cost(ev.Node, ev.InShapes, ev.OutShapes)
 	} else {
-		flops, bytes = ops.DefaultCost(ev.Node, ev.InShapes, ev.OutShapes)
+		flops, bytes = kernels.DefaultCost(ev.Node, ev.InShapes, ev.OutShapes)
 	}
 	return d.OpCost(flops, bytes, eff) + d.DispatchUS
 }
@@ -128,12 +128,12 @@ func (d Device) TraceCost(tr exec.Trace, opts TraceCostOptions) float64 {
 		if ev.Skipped {
 			continue
 		}
-		def, ok := ops.Get(ev.OpType)
+		def, ok := kernels.Get(ev.OpType)
 		var flops, bytes int64
 		if ok {
 			flops, bytes = def.Cost(ev.Node, ev.InShapes, ev.OutShapes)
 		} else {
-			flops, bytes = ops.DefaultCost(ev.Node, ev.InShapes, ev.OutShapes)
+			flops, bytes = kernels.DefaultCost(ev.Node, ev.InShapes, ev.OutShapes)
 		}
 		if opts.InternalBytes != nil {
 			bytes -= opts.InternalBytes(ev)

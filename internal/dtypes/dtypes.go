@@ -5,9 +5,11 @@
 // accounting uses it to charge 8 bytes for int64 shape tensors and 1
 // byte for bool masks instead of a flat 4.
 //
-// The inference mirrors the kernel registry's output types exactly
-// where it assigns a narrow type, and defaults to Float32 everywhere
-// else. Errors in either direction are fail-safe by construction:
+// The inference mirrors the output types of the kernels in the one
+// operator table (internal/kernels, one row per op type) exactly where
+// it assigns a narrow type, and defaults to Float32 everywhere else;
+// TestInferMatchesKernels holds it to every kernel call of the ten
+// models. Errors in either direction are fail-safe by construction:
 // a value typed Float32 that turns out integral simply skips its
 // reserved arena slot at runtime, and a value typed narrow that turns
 // out float takes the dynamic-allocation path (no slot was planned for

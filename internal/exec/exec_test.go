@@ -1,39 +1,12 @@
 package exec
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/kernels"
 	"repro/internal/lattice"
-	"repro/internal/ops"
 	"repro/internal/tensor"
 )
-
-// TestOpRegistryMatchesKernels pins the analysis registry to what can
-// execute: every op spec has a kernel, or is one of the control-flow ops
-// the executor runs itself, and every kernel has a spec. A spec without
-// a kernel passes analysis, planning and lint, then fails every request.
-func TestOpRegistryMatchesKernels(t *testing.T) {
-	want := append(kernels.Types(), "Combine", "If", "Loop", "Switch")
-	slices.Sort(want)
-	if got := ops.Types(); !slices.Equal(got, want) {
-		for _, op := range got {
-			if _, ok := slices.BinarySearch(want, op); !ok {
-				t.Errorf("op spec %s has no kernel", op)
-			}
-		}
-		for _, op := range want {
-			if _, ok := slices.BinarySearch(got, op); !ok {
-				t.Errorf("kernel %s has no op spec", op)
-			}
-		}
-		if !t.Failed() {
-			t.Errorf("ops.Types() = %v, want %v", got, want)
-		}
-	}
-}
 
 func TestRunChain(t *testing.T) {
 	g := graph.New("chain")

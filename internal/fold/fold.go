@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/kernels"
-	"repro/internal/ops"
 	"repro/internal/tensor"
 )
 
@@ -23,23 +22,6 @@ type Result struct {
 	FoldedNodes int
 	// NewConstants lists the value names that became initializers.
 	NewConstants []string
-}
-
-// foldable excludes control flow and ops without kernels or with
-// execution-determined outputs (folding them is legal but they never
-// have all-constant inputs in practice; NonZero over a constant is fine).
-func foldable(n *graph.Node) bool {
-	switch n.OpType {
-	case "Switch", "Combine", "If", "Loop":
-		return false
-	}
-	if !kernels.Has(n.OpType) {
-		return false
-	}
-	// Random/stateful ops would be wrong to fold; all registered ops are
-	// pure, so only EDO control flow needs exclusion (handled above).
-	_, registered := ops.Get(n.OpType)
-	return registered
 }
 
 // Fold rewrites g in place: nodes whose inputs are all initializers are
@@ -55,7 +37,9 @@ func Fold(g *graph.Graph) (*Result, error) {
 		changed := false
 		var kept []*graph.Node
 		for _, n := range g.Nodes {
-			if !foldable(n) || !allConstInputs(g, n) {
+			// A node folds when its row has a kernel: every kernel is
+			// pure, and the control-flow rows, which have none, do not.
+			if !kernels.Has(n.OpType) || !allConstInputs(g, n) {
 				kept = append(kept, n)
 				continue
 			}

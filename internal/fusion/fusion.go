@@ -9,8 +9,8 @@ package fusion
 
 import (
 	"repro/internal/graph"
+	"repro/internal/kernels"
 	"repro/internal/lattice"
-	"repro/internal/ops"
 	"repro/internal/symbolic"
 )
 
@@ -171,7 +171,7 @@ func fusionTarget(g *graph.Graph, n *graph.Node, infos map[string]lattice.Info, 
 		return nil
 	}
 	// Control-flow ops and EDO never fuse.
-	if ops.ClassOf(n.OpType) == ops.EDO {
+	if kernels.ClassOf(n.OpType) == kernels.EDO {
 		return nil
 	}
 	var candidate *Group
@@ -195,7 +195,7 @@ func fusionTarget(g *graph.Graph, n *graph.Node, infos map[string]lattice.Info, 
 		if len(grp.Nodes) >= maxGroupSize {
 			continue
 		}
-		if ops.ClassOf(p.OpType) == ops.EDO {
+		if kernels.ClassOf(p.OpType) == kernels.EDO {
 			continue
 		}
 		if !shapesFusable(n, inName, infos, mode) {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/graph"
+	"repro/internal/lattice"
 	"repro/internal/tensor"
 )
 
@@ -442,10 +443,188 @@ func globalPoolKernel(avg bool) Kernel {
 	}
 }
 
+// convAttrs extracts kernel/stride/pad/dilation attributes with ONNX
+// defaults for a 2-D convolution or pooling node.
+type convAttrs struct {
+	kernel    []int64
+	strides   []int64
+	pads      []int64 // [top, left, bottom, right] (begin..., end...)
+	dilations []int64
+	group     int64
+}
+
+func getConvAttrs(n *graph.Node, spatial int) convAttrs {
+	a := convAttrs{
+		kernel:    n.AttrInts("kernel_shape", nil),
+		strides:   n.AttrInts("strides", nil),
+		pads:      n.AttrInts("pads", nil),
+		dilations: n.AttrInts("dilations", nil),
+		group:     n.AttrInt("group", 1),
+	}
+	if a.strides == nil {
+		a.strides = make([]int64, spatial)
+		for i := range a.strides {
+			a.strides[i] = 1
+		}
+	}
+	if a.dilations == nil {
+		a.dilations = make([]int64, spatial)
+		for i := range a.dilations {
+			a.dilations[i] = 1
+		}
+	}
+	if a.pads == nil {
+		a.pads = make([]int64, 2*spatial)
+	}
+	return a
+}
+
+// convKernelShape is a Conv's spatial kernel extents: the kernel_shape
+// attribute, else the weight's constant trailing dims (false when one
+// is unknown).
+func convKernelShape(a convAttrs, w lattice.Shape, spatial int) ([]int64, bool) {
+	if a.kernel != nil {
+		return a.kernel, true
+	}
+	kernel := make([]int64, spatial)
+	for i := range kernel {
+		kv, ok := w.Dims[2+i].Const()
+		if !ok {
+			return nil, false
+		}
+		kernel[i] = kv
+	}
+	return kernel, true
+}
+
+func convForward(ctx *InferCtx) ([]lattice.Info, error) {
+	out := nOutputs(ctx.Node)
+	x := ctx.InShape(0)
+	w := ctx.InShape(1)
+	if x.Kind != lattice.ShapeRanked || w.Kind != lattice.ShapeRanked {
+		if x.IsNAC() || w.IsNAC() {
+			out[0].Shape = lattice.NACShape()
+		}
+		return out, nil
+	}
+	spatial := len(x.Dims) - 2
+	if spatial < 1 || len(w.Dims) != len(x.Dims) {
+		return out, fmt.Errorf("Conv %s: rank mismatch x=%v w=%v", ctx.Node.Name, x, w)
+	}
+	a := getConvAttrs(ctx.Node, spatial)
+	kernel, ok := convKernelShape(a, w, spatial)
+	if !ok {
+		return out, nil // kernel extent unknown
+	}
+	dims := make([]lattice.Dim, len(x.Dims))
+	dims[0] = x.Dims[0]
+	dims[1] = w.Dims[0] // output channels = weight dim 0
+	for i := 0; i < spatial; i++ {
+		dims[2+i] = convSpatialOut(x.Dims[2+i], kernel[i], a.strides[i], a.dilations[i], a.pads[i], a.pads[spatial+i])
+	}
+	out[0].Shape = lattice.Ranked(dims...)
+	return out, nil
+}
+
+func convBackward(ctx *InferCtx) ([]lattice.Info, error) {
+	in := nInputs(ctx.Node)
+	o := ctx.Out[0].Shape
+	w := ctx.InShape(1)
+	if o.Kind != lattice.ShapeRanked || w.Kind != lattice.ShapeRanked {
+		return in, nil
+	}
+	spatial := len(o.Dims) - 2
+	if spatial < 1 {
+		return in, nil
+	}
+	a := getConvAttrs(ctx.Node, spatial)
+	kernel, ok := convKernelShape(a, w, spatial)
+	if !ok {
+		return in, nil
+	}
+	dims := make([]lattice.Dim, len(o.Dims))
+	dims[0] = o.Dims[0]
+	dims[1] = lattice.Undef() // input channels come from the weight, dim 1 * group
+	if cin, ok := w.Dims[1].Const(); ok {
+		dims[1] = lattice.FromInt(cin * a.group)
+	}
+	for i := 0; i < spatial; i++ {
+		if a.strides[i] != 1 {
+			return in, nil // stride >1 floor-division is not invertible
+		}
+		dims[2+i] = convSpatialIn(o.Dims[2+i], kernel[i], a.strides[i], a.dilations[i], a.pads[i], a.pads[spatial+i])
+	}
+	in[0].Shape = lattice.Ranked(dims...)
+	return in, nil
+}
+
+func convCost(node *graph.Node, in, out [][]int64) (int64, int64) {
+	if len(in) < 2 || len(out) < 1 {
+		return DefaultCost(node, in, out)
+	}
+	w := in[1]
+	kvol := tensor.NumElems(w[2:])
+	flops := 2 * tensor.NumElems(out[0]) * w[1] * kvol
+	return flops, ioBytes(in, out[0])
+}
+
+// ioBytes is the float32 traffic of reading every input and writing out.
+func ioBytes(in [][]int64, out []int64) int64 {
+	bytes := tensor.NumElems(out) * 4
+	for _, s := range in {
+		bytes += tensor.NumElems(s) * 4
+	}
+	return bytes
+}
+
+func poolForward(global bool) ForwardFn {
+	return func(ctx *InferCtx) ([]lattice.Info, error) {
+		out := nOutputs(ctx.Node)
+		x := ctx.InShape(0)
+		if x.Kind != lattice.ShapeRanked {
+			out[0].Shape = x
+			return out, nil
+		}
+		dims := make([]lattice.Dim, len(x.Dims))
+		copy(dims, x.Dims)
+		spatial := len(x.Dims) - 2
+		if global {
+			for i := 0; i < spatial; i++ {
+				dims[2+i] = lattice.FromInt(1)
+			}
+			out[0].Shape = lattice.Ranked(dims...)
+			return out, nil
+		}
+		a := getConvAttrs(ctx.Node, spatial)
+		if a.kernel == nil {
+			return out, fmt.Errorf("%s %s: missing kernel_shape", ctx.Node.OpType, ctx.Node.Name)
+		}
+		for i := 0; i < spatial; i++ {
+			dims[2+i] = convSpatialOut(x.Dims[2+i], a.kernel[i], a.strides[i], a.dilations[i], a.pads[i], a.pads[spatial+i])
+		}
+		out[0].Shape = lattice.Ranked(dims...)
+		return out, nil
+	}
+}
+
+func poolCost(node *graph.Node, in, out [][]int64) (int64, int64) {
+	if len(out) < 1 {
+		return DefaultCost(node, in, out)
+	}
+	kvol := int64(1)
+	for _, k := range node.AttrInts("kernel_shape", nil) {
+		kvol *= k
+	}
+	if kvol == 1 && len(in) > 0 && len(in[0]) >= 3 { // global pool
+		kvol = tensor.NumElems(in[0][2:])
+	}
+	return tensor.NumElems(out[0]) * kvol, ioBytes(in, out[0])
+}
+
 func init() {
-	register("Conv", convKernel)
-	register("MaxPool", poolKernel(false))
-	register("AveragePool", poolKernel(true))
-	register("GlobalAveragePool", globalPoolKernel(true))
-	register("GlobalMaxPool", globalPoolKernel(false))
+	Register(&Def{Type: "Conv", Class: ISDOS, Forward: convForward, Backward: convBackward, Cost: convCost, Kernel: convKernel})
+	Register(&Def{Type: "MaxPool", Class: ISDOS, Forward: poolForward(false), Cost: poolCost, Kernel: poolKernel(false)})
+	Register(&Def{Type: "AveragePool", Class: ISDOS, Forward: poolForward(false), Cost: poolCost, Kernel: poolKernel(true)})
+	Register(&Def{Type: "GlobalAveragePool", Class: ISDOS, Forward: poolForward(true), Cost: poolCost, Kernel: globalPoolKernel(true)})
+	Register(&Def{Type: "GlobalMaxPool", Class: ISDOS, Forward: poolForward(true), Cost: poolCost, Kernel: globalPoolKernel(false)})
 }

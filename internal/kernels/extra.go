@@ -123,13 +123,14 @@ func scatterElementsKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*ten
 }
 
 func init() {
-	register("CumSum", cumSumKernel)
-	register("Trilu", triluKernel)
-	register("ScatterElements", scatterElementsKernel)
-	registerUnaryF("Softsign", func(v float32) float32 { return v / (1 + float32(math.Abs(float64(v)))) })
-	registerUnaryF("Sin", func(v float32) float32 { return float32(math.Sin(float64(v))) })
-	registerUnaryF("Cos", func(v float32) float32 { return float32(math.Cos(float64(v))) })
-	register("ThresholdedRelu", func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
+	unary("CumSum", cumSumKernel) // shape-preserving along the axis
+	unary("Trilu", triluKernel)   // shape-preserving triangle mask
+	// ScatterElements: output shape equals the data input's.
+	Register(&Def{Type: "ScatterElements", Class: ISDOS, Forward: forwardUnary(false), Kernel: scatterElementsKernel})
+	unary("Softsign", mapOp(func(v float32) float32 { return v / (1 + float32(math.Abs(float64(v)))) }))
+	unary("Sin", mapOp(func(v float32) float32 { return float32(math.Sin(float64(v))) }))
+	unary("Cos", mapOp(func(v float32) float32 { return float32(math.Cos(float64(v))) }))
+	unary("ThresholdedRelu", func(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 		if err := wantInputs(in, 1, "ThresholdedRelu"); err != nil {
 			return nil, err
 		}

@@ -1,9 +1,22 @@
-// Package kernels implements real CPU reference kernels for every
-// operator in the registry. The executor runs them to produce actual
-// tensor values, and testing.B benchmarks measure their wall-clock
-// behaviour. There is one kernel per operator: MatMul, Gemm and Conv
-// (through im2col) share the single float32 GEMM loop nest in
-// matmul.go.
+// Package kernels is the operator table: every op type the runtime knows
+// is one Register(&Def{…}) row that carries, side by side, the op's
+// dynamism class (SoD² §3, Table 2), its forward and optional backward
+// shape/value transfer functions for RDP, its analytic cost for the
+// device cost model, and its real CPU kernel. The four classes are:
+//
+//   - ISDO   (Input Shape Determined Output): output value depends only on
+//     input *shapes* (e.g. Shape, ConstantOfShape, EyeLike).
+//   - ISDOS  (Input Shape Determined Output Shape): output shape depends on
+//     input shapes; output values on input values (Conv, MatMul, Add, ...).
+//   - ISVDOS (Input Shape & Value Determined Output Shape): output shape
+//     additionally depends on some input *values* (Reshape, Range, ...).
+//   - EDO    (Execution Determined Output): output shape only known after
+//     executing the operator (NonZero, If, Loop, <Switch, Combine>).
+//
+// The control-flow rows (Switch, Combine, If, Loop) have no kernel: the
+// executor runs them itself. Every other row has exactly one kernel;
+// MatMul, Gemm and Conv (through im2col) share the single float32 GEMM
+// loop nest in matmul.go.
 //
 // A kernel does not choose where its outputs live: it takes each one
 // from its call's Ctx (Ctx.Out), which hands out a planned arena slot
@@ -81,46 +94,101 @@ func (c *Ctx) Scratch(n int64) []float32 {
 	return make([]float32, n)
 }
 
-// kernels is the one kernel table: every op type is registered exactly
-// once.
-var kernels = map[string]Kernel{}
+// CostFn estimates the work of one execution given concrete shapes.
+type CostFn func(node *graph.Node, in, out [][]int64) (flops, bytes int64)
 
-// register installs an op's kernel; duplicates panic at init time.
-func register(op string, k Kernel) {
-	if _, dup := kernels[op]; dup {
-		panic("kernels: duplicate " + op)
+// Def is one row of the operator table.
+type Def struct {
+	Type     string
+	Class    DynClass
+	Forward  ForwardFn
+	Backward BackwardFn
+	Cost     CostFn
+	// Kernel executes the op; nil only for the control-flow rows the
+	// executor runs itself.
+	Kernel Kernel
+}
+
+var registry = map[string]*Def{}
+
+// Register installs a row; duplicate types panic to surface init-time
+// mistakes immediately. A row without a Cost is charged DefaultCost.
+func Register(def *Def) {
+	if _, dup := registry[def.Type]; dup {
+		panic("kernels: duplicate registration of " + def.Type)
 	}
-	kernels[op] = k
+	if def.Cost == nil {
+		def.Cost = DefaultCost
+	}
+	registry[def.Type] = def
+}
+
+// Get returns the row of the op type.
+func Get(opType string) (*Def, bool) {
+	d, ok := registry[opType]
+	return d, ok
+}
+
+// ClassOf returns the static dynamism class of the op type (EDO for
+// unknown ops, the conservative default).
+func ClassOf(opType string) DynClass {
+	if d, ok := registry[opType]; ok {
+		return d.Class
+	}
+	return EDO
 }
 
 // Has reports whether an executable kernel exists for the op type.
 func Has(op string) bool {
-	_, ok := kernels[op]
-	return ok
+	d, ok := registry[op]
+	return ok && d.Kernel != nil
 }
 
 // Run executes the node's kernel under c (nil: heap outputs, one
 // thread); results are bit-identical for every Ctx.
 func Run(n *graph.Node, in []*tensor.Tensor, c *Ctx) ([]*tensor.Tensor, error) {
-	k, ok := kernels[n.OpType]
-	if !ok {
+	d, ok := registry[n.OpType]
+	if !ok || d.Kernel == nil {
 		return nil, fmt.Errorf("kernels: no kernel for %s", n.OpType)
 	}
-	out, err := k(n, in, c)
+	out, err := d.Kernel(n, in, c)
 	if err != nil {
 		return nil, fmt.Errorf("kernels: %s(%s): %w", n.OpType, n.Name, err)
 	}
 	return out, nil
 }
 
-// Types lists all op types with kernels, sorted.
-func Types() []string {
-	out := make([]string, 0, len(kernels))
-	for t := range kernels {
-		out = append(out, t)
+// Types lists the op types with a kernel, sorted.
+func Types() []string { return sortedTypes(true) }
+
+// AllTypes lists every row's op type, control flow included, sorted.
+func AllTypes() []string { return sortedTypes(false) }
+
+func sortedTypes(withKernel bool) []string {
+	out := make([]string, 0, len(registry))
+	for t, d := range registry {
+		if d.Kernel != nil || !withKernel {
+			out = append(out, t)
+		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// DefaultCost charges one flop per output element and the byte traffic of
+// all inputs and outputs — the right model for elementwise/data-movement
+// operators.
+func DefaultCost(node *graph.Node, in, out [][]int64) (int64, int64) {
+	var flops, bytes int64
+	for _, s := range out {
+		n := tensor.NumElems(s)
+		flops += n
+		bytes += n * 4
+	}
+	for _, s := range in {
+		bytes += tensor.NumElems(s) * 4
+	}
+	return flops, bytes
 }
 
 func wantInputs(in []*tensor.Tensor, n int, op string) error {

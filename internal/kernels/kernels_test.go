@@ -691,9 +691,48 @@ func TestMissingKernel(t *testing.T) {
 	if _, err := Run(mkNode("NoSuchOp", nil, 1), nil, nil); err == nil {
 		t.Error("expected error")
 	}
-	if Has("NoSuchOp") || !Has("Conv") {
+	if Has("NoSuchOp") || !Has("Conv") || Has("Switch") {
 		t.Error("Has wrong")
 	}
+	// A control-flow row has no kernel: Run refuses it as it refuses an
+	// unknown op.
+	if _, err := Run(mkNode("Switch", nil, 2), nil, nil); err == nil || err.Error() != "kernels: no kernel for Switch" {
+		t.Errorf("Run(Switch) = %v", err)
+	}
+}
+
+// TestRowsComplete holds the operator table to one row per op type:
+// every row has a forward transfer, exactly the four control-flow rows
+// (the executor runs them itself) have no kernel, Types lists the rows
+// that do, and registering a type twice panics.
+func TestRowsComplete(t *testing.T) {
+	var withKernel, without []string
+	for _, op := range AllTypes() {
+		d := registry[op]
+		if d.Forward == nil {
+			t.Errorf("%s has no Forward", op)
+		}
+		if d.Kernel == nil {
+			without = append(without, op)
+		} else {
+			withKernel = append(withKernel, op)
+		}
+	}
+	if want := []string{"Combine", "If", "Loop", "Switch"}; !slices.Equal(without, want) {
+		t.Errorf("rows without a kernel = %v, want %v", without, want)
+	}
+	if got := Types(); !slices.Equal(got, withKernel) {
+		t.Errorf("Types() = %v, want the rows with a kernel %v", got, withKernel)
+	}
+	if len(AllTypes()) != len(registry) {
+		t.Errorf("AllTypes() lists %d of %d rows", len(AllTypes()), len(registry))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a second Register of Relu did not panic")
+		}
+	}()
+	Register(&Def{Type: "Relu", Class: ISDOS, Forward: forwardUnary(false), Kernel: registry["Relu"].Kernel})
 }
 
 // Property: Reshape→Reshape back is identity; Transpose twice with the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/lattice"
 	"repro/internal/tensor"
 )
 
@@ -196,7 +197,115 @@ func transpose2D(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
+func matmulForward(ctx *InferCtx) ([]lattice.Info, error) {
+	out := nOutputs(ctx.Node)
+	a := ctx.InShape(0)
+	b := ctx.InShape(1)
+	if a.Kind != lattice.ShapeRanked || b.Kind != lattice.ShapeRanked {
+		if a.IsNAC() || b.IsNAC() {
+			out[0].Shape = lattice.NACShape()
+		}
+		return out, nil
+	}
+	ra, rb := len(a.Dims), len(b.Dims)
+	if ra < 1 || rb < 1 {
+		return out, fmt.Errorf("MatMul %s: scalar operand", ctx.Node.Name)
+	}
+	// Promote 1-D operands per ONNX semantics.
+	aDims, bDims := a.Dims, b.Dims
+	squeezeA, squeezeB := false, false
+	if ra == 1 {
+		aDims = []lattice.Dim{lattice.FromInt(1), aDims[0]}
+		squeezeA = true
+	}
+	if rb == 1 {
+		bDims = []lattice.Dim{bDims[0], lattice.FromInt(1)}
+		squeezeB = true
+	}
+	batchA := aDims[:len(aDims)-2]
+	batchB := bDims[:len(bDims)-2]
+	batch := BroadcastShape(lattice.Ranked(batchA...), lattice.Ranked(batchB...))
+	if batch.Kind != lattice.ShapeRanked {
+		out[0].Shape = batch
+		return out, nil
+	}
+	m := aDims[len(aDims)-2]
+	n := bDims[len(bDims)-1]
+	dims := append([]lattice.Dim{}, batch.Dims...)
+	if !squeezeA {
+		dims = append(dims, m)
+	}
+	if !squeezeB {
+		dims = append(dims, n)
+	}
+	out[0].Shape = lattice.Ranked(dims...)
+	return out, nil
+}
+
+func matmulBackward(ctx *InferCtx) ([]lattice.Info, error) {
+	in := nInputs(ctx.Node)
+	o := ctx.Out[0].Shape
+	a := ctx.InShape(0)
+	b := ctx.InShape(1)
+	if o.Kind != lattice.ShapeRanked {
+		return in, nil
+	}
+	// Refine A when B is fully known and ranks align: A = batch… × m × k.
+	if b.Kind == lattice.ShapeRanked && len(b.Dims) >= 2 && len(o.Dims) >= 2 {
+		k := b.Dims[len(b.Dims)-2]
+		if ra, ok := a.Rank(); ok && ra == len(o.Dims) && k.IsExpr() {
+			dims := make([]lattice.Dim, ra)
+			copy(dims, o.Dims[:ra-1])
+			dims[ra-1] = k
+			in[0].Shape = lattice.Ranked(dims...)
+		}
+	}
+	if a.Kind == lattice.ShapeRanked && len(a.Dims) >= 2 && len(o.Dims) >= 2 {
+		k := a.Dims[len(a.Dims)-1]
+		if rb, ok := b.Rank(); ok && rb >= 2 && k.IsExpr() {
+			dims := make([]lattice.Dim, rb)
+			// batch dims align right; n is output's last dim.
+			for i := 0; i < rb-2; i++ {
+				dims[i] = o.Dims[len(o.Dims)-2-(rb-2)+i]
+			}
+			dims[rb-2] = k
+			dims[rb-1] = o.Dims[len(o.Dims)-1]
+			in[1].Shape = lattice.Ranked(dims...)
+		}
+	}
+	return in, nil
+}
+
+func matmulCost(node *graph.Node, in, out [][]int64) (int64, int64) {
+	if len(in) < 2 || len(out) < 1 {
+		return DefaultCost(node, in, out)
+	}
+	k := in[0][len(in[0])-1]
+	return 2 * tensor.NumElems(out[0]) * k, ioBytes(in, out[0])
+}
+
+func gemmForward(ctx *InferCtx) ([]lattice.Info, error) {
+	out := nOutputs(ctx.Node)
+	a := ctx.InShape(0)
+	b := ctx.InShape(1)
+	if a.Kind != lattice.ShapeRanked || b.Kind != lattice.ShapeRanked || len(a.Dims) != 2 || len(b.Dims) != 2 {
+		return out, nil
+	}
+	transA := ctx.Node.AttrInt("transA", 0) != 0
+	transB := ctx.Node.AttrInt("transB", 0) != 0
+	m := a.Dims[0]
+	if transA {
+		m = a.Dims[1]
+	}
+	n := b.Dims[1]
+	if transB {
+		n = b.Dims[0]
+	}
+	out[0].Shape = lattice.Ranked(m, n)
+	return out, nil
+}
+
 func init() {
-	register("MatMul", matmulKernel)
-	register("Gemm", gemmKernel)
+	Register(&Def{Type: "MatMul", Class: ISDOS, Forward: matmulForward, Backward: matmulBackward, Cost: matmulCost, Kernel: matmulKernel})
+	Register(&Def{Type: "Gemm", Class: ISDOS, Forward: gemmForward, Cost: matmulCost, Kernel: gemmKernel})
 }

@@ -889,38 +889,42 @@ func minf(a, b float32) float32 {
 }
 
 func init() {
-	register("Shape", shapeKernel)
-	register("Size", sizeKernel)
-	register("Reshape", reshapeKernel)
-	register("Flatten", flattenKernel)
-	register("Squeeze", squeezeKernel)
-	register("Unsqueeze", unsqueezeKernel)
-	register("Transpose", transposeKernel)
-	register("Concat", concatKernel)
-	register("Split", splitKernel)
-	register("Gather", gatherKernel)
-	register("Slice", sliceKernel)
-	register("Expand", expandKernel)
-	register("Range", rangeKernel)
-	register("ConstantOfShape", constantOfShapeKernel)
-	register("EyeLike", eyeLikeKernel)
-	register("Pad", padKernel)
-	register("Tile", tileKernel)
-	register("Resize", resizeKernel)
-	register("Upsample", resizeKernel)
-	register("TopK", topKKernel)
-	register("ArgMax", argExtremeKernel(true))
-	register("ArgMin", argExtremeKernel(false))
-	register("NonZero", nonZeroKernel)
-	register("OneHot", oneHotKernel)
-	register("NonMaxSuppression", nmsKernel)
+	Register(&Def{Type: "Shape", Class: ISDO, Forward: shapeForward, Kernel: shapeKernel})
+	Register(&Def{Type: "Size", Class: ISDO, Forward: sizeForward, Kernel: sizeKernel})
+	Register(&Def{Type: "ConstantOfShape", Class: ISDO, Forward: constantOfShapeForward, Kernel: constantOfShapeKernel})
+	Register(&Def{Type: "EyeLike", Class: ISDO, Forward: forwardUnary(false), Kernel: eyeLikeKernel})
 
-	register("ReduceSum", reduceKernel(0, func(a, v float32) float32 { return a + v }, nil))
-	register("ReduceMean", reduceKernel(0, func(a, v float32) float32 { return a + v },
+	Register(&Def{Type: "Reshape", Class: ISVDOS, Forward: reshapeForward, Kernel: reshapeKernel})
+	Register(&Def{Type: "Flatten", Class: ISDOS, Forward: flattenForward, Kernel: flattenKernel})
+	Register(&Def{Type: "Squeeze", Class: ISVDOS, Forward: squeezeForward, Kernel: squeezeKernel})
+	Register(&Def{Type: "Unsqueeze", Class: ISVDOS, Forward: unsqueezeForward, Kernel: unsqueezeKernel})
+	Register(&Def{Type: "Transpose", Class: ISDOS, Forward: transposeForward, Backward: transposeBackward, Kernel: transposeKernel})
+	Register(&Def{Type: "Concat", Class: ISDOS, Forward: concatForward, Backward: concatBackward, Kernel: concatKernel})
+	Register(&Def{Type: "Split", Class: ISVDOS, Forward: splitForward, Kernel: splitKernel})
+	Register(&Def{Type: "Gather", Class: ISDOS, Forward: gatherForward, Kernel: gatherKernel})
+	Register(&Def{Type: "Slice", Class: ISVDOS, Forward: sliceForward, Kernel: sliceKernel})
+	Register(&Def{Type: "Expand", Class: ISVDOS, Forward: expandForward, Kernel: expandKernel})
+	Register(&Def{Type: "Range", Class: ISVDOS, Forward: rangeForward, Kernel: rangeKernel})
+	Register(&Def{Type: "Resize", Class: ISVDOS, Forward: resizeForward, Kernel: resizeKernel})
+	Register(&Def{Type: "Upsample", Class: ISVDOS, Forward: resizeForward, Kernel: resizeKernel})
+	Register(&Def{Type: "Pad", Class: ISVDOS, Forward: padForward, Kernel: padKernel})
+	Register(&Def{Type: "Tile", Class: ISVDOS, Forward: tileForward, Kernel: tileKernel})
+	Register(&Def{Type: "TopK", Class: ISVDOS, Forward: topKForward, Kernel: topKKernel})
+	Register(&Def{Type: "OneHot", Class: ISVDOS, Forward: oneHotForward, Kernel: oneHotKernel})
+	Register(&Def{Type: "ArgMax", Class: ISDOS, Forward: argReduceForward, Kernel: argExtremeKernel(true)})
+	Register(&Def{Type: "ArgMin", Class: ISDOS, Forward: argReduceForward, Kernel: argExtremeKernel(false)})
+
+	// Data-dependent-output ops: truly ⊥ shapes.
+	Register(&Def{Type: "NonZero", Class: EDO, Forward: nonZeroForward, Kernel: nonZeroKernel})
+	Register(&Def{Type: "NonMaxSuppression", Class: EDO, Forward: nmsForward, Kernel: nmsKernel})
+
+	reduce := func(op string, k Kernel) { Register(&Def{Type: op, Class: ISDOS, Forward: reduceForward, Kernel: k}) }
+	reduce("ReduceSum", reduceKernel(0, func(a, v float32) float32 { return a + v }, nil))
+	reduce("ReduceMean", reduceKernel(0, func(a, v float32) float32 { return a + v },
 		func(a float32, n int64) float32 { return a / float32(n) }))
-	register("ReduceMax", reduceKernel(float32(math.Inf(-1)), maxf, nil))
-	register("ReduceMin", reduceKernel(float32(math.Inf(1)), minf, nil))
-	register("ReduceProd", reduceKernel(1, func(a, v float32) float32 { return a * v }, nil))
-	register("ReduceL2", reduceKernel(0, func(a, v float32) float32 { return a + v*v },
+	reduce("ReduceMax", reduceKernel(float32(math.Inf(-1)), maxf, nil))
+	reduce("ReduceMin", reduceKernel(float32(math.Inf(1)), minf, nil))
+	reduce("ReduceProd", reduceKernel(1, func(a, v float32) float32 { return a * v }, nil))
+	reduce("ReduceL2", reduceKernel(0, func(a, v float32) float32 { return a + v*v },
 		func(a float32, n int64) float32 { return float32(math.Sqrt(float64(a))) }))
 }

@@ -289,11 +289,32 @@ func instanceNormKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor
 	return groupNormKernel(clone, in, ctx)
 }
 
+func normCost(node *graph.Node, in, out [][]int64) (int64, int64) {
+	if len(out) < 1 {
+		return DefaultCost(node, in, out)
+	}
+	return 8 * tensor.NumElems(out[0]), ioBytes(in, out[0])
+}
+
+func softmaxCost(node *graph.Node, in, out [][]int64) (int64, int64) {
+	if len(out) < 1 {
+		return DefaultCost(node, in, out)
+	}
+	n := tensor.NumElems(out[0])
+	return 5 * n, 8 * n
+}
+
 func init() {
-	register("Softmax", softmaxKernel(false))
-	register("LogSoftmax", softmaxKernel(true))
-	register("LayerNormalization", layerNormKernel)
-	register("BatchNormalization", batchNormKernel)
-	register("GroupNormalization", groupNormKernel)
-	register("InstanceNormalization", instanceNormKernel)
+	// Softmax and the normalizations keep their input's shape.
+	row := func(op string, c DynClass, cost CostFn, k Kernel) {
+		Register(&Def{Type: op, Class: c, Forward: forwardUnary(false), Backward: backwardUnary, Cost: cost, Kernel: k})
+	}
+	row("Softmax", ISDOS, softmaxCost, softmaxKernel(false))
+	row("LogSoftmax", ISDOS, softmaxCost, softmaxKernel(true))
+	row("LayerNormalization", ISDOS, normCost, layerNormKernel)
+	row("BatchNormalization", ISDOS, normCost, batchNormKernel)
+	row("InstanceNormalization", ISDOS, normCost, instanceNormKernel)
+	// GroupNormalization is listed as ISVDOS in Table 2 (its num_groups
+	// interaction), but shape-wise it preserves the input shape.
+	row("GroupNormalization", ISVDOS, normCost, groupNormKernel)
 }

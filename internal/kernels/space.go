@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/lattice"
+	"repro/internal/symbolic"
 	"repro/internal/tensor"
 )
 
@@ -79,7 +81,43 @@ func depthToSpaceKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor
 	return []*tensor.Tensor{out}, nil
 }
 
+// spaceForward is the transfer of SpaceToDepth (toDepth) and of its
+// inverse DepthToSpace: channels scale by b² one way, each spatial dim
+// by b the other.
+func spaceForward(toDepth bool) ForwardFn {
+	return func(ctx *InferCtx) ([]lattice.Info, error) {
+		out := nOutputs(ctx.Node)
+		x := ctx.InShape(0)
+		if x.Kind != lattice.ShapeRanked || len(x.Dims) != 4 {
+			out[0].Shape = x
+			return out, nil
+		}
+		b := ctx.Node.AttrInt("blocksize", 2)
+		grow, shrink := mulDimConst, divDimConst
+		if !toDepth {
+			grow, shrink = shrink, grow
+		}
+		out[0].Shape = lattice.Ranked(x.Dims[0], grow(x.Dims[1], b*b), shrink(x.Dims[2], b), shrink(x.Dims[3], b))
+		return out, nil
+	}
+}
+
+// mulDimConst / divDimConst lift constant scaling into the dim lattice.
+func mulDimConst(d lattice.Dim, c int64) lattice.Dim {
+	if !d.IsExpr() {
+		return lattice.Dim{Kind: d.Kind}
+	}
+	return lattice.FromExpr(symbolic.Mul(d.E, symbolic.NewConst(c)))
+}
+
+func divDimConst(d lattice.Dim, c int64) lattice.Dim {
+	if !d.IsExpr() {
+		return lattice.Dim{Kind: d.Kind}
+	}
+	return lattice.FromExpr(symbolic.Div(d.E, symbolic.NewConst(c)))
+}
+
 func init() {
-	register("SpaceToDepth", spaceToDepthKernel)
-	register("DepthToSpace", depthToSpaceKernel)
+	Register(&Def{Type: "SpaceToDepth", Class: ISDOS, Forward: spaceForward(true), Kernel: spaceToDepthKernel})
+	Register(&Def{Type: "DepthToSpace", Class: ISDOS, Forward: spaceForward(false), Kernel: depthToSpaceKernel})
 }

@@ -14,8 +14,8 @@ import (
 	"repro/internal/dtypes"
 	"repro/internal/fusion"
 	"repro/internal/graph"
+	"repro/internal/kernels"
 	"repro/internal/lattice"
-	"repro/internal/ops"
 	"repro/internal/rdp"
 	"repro/internal/symbolic"
 )
@@ -195,7 +195,7 @@ func hasNAC(g *graph.Graph, infos map[string]lattice.Info) bool {
 // the original graph into sub-graphs that can be independently analyzed").
 func partition(g *graph.Graph, infos map[string]lattice.Info, sorted []*graph.Node, opts Options) []*Subgraph {
 	isBoundary := func(n *graph.Node) bool {
-		if ops.ClassOf(n.OpType) == ops.EDO {
+		if kernels.ClassOf(n.OpType) == kernels.EDO {
 			return true
 		}
 		for _, o := range n.Outputs {
@@ -278,7 +278,7 @@ func classify(g *graph.Graph, nodes []*graph.Node, infos map[string]lattice.Info
 	allKnown := true
 	anyNAC := false
 	for _, n := range nodes {
-		if ops.ClassOf(n.OpType) == ops.EDO {
+		if kernels.ClassOf(n.OpType) == kernels.EDO {
 			anyNAC = true
 		}
 		for _, o := range n.Outputs {

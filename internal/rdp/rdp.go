@@ -11,8 +11,8 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/kernels"
 	"repro/internal/lattice"
-	"repro/internal/ops"
 	"repro/internal/symbolic"
 	"repro/internal/tensor"
 )
@@ -90,7 +90,7 @@ func Analyze(g *graph.Graph, overrides map[string]lattice.Shape, opts Options) (
 	}
 	// Constant tensors carry full info.
 	for name, t := range g.Initializers {
-		a.infos[name] = ops.InfoForInitializer(t)
+		a.infos[name] = kernels.InfoForInitializer(t)
 	}
 	// Overrides may also pin intermediate or output shapes (the paper's
 	// Fig. 3(b) scenario: a known model output shape propagated backward).
@@ -195,7 +195,7 @@ func (a *analyzer) fillInfo(name string, in lattice.Info, viaBackward bool) bool
 	return false
 }
 
-func (a *analyzer) ctxFor(n *graph.Node) *ops.InferCtx {
+func (a *analyzer) ctxFor(n *graph.Node) *kernels.InferCtx {
 	in := make([]lattice.Info, len(n.Inputs))
 	for i, name := range n.Inputs {
 		if name == "" {
@@ -212,7 +212,7 @@ func (a *analyzer) ctxFor(n *graph.Node) *ops.InferCtx {
 			out[i] = a.infos[name]
 		}
 	}
-	return &ops.InferCtx{
+	return &kernels.InferCtx{
 		Node:     n,
 		In:       in,
 		Out:      out,
@@ -238,7 +238,7 @@ func (a *analyzer) transferNode(n *graph.Node) (bool, error) {
 		return ch, err
 	}
 
-	def, ok := ops.Get(n.OpType)
+	def, ok := kernels.Get(n.OpType)
 	if !ok {
 		// Unknown operator: conservatively ⊥ everything it produces.
 		for _, o := range n.Outputs {

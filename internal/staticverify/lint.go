@@ -5,8 +5,8 @@ import (
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/kernels"
 	"repro/internal/lattice"
-	"repro/internal/ops"
 	"repro/internal/symbolic"
 )
 
@@ -132,7 +132,7 @@ func lintNode(g *graph.Graph, n *graph.Node, infos map[string]lattice.Info,
 
 	// isvdos-const: a value-determined-shape op whose non-constant input
 	// is nonetheless proven constant by value propagation.
-	if !foldable && ops.ClassOf(n.OpType) == ops.ISVDOS {
+	if !foldable && kernels.ClassOf(n.OpType) == kernels.ISVDOS {
 		for _, in := range n.Inputs {
 			if in == "" || g.IsGraphInput(in) {
 				continue
