@@ -55,14 +55,16 @@ func BenchmarkMemPlanAblation(b *testing.B) { benchExperiment(b, "memopt") }
 // ---- Wall-clock kernel benchmarks -------------------------------------
 
 // BenchmarkGemm measures the one GEMM loop nest on the (m, k, n) shapes
-// the ten models issue most: im2col convs (few rows, long columns, and
-// 16×144×496, one panel of a 3×3 16→16 conv on a 62-wide plane), the
-// attention products (196×8×196, 196×196×8), a square-ish projection and
-// a 1×k×n classifier head.
+// the ten models issue most: im2col convs (few rows, long columns,
+// 16×144×496, one panel of a 3×3 16→16 conv on a 62-wide plane, and
+// 16×144×260, a panel whose width is no multiple of 32), the attention
+// products QKᵀ (L×8×L) and P·V (L×L×8) at L = 196 and at the served
+// L = 289 and 400, a square-ish projection and a 1×k×n classifier head.
 func BenchmarkGemm(b *testing.B) {
 	for _, sh := range []struct{ m, k, n int64 }{
-		{16, 144, 3600}, {32, 288, 900}, {16, 27, 14400}, {16, 144, 496},
-		{128, 32, 32}, {196, 8, 196}, {196, 196, 8}, {1, 32, 10},
+		{16, 144, 3600}, {32, 288, 900}, {16, 27, 14400}, {16, 144, 496}, {16, 144, 260},
+		{128, 32, 32}, {196, 8, 196}, {196, 196, 8}, {289, 8, 289}, {289, 289, 8},
+		{400, 8, 400}, {400, 400, 8}, {1, 32, 10},
 	} {
 		rng := tensor.NewRNG(3)
 		a := tensor.RandomFloats(rng, 1, sh.m, sh.k)

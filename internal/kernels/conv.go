@@ -29,10 +29,8 @@ func convArgsFor(n *graph.Node, x, w *tensor.Tensor) (conv2dArgs, error) {
 	strides := n.AttrInts("strides", []int64{1, 1})
 	pads := n.AttrInts("pads", []int64{0, 0, 0, 0})
 	dil := n.AttrInts("dilations", []int64{1, 1})
-	if len(strides) != 2 || len(pads) != 4 || len(dil) != 2 {
-		// Lengths, not the slices: formatting those would move the three
-		// default literals above to the heap on every call.
-		return a, fmt.Errorf("Conv: want 2 strides, 4 pads, 2 dilations, got %d, %d, %d", len(strides), len(pads), len(dil))
+	if err := checkAttrLens(n, 2, n.AttrInts("kernel_shape", nil), strides, pads, dil); err != nil {
+		return a, err
 	}
 	a.strideH, a.strideW = strides[0], strides[1]
 	a.padT, a.padL, a.padB, a.padR = pads[0], pads[1], pads[2], pads[3]
@@ -206,10 +204,15 @@ func validSpan(off, stride, extent, n int64) (lo, hi int64) {
 // its elements: the panel is reused scratch. A filter tap reads
 // inside the image over one span of oh and one span of ow, so a patch
 // row is a cleared block above, a cleared block below and, per row in
-// between, a cleared fringe either side of one copy (stride 1), one
-// gather2 (stride 2) or one strided read — no bounds test per element.
+// between, a cleared fringe either side of the values the tap reads —
+// no bounds test per element. Those values are, for all the rows of
+// the tap at once, one copy at stride 1 when the output is as wide as
+// the input ("same" padding: each row lies one fixed distance from its
+// source) and one gather2Rows at stride 2; otherwise, per row, one copy
+// (stride 1) or one strided read.
 func im2colPanel(x, panel []float32, a *conv2dArgs, b, g, oh0, oh1 int64) {
 	width := (oh1 - oh0) * a.outW
+	runs := a.strideH == 1 && a.strideW == 1 && a.outW == a.w
 	row := int64(0)
 	for ic := int64(0); ic < a.cinPerGroup; ic++ {
 		base := (b*a.cin + g*a.cinPerGroup + ic) * a.h * a.w
@@ -228,39 +231,62 @@ func im2colPanel(x, panel []float32, a *conv2dArgs, b, g, oh0, oh1 int64) {
 				}
 				clear(dst[:(ohLo-oh0)*a.outW])
 				clear(dst[(ohHi-oh0)*a.outW:])
-				for oh := ohLo; oh < ohHi; oh++ {
-					seg := dst[(oh-oh0)*a.outW : (oh-oh0+1)*a.outW]
-					src := x[base+(oh*a.strideH+ih0)*a.w:][:a.w]
-					if owLo > 0 {
-						clear(seg[:owLo])
-					}
-					if owHi < a.outW {
-						clear(seg[owHi:])
-					}
-					// A short interior (Conformer's [L/4, 1] plane has one
-					// element) costs more as a copy call than as the loop.
-					if a.strideW == 1 && owHi-owLo >= 8 {
-						copy(seg[owLo:owHi], src[owLo+iw0:])
-						continue
-					}
-					if a.strideW == 2 {
-						gather2(seg[owLo:owHi], src[2*owLo+iw0:])
-						continue
-					}
-					for ow := owLo; ow < owHi; ow++ {
-						seg[ow] = src[ow*a.strideW+iw0]
+				rows := dst[(ohLo-oh0)*a.outW : (ohHi-oh0)*a.outW]
+				src := base + (ohLo*a.strideH+ih0)*a.w + owLo*a.strideW + iw0
+				switch {
+				case runs:
+					// The copy fills the fringes between rows from the
+					// neighbouring rows; clearFringes clears them after.
+					n := int64(len(rows)) - owLo - (a.outW - owHi)
+					copy(rows[owLo:owLo+n], x[src:src+n])
+				case a.strideW == 2:
+					gather2Rows(rows[owLo:], a.outW, x[src:], a.strideH*a.w, owHi-owLo, ohHi-ohLo)
+				default:
+					for oh := ohLo; oh < ohHi; oh++ {
+						seg := dst[(oh-oh0)*a.outW : (oh-oh0+1)*a.outW]
+						in := x[base+(oh*a.strideH+ih0)*a.w:][:a.w]
+						// A short interior (Conformer's [L/4, 1] plane has one
+						// element) costs more as a copy call than as the loop.
+						if a.strideW == 1 && owHi-owLo >= 8 {
+							copy(seg[owLo:owHi], in[owLo+iw0:])
+							continue
+						}
+						for ow := owLo; ow < owHi; ow++ {
+							seg[ow] = in[ow*a.strideW+iw0]
+						}
 					}
 				}
+				clearFringes(rows, a.outW, owLo, owHi)
 			}
 		}
 	}
 }
 
-// gather2Go sets dst[i] = src[2·i] for every i of dst: im2colPanel's
-// stride-2 row, with src holding at least 2·len(dst)−1 floats.
-func gather2Go(dst, src []float32) {
-	for i := range dst {
-		dst[i] = src[2*i]
+// clearFringes zeroes columns [0, lo) and [hi, w) of every w-wide row of
+// rows.
+func clearFringes(rows []float32, w, lo, hi int64) {
+	if lo == 0 && hi == w {
+		return
+	}
+	for r := int64(0); r < int64(len(rows)); r += w {
+		seg := rows[r : r+w]
+		for i := range lo {
+			seg[i] = 0
+		}
+		for i := hi; i < w; i++ {
+			seg[i] = 0
+		}
+	}
+}
+
+// gather2RowsGo sets dst[r·dpitch+i] = src[r·spitch+2·i] for i < n and
+// r < rows: im2colPanel's stride-2 rows of one filter tap.
+func gather2RowsGo(dst []float32, dpitch int64, src []float32, spitch, n, rows int64) {
+	for r := int64(0); r < rows; r++ {
+		d, s := dst[r*dpitch:][:n], src[r*spitch:]
+		for i := range d {
+			d[i] = s[2*i]
+		}
 	}
 }
 
@@ -276,9 +302,11 @@ func poolKernel(avg bool) Kernel {
 		kernel := n.AttrInts("kernel_shape", nil)
 		strides := n.AttrInts("strides", []int64{1, 1})
 		pads := n.AttrInts("pads", []int64{0, 0, 0, 0})
-		if len(kernel) != 2 || len(strides) != 2 || len(pads) != 4 {
-			// Lengths, not the slices, as in convArgsFor.
-			return nil, fmt.Errorf("%s: want 2 kernel_shape, 2 strides, 4 pads, got %d, %d, %d", n.OpType, len(kernel), len(strides), len(pads))
+		if kernel == nil {
+			return nil, fmt.Errorf("%s %s: missing kernel_shape", n.OpType, n.Name)
+		}
+		if err := checkAttrLens(n, 2, kernel, strides, pads, nil); err != nil {
+			return nil, err
 		}
 		if strides[0] < 1 || strides[1] < 1 {
 			return nil, fmt.Errorf("%s: non-positive strides %dx%d", n.OpType, strides[0], strides[1])
@@ -419,27 +447,54 @@ func globalPoolKernel(avg bool) Kernel {
 			outShape[i] = 1
 		}
 		out := ctx.Out(0, tensor.Float32, outShape...)
+		if avg {
+			meanPlanes(out.F, x.F, plane)
+			return []*tensor.Tensor{out}, nil
+		}
 		for b := int64(0); b < N; b++ {
 			for c := int64(0); c < C; c++ {
 				base := (b*C + c) * plane
-				if avg {
-					var acc float32
-					for i := int64(0); i < plane; i++ {
-						acc += x.F[base+i]
+				best := float32(math.Inf(-1))
+				for i := int64(0); i < plane; i++ {
+					if x.F[base+i] > best {
+						best = x.F[base+i]
 					}
-					out.F[b*C+c] = acc / float32(plane)
-				} else {
-					best := float32(math.Inf(-1))
-					for i := int64(0); i < plane; i++ {
-						if x.F[base+i] > best {
-							best = x.F[base+i]
-						}
-					}
-					out.F[b*C+c] = best
 				}
+				out.F[b*C+c] = best
 			}
 		}
 		return []*tensor.Tensor{out}, nil
+	}
+}
+
+// meanPlanes writes the mean of plane i of x, its plane values from
+// i·plane on, to dst[i]: a float32 sum in ascending order, over plane.
+// Four planes go at a time, their sums interleaved in one loop so that
+// the additions of different planes overlap where one plane's would wait
+// on each other (as rowStats4 does); each sum keeps its own order.
+func meanPlanes(dst, x []float32, plane int64) {
+	n := float32(plane)
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		r0 := x[int64(i)*plane : int64(i+1)*plane]
+		r1 := x[int64(i+1)*plane : int64(i+2)*plane][:len(r0)]
+		r2 := x[int64(i+2)*plane : int64(i+3)*plane][:len(r0)]
+		r3 := x[int64(i+3)*plane : int64(i+4)*plane][:len(r0)]
+		var s0, s1, s2, s3 float32
+		for j, v := range r0 {
+			s0 += v
+			s1 += r1[j]
+			s2 += r2[j]
+			s3 += r3[j]
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0/n, s1/n, s2/n, s3/n
+	}
+	for ; i < len(dst); i++ {
+		var s float32
+		for _, v := range x[int64(i)*plane : int64(i+1)*plane] {
+			s += v
+		}
+		dst[i] = s / n
 	}
 }
 
@@ -453,13 +508,50 @@ type convAttrs struct {
 	group     int64
 }
 
-func getConvAttrs(n *graph.Node, spatial int) convAttrs {
+// AttrLenError reports a Conv or pool attribute whose length does not
+// fit the input's spatial rank: pads holds two values per spatial axis,
+// kernel_shape, strides and dilations one.
+type AttrLenError struct {
+	Op, Node, Attr string
+	Len, Want      int
+}
+
+func (e *AttrLenError) Error() string {
+	return fmt.Sprintf("%s %s: want %d %s values, got %d", e.Op, e.Node, e.Want, e.Attr, e.Len)
+}
+
+// checkAttrLens is the one length rule for a Conv's or pool's
+// attributes, shared by the transfer functions and the kernels: each of
+// kernel_shape, strides, pads and dilations that is present (non-nil)
+// // holds one value per spatial axis, pads two. It keeps no slice, not
+// even in the error, so the kernels' default literals stay off the heap.
+func checkAttrLens(n *graph.Node, spatial int, kernel, strides, pads, dilations []int64) error {
+	bad := func(attr string, v []int64, want int) error {
+		return &AttrLenError{Op: n.OpType, Node: n.Name, Attr: attr, Len: len(v), Want: want}
+	}
+	switch {
+	case kernel != nil && len(kernel) != spatial:
+		return bad("kernel_shape", kernel, spatial)
+	case strides != nil && len(strides) != spatial:
+		return bad("strides", strides, spatial)
+	case pads != nil && len(pads) != 2*spatial:
+		return bad("pads", pads, 2*spatial)
+	case dilations != nil && len(dilations) != spatial:
+		return bad("dilations", dilations, spatial)
+	}
+	return nil
+}
+
+func getConvAttrs(n *graph.Node, spatial int) (convAttrs, error) {
 	a := convAttrs{
 		kernel:    n.AttrInts("kernel_shape", nil),
 		strides:   n.AttrInts("strides", nil),
 		pads:      n.AttrInts("pads", nil),
 		dilations: n.AttrInts("dilations", nil),
 		group:     n.AttrInt("group", 1),
+	}
+	if err := checkAttrLens(n, spatial, a.kernel, a.strides, a.pads, a.dilations); err != nil {
+		return a, err
 	}
 	if a.strides == nil {
 		a.strides = make([]int64, spatial)
@@ -476,7 +568,7 @@ func getConvAttrs(n *graph.Node, spatial int) convAttrs {
 	if a.pads == nil {
 		a.pads = make([]int64, 2*spatial)
 	}
-	return a
+	return a, nil
 }
 
 // convKernelShape is a Conv's spatial kernel extents: the kernel_shape
@@ -511,7 +603,10 @@ func convForward(ctx *InferCtx) ([]lattice.Info, error) {
 	if spatial < 1 || len(w.Dims) != len(x.Dims) {
 		return out, fmt.Errorf("Conv %s: rank mismatch x=%v w=%v", ctx.Node.Name, x, w)
 	}
-	a := getConvAttrs(ctx.Node, spatial)
+	a, err := getConvAttrs(ctx.Node, spatial)
+	if err != nil {
+		return out, err
+	}
 	kernel, ok := convKernelShape(a, w, spatial)
 	if !ok {
 		return out, nil // kernel extent unknown
@@ -537,7 +632,10 @@ func convBackward(ctx *InferCtx) ([]lattice.Info, error) {
 	if spatial < 1 {
 		return in, nil
 	}
-	a := getConvAttrs(ctx.Node, spatial)
+	a, err := getConvAttrs(ctx.Node, spatial)
+	if err != nil {
+		return in, err
+	}
 	kernel, ok := convKernelShape(a, w, spatial)
 	if !ok {
 		return in, nil
@@ -595,7 +693,10 @@ func poolForward(global bool) ForwardFn {
 			out[0].Shape = lattice.Ranked(dims...)
 			return out, nil
 		}
-		a := getConvAttrs(ctx.Node, spatial)
+		a, err := getConvAttrs(ctx.Node, spatial)
+		if err != nil {
+			return out, err
+		}
 		if a.kernel == nil {
 			return out, fmt.Errorf("%s %s: missing kernel_shape", ctx.Node.OpType, ctx.Node.Name)
 		}
@@ -607,24 +708,28 @@ func poolForward(global bool) ForwardFn {
 	}
 }
 
-func poolCost(node *graph.Node, in, out [][]int64) (int64, int64) {
-	if len(out) < 1 {
-		return DefaultCost(node, in, out)
+// poolCost is a window's reads per output element; a global pool's
+// window is the whole plane.
+func poolCost(global bool) CostFn {
+	return func(node *graph.Node, in, out [][]int64) (int64, int64) {
+		if len(out) < 1 {
+			return DefaultCost(node, in, out)
+		}
+		kvol := int64(1)
+		for _, k := range node.AttrInts("kernel_shape", nil) {
+			kvol *= k
+		}
+		if global && len(in) > 0 && len(in[0]) >= 3 {
+			kvol = tensor.NumElems(in[0][2:])
+		}
+		return tensor.NumElems(out[0]) * kvol, ioBytes(in, out[0])
 	}
-	kvol := int64(1)
-	for _, k := range node.AttrInts("kernel_shape", nil) {
-		kvol *= k
-	}
-	if kvol == 1 && len(in) > 0 && len(in[0]) >= 3 { // global pool
-		kvol = tensor.NumElems(in[0][2:])
-	}
-	return tensor.NumElems(out[0]) * kvol, ioBytes(in, out[0])
 }
 
 func init() {
 	Register(&Def{Type: "Conv", Class: ISDOS, Forward: convForward, Backward: convBackward, Cost: convCost, Kernel: convKernel})
-	Register(&Def{Type: "MaxPool", Class: ISDOS, Forward: poolForward(false), Cost: poolCost, Kernel: poolKernel(false)})
-	Register(&Def{Type: "AveragePool", Class: ISDOS, Forward: poolForward(false), Cost: poolCost, Kernel: poolKernel(true)})
-	Register(&Def{Type: "GlobalAveragePool", Class: ISDOS, Forward: poolForward(true), Cost: poolCost, Kernel: globalPoolKernel(true)})
-	Register(&Def{Type: "GlobalMaxPool", Class: ISDOS, Forward: poolForward(true), Cost: poolCost, Kernel: globalPoolKernel(false)})
+	Register(&Def{Type: "MaxPool", Class: ISDOS, Forward: poolForward(false), Cost: poolCost(false), Kernel: poolKernel(false)})
+	Register(&Def{Type: "AveragePool", Class: ISDOS, Forward: poolForward(false), Cost: poolCost(false), Kernel: poolKernel(true)})
+	Register(&Def{Type: "GlobalAveragePool", Class: ISDOS, Forward: poolForward(true), Cost: poolCost(true), Kernel: globalPoolKernel(true)})
+	Register(&Def{Type: "GlobalMaxPool", Class: ISDOS, Forward: poolForward(true), Cost: poolCost(true), Kernel: globalPoolKernel(false)})
 }

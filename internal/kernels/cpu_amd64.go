@@ -14,7 +14,8 @@ package kernels
 //     its init self-check to agree with math.Exp (vecExp), and the
 //     vector erf under Gelu, which needs the exp and its own self-check
 //     against math.Erf (vecErf).
-//   - hasAVX512 (AVX-512F): the 4×32 GEMM tile (tile_amd64.s).
+//   - hasAVX512 (AVX-512F): the GEMM strip walk, gemmStripAVX512
+//     (tile_amd64.s).
 var hasAVX, hasAVX2, hasFMA, hasAVX512 = cpuProbe()
 
 // cpuProbe reads CPUID and XCR0 (cpu_amd64.s).

@@ -21,7 +21,7 @@ import (
 // and never cleared, so a kernel that skipped an element of its output
 // (relying on tensor.New's zeroing) or read its output or its scratch
 // before writing it would leave a NaN here. The GEMM ops (Conv, MatMul,
-// Gemm) run with the 4×32 AVX-512 tile on and off.
+// Gemm) run with the AVX-512 strip walk on and off.
 func TestKernelsWriteEveryElement(t *testing.T) {
 	seen := map[string]int{}
 	bodyCalls := 0
@@ -54,8 +54,8 @@ func TestKernelsWriteEveryElement(t *testing.T) {
 }
 
 // writesEveryElement runs n on in into heap outputs and into NaN-filled
-// outputs at thread budgets 1 and 4, with the 4×32 tile as selected
-// (wide) or off, and compares the two bit for bit.
+// outputs at thread budgets 1 and 4, with the AVX-512 strip walk as
+// selected (wide) or off, and compares the two bit for bit.
 func writesEveryElement(n *graph.Node, in []*tensor.Tensor, wide bool) error {
 	defer kernels.SetTile512(wide)()
 	for _, threads := range []int{1, 4} {

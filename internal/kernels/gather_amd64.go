@@ -1,17 +1,21 @@
 package kernels
 
-// gather2 is gather2Go with the AVX2 body (gather_amd64.s) on the
-// longest prefix of whole 8-output groups whose loads stay inside src;
-// gather2Go takes the rest. The reslices are the bounds checks the
-// assembly does not make.
-func gather2(dst, src []float32) {
-	n := 0
-	if hasAVX2 {
-		n = min(len(dst), len(src)/2) &^ 7
-		gather2AVX2(dst[:n], src[:2*n])
+// gather2Rows is gather2RowsGo with, on AVX2 hosts, the body
+// gather2RowsAVX2 (gather_amd64.s). The two index expressions are the
+// bounds checks the assembly does not make: the last row's last output
+// and the last source float it reads.
+func gather2Rows(dst []float32, dpitch int64, src []float32, spitch, n, rows int64) {
+	if n <= 0 || rows <= 0 {
+		return
 	}
-	gather2Go(dst[n:], src[2*n:])
+	_ = dst[(rows-1)*dpitch+n-1]
+	_ = src[(rows-1)*spitch+2*(n-1)]
+	if !hasAVX2 {
+		gather2RowsGo(dst, dpitch, src, spitch, n, rows)
+		return
+	}
+	gather2RowsAVX2(&dst[0], dpitch, &src[0], spitch, n, rows)
 }
 
 //go:noescape
-func gather2AVX2(dst, src []float32)
+func gather2RowsAVX2(dst *float32, dpitch int64, src *float32, spitch, n, rows int64)

@@ -7,59 +7,55 @@ import (
 	"repro/internal/tensor"
 )
 
-// The stride-2 unfold body moves bits: gather2AVX2 called directly on
-// every multiple of eight up to 40 outputs, and gather2 (the body plus
-// the scalar tail) on every length 0-40, from sources starting 0-3
-// floats into their slice, holding 2n floats or one short of that — the
-// last row of a panel whose final tap reads the image's last column.
-// Sources are salted with signalling and quiet NaNs of several
-// payloads, ±Inf, ±0 and denormals; every output matches the scalar
-// loop's bit for bit, and nothing past the n outputs is written.
+// The stride-2 unfold body moves bits: gather2Rows (the AVX2 body) and
+// gather2RowsGo on every row length n 1–40 over 1–3 rows, with sources
+// starting 0–3 floats into their slice and rows 2n−1 to 2n+1 floats
+// apart, the source ending at the last row's last float read (the last
+// row of a panel whose final tap reads the image's last column), and
+// output rows n to n+2 floats apart. Sources are salted with signalling
+// and quiet NaNs of several payloads, ±Inf, ±0 and denormals; every
+// output matches the definition bit for bit, and nothing between the
+// rows or past the last one is written.
 func TestStride2GatherAgrees(t *testing.T) {
 	if !hasAVX2 {
-		t.Skip("the CPU probe reports no AVX2: gather2 is the scalar loop")
+		t.Skip("the CPU probe reports no AVX2: gather2Rows is the scalar loop")
 	}
 	val := saltedFloats(tensor.NewRNG(47), 3)
 	nans := []uint32{0x7f800001, 0xff812345, 0x7fbfffff, 0x7fc00000, 0xffc0beef}
 	const guard = 3
-	for n := 0; n <= 40; n++ {
-		for off := 0; off <= 3; off++ {
-			for _, short := range []bool{false, true} {
-				srcLen := 2 * n
-				if short && n > 0 {
-					srcLen--
-				}
-				src := make([]float32, off+srcLen)
-				for i := range src {
-					src[i] = val()
-					if i%5 == 0 {
-						src[i] = math.Float32frombits(nans[(i/5)%len(nans)])
-					}
-				}
-				src = src[off:]
-				want := make([]float32, n)
-				for i := range want {
-					want[i] = src[2*i]
-				}
-				bodies := map[string]func(dst []float32){"gather2": func(dst []float32) { gather2(dst, src) }}
-				if n%8 == 0 && !short {
-					bodies["gather2AVX2"] = func(dst []float32) { gather2AVX2(dst, src) }
-				}
-				for name, run := range bodies {
-					dst := make([]float32, n+guard)
-					for i := range dst {
-						dst[i] = math.Float32frombits(0xdeadbeef)
-					}
-					run(dst[:n])
-					for i, w := range want {
-						if math.Float32bits(dst[i]) != math.Float32bits(w) {
-							t.Fatalf("%s n %d off %d short %v: dst[%d] = %#x, want %#x",
-								name, n, off, short, i, math.Float32bits(dst[i]), math.Float32bits(w))
+	const canary = 0xdeadbeef
+	for n := int64(1); n <= 40; n++ {
+		for rows := int64(1); rows <= 3; rows++ {
+			for off := int64(0); off <= 3; off++ {
+				for gap := int64(0); gap <= 2; gap++ {
+					spitch, dpitch := 2*n-1+gap, n+gap
+					src := make([]float32, off+(rows-1)*spitch+2*(n-1)+1)
+					for i := range src {
+						src[i] = val()
+						if i%5 == 0 {
+							src[i] = math.Float32frombits(nans[(i/5)%len(nans)])
 						}
 					}
-					for i := n; i < n+guard; i++ {
-						if math.Float32bits(dst[i]) != 0xdeadbeef {
-							t.Fatalf("%s n %d off %d short %v: wrote dst[%d] past the %d outputs", name, n, off, short, i, n)
+					src = src[off:]
+					for name, run := range map[string]func(dst []float32){
+						"gather2Rows":   func(dst []float32) { gather2Rows(dst, dpitch, src, spitch, n, rows) },
+						"gather2RowsGo": func(dst []float32) { gather2RowsGo(dst, dpitch, src, spitch, n, rows) },
+					} {
+						dst := make([]float32, (rows-1)*dpitch+n+guard)
+						for i := range dst {
+							dst[i] = math.Float32frombits(canary)
+						}
+						run(dst[:(rows-1)*dpitch+n])
+						for i := range dst {
+							r, c := int64(i)/dpitch, int64(i)%dpitch
+							want := uint32(canary)
+							if r < rows && c < n {
+								want = math.Float32bits(src[r*spitch+2*c])
+							}
+							if got := math.Float32bits(dst[i]); got != want {
+								t.Fatalf("%s n %d rows %d off %d gap %d: dst[%d] = %#x, want %#x",
+									name, n, rows, off, gap, i, got, want)
+							}
 						}
 					}
 				}

@@ -16,7 +16,7 @@ import (
 
 var gemmBudgets = []int{1, 2, 3, 8, 64}
 
-// SetTile512 switches the 4×32 AVX-512 tile on or off and returns a func
+// SetTile512 switches the AVX-512 strip walk on or off and returns a func
 // that restores the previous setting. Switching on where the CPU probe
 // reports no AVX-512 leaves it off. (Exported for the kernels_test
 // package.)
@@ -29,9 +29,9 @@ func SetTile512(on bool) (restore func()) {
 // tile512Selected is tile512 as package init chose it.
 var tile512Selected = tile512
 
-// forTile512Modes runs f with the 4×32 tile as selected and, when that
-// is on, once more with it off, so that an AVX-512 CPU still covers the
-// 4×16 tile under it.
+// forTile512Modes runs f with the AVX-512 strip walk as selected and,
+// when that is on, once more with it off, so that an AVX-512 CPU still
+// covers the 4×16 and 4×8 tiles and the row loop's column tails.
 func forTile512Modes(f func(wide bool)) {
 	modes := []bool{false}
 	if tile512Selected {
@@ -220,20 +220,23 @@ func TestGemmDifferential(t *testing.T) {
 		}
 	})
 	t.Run("BlockSeams", func(t *testing.T) {
-		// Gemm on a dirty C: column counts 0-17 (every % 8 tail, with and
-		// without an assembly prefix), 31-49 (one 4×32 tile and every
-		// tail after it, through the 4×16 and 4×8 tiles to the row
-		// loop), one either side of a gemmNC block and several blocks,
-		// against every k % 4 and a k of zero, which must still clear C;
-		// row counts below, at and either side of one and two
-		// register-tile groups of four.
+		// Gemm on a dirty C: every column count 0-65 (zero, one and two
+		// 4×32 tiles, each followed by every masked tail of the AVX-512
+		// walk, and every % 16 and % 8 tail of the 4×16 and 4×8 tiles
+		// with and without an assembly prefix), one either side of a
+		// gemmNC block and several blocks, against every k % 4 and a k
+		// of zero, which must still clear C; row counts below, at and
+		// either side of one and two register-tile groups of four.
 		rng := tensor.NewRNG(34)
 		ns := []int64{gemmNC - 1, gemmNC, gemmNC + 1, 2*gemmNC + 13, 3 * gemmNC}
-		for n := int64(0); n <= 49; n++ {
-			if n <= 17 || n >= 31 {
-				ns = append(ns, n)
-			}
+		for n := int64(0); n <= 65; n++ {
+			ns = append(ns, n)
 		}
+		var walks []string
+		forTile512Modes(func(wide bool) {
+			walks = append(walks, map[bool]string{true: "the AVX-512 strip walk", false: "the per-tile walk"}[wide])
+		})
+		t.Logf("column walks run: %v", walks)
 		for _, n := range ns {
 			for k := int64(0); k <= 9; k++ {
 				for _, m := range []int64{0, 1, 3, 4, 5, 7, 8, 9} {

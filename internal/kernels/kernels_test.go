@@ -339,8 +339,11 @@ func TestPoolMatchesReferenceLoop(t *testing.T) {
 				sameBits(t, fmt.Sprint(op, tc, " vector ", on), run1(t, op, attrs, x), refPool(x, avg, tc.kernel, tc.strides, tc.pads))
 			}
 		}
+		// Six planes: one group of four, then two one at a time.
+		sameBits(t, "GlobalAveragePool", run1(t, "GlobalAveragePool", nil, x), refGlobalAvg(x))
 		for _, w := range []int64{17, 23, 37, 41} {
 			x := poolSpecialPlanes(tensor.NewRNG(uint64(w)), 16, w)
+			sameBits(t, fmt.Sprint("GlobalAveragePool W ", w), run1(t, "GlobalAveragePool", nil, x), refGlobalAvg(x))
 			for _, tc := range []struct{ kernel, strides, pads []int64 }{
 				{[]int64{5, 5}, []int64{1, 1}, []int64{2, 2, 2, 2}},
 				{[]int64{2, 2}, []int64{2, 2}, []int64{0, 0, 0, 0}},
@@ -355,6 +358,21 @@ func TestPoolMatchesReferenceLoop(t *testing.T) {
 		}
 		restore()
 	}
+}
+
+// refGlobalAvg is GlobalAveragePool one plane at a time: a float32 sum
+// in ascending order, over the plane's size.
+func refGlobalAvg(x *tensor.Tensor) *tensor.Tensor {
+	plane := x.Shape[2] * x.Shape[3]
+	out := tensor.New(tensor.Float32, x.Shape[0], x.Shape[1], 1, 1)
+	for i := range out.F {
+		var s float32
+		for _, v := range x.F[int64(i)*plane : int64(i+1)*plane] {
+			s += v
+		}
+		out.F[i] = s / float32(plane)
+	}
+	return out
 }
 
 // poolSpecialPlanes returns a [1, 7, h, w] tensor whose planes each

@@ -30,8 +30,8 @@ func Gemm(a, b []float32, m, k, n int64, c []float32) {
 // op, Conv and int8 Conv: C[m,w] = A[m,k] × B[k,w], with A contiguous,
 // B's rows ldb apart and C's rows ldc apart. Each group of four A rows
 // runs the register tiles across as many columns as they cover
-// (gemmTiles) and the row loop over the rest; the last m % 4 rows run
-// the row loop over all w. Either way every c[i,j] accumulates its k
+// (gemmTiles: all w on an AVX-512 host) and the row loop over the rest;
+// the last m % 4 rows run the row loop over all w. Either way every c[i,j] accumulates its k
 // products in ascending p from +0, so the result does not depend on
 // which path wrote it or on the blocking around the call.
 func gemmBlock(a, b []float32, ldb int64, c []float32, ldc, m, k, w int64) {

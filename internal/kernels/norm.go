@@ -88,14 +88,24 @@ func layerNormKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Te
 	}
 	inner := tensor.NumElems(x.Shape[axis:])
 	outer := x.Len() / inner
-	var scale, bias *tensor.Tensor
-	if len(in) > 1 && in[1] != nil {
-		scale = in[1]
+	scale, err := optionalFloatInput(in, 1, "LayerNormalization")
+	if err != nil {
+		return nil, err
 	}
-	if len(in) > 2 && in[2] != nil {
-		bias = in[2]
+	bias, err := optionalFloatInput(in, 2, "LayerNormalization")
+	if err != nil {
+		return nil, err
 	}
 	ParallelForGrain(ctx.threads(), outer, rowGrain(inner), func(oLo, oHi int64) {
+		// The closure keeps the tensors, not their slices: it is a heap
+		// object per call, and slices would make it 32 bytes larger.
+		var sf, bf []float32
+		if scale != nil {
+			sf = scale.F
+		}
+		if bias != nil {
+			bf = bias.F
+		}
 		for o := oLo; o < oHi; o += 4 {
 			k := min(4, oHi-o)
 			mean, variance := rowStats(x.F[o*inner:(o+k)*inner], inner)
@@ -103,29 +113,59 @@ func layerNormKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Te
 				row := x.F[(o+r)*inner : (o+r+1)*inner]
 				dst := out.F[(o+r)*inner : (o+r+1)*inner]
 				inv := float32(1 / math.Sqrt(variance[r]+float64(eps)))
-				m := float32(mean[r])
-				// scale and bias repeat along the row when shorter than it.
-				si, bi := 0, 0
-				for i, v := range row {
-					y := (v - m) * inv
-					if scale != nil {
-						y *= scale.F[si]
-						if si++; si == len(scale.F) {
-							si = 0
-						}
-					}
-					if bias != nil {
-						y += bias.F[bi]
-						if bi++; bi == len(bias.F) {
-							bi = 0
-						}
-					}
-					dst[i] = y
-				}
+				layerNormRow(dst, row, sf, bf, float32(mean[r]), inv)
 			}
 		}
 	})
 	return []*tensor.Tensor{out}, nil
+}
+
+// optionalFloatInput is the optional input i, nil when it is absent and an
+// error when it is present but holds no float32 values.
+func optionalFloatInput(in []*tensor.Tensor, i int, op string) (*tensor.Tensor, error) {
+	if len(in) <= i || in[i] == nil {
+		return nil, nil
+	}
+	if len(in[i].F) == 0 {
+		return nil, fmt.Errorf("%s: input %d holds no float32 values", op, i)
+	}
+	return in[i], nil
+}
+
+// layerNormRow writes dst[i] = (row[i]−m)·inv, then ·scale[i], then
+// +bias[i], for a nil scale or bias skipping its step, and a scale or
+// bias shorter than the row repeating along it. Every product is rounded
+// before the next step (the float32 conversions), so no target fuses a
+// multiply with the add that follows it. Scale and bias both a row long,
+// what every LayerNorm the models build passes, take a loop of their own.
+func layerNormRow(dst, row, scale, bias []float32, m, inv float32) {
+	n := len(row)
+	dst = dst[:n]
+	if len(scale) == n && len(bias) == n {
+		for i, v := range row {
+			y := float32((v - m) * inv)
+			y = float32(y * scale[i])
+			dst[i] = y + bias[i]
+		}
+		return
+	}
+	si, bi := 0, 0
+	for i, v := range row {
+		y := float32((v - m) * inv)
+		if scale != nil {
+			y = float32(y * scale[si])
+			if si++; si == len(scale) {
+				si = 0
+			}
+		}
+		if bias != nil {
+			y += bias[bi]
+			if bi++; bi == len(bias) {
+				bi = 0
+			}
+		}
+		dst[i] = y
+	}
 }
 
 // rowStats returns the float64 mean and variance of each of the

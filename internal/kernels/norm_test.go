@@ -38,9 +38,9 @@ func layerNormDef(x, scale, bias []float32, inner int64, eps float32) []float32 
 		mean, variance := meanVarDef(x[lo : lo+inner])
 		inv := float32(1 / math.Sqrt(variance+float64(eps)))
 		for i := int64(0); i < inner; i++ {
-			y := (x[lo+i] - float32(mean)) * inv
+			y := float32((x[lo+i] - float32(mean)) * inv)
 			if scale != nil {
-				y *= scale[i%int64(len(scale))]
+				y = float32(y * scale[i%int64(len(scale))])
 			}
 			if bias != nil {
 				y += bias[i%int64(len(bias))]
@@ -85,9 +85,10 @@ func groupNormDef(x *tensor.Tensor, scale, bias []float32, groups int64, eps flo
 // statistics and the rows left over after them both run, and stripes
 // that end mid group of four (37 rows of 1024 are stripes of 10 at a
 // budget of 4; 37 spans of 400, of 19) do too; row lengths and planes
-// on both sides of the vector loop's eight; with and without scale and bias (LayerNorm's
-// shorter than the row, repeating); inputs salted with large values,
-// and a NaN in some rows.
+// on both sides of the vector loop's eight; with and without scale and
+// bias (LayerNorm's each absent, as long as the row, or shorter than it
+// and repeating); inputs salted with large values, and a NaN in some
+// rows.
 func TestNormMatchesDefinitions(t *testing.T) {
 	rng := tensor.NewRNG(58)
 	salt := func(x *tensor.Tensor, nan bool) {
@@ -114,16 +115,38 @@ func TestNormMatchesDefinitions(t *testing.T) {
 		for _, inner := range []int64{1, 3, 8, 17, 64, 1024} {
 			x := tensor.RandomFloats(rng, 3, rows, inner)
 			salt(x, rows%3 == 0)
-			for _, affine := range []bool{false, true} {
-				in, scale, bias := []*tensor.Tensor{x}, []float32(nil), []float32(nil)
-				if affine {
-					st, bt := tensor.RandomFloats(rng, 2, inner), tensor.RandomFloats(rng, 2, max(1, inner/2))
-					in, scale, bias = append(in, st, bt), st.F, bt.F
+			// Scale and bias lengths: none, the row's, its largest
+			// proper divisor and, when that is another length, half the
+			// row, which repeats a partial time.
+			lens := []int64{0, inner}
+			for p := int64(2); p <= inner; p++ {
+				if inner%p == 0 {
+					lens = append(lens, inner/p)
+					break
 				}
-				want := layerNormDef(x.F, scale, bias, inner, eps)
-				for _, threads := range []int{1, 4} {
-					got := runOp(t, "LayerNormalization", attrs, threads, in...)
-					check(fmt.Sprintf("LayerNormalization [%d,%d] affine %v threads %d", rows, inner, affine, threads), got, want)
+			}
+			if h := max(1, inner/2); inner%h != 0 {
+				lens = append(lens, h)
+			}
+			for _, sl := range lens {
+				for _, bl := range lens {
+					in, scale, bias := []*tensor.Tensor{x}, []float32(nil), []float32(nil)
+					if sl > 0 || bl > 0 {
+						in = append(in, nil, nil)
+					}
+					if sl > 0 {
+						in[1] = tensor.RandomFloats(rng, 2, sl)
+						scale = in[1].F
+					}
+					if bl > 0 {
+						in[2] = tensor.RandomFloats(rng, 2, bl)
+						bias = in[2].F
+					}
+					want := layerNormDef(x.F, scale, bias, inner, eps)
+					for _, threads := range []int{1, 4} {
+						got := runOp(t, "LayerNormalization", attrs, threads, in...)
+						check(fmt.Sprintf("LayerNormalization [%d,%d] scale %d bias %d threads %d", rows, inner, sl, bl, threads), got, want)
+					}
 				}
 			}
 		}
@@ -151,6 +174,19 @@ func TestNormMatchesDefinitions(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// A LayerNorm scale or bias with no float32 values (here int64) is an
+// error, not an index panic in the output pass.
+func TestLayerNormRejectsNonFloatAffine(t *testing.T) {
+	x := tensor.RandomFloats(tensor.NewRNG(59), 1, 2, 4)
+	ints := tensor.FromInts([]int64{4}, []int64{1, 2, 3, 4})
+	n := &graph.Node{Name: "ln", OpType: "LayerNormalization"}
+	for _, in := range [][]*tensor.Tensor{{x, ints}, {x, nil, ints}} {
+		if _, err := Run(n, in, nil); err == nil {
+			t.Errorf("LayerNormalization with an int64 input %d: no error", len(in)-1)
 		}
 	}
 }

@@ -454,6 +454,16 @@ func TestCostFunctions(t *testing.T) {
 	if f3 != 10 {
 		t.Errorf("add flops = %d", f3)
 	}
+	// A 1×1 MaxPool reads one value per output, like any kvol-1 window;
+	// only the global pools read the whole plane.
+	pool := node("MaxPool", 1, 1, map[string]graph.AttrValue{"kernel_shape": graph.IntsAttr(1, 1)})
+	if f4, _ := registry["MaxPool"].Cost(pool, [][]int64{{1, 8, 32, 32}}, [][]int64{{1, 8, 32, 32}}); f4 != 8192 {
+		t.Errorf("1×1 MaxPool flops = %d, want 8192", f4)
+	}
+	gap := node("GlobalAveragePool", 1, 1, nil)
+	if f5, _ := registry["GlobalAveragePool"].Cost(gap, [][]int64{{1, 8, 32, 32}}, [][]int64{{1, 8, 1, 1}}); f5 != 8192 {
+		t.Errorf("GlobalAveragePool flops = %d, want 8192", f5)
+	}
 }
 
 func TestInfoForInitializer(t *testing.T) {

@@ -1,8 +1,11 @@
 package sod2
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
+	"repro/internal/kernels"
 	"repro/internal/lattice"
 	"repro/internal/tensor"
 )
@@ -103,6 +106,47 @@ func TestFacadeInferPlannedArena(t *testing.T) {
 		got := out[name]
 		if got == nil || !tensor.AllClose(ref, got, 0) {
 			t.Fatalf("arena output %s differs", name)
+		}
+	}
+}
+
+// A Conv or pool whose pads, strides or dilations do not fit the input's
+// spatial rank fails analysis with a typed error, read from the JSON
+// model format as a user's model would be, instead of panicking in the
+// transfer function that indexes them.
+func TestAnalyzeRejectsConvAttrLengths(t *testing.T) {
+	for _, tc := range []struct {
+		op    string
+		attrs map[string]NodeAttr
+		bad   string
+	}{
+		{"Conv", map[string]NodeAttr{"pads": IntsAttr(1, 1)}, "pads"},
+		{"Conv", map[string]NodeAttr{"strides": IntsAttr(1)}, "strides"},
+		{"Conv", map[string]NodeAttr{"dilations": IntsAttr(1, 1, 1)}, "dilations"},
+		{"MaxPool", map[string]NodeAttr{"kernel_shape": IntsAttr(2, 2), "pads": IntsAttr(0, 0, 0)}, "pads"},
+		{"AveragePool", map[string]NodeAttr{"kernel_shape": IntsAttr(2), "strides": IntsAttr(2, 2)}, "kernel_shape"},
+	} {
+		g := NewGraph("bad-attrs")
+		g.AddInput("x", tensor.Float32, lattice.FromInts(1, 3, 8, 8))
+		in := []string{"x"}
+		if tc.op == "Conv" {
+			g.AddInitializer("w", tensor.RandomFloats(tensor.NewRNG(1), 1, 4, 3, 3, 3))
+			in = append(in, "w")
+		}
+		g.Op(tc.op, "op", in, []string{"y"}, tc.attrs)
+		g.AddOutput("y")
+		var buf bytes.Buffer
+		if err := g.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadGraphJSON(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Analyze(loaded, nil)
+		var lenErr *kernels.AttrLenError
+		if !errors.As(err, &lenErr) || lenErr.Attr != tc.bad {
+			t.Errorf("%s %v: Analyze error %v, want an AttrLenError on %s", tc.op, tc.attrs, err, tc.bad)
 		}
 	}
 }
