@@ -144,6 +144,22 @@ func BenchmarkRDPAnalysis(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileVerified measures a cold compile per model: graph
+// build, RDP, the extent probe, fusion, plan search and the static
+// verifier, what a serving process pays per model on a store miss.
+func BenchmarkCompileVerified(b *testing.B) {
+	for _, m := range Models() {
+		b.Run(m.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := CompileVerifiedSched(m, SchedConfig{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRDPBackwardAblation compares convergence cost with and
 // without backward transfer (design-choice ablation).
 func BenchmarkRDPBackwardAblation(b *testing.B) {

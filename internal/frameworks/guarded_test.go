@@ -192,12 +192,8 @@ func TestDynamicTierOnBindViolation(t *testing.T) {
 			g.AddOutput("y")
 			return g
 		},
-		Inputs: func(rng *tensor.RNG, size int64, _ float32) map[string]*tensor.Tensor {
-			t := tensor.New(tensor.Float32, size)
-			for i := range t.F {
-				t.F[i] = rng.NormFloat32()
-			}
-			return map[string]*tensor.Tensor{"x": t}
+		Spec: func(size int64, _ float32) []models.InputSpec {
+			return []models.InputSpec{{Name: "x", DType: tensor.Float32, Shape: []int64{size}, Fill: models.FillNormal}}
 		},
 	}
 	c, err := Compile(b)

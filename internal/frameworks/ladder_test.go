@@ -37,8 +37,8 @@ func matmulModel() *models.Builder {
 			g.AddOutput("y")
 			return g
 		},
-		Inputs: func(rng *tensor.RNG, size int64, _ float32) map[string]*tensor.Tensor {
-			return map[string]*tensor.Tensor{"x": tensor.RandomFloats(rng, 1, 1, size, 32)}
+		Spec: func(size int64, _ float32) []models.InputSpec {
+			return []models.InputSpec{{Name: "x", DType: tensor.Float32, Shape: []int64{1, size, 32}, Fill: models.FillNormal}}
 		},
 	}
 }
@@ -184,8 +184,8 @@ func convPoolModel(k int) *models.Builder {
 			g.AddOutput(x)
 			return g
 		},
-		Inputs: func(rng *tensor.RNG, size int64, _ float32) map[string]*tensor.Tensor {
-			return map[string]*tensor.Tensor{"x": tensor.RandomFloats(rng, 1, 1, 4, size, size)}
+		Spec: func(size int64, _ float32) []models.InputSpec {
+			return []models.InputSpec{{Name: "x", DType: tensor.Float32, Shape: []int64{1, 4, size, size}, Fill: models.FillNormal}}
 		},
 	}
 }
@@ -235,8 +235,8 @@ func convIfModel(k int, inBody bool) *models.Builder {
 			g.AddOutput("y")
 			return g
 		},
-		Inputs: func(rng *tensor.RNG, size int64, _ float32) map[string]*tensor.Tensor {
-			return map[string]*tensor.Tensor{"x": tensor.RandomFloats(rng, 1, 1, 4, size, size)}
+		Spec: func(size int64, _ float32) []models.InputSpec {
+			return []models.InputSpec{{Name: "x", DType: tensor.Float32, Shape: []int64{1, 4, size, size}, Fill: models.FillNormal}}
 		},
 	}
 }

@@ -15,36 +15,48 @@ import (
 
 // This file derives the input region a compile quantifies over: the
 // contract facts and the verification region, read off one probe of the
-// model's input generator. The cold compile installs both; the runtime
-// contract, the verifier and the MVC plan all read them from there.
+// model's declared input shapes. The cold compile installs both; the
+// runtime contract, the verifier and the MVC plan all read them from
+// there.
 
-// extentProbe is the model's input generator observed at both ends of
-// its declared sampling range (MinSize and the stride-aligned maximum),
-// each end bound against the analyzed input shapes. The contract facts
-// and the verification region are both read off this one observation.
-// The zero value — no sampling spec, or an end that does not bind —
-// derives no facts and no pinned symbols.
+// extentProbe is the model's input declaration read at both ends of its
+// declared sampling range (MinSize and the stride-aligned maximum), each
+// end bound against the analyzed input shapes. The contract facts and
+// the verification region are both read off this one observation. The
+// zero value — no sampling spec, or an end that does not bind — derives
+// no facts and no pinned symbols.
 type extentProbe struct {
 	lo, hi                   symbolic.Env
 	min, max, step, maxAlign int64
 }
 
-// probeExtents generates and binds the two probe inputs.
+// probeExtents binds the inputs declared at the two probe sizes. It
+// draws no sample: the binding reads only dtypes and shapes.
 func probeExtents(b *models.Builder, g *graph.Graph, infos map[string]lattice.Info) extentProbe {
-	if b == nil || b.Inputs == nil || b.MinSize <= 0 || b.MaxSize < b.MinSize {
+	if b == nil || b.Spec == nil || b.MinSize <= 0 || b.MaxSize < b.MinSize {
 		return extentProbe{}
 	}
 	p := extentProbe{min: b.MinSize, max: b.MaxSize, step: max(b.SizeStep, 1)}
 	p.maxAlign = p.min + ((p.max-p.min)/p.step)*p.step
 	ct := guard.NewContract(g, infos)
 	var err error
-	if p.lo, err = ct.BindInputs(b.Inputs(tensor.NewRNG(1), p.min, 0.5)); err != nil {
+	if p.lo, err = ct.BindInputs(declared(b.Spec(p.min, 0.5))); err != nil {
 		return extentProbe{}
 	}
-	if p.hi, err = ct.BindInputs(b.Inputs(tensor.NewRNG(1), p.maxAlign, 0.5)); err != nil {
+	if p.hi, err = ct.BindInputs(declared(b.Spec(p.maxAlign, 0.5))); err != nil {
 		return extentProbe{}
 	}
 	return p
+}
+
+// declared is one sample's inputs as tensor headers carrying the
+// declared dtype and shape, and no storage.
+func declared(specs []models.InputSpec) map[string]*tensor.Tensor {
+	m := make(map[string]*tensor.Tensor, len(specs))
+	for _, s := range specs {
+		m[s.Name] = &tensor.Tensor{DType: s.DType, Shape: s.Shape}
+	}
+	return m
 }
 
 // facts keeps a range fact [MinSize, MaxSize] — and, when the model

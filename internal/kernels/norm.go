@@ -265,21 +265,30 @@ func groupNormKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Te
 	if x.Rank() < 2 {
 		return nil, fmt.Errorf("GroupNormalization: rank %d", x.Rank())
 	}
+	if groups < 1 {
+		return nil, fmt.Errorf("GroupNormalization: num_groups %d, want at least 1", groups)
+	}
 	N, C := x.Shape[0], x.Shape[1]
 	if C%groups != 0 {
 		return nil, fmt.Errorf("GroupNormalization: C=%d %% groups=%d", C, groups)
 	}
+	// scale and bias are indexed by channel: each must hold C values.
+	var affine [2]*tensor.Tensor
+	for i := range affine {
+		t, err := optionalFloatInput(in, i+1, "GroupNormalization")
+		if err != nil {
+			return nil, err
+		}
+		if t != nil && int64(len(t.F)) < C {
+			return nil, fmt.Errorf("GroupNormalization: input %d holds %d values for %d channels", i+1, len(t.F), C)
+		}
+		affine[i] = t
+	}
+	scale, bias := affine[0], affine[1]
 	plane := tensor.NumElems(x.Shape[2:])
 	chPerGroup := C / groups
 	span := chPerGroup * plane
 	out := ctx.Out(0, tensor.Float32, x.Shape...)
-	var scale, bias *tensor.Tensor
-	if len(in) > 1 && in[1] != nil {
-		scale = in[1]
-	}
-	if len(in) > 2 && in[2] != nil {
-		bias = in[2]
-	}
 	// A (batch, group) span is x[bg·span:(bg+1)·span]; they go four at a
 	// time through rowStats.
 	ParallelForGrain(ctx.threads(), N*groups, rowGrain(span), func(lo, hi int64) {

@@ -190,3 +190,39 @@ func TestLayerNormRejectsNonFloatAffine(t *testing.T) {
 		}
 	}
 }
+
+// A GroupNorm scale or bias with fewer than C float32 values, and a
+// num_groups below 1, are errors, not index or divide-by-zero panics.
+func TestGroupNormRejectsBadAffine(t *testing.T) {
+	x := tensor.RandomFloats(tensor.NewRNG(61), 1, 1, 4, 2, 2)
+	short := tensor.RandomFloats(tensor.NewRNG(62), 1, 3)
+	full := tensor.RandomFloats(tensor.NewRNG(63), 1, 4)
+	ints := tensor.FromInts([]int64{4}, []int64{1, 2, 3, 4})
+	node := func(groups int64) *graph.Node {
+		return &graph.Node{Name: "gn", OpType: "GroupNormalization",
+			Attrs: map[string]graph.AttrValue{"num_groups": graph.IntAttr(groups)}}
+	}
+	for _, tc := range []struct {
+		name   string
+		groups int64
+		in     []*tensor.Tensor
+	}{
+		{"short scale", 2, []*tensor.Tensor{x, short, full}},
+		{"short bias", 2, []*tensor.Tensor{x, full, short}},
+		{"int64 scale", 2, []*tensor.Tensor{x, ints, full}},
+		{"int64 bias", 2, []*tensor.Tensor{x, nil, ints}},
+		{"zero groups", 0, []*tensor.Tensor{x, full, full}},
+		{"negative groups", -2, []*tensor.Tensor{x}},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panic %v, want an error", tc.name, r)
+				}
+			}()
+			if _, err := Run(node(tc.groups), tc.in, nil); err == nil {
+				t.Errorf("%s: no error", tc.name)
+			}
+		}()
+	}
+}

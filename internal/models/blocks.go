@@ -39,9 +39,63 @@ type Builder struct {
 	MinSize, MaxSize, SizeStep int64
 	// Build constructs the graph with symbolic input dims.
 	Build func() *graph.Graph
-	// Inputs materializes concrete inputs for one sample. size is the
-	// dynamic extent; gateBias ∈ [0,1] shifts control-flow gate activity.
-	Inputs func(rng *tensor.RNG, size int64, gateBias float32) map[string]*tensor.Tensor
+	// Spec declares one sample's inputs in generation order. size is
+	// the dynamic extent; gateBias ∈ [0,1] shifts control-flow gate
+	// activity. Compiling reads only the declared dtypes and shapes;
+	// Inputs fills them.
+	Spec func(size int64, gateBias float32) []InputSpec
+}
+
+// InputSpec declares one input of a sample: its name, dtype and shape,
+// and how its values are drawn.
+type InputSpec struct {
+	Name  string
+	DType tensor.DType
+	Shape []int64
+	// Fill writes the input's values into t, a tensor of DType and Shape
+	// with zeroed storage, drawing from rng.
+	Fill func(rng *tensor.RNG, t *tensor.Tensor)
+}
+
+// Inputs materializes concrete inputs for one sample: each declared
+// input's tensor, filled in Spec order from rng.
+func (b *Builder) Inputs(rng *tensor.RNG, size int64, gateBias float32) map[string]*tensor.Tensor {
+	specs := b.Spec(size, gateBias)
+	out := make(map[string]*tensor.Tensor, len(specs))
+	for _, s := range specs {
+		t := tensor.New(s.DType, s.Shape...)
+		s.Fill(rng, t)
+		out[s.Name] = t
+	}
+	return out
+}
+
+// FillNormal fills a float32 input with standard-normal draws in index
+// order: the values tensor.RandomFloats(rng, 1, shape...) holds.
+func FillNormal(rng *tensor.RNG, t *tensor.Tensor) {
+	for i := range t.F {
+		t.F[i] = rng.NormFloat32()
+	}
+}
+
+// fillTokens returns the Fill of a token-id input: one Intn(vocab) draw
+// per id, in index order.
+func fillTokens(vocab int64) func(*tensor.RNG, *tensor.Tensor) {
+	return func(rng *tensor.RNG, t *tensor.Tensor) {
+		for i := range t.I {
+			t.I[i] = int64(rng.Intn(int(vocab)))
+		}
+	}
+}
+
+// imageSpec declares a size×size RGB image input.
+func imageSpec(size int64) InputSpec {
+	return InputSpec{Name: "image", DType: tensor.Float32, Shape: []int64{1, 3, size, size}, Fill: FillNormal}
+}
+
+// tokenSpec declares a [1, l] token-id input over vocab ids.
+func tokenSpec(name string, l, vocab int64) InputSpec {
+	return InputSpec{Name: name, DType: tensor.Int64, Shape: []int64{1, l}, Fill: fillTokens(vocab)}
 }
 
 var registry []*Builder
@@ -249,14 +303,4 @@ func (b *bctx) imageInput(name string, channels int64) {
 func (b *bctx) seqInput(name string, d int64) {
 	b.g.AddInput(name, tensor.Float32, lattice.Ranked(
 		lattice.FromInt(1), lattice.FromExpr(symbolic.NewSym("L")), lattice.FromInt(d)))
-}
-
-// imageTensor builds a concrete image input.
-func imageTensor(rng *tensor.RNG, channels, h, w int64) *tensor.Tensor {
-	return tensor.RandomFloats(rng, 1, 1, channels, h, w)
-}
-
-// seqTensor builds a concrete [1, L, d] input.
-func seqTensor(rng *tensor.RNG, l, d int64) *tensor.Tensor {
-	return tensor.RandomFloats(rng, 1, 1, l, d)
 }

@@ -25,9 +25,14 @@ func (b *bctx) dataGate(x string, c int64) string {
 		"keepdims": graph.IntAttr(0)}) // scalar
 }
 
-func gateCtlTensor(gateBias float32) *tensor.Tensor {
-	// Map [0,1] activity to a logit bias in [-2, +2].
-	return tensor.FromFloats([]int64{1}, []float32{gateBias*4 - 2})
+// gateCtlSpec declares the gate-bias input; it draws nothing from the
+// sample's RNG.
+func gateCtlSpec(gateBias float32) InputSpec {
+	return InputSpec{Name: "gatectl", DType: tensor.Float32, Shape: []int64{1},
+		Fill: func(_ *tensor.RNG, t *tensor.Tensor) {
+			// Map [0,1] activity to a logit bias in [-2, +2].
+			t.F[0] = gateBias*4 - 2
+		}}
 }
 
 // buildSkipNet: ResNet with per-block learned skipping gates
@@ -225,39 +230,36 @@ func buildRaNet() *graph.Graph {
 	return b.g
 }
 
-func imageInputs(channels int64) func(rng *tensor.RNG, size int64, gateBias float32) map[string]*tensor.Tensor {
-	return func(rng *tensor.RNG, size int64, gateBias float32) map[string]*tensor.Tensor {
-		return map[string]*tensor.Tensor{
-			"image":   imageTensor(rng, channels, size, size),
-			"gatectl": gateCtlTensor(gateBias),
-		}
-	}
+// gatedImageSpec declares the control-flow models' inputs: the image,
+// then the gate bias.
+func gatedImageSpec(size int64, gateBias float32) []InputSpec {
+	return []InputSpec{imageSpec(size), gateCtlSpec(gateBias)}
 }
 
 func init() {
 	register(&Builder{
 		Name: "SkipNet", Paper: "[63]", Dynamism: "S+C", Kind: KindImage,
 		MinSize: 224, MaxSize: 640, SizeStep: 8,
-		Build: buildSkipNet, Inputs: imageInputs(3),
+		Build: buildSkipNet, Spec: gatedImageSpec,
 	})
 	register(&Builder{
 		Name: "DGNet", Paper: "[37]", Dynamism: "C", Kind: KindImage,
 		MinSize: 224, MaxSize: 224, SizeStep: 1,
-		Build: buildDGNet, Inputs: imageInputs(3),
+		Build: buildDGNet, Spec: gatedImageSpec,
 	})
 	register(&Builder{
 		Name: "ConvNet-AIG", Paper: "[62]", Dynamism: "S+C", Kind: KindImage,
 		MinSize: 224, MaxSize: 640, SizeStep: 8,
-		Build: buildConvNetAIG, Inputs: imageInputs(3),
+		Build: buildConvNetAIG, Spec: gatedImageSpec,
 	})
 	register(&Builder{
 		Name: "RaNet", Paper: "[68]", Dynamism: "S+C", Kind: KindImage,
 		MinSize: 224, MaxSize: 640, SizeStep: 8,
-		Build: buildRaNet, Inputs: imageInputs(3),
+		Build: buildRaNet, Spec: gatedImageSpec,
 	})
 	register(&Builder{
 		Name: "BlockDrop", Paper: "[65]", Dynamism: "S+C", Kind: KindImage,
 		MinSize: 224, MaxSize: 640, SizeStep: 8,
-		Build: buildBlockDrop, Inputs: imageInputs(3),
+		Build: buildBlockDrop, Spec: gatedImageSpec,
 	})
 }

@@ -13,14 +13,6 @@ func (b *bctx) tokenInput(name string) {
 		lattice.FromInt(1), lattice.FromExpr(symbolic.NewSym("L"))))
 }
 
-func tokenTensor(rng *tensor.RNG, l, vocab int64) *tensor.Tensor {
-	t := tensor.New(tensor.Int64, 1, l)
-	for i := range t.I {
-		t.I[i] = int64(rng.Intn(int(vocab)))
-	}
-	return t
-}
-
 // buildCodeBERT: BERT-style encoder over token sequences (paper: shape
 // dynamism, text input, 32–384 tokens).
 func buildCodeBERT() *graph.Graph {
@@ -296,46 +288,40 @@ func init() {
 		Name: "CodeBERT", Paper: "[16]", Dynamism: "S", Kind: KindText,
 		MinSize: 32, MaxSize: 384, SizeStep: 1,
 		Build: buildCodeBERT,
-		Inputs: func(rng *tensor.RNG, size int64, _ float32) map[string]*tensor.Tensor {
-			return map[string]*tensor.Tensor{"tokens": tokenTensor(rng, size, 128)}
+		Spec: func(size int64, _ float32) []InputSpec {
+			return []InputSpec{tokenSpec("tokens", size, 128)}
 		},
 	})
 	register(&Builder{
 		Name: "Conformer", Paper: "[20]", Dynamism: "S", Kind: KindAudio,
 		MinSize: 32, MaxSize: 384, SizeStep: 1,
 		Build: buildConformer,
-		Inputs: func(rng *tensor.RNG, size int64, _ float32) map[string]*tensor.Tensor {
-			return map[string]*tensor.Tensor{"audio": seqTensor(rng, size, 16)}
+		Spec: func(size int64, _ float32) []InputSpec {
+			return []InputSpec{{Name: "audio", DType: tensor.Float32, Shape: []int64{1, size, 16}, Fill: FillNormal}}
 		},
 	})
 	register(&Builder{
 		Name: "StableDiffusion", Paper: "[56]", Dynamism: "S", Kind: KindTextImage,
 		MinSize: 64, MaxSize: 224, SizeStep: 8,
 		Build: buildSDE,
-		Inputs: func(rng *tensor.RNG, size int64, _ float32) map[string]*tensor.Tensor {
-			return map[string]*tensor.Tensor{
-				"image":  imageTensor(rng, 3, size, size),
-				"tokens": tokenTensor(rng, 16, 64),
-			}
+		Spec: func(size int64, _ float32) []InputSpec {
+			return []InputSpec{imageSpec(size), tokenSpec("tokens", 16, 64)}
 		},
 	})
 	register(&Builder{
 		Name: "SegmentAnything", Paper: "[29]", Dynamism: "S", Kind: KindTextImage,
 		MinSize: 64, MaxSize: 224, SizeStep: 8,
 		Build: buildSAM,
-		Inputs: func(rng *tensor.RNG, size int64, _ float32) map[string]*tensor.Tensor {
-			return map[string]*tensor.Tensor{
-				"image":   imageTensor(rng, 3, size, size),
-				"prompts": tokenTensor(rng, 4, 32),
-			}
+		Spec: func(size int64, _ float32) []InputSpec {
+			return []InputSpec{imageSpec(size), tokenSpec("prompts", 4, 32)}
 		},
 	})
 	register(&Builder{
 		Name: "YOLO-V6", Paper: "[36]", Dynamism: "S", Kind: KindImage,
 		MinSize: 224, MaxSize: 640, SizeStep: 32,
 		Build: buildYOLOv6,
-		Inputs: func(rng *tensor.RNG, size int64, _ float32) map[string]*tensor.Tensor {
-			return map[string]*tensor.Tensor{"image": imageTensor(rng, 3, size, size)}
+		Spec: func(size int64, _ float32) []InputSpec {
+			return []InputSpec{imageSpec(size)}
 		},
 	})
 }

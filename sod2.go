@@ -64,6 +64,9 @@ type (
 	Sample = workload.Sample
 	// ModelBuilder describes one of the ten evaluation models.
 	ModelBuilder = models.Builder
+	// InputSpec declares one input of a ModelBuilder's sample: name,
+	// dtype, shape, and how its values are drawn.
+	InputSpec = models.InputSpec
 
 	// GuardOptions configure a guarded inference (context, intra-op
 	// thread budget, fault-injection hooks, forced dynamic tier, drift

@@ -11,6 +11,7 @@ import (
 	"repro/internal/frameworks"
 	"repro/internal/guard"
 	"repro/internal/lattice"
+	"repro/internal/models"
 	"repro/internal/symbolic"
 	"repro/internal/tensor"
 )
@@ -165,8 +166,8 @@ func TestReportBindViolationServedDynamic(t *testing.T) {
 			g.AddOutput("y")
 			return g
 		},
-		Inputs: func(rng *tensor.RNG, size int64, _ float32) map[string]*Tensor {
-			return map[string]*Tensor{"x": tensor.RandomFloats(rng, 1.0, size)}
+		Spec: func(size int64, _ float32) []InputSpec {
+			return []InputSpec{{Name: "x", DType: tensor.Float32, Shape: []int64{size}, Fill: models.FillNormal}}
 		},
 	}
 	c, err := Compile(b)
@@ -267,8 +268,8 @@ func regionIfModel() *ModelBuilder {
 			g.AddOutput("y")
 			return g
 		},
-		Inputs: func(rng *tensor.RNG, size int64, _ float32) map[string]*Tensor {
-			return map[string]*Tensor{"x": tensor.RandomFloats(rng, 1.0, 1, size, 8)}
+		Spec: func(size int64, _ float32) []InputSpec {
+			return []InputSpec{{Name: "x", DType: tensor.Float32, Shape: []int64{1, size, 8}, Fill: models.FillNormal}}
 		},
 	}
 }
