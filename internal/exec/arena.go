@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"unsafe"
 
+	"repro/internal/graph"
 	"repro/internal/tensor"
 )
 
@@ -75,9 +76,10 @@ func NewArena(slots map[string]int, offsets, sizes []int64, buf []float32) *Aren
 // Detach replaces every tensor in outputs whose storage aliases the
 // arena's backing buffer with an independent clone, so an output that
 // lives on neither pins the whole multi-MB buffer nor sees its next run
-// overwrite it. Aliases are detected by storage address, which also
-// catches view-producing kernels (Reshape) that forward an arena-placed
-// buffer under a different name.
+// overwrite it. Aliases are detected by storage address: kernels write
+// fresh storage or their own slots, so the only outputs that view
+// another value's slot are the ones control flow forwards (a Combine
+// handing on a Switch arm or a branch result under a new name).
 func (a *Arena) Detach(outputs map[string]*tensor.Tensor) {
 	if a == nil || len(a.buf) == 0 {
 		return
@@ -93,6 +95,51 @@ func (a *Arena) Detach(outputs map[string]*tensor.Tensor) {
 			outputs[name] = t.Clone()
 		}
 	}
+}
+
+// detachCallerOwned replaces every output whose storage is a graph
+// input's or an initializer's with an independent clone. Switch and
+// Combine forward their tensors, so Combine(…, Switch(p, x)) returns x
+// itself under another name; handed out as is, a caller mutating its
+// output would change its own input, or the model's weights for every
+// later run. values holds the run's inputs and initializers.
+func detachCallerOwned(g *graph.Graph, values, outputs map[string]*tensor.Tensor) {
+	owned := func(p unsafe.Pointer) bool {
+		for _, in := range g.Inputs {
+			if storage(values[in.Name]) == p {
+				return true
+			}
+		}
+		for _, w := range g.Initializers {
+			if storage(w) == p {
+				return true
+			}
+		}
+		return false
+	}
+	for name, t := range outputs {
+		if p := storage(t); p != nil && owned(p) {
+			outputs[name] = t.Clone()
+		}
+	}
+}
+
+// storage is the address of t's elements (nil for a nil or empty
+// tensor): two tensors with the same storage share their data.
+func storage(t *tensor.Tensor) unsafe.Pointer {
+	switch {
+	case t == nil:
+		return nil
+	case len(t.F) > 0:
+		return unsafe.Pointer(unsafe.SliceData(t.F))
+	case len(t.I) > 0:
+		return unsafe.Pointer(unsafe.SliceData(t.I))
+	case len(t.B) > 0:
+		return unsafe.Pointer(unsafe.SliceData(t.B))
+	case t.Q != nil:
+		return unsafe.Pointer(t.Q)
+	}
+	return nil
 }
 
 // span returns the n floats of name's slot, raising HighWater to their

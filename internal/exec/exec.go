@@ -211,6 +211,7 @@ func (ex *executor) run(inputs map[string]*tensor.Tensor) (*Result, error) {
 	for _, o := range g.Outputs {
 		ex.res.Outputs[o] = ex.values[o]
 	}
+	detachCallerOwned(g, ex.values, ex.res.Outputs)
 	return ex.res, nil
 }
 
@@ -502,10 +503,12 @@ func (ex *executor) execSwitch(n *graph.Node) error {
 			continue
 		}
 		if i == taken || ex.opts.ExecuteAllBranches {
-			// Each routed output is a fresh logical tensor: baselines
-			// copy; SoD² only aliases the taken path, but we account a
-			// copy for both for comparability of the data movement.
-			out[i] = data.Clone()
+			// Each routed output forwards data itself: nothing is
+			// copied. The trace still accounts a copy per routed output,
+			// the data movement a baseline makes, so the modeled tables
+			// compare like with like. The memory proof keeps data's
+			// buffer live through every use of an arm (may-alias roots).
+			out[i] = data
 			ex.values[name] = out[i]
 			if i != taken {
 				ex.invalid[name] = true
@@ -522,7 +525,8 @@ func (ex *executor) execSwitch(n *graph.Node) error {
 
 // execCombine merges branch results: the first present input wins (under
 // execute-all, invalid results are "stripped" — only the taken path's
-// value is forwarded by convention of input order set by Switch).
+// value is forwarded by convention of input order set by Switch). The
+// winner is forwarded, not copied, and accounted like Switch's arms.
 func (ex *executor) execCombine(n *graph.Node) error {
 	in, _ := ex.gatherInputs(n)
 	var chosen *tensor.Tensor
@@ -545,10 +549,10 @@ func (ex *executor) execCombine(n *graph.Node) error {
 	if chosen == nil {
 		return fmt.Errorf("exec: Combine %s has no live branch", n.Name)
 	}
-	out := chosen.Clone()
-	ex.values[n.Outputs[0]] = out
-	ex.emit(n, in, []*tensor.Tensor{out}, false)
-	if err := ex.account(n.Outputs, []*tensor.Tensor{out}); err != nil {
+	ex.values[n.Outputs[0]] = chosen
+	out := []*tensor.Tensor{chosen}
+	ex.emit(n, in, out, false)
+	if err := ex.account(n.Outputs, out); err != nil {
 		return err
 	}
 	ex.release(n)

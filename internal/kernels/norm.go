@@ -252,19 +252,40 @@ func batchNormKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Te
 	return []*tensor.Tensor{out}, nil
 }
 
-// groupNormKernel normalizes within channel groups. (batch, group)
-// spans are independent, so the budget stripes the flattened N*groups
-// range.
+// groupNormKernel normalizes within num_groups channel groups.
 func groupNormKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
-	if err := wantInputs(in, 1, "GroupNormalization"); err != nil {
+	if err := normInput(in, "GroupNormalization"); err != nil {
 		return nil, err
 	}
-	x := in[0]
-	groups := n.AttrInt("num_groups", 1)
-	eps := float32(n.AttrFloat("epsilon", 1e-5))
-	if x.Rank() < 2 {
-		return nil, fmt.Errorf("GroupNormalization: rank %d", x.Rank())
+	return groupNorm(in, ctx, n.AttrInt("num_groups", 1), float32(n.AttrFloat("epsilon", 1e-5)))
+}
+
+// instanceNormKernel is GroupNormalization with one group per channel.
+func instanceNormKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
+	if err := normInput(in, "InstanceNormalization"); err != nil {
+		return nil, err
 	}
+	return groupNorm(in, ctx, in[0].Shape[1], float32(n.AttrFloat("epsilon", 1e-5)))
+}
+
+// normInput checks the data input of a channel normalization: present
+// and at least [N, C].
+func normInput(in []*tensor.Tensor, op string) error {
+	if err := wantInputs(in, 1, op); err != nil {
+		return err
+	}
+	if r := in[0].Rank(); r < 2 {
+		return fmt.Errorf("%s: rank %d, want at least 2", op, r)
+	}
+	return nil
+}
+
+// groupNorm normalizes in[0] (checked by normInput) within groups
+// channel groups, then scales and shifts each channel by in[1] and in[2]
+// when present. (batch, group) spans are independent, so the budget
+// stripes the flattened N*groups range.
+func groupNorm(in []*tensor.Tensor, ctx *Ctx, groups int64, eps float32) ([]*tensor.Tensor, error) {
+	x := in[0]
 	if groups < 1 {
 		return nil, fmt.Errorf("GroupNormalization: num_groups %d, want at least 1", groups)
 	}
@@ -323,19 +344,6 @@ func normAffineGo(o, x []float32, s, m, inv, b float32) {
 	for i, v := range x {
 		o[i] = s*(v-m)*inv + b
 	}
-}
-
-func instanceNormKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
-	// InstanceNorm == GroupNorm with groups == C.
-	if err := wantInputs(in, 1, "InstanceNormalization"); err != nil {
-		return nil, err
-	}
-	clone := &graph.Node{Name: n.Name, OpType: "GroupNormalization", Inputs: n.Inputs, Outputs: n.Outputs,
-		Attrs: map[string]graph.AttrValue{
-			"num_groups": graph.IntAttr(in[0].Shape[1]),
-			"epsilon":    graph.FloatAttr(n.AttrFloat("epsilon", 1e-5)),
-		}}
-	return groupNormKernel(clone, in, ctx)
 }
 
 func normCost(node *graph.Node, in, out [][]int64) (int64, int64) {

@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -222,6 +223,24 @@ func TestGroupNormRejectsBadAffine(t *testing.T) {
 			}()
 			if _, err := Run(node(tc.groups), tc.in, nil); err == nil {
 				t.Errorf("%s: no error", tc.name)
+			}
+		}()
+	}
+}
+
+// InstanceNormalization of an input below rank 2 is a rank error, not an
+// index panic on its missing channel dimension.
+func TestInstanceNormRejectsLowRank(t *testing.T) {
+	n := &graph.Node{Name: "in", OpType: "InstanceNormalization"}
+	for _, x := range []*tensor.Tensor{tensor.RandomFloats(tensor.NewRNG(64), 1, 4), tensor.Scalar(1)} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("rank %d: panic %v, want an error", x.Rank(), r)
+				}
+			}()
+			if _, err := Run(n, []*tensor.Tensor{x}, nil); err == nil || !strings.Contains(err.Error(), "rank") {
+				t.Errorf("rank %d: error %v, want a rank error", x.Rank(), err)
 			}
 		}()
 	}

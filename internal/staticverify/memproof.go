@@ -87,7 +87,10 @@ func symsWithin(e symbolic.Expr, set map[string]bool) bool {
 // non-control-flow nodes whose shapes a request's binding resolves;
 // anything else allocates dynamically — but sizes every placed buffer
 // at its interval upper bound over the region, so a valid worst-case
-// plan is overlap-free for every member shape. Dimensions
+// plan is overlap-free for every member shape. A use of a Switch arm or
+// a Combine output is a use of every buffer it may alias (aliasRoots),
+// because the executor forwards those values without copying them.
+// Dimensions
 // that the per-shape contract would range-check are proven non-negative
 // over the whole region; any dimension that cannot be bounded (or that
 // may go negative for some member) makes the verdict unprovable with the
@@ -149,76 +152,12 @@ func ProveMemory(g *graph.Graph, infos map[string]lattice.Info, order []*graph.N
 		}
 	}
 
-	// Worst-case placement program: one step per scheduled node, each
-	// placed buffer sized at its region upper bound. Only values inferred
-	// float32 are placed — the arena never holds int64/bool/quantized
-	// tensors, so a dtype mis-inference leaves a value on the dynamic
-	// path and can never alias a planned buffer.
-	dts := dtypes.Infer(g)
-	keep := make(map[string]bool, len(g.Outputs))
-	for _, o := range g.Outputs {
-		keep[o] = true
-	}
-	steps := make([]memplan.StepSpec, 0, len(order))
-	for _, n := range order {
-		var st memplan.StepSpec
-		if !controlFlowOp(n.OpType) {
-			for _, o := range n.Outputs {
-				if o == "" || !dts.IsFloat(o) {
-					continue
-				}
-				size, reason := worstCaseBytes(infos[o].Shape, inSyms, ivEnv)
-				if reason != "" {
-					unprovable(fmt.Sprintf("value %q: %s", o, reason))
-					continue
-				}
-				if size > 0 {
-					st.Produces = append(st.Produces, memplan.NamedSize{Name: o, Size: size})
-				}
-			}
-		}
-		for _, in := range n.Inputs {
-			if in != "" && !g.IsGraphInput(in) {
-				if _, isConst := g.Initializers[in]; !isConst {
-					st.Consumes = append(st.Consumes, in)
-				}
-			}
-		}
-		steps = append(steps, st)
-	}
-	prog := memplan.FromSteps(steps, keep)
+	prog, progReasons := placementProgram(g, infos, order, inSyms, ivEnv, aliasRoots(g, order))
+	reasons = append(reasons, progReasons...)
 	plan := memplan.PeakFirst(prog)
-
-	// Lifetime proof: every placed buffer's interval must match the
-	// def-use liveness — covering all uses of the value.
-	for _, b := range prog.Bufs {
-		lv, ok := live[b.Name]
-		if !ok {
-			diags = append(diags, Diagnostic{
-				Code: "lifetime", Severity: Error, Value: b.Name,
-				Detail: "buffer placed for a value the schedule never produces",
-			})
-			unprovable(fmt.Sprintf("buffer %q has no liveness interval", b.Name))
-			continue
-		}
-		if b.Birth != lv.Birth || b.Death < lv.Death {
-			diags = append(diags, Diagnostic{
-				Code: "lifetime", Severity: Error, Value: b.Name,
-				Detail: fmt.Sprintf("buffer live [%d,%d] does not cover uses [%d,%d]", b.Birth, b.Death, lv.Birth, lv.Death),
-			})
-			unprovable(fmt.Sprintf("buffer %q lifetime [%d,%d] does not cover uses [%d,%d]", b.Name, b.Birth, b.Death, lv.Birth, lv.Death))
-		}
-	}
-
-	// Disjointness proof: worst-case sizes admit no overlap among
-	// concurrently-live buffers; actual sizes are bounded by worst-case,
-	// so the layout is overlap-free for every shape in the region.
-	if err := plan.Validate(prog); err != nil {
-		diags = append(diags, Diagnostic{
-			Code: "overlap", Severity: Error, Detail: err.Error(),
-		})
-		unprovable(err.Error())
-	}
+	planDiags, planReasons := checkPlan(prog, plan, live)
+	diags = append(diags, planDiags...)
+	reasons = append(reasons, planReasons...)
 
 	v := MemVerdict{Buffers: len(prog.Bufs), ArenaSize: plan.ArenaSize}
 	if len(reasons) == 0 {
@@ -234,6 +173,96 @@ func ProveMemory(g *graph.Graph, infos map[string]lattice.Info, order []*graph.N
 		})
 	}
 	return v, diags
+}
+
+// placementProgram is the worst-case placement program: one step per
+// scheduled node, each placed buffer sized at its region upper bound.
+// Only values inferred float32 are placed — the arena never holds
+// int64/bool/quantized tensors, so a dtype mis-inference leaves a value
+// on the dynamic path and can never alias a planned buffer. A step that
+// consumes a forwarded value (a Switch arm, a Combine output) also
+// consumes its roots, and a graph output keeps its roots live to the
+// end: the executor hands such a value on without copying it, so every
+// buffer it may share storage with must outlive its last use. The
+// reasons name the buffers whose size cannot be bounded.
+func placementProgram(g *graph.Graph, infos map[string]lattice.Info, order []*graph.Node,
+	inSyms map[string]bool, ivEnv map[string]symbolic.Interval, roots map[string][]string) (*memplan.Program, []string) {
+
+	var reasons []string
+	dts := dtypes.Infer(g)
+	keep := make(map[string]bool, len(g.Outputs))
+	for _, o := range g.Outputs {
+		keep[o] = true
+		for _, r := range roots[o] {
+			keep[r] = true
+		}
+	}
+	steps := make([]memplan.StepSpec, 0, len(order))
+	for _, n := range order {
+		var st memplan.StepSpec
+		if !controlFlowOp(n.OpType) {
+			for _, o := range n.Outputs {
+				if o == "" || !dts.IsFloat(o) {
+					continue
+				}
+				size, reason := worstCaseBytes(infos[o].Shape, inSyms, ivEnv)
+				if reason != "" {
+					reasons = append(reasons, fmt.Sprintf("value %q: %s", o, reason))
+					continue
+				}
+				if size > 0 {
+					st.Produces = append(st.Produces, memplan.NamedSize{Name: o, Size: size})
+				}
+			}
+		}
+		for _, in := range n.Inputs {
+			if in != "" && !g.IsGraphInput(in) {
+				if _, isConst := g.Initializers[in]; !isConst {
+					st.Consumes = append(st.Consumes, in)
+					st.Consumes = append(st.Consumes, roots[in]...)
+				}
+			}
+		}
+		steps = append(steps, st)
+	}
+	return memplan.FromSteps(steps, keep), reasons
+}
+
+// checkPlan proves a plan of prog against the def-use liveness: every
+// placed buffer must be live over all uses of its value, forwarded uses
+// included (the lifetime proof), and no two buffers live at the same
+// time may share a byte (the disjointness proof). Worst-case sizes
+// admit no overlap and actual sizes are bounded by worst-case, so a plan
+// that passes is overlap-free for every shape in the region. Each
+// failure comes back as an error diagnostic and a reason.
+func checkPlan(prog *memplan.Program, plan *memplan.Plan, live map[string]LifeInterval) ([]Diagnostic, []string) {
+	var diags []Diagnostic
+	var reasons []string
+	for _, b := range prog.Bufs {
+		lv, ok := live[b.Name]
+		if !ok {
+			diags = append(diags, Diagnostic{
+				Code: "lifetime", Severity: Error, Value: b.Name,
+				Detail: "buffer placed for a value the schedule never produces",
+			})
+			reasons = append(reasons, fmt.Sprintf("buffer %q has no liveness interval", b.Name))
+			continue
+		}
+		if b.Birth != lv.Birth || b.Death < lv.Death {
+			diags = append(diags, Diagnostic{
+				Code: "lifetime", Severity: Error, Value: b.Name,
+				Detail: fmt.Sprintf("buffer live [%d,%d] does not cover uses [%d,%d]", b.Birth, b.Death, lv.Birth, lv.Death),
+			})
+			reasons = append(reasons, fmt.Sprintf("buffer %q lifetime [%d,%d] does not cover uses [%d,%d]", b.Name, b.Birth, b.Death, lv.Birth, lv.Death))
+		}
+	}
+	if err := plan.Validate(prog); err != nil {
+		diags = append(diags, Diagnostic{
+			Code: "overlap", Severity: Error, Detail: err.Error(),
+		})
+		reasons = append(reasons, err.Error())
+	}
+	return diags, reasons
 }
 
 // worstCaseBytes returns the region upper bound of a value's byte size,
