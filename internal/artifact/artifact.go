@@ -1,9 +1,9 @@
 // Package artifact is the crash-safe on-disk store for everything the
 // SoD² pipeline compiles: RDP results, the SEP execution order, the
-// region-wide memory plan, the shape region
-// and contract facts, and the static-verifier verdicts. One replica
-// compiles; every replica (and every restart) warm-boots by loading and
-// re-proving the artifact instead of re-running the planning searches.
+// region-wide memory plan, the input region, and the static-verifier
+// verdicts. One replica compiles; every replica (and every restart)
+// warm-boots by loading and re-proving the artifact instead of
+// re-running the planning searches.
 //
 // The store is built robustness-first, because persistence done naively
 // turns disk corruption into undefined behaviour:
@@ -70,7 +70,17 @@ import (
 // v7: artifacts carry no wave section and no wavefront verdict — there
 // is no wavefront execution; v6 artifacts hold a wave partition this
 // binary no longer replays and must recompile.
-const SchemaVersion uint32 = 7
+//
+// v8: artifacts carry no facts section — the region section is the one
+// description of the inputs a model is compiled for; v7 artifacts hold
+// a facts section this binary no longer reads and must recompile.
+//
+// A change to the analysis that moves a proven region, arena size or
+// offset is a change to the semantics of a stored plan: the frameworks
+// test TestProofDigestsPinnedToSchema fails until the version is
+// bumped, so older artifacts become plain misses instead of
+// quarantined proof mismatches.
+const SchemaVersion uint32 = 8
 
 // Format constants. The header is:
 //

@@ -25,8 +25,13 @@ func sampleManifest() *Manifest {
 			PeakBytes: 4096,
 			Subgraphs: []SubgraphMeta{{ID: 0, Class: 1, Method: "sep", Versions: 2, Nodes: []string{"a", "b"}}},
 		},
-		Region: map[string]IntervalDTO{"N": {Lo: 1, Hi: 64, Stride: 1}},
-		Facts:  []FactDTO{{Symbol: "N", Kind: 0, Min: 1, Max: 64}},
+		// The region is the manifest's one input description: a range, a
+		// strided range and a pinned point all round-trip through it.
+		Region: map[string]IntervalDTO{
+			"N": {Lo: 1, Hi: 64, Stride: 1},
+			"H": {Lo: 224, Hi: 640, Stride: 32},
+			"L": {Lo: 16, Hi: 16, Stride: 1},
+		},
 		MemPlan: &MemPlanSection{
 			ArenaSize: 2048, Strategy: "region-worst-case",
 			Offsets: map[string]int64{"a_out": 0, "b_out": 1024},
@@ -60,6 +65,23 @@ func TestRoundTrip(t *testing.T) {
 	stats := st.Stats()
 	if stats.Saves != 1 || stats.Loads != 1 || stats.Misses != 0 || stats.Corrupt != 0 {
 		t.Errorf("stats = %+v, want 1 save, 1 load, clean", stats)
+	}
+}
+
+// TestSectionsCarryOneInputDescription: the region section is the
+// only description of the inputs an artifact was compiled for — there
+// is no facts section beside it.
+func TestSectionsCarryOneInputDescription(t *testing.T) {
+	secs, err := sampleManifest().encodeSections()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, sec := range secs {
+		names = append(names, sec.name)
+	}
+	if want := []string{"meta", "rdp", "sep", "region", "memplan", "verdicts"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("sections = %v, want %v", names, want)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // manifest can be validated field by field before anything trusts it.
 //
 // The manifest stores *decisions* (the SEP order, the proven arena
-// offsets, the analyzed facts and region) plus *fingerprints* of the
+// offsets, the input region) plus *fingerprints* of the
 // analyses that produced them (the RDP shape digest, the verifier
 // verdicts). Cheap, deterministic derivations — the RDP fusion groups,
 // the If/Loop bodies' sub-graphs — are recomputed at load; expensive
@@ -31,8 +31,6 @@ type Manifest struct {
 	SEP SEPSection
 	// Region is the verified shape region, symbol → strided interval.
 	Region map[string]IntervalDTO
-	// Facts are the analyzed input facts the runtime contract checks.
-	Facts []FactDTO
 	// MemPlan is the region-wide proven arena plan (nil when the memory
 	// proof did not succeed at compile time).
 	MemPlan *MemPlanSection
@@ -92,16 +90,6 @@ type IntervalDTO struct {
 	Stride int64 `json:"stride"`
 }
 
-// FactDTO is one analyzed input fact (range or divisibility).
-type FactDTO struct {
-	Symbol string `json:"symbol"`
-	Kind   uint8  `json:"kind"`
-	Min    int64  `json:"min,omitempty"`
-	Max    int64  `json:"max,omitempty"`
-	Mod    int64  `json:"mod,omitempty"`
-	Rem    int64  `json:"rem,omitempty"`
-}
-
 // MemPlanSection is the region-wide worst-case arena plan the memory
 // proof produced: byte offsets per buffer and the arena size. The
 // loader re-proves the plan and requires bit-identical offsets — a
@@ -152,14 +140,13 @@ type VerdictSection struct {
 	DiagCodes    []string `json:"diag_codes,omitempty"`
 }
 
-// Section names. meta/rdp/sep/region/facts/verdicts are required;
+// Section names. meta/rdp/sep/region/verdicts are required;
 // memplan/quant are present only when the compile produced them.
 const (
 	secMeta     = "meta"
 	secRDP      = "rdp"
 	secSEP      = "sep"
 	secRegion   = "region"
-	secFacts    = "facts"
 	secMemPlan  = "memplan"
 	secQuant    = "quant"
 	secVerdicts = "verdicts"
@@ -188,9 +175,6 @@ func (m *Manifest) encodeSections() ([]section, error) {
 		return nil, err
 	}
 	if err := add(secRegion, m.Region); err != nil {
-		return nil, err
-	}
-	if err := add(secFacts, m.Facts); err != nil {
 		return nil, err
 	}
 	if m.MemPlan != nil {
@@ -239,9 +223,6 @@ func decodeSections(path string, sections map[string][]byte) (*Manifest, *Corrup
 		return nil, ce
 	}
 	if ce := dec(secRegion, &m.Region, true); ce != nil {
-		return nil, ce
-	}
-	if ce := dec(secFacts, &m.Facts, true); ce != nil {
 		return nil, ce
 	}
 	if _, ok := sections[secMemPlan]; ok {

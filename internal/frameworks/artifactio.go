@@ -114,12 +114,6 @@ func Snapshot(c *Compiled, rep *staticverify.Report, key artifact.Key) *artifact
 	for sym, iv := range rep.Region {
 		m.Region[sym] = artifact.IntervalDTO{Lo: iv.Lo, Hi: iv.Hi, Stride: iv.Stride}
 	}
-	for _, f := range c.Contract().Facts {
-		m.Facts = append(m.Facts, artifact.FactDTO{
-			Symbol: f.Symbol, Kind: uint8(f.Kind),
-			Min: f.Min, Max: f.Max, Mod: f.Mod, Rem: f.Rem,
-		})
-	}
 
 	if rep.Mem.Proven && rep.Mem.Plan != nil {
 		offs := make(map[string]int64, len(rep.Mem.Plan.Offsets))
@@ -280,13 +274,6 @@ func compileFromManifest(b *models.Builder, g *graph.Graph, man *artifact.Manife
 
 	c := &Compiled{Builder: b, Graph: g, Infos: res.Infos, RDPResult: res,
 		OrigGraph: g, OrigInfos: res.Infos}
-	c.presetFacts = make([]guard.Fact, 0, len(man.Facts))
-	for _, f := range man.Facts {
-		c.presetFacts = append(c.presetFacts, guard.Fact{
-			Symbol: f.Symbol, Kind: guard.FactKind(f.Kind),
-			Min: f.Min, Max: f.Max, Mod: f.Mod, Rem: f.Rem,
-		})
-	}
 	c.presetRegion = staticverify.Region{}
 	for sym, iv := range man.Region {
 		c.presetRegion[sym] = symbolic.NewInterval(iv.Lo, iv.Hi, iv.Stride)

@@ -221,6 +221,54 @@ func TestBootVersionSkewFallsBack(t *testing.T) {
 	requireColdFallback(t, st, b, "version-skew")
 }
 
+// TestBootIgnoresOlderSchemaFile: a schema bump is a clean miss. An
+// artifact written under the previous version (v7 when this binary
+// writes v8) stays in the store directory unread: the boot compiles
+// cold, saves the current version beside it, and quarantines nothing.
+func TestBootIgnoresOlderSchemaFile(t *testing.T) {
+	st, b, key := bootModel(t, "CodeBERT")
+	cur := st.Path(key)
+	data, err := os.ReadFile(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := artifact.SchemaVersion - 1
+	old := strings.TrimSuffix(cur, fmt.Sprintf("__v%d.art", artifact.SchemaVersion)) + fmt.Sprintf("__v%d.art", prev)
+	binary.LittleEndian.PutUint32(data[artifact.VersionOffset:], prev)
+	if err := os.WriteFile(old, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(cur); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, info, err := CompileWithStore(b, st, "cpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Warm || info.CorruptFallback != nil || !info.Saved {
+		t.Fatalf("boot beside a v%d file = %+v, want a clean cold compile that saves", prev, info)
+	}
+	if _, err := os.Stat(cur); err != nil {
+		t.Errorf("no v%d artifact saved: %v", artifact.SchemaVersion, err)
+	}
+	if got, err := os.ReadFile(old); err != nil || !bytes.Equal(got, data) {
+		t.Errorf("the v%d file was touched: %v", prev, err)
+	}
+	entries, err := os.ReadDir(st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".quarantine") {
+			t.Errorf("quarantined %s", e.Name())
+		}
+	}
+	if stats := st.Stats(); stats.Corrupt != 0 || stats.Quarantined != 0 {
+		t.Errorf("store stats %+v: a miss is no corruption", stats)
+	}
+}
+
 // TestBootProofMismatchFallsBack tampers with an integrity-clean
 // artifact — the stored arena offsets are re-encoded with valid
 // checksums but no longer match what the verifier proves — so only the

@@ -22,7 +22,7 @@ import (
 // wall-clock benchmark.
 func (c *Compiled) FamilyKey(inputs map[string]*tensor.Tensor) (string, bool) {
 	if rep := c.Verify(); rep.Mem.Proven {
-		if env, err := c.Contract().BindInputs(inputs); err == nil && rep.Region.ContainsEnv(env) {
+		if env, err := c.Contract().BindInputs(inputs); err == nil && rep.Region.Check(env) == nil {
 			return "region", true
 		}
 	}

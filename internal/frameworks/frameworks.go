@@ -100,13 +100,12 @@ type Compiled struct {
 	Quant      *QuantReport
 	floatInits map[string]*tensor.Tensor
 
-	// presetFacts/presetRegion are installed before the Compiled is
-	// published — the cold compile derives them from its one probe of the
-	// input generator, the warm boot loads them from the artifact store —
-	// so the runtime contract, the verifier and the harness's MVC plan
-	// all quantify over one region. Read-only afterwards, like every
-	// compiled artifact.
-	presetFacts  []guard.Fact
+	// presetRegion is installed before the Compiled is published — the
+	// cold compile derives it from its one probe of the declared input
+	// shapes, the warm boot loads it from the artifact store — so the
+	// entry check, the verifier and the harness's MVC plan all quantify
+	// over one region. Read-only afterwards, like every compiled
+	// artifact.
 	presetRegion staticverify.Region
 
 	// OrigGraph/OrigInfos are the graph as built and its RDP analysis,
@@ -275,11 +274,9 @@ func compileGraph(b *models.Builder, g *graph.Graph, cfg SchedConfig) (*Compiled
 	}
 	c := &Compiled{Builder: b, Graph: g, Infos: res.Infos, RDPResult: res,
 		OrigGraph: g, OrigInfos: res.Infos}
-	// One probe of the input generator yields the contract facts and the
-	// region every proof and the runtime contract quantify over.
-	probe := probeExtents(b, g, res.Infos)
-	c.presetFacts = probe.facts()
-	c.presetRegion = probe.region(c.presetFacts)
+	// One probe of the declared input shapes yields the region every
+	// proof and the serve-time entry check quantify over.
+	c.presetRegion = probeExtents(b, g, res.Infos).region()
 
 	c.FusionRDP = fusion.Fuse(g, res.Infos, fusion.RDP)
 	compileCounters.planSearches.Add(1)

@@ -65,18 +65,14 @@ func (gr *GuardReport) degrade(reason string, kind guard.ViolationKind, to guard
 	gr.Tier = to
 }
 
-// Contract returns the model's runtime contract: declared symbolic input
-// shapes, the RDP fixed point, and analyzed input facts (extent ranges
-// and divisibility) derived from the model's sampling spec — the facts
-// the compile probed, or the warm boot loaded from the store. Built once
-// and cached on the Compiled (safe for concurrent use).
+// Contract returns the model's runtime contract: the declared symbolic
+// input shapes and the RDP fixed point every request is bound against.
+// The input region a binding must lie in is the verifier's
+// (Verify().Region). Built once and cached on the Compiled (safe for
+// concurrent use).
 func (c *Compiled) Contract() *guard.Contract {
 	c.contractOnce.Do(func() {
-		ct := guard.NewContract(c.Graph, c.Infos)
-		for _, f := range c.presetFacts {
-			ct.AddFact(f)
-		}
-		c.contract = ct
+		c.contract = guard.NewContract(c.Graph, c.Infos)
 	})
 	return c.contract
 }
@@ -172,13 +168,18 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 		return rung{}, cerr
 	}
 
-	// One plan source for the planned rung: the region proof. A request
-	// binding inside the proven region is served with the region-wide
-	// layout, fitted to its own sizes — no fact/shape checks, including
-	// for shapes never seen before.
+	// The region is the one description of the inputs the model was
+	// compiled for: a binding outside it is off every proof. One plan
+	// source for the planned rung: the region proof. A request binding
+	// inside the region of a proven memory plan is served with the
+	// region-wide layout, fitted to its own sizes — no shape checks,
+	// including for shapes never seen before.
 	rep := c.Verify()
+	if cerr == nil {
+		cerr = rep.Region.Check(env)
+	}
 	r := rung{tier: guard.TierPlanned, graph: c.Graph, order: c.ExecPlan.Order, env: env}
-	if cerr == nil && !opts.ForceDynamic && rep.Mem.Proven && rep.Region.ContainsEnv(env) {
+	if cerr == nil && !opts.ForceDynamic && rep.Mem.Proven {
 		r.layout = rep.Mem.Layout
 		gr.RegionCacheHit = true
 		c.regionHits.Add(1)
@@ -186,14 +187,11 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 	}
 
 	// Everything else runs dynamic. Its verdict, in order: the binding,
-	// the analyzed facts and shape ranges, a quarantined plan, and then
+	// the region, the shape ranges, a quarantined plan, and then
 	// whichever proof does not cover a request that satisfied the
-	// contract (a refuted order, an unproven memory plan, a binding
-	// outside the proven region).
+	// contract (a refuted order, an unproven memory plan).
 	if cerr == nil {
-		if cerr = ct.CheckFacts(env); cerr == nil {
-			cerr = ct.CheckShapes(env)
-		}
+		cerr = ct.CheckShapes(env)
 	}
 	switch {
 	case cerr != nil:
@@ -205,10 +203,7 @@ func (c *Compiled) entryRung(inputs map[string]*tensor.Tensor, opts GuardOptions
 			Cause: errors.New(rep.Exec.Reason)}
 		gr.degrade(verr.Error(), verr.Kind, guard.TierDynamic)
 	default:
-		verr := &guard.ContractError{Kind: guard.KindMemPlan, Detail: "binding outside the proven region"}
-		if !rep.Mem.Proven {
-			verr.Detail = "memory plan not proven: " + rep.Mem.Reason
-		}
+		verr := &guard.ContractError{Kind: guard.KindMemPlan, Detail: "memory plan not proven: " + rep.Mem.Reason}
 		gr.degrade(verr.Error(), verr.Kind, guard.TierDynamic)
 	}
 	r.tier = guard.TierDynamic

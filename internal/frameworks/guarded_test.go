@@ -3,6 +3,7 @@ package frameworks
 import (
 	"context"
 	"errors"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -13,6 +14,8 @@ import (
 	"repro/internal/guard"
 	"repro/internal/lattice"
 	"repro/internal/models"
+	"repro/internal/staticverify"
+	"repro/internal/symbolic"
 	"repro/internal/tensor"
 	"repro/internal/workload"
 )
@@ -30,35 +33,30 @@ func compileModel(t *testing.T, name string) *Compiled {
 	return c
 }
 
-func TestContractFactsDerived(t *testing.T) {
-	yolo := compileModel(t, "YOLO-V6")
-	facts := yolo.Contract().Facts
-	var haveRange, haveDiv bool
-	for _, f := range facts {
-		if f.Kind == guard.FactRange && f.Min == 224 && f.Max == 640 {
-			haveRange = true
-		}
-		if f.Kind == guard.FactDivisible && f.Mod == 32 && f.Rem == 0 {
-			haveDiv = true
-		}
-	}
-	if !haveRange || !haveDiv {
-		t.Errorf("YOLO facts missing range/divisibility: %v", facts)
-	}
-
-	bert := compileModel(t, "CodeBERT")
-	for _, f := range bert.Contract().Facts {
-		if f.Kind == guard.FactDivisible {
-			t.Errorf("CodeBERT (step 1) should have no divisibility fact: %v", f)
-		}
-		if f.Kind == guard.FactRange && (f.Min != 32 || f.Max != 384) {
-			t.Errorf("CodeBERT range fact = %v", f)
+// The region is read off the declared sampling range: a stride-sampled
+// symbol gets the strided interval, a step-1 symbol the plain range, and
+// a symbol the probe saw constant its point.
+func TestRegionDerivedFromSamplingRange(t *testing.T) {
+	for _, tc := range []struct {
+		model string
+		want  map[string]symbolic.Interval
+	}{
+		{"YOLO-V6", map[string]symbolic.Interval{
+			"H": symbolic.NewInterval(224, 640, 32), "W": symbolic.NewInterval(224, 640, 32)}},
+		{"CodeBERT", map[string]symbolic.Interval{"L": symbolic.NewInterval(32, 384, 1)}},
+		{"StableDiffusion", map[string]symbolic.Interval{"H": symbolic.NewInterval(64, 224, 8),
+			"L": symbolic.Point(16), "W": symbolic.NewInterval(64, 224, 8)}},
+	} {
+		c := compileModel(t, tc.model)
+		if got := c.Verify().Region; !maps.Equal(got, staticverify.Region(tc.want)) {
+			t.Errorf("%s region = %v, want %v", tc.model, got, tc.want)
 		}
 	}
 }
 
 // A misaligned extent completes on the dynamic tier; its one recorded
-// step is the fact violation, naming the symbol and quoting the fact.
+// step is the region violation, naming the symbol and quoting its
+// interval.
 func TestMisalignedYOLODegradesOnFactStep(t *testing.T) {
 	c := compileModel(t, "YOLO-V6")
 	inputs := c.Builder.Inputs(tensor.NewRNG(7), 225, 0.5) // 225 % 32 != 0
@@ -73,8 +71,8 @@ func TestMisalignedYOLODegradesOnFactStep(t *testing.T) {
 	if d.Kind != guard.KindFact || d.From != guard.TierPlanned || d.To != guard.TierDynamic {
 		t.Errorf("degradation %+v: want a fact step from planned to dynamic", d)
 	}
-	if !strings.Contains(d.Reason, "symbol H = 225") || !strings.Contains(d.Reason, "H % 32 == 0") {
-		t.Errorf("degradation should name the symbol and quote the fact: %q", d.Reason)
+	if !strings.Contains(d.Reason, `symbol H = 225 violates "H∈[224,640]/32"`) {
+		t.Errorf("degradation should name the symbol and quote its interval: %q", d.Reason)
 	}
 }
 
@@ -105,23 +103,35 @@ func TestDegradationPaths(t *testing.T) {
 		model    string
 		size     int64
 		arrange  func(c *Compiled) (undo func())
+		inputs   func(in map[string]*tensor.Tensor) // edits the generated inputs, when set
 		wantTier guard.Tier
 		wantKind guard.ViolationKind
+		wantSym  string // the symbol a KindFact step names
 	}{
 		{
 			name:  "misaligned extent falls back to dynamic",
 			model: "YOLO-V6", size: 225,
-			wantTier: guard.TierDynamic, wantKind: guard.KindFact,
+			wantTier: guard.TierDynamic, wantKind: guard.KindFact, wantSym: "H",
 		},
 		{
 			name:  "out-of-range extent falls back to dynamic",
 			model: "YOLO-V6", size: 672,
-			wantTier: guard.TierDynamic, wantKind: guard.KindFact,
+			wantTier: guard.TierDynamic, wantKind: guard.KindFact, wantSym: "H",
 		},
 		{
 			name:  "below-range extent falls back to dynamic",
 			model: "CodeBERT", size: 16,
-			wantTier: guard.TierDynamic, wantKind: guard.KindFact,
+			wantTier: guard.TierDynamic, wantKind: guard.KindFact, wantSym: "L",
+		},
+		{
+			// The probe pinned L∈{16}; the region refuses any other
+			// token count before a proof is consulted.
+			name:  "pinned symbol bound elsewhere falls back to dynamic",
+			model: "StableDiffusion", size: 64,
+			inputs: func(in map[string]*tensor.Tensor) {
+				in["tokens"] = tensor.New(tensor.Int64, 1, 12)
+			},
+			wantTier: guard.TierDynamic, wantKind: guard.KindFact, wantSym: "L",
 		},
 		{
 			// A request inside the contract that no proof covers: the
@@ -139,6 +149,9 @@ func TestDegradationPaths(t *testing.T) {
 				defer tc.arrange(c)()
 			}
 			inputs := c.Builder.Inputs(tensor.NewRNG(7), tc.size, 0.5)
+			if tc.inputs != nil {
+				tc.inputs(inputs)
+			}
 			res, gr, err := c.GuardedRun(inputs, GuardOptions{})
 			if err != nil {
 				t.Fatalf("degraded run should complete: %v", err)
@@ -152,6 +165,21 @@ func TestDegradationPaths(t *testing.T) {
 			d := gr.Degradations[0]
 			if d.Kind != tc.wantKind || d.To != tc.wantTier {
 				t.Errorf("degradation = %+v, want kind %v to %v", d, tc.wantKind, tc.wantTier)
+			}
+			if tc.wantSym != "" {
+				// The degradation records the reason only; the entry
+				// verdict it came from names the symbol and value.
+				env, err := c.Contract().BindInputs(inputs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ce *guard.ContractError
+				if err := c.Verify().Region.Check(env); !errors.As(err, &ce) || ce.Symbol != tc.wantSym || ce.Value != env[tc.wantSym] {
+					t.Errorf("region verdict %v, want a violation naming %s = %d", err, tc.wantSym, env[tc.wantSym])
+				}
+				if !strings.Contains(d.Reason, "symbol "+tc.wantSym+" = ") {
+					t.Errorf("degradation %q does not name %s", d.Reason, tc.wantSym)
+				}
 			}
 
 			// Degraded outputs must match the plain unplanned execution.

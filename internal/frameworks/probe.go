@@ -1,8 +1,6 @@
 package frameworks
 
 import (
-	"sort"
-
 	"repro/internal/graph"
 	"repro/internal/guard"
 	"repro/internal/lattice"
@@ -13,18 +11,17 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file derives the input region a compile quantifies over: the
-// contract facts and the verification region, read off one probe of the
-// model's declared input shapes. The cold compile installs both; the
-// runtime contract, the verifier and the MVC plan all read them from
-// there.
+// This file derives the input region a compile quantifies over, read
+// off one probe of the model's declared input shapes. The cold compile
+// installs it; the runtime entry check, the verifier and the MVC plan
+// all read it from there.
 
 // extentProbe is the model's input declaration read at both ends of its
 // declared sampling range (MinSize and the stride-aligned maximum), each
-// end bound against the analyzed input shapes. The contract facts and
-// the verification region are both read off this one observation. The
-// zero value — no sampling spec, or an end that does not bind — derives
-// no facts and no pinned symbols.
+// end bound against the analyzed input shapes. The verification region
+// is read off this one observation. The zero value — no sampling spec,
+// or an end that does not bind — pins no symbols and yields an empty
+// region.
 type extentProbe struct {
 	lo, hi                   symbolic.Env
 	min, max, step, maxAlign int64
@@ -59,43 +56,25 @@ func declared(specs []models.InputSpec) map[string]*tensor.Tensor {
 	return m
 }
 
-// facts keeps a range fact [MinSize, MaxSize] — and, when the model
-// samples on a stride, a divisibility fact (YOLO-v6's H % 32 == 0) — for
-// each symbol that tracked the probe size at both ends. Symbols pinned
-// to fixed values (SAM's prompt count) get none. Symbols are visited
-// sorted: the fact order reaches Contract.Facts and the saved artifact,
-// which must not differ from one compile to the next.
-func (p extentProbe) facts() []guard.Fact {
-	syms := make([]string, 0, len(p.lo))
-	for sym := range p.lo {
-		syms = append(syms, sym)
-	}
-	sort.Strings(syms)
-	var facts []guard.Fact
-	for _, sym := range syms {
+// region is the input region the static proofs and the serve-time
+// entry check quantify over. A symbol that tracked the probe size at
+// both ends gets the sampled interval [MinSize, maxAlign] on the
+// sampling stride (YOLO-v6's H∈[224,640]/32); a symbol the probe showed
+// constant (StableDiffusion's L∈{16}) gets its point, so a request that
+// binds it differently is refused by the region rather than served off
+// a proof that never covered it.
+func (p extentProbe) region() staticverify.Region {
+	region := staticverify.Region{}
+	for sym, vlo := range p.lo {
 		vhi, ok := p.hi[sym]
-		if vlo := p.lo[sym]; !ok || vlo != p.min || vhi != p.maxAlign {
-			continue // symbol does not track the dynamic extent
+		if !ok {
+			continue
 		}
-		facts = append(facts, guard.Fact{Symbol: sym, Kind: guard.FactRange,
-			Min: p.min, Max: p.max})
-		if p.step > 1 {
-			facts = append(facts, guard.Fact{Symbol: sym, Kind: guard.FactDivisible,
-				Mod: p.step, Rem: p.min % p.step})
-		}
-	}
-	return facts
-}
-
-// region is the input region the static proofs quantify over: the
-// analyzed facts, plus singleton intervals for input symbols the probe
-// showed constant. Those never get facts, but the serve-time membership
-// test keeps the proof honest if a request ever binds them differently.
-func (p extentProbe) region(facts []guard.Fact) staticverify.Region {
-	region := staticverify.RegionFromFacts(facts)
-	for sym, v := range p.lo {
-		if _, have := region[sym]; !have && p.hi[sym] == v {
-			region[sym] = symbolic.Point(v)
+		switch {
+		case vlo == p.min && vhi == p.maxAlign:
+			region[sym] = symbolic.NewInterval(p.min, p.maxAlign, p.step)
+		case vlo == vhi:
+			region[sym] = symbolic.Point(vlo)
 		}
 	}
 	return region

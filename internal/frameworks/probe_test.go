@@ -29,7 +29,7 @@ func sampledProbe(t *testing.T, b *models.Builder, ct *guard.Contract) extentPro
 
 // TestProbeAllocatesNoSample: the extent probe binds the declared input
 // shapes without drawing a sample — one 640-px image alone is 4.9 MB —
-// and derives the same bindings, facts and region on every model as
+// and derives the same bindings and region on every model as
 // binding generated samples at both ends does.
 func TestProbeAllocatesNoSample(t *testing.T) {
 	const budget = 64 << 10
@@ -66,11 +66,7 @@ func TestProbeAllocatesNoSample(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: probe %+v, want %+v from generated samples", b.Name, got, want)
 		}
-		gotFacts, wantFacts := got.facts(), want.facts()
-		if !reflect.DeepEqual(gotFacts, wantFacts) {
-			t.Errorf("%s: facts %v, want %v", b.Name, gotFacts, wantFacts)
-		}
-		if gr, wr := got.region(gotFacts), want.region(wantFacts); !reflect.DeepEqual(gr, wr) {
+		if gr, wr := got.region(), want.region(); !reflect.DeepEqual(gr, wr) {
 			t.Errorf("%s: region %v, want %v", b.Name, gr, wr)
 		}
 	}

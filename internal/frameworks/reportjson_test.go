@@ -15,7 +15,7 @@ import (
 // -update rewrites the report-JSON golden instead of diffing it:
 //
 //	go test ./internal/frameworks/ -run TestReportJSONGolden -args -update
-var updateReportGolden = flag.Bool("update", false, "rewrite the report JSON golden in testdata/")
+var updateGolden = flag.Bool("update", false, "rewrite the goldens in testdata/ (the proof digests only under a bumped schema version)")
 
 // goldenReport exercises every wire field: a request degraded down the
 // whole ladder, with phase timings.
@@ -45,7 +45,7 @@ func TestReportJSONGolden(t *testing.T) {
 	}
 	got = append(got, '\n')
 	path := filepath.Join("testdata", "report_golden.json")
-	if *updateReportGolden {
+	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

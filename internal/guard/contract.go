@@ -13,66 +13,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// FactKind distinguishes the analyzed input facts the checker enforces.
-type FactKind uint8
-
-// Fact kinds.
-const (
-	// FactRange bounds a symbol to its analyzed extent range.
-	FactRange FactKind = iota
-	// FactDivisible constrains a symbol modulo a constant
-	// (YOLO-v6's H % 32 == 0 style alignment facts).
-	FactDivisible
-)
-
-// Fact is one analyzed property of a symbolic input dimension. Facts
-// come from the RDP analysis context (the model's declared sampling
-// range and alignment, §5.1) and are checked against the concrete
-// binding at inference time.
-type Fact struct {
-	Symbol string
-	Kind   FactKind
-	// Min/Max bound FactRange.
-	Min, Max int64
-	// Mod/Rem express FactDivisible: Symbol % Mod == Rem.
-	Mod, Rem int64
-}
-
-// String renders the fact the way the error messages quote it.
-func (f Fact) String() string {
-	switch f.Kind {
-	case FactDivisible:
-		if f.Rem == 0 {
-			return fmt.Sprintf("%s %% %d == 0", f.Symbol, f.Mod)
-		}
-		return fmt.Sprintf("%s %% %d == %d", f.Symbol, f.Mod, f.Rem)
-	default:
-		return fmt.Sprintf("%d <= %s <= %d", f.Min, f.Symbol, f.Max)
-	}
-}
-
-// Check tests a concrete symbol value against the fact.
-func (f Fact) Check(v int64) error {
-	switch f.Kind {
-	case FactDivisible:
-		if f.Mod > 0 && v%f.Mod != f.Rem {
-			return &ContractError{Kind: KindFact, Symbol: f.Symbol, Fact: f.String(), Value: v}
-		}
-	default:
-		if v < f.Min || v > f.Max {
-			return &ContractError{Kind: KindFact, Symbol: f.Symbol, Fact: f.String(), Value: v}
-		}
-	}
-	return nil
-}
-
 // Contract binds a compiled model's static analysis artifacts for
-// runtime verification: the graph, the RDP fixed point, and the
-// analyzed input facts.
+// runtime verification: the graph and the RDP fixed point. The input
+// region a request must bind inside is the model's staticverify.Region.
 type Contract struct {
 	Graph *graph.Graph
 	Infos map[string]lattice.Info
-	Facts []Fact
 }
 
 // NewContract builds a contract over an analyzed graph. Infos may be
@@ -80,9 +26,6 @@ type Contract struct {
 func NewContract(g *graph.Graph, infos map[string]lattice.Info) *Contract {
 	return &Contract{Graph: g, Infos: infos}
 }
-
-// AddFact appends an analyzed input fact.
-func (c *Contract) AddFact(f Fact) { c.Facts = append(c.Facts, f) }
 
 // inputShape returns the shape the analysis holds for an input.
 func (c *Contract) inputShape(in graph.ValueDef) lattice.Shape {
@@ -123,20 +66,6 @@ func (c *Contract) BindInputs(inputs map[string]*tensor.Tensor) (symbolic.Env, e
 		}
 	}
 	return env, nil
-}
-
-// CheckFacts evaluates every fact whose symbol is bound in env.
-func (c *Contract) CheckFacts(env symbolic.Env) error {
-	for _, f := range c.Facts {
-		v, bound := env[f.Symbol]
-		if !bound {
-			continue
-		}
-		if err := f.Check(v); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // CheckShapes evaluates every RDP-resolved intermediate shape under the

@@ -62,8 +62,9 @@ const (
 	// KindBind: a concrete input shape contradicts the RDP symbolic
 	// shape (rank mismatch, constant-dim mismatch, inconsistent symbol).
 	KindBind ViolationKind = "bind"
-	// KindFact: a bound symbol violates an analyzed fact (range or
-	// divisibility).
+	// KindFact: a bound symbol lies outside the strided interval the
+	// model's input region gives it (range or alignment), or a region
+	// symbol is unbound.
 	KindFact ViolationKind = "fact"
 	// KindShape: an RDP-derived intermediate shape evaluates to a
 	// negative or undefined extent under the bound symbols.
@@ -89,10 +90,11 @@ const (
 // which symbol/fact it concerns, and the offending value.
 type ContractError struct {
 	Kind ViolationKind
-	// Symbol and Fact are set for KindFact violations ("H", "H % 32 == 0").
+	// Symbol and Fact are set for KindFact violations: the symbol and
+	// its region interval ("H", "H∈[224,640]/32").
 	Symbol string
 	Fact   string
-	// Value is the concrete value that violated the fact (KindFact).
+	// Value is the concrete value outside the interval (KindFact).
 	Value int64
 	// Detail carries the human-readable specifics.
 	Detail string

@@ -464,6 +464,44 @@ func TestLayerNormAxisOutOfRange(t *testing.T) {
 	}
 }
 
+// A Transpose perm that is not a permutation of the input's axes — an
+// axis out of range, too few axes, an axis twice — is an *AttrError
+// naming the node, never an index panic; a permutation runs.
+func TestTransposeRejectsBadPerm(t *testing.T) {
+	x := tensor.RandomFloats(tensor.NewRNG(15), 1, 1, 4, 6, 6)
+	for _, tc := range []struct {
+		perm []int64
+		ok   bool
+	}{
+		{nil, true}, {[]int64{0, 2, 3, 1}, true},
+		{[]int64{0, 5, 1}, false}, {[]int64{0, 1}, false}, {[]int64{0, 0, 1}, false},
+		{[]int64{0, 1, 2, -1}, false}, {[]int64{0, 1, 2, 2}, false},
+	} {
+		attrs := map[string]graph.AttrValue{}
+		if tc.perm != nil {
+			attrs["perm"] = graph.IntsAttr(tc.perm...)
+		}
+		n := mkNode("Transpose", attrs, 1)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("perm %v: panic %v, want an error", tc.perm, r)
+				}
+			}()
+			_, err := Run(n, []*tensor.Tensor{x}, nil)
+			var ae *AttrError
+			switch {
+			case tc.ok && err != nil:
+				t.Errorf("perm %v: %v", tc.perm, err)
+			case !tc.ok && !errors.As(err, &ae):
+				t.Errorf("perm %v: got %v, want an *AttrError", tc.perm, err)
+			case !tc.ok && (ae.Op != "Transpose" || ae.Node != n.Name || ae.Attr != "perm"):
+				t.Errorf("perm %v: %+v", tc.perm, *ae)
+			}
+		}()
+	}
+}
+
 func TestLayerNormZeroMeanUnitVar(t *testing.T) {
 	rng := tensor.NewRNG(13)
 	x := tensor.RandomFloats(rng, 5, 3, 16)

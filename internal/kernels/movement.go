@@ -154,17 +154,57 @@ func unsqueezeKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Te
 	return copyOut(ctx, "Unsqueeze", x, shape)
 }
 
+// AttrError reports an attribute whose values do not fit the node's
+// input: the op, the node, the attribute and what is wrong with it.
+type AttrError struct {
+	Op, Node, Attr string
+	Detail         string
+}
+
+func (e *AttrError) Error() string {
+	return fmt.Sprintf("%s %s: %s %s", e.Op, e.Node, e.Attr, e.Detail)
+}
+
+// transposePerm is Transpose's one reading of perm, shared by its
+// transfers and its kernel: the attribute, or the reversed axes when it
+// is absent. A perm that is not a permutation of rank axes — the wrong
+// length, an axis out of range, an axis named twice — is an *AttrError,
+// never an index into a shape.
+func transposePerm(n *graph.Node, rank int) ([]int64, error) {
+	perm := n.AttrInts("perm", nil)
+	if perm == nil {
+		perm = make([]int64, rank)
+		for i := range perm {
+			perm[i] = int64(rank - 1 - i)
+		}
+		return perm, nil
+	}
+	bad := func(format string, args ...any) error {
+		return &AttrError{Op: n.OpType, Node: n.Name, Attr: "perm",
+			Detail: fmt.Sprintf("%v ", perm) + fmt.Sprintf(format, args...)}
+	}
+	if len(perm) != rank {
+		return nil, bad("has %d axes, the input %d", len(perm), rank)
+	}
+	for i, p := range perm {
+		if p < 0 || p >= int64(rank) {
+			return nil, bad("names axis %d, outside rank %d", p, rank)
+		}
+		if slices.Contains(perm[:i], p) {
+			return nil, bad("names axis %d twice", p)
+		}
+	}
+	return perm, nil
+}
+
 func transposeKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "Transpose"); err != nil {
 		return nil, err
 	}
 	x := in[0]
-	perm := n.AttrInts("perm", nil)
-	if perm == nil {
-		perm = make([]int64, x.Rank())
-		for i := range perm {
-			perm[i] = int64(x.Rank() - 1 - i)
-		}
+	perm, err := transposePerm(n, x.Rank())
+	if err != nil {
+		return nil, err
 	}
 	outShape := make([]int64, x.Rank())
 	for i, p := range perm {

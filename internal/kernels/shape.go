@@ -197,12 +197,9 @@ func transposeForward(ctx *InferCtx) ([]lattice.Info, error) {
 		out[0].Shape = x
 		return out, nil
 	}
-	perm := ctx.Node.AttrInts("perm", nil)
-	if perm == nil {
-		perm = make([]int64, len(x.Dims))
-		for i := range perm {
-			perm[i] = int64(len(x.Dims) - 1 - i)
-		}
+	perm, err := transposePerm(ctx.Node, len(x.Dims))
+	if err != nil {
+		return nil, err
 	}
 	dims := make([]lattice.Dim, len(x.Dims))
 	for i, p := range perm {
@@ -218,12 +215,9 @@ func transposeBackward(ctx *InferCtx) ([]lattice.Info, error) {
 	if o.Kind != lattice.ShapeRanked {
 		return in, nil
 	}
-	perm := ctx.Node.AttrInts("perm", nil)
-	if perm == nil {
-		perm = make([]int64, len(o.Dims))
-		for i := range perm {
-			perm[i] = int64(len(o.Dims) - 1 - i)
-		}
+	perm, err := transposePerm(ctx.Node, len(o.Dims))
+	if err != nil {
+		return nil, err
 	}
 	dims := make([]lattice.Dim, len(o.Dims))
 	for i, p := range perm {

@@ -2,7 +2,6 @@ package staticverify
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -14,11 +13,7 @@ func (r *Report) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "model %s: %d nodes\n", r.Model, r.NodeCount)
 
-	syms := make([]string, 0, len(r.Region))
-	for s := range r.Region {
-		syms = append(syms, s)
-	}
-	sort.Strings(syms)
+	syms := r.Region.Symbols()
 	if len(syms) == 0 {
 		b.WriteString("region: (none)\n")
 	} else {

@@ -2,7 +2,6 @@ package staticverify
 
 import (
 	"encoding/json"
-	"sort"
 )
 
 // The JSON report mirrors Format()'s content with stable, documented
@@ -54,12 +53,7 @@ func JSONReportOf(r *Report) JSONReport {
 		MemArena:   r.Mem.ArenaSize,
 		Errors:     r.Errors(),
 	}
-	syms := make([]string, 0, len(r.Region))
-	for s := range r.Region {
-		syms = append(syms, s)
-	}
-	sort.Strings(syms)
-	for _, s := range syms {
+	for _, s := range r.Region.Symbols() {
 		out.Region = append(out.Region, JSONRegionEntry{Symbol: s, Interval: r.Region[s].String()})
 	}
 	out.Diagnostics = make([]JSONDiagnostic, 0, len(r.Diagnostics))

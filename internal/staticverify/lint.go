@@ -10,7 +10,7 @@ import (
 	"repro/internal/symbolic"
 )
 
-// Lint runs the structural and range-fact lint pass over a graph:
+// Lint runs the structural and region lint pass over a graph:
 //
 //   - dead-node: a node none of whose outputs is consumed or exported.
 //   - unreachable-branch: an If (or Switch) whose predicate is provably

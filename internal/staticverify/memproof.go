@@ -32,23 +32,6 @@ type MemVerdict struct {
 	ArenaSize int64
 }
 
-// ContainsEnv reports whether a concrete symbol binding lies inside the
-// region: every region symbol must be bound and a member of its
-// interval. This is the serve-time admission test for the shape-family
-// cache — a proof quantified over the region applies to exactly these
-// environments. An empty region admits every binding: it means the
-// proof assumed nothing about any symbol (a fully static model), so it
-// holds vacuously for all of them.
-func (r Region) ContainsEnv(env symbolic.Env) bool {
-	for s, iv := range r {
-		v, ok := env[s]
-		if !ok || !iv.Contains(v) {
-			return false
-		}
-	}
-	return true
-}
-
 // inputSymbols collects the free symbols of the analyzed graph-input
 // shapes — the symbols a concrete request binds via BindInputs.
 func inputSymbols(g *graph.Graph, infos map[string]lattice.Info) map[string]bool {

@@ -5,7 +5,7 @@
 //
 // Given a graph, its RDP analysis, the planned execution order, and a
 // Region (strided intervals for the model's symbolic input dimensions,
-// derived from the input sampling spec and analyzed facts), it
+// read off the model's declared input range), it
 // establishes three results:
 //
 //   - Execution-plan proof: the SEP order schedules every node exactly
@@ -24,7 +24,7 @@
 // plan re-verification entirely (frameworks.Report.RegionCacheHit).
 //
 // The package also runs a structured graph lint pass (dead nodes,
-// unreachable If branches under range facts, constant-foldable nodes
+// unreachable If branches under the region, constant-foldable nodes
 // missed by internal/fold, contradictory symbolic constraints, ISVDOS
 // operators fed by provably-constant values) whose output feeds the
 // `sod2 lint` CLI and the golden-snapshot regression tests.
@@ -40,36 +40,47 @@ import (
 )
 
 // Region maps each symbolic input dimension to the strided interval of
-// values it can take. It is the "for all shapes in ..." quantifier of
-// every proof in this package: verdicts hold for exactly the
-// environments whose symbol bindings are members of their intervals.
+// values it can take. It is the one description of the inputs a model
+// is compiled for: the "for all shapes in ..." quantifier of every proof
+// in this package, and the serve-time test of every request. Verdicts
+// hold for exactly the environments whose symbol bindings are members
+// of their intervals.
 type Region map[string]symbolic.Interval
 
-// RegionFromFacts converts analyzed input facts (ranges, divisibility)
-// into a Region. Range and divisibility facts for the same symbol are
-// intersected into one strided interval.
-func RegionFromFacts(facts []guard.Fact) Region {
-	r := Region{}
-	for _, f := range facts {
-		var iv symbolic.Interval
-		switch f.Kind {
-		case guard.FactDivisible:
-			if f.Mod <= 0 {
-				continue
-			}
-			// Representable alone only with range context; start from a
-			// wide window and rely on intersection with the range fact.
-			lo := f.Rem
-			iv = symbolic.NewInterval(lo, lo+(1<<40)*f.Mod, f.Mod)
-		default:
-			iv = symbolic.NewInterval(f.Min, f.Max, 1)
-		}
-		if prev, ok := r[f.Symbol]; ok {
-			iv = prev.Intersect(iv)
-		}
-		r[f.Symbol] = iv
+// Symbols returns the region's symbols, sorted.
+func (r Region) Symbols() []string {
+	syms := make([]string, 0, len(r))
+	for s := range r {
+		syms = append(syms, s)
 	}
-	return r
+	sort.Strings(syms)
+	return syms
+}
+
+// Check tests a concrete symbol binding against the region: every
+// region symbol must be bound to a member of its interval. The first
+// symbol, in sorted order, that is unbound or outside its interval
+// comes back as a KindFact *guard.ContractError quoting the interval
+// the way `sod2 lint` prints it ("H∈[224,640]/32"). An empty region
+// admits every binding: the proofs over it assumed nothing about any
+// symbol (a fully static model), so they hold vacuously for all of
+// them.
+func (r Region) Check(env symbolic.Env) error {
+	bad := ""
+	for s, iv := range r {
+		if v, ok := env[s]; (!ok || !iv.Contains(v)) && (bad == "" || s < bad) {
+			bad = s
+		}
+	}
+	if bad == "" {
+		return nil
+	}
+	v, ok := env[bad]
+	ce := &guard.ContractError{Kind: guard.KindFact, Symbol: bad, Fact: bad + "∈" + r[bad].String(), Value: v}
+	if !ok {
+		ce.Detail = "unbound"
+	}
+	return ce
 }
 
 // Severity ranks diagnostics.

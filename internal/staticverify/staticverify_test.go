@@ -1,6 +1,7 @@
 package staticverify
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -139,35 +140,76 @@ func TestProveMemoryNegativeDim(t *testing.T) {
 	}
 }
 
-func TestRegionContainsEnv(t *testing.T) {
-	r := Region{"L": symbolic.NewInterval(32, 384, 1), "H": symbolic.NewInterval(224, 640, 32)}
-	if !r.ContainsEnv(symbolic.Env{"L": 100, "H": 256}) {
-		t.Error("member env rejected")
+func TestRegionCheck(t *testing.T) {
+	r := Region{
+		"H": symbolic.NewInterval(224, 640, 32),
+		"L": symbolic.NewInterval(32, 384, 1),
+		"P": symbolic.Point(16),
 	}
-	if r.ContainsEnv(symbolic.Env{"L": 100, "H": 250}) {
-		t.Error("off-stride H accepted")
+	in := func(h int64) symbolic.Env { return symbolic.Env{"H": h, "L": 100, "P": 16} }
+	cases := []struct {
+		name    string
+		region  Region
+		env     symbolic.Env
+		wantSym string // "" = admitted
+		wantVal int64
+	}{
+		{"Lo", r, in(224), "", 0},
+		{"Hi", r, in(640), "", 0},
+		{"Hi+Stride", r, in(672), "H", 672},
+		{"Lo+1 off the stride", r, in(225), "H", 225},
+		{"below Lo", r, in(192), "H", 192},
+		{"point member", r, symbolic.Env{"H": 256, "L": 32, "P": 16}, "", 0},
+		{"point non-member", r, symbolic.Env{"H": 256, "L": 32, "P": 12}, "P", 12},
+		{"unbound symbol", r, symbolic.Env{"H": 256, "P": 16}, "L", 0},
+		{"first violation in sorted order", r, symbolic.Env{"H": 250, "L": 999, "P": 1}, "H", 250},
+		// An empty region assumed nothing: its proofs hold for any binding.
+		{"empty region, empty env", Region{}, symbolic.Env{}, "", 0},
+		{"empty region, any env", Region{}, symbolic.Env{"L": 1}, "", 0},
+		{"nil region", nil, symbolic.Env{"L": 1}, "", 0},
 	}
-	if r.ContainsEnv(symbolic.Env{"L": 100}) {
-		t.Error("env missing a region symbol accepted")
-	}
-	// An empty region assumed nothing: its proofs hold for any binding.
-	if !(Region{}).ContainsEnv(symbolic.Env{"L": 1}) {
-		t.Error("empty region must admit vacuously")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.region.Check(tc.env)
+			if tc.wantSym == "" {
+				if err != nil {
+					t.Fatalf("binding %v refused: %v", tc.env, err)
+				}
+				return
+			}
+			var ce *guard.ContractError
+			if !errors.As(err, &ce) || ce.Kind != guard.KindFact {
+				t.Fatalf("binding %v: want a KindFact ContractError, got %v", tc.env, err)
+			}
+			if ce.Symbol != tc.wantSym || ce.Value != tc.wantVal {
+				t.Errorf("violation names %s = %d, want %s = %d", ce.Symbol, ce.Value, tc.wantSym, tc.wantVal)
+			}
+			if want := tc.wantSym + "∈" + tc.region[tc.wantSym].String(); ce.Fact != want {
+				t.Errorf("violation quotes %q, want %q", ce.Fact, want)
+			}
+			if _, bound := tc.env[tc.wantSym]; bound == (ce.Detail == "unbound") {
+				t.Errorf("Detail %q for a symbol bound=%v", ce.Detail, bound)
+			}
+		})
 	}
 }
 
-func TestRegionFromFacts(t *testing.T) {
-	r := RegionFromFacts([]guard.Fact{
-		{Symbol: "H", Kind: guard.FactRange, Min: 224, Max: 640},
-		{Symbol: "H", Kind: guard.FactDivisible, Mod: 32, Rem: 0},
-		{Symbol: "L", Kind: guard.FactRange, Min: 32, Max: 384},
-	})
-	h := r["H"]
-	if h.Lo != 224 || h.Hi != 640 || h.Stride != 32 {
-		t.Errorf("H region = %s, want [224,640]/32", h)
-	}
-	if l := r["L"]; l.Lo != 32 || l.Hi != 384 || l.Stride != 1 {
-		t.Errorf("L region = %s, want [32,384]", l)
+// A violation quotes the symbol's interval exactly as `sod2 lint`
+// prints the region, so a refused request names the region the lint
+// report proves over.
+func TestRegionCheckQuotesLintInterval(t *testing.T) {
+	r := Region{"H": symbolic.NewInterval(224, 640, 32), "L": symbolic.NewInterval(32, 384, 1)}
+	text := (&Report{Model: "m", Region: r}).Format()
+	for sym, v := range map[string]int64{"H": 225, "L": 999} {
+		env := symbolic.Env{"H": 224, "L": 32}
+		env[sym] = v
+		var ce *guard.ContractError
+		if err := r.Check(env); !errors.As(err, &ce) {
+			t.Fatalf("%s = %d admitted", sym, v)
+		}
+		if !strings.Contains(text, "region: H∈[224,640]/32 L∈[32,384]\n") || !strings.Contains(text, ce.Fact) {
+			t.Errorf("violation quotes %q; lint prints %q", ce.Fact, text)
+		}
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // analysis: every symbolic dimension is mapped to the interval of values
 // it can take over a model's declared input region, and expressions are
 // bounded by sound interval arithmetic. The stride component carries the
-// divisibility facts RDP derives from input sampling specs (YOLO-v6's
-// H % 32 == 0), which keeps floor-division and modulo bounds exact
+// alignment of a model's sampling stride (YOLO-v6's H∈[224,640]/32,
+// every member ≡ 0 mod 32), which keeps floor-division and modulo bounds exact
 // instead of collapsing to [0, m-1].
 type Interval struct {
 	Lo, Hi int64

@@ -83,8 +83,6 @@ type (
 	Degradation = guard.Degradation
 	// Tier identifies an execution tier (planned / dynamic / float32).
 	Tier = guard.Tier
-	// Fact is one analyzed input property (range or divisibility).
-	Fact = guard.Fact
 
 	// DType is a tensor element/storage type, including the packed
 	// quantized format Int8.
@@ -213,7 +211,8 @@ func PlanExecution(g *Graph, infos map[string]Info, fp *FusionPlan) (*ExecutionP
 }
 
 // Compiled is a fully compiled model: RDP results, fusion plan,
-// execution plan, and multi-version kernel plan.
+// execution plan, and the input region its proofs and entry check
+// quantify over.
 type Compiled struct {
 	inner *frameworks.Compiled
 }
@@ -332,8 +331,10 @@ func (c *Compiled) InferGuarded(inputs map[string]*Tensor, opts GuardOptions) (m
 	return c.infer(inputs, opts)
 }
 
-// Contract returns the model's runtime contract (symbolic input shapes
-// plus analyzed range/divisibility facts) for inspection.
+// Contract returns the model's runtime contract — the symbolic input
+// shapes and the RDP fixed point a request is bound against — for
+// inspection. The input region a binding must lie in is the verifier
+// report's Region (CompileVerified).
 func (c *Compiled) Contract() *guard.Contract { return c.inner.Contract() }
 
 // NewSample builds a workload sample for one of the evaluation models.

@@ -31,8 +31,8 @@ func TestFacadeDegradedInferMatchesReference(t *testing.T) {
 	if rep.FallbackTier != TierDynamic || len(rep.Degradations) == 0 {
 		t.Fatalf("fallback not recorded: tier=%v degradations=%v", rep.FallbackTier, rep.Degradations)
 	}
-	if !strings.Contains(rep.Degradations[0].Reason, "% 32") {
-		t.Errorf("degradation reason should quote the fact: %q", rep.Degradations[0].Reason)
+	if !strings.Contains(rep.Degradations[0].Reason, "H∈[224,640]/32") {
+		t.Errorf("degradation reason should quote the region interval: %q", rep.Degradations[0].Reason)
 	}
 
 	ref, err := RunGraph(c.Graph(), inputs)
@@ -81,15 +81,24 @@ func TestFacadeInferCtxCancelled(t *testing.T) {
 	}
 }
 
+// The region a compile proves over is exposed through the facade, and
+// it is what refuses an off-region binding of the exposed contract.
 func TestFacadeContractExposed(t *testing.T) {
 	b, _ := BuildModel("YOLO-V6")
-	c, err := Compile(b)
+	c, vrep, err := CompileVerified(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var facts []Fact
-	facts = c.Contract().Facts
-	if len(facts) == 0 {
-		t.Fatal("YOLO contract should carry analyzed facts")
+	var region ShapeRegion = vrep.Region
+	if got := region["H"].String(); got != "[224,640]/32" {
+		t.Fatalf("YOLO region H = %s, want [224,640]/32", got)
+	}
+	env, err := c.Contract().BindInputs(NewSample(b, 225, 0.5, 1).Inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ce *ContractError
+	if err := region.Check(env); !errors.As(err, &ce) || ce.Kind != guard.KindFact || ce.Symbol != "H" || ce.Value != 225 {
+		t.Errorf("region check of H = 225: %v, want a fact violation naming H", err)
 	}
 }

@@ -100,7 +100,7 @@ func requireSameModeled(t *testing.T, tag string, got, want Report) {
 // TestReportMatchesEngine: the cost model over the trace of an observed
 // guarded run prices a request exactly as the evaluation engine does from
 // its own unguarded execution — on the planned tier for in-region inputs,
-// and on the dynamic tier for inputs that violate an analyzed fact. The
+// and on the dynamic tier for inputs outside the region. The
 // served report for the same inputs carries no modeled phase, and its
 // peak memory is the arena's high water on the planned tier and the peak
 // live bytes otherwise.

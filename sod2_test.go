@@ -150,3 +150,35 @@ func TestAnalyzeRejectsConvAttrLengths(t *testing.T) {
 		}
 	}
 }
+
+// A loaded Transpose whose perm is no permutation of its rank-4 input
+// fails analysis with an *AttrError naming the node, never a panic and
+// never a shape analyzed from a partial perm.
+func TestAnalyzeRejectsTransposePerm(t *testing.T) {
+	for _, perm := range [][]int64{{0, 5, 1}, {0, 1}, {0, 0, 1}} {
+		g := NewGraph("bad-perm")
+		g.AddInput("x", tensor.Float32, lattice.FromInts(1, 4, 6, 6))
+		g.Op("Transpose", "t", []string{"x"}, []string{"y"}, map[string]NodeAttr{"perm": IntsAttr(perm...)})
+		g.AddOutput("y")
+		var buf bytes.Buffer
+		if err := g.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadGraphJSON(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("perm %v: Analyze panicked: %v", perm, r)
+				}
+			}()
+			_, err = Analyze(loaded, nil)
+			var ae *kernels.AttrError
+			if !errors.As(err, &ae) || ae.Node != "t" || ae.Attr != "perm" {
+				t.Errorf("perm %v: Analyze error %v, want an AttrError on t's perm", perm, err)
+			}
+		}()
+	}
+}
