@@ -36,6 +36,7 @@ import (
 	"hash/crc64"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -75,12 +76,16 @@ import (
 // description of the inputs a model is compiled for; v7 artifacts hold
 // a facts section this binary no longer reads and must recompile.
 //
+// v9: every stored plan describes the serving graph, whose MatMul and
+// Conv nodes carry their fused scale, bias and activation; v8 artifacts
+// hold plans for the graph as built and must recompile.
+//
 // A change to the analysis that moves a proven region, arena size or
 // offset is a change to the semantics of a stored plan: the frameworks
 // test TestProofDigestsPinnedToSchema fails until the version is
 // bumped, so older artifacts become plain misses instead of
 // quarantined proof mismatches.
-const SchemaVersion uint32 = 8
+const SchemaVersion uint32 = 9
 
 // Format constants. The header is:
 //
@@ -218,6 +223,9 @@ type StoreStats struct {
 	// TempsSwept counts stale temp files removed at Open — the debris a
 	// crashed writer leaves behind.
 	TempsSwept uint64
+	// OlderSwept counts artifacts of an older schema version removed at
+	// Open: no binary that reads this store's version can load them.
+	OlderSwept uint64
 }
 
 // Store is a directory of compiled artifacts. Safe for concurrent use;
@@ -231,12 +239,15 @@ type Store struct {
 	corrupt     atomic.Uint64
 	quarantined atomic.Uint64
 	tempsSwept  atomic.Uint64
+	olderSwept  atomic.Uint64
 
 	tmpSeq atomic.Uint64
 }
 
 // Open creates (if needed) and opens a store directory, sweeping any
-// stale temp files a previously crashed writer left behind. Quarantined
+// stale temp files a previously crashed writer left behind and every
+// artifact of an older schema version, which each version bump would
+// otherwise leave behind one per model, device and config. Quarantined
 // files are left in place for post-mortem inspection.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -248,17 +259,43 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("artifact: open store: %w", err)
 	}
 	for _, e := range entries {
-		if e.IsDir() || !strings.Contains(e.Name(), ".tmp-") {
+		if e.IsDir() {
 			continue
 		}
 		// Any surviving temp belongs to a dead writer: the crash-safety
 		// protocol renames before the save is acknowledged, so a temp
 		// can never be the live copy of anything.
+		count := &s.tempsSwept
+		if !strings.Contains(e.Name(), ".tmp-") {
+			if v, ok := fileVersion(e.Name()); !ok || v >= SchemaVersion {
+				continue
+			}
+			count = &s.olderSwept
+		}
 		if err := os.Remove(filepath.Join(dir, e.Name())); err == nil {
-			s.tempsSwept.Add(1)
+			count.Add(1)
 		}
 	}
 	return s, nil
+}
+
+// fileVersion is the schema version an artifact's file name carries
+// (Key.fileName's "__vN.art" suffix); ok is false for any other name,
+// a quarantined file's included.
+func fileVersion(name string) (v uint32, ok bool) {
+	stem, found := strings.CutSuffix(name, ".art")
+	if !found {
+		return 0, false
+	}
+	i := strings.LastIndex(stem, "__v")
+	if i < 0 {
+		return 0, false
+	}
+	n, err := strconv.ParseUint(stem[i+3:], 10, 32)
+	if err != nil {
+		return 0, false
+	}
+	return uint32(n), true
 }
 
 // Dir returns the store directory.
@@ -276,6 +313,7 @@ func (s *Store) Stats() StoreStats {
 		Corrupt:     s.corrupt.Load(),
 		Quarantined: s.quarantined.Load(),
 		TempsSwept:  s.tempsSwept.Load(),
+		OlderSwept:  s.olderSwept.Load(),
 	}
 }
 

@@ -447,7 +447,7 @@ func CompileWithStore(b *models.Builder, st *artifact.Store, device string) (*Co
 func CompileWithStoreSched(b *models.Builder, st *artifact.Store, device string, cfg SchedConfig) (*Compiled, *staticverify.Report, BootInfo, error) {
 	start := time.Now()
 	info := BootInfo{Model: b.Name}
-	g, err := buildGraph(b)
+	g, err := buildServingGraph(b)
 	if err != nil {
 		return nil, nil, info, err
 	}

@@ -222,9 +222,11 @@ func TestBootVersionSkewFallsBack(t *testing.T) {
 }
 
 // TestBootIgnoresOlderSchemaFile: a schema bump is a clean miss. An
-// artifact written under the previous version (v7 when this binary
-// writes v8) stays in the store directory unread: the boot compiles
-// cold, saves the current version beside it, and quarantines nothing.
+// artifact written under the previous version (v8 when this binary
+// writes v9) is never read: the boot compiles cold, saves the current
+// version beside it, and quarantines nothing. The next boot's Open
+// deletes the older file and counts it, and keeps the current artifact
+// and any quarantined file.
 func TestBootIgnoresOlderSchemaFile(t *testing.T) {
 	st, b, key := bootModel(t, "CodeBERT")
 	cur := st.Path(key)
@@ -266,6 +268,29 @@ func TestBootIgnoresOlderSchemaFile(t *testing.T) {
 	}
 	if stats := st.Stats(); stats.Corrupt != 0 || stats.Quarantined != 0 {
 		t.Errorf("store stats %+v: a miss is no corruption", stats)
+	}
+
+	quarantined := old + ".quarantine"
+	if err := os.WriteFile(quarantined, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := artifact.Open(st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(old); !os.IsNotExist(err) {
+		t.Errorf("the v%d file survived the next boot's Open: %v", prev, err)
+	}
+	if stats := st2.Stats(); stats.OlderSwept != 1 || stats.TempsSwept != 0 {
+		t.Errorf("store stats %+v, want one older artifact swept", stats)
+	}
+	for _, keep := range []string{cur, quarantined} {
+		if _, err := os.Stat(keep); err != nil {
+			t.Errorf("Open removed %s: %v", filepath.Base(keep), err)
+		}
+	}
+	if _, _, info, err := CompileWithStore(b, st2, "cpu"); err != nil || !info.Warm {
+		t.Errorf("boot after the sweep = %+v, %v, want warm", info, err)
 	}
 }
 

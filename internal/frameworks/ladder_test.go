@@ -447,7 +447,8 @@ var ladderCases = []ladderCase{
 	},
 }
 
-// TestTierEquivalence walks the ladder: every rung forced in turn, for
+// TestTierEquivalence walks the ladder of the serving compile, epilogues
+// fused: every rung forced in turn, for
 // all ten models, float32 and int8, at thread budgets 1 and 4, each held
 // to the exec.Run oracle on the uncompiled graph — bit-identical where
 // float32 weights ran, within the compile's drift budget where int8 ones
@@ -472,7 +473,7 @@ func TestTierEquivalence(t *testing.T) {
 			}
 			for _, dtype := range []tensor.DType{tensor.Float32, tensor.Int8} {
 				t.Run(dtype.String(), func(t *testing.T) {
-					c, err := CompileSched(b, SchedConfig{Quant: QuantConfig{Format: dtype}})
+					c, err := CompileServing(b, SchedConfig{Quant: QuantConfig{Format: dtype}})
 					if err != nil {
 						t.Fatal(err)
 					}

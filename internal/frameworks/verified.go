@@ -5,7 +5,7 @@ import (
 	"repro/internal/staticverify"
 )
 
-// CompileVerified runs the full compile pipeline and then the static
+// CompileVerified runs the serving compile (CompileServing) and then the static
 // plan verifier: symbolic-range analysis over the model's input region,
 // execution-plan and liveness proofs, the region-wide memory-plan proof,
 // and the graph lint pass. When the memory plan is proven, guarded runs
@@ -22,7 +22,7 @@ func CompileVerified(b *models.Builder) (*Compiled, *staticverify.Report, error)
 // CompileVerifiedSched is CompileVerified with an explicit compile
 // configuration (weight quantization).
 func CompileVerifiedSched(b *models.Builder, cfg SchedConfig) (*Compiled, *staticverify.Report, error) {
-	c, err := CompileSched(b, cfg)
+	c, err := CompileServing(b, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

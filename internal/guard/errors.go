@@ -106,11 +106,17 @@ type ContractError struct {
 func (e *ContractError) Error() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "guard: contract violation [%s]", e.Kind)
-	if e.Symbol != "" {
+	detail := e.Detail
+	switch {
+	case e.Symbol != "" && detail == "unbound":
+		// Nothing bound the symbol, so there is no value to quote.
+		fmt.Fprintf(&b, ": symbol %s of %q is unbound", e.Symbol, e.Fact)
+		detail = ""
+	case e.Symbol != "":
 		fmt.Fprintf(&b, ": symbol %s = %d violates %q", e.Symbol, e.Value, e.Fact)
 	}
-	if e.Detail != "" {
-		fmt.Fprintf(&b, ": %s", e.Detail)
+	if detail != "" {
+		fmt.Fprintf(&b, ": %s", detail)
 	}
 	if e.Cause != nil {
 		fmt.Fprintf(&b, ": %v", e.Cause)

@@ -56,7 +56,8 @@ func convArgsFor(n *graph.Node, x, w *tensor.Tensor) (conv2dArgs, error) {
 }
 
 // convKernel lowers every convolution to im2col + GEMM; the filter may
-// be float32 or packed.
+// be float32 or packed. A fused Conv's activation attribute
+// (activationRow) finishes each output block after its bias.
 func convKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 2, "Conv"); err != nil {
 		return nil, err
@@ -66,6 +67,10 @@ func convKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor,
 		return nil, fmt.Errorf("Conv: unsupported dtypes %v,%v", x.DType, w.DType)
 	}
 	a, err := convArgsFor(n, x, w)
+	if err != nil {
+		return nil, err
+	}
+	act, err := activationRow(n)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +88,7 @@ func convKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor,
 	}
 	out := ctx.Out(0, tensor.Float32, a.n, a.cout, a.outH, a.outW)
 	if out.Len() > 0 {
-		convIm2col(x, w, biasF, out, a, ctx)
+		convIm2col(x, w, biasF, act, out, a, ctx)
 	}
 	return []*tensor.Tensor{out}, nil
 }
@@ -108,7 +113,7 @@ func (a *conv2dArgs) panels() int64 {
 // a unit's arithmetic does not depend on its stripe, so the result is
 // bit-identical for any budget. The scratch is taken from ctx once,
 // one disjoint part per stripe.
-func convIm2col(x, w *tensor.Tensor, bias []float32, out *tensor.Tensor, a conv2dArgs, ctx *Ctx) {
+func convIm2col(x, w *tensor.Tensor, bias []float32, act func(o, x []float32), out *tensor.Tensor, a conv2dArgs, ctx *Ctx) {
 	units := a.n * a.group * a.panels()
 	threads := ctx.threads()
 	grain := rowGrain(a.cout / a.group * a.cinPerGroup * a.kh * a.kw * a.panelRows() * a.outW)
@@ -119,10 +124,10 @@ func convIm2col(x, w *tensor.Tensor, bias []float32, out *tensor.Tensor, a conv2
 		// convStripes' closure captures a, which is past the size a
 		// closure holds by value: mentioning it here would move a to the
 		// heap on every call, striped or not.
-		convPanels(x, w, bias, out, a, 0, units, scratch)
+		convPanels(x, w, bias, act, out, a, 0, units, scratch)
 		return
 	}
-	convStripes(x, w, bias, out, a, threads, units, grain, chunk, per, scratch)
+	convStripes(x, w, bias, act, out, a, threads, units, grain, chunk, per, scratch)
 }
 
 // scratchFloats is the scratch one stripe of convPanels works in: the
@@ -137,19 +142,20 @@ func (a *conv2dArgs) scratchFloats(quantized bool) int64 {
 	return n
 }
 
-func convStripes(x, w *tensor.Tensor, bias []float32, out *tensor.Tensor, a conv2dArgs, threads int,
+func convStripes(x, w *tensor.Tensor, bias []float32, act func(o, x []float32), out *tensor.Tensor, a conv2dArgs, threads int,
 	units, grain, chunk, per int64, scratch []float32) {
 	ParallelForGrain(threads, units, grain, func(lo, hi int64) {
 		s := lo / chunk
-		convPanels(x, w, bias, out, a, lo, hi, scratch[s*per:(s+1)*per])
+		convPanels(x, w, bias, act, out, a, lo, hi, scratch[s*per:(s+1)*per])
 	})
 }
 
 // convPanels computes units [lo, hi) of the (batch, group, panel) space
 // in one stripe's scratch (see scratchFloats). The filter may be float32
-// or packed; the bias goes on while the panel's output block is still
-// in cache.
-func convPanels(x, w *tensor.Tensor, bias []float32, out *tensor.Tensor, a conv2dArgs, lo, hi int64, scratch []float32) {
+// or packed; the bias, then the activation act (nil for none), go on
+// while the panel's output block is still in cache.
+func convPanels(x, w *tensor.Tensor, bias []float32, act func(o, x []float32), out *tensor.Tensor, a conv2dArgs,
+	lo, hi int64, scratch []float32) {
 	coutPerGroup := a.cout / a.group
 	k := a.cinPerGroup * a.kh * a.kw
 	cols := a.outH * a.outW
@@ -166,11 +172,18 @@ func convPanels(x, w *tensor.Tensor, bias []float32, out *tensor.Tensor, a conv2
 		if w.DType.IsQuantized() {
 			GemmQuantLHS(w.Q, rowLo, rowLo+coutPerGroup, wRows, panel, width, c, cols, width)
 		} else {
-			gemmBlock(w.F[rowLo*k:(rowLo+coutPerGroup)*k], panel, width, c, cols, coutPerGroup, k, width)
+			gemmBlock(w.F[rowLo*k:(rowLo+coutPerGroup)*k], panel, width, c, cols, coutPerGroup, k, width, epilogue{})
 		}
-		if bias != nil {
-			for oc := int64(0); oc < coutPerGroup; oc++ {
-				addBias(c[oc*cols:oc*cols+width], bias[rowLo+oc])
+		if bias == nil && act == nil {
+			continue
+		}
+		for oc := int64(0); oc < coutPerGroup; oc++ {
+			seg := c[oc*cols : oc*cols+width]
+			if bias != nil {
+				addBias(seg, bias[rowLo+oc])
+			}
+			if act != nil {
+				act(seg, seg)
 			}
 		}
 	}
@@ -605,6 +618,9 @@ func convForward(ctx *InferCtx) ([]lattice.Info, error) {
 	}
 	a, err := getConvAttrs(ctx.Node, spatial)
 	if err != nil {
+		return out, err
+	}
+	if _, err := activationRow(ctx.Node); err != nil {
 		return out, err
 	}
 	kernel, ok := convKernelShape(a, w, spatial)

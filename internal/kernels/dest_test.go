@@ -71,15 +71,15 @@ func writesEveryElement(n *graph.Node, in []*tensor.Tensor, wide bool) error {
 	return nil
 }
 
-// forEachModelCall hands check every kernel call the ten models make —
-// f32 and int8 weights, every Switch path and If body (inBody) — at the
+// forEachModelCall hands check every kernel call the ten models make as
+// served — epilogues fused into their MatMul and Conv nodes, f32 and int8 weights, every Switch path and If body (inBody) — at the
 // smallest and a middle size, and at the largest too when withMax is
 // set.
 func forEachModelCall(t *testing.T, withMax bool, check func(n *graph.Node, in []*tensor.Tensor, inBody bool) error) {
 	t.Helper()
 	for _, b := range models.All() {
 		for _, dtype := range []tensor.DType{tensor.Float32, tensor.Int8} {
-			c, err := frameworks.CompileSched(b, frameworks.SchedConfig{Quant: frameworks.QuantConfig{Format: dtype}})
+			c, err := frameworks.CompileServing(b, frameworks.SchedConfig{Quant: frameworks.QuantConfig{Format: dtype}})
 			if err != nil {
 				t.Fatalf("%s %v: %v", b.Name, dtype, err)
 			}

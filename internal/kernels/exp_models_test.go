@@ -2,6 +2,7 @@ package kernels_test
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"testing"
 
@@ -13,22 +14,39 @@ import (
 // TestExpBodiesMatchMathOnModels extends TestExpBodiesMatchMath and
 // TestPoolMatchesReferenceLoop to every Softmax, LogSoftmax, Sigmoid,
 // Silu, Gelu and MaxPool call the ten models make, at the smallest, a
-// middle and the largest size: at every width the CPU and the
-// self-checks allow (the eight-lane exp bodies, the four-lane ones, and
-// the vector bodies forced off), at thread budgets 1 and 4, into
-// NaN-filled outputs, each call matches the scalar definitions bit for
-// bit. The log names the widths run.
+// middle and the largest size, and to every Gelu a MatMul or Conv
+// applies in its epilogue: at every width the CPU and the self-checks
+// allow (the eight-lane exp bodies, the four-lane ones, and the vector
+// bodies forced off), at thread budgets 1 and 4, into NaN-filled
+// outputs, each call matches the scalar definitions bit for bit. The
+// log names the widths run.
 func TestExpBodiesMatchMathOnModels(t *testing.T) {
 	seen := map[string]int{}
 	widths := kernels.ExpWidths()
 	forEachModelCall(t, true, func(n *graph.Node, in []*tensor.Tensor, _ bool) error {
+		var want []float32
 		switch n.OpType {
 		case "Softmax", "LogSoftmax", "Sigmoid", "Silu", "Gelu", "MaxPool":
+			seen[n.OpType]++
+			want = kernels.VecOpDef(n, in[0])
+		case "MatMul", "Conv":
+			act := n.AttrString("activation", "")
+			if act != "Gelu" {
+				return nil
+			}
+			seen[n.OpType+"/"+act]++
+			// The activation's input: the node's output without it.
+			bare := *n
+			bare.Attrs = maps.Clone(n.Attrs)
+			delete(bare.Attrs, "activation")
+			pre, err := kernels.Run(&bare, in, nil)
+			if err != nil {
+				return err
+			}
+			want = kernels.VecOpDef(&graph.Node{OpType: act}, pre[0])
 		default:
 			return nil
 		}
-		seen[n.OpType]++
-		want := kernels.VecOpDef(n, in[0])
 		for _, w := range widths {
 			if err := matchExpOp(n, in, w, want); err != nil {
 				return err
@@ -37,7 +55,7 @@ func TestExpBodiesMatchMathOnModels(t *testing.T) {
 		return nil
 	})
 	t.Logf("calls checked: %v; widths run: %v", seen, widths)
-	for _, op := range []string{"Softmax", "Sigmoid", "Silu", "Gelu", "MaxPool"} {
+	for _, op := range []string{"Softmax", "Sigmoid", "Silu", "MatMul/Gelu", "MaxPool"} {
 		if seen[op] == 0 {
 			t.Errorf("no %s call was checked", op)
 		}

@@ -257,6 +257,41 @@ func TestGemmDifferential(t *testing.T) {
 			diffMatMul(t, randTensor(rng, tensor.Float32, []int64{2, 9, 7}), randTensor(rng, tensor.Float32, []int64{7, n}))
 		}
 	})
+	t.Run("Epilogue", func(t *testing.T) {
+		// A fused MatMul's scale, bias and activation at every column
+		// tail 0-65 and either side of a gemmNC block, on row counts
+		// either side of a strip of four, with a float32 and a packed
+		// int8 B, unbatched and batched.
+		rng := tensor.NewRNG(36)
+		ns := []int64{gemmNC - 1, gemmNC + 1, 2*gemmNC + 13}
+		for n := int64(0); n <= 65; n++ {
+			ns = append(ns, n)
+		}
+		for i, n := range ns {
+			for _, m := range []int64{1, 4, 5, 9} {
+				c := epCases[(i+int(m))%len(epCases)]
+				k := int64(1 + rng.Intn(40))
+				b := randTensor(rng, tensor.Float32, []int64{k, n})
+				a := randTensor(rng, tensor.Float32, []int64{m, k})
+				if m == 9 {
+					a = randTensor(rng, tensor.Float32, []int64{2, 3, m, k})
+				}
+				diffMatMulEpilogue(t, rng, c, a, b)
+				if n == 0 {
+					continue // no weight to pack
+				}
+				bq, err := tensor.Quantize(b, tensor.Int8, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diffMatMulEpilogue(t, rng, c, a, bq)
+			}
+		}
+		for _, c := range epCases {
+			diffMatMulEpilogue(t, rng, c, randTensor(rng, tensor.Float32, []int64{0, 3}), randTensor(rng, tensor.Float32, []int64{3, 5}))
+			diffMatMulEpilogue(t, rng, c, randTensor(rng, tensor.Float32, []int64{5, 0}), randTensor(rng, tensor.Float32, []int64{0, 7}))
+		}
+	})
 	t.Run("GemmOp", func(t *testing.T) {
 		rng := tensor.NewRNG(32)
 		for _, sh := range [][3]int64{{5, 4, 6}, {1, 7, 1}, {0, 3, 2}, {3, 0, 2}, {33, 40, 65}} {

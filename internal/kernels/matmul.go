@@ -16,13 +16,19 @@ const gemmNC = 512
 
 // Gemm computes C[m,n] = A[m,k] × B[k,n] as column blocks of gemmBlock.
 func Gemm(a, b []float32, m, k, n int64, c []float32) {
+	gemmEp(a, b, m, k, n, c, epilogue{})
+}
+
+// gemmEp is Gemm finishing C with ep.
+func gemmEp(a, b []float32, m, k, n int64, c []float32, ep epilogue) {
 	if m == 0 || k == 0 {
 		// No C row, or no B row, to cut column blocks from.
 		clear(c[:m*n])
+		ep.rows(c, n, m, n)
 		return
 	}
 	for j := int64(0); j < n; j += gemmNC {
-		gemmBlock(a, b[j:], n, c[j:], n, m, k, min(gemmNC, n-j))
+		gemmBlock(a, b[j:], n, c[j:], n, m, k, min(gemmNC, n-j), ep.cols(j))
 	}
 }
 
@@ -33,20 +39,24 @@ func Gemm(a, b []float32, m, k, n int64, c []float32) {
 // (gemmTiles: all w on an AVX-512 host) and the row loop over the rest;
 // the last m % 4 rows run the row loop over all w. Either way every c[i,j] accumulates its k
 // products in ascending p from +0, so the result does not depend on
-// which path wrote it or on the blocking around the call.
-func gemmBlock(a, b []float32, ldb int64, c []float32, ldc, m, k, w int64) {
+// which path wrote it or on the blocking around the call. The epilogue
+// ep (its bias from the block's first column) finishes each strip of
+// four rows, and each row after them, as soon as it is written, while
+// it is still in L1.
+func gemmBlock(a, b []float32, ldb int64, c []float32, ldc, m, k, w int64, ep epilogue) {
 	i := int64(0)
 	for ; i+4 <= m; i += 4 {
 		j := gemmTiles(a[i*k:], b, ldb, c[i*ldc:], ldc, k, w)
-		if j == w {
-			continue
+		if j < w {
+			for r := i; r < i+4; r++ {
+				gemmRow(a[r*k:(r+1)*k], b[j:], ldb, c[r*ldc+j:r*ldc+w])
+			}
 		}
-		for r := i; r < i+4; r++ {
-			gemmRow(a[r*k:(r+1)*k], b[j:], ldb, c[r*ldc+j:r*ldc+w])
-		}
+		ep.rows(c[i*ldc:], ldc, 4, w)
 	}
 	for ; i < m; i++ {
 		gemmRow(a[i*k:(i+1)*k], b, ldb, c[i*ldc:i*ldc+w])
+		ep.rows(c[i*ldc:], ldc, 1, w)
 	}
 }
 
@@ -70,23 +80,25 @@ func gemmRow(ai, b []float32, ldb int64, ci []float32) {
 // groups of four, so a stripe boundary never cuts a register tile into
 // row-loop rows. Stripes write disjoint rows and a row's arithmetic does
 // not depend on its stripe, so the result is bit-identical for any
-// budget.
-func gemmRows(threads int, a, b []float32, m, k, n int64, c []float32) {
+// budget. Each stripe finishes its rows with ep.
+func gemmRows(threads int, a, b []float32, m, k, n int64, c []float32, ep epilogue) {
 	if threads <= 1 {
 		// The stripe closure below is a heap allocation per call; a
 		// batched MatMul calls here once per batch entry.
-		Gemm(a, b, m, k, n, c)
+		gemmEp(a, b, m, k, n, c, ep)
 		return
 	}
 	ParallelForGrain(threads, (m+3)/4, rowGrain(4*k*n), func(lo, hi int64) {
 		lo, hi = 4*lo, min(4*hi, m)
-		Gemm(a[lo*k:hi*k], b, hi-lo, k, n, c[lo*n:hi*n])
+		gemmEp(a[lo*k:hi*k], b, hi-lo, k, n, c[lo*n:hi*n], ep)
 	})
 }
 
-// matmulKernel implements ONNX MatMul with batch broadcasting. The
-// intra-op budget stripes batch entries when there are several and
-// output rows otherwise.
+// matmulKernel implements ONNX MatMul with batch broadcasting, and the
+// optional epilogue a fused MatMul carries (matmulEpilogue): input 2 a
+// bias over the output columns, input 3 a scalar scale, the activation
+// attribute. The intra-op budget stripes batch entries when there are
+// several and output rows otherwise.
 func matmulKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 2, "MatMul"); err != nil {
 		return nil, err
@@ -111,10 +123,14 @@ func matmulKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tenso
 	if err != nil {
 		return nil, err
 	}
+	ep, err := matmulEpilogue(n, in, nn)
+	if err != nil {
+		return nil, err
+	}
 	outShape := append(append([]int64{}, batch...), m, nn)
 	out := ctx.Out(0, tensor.Float32, outShape...)
 	if b.DType.IsQuantized() {
-		if err := matmulQuant(a, b, m, k, nn, out, ctx); err != nil {
+		if err := matmulQuant(a, b, m, k, nn, out, ctx, ep); err != nil {
 			return nil, err
 		}
 		return []*tensor.Tensor{out}, nil
@@ -135,7 +151,7 @@ func matmulKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tenso
 			for i := int64(0); i < c.n; i++ {
 				aOff := (c.off[0] + i*w.inner(0)) * m * k
 				bOff := (c.off[1] + i*w.inner(1)) * k * nn
-				gemmRows(rowThreads, a.F[aOff:aOff+m*k], b.F[bOff:bOff+k*nn], m, k, nn, out.F[bi*m*nn:(bi+1)*m*nn])
+				gemmRows(rowThreads, a.F[aOff:aOff+m*k], b.F[bOff:bOff+k*nn], m, k, nn, out.F[bi*m*nn:(bi+1)*m*nn], ep)
 				bi++
 			}
 		}
@@ -174,7 +190,7 @@ func gemmKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor,
 		return nil, fmt.Errorf("Gemm: inner dims %d vs %d", ak, bk)
 	}
 	out := ctx.Out(0, tensor.Float32, am, bn)
-	gemmRows(ctx.threads(), a.F, b.F, am, ak, bn, out.F)
+	gemmRows(ctx.threads(), a.F, b.F, am, ak, bn, out.F, epilogue{})
 	if alpha != 1 {
 		for i := range out.F {
 			out.F[i] *= alpha
@@ -231,6 +247,9 @@ func matmulForward(ctx *InferCtx) ([]lattice.Info, error) {
 	}
 	m := aDims[len(aDims)-2]
 	n := bDims[len(bDims)-1]
+	if err := checkMatMulEpilogue(ctx, n); err != nil {
+		return out, err
+	}
 	dims := append([]lattice.Dim{}, batch.Dims...)
 	if !squeezeA {
 		dims = append(dims, m)
@@ -240,6 +259,22 @@ func matmulForward(ctx *InferCtx) ([]lattice.Info, error) {
 	}
 	out[0].Shape = lattice.Ranked(dims...)
 	return out, nil
+}
+
+// checkMatMulEpilogue holds a fused MatMul's epilogue to what its kernel
+// takes, as far as the analysis knows it: the activation always, the
+// bias and scale when they are initializers and the column count n is
+// a constant.
+func checkMatMulEpilogue(ctx *InferCtx, n lattice.Dim) error {
+	if _, err := activationRow(ctx.Node); err != nil {
+		return err
+	}
+	nn, ok := n.Const()
+	if !ok {
+		return nil
+	}
+	_, err := matmulEpilogue(ctx.Node, []*tensor.Tensor{nil, nil, ctx.InConst(2), ctx.InConst(3)}, nn)
+	return err
 }
 
 func matmulBackward(ctx *InferCtx) ([]lattice.Info, error) {

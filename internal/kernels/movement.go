@@ -83,7 +83,7 @@ func flattenKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tens
 		return nil, err
 	}
 	x := in[0]
-	axis, err := resolveAxis("Flatten", n.AttrInt("axis", 1), x.Rank(), true)
+	axis, err := axisAttr(n, 1, x.Rank(), true)
 	if err != nil {
 		return nil, err
 	}
@@ -133,18 +133,14 @@ func unsqueezeKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Te
 	if len(in) > 1 && in[1] != nil {
 		axes = in[1].I
 	}
-	newRank := x.Rank() + len(axes)
-	ins := map[int64]bool{}
-	for _, a := range axes {
-		if a < 0 {
-			a += int64(newRank)
-		}
-		ins[a] = true
+	ins, err := unsqueezeAxes(n, axes, x.Rank())
+	if err != nil {
+		return nil, err
 	}
-	shape := make([]int64, 0, newRank)
+	shape := make([]int64, 0, len(ins))
 	j := 0
-	for i := 0; i < newRank; i++ {
-		if ins[int64(i)] {
+	for _, one := range ins {
+		if one {
 			shape = append(shape, 1)
 		} else {
 			shape = append(shape, x.Shape[j])
@@ -197,6 +193,54 @@ func transposePerm(n *graph.Node, rank int) ([]int64, error) {
 	return perm, nil
 }
 
+// axisAttr is the one reading of an op's axis attribute (default def)
+// over an input of the given rank, shared by the op's transfers and its
+// kernel, for Concat, Gather and Flatten: the axis in [0, rank), or in
+// [0, rank] when end is set for an axis that may name the position after
+// the last dim. An axis outside [-rank, rank) — [-rank, rank] with end —
+// is an *AttrError, never an index into a shape.
+func axisAttr(n *graph.Node, def int64, rank int, end bool) (int, error) {
+	axis := n.AttrInt("axis", def)
+	hi := int64(rank)
+	if end {
+		hi++
+	}
+	a := axis
+	if a < 0 {
+		a += int64(rank)
+	}
+	if a < 0 || a >= hi {
+		return 0, &AttrError{Op: n.OpType, Node: n.Name, Attr: "axis",
+			Detail: fmt.Sprintf("%d out of range [%d, %d) for rank %d", axis, -int64(rank), hi, rank)}
+	}
+	return int(a), nil
+}
+
+// unsqueezeAxes is Unsqueeze's one reading of its axes, shared by its
+// transfer and its kernel: the positions in the output, of rank
+// rank+len(axes), that take a new dim of 1. An axis outside [-r, r) of
+// that output rank r, or one named twice, is an *AttrError.
+func unsqueezeAxes(n *graph.Node, axes []int64, rank int) ([]bool, error) {
+	r := int64(rank + len(axes))
+	ins := make([]bool, r)
+	for _, axis := range axes {
+		a := axis
+		if a < 0 {
+			a += r
+		}
+		if a < 0 || a >= r {
+			return nil, &AttrError{Op: n.OpType, Node: n.Name, Attr: "axes",
+				Detail: fmt.Sprintf("%v: axis %d out of range [%d, %d) for output rank %d", axes, axis, -r, r, r)}
+		}
+		if ins[a] {
+			return nil, &AttrError{Op: n.OpType, Node: n.Name, Attr: "axes",
+				Detail: fmt.Sprintf("%v names axis %d twice", axes, a)}
+		}
+		ins[a] = true
+	}
+	return ins, nil
+}
+
 func transposeKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tensor, error) {
 	if err := wantInputs(in, 1, "Transpose"); err != nil {
 		return nil, err
@@ -220,7 +264,7 @@ func concatKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tenso
 		return nil, err
 	}
 	first := in[0]
-	axis, err := resolveAxis("Concat", n.AttrInt("axis", 0), first.Rank(), false)
+	axis, err := axisAttr(n, 0, first.Rank(), false)
 	if err != nil {
 		return nil, err
 	}
@@ -329,9 +373,9 @@ func gatherKernel(n *graph.Node, in []*tensor.Tensor, ctx *Ctx) ([]*tensor.Tenso
 		return nil, err
 	}
 	data, indices := in[0], in[1]
-	axis := n.AttrInt("axis", 0)
-	if axis < 0 {
-		axis += int64(data.Rank())
+	axis, err := axisAttr(n, 0, data.Rank(), false)
+	if err != nil {
+		return nil, err
 	}
 	outShape := append([]int64{}, data.Shape[:axis]...)
 	outShape = append(outShape, indices.Shape...)

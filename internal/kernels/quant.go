@@ -27,8 +27,9 @@ func gemmQuantScratch(k, n int64) int64 {
 // on it with A scaled instead: column p of A, four rows at a time,
 // times Scales[p]. Each c[i,j] then sums the float32 products
 // (a·scale)·code in ascending p from +0, bit-identical to Gemm on
-// A·diag(Scales) and the codes.
-func GemmQuant(bq *tensor.QuantData, a []float32, m, k, n int64, c, scratch []float32) {
+// A·diag(Scales) and the codes. The epilogue ep finishes each strip of
+// four C rows as gemmBlock writes it.
+func GemmQuant(bq *tensor.QuantData, a []float32, m, k, n int64, c, scratch []float32, ep epilogue) {
 	if m == 0 {
 		return
 	}
@@ -47,7 +48,7 @@ func GemmQuant(bq *tensor.QuantData, a []float32, m, k, n int64, c, scratch []fl
 		for i := int64(0); i < m; i += 4 {
 			rows := min(4, m-i)
 			mulInto(as[:rows*k], a[i*k:(i+rows)*k], scales[:rows*k])
-			gemmBlock(as, panel, w, c[i*n+j:], n, rows, k, w)
+			gemmBlock(as, panel, w, c[i*n+j:], n, rows, k, w, ep.cols(j))
 		}
 	}
 }
@@ -90,7 +91,7 @@ func GemmQuantLHS(wq *tensor.QuantData, rowLo, rowHi int64, scratch, b []float32
 		for r := int64(0); r < m; r++ {
 			wq.DequantRow(i+r, scratch[r*k:(r+1)*k])
 		}
-		gemmBlock(scratch, b, ldb, c[(i-rowLo)*ldc:], ldc, m, k, w)
+		gemmBlock(scratch, b, ldb, c[(i-rowLo)*ldc:], ldc, m, k, w, epilogue{})
 	}
 }
 
@@ -99,8 +100,8 @@ func GemmQuantLHS(wq *tensor.QuantData, rowLo, rowHi int64, scratch, b []float32
 // A batches broadcast over it. The intra-op budget stripes batch entries
 // when there are several and output rows, in whole groups of four,
 // otherwise. The scratch is taken from ctx once, one disjoint part per
-// stripe.
-func matmulQuant(a, b *tensor.Tensor, m, k, nn int64, out *tensor.Tensor, ctx *Ctx) error {
+// stripe. Every stripe finishes its rows with ep.
+func matmulQuant(a, b *tensor.Tensor, m, k, nn int64, out *tensor.Tensor, ctx *Ctx, ep epilogue) error {
 	if b.Rank() != 2 || b.Q.Rows != k || b.Q.Cols != nn {
 		return fmt.Errorf("MatMul: quantized B grid %dx%d does not match [%d,%d]",
 			b.Q.Rows, b.Q.Cols, k, nn)
@@ -110,7 +111,7 @@ func matmulQuant(a, b *tensor.Tensor, m, k, nn int64, out *tensor.Tensor, ctx *C
 	per := gemmQuantScratch(k, nn)
 	if threads > 1 && nBatch > 1 {
 		count, chunk := stripes(threads, nBatch, 1)
-		quantBatchStripes(b.Q, a.F, m, k, nn, out.F, threads, nBatch, chunk, per, ctx.Scratch(count*per))
+		quantBatchStripes(b.Q, a.F, m, k, nn, out.F, threads, nBatch, chunk, per, ctx.Scratch(count*per), ep)
 		return nil
 	}
 	count, chunk := stripes(threads, (m+3)/4, rowGrain(4*k*nn))
@@ -119,10 +120,10 @@ func matmulQuant(a, b *tensor.Tensor, m, k, nn int64, out *tensor.Tensor, ctx *C
 		ai, ci := a.F[bi*m*k:(bi+1)*m*k], out.F[bi*m*nn:(bi+1)*m*nn]
 		if count <= 1 {
 			// The stripe closure is a heap allocation per call.
-			GemmQuant(b.Q, ai, m, k, nn, ci, scratch)
+			GemmQuant(b.Q, ai, m, k, nn, ci, scratch, ep)
 			continue
 		}
-		quantRowStripes(b.Q, ai, m, k, nn, ci, threads, chunk, per, scratch)
+		quantRowStripes(b.Q, ai, m, k, nn, ci, threads, chunk, per, scratch, ep)
 	}
 	return nil
 }
@@ -130,11 +131,11 @@ func matmulQuant(a, b *tensor.Tensor, m, k, nn int64, out *tensor.Tensor, ctx *C
 // quantBatchStripes runs GemmQuant on each of the nBatch entries, the
 // budget striping the entries, stripe s in scratch part s.
 func quantBatchStripes(q *tensor.QuantData, a []float32, m, k, nn int64, c []float32, threads int,
-	nBatch, chunk, per int64, scratch []float32) {
+	nBatch, chunk, per int64, scratch []float32, ep epilogue) {
 	ParallelForGrain(threads, nBatch, 1, func(lo, hi int64) {
 		s := scratch[lo/chunk*per : (lo/chunk+1)*per]
 		for bi := lo; bi < hi; bi++ {
-			GemmQuant(q, a[bi*m*k:(bi+1)*m*k], m, k, nn, c[bi*m*nn:(bi+1)*m*nn], s)
+			GemmQuant(q, a[bi*m*k:(bi+1)*m*k], m, k, nn, c[bi*m*nn:(bi+1)*m*nn], s, ep)
 		}
 	})
 }
@@ -143,11 +144,11 @@ func quantBatchStripes(q *tensor.QuantData, a []float32, m, k, nn int64, c []flo
 // its rows in groups of four (as gemmRows does), stripe s in scratch
 // part s.
 func quantRowStripes(q *tensor.QuantData, a []float32, m, k, nn int64, c []float32, threads int,
-	chunk, per int64, scratch []float32) {
+	chunk, per int64, scratch []float32, ep epilogue) {
 	ParallelForGrain(threads, (m+3)/4, rowGrain(4*k*nn), func(lo, hi int64) {
 		s := scratch[lo/chunk*per : (lo/chunk+1)*per]
 		lo, hi = 4*lo, min(4*hi, m)
-		GemmQuant(q, a[lo*k:hi*k], hi-lo, k, nn, c[lo*nn:hi*nn], s)
+		GemmQuant(q, a[lo*k:hi*k], hi-lo, k, nn, c[lo*nn:hi*nn], s, ep)
 	})
 }
 

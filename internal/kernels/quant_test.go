@@ -44,7 +44,7 @@ func TestGemmQuantMatchesDequantGemm(t *testing.T) {
 		refGemm(as, codes, s.m, s.k, s.n, want)
 		forTile512Modes(func(wide bool) {
 			got := nans(s.m * s.n)
-			GemmQuant(bq.Q, a.F, s.m, s.k, s.n, got, nans(gemmQuantScratch(s.k, s.n)))
+			GemmQuant(bq.Q, a.F, s.m, s.k, s.n, got, nans(gemmQuantScratch(s.k, s.n)), epilogue{})
 			for i := range got {
 				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 					t.Fatalf("%dx%dx%d tile512 %v elem %d: got %g want %g", s.m, s.k, s.n, wide, i, got[i], want[i])
@@ -82,7 +82,7 @@ func TestGemmQuantKeepsNaNScale(t *testing.T) {
 	}
 	bq.Q.Scales[5] = float32(math.NaN()) // poisons B row 5
 	c := make([]float32, m*n)
-	GemmQuant(bq.Q, a.F, m, k, n, c, make([]float32, gemmQuantScratch(k, n)))
+	GemmQuant(bq.Q, a.F, m, k, n, c, make([]float32, gemmQuantScratch(k, n)), epilogue{})
 	for i := int64(0); i < m; i++ {
 		if v := c[i*n]; v == v {
 			t.Errorf("C[%d,0] = %v, want the poisoned row's NaN", i, v)
@@ -230,7 +230,7 @@ func benchGemm(b *testing.B, m, k, n int64, format tensor.DType) {
 	scratch := make([]float32, gemmQuantScratch(k, n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GemmQuant(wq.Q, a.F, m, k, n, c, scratch)
+		GemmQuant(wq.Q, a.F, m, k, n, c, scratch, epilogue{})
 	}
 }
 

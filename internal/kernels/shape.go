@@ -115,7 +115,10 @@ func flattenForward(ctx *InferCtx) ([]lattice.Info, error) {
 		out[0].Shape = x
 		return out, nil
 	}
-	axis := int(normalizeAxis(ctx.Node.AttrInt("axis", 1), len(x.Dims)))
+	axis, err := axisAttr(ctx.Node, 1, len(x.Dims), true)
+	if err != nil {
+		return nil, err
+	}
 	a := prodOfDims(x.Dims[:axis])
 	b := prodOfDims(x.Dims[axis:])
 	out[0].Shape = lattice.Ranked(a, b)
@@ -170,15 +173,14 @@ func unsqueezeForward(ctx *InferCtx) ([]lattice.Info, error) {
 			axes = v
 		}
 	}
-	newRank := len(x.Dims) + len(axes)
-	ins := map[int64]bool{}
-	for _, a := range axes {
-		ins[normalizeAxis(a, newRank)] = true
+	ins, err := unsqueezeAxes(ctx.Node, axes, len(x.Dims))
+	if err != nil {
+		return nil, err
 	}
-	dims := make([]lattice.Dim, 0, newRank)
+	dims := make([]lattice.Dim, 0, len(ins))
 	j := 0
-	for i := 0; i < newRank; i++ {
-		if ins[int64(i)] {
+	for _, one := range ins {
+		if one {
 			dims = append(dims, lattice.FromInt(1))
 		} else {
 			dims = append(dims, x.Dims[j])
@@ -254,7 +256,10 @@ func concatForward(ctx *InferCtx) ([]lattice.Info, error) {
 		return out, nil
 	}
 	rank := len(first.Dims)
-	axis := int(normalizeAxis(ctx.Node.AttrInt("axis", 0), rank))
+	axis, err := axisAttr(ctx.Node, 0, rank, false)
+	if err != nil {
+		return nil, err
+	}
 	dims := make([]lattice.Dim, rank)
 	copy(dims, first.Dims)
 	sum := first.Dims[axis]
@@ -298,7 +303,10 @@ func concatBackward(ctx *InferCtx) ([]lattice.Info, error) {
 		return in, nil
 	}
 	rank := len(o.Dims)
-	axis := int(normalizeAxis(ctx.Node.AttrInt("axis", 0), rank))
+	axis, err := axisAttr(ctx.Node, 0, rank, false)
+	if err != nil {
+		return nil, err
+	}
 	// Non-axis dims of every input equal the output's. The axis dim of
 	// one unknown input is the residual when all others are known.
 	var unknownIdx = -1
@@ -377,7 +385,10 @@ func gatherForward(ctx *InferCtx) ([]lattice.Info, error) {
 		}
 		return out, nil
 	}
-	axis := int(normalizeAxis(ctx.Node.AttrInt("axis", 0), len(data.Dims)))
+	axis, err := axisAttr(ctx.Node, 0, len(data.Dims), false)
+	if err != nil {
+		return nil, err
+	}
 	dims := make([]lattice.Dim, 0, len(data.Dims)-1+len(idx.Dims))
 	dims = append(dims, data.Dims[:axis]...)
 	dims = append(dims, idx.Dims...)

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -23,7 +24,9 @@ func TestGemmTilesAgree(t *testing.T) {
 	rng := tensor.NewRNG(43)
 	// agree runs body over C[4,w] = A[4,k] × B[k,w] with the offsets
 	// and row strides trial picks.
-	agree := func(name string, k, w, trial int64, body func(a, b []float32, ldb int64, c []float32, ldc int64)) {
+	// finish, when set, is the epilogue's reference on the [4,w] product.
+	agree := func(name string, k, w, trial int64, finish func(want []float32),
+		body func(a, b []float32, ldb int64, c []float32, ldc int64)) {
 		t.Helper()
 		val := saltedFloats(rng, int(2*k))
 		fill := func(n int64) []float32 {
@@ -44,6 +47,9 @@ func TestGemmTilesAgree(t *testing.T) {
 		}
 		want := make([]float32, 4*w)
 		refGemm(a, dense, 4, k, w, want)
+		if finish != nil {
+			finish(want)
+		}
 		before := append([]float32{}, c...)
 		body(a, b, ldb, c, ldc)
 		for x, got := range c {
@@ -65,7 +71,7 @@ func TestGemmTilesAgree(t *testing.T) {
 		ran = append(ran, "gemmStripAVX512")
 		for w := int64(1); w <= 70; w++ {
 			for k := int64(1); k <= 70; k++ {
-				agree("gemmStripAVX512", k, w, w+k, func(a, b []float32, ldb int64, c []float32, ldc int64) {
+				agree("gemmStripAVX512", k, w, w+k, nil, func(a, b []float32, ldb int64, c []float32, ldc int64) {
 					gemmStripAVX512(a, b, ldb, c, ldc, k, w)
 				})
 			}
@@ -89,12 +95,30 @@ func TestGemmTilesAgree(t *testing.T) {
 		ran = append(ran, tile.name)
 		for k := int64(1); k <= 70; k++ {
 			for trial := int64(0); trial < 4; trial++ {
-				agree(tile.name, k, tile.width, trial, func(a, b []float32, ldb int64, c []float32, ldc int64) {
+				agree(tile.name, k, tile.width, trial, nil, func(a, b []float32, ldb int64, c []float32, ldc int64) {
 					tile.body(a, b, ldb, c, ldc, k)
 				})
 			}
 		}
 	}
+	// gemmBlock over one strip of four rows with each fused epilogue, at
+	// every column tail, under whichever tiles cover it (the strip walk,
+	// and with it off the 4×16 and 4×8 tiles and the row loop): the
+	// epilogue finishes exactly the strip's [4,w] block.
+	forTile512Modes(func(wide bool) {
+		for w := int64(1); w <= 70; w++ {
+			for i, k := range []int64{1, 5, 16, 33} {
+				c := epCases[(int(w)+i)%len(epCases)]
+				ep, s, bias := c.epOperands(rng, w)
+				agree(fmt.Sprint("gemmBlock ", c, " tile512 ", wide), k, w, w+k,
+					func(want []float32) { c.refFinish(want, 4, w, w, s, bias) },
+					func(a, b []float32, ldb int64, cc []float32, ldc int64) {
+						gemmBlock(a, b, ldb, cc, ldc, 4, k, w, ep)
+					})
+			}
+		}
+	})
+	ran = append(ran, "gemmBlock epilogue")
 	t.Logf("tiles checked: %v", ran)
 }
 

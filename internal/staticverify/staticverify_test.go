@@ -153,20 +153,23 @@ func TestRegionCheck(t *testing.T) {
 		env     symbolic.Env
 		wantSym string // "" = admitted
 		wantVal int64
+		// wantText, when set, is the whole error text.
+		wantText string
 	}{
-		{"Lo", r, in(224), "", 0},
-		{"Hi", r, in(640), "", 0},
-		{"Hi+Stride", r, in(672), "H", 672},
-		{"Lo+1 off the stride", r, in(225), "H", 225},
-		{"below Lo", r, in(192), "H", 192},
-		{"point member", r, symbolic.Env{"H": 256, "L": 32, "P": 16}, "", 0},
-		{"point non-member", r, symbolic.Env{"H": 256, "L": 32, "P": 12}, "P", 12},
-		{"unbound symbol", r, symbolic.Env{"H": 256, "P": 16}, "L", 0},
-		{"first violation in sorted order", r, symbolic.Env{"H": 250, "L": 999, "P": 1}, "H", 250},
+		{"Lo", r, in(224), "", 0, ""},
+		{"Hi", r, in(640), "", 0, ""},
+		{"Hi+Stride", r, in(672), "H", 672, ""},
+		{"Lo+1 off the stride", r, in(225), "H", 225, ""},
+		{"below Lo", r, in(192), "H", 192, ""},
+		{"point member", r, symbolic.Env{"H": 256, "L": 32, "P": 16}, "", 0, ""},
+		{"point non-member", r, symbolic.Env{"H": 256, "L": 32, "P": 12}, "P", 12, ""},
+		{"unbound symbol", r, symbolic.Env{"H": 256, "P": 16}, "L", 0,
+			`guard: contract violation [fact]: symbol L of "L∈[32,384]" is unbound`},
+		{"first violation in sorted order", r, symbolic.Env{"H": 250, "L": 999, "P": 1}, "H", 250, ""},
 		// An empty region assumed nothing: its proofs hold for any binding.
-		{"empty region, empty env", Region{}, symbolic.Env{}, "", 0},
-		{"empty region, any env", Region{}, symbolic.Env{"L": 1}, "", 0},
-		{"nil region", nil, symbolic.Env{"L": 1}, "", 0},
+		{"empty region, empty env", Region{}, symbolic.Env{}, "", 0, ""},
+		{"empty region, any env", Region{}, symbolic.Env{"L": 1}, "", 0, ""},
+		{"nil region", nil, symbolic.Env{"L": 1}, "", 0, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -189,6 +192,9 @@ func TestRegionCheck(t *testing.T) {
 			}
 			if _, bound := tc.env[tc.wantSym]; bound == (ce.Detail == "unbound") {
 				t.Errorf("Detail %q for a symbol bound=%v", ce.Detail, bound)
+			}
+			if tc.wantText != "" && err.Error() != tc.wantText {
+				t.Errorf("error reads %q, want %q", err.Error(), tc.wantText)
 			}
 		})
 	}

@@ -217,9 +217,11 @@ type Compiled struct {
 	inner *frameworks.Compiled
 }
 
-// Compile runs the full SoD² pre-deployment pipeline on a model.
+// Compile runs the full SoD² pre-deployment pipeline on a model: the
+// compile every serving path shares, which folds each MatMul's and
+// Conv's scale, bias and activation into it before the analyses run.
 func Compile(b *ModelBuilder) (*Compiled, error) {
-	c, err := frameworks.Compile(b)
+	c, err := frameworks.CompileServing(b, SchedConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -199,12 +199,18 @@ func TestReportBindViolationServedDynamic(t *testing.T) {
 
 // TestUnobservedRunRecordsNoEvents: a guarded run no Hooks consumer
 // observes records no per-operator event but the same scalar totals, and
-// an observed one records every operator it ran — the counts pinned here
-// are the ones every run recorded before the trace became opt-in.
+// an observed one records every operator it ran. ran pins the operators
+// a run of the graph as built executed before the trace became opt-in;
+// fused, the ones of those the serving compile folds into a MatMul or
+// Conv epilogue, so the served graph runs the difference.
 func TestUnobservedRunRecordsNoEvents(t *testing.T) {
 	ran := map[string]int{
 		"SkipNet": 69, "DGNet": 65, "ConvNet-AIG": 78, "RaNet": 25, "BlockDrop": 42,
 		"CodeBERT": 80, "Conformer": 69, "StableDiffusion": 52, "SegmentAnything": 88, "YOLO-V6": 38,
+	}
+	fused := map[string]int{
+		"SkipNet": 11, "DGNet": 11, "ConvNet-AIG": 12, "RaNet": 7, "BlockDrop": 7,
+		"CodeBERT": 17, "Conformer": 15, "StableDiffusion": 5, "SegmentAnything": 18, "YOLO-V6": 7,
 	}
 	for _, b := range Models() {
 		c, err := Compile(b)
@@ -233,8 +239,8 @@ func TestUnobservedRunRecordsNoEvents(t *testing.T) {
 				n++
 			}
 		}
-		if n != ran[b.Name] {
-			t.Errorf("%s: observed run recorded %d executed operators, want %d", b.Name, n, ran[b.Name])
+		if want := ran[b.Name] - fused[b.Name]; n != want {
+			t.Errorf("%s: observed run recorded %d executed operators, want %d", b.Name, n, want)
 		}
 	}
 }

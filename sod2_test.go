@@ -3,6 +3,7 @@ package sod2
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/kernels"
@@ -148,6 +149,73 @@ func TestAnalyzeRejectsConvAttrLengths(t *testing.T) {
 		if !errors.As(err, &lenErr) || lenErr.Attr != tc.bad {
 			t.Errorf("%s %v: Analyze error %v, want an AttrLenError on %s", tc.op, tc.attrs, err, tc.bad)
 		}
+	}
+}
+
+// An axis outside its range on Concat, Gather or Flatten, or an Unsqueeze
+// axes entry outside the output rank or named twice, over a rank-4
+// input, is an *AttrError on the node's attribute — from the analysis of
+// the loaded graph and from the kernel alike — never an index or slice
+// panic.
+func TestBadAxisIsAnAttrError(t *testing.T) {
+	for _, tc := range []struct {
+		op, attr string
+		val      NodeAttr
+	}{
+		{"Concat", "axis", IntAttr(5)}, {"Concat", "axis", IntAttr(-7)},
+		{"Gather", "axis", IntAttr(5)}, {"Gather", "axis", IntAttr(-7)},
+		{"Flatten", "axis", IntAttr(5)}, {"Flatten", "axis", IntAttr(-7)},
+		{"Unsqueeze", "axes", IntsAttr(9)}, {"Unsqueeze", "axes", IntsAttr(-9)},
+		{"Unsqueeze", "axes", IntsAttr(1, -5)},
+	} {
+		inputs := map[string][]string{"Concat": {"x", "x"}, "Gather": {"x", "idx"}}[tc.op]
+		if inputs == nil {
+			inputs = []string{"x"}
+		}
+		g := NewGraph("bad-axis")
+		g.AddInput("x", tensor.Float32, lattice.FromInts(1, 4, 6, 6))
+		g.AddInitializer("idx", tensor.FromInts([]int64{1}, []int64{0}))
+		g.Op(tc.op, "n", inputs, []string{"y"}, map[string]NodeAttr{tc.attr: tc.val})
+		g.AddOutput("y")
+		var buf bytes.Buffer
+		if err := g.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadGraphJSON(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tag := fmt.Sprintf("%s %s=%d", tc.op, tc.attr, tc.val.I)
+		if tc.val.Ints != nil {
+			tag = fmt.Sprintf("%s %s=%v", tc.op, tc.attr, tc.val.Ints)
+		}
+		wantAttrError := func(stage string, run func() error) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: %s panicked: %v", tag, stage, r)
+				}
+			}()
+			err := run()
+			var ae *kernels.AttrError
+			if !errors.As(err, &ae) || ae.Node != "n" || ae.Attr != tc.attr {
+				t.Errorf("%s: %s error %v, want an AttrError on n's %s", tag, stage, err, tc.attr)
+			}
+		}
+		wantAttrError("Analyze", func() error {
+			_, err := Analyze(loaded, nil)
+			return err
+		})
+		in := []*tensor.Tensor{tensor.New(tensor.Float32, 1, 4, 6, 6)}
+		if len(inputs) == 2 {
+			in = append(in, loaded.Initializers[inputs[1]])
+			if inputs[1] == "x" {
+				in[1] = in[0]
+			}
+		}
+		wantAttrError("the kernel", func() error {
+			_, err := kernels.Run(loaded.Nodes[0], in, nil)
+			return err
+		})
 	}
 }
 
